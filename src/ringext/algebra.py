@@ -331,6 +331,7 @@ def subalgebra_extension(total: FDAlgebra, basis: Optional[Sequence[Sequence]] =
         for x in elems:
             if not 0 <= x < g.order:
                 raise AlgebraError(f"subgroup element {x} out of range")
+        for x in elems:
             for y in elems:
                 if g.cayley[x][y] not in index_of:
                     raise AlgebraError(

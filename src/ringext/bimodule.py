@@ -223,8 +223,7 @@ def submodule_as_module(parent: Bimodule, sub: Subspace,
                 raise BimoduleError(
                     f"subspace of {parent.label} is not action-stable")
             cols.append(coords)
-        return Matrix.from_cols(parent.field, cols) if cols \
-            else Matrix(parent.field, 0, 0, [])
+        return Matrix.from_cols(parent.field, cols, sub.dim)
 
     return Bimodule(parent.left_algebra, parent.right_algebra, sub.dim,
                     [induce(op) for op in parent.left_action],
@@ -407,12 +406,12 @@ def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
 
     def left_act(op: Matrix) -> Matrix:
         cols = [pres.project((op @ s).vec()) for s in sec_mats]
-        return Matrix.from_cols(f, cols) if cols else Matrix(f, 0, 0, [])
+        return Matrix.from_cols(f, cols, pres.dim)
 
     def right_act(op: Matrix) -> Matrix:
         opt = op.transpose()
         cols = [pres.project((s @ opt).vec()) for s in sec_mats]
-        return Matrix.from_cols(f, cols) if cols else Matrix(f, 0, 0, [])
+        return Matrix.from_cols(f, cols, pres.dim)
 
     lab = label or f"{m.label}(x){n.label}"
     mod = Bimodule(m.left_algebra, n.right_algebra, pres.dim,
@@ -440,8 +439,7 @@ def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
             raise BimoduleError("tensor map does not respect the relations")
     cols = [dst.presentation.project(ambient(src.presentation.section.col(k)))
             for k in range(src.presentation.dim)]
-    return Matrix.from_cols(f, cols) if cols \
-        else Matrix(f, dst.presentation.dim, 0, [])
+    return Matrix.from_cols(f, cols, dst.presentation.dim)
 
 
 # ---------------------------------------------------------------------------

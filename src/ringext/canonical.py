@@ -236,6 +236,12 @@ class CanonicalRings:
     def _build_mu(self) -> Matrix:
         """Multiplication Q -> A on quotient coordinates."""
         a = self.ext.total
+        return self._q_to_total(lambda i, j: a.mult[i][j])
+
+    def _q_to_total(self, pure) -> Matrix:
+        """The linear map Q -> A sending the basis tensor e_i (x) e_j to
+        the vector pure(i, j), on quotient coordinates."""
+        a = self.ext.total
         f = self.field
         cols = []
         for k in range(self.dim_q):
@@ -245,39 +251,35 @@ class CanonicalRings:
                 for j in range(a.dim):
                     c = m.data[i][j]
                     if not f.is_zero(c):
-                        f.row_addmul(acc, a.mult[i][j], c)
+                        f.row_addmul(acc, pure(i, j), c)
             cols.append(acc)
-        return Matrix.from_cols(f, cols) if cols else Matrix(f, a.dim, 0, [])
+        return Matrix.from_cols(f, cols, a.dim)
 
     def _build_tensor_counit(self) -> Matrix:
         cols = [self.r_coords(self.mu_matrix.apply(row),
                               "image of an invariant tensor under multiplication")
                 for row in self.tensor_space.rows]
-        return Matrix.from_cols(self.field, cols) if cols \
-            else Matrix(self.field, self.centralizer.dim, 0, [])
+        return Matrix.from_cols(self.field, cols, self.centralizer.dim)
 
     def _build_endo_counit(self) -> Matrix:
         a = self.ext.total
         cols = [self.r_coords(mat.apply(a.unit), "value of an endomorphism at 1")
                 for mat in self.endo_space.basis]
-        return Matrix.from_cols(self.field, cols) if cols \
-            else Matrix(self.field, self.centralizer.dim, 0, [])
+        return Matrix.from_cols(self.field, cols, self.centralizer.dim)
 
     def _build_lambda(self) -> Matrix:
         a = self.ext.total
         cols = [self.s_coords(a.left_mult_matrix(row),
                               "left multiplication by a centralizer element")
                 for row in self.centralizer_space.rows]
-        return Matrix.from_cols(self.field, cols) if cols \
-            else Matrix(self.field, self.endo_ring.dim, 0, [])
+        return Matrix.from_cols(self.field, cols, self.endo_ring.dim)
 
     def _build_rho(self) -> Matrix:
         a = self.ext.total
         cols = [self.s_coords(a.right_mult_matrix(row),
                               "right multiplication by a centralizer element")
                 for row in self.centralizer_space.rows]
-        return Matrix.from_cols(self.field, cols) if cols \
-            else Matrix(self.field, self.endo_ring.dim, 0, [])
+        return Matrix.from_cols(self.field, cols, self.endo_ring.dim)
 
     # -- module structure builders -------------------------------------------
 
@@ -285,8 +287,7 @@ class CanonicalRings:
         """A Q-operator preserving the invariant subspace, in T coordinates."""
         cols = [self.t_coords(q_op.apply(row), what)
                 for row in self.tensor_space.rows]
-        return Matrix.from_cols(self.field, cols) if cols \
-            else Matrix(self.field, 0, 0, [])
+        return Matrix.from_cols(self.field, cols, self.tensor_space.dim)
 
     def _build_t_over_r(self) -> Bimodule:
         """T as an R-R-bimodule: multiply the first leg on the left and the
@@ -326,8 +327,7 @@ class CanonicalRings:
                                    @ a.basis_right_mult(j)).scale(c)
             cols = [self.r_coords(op.apply(row), "sandwiched centralizer element")
                     for row in self.centralizer_space.rows]
-            rights.append(Matrix.from_cols(f, cols) if cols
-                          else Matrix(f, 0, 0, []))
+            rights.append(Matrix.from_cols(f, cols, self.centralizer.dim))
         return Bimodule(triv, self.tensor_ring, self.centralizer.dim,
                         [Matrix.identity(f, self.centralizer.dim)],
                         rights, label="R|T")
@@ -341,8 +341,7 @@ class CanonicalRings:
             cols = [self.r_coords(mat.apply(row),
                                   "endomorphism value on a centralizer element")
                     for row in self.centralizer_space.rows]
-            lefts.append(Matrix.from_cols(f, cols) if cols
-                         else Matrix(f, 0, 0, []))
+            lefts.append(Matrix.from_cols(f, cols, self.centralizer.dim))
         return Bimodule(self.endo_ring, triv, self.centralizer.dim, lefts,
                         [Matrix.identity(f, self.centralizer.dim)],
                         label="R|S")
@@ -359,10 +358,8 @@ class CanonicalRings:
                      for b in self.endo_space.basis]
             rcols = [self.s_coords(rmat @ b, "right translate of an endomorphism")
                      for b in self.endo_space.basis]
-            lefts.append(Matrix.from_cols(f, lcols) if lcols
-                         else Matrix(f, 0, 0, []))
-            rights.append(Matrix.from_cols(f, rcols) if rcols
-                          else Matrix(f, 0, 0, []))
+            lefts.append(Matrix.from_cols(f, lcols, self.endo_ring.dim))
+            rights.append(Matrix.from_cols(f, rcols, self.endo_ring.dim))
         return Bimodule(self.centralizer, self.centralizer,
                         self.endo_ring.dim, lefts, rights, label="S|R-R")
 
@@ -504,20 +501,8 @@ class CanonicalRings:
         """The map from the tensor square to A placing r between the legs."""
         a = self.ext.total
         f = self.field
-        cols = []
-        for k in range(self.dim_q):
-            m = self.q_ambient(unit_vec(f, self.dim_q, k))
-            acc = zero_vec(f, a.dim)
-            for i in range(a.dim):
-                for j in range(a.dim):
-                    c = m.data[i][j]
-                    if f.is_zero(c):
-                        continue
-                    val = a.multiply(a.multiply(
-                        unit_vec(f, a.dim, i), r), unit_vec(f, a.dim, j))
-                    f.row_addmul(acc, val, c)
-            cols.append(acc)
-        return Matrix.from_cols(f, cols) if cols else Matrix(f, a.dim, 0, [])
+        return self._q_to_total(lambda i, j: a.multiply(
+            a.multiply(unit_vec(f, a.dim, i), r), unit_vec(f, a.dim, j)))
 
 
 def build_canonical_rings(ext: Extension, check: bool = True,

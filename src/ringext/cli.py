@@ -19,10 +19,9 @@ from .certify import (classify, find_conditional_expectation,
                       find_d2_quasibase, find_hsep_system,
                       find_separability_element, verify_d2, verify_hsep,
                       verify_separability, verify_split)
-from .equivalences import (chi_M, evaluation_map, functor_iso_checks, gamma_M,
-                           pi_A_iso, rho_M, split_counit, triangle_check)
+from .equivalences import pi_A_iso
 from .normality import hopf_normality
-from .report import (TOOL, _iso_block, analysis_report, equivalence_block,
+from .report import (TOOL, _iso_block, analysis_report, module_block,
                      normality_block, render_text, report_json, verify_report)
 from .serialize import (InputError, d2_json, field_json, hsep_json,
                         input_json, parse_input, separability_json,
@@ -128,26 +127,12 @@ def cmd_equivalence(args) -> int:
             raise InputError(f"no module labeled {name!r} in the input",
                              "$.modules")
         m = found[0]
-    sep = cls.separability_element
-    lqb = cls.left_quasibase
-    seed = parsed.seed
-    entry = {}
-    if m.left_algebra is cr.ext.total:
-        entry["triangle"] = triangle_check(cr, m)
-        entry["gamma"] = _iso_block(
-            gamma_M(cr, m, separability=sep, left_quasibase=lqb, seed=seed))
-        fi = functor_iso_checks(cr, m, left_quasibase=lqb, seed=seed)
-        entry["induction"] = _iso_block(fi["induction"])
-        entry["coinduction"] = _iso_block(fi["coinduction"])
-    if m.right_algebra is cr.ext.total:
-        entry["chi"] = _iso_block(chi_M(cr, m, left_quasibase=lqb, seed=seed))
-        entry["rho"] = _iso_block(rho_M(cr, m, left_quasibase=lqb, seed=seed))
     doc = _stamp(parsed, f"equivalence {name}")
     doc["dims"] = cr.dims()
     doc["equivalences"] = {
-        name: entry,
+        name: module_block(cr, cls, m, parsed.seed)[0],
         "base_change_of_total": _iso_block(
-            pi_A_iso(cr, left_quasibase=lqb, seed=seed)),
+            pi_A_iso(cr, left_quasibase=cls.left_quasibase, seed=parsed.seed)),
     }
     return _emit(doc, args)
 

@@ -16,13 +16,19 @@ supplied, constructs the predicted inverse formula and verifies both
 composites.  Naturality squares are sampled with seeded random module
 maps.  Missing certificates and failed checks produce reports, never
 exceptions; an exception means either bad input or an internal bug.
+
+All constructors share one engine: _intertwines for every linearity and
+naturality square, _sample_endos for the seeded module maps, _on_hom for
+operators induced on map spaces, _certify_inverse for certified
+inverses, and _comparison for the status, route and result.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cache
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FDAlgebra, trivial_algebra
 from .bimodule import (
@@ -91,23 +97,12 @@ class VerifiedIso:
     def is_iso(self) -> bool:
         return self.status in ("verified", "bijective")
 
-    def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "domain": self.domain,
-            "codomain": self.codomain,
-            "domain_dim": self.domain_dim,
-            "codomain_dim": self.codomain_dim,
-            "status": self.status,
-            "route": self.route,
-            "naturality_samples": self.naturality_samples,
-            "checks": dict(self.checks),
-            "detail": self.detail,
-        }
-
 
 # ---------------------------------------------------------------------------
-# small helpers
+# the comparison-map engine
+
+_NO_QUASIBASE = "no left quasibase supplied; formula inverse not certified"
+
 
 def _rng(seed: int, tag: str) -> random.Random:
     # string seeding is hash-free and stable across processes
@@ -121,23 +116,89 @@ def _rand_scalar(field, rng: random.Random):
     return field.of(rng.randint(-3, 3))
 
 
-def _random_maps(space: MapSpace, rng: random.Random, count: int) -> list[Matrix]:
-    out = []
-    for _ in range(count):
-        coords = [_rand_scalar(space.field, rng) for _ in range(space.dim)]
-        out.append(space.element(coords))
-    return out
+def _sample_endos(m: Bimodule, seed: int, tag: str, count: int) -> list[Matrix]:
+    """Seeded random endomorphisms of m, one per naturality square."""
+    space = hom_space(m, m)
+    rng = _rng(seed, tag)
+    return [space.element([_rand_scalar(space.field, rng)
+                           for _ in range(space.dim)])
+            for _ in range(count)]
 
 
-def _cols_matrix(field, cols: Sequence[Sequence], nrows: int) -> Matrix:
-    if not cols:
-        return Matrix(field, nrows, 0, [[] for _ in range(nrows)])
-    return Matrix.from_cols(field, cols)
+def _intertwines(fwd: Matrix, pairs: Iterable[tuple[Matrix, Matrix]]) -> bool:
+    """fwd @ s == t @ fwd for every pair (s, t): fwd carries the operator s
+    on its domain to the operator t on its codomain."""
+    return all(fwd @ s == t @ fwd for s, t in pairs)
+
+
+def _hom_coords(hs: MapSpace, maps: Iterable[Matrix]) -> Matrix:
+    """Columns of coordinates of maps that must lie in hs."""
+    cols = []
+    for mat in maps:
+        co = hs.coordinates(mat)
+        if co is None:
+            raise InternalInconsistency(f"a structural map left {hs!r}")
+        cols.append(co)
+    return Matrix.from_cols(hs.field, cols, hs.dim)
+
+
+def _on_hom(hs: MapSpace, fn: Callable[[Matrix], Matrix]) -> Matrix:
+    """The operator h -> fn(h) induced on hs, in its coordinates."""
+    return _hom_coords(hs, [fn(h) for h in hs.basis])
+
+
+def _certify_inverse(fwd: Matrix, back: Matrix, failure: str) -> bool:
+    """Check both composites of an inverse built from a certificate.
+
+    The certificate was verified first, so a failure is an internal bug.
+    """
+    f = fwd.field
+    if (fwd @ back != Matrix.identity(f, fwd.rows)
+            or back @ fwd != Matrix.identity(f, fwd.cols)):
+        raise InternalInconsistency(failure)
+    return True
+
+
+def _check_left_quasibase(cr: CanonicalRings, qb: Optional[D2Certificate],
+                          seed: int, what: str) -> None:
+    """A supplied quasibase must be left-sided and pass substitution."""
+    if qb is None:
+        return
+    if qb.side != "left":
+        raise BimoduleError(f"{what} needs a left quasibase")
+    if not verify_d2(cr, qb, seed=seed):
+        raise BimoduleError("quasibase certificate failed verification")
 
 
 def _bijective_inverse(fwd: Matrix) -> Optional[Matrix]:
     return invert(fwd) if fwd.rows == fwd.cols else None
 
+
+def _comparison(name: str, fwd: Matrix, domain: str, codomain: str,
+                checks: dict, squares: list, back: Optional[Matrix] = None,
+                route: str = "", detail: str = "") -> VerifiedIso:
+    """Record the sampled naturality squares and choose status and route.
+
+    back is an inverse already passed through _certify_inverse, and route
+    names its certificate.  Without one, bijectivity is decided by exact
+    rank and the stored inverse comes from elimination.
+    """
+    checks["naturality"] = _intertwines(fwd, squares)
+    if back is not None:
+        status = "verified"
+    else:
+        back = _bijective_inverse(fwd)
+        status = "bijective" if back is not None else "not-bijective"
+        route = "exact-rank"
+    return VerifiedIso(
+        name=name, domain=domain, codomain=codomain, domain_dim=fwd.cols,
+        codomain_dim=fwd.rows, status=status, route=route, forward=fwd,
+        backward=back, naturality_samples=len(squares), checks=checks,
+        detail=detail)
+
+
+# ---------------------------------------------------------------------------
+# small helpers
 
 def _free_pairs(tp: TensorProduct) -> list[tuple[int, int]]:
     """(left index, right index) of the pure tensor representing each class.
@@ -151,6 +212,29 @@ def _free_pairs(tp: TensorProduct) -> list[tuple[int, int]]:
     return [divmod(c, dn) for c in tp.presentation.free_cols]
 
 
+def _first_leg(tp: TensorProduct, op: Matrix) -> Matrix:
+    """op (x) id on a presented tensor product."""
+    eye = Matrix.identity(tp.module.field, tp.right_factor.dim)
+    return tp.presentation.induced_operator(kron(op, eye))
+
+
+def _second_leg(tp: TensorProduct, op: Matrix) -> Matrix:
+    """id (x) op on a presented tensor product."""
+    eye = Matrix.identity(tp.module.field, tp.left_factor.dim)
+    return tp.presentation.induced_operator(kron(eye, op))
+
+
+def _gather(ops: Sequence[Matrix], mu: int) -> Matrix:
+    """The matrix whose k-th column is ops[k].col(mu)."""
+    return Matrix.from_cols(ops[0].field, [op.col(mu) for op in ops])
+
+
+def _leg_ops(cr: CanonicalRings, act: Callable[[Sequence], Matrix],
+             tensor: Sequence) -> list[Matrix]:
+    """act(t_k) for t = sum_k e_k (x) t_k in the tensor square."""
+    return [act(row) for row in cr.q_ambient(tensor).data]
+
+
 def _one_sided_left(m: Bimodule) -> Bimodule:
     return m if m.right_algebra == trivial_algebra(m.field) else forget_right(m)
 
@@ -159,16 +243,10 @@ def _one_sided_right(m: Bimodule) -> Bimodule:
     return m if m.left_algebra == trivial_algebra(m.field) else forget_left(m)
 
 
-def _require_left_module(cr: CanonicalRings, m: Bimodule) -> None:
-    if m.left_algebra != cr.ext.total:
+def _require_module(m: Bimodule, side: str, ring: FDAlgebra) -> None:
+    if (m.left_algebra if side == "left" else m.right_algebra) != ring:
         raise BimoduleError(
-            f"{m.label}: expected a left module over {cr.ext.total.name}")
-
-
-def _require_right_module(cr: CanonicalRings, m: Bimodule) -> None:
-    if m.right_algebra != cr.ext.total:
-        raise BimoduleError(
-            f"{m.label}: expected a right module over {cr.ext.total.name}")
+            f"{m.label}: expected a {side} module over {ring.name}")
 
 
 def _kron_comb(weights: Matrix, lefts: Sequence[Matrix],
@@ -237,58 +315,60 @@ def _induced_from_base(cr: CanonicalRings, m: Bimodule) -> _InducedModule:
     as_left_t = left_module(cr.tensor_ring, x.module.dim, t_ops,
                             label=f"T|{x.module.label}")
 
-    collapse = _cols_matrix(
+    collapse = Matrix.from_cols(
         f, [m.left_action[i].col(mu) for i, mu in _free_pairs(x)], m.dim)
     return _InducedModule(x, as_left_t, collapse)
 
 
-def _gamma_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
-                  g: TensorProduct) -> Matrix:
-    """gamma(r (x) (a (x) v)) = (a r).v, column per quotient class."""
-    f, a = cr.field, cr.ext.total
-    xpairs = _free_pairs(x)
-    cache: dict[tuple[int, int], Matrix] = {}
+def _collapse(m: Bimodule, outer: TensorProduct, inner: TensorProduct,
+              element: Callable[[int, int], Sequence]) -> Matrix:
+    """r (x) (s (x) v) -> element(r, s).v, column per quotient class.
+
+    outer is R (x) inner, and each class of inner is the pure tensor
+    s (x) v of basis elements; r and s are basis indices.
+    """
+    inner_pairs = _free_pairs(inner)
+
+    @cache
+    def op(u: int, s: int) -> Matrix:
+        return m.left_operator(element(u, s))
+
     cols = []
-    for u, v in _free_pairs(g):
-        i, mu = xpairs[v]
-        op = cache.get((u, i))
-        if op is None:
-            prod = a.multiply(unit_vec(f, a.dim, i), cr.centralizer_space.rows[u])
-            op = m.left_operator(prod)
-            cache[(u, i)] = op
-        cols.append(op.col(mu))
-    return _cols_matrix(f, cols, m.dim)
+    for u, v in _free_pairs(outer):
+        s, mu = inner_pairs[v]
+        cols.append(op(u, s).col(mu))
+    return Matrix.from_cols(m.field, cols, m.dim)
 
 
-def _one_tensor_psi(cr: CanonicalRings, x: TensorProduct,
-                    g: TensorProduct) -> Matrix:
-    """The section xi -> 1 (x) xi from the induced module into g."""
-    f = cr.field
+def _gamma(cr: CanonicalRings, m: Bimodule
+           ) -> tuple[_InducedModule, TensorProduct, Matrix, bool]:
+    """gamma(r (x) (a (x) v)) = (a r).v on R (x)_T (A (x)_B m), and whether
+    it satisfies the triangle identity against the induced collapse."""
+    f, a = cr.field, cr.ext.total
+    ind = _induced_from_base(cr, m)
+    x = ind.tensor
+    g = tensor_over(cr.cent_module_tensor, forget_right(ind.as_left_t),
+                    label=f"R(x)T[{x.module.label}]")
+    gamma = _collapse(m, g, x, lambda u, i: a.multiply(
+        unit_vec(f, a.dim, i), cr.centralizer_space.rows[u]))
+    # the section xi -> 1 (x) xi from the induced module into g
     runit = list(cr.centralizer.unit)
     dx = x.module.dim
-    cols = [g.pure(runit, unit_vec(f, dx, v)) for v in range(dx)]
-    return _cols_matrix(f, cols, g.module.dim)
+    psi = Matrix.from_cols(
+        f, [g.pure(runit, unit_vec(f, dx, v)) for v in range(dx)], g.module.dim)
+    return ind, g, gamma, gamma @ psi == ind.collapse
 
 
-def _gamma_sep_inverse(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
-                       g: TensorProduct, element: Sequence) -> Matrix:
-    """v -> 1 (x) (e1 (x) e2.v) for a separability element e."""
-    f, a = cr.field, cr.ext.total
-    emat = cr.q_ambient(element)
-    ops = [m.left_operator(emat.data[k]) for k in range(a.dim)]
-    runit = list(cr.centralizer.unit)
-    dm = m.dim
-    cols = []
-    for mu in range(dm):
-        flat = zero_vec(f, a.dim * dm)
-        for k in range(a.dim):
-            col = ops[k].col(mu)
-            base = k * dm
-            for t, val in enumerate(col):
-                if not f.is_zero(val):
-                    flat[base + t] = val
-        cols.append(g.pure(runit, x.presentation.project(flat)))
-    return _cols_matrix(f, cols, g.module.dim)
+def _through_legs(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
+                  tensor: Sequence) -> Matrix:
+    """v -> t1 (x) t2.v from m into x = A (x)_B m for a tensor t.
+
+    Stacking the operators t_k.(-) spreads v over the ambient blocks
+    e_k (x) m of A (x) m; the projection then takes the class.
+    """
+    ops = _leg_ops(cr, m.left_operator, tensor)
+    stacked = Matrix.from_rows(cr.field, [row for op in ops for row in op.data])
+    return x.presentation.projection @ stacked
 
 
 def _t_as_right_r(cr: CanonicalRings) -> Bimodule:
@@ -314,29 +394,9 @@ def _pi_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
                y: TensorProduct) -> Matrix:
     """pi(t (x) v) = t1 (x) t2.v from the tensor-ring side to the induced
     module, column per quotient class of y."""
-    f, a = cr.field, cr.ext.total
-    dm = m.dim
-    cache: dict[int, Matrix] = {}
-    cols = []
-    for ti, mu in _free_pairs(y):
-        mat = cache.get(ti)
-        if mat is None:
-            w = cr.q_ambient(cr.tensor_space.rows[ti])
-            ops = [m.left_operator(w.data[k]) for k in range(a.dim)]
-            cc = []
-            for nu in range(dm):
-                flat = zero_vec(f, a.dim * dm)
-                for k in range(a.dim):
-                    col = ops[k].col(nu)
-                    base = k * dm
-                    for t, val in enumerate(col):
-                        if not f.is_zero(val):
-                            flat[base + t] = val
-                cc.append(x.presentation.project(flat))
-            mat = _cols_matrix(f, cc, x.module.dim)
-            cache[ti] = mat
-        cols.append(mat.col(mu))
-    return _cols_matrix(f, cols, x.module.dim)
+    legs = cache(lambda ti: _through_legs(cr, m, x, cr.tensor_space.rows[ti]))
+    return Matrix.from_cols(
+        cr.field, [legs(ti).col(mu) for ti, mu in _free_pairs(y)], x.module.dim)
 
 
 def _quasibase_to_y(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
@@ -351,26 +411,7 @@ def _quasibase_to_y(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
             val = m.left_operator(endo.col(i)).col(mu)
             acc = vec_add(f, acc, y.pure(tco, val))
         cols.append(acc)
-    return _cols_matrix(f, cols, y.module.dim)
-
-
-def _delta_matrix(cr: CanonicalRings, m: Bimodule, y: TensorProduct,
-                  w: TensorProduct) -> Matrix:
-    """The unconditional collapse of r (x) (t (x) v) to (r.t).v, where r.t
-    is the right tensor-ring action on the centralizer (a sandwich)."""
-    f = cr.field
-    ypairs = _free_pairs(y)
-    cache: dict[tuple[int, int], Matrix] = {}
-    cols = []
-    for u, v in _free_pairs(w):
-        ti, mu = ypairs[v]
-        op = cache.get((u, ti))
-        if op is None:
-            sand = cr.cent_module_tensor.right_action[ti].col(u)
-            op = m.left_operator(cr.r_lift(sand))
-            cache[(u, ti)] = op
-        cols.append(op.col(mu))
-    return _cols_matrix(f, cols, m.dim)
+    return Matrix.from_cols(f, cols, y.module.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -389,96 +430,65 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
     unconditional collapse of R (x)_T (T (x)_R m).  Without certificates
     the map is still built and bijectivity decided by exact rank.
     """
-    _require_left_module(cr, m)
+    _require_module(m, "left", cr.ext.total)
+    if separability is not None and not verify_separability(cr, separability):
+        raise BimoduleError("separability certificate failed verification")
+    _check_left_quasibase(cr, left_quasibase, seed, "gamma certification")
     f, a = cr.field, cr.ext.total
-    ind = _induced_from_base(cr, m)
+    ind, g, gamma, triangle = _gamma(cr, m)
     x = ind.tensor
-    g = tensor_over(cr.cent_module_tensor, forget_right(ind.as_left_t),
-                    label=f"R(x)T[{x.module.label}]")
-    gamma = _gamma_matrix(cr, m, x, g)
-    checks: dict = {}
-
-    psi = _one_tensor_psi(cr, x, g)
-    checks["triangle"] = (gamma @ psi) == ind.collapse
+    checks: dict = {"triangle": triangle}
 
     # gamma always intertwines whatever outer structure m carries
     if m.right_algebra == a:
-        ok_l = ok_r = True
-        eye_r = Matrix.identity(f, cr.centralizer.dim)
-        for i in range(a.dim):
-            g_left = g.presentation.induced_operator(
-                kron(eye_r, x.module.left_action[i]))
-            if gamma @ g_left != m.left_action[i] @ gamma:
-                ok_l = False
-            x_right = x.presentation.induced_operator(
-                kron(Matrix.identity(f, a.dim), m.right_action[i]))
-            g_right = g.presentation.induced_operator(kron(eye_r, x_right))
-            if gamma @ g_right != m.right_action[i] @ gamma:
-                ok_r = False
-        checks["left_linear"] = ok_l
-        checks["right_linear"] = ok_r
+        checks["left_linear"] = _intertwines(gamma, (
+            (_second_leg(g, op), mop)
+            for op, mop in zip(x.module.left_action, m.left_action)))
+        checks["right_linear"] = _intertwines(gamma, (
+            (_second_leg(g, _second_leg(x, op)), op) for op in m.right_action))
 
-    inv = _bijective_inverse(gamma)
-    status = "bijective" if inv is not None else "not-bijective"
-    route = "exact-rank"
-
+    back, route = None, ""
     if separability is not None:
-        if not verify_separability(cr, separability):
-            raise BimoduleError("separability certificate failed verification")
-        sigma = _gamma_sep_inverse(cr, m, x, g, separability.element)
-        ok = (gamma @ sigma == Matrix.identity(f, m.dim)
-              and sigma @ gamma == Matrix.identity(f, g.module.dim))
-        checks["separability_inverse"] = ok
-        if not ok:
-            raise InternalInconsistency(
-                "a verified separability element must invert the action map")
-        status, route, inv = "verified", "separability-element", sigma
+        runit = list(cr.centralizer.unit)
+        legs = _through_legs(cr, m, x, separability.element)
+        back = Matrix.from_cols(f, [g.pure(runit, col) for col in legs.columns()],
+                                g.module.dim)
+        checks["separability_inverse"] = _certify_inverse(
+            gamma, back,
+            "a verified separability element must invert the action map")
+        route = "separability-element"
 
     if left_quasibase is not None:
-        if left_quasibase.side != "left":
-            raise BimoduleError("gamma certification needs a left quasibase")
-        if not verify_d2(cr, left_quasibase, seed=seed):
-            raise BimoduleError("quasibase certificate failed verification")
         y = _t_tensor_r(cr, m)
-        pi = _pi_matrix(cr, m, x, y)
         w = tensor_over(cr.cent_module_tensor, forget_right(y.module),
                         label=f"R(x)T[{y.module.label}]")
-        delta = _delta_matrix(cr, m, y, w)
+        # the unconditional collapse r (x) (t (x) v) -> (r.t).v, where r.t
+        # is the right tensor-ring action on the centralizer (a sandwich)
+        delta = _collapse(m, w, y, lambda u, ti: cr.r_lift(
+            cr.cent_module_tensor.right_action[ti].col(u)))
         delta_inv = _bijective_inverse(delta)
         if delta_inv is None:
             raise InternalInconsistency(
                 "the collapse through the tensor ring is always bijective")
-        top = tensor_map(w, g, Matrix.identity(f, cr.centralizer.dim), pi)
-        checks["factors_through_collapse"] = (gamma @ top) == delta
-        top_inv = _bijective_inverse(top)
-        if top_inv is None or not checks["factors_through_collapse"]:
-            raise InternalInconsistency(
-                "a verified left quasibase must make the induced-module "
-                "comparison map bijective")
+        top = tensor_map(w, g, Matrix.identity(f, cr.centralizer.dim),
+                         _pi_matrix(cr, m, x, y))
+        through = top @ delta_inv
+        # gamma @ top equals the collapse exactly when top @ collapse^-1 is
+        # a right inverse of gamma; the left composite proves bijectivity
+        checks["factors_through_collapse"] = _certify_inverse(
+            gamma, through, "a verified left quasibase must make the "
+            "induced-module comparison map bijective")
         checks["quasibase_route"] = True
-        if status != "verified":
-            status, route = "verified", "left-quasibase-collapse"
-            inv = top @ delta_inv
+        if back is None:
+            back, route = through, "left-quasibase-collapse"
 
-    nat_ok = True
-    count = 0
-    rng = _rng(seed, f"gamma:{m.label}")
-    endos = hom_space(_one_sided_left(m), _one_sided_left(m))
     eye_a = Matrix.identity(f, a.dim)
     eye_r = Matrix.identity(f, cr.centralizer.dim)
-    for fmat in _random_maps(endos, rng, samples):
-        xf = tensor_map(x, x, eye_a, fmat)
-        gf = tensor_map(g, g, eye_r, xf)
-        if gamma @ gf != fmat @ gamma:
-            nat_ok = False
-        count += 1
-    checks["naturality"] = nat_ok
-
-    return VerifiedIso(
-        name="gamma", domain=g.module.label, codomain=m.label,
-        domain_dim=g.module.dim, codomain_dim=m.dim, status=status,
-        route=route, forward=gamma, backward=inv,
-        naturality_samples=count, checks=checks)
+    squares = [(tensor_map(g, g, eye_r, tensor_map(x, x, eye_a, e)), e)
+               for e in _sample_endos(_one_sided_left(m), seed,
+                                      f"gamma:{m.label}", samples)]
+    return _comparison("gamma", gamma, g.module.label, m.label, checks,
+                       squares, back, route)
 
 
 def triangle_check(cr: CanonicalRings, m: Bimodule) -> bool:
@@ -487,13 +497,8 @@ def triangle_check(cr: CanonicalRings, m: Bimodule) -> bool:
     Collapsing A (x)_B m by acting equals gamma after inserting the unit
     of the centralizer.  This uses no hypotheses on the extension.
     """
-    _require_left_module(cr, m)
-    ind = _induced_from_base(cr, m)
-    x = ind.tensor
-    g = tensor_over(cr.cent_module_tensor, forget_right(ind.as_left_t))
-    gamma = _gamma_matrix(cr, m, x, g)
-    psi = _one_tensor_psi(cr, x, g)
-    return (gamma @ psi) == ind.collapse
+    _require_module(m, "left", cr.ext.total)
+    return _gamma(cr, m)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +514,10 @@ def pi_A_iso(cr: CanonicalRings,
     and both outer actions of the total algebra; those checks run
     unconditionally.
     """
+    _check_left_quasibase(cr, left_quasibase, seed, "induction comparison")
     m = cr.a_reg
-    iso = _induction_comparison(cr, m, left_quasibase, seed, samples,
-                                name="pi_A", from_base_induced=False)
-    return iso
+    return _induction_comparison(cr, m, _induced_from_base(cr, m),
+                                 left_quasibase, seed, samples, "pi_A")
 
 
 def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
@@ -527,10 +532,22 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
     Also decides finite generation + projectivity of the tensor ring as a
     right centralizer module and of the endo ring as a left one.
     """
-    _require_left_module(cr, m)
-    induction = _induction_comparison(cr, m, left_quasibase, seed, samples,
-                                      name="induction", from_base_induced=True)
-    coinduction = _coinduction_comparison(cr, m, left_quasibase, seed, samples)
+    _require_module(m, "left", cr.ext.total)
+    _check_left_quasibase(cr, left_quasibase, seed, "induction comparison")
+    ind = _induced_from_base(cr, m)
+    collapse = _induction_comparison(cr, m, ind, left_quasibase, seed,
+                                     samples, "induction")
+    if collapse.backward is not None:
+        # report the map from the base-induced module to the other one
+        induction = replace(
+            collapse, domain=collapse.codomain, codomain=collapse.domain,
+            domain_dim=collapse.codomain_dim, codomain_dim=collapse.domain_dim,
+            forward=collapse.backward, backward=collapse.forward)
+    else:
+        induction = replace(collapse, detail="comparison map is not "
+                            "bijective; reporting the collapse direction")
+    coinduction = _coinduction_comparison(cr, m, ind.tensor, left_quasibase,
+                                          seed, samples)
     t_fgp = dual_basis_witness(cr.tensor_bimodule_cent, cr.centralizer, "right")
     s_fgp = dual_basis_witness(cr.endo_bimodule_cent, cr.centralizer, "left")
     return {
@@ -542,109 +559,51 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
 
 
 def _induction_comparison(cr: CanonicalRings, m: Bimodule,
+                          ind: _InducedModule,
                           left_quasibase: Optional[D2Certificate],
-                          seed: int, samples: int, name: str,
-                          from_base_induced: bool) -> VerifiedIso:
-    """Shared engine for the tensor-ring comparison of an induced module.
+                          seed: int, samples: int, name: str) -> VerifiedIso:
+    """The always-constructible collapse pi from T (x)_R m to A (x)_B m.
 
-    from_base_induced True reports the map from the base-induced module to
-    the tensor-ring-induced one (needs a quasibase); False reports the
-    always-constructible collapse in the other direction.
+    A left quasibase, already verified by the caller, certifies its
+    inverse.
     """
     f, a, ext = cr.field, cr.ext.total, cr.ext
-    ind = _induced_from_base(cr, m)
     x = ind.tensor
     y = _t_tensor_r(cr, m)
     pi = _pi_matrix(cr, m, x, y)
-    checks: dict = {}
-
-    # pi intertwines the left tensor-ring actions
-    ok_t = all(
-        pi @ y.module.left_action[ti] == ind.as_left_t.left_action[ti] @ pi
-        for ti in range(cr.tensor_ring.dim))
-    checks["tensor_ring_linear"] = ok_t
-
-    # pi intertwines the left action of the base (second leg on the
-    # tensor-ring side, outer action on the induced side)
-    eye_t = Matrix.identity(f, cr.tensor_ring.dim)
-    ok_b = True
-    for i in range(ext.base.dim):
-        op = y.presentation.induced_operator(
-            kron(eye_t, m.left_operator(ext.iota.col(i))))
-        if pi @ op != x.module.left_operator(ext.iota.col(i)) @ pi:
-            ok_b = False
-    checks["base_linear"] = ok_b
-
+    iotas = [ext.iota.col(i) for i in range(ext.base.dim)]
+    checks: dict = {
+        "tensor_ring_linear": _intertwines(
+            pi, zip(y.module.left_action, ind.as_left_t.left_action)),
+        # the base acts on the second leg on the tensor-ring side and by
+        # the outer action on the induced side
+        "base_linear": _intertwines(pi, (
+            (_second_leg(y, m.left_operator(b)), x.module.left_operator(b))
+            for b in iotas)),
+    }
     if m.right_algebra == a:
-        ok_r = True
-        for i in range(a.dim):
-            y_right = y.presentation.induced_operator(
-                kron(eye_t, m.right_action[i]))
-            x_right = x.presentation.induced_operator(
-                kron(Matrix.identity(f, a.dim), m.right_action[i]))
-            if pi @ y_right != x_right @ pi:
-                ok_r = False
-        checks["right_linear"] = ok_r
+        checks["right_linear"] = _intertwines(pi, (
+            (_second_leg(y, op), _second_leg(x, op)) for op in m.right_action))
 
     back = None
-    verified = False
     if left_quasibase is not None:
-        if left_quasibase.side != "left":
-            raise BimoduleError("induction comparison needs a left quasibase")
-        if not verify_d2(cr, left_quasibase, seed=seed):
-            raise BimoduleError("quasibase certificate failed verification")
         back = _quasibase_to_y(cr, m, x, y, left_quasibase.pairs)
-        ok = (pi @ back == Matrix.identity(f, x.module.dim)
-              and back @ pi == Matrix.identity(f, y.module.dim))
-        checks["quasibase_inverse"] = ok
-        if not ok:
-            raise InternalInconsistency(
-                "a verified left quasibase must invert the induced-module "
-                "comparison map")
-        verified = True
+        checks["quasibase_inverse"] = _certify_inverse(
+            pi, back, "a verified left quasibase must invert the "
+            "induced-module comparison map")
 
-    nat_ok = True
-    count = 0
-    rng = _rng(seed, f"{name}:{m.label}")
-    endos = hom_space(_one_sided_left(m), _one_sided_left(m))
     eye_a = Matrix.identity(f, a.dim)
-    for fmat in _random_maps(endos, rng, samples):
-        xf = tensor_map(x, x, eye_a, fmat)
-        yf = tensor_map(y, y, eye_t, fmat)
-        if pi @ yf != xf @ pi:
-            nat_ok = False
-        count += 1
-    checks["naturality"] = nat_ok
-
-    pi_inv = _bijective_inverse(pi)
-    if verified:
-        status = "verified"
-        route = "left-quasibase"
-    elif pi_inv is not None:
-        status, route = "bijective", "exact-rank"
-        back = pi_inv
-    else:
-        status, route = "not-bijective", "exact-rank"
-    detail = "" if left_quasibase is not None else \
-        "no left quasibase supplied; formula inverse not certified"
-
-    if from_base_induced and back is not None:
-        fwd, bwd = back, pi
-        dom, cod = x.module, y.module
-    else:
-        fwd, bwd = pi, back if verified or pi_inv is not None else None
-        dom, cod = y.module, x.module
-        if from_base_induced:
-            detail = ("comparison map is not bijective; reporting the "
-                      "collapse direction")
-    return VerifiedIso(
-        name=name, domain=dom.label, codomain=cod.label,
-        domain_dim=dom.dim, codomain_dim=cod.dim, status=status, route=route,
-        forward=fwd, backward=bwd, naturality_samples=count, checks=checks,
-        detail=detail)
+    eye_t = Matrix.identity(f, cr.tensor_ring.dim)
+    squares = [(tensor_map(y, y, eye_t, e), tensor_map(x, x, eye_a, e))
+               for e in _sample_endos(_one_sided_left(m), seed,
+                                      f"{name}:{m.label}", samples)]
+    return _comparison(name, pi, y.module.label, x.module.label, checks,
+                       squares, back, "left-quasibase",
+                       "" if left_quasibase is not None else _NO_QUASIBASE)
 
 
 def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
+                            x: TensorProduct,
                             left_quasibase: Optional[D2Certificate],
                             seed: int, samples: int) -> VerifiedIso:
     """A (x)_B m against centralizer-linear maps from the endo ring to m.
@@ -652,141 +611,76 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     Forward: a (x) v goes to the map alpha -> alpha(a).v.  A left
     quasibase certifies the inverse F -> sum_p t_p1 (x) t_p2.F(beta_p).
     """
-    f, a = cr.field, cr.ext.total
-    ind = _induced_from_base(cr, m)
-    x = ind.tensor
+    f, a, ext = cr.field, cr.ext.total, cr.ext
+    s_basis = cr.endo_space.basis
     s_left_r = left_module(cr.centralizer, cr.endo_ring.dim,
                            cr.endo_bimodule_cent.left_action, label="R|S")
     homsp = hom_space(s_left_r, _m_as_left_r(cr, m))
 
-    dim_s = cr.endo_ring.dim
-    cols = []
-    for i, mu in _free_pairs(x):
-        fm = Matrix.zeros(f, m.dim, dim_s)
-        for b in range(dim_s):
-            val = m.left_operator(cr.endo_space.basis[b].col(i)).col(mu)
-            for t, vv in enumerate(val):
-                fm.data[t][b] = vv
-        co = homsp.coordinates(fm)
-        if co is None:
-            raise InternalInconsistency(
-                "coinduction comparison left the hom space")
-        cols.append(co)
-    fwd = _cols_matrix(f, cols, homsp.dim)
-    checks: dict = {}
+    @cache
+    def values_at(i: int) -> list[Matrix]:
+        return [m.left_operator(sb.col(i)) for sb in s_basis]
 
-    # intertwines the left action of the base
-    ok_b = True
-    for i in range(cr.ext.base.dim):
-        hom_op = _cols_matrix(f, [
-            homsp.coordinates(m.left_operator(cr.ext.iota.col(i)) @ hb)
-            for hb in homsp.basis], homsp.dim)
-        if fwd @ x.module.left_operator(cr.ext.iota.col(i)) != hom_op @ fwd:
-            ok_b = False
-    checks["base_linear"] = ok_b
-
-    # intertwines the left endo-ring action (first-leg application on the
-    # induced side, argument precomposition on the hom side)
-    ok_s = True
-    eye_m = Matrix.identity(f, m.dim)
-    for si in range(dim_s):
-        x_op = x.presentation.induced_operator(
-            kron(cr.endo_space.basis[si], eye_m))
-        rm = cr.endo_ring.basis_right_mult(si)
-        hom_op = _cols_matrix(f, [homsp.coordinates(hb @ rm)
-                                  for hb in homsp.basis], homsp.dim)
-        if fwd @ x_op != hom_op @ fwd:
-            ok_s = False
-    checks["endo_ring_linear"] = ok_s
+    fwd = _hom_coords(homsp, [_gather(values_at(i), mu)
+                              for i, mu in _free_pairs(x)])
+    base = [(x.module.left_operator(b), m.left_operator(b))
+            for b in (ext.iota.col(i) for i in range(ext.base.dim))]
+    s_right = [cr.endo_ring.basis_right_mult(j) for j in range(len(s_basis))]
+    checks: dict = {
+        "base_linear": _intertwines(fwd, (
+            (xb, _on_hom(homsp, lambda h: mb @ h)) for xb, mb in base)),
+        # the endo ring applies to the first leg on the induced side and
+        # precomposes on the hom side
+        "endo_ring_linear": _intertwines(fwd, (
+            (_first_leg(x, sb), _on_hom(homsp, lambda h: h @ rm))
+            for sb, rm in zip(s_basis, s_right))),
+    }
 
     back = None
-    verified = False
     if left_quasibase is not None:
-        if left_quasibase.side != "left":
-            raise BimoduleError("coinduction comparison needs a left quasibase")
-        if not verify_d2(cr, left_quasibase, seed=seed):
-            raise BimoduleError("quasibase certificate failed verification")
-        pre = []
-        for p in left_quasibase.pairs:
-            w = cr.q_ambient(p.tensor)
-            ops = [m.left_operator(w.data[k]) for k in range(a.dim)]
-            pre.append((cr.s_coords(p.endo), ops))
-        bcols = []
-        for hb in homsp.basis:
-            flat = zero_vec(f, a.dim * m.dim)
-            for sco, ops in pre:
-                fvec = hb.apply(sco)
-                for k in range(a.dim):
-                    val = ops[k].apply(fvec)
-                    base = k * m.dim
-                    for t, vv in enumerate(val):
-                        if not f.is_zero(vv):
-                            flat[base + t] = f.add(flat[base + t], vv)
-            bcols.append(x.presentation.project(flat))
-        back = _cols_matrix(f, bcols, x.module.dim)
-        ok = (fwd @ back == Matrix.identity(f, homsp.dim)
-              and back @ fwd == Matrix.identity(f, x.module.dim))
-        checks["quasibase_inverse"] = ok
-        if not ok:
-            raise InternalInconsistency(
-                "a verified left quasibase must invert the coinduction "
-                "comparison map")
-        verified = True
+        pre = [(cr.s_coords(p.endo), _through_legs(cr, m, x, p.tensor))
+               for p in left_quasibase.pairs]
+        cols = []
+        for h in homsp.basis:
+            acc = zero_vec(f, x.module.dim)
+            for sco, legs in pre:
+                acc = vec_add(f, acc, legs.apply(h.apply(sco)))
+            cols.append(acc)
+        back = Matrix.from_cols(f, cols, x.module.dim)
+        checks["quasibase_inverse"] = _certify_inverse(
+            fwd, back, "a verified left quasibase must invert the "
+            "coinduction comparison map")
 
-    nat_ok = True
-    count = 0
-    rng = _rng(seed, f"coinduction:{m.label}")
-    endos = hom_space(_one_sided_left(m), _one_sided_left(m))
     eye_a = Matrix.identity(f, a.dim)
-    for fmat in _random_maps(endos, rng, samples):
-        xf = tensor_map(x, x, eye_a, fmat)
-        hom_f = _cols_matrix(f, [homsp.coordinates(fmat @ hb)
-                                 for hb in homsp.basis], homsp.dim)
-        if fwd @ xf != hom_f @ fwd:
-            nat_ok = False
-        count += 1
-    checks["naturality"] = nat_ok
-
-    inv = _bijective_inverse(fwd)
-    if verified:
-        status, route = "verified", "left-quasibase"
-    elif inv is not None:
-        status, route, back = "bijective", "exact-rank", inv
-    else:
-        status, route = "not-bijective", "exact-rank"
-    return VerifiedIso(
-        name="coinduction", domain=x.module.label,
-        codomain=f"HomR(S,{m.label})", domain_dim=x.module.dim,
-        codomain_dim=homsp.dim, status=status, route=route, forward=fwd,
-        backward=back, naturality_samples=count, checks=checks,
-        detail="" if left_quasibase is not None else
-        "no left quasibase supplied; formula inverse not certified")
+    squares = [(tensor_map(x, x, eye_a, e), _on_hom(homsp, lambda h: e @ h))
+               for e in _sample_endos(_one_sided_left(m), seed,
+                                      f"coinduction:{m.label}", samples)]
+    return _comparison("coinduction", fwd, x.module.label,
+                       f"HomR(S,{m.label})", checks, squares, back,
+                       "left-quasibase",
+                       "" if left_quasibase is not None else _NO_QUASIBASE)
 
 
 # ---------------------------------------------------------------------------
 # hom-side maps for right modules
+
+def _precomposition_module(hs: MapSpace, ring: FDAlgebra,
+                           endos: Sequence[Matrix], label: str) -> Bimodule:
+    """hs as a right module over a ring of endomorphisms of its source,
+    the basis element endos[j] acting by precomposition."""
+    return right_module(ring, hs.dim,
+                        [_on_hom(hs, lambda h: h @ e) for e in endos],
+                        label=label)
+
 
 def _hom_from_total(cr: CanonicalRings, target: Bimodule
                     ) -> tuple[MapSpace, Bimodule]:
     """Base-linear maps from the right-restricted total algebra to a right
     module over the base, as a right module over the endo ring through
     argument precomposition."""
-    a_b = forget_left(restrict_right(cr.a_reg, cr.ext))
-    hs = hom_space(a_b, target)
-    f = cr.field
-    ops = []
-    for amat in cr.endo_space.basis:
-        cols = []
-        for hb in hs.basis:
-            co = hs.coordinates(hb @ amat)
-            if co is None:
-                raise InternalInconsistency(
-                    "precomposition left the hom space")
-            cols.append(co)
-        ops.append(_cols_matrix(f, cols, hs.dim))
-    mod = right_module(cr.endo_ring, hs.dim, ops,
-                       label=f"Hom(A,{target.label})")
-    return hs, mod
+    hs = hom_space(forget_left(restrict_right(cr.a_reg, cr.ext)), target)
+    return hs, _precomposition_module(hs, cr.endo_ring, cr.endo_space.basis,
+                                      f"Hom(A,{target.label})")
 
 
 def _endo_as_r_s(cr: CanonicalRings) -> Bimodule:
@@ -796,6 +690,43 @@ def _endo_as_r_s(cr: CanonicalRings) -> Bimodule:
     rights = [s.basis_right_mult(j) for j in range(s.dim)]
     return Bimodule(cr.centralizer, s, s.dim,
                     cr.endo_bimodule_cent.left_action, rights, label="S")
+
+
+def _chi(cr: CanonicalRings, m: Bimodule, hs: MapSpace
+         ) -> tuple[TensorProduct, Matrix]:
+    """m (x)_R S and chi(v (x) alpha) = (a -> v.alpha(a)) into hs."""
+    a = cr.ext.total
+    m_right_r = right_module(
+        cr.centralizer, m.dim,
+        [m.right_operator(row) for row in cr.centralizer_space.rows],
+        label=f"{m.label}|R")
+    dom = tensor_over(m_right_r, _endo_as_r_s(cr), label=f"{m.label}(x)R[S]")
+
+    @cache
+    def values_of(b: int) -> list[Matrix]:
+        sb = cr.endo_space.basis[b]
+        return [m.right_operator(sb.col(k)) for k in range(a.dim)]
+
+    return dom, _hom_coords(hs, [_gather(values_of(b), mu)
+                                 for mu, b in _free_pairs(dom)])
+
+
+def _chi_inverse(cr: CanonicalRings, m: Bimodule, hs: MapSpace,
+                 dom: TensorProduct, pairs) -> Matrix:
+    """F -> sum_p F(t_p1).t_p2 (x) beta_p for a left quasibase."""
+    f = cr.field
+    pre = [(_leg_ops(cr, m.right_operator, p.tensor), cr.s_coords(p.endo))
+           for p in pairs]
+    cols = []
+    for h in hs.basis:
+        acc = zero_vec(f, dom.module.dim)
+        for ops, sco in pre:
+            xv = zero_vec(f, m.dim)
+            for k, op in enumerate(ops):
+                xv = vec_add(f, xv, op.apply(h.col(k)))
+            acc = vec_add(f, acc, dom.pure(xv, sco))
+        cols.append(acc)
+    return Matrix.from_cols(f, cols, dom.module.dim)
 
 
 def chi_M(cr: CanonicalRings, m: Bimodule,
@@ -808,105 +739,48 @@ def chi_M(cr: CanonicalRings, m: Bimodule,
     unconditionally.  A left quasibase certifies the inverse
     F -> sum_p F(t_p1).t_p2 (x) beta_p.
     """
-    _require_right_module(cr, m)
-    f, a = cr.field, cr.ext.total
-    hs, _ = _hom_from_total(cr, restrict_right(forget_left(m), cr.ext))
-
-    m_right_r = right_module(
-        cr.centralizer, m.dim,
-        [m.right_operator(row) for row in cr.centralizer_space.rows],
-        label=f"{m.label}|R")
-    dom = tensor_over(m_right_r, _endo_as_r_s(cr),
-                      label=f"{m.label}(x)R[S]")
-
-    per_b: dict[int, list[Matrix]] = {}
-    cols = []
-    for mu, b in _free_pairs(dom):
-        ops = per_b.get(b)
-        if ops is None:
-            sb = cr.endo_space.basis[b]
-            ops = [m.right_operator(sb.col(k)) for k in range(a.dim)]
-            per_b[b] = ops
-        hmat = Matrix.zeros(f, m.dim, a.dim)
-        for k in range(a.dim):
-            val = ops[k].col(mu)
-            for t, vv in enumerate(val):
-                hmat.data[t][k] = vv
-        co = hs.coordinates(hmat)
-        if co is None:
-            raise InternalInconsistency("chi image left the hom space")
-        cols.append(co)
-    fwd = _cols_matrix(f, cols, hs.dim)
-    checks: dict = {}
-
+    _require_module(m, "right", cr.ext.total)
+    _check_left_quasibase(cr, left_quasibase, seed, "chi certification")
+    hs, h_mod = _hom_from_total(cr, restrict_right(forget_left(m), cr.ext))
+    dom, fwd = _chi(cr, m, hs)
     # right endo-ring linearity, tensor side versus precomposition
-    ok_s = True
-    for j in range(cr.endo_ring.dim):
-        hom_op = _cols_matrix(
-            f, [hs.coordinates(hb @ cr.endo_space.basis[j])
-                for hb in hs.basis], hs.dim)
-        if fwd @ dom.module.right_action[j] != hom_op @ fwd:
-            ok_s = False
-    checks["endo_ring_linear"] = ok_s
+    checks: dict = {"endo_ring_linear": _intertwines(
+        fwd, zip(dom.module.right_action, h_mod.right_action))}
 
     back = None
-    verified = False
     if left_quasibase is not None:
-        if left_quasibase.side != "left":
-            raise BimoduleError("chi certification needs a left quasibase")
-        if not verify_d2(cr, left_quasibase, seed=seed):
-            raise BimoduleError("quasibase certificate failed verification")
-        pre = []
-        for p in left_quasibase.pairs:
-            w = cr.q_ambient(p.tensor)
-            ops = [m.right_operator(w.data[k]) for k in range(a.dim)]
-            pre.append((ops, cr.s_coords(p.endo)))
-        bcols = []
-        for hb in hs.basis:
-            acc = zero_vec(f, dom.module.dim)
-            for ops, sco in pre:
-                xv = zero_vec(f, m.dim)
-                for k in range(a.dim):
-                    xv = vec_add(f, xv, ops[k].apply(hb.col(k)))
-                acc = vec_add(f, acc, dom.pure(xv, sco))
-            bcols.append(acc)
-        back = _cols_matrix(f, bcols, dom.module.dim)
-        ok = (fwd @ back == Matrix.identity(f, hs.dim)
-              and back @ fwd == Matrix.identity(f, dom.module.dim))
-        checks["quasibase_inverse"] = ok
-        if not ok:
-            raise InternalInconsistency(
-                "a verified left quasibase must invert chi")
-        verified = True
+        back = _chi_inverse(cr, m, hs, dom, left_quasibase.pairs)
+        checks["quasibase_inverse"] = _certify_inverse(
+            fwd, back, "a verified left quasibase must invert chi")
 
-    nat_ok = True
-    count = 0
-    rng = _rng(seed, f"chi:{m.label}")
-    endos = hom_space(_one_sided_right(m), _one_sided_right(m))
-    eye_s = Matrix.identity(f, cr.endo_ring.dim)
-    for fmat in _random_maps(endos, rng, samples):
-        dom_f = tensor_map(dom, dom, fmat, eye_s)
-        hom_f = _cols_matrix(f, [hs.coordinates(fmat @ hb)
-                                 for hb in hs.basis], hs.dim)
-        if fwd @ dom_f != hom_f @ fwd:
-            nat_ok = False
-        count += 1
-    checks["naturality"] = nat_ok
+    eye_s = Matrix.identity(cr.field, cr.endo_ring.dim)
+    squares = [(tensor_map(dom, dom, e, eye_s), _on_hom(hs, lambda h: e @ h))
+               for e in _sample_endos(_one_sided_right(m), seed,
+                                      f"chi:{m.label}", samples)]
+    return _comparison("chi", fwd, dom.module.label, f"Hom(A,{m.label})",
+                       checks, squares, back, "left-quasibase",
+                       "" if left_quasibase is not None else _NO_QUASIBASE)
 
-    inv = _bijective_inverse(fwd)
-    if verified:
-        status, route = "verified", "left-quasibase"
-    elif inv is not None:
-        status, route, back = "bijective", "exact-rank", inv
-    else:
-        status, route = "not-bijective", "exact-rank"
-    return VerifiedIso(
-        name="chi", domain=dom.module.label, codomain=f"Hom(A,{m.label})",
-        domain_dim=dom.module.dim, codomain_dim=hs.dim, status=status,
-        route=route, forward=fwd, backward=back, naturality_samples=count,
-        checks=checks,
-        detail="" if left_quasibase is not None else
-        "no left quasibase supplied; formula inverse not certified")
+
+def _counit(cr: CanonicalRings, target: Bimodule, label: str
+            ) -> tuple[MapSpace, TensorProduct, Matrix]:
+    """Evaluation at centralizer points, Hom_B(A, target) (x)_S R -> target."""
+    hs, h_mod = _hom_from_total(cr, target)
+    dom = tensor_over(h_mod, cr.cent_module_endo,
+                      label=f"Hom(A,{label})(x)S[R]")
+    rows = cr.centralizer_space.rows
+    fwd = Matrix.from_cols(
+        cr.field, [hs.basis[b].apply(rows[u]) for b, u in _free_pairs(dom)],
+        target.dim)
+    return hs, dom, fwd
+
+
+def _counit_squares(cr: CanonicalRings, hs: MapSpace, dom: TensorProduct,
+                    endos: list[Matrix]) -> list:
+    """Naturality squares of the counit: postcompose on the hom leg."""
+    eye_r = Matrix.identity(cr.field, cr.centralizer.dim)
+    return [(tensor_map(dom, dom, _on_hom(hs, lambda h: e @ h), eye_r), e)
+            for e in endos]
 
 
 def rho_M(cr: CanonicalRings, m: Bimodule,
@@ -919,98 +793,44 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
     (m (x)_R S) (x)_S R.  With a left quasibase the composite certifies
     the inverse; agreement of the two constructions is always checked.
     """
-    _require_right_module(cr, m)
-    f, a = cr.field, cr.ext.total
-    hs, h_mod = _hom_from_total(cr, restrict_right(forget_left(m), cr.ext))
-    dom = tensor_over(h_mod, cr.cent_module_endo,
-                      label=f"Hom(A,{m.label})(x)S[R]")
-
-    rows = cr.centralizer_space.rows
-    cols = [hs.basis[b].apply(rows[u]) for b, u in _free_pairs(dom)]
-    fwd = _cols_matrix(f, cols, m.dim)
-    checks: dict = {}
+    _require_module(m, "right", cr.ext.total)
+    _check_left_quasibase(cr, left_quasibase, seed, "chi certification")
+    f = cr.field
+    hs, dom, fwd = _counit(cr, restrict_right(forget_left(m), cr.ext), m.label)
 
     # composite route through chi
-    m_right_r = right_module(
-        cr.centralizer, m.dim,
-        [m.right_operator(row) for row in rows], label=f"{m.label}|R")
-    chi_dom = tensor_over(m_right_r, _endo_as_r_s(cr))
-    chi_fwd_cols = []
-    for mu, b in _free_pairs(chi_dom):
-        sb = cr.endo_space.basis[b]
-        hmat = Matrix.zeros(f, m.dim, a.dim)
-        for k in range(a.dim):
-            val = m.right_operator(sb.col(k)).col(mu)
-            for t, vv in enumerate(val):
-                hmat.data[t][k] = vv
-        co = hs.coordinates(hmat)
-        if co is None:
-            raise InternalInconsistency("chi image left the hom space")
-        chi_fwd_cols.append(co)
-    chi_fwd = _cols_matrix(f, chi_fwd_cols, hs.dim)
-
+    chi_dom, chi_fwd = _chi(cr, m, hs)
     nested = tensor_over(chi_dom.module, cr.cent_module_endo)
     big = tensor_map(nested, dom, chi_fwd, Matrix.identity(f, cr.centralizer.dim))
+    rows = cr.centralizer_space.rows
     chi_pairs = _free_pairs(chi_dom)
     direct_cols = []
     for p, u in _free_pairs(nested):
         mu, b = chi_pairs[p]
         av = cr.endo_space.basis[b].apply(rows[u])
         direct_cols.append(m.right_operator(av).col(mu))
-    direct = _cols_matrix(f, direct_cols, m.dim)
-    checks["agrees_with_composite"] = (fwd @ big) == direct
+    direct = Matrix.from_cols(f, direct_cols, m.dim)
+    checks: dict = {"agrees_with_composite": fwd @ big == direct}
     direct_inv = _bijective_inverse(direct)
     if direct_inv is None:
         raise InternalInconsistency(
             "the collapse through the endo ring is always bijective")
 
     back = None
-    verified = False
     if left_quasibase is not None:
-        chi_iso = chi_M(cr, m, left_quasibase, seed=seed, samples=0)
-        if chi_iso.status == "verified" and checks["agrees_with_composite"]:
-            big_inv = _bijective_inverse(big)
-            if big_inv is None:
-                raise InternalInconsistency(
-                    "chi verified but the tensored comparison map is "
-                    "not bijective")
+        _certify_inverse(chi_fwd,
+                         _chi_inverse(cr, m, hs, chi_dom, left_quasibase.pairs),
+                         "a verified left quasibase must invert chi")
+        if checks["agrees_with_composite"]:
             back = big @ direct_inv
-            ok = (fwd @ back == Matrix.identity(f, m.dim)
-                  and back @ fwd == Matrix.identity(f, dom.module.dim))
-            checks["composite_inverse"] = ok
-            if not ok:
-                raise InternalInconsistency(
-                    "composite route must invert the evaluation")
-            verified = True
+            checks["composite_inverse"] = _certify_inverse(
+                fwd, back, "composite route must invert the evaluation")
 
-    nat_ok = True
-    count = 0
-    rng = _rng(seed, f"rho:{m.label}")
-    endos = hom_space(_one_sided_right(m), _one_sided_right(m))
-    eye_r = Matrix.identity(f, cr.centralizer.dim)
-    for fmat in _random_maps(endos, rng, samples):
-        hom_f = _cols_matrix(f, [hs.coordinates(fmat @ hb)
-                                 for hb in hs.basis], hs.dim)
-        dom_f = tensor_map(dom, dom, hom_f, eye_r)
-        if fwd @ dom_f != fmat @ fwd:
-            nat_ok = False
-        count += 1
-    checks["naturality"] = nat_ok
-
-    inv = _bijective_inverse(fwd)
-    if verified:
-        status, route = "verified", "composite-through-chi"
-    elif inv is not None:
-        status, route, back = "bijective", "exact-rank", inv
-    else:
-        status, route = "not-bijective", "exact-rank"
-    return VerifiedIso(
-        name="rho", domain=dom.module.label, codomain=m.label,
-        domain_dim=dom.module.dim, codomain_dim=m.dim, status=status,
-        route=route, forward=fwd, backward=back, naturality_samples=count,
-        checks=checks,
-        detail="" if left_quasibase is not None else
-        "no left quasibase supplied; formula inverse not certified")
+    squares = _counit_squares(cr, hs, dom, _sample_endos(
+        _one_sided_right(m), seed, f"rho:{m.label}", samples))
+    return _comparison("rho", fwd, dom.module.label, m.label, checks, squares,
+                       back, "composite-through-chi",
+                       "" if left_quasibase is not None else _NO_QUASIBASE)
 
 
 def split_counit(cr: CanonicalRings, n: Bimodule,
@@ -1023,102 +843,40 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
     given on the domain by precomposing with left multiplications, and,
     when n carries a left base action as well, that one too.
     """
-    if n.right_algebra != cr.ext.base:
+    _require_module(n, "right", cr.ext.base)
+    if split is not None and not verify_split(cr, split):
         raise BimoduleError(
-            f"{n.label}: expected a right module over {cr.ext.base.name}")
+            "conditional expectation certificate failed verification")
     f, a, b = cr.field, cr.ext.total, cr.ext.base
     n_one = _one_sided_right(n)
-    hs, h_mod = _hom_from_total(cr, n_one)
-    dom = tensor_over(h_mod, cr.cent_module_endo,
-                      label=f"Hom(A,{n.label})(x)S[R]")
-
-    rows = cr.centralizer_space.rows
-    cols = [hs.basis[bb].apply(rows[u]) for bb, u in _free_pairs(dom)]
-    fwd = _cols_matrix(f, cols, n.dim)
-    checks: dict = {}
+    hs, dom, fwd = _counit(cr, n_one, n.label)
 
     # right base action on the domain: precompose with left multiplication
-    eye_r = Matrix.identity(f, cr.centralizer.dim)
-    ok_b = True
-    for i in range(b.dim):
-        lmat = a.left_mult_matrix(cr.ext.iota.col(i))
-        hcols = []
-        for hb in hs.basis:
-            co = hs.coordinates(hb @ lmat)
-            if co is None:
-                raise InternalInconsistency(
-                    "precomposition by the base left the hom space")
-            hcols.append(co)
-        dom_op = dom.presentation.induced_operator(
-            kron(_cols_matrix(f, hcols, hs.dim), eye_r))
-        if fwd @ dom_op != n.right_action[i] @ fwd:
-            ok_b = False
-    checks["base_linear"] = ok_b
-
+    lmats = [a.left_mult_matrix(cr.ext.iota.col(i)) for i in range(b.dim)]
+    checks: dict = {"base_linear": _intertwines(fwd, (
+        (_first_leg(dom, _on_hom(hs, lambda h: h @ lm)), op)
+        for lm, op in zip(lmats, n.right_action)))}
     if n.left_algebra == b:
-        ok_l = True
-        for i in range(b.dim):
-            hcols = [hs.coordinates(n.left_action[i] @ hb) for hb in hs.basis]
-            dom_op = dom.presentation.induced_operator(
-                kron(_cols_matrix(f, hcols, hs.dim), eye_r))
-            if fwd @ dom_op != n.left_action[i] @ fwd:
-                ok_l = False
-        checks["left_linear"] = ok_l
+        checks["left_linear"] = _intertwines(fwd, (
+            (_first_leg(dom, _on_hom(hs, lambda h: op @ h)), op)
+            for op in n.left_action))
 
     back = None
-    verified = False
     if split is not None:
-        if not verify_split(cr, split):
-            raise BimoduleError(
-                "conditional expectation certificate failed verification")
+        ops = [n.right_operator(split.expectation.col(k)) for k in range(a.dim)]
+        coords = _hom_coords(hs, [_gather(ops, mu) for mu in range(n.dim)])
         runit = list(cr.centralizer.unit)
-        bcols = []
-        for mu in range(n.dim):
-            gm = Matrix.zeros(f, n.dim, a.dim)
-            for k in range(a.dim):
-                val = n.right_operator(split.expectation.col(k)).col(mu)
-                for t, vv in enumerate(val):
-                    gm.data[t][k] = vv
-            co = hs.coordinates(gm)
-            if co is None:
-                raise InternalInconsistency(
-                    "expectation-composed map left the hom space")
-            bcols.append(dom.pure(co, runit))
-        back = _cols_matrix(f, bcols, dom.module.dim)
-        ok = (fwd @ back == Matrix.identity(f, n.dim)
-              and back @ fwd == Matrix.identity(f, dom.module.dim))
-        checks["expectation_inverse"] = ok
-        if not ok:
-            raise InternalInconsistency(
-                "a verified conditional expectation must invert the counit")
-        verified = True
+        back = Matrix.from_cols(
+            f, [dom.pure(co, runit) for co in coords.columns()], dom.module.dim)
+        checks["expectation_inverse"] = _certify_inverse(
+            fwd, back,
+            "a verified conditional expectation must invert the counit")
 
-    nat_ok = True
-    count = 0
-    rng = _rng(seed, f"split:{n.label}")
-    endos = hom_space(n_one, n_one)
-    for fmat in _random_maps(endos, rng, samples):
-        hom_f = _cols_matrix(f, [hs.coordinates(fmat @ hb)
-                                 for hb in hs.basis], hs.dim)
-        dom_f = tensor_map(dom, dom, hom_f, eye_r)
-        if fwd @ dom_f != fmat @ fwd:
-            nat_ok = False
-        count += 1
-    checks["naturality"] = nat_ok
-
-    inv = _bijective_inverse(fwd)
-    if verified:
-        status, route = "verified", "conditional-expectation"
-    elif inv is not None:
-        status, route, back = "bijective", "exact-rank", inv
-    else:
-        status, route = "not-bijective", "exact-rank"
-    return VerifiedIso(
-        name="split_counit", domain=dom.module.label, codomain=n.label,
-        domain_dim=dom.module.dim, codomain_dim=n.dim, status=status,
-        route=route, forward=fwd, backward=back, naturality_samples=count,
-        checks=checks,
-        detail="" if split is not None else
+    squares = _counit_squares(cr, hs, dom, _sample_endos(
+        n_one, seed, f"split:{n.label}", samples))
+    return _comparison(
+        "split_counit", fwd, dom.module.label, n.label, checks, squares, back,
+        "conditional-expectation", "" if split is not None else
         "no conditional expectation supplied; formula inverse not certified")
 
 
@@ -1126,61 +884,32 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
 # generic evaluation over an endomorphism ring
 
 def _endomorphism_algebra(space: MapSpace, name: str) -> FDAlgebra:
-    f = space.field
-    d = space.dim
-    mult = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            co = space.coordinates(space.basis[i] @ space.basis[j])
-            if co is None:
-                raise InternalInconsistency(
-                    "endomorphism spaces are closed under composition")
-            row.append(co)
-        mult.append(row)
-    unit = space.coordinates(Matrix.identity(f, space.source.dim))
-    if unit is None:
-        raise InternalInconsistency(
-            "the identity is an endomorphism of every module")
-    return FDAlgebra(f, d, mult, unit, name=name)
+    mult = [_hom_coords(space, [bi @ bj for bj in space.basis]).columns()
+            for bi in space.basis]
+    unit = _hom_coords(
+        space, [Matrix.identity(space.field, space.source.dim)]).col(0)
+    return FDAlgebra(space.field, space.dim, mult, unit, name=name)
 
 
-@dataclass
-class _EvaluationData:
-    end_space: MapSpace
-    hom: MapSpace
-    tensor: TensorProduct
-    forward: Matrix
-
-
-def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule) -> _EvaluationData:
+def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule
+                     ) -> tuple[MapSpace, TensorProduct, Matrix]:
+    """Hom(m, n), its tensor with m over End(m), and the evaluation."""
     m1, n1 = _one_sided_right(m), _one_sided_right(n)
     if m1.right_algebra != c or n1.right_algebra != c:
         raise BimoduleError("evaluation needs two right modules over one ring")
-    f = c.field
     end_space = hom_space(m1, m1)
     end_alg = _endomorphism_algebra(end_space, name=f"End({m.label})")
     hom = hom_space(m1, n1)
-
-    ops = []
-    for amat in end_space.basis:
-        cols = []
-        for hb in hom.basis:
-            co = hom.coordinates(hb @ amat)
-            if co is None:
-                raise InternalInconsistency(
-                    "precomposition left the hom space")
-            cols.append(co)
-        ops.append(_cols_matrix(f, cols, hom.dim))
-    hom_mod = right_module(end_alg, hom.dim, ops,
-                           label=f"Hom({m.label},{n.label})")
+    hom_mod = _precomposition_module(hom, end_alg, end_space.basis,
+                                     f"Hom({m.label},{n.label})")
     m_mod = Bimodule(end_alg, c, m1.dim, list(end_space.basis),
                      m1.right_action, label=m.label)
     tensor = tensor_over(hom_mod, m_mod,
                          label=f"Hom({m.label},{n.label})(x)End[{m.label}]")
-    cols = [hom.basis[b].col(mu) for b, mu in _free_pairs(tensor)]
-    forward = _cols_matrix(f, cols, n1.dim)
-    return _EvaluationData(end_space, hom, tensor, forward)
+    forward = Matrix.from_cols(
+        c.field, [hom.basis[b].col(mu) for b, mu in _free_pairs(tensor)],
+        n1.dim)
+    return hom, tensor, forward
 
 
 def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule,
@@ -1192,44 +921,18 @@ def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule,
     finite power of m, which dress_inverse certifies from an explicit
     summand system.
     """
-    data = _evaluation_data(c, m, n)
-    f = c.field
-    fwd = data.forward
+    hom, tensor, fwd = _evaluation_data(c, m, n)
     n1 = _one_sided_right(n)
-    checks: dict = {}
-
-    ok_c = all(
-        fwd @ data.tensor.module.right_action[i] == n1.right_action[i] @ fwd
-        for i in range(c.dim))
-    checks["ring_linear"] = ok_c
-
-    nat_ok = True
-    count = 0
-    rng = _rng(seed, f"evaluation:{m.label}->{n.label}")
-    endos = hom_space(n1, n1)
-    eye_m = Matrix.identity(f, m.dim)
-    for gmat in _random_maps(endos, rng, samples):
-        hcols = []
-        for hb in data.hom.basis:
-            co = data.hom.coordinates(gmat @ hb)
-            if co is None:
-                raise InternalInconsistency(
-                    "postcomposition left the hom space")
-            hcols.append(co)
-        tf = tensor_map(data.tensor, data.tensor,
-                        _cols_matrix(f, hcols, data.hom.dim), eye_m)
-        if fwd @ tf != gmat @ fwd:
-            nat_ok = False
-        count += 1
-    checks["naturality"] = nat_ok
-
-    inv = _bijective_inverse(fwd)
-    status = "bijective" if inv is not None else "not-bijective"
-    return VerifiedIso(
-        name="evaluation", domain=data.tensor.module.label, codomain=n.label,
-        domain_dim=data.tensor.module.dim, codomain_dim=n1.dim,
-        status=status, route="exact-rank", forward=fwd, backward=inv,
-        naturality_samples=count, checks=checks)
+    checks: dict = {"ring_linear": _intertwines(
+        fwd, zip(tensor.module.right_action, n1.right_action))}
+    eye_m = Matrix.identity(c.field, m.dim)
+    squares = [(tensor_map(tensor, tensor, _on_hom(hom, lambda h: e @ h),
+                           eye_m), e)
+               for e in _sample_endos(n1, seed,
+                                      f"evaluation:{m.label}->{n.label}",
+                                      samples)]
+    return _comparison("evaluation", fwd, tensor.module.label, n.label,
+                       checks, squares)
 
 
 def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,
@@ -1245,14 +948,14 @@ def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,
     """
     if len(projections) != len(injections):
         raise BimoduleError("projections and injections must pair up")
-    data = _evaluation_data(c, m, n)
+    hom, tensor, fwd = _evaluation_data(c, m, n)
     f = c.field
     n1 = _one_sided_right(n)
     acc = Matrix.zeros(f, n1.dim, n1.dim)
     back_hom = hom_space(n1, _one_sided_right(m))
     pcoords = []
     for p, j in zip(projections, injections):
-        co = data.hom.coordinates(p)
+        co = hom.coordinates(p)
         if co is None:
             raise BimoduleError("a projection is not linear over the ring")
         if back_hom.coordinates(j) is None:
@@ -1265,19 +968,14 @@ def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,
 
     cols = []
     for mu in range(n1.dim):
-        vec = zero_vec(f, data.tensor.module.dim)
+        vec = zero_vec(f, tensor.module.dim)
         for co, j in zip(pcoords, injections):
-            vec = vec_add(f, vec, data.tensor.pure(co, j.col(mu)))
+            vec = vec_add(f, vec, tensor.pure(co, j.col(mu)))
         cols.append(vec)
-    back = _cols_matrix(f, cols, data.tensor.module.dim)
-    fwd = data.forward
-    ok = (fwd @ back == Matrix.identity(f, n1.dim)
-          and back @ fwd == Matrix.identity(f, data.tensor.module.dim))
-    if not ok:
-        raise InternalInconsistency(
-            "a validated summand system must invert the evaluation")
+    back = Matrix.from_cols(f, cols, tensor.module.dim)
+    checks = {"summand_inverse": _certify_inverse(
+        fwd, back, "a validated summand system must invert the evaluation")}
     return VerifiedIso(
-        name="evaluation", domain=data.tensor.module.label, codomain=n.label,
-        domain_dim=data.tensor.module.dim, codomain_dim=n1.dim,
-        status="verified", route="summand-system", forward=fwd,
-        backward=back, checks={"summand_inverse": True})
+        name="evaluation", domain=tensor.module.label, codomain=n.label,
+        domain_dim=fwd.cols, codomain_dim=fwd.rows, status="verified",
+        route="summand-system", forward=fwd, backward=back, checks=checks)

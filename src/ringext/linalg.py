@@ -234,10 +234,6 @@ def vec_add(field: Field, u: Sequence, v: Sequence) -> list:
     return [field.add(a, b) for a, b in zip(u, v)]
 
 
-def vec_sub(field: Field, u: Sequence, v: Sequence) -> list:
-    return [field.sub(a, b) for a, b in zip(u, v)]
-
-
 def vec_scale(field: Field, v: Sequence, c) -> list:
     return [field.mul(c, a) for a in v]
 
@@ -287,15 +283,12 @@ class Matrix:
         return cls(field, len(data), n, data)
 
     @classmethod
-    def from_cols(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":
-        if not cols:
-            return cls(field, 0, 0, [])
-        m = len(cols[0])
+    def from_cols(cls, field: Field, cols: Sequence[Sequence],
+                  rows: int = 0) -> "Matrix":
+        """Columns side by side; rows is the row count when cols is empty."""
+        m = len(cols[0]) if cols else rows
         data = [[col[i] for col in cols] for i in range(m)]
         return cls(field, m, len(cols), data)
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, [r[:] for r in self.data])
 
     def col(self, j: int) -> list:
         return [row[j] for row in self.data]

@@ -74,25 +74,34 @@ def classification_block(cr: CanonicalRings, cls: Classification) -> dict:
     }
 
 
-def equivalence_block(cr: CanonicalRings, cls: Classification,
-                      modules, seed: int) -> dict:
-    sep = cls.separability_element
-    lqb = cls.left_quasibase
+def module_block(cr: CanonicalRings, cls: Classification, m,
+                 seed: int) -> tuple:
+    """The equivalence entry of one module, and its functor_iso_checks.
 
-    def per_module(m) -> tuple:
-        entry = {"triangle": triangle_check(cr, m)}
+    A left module over the total algebra gets the triangle, gamma and the
+    induction and coinduction comparisons; a right one gets chi and rho.
+    The second value is None when m is not a left module.
+    """
+    lqb = cls.left_quasibase
+    entry, fi = {}, None
+    if m.left_algebra is cr.ext.total:
+        entry["triangle"] = triangle_check(cr, m)
         entry["gamma"] = _iso_block(
-            gamma_M(cr, m, separability=sep, left_quasibase=lqb, seed=seed))
+            gamma_M(cr, m, separability=cls.separability_element,
+                    left_quasibase=lqb, seed=seed))
         fi = functor_iso_checks(cr, m, left_quasibase=lqb, seed=seed)
         entry["induction"] = _iso_block(fi["induction"])
         entry["coinduction"] = _iso_block(fi["coinduction"])
-        return entry, fi
+    if m.right_algebra is cr.ext.total:
+        entry["chi"] = _iso_block(chi_M(cr, m, left_quasibase=lqb, seed=seed))
+        entry["rho"] = _iso_block(rho_M(cr, m, left_quasibase=lqb, seed=seed))
+    return entry, fi
 
-    regular, fi = per_module(cr.a_reg)
-    regular["chi"] = _iso_block(
-        chi_M(cr, cr.a_reg, left_quasibase=lqb, seed=seed))
-    regular["rho"] = _iso_block(
-        rho_M(cr, cr.a_reg, left_quasibase=lqb, seed=seed))
+
+def equivalence_block(cr: CanonicalRings, cls: Classification,
+                      modules, seed: int) -> dict:
+    lqb = cls.left_quasibase
+    regular, fi = module_block(cr, cls, cr.a_reg, seed)
     a_right = right_regular_module(cr.ext.total)
     out = {
         "regular": regular,
@@ -110,13 +119,7 @@ def equivalence_block(cr: CanonicalRings, cls: Classification,
     }
 
     for m in modules:
-        entry = {}
-        if m.left_algebra is cr.ext.total:
-            entry, _ = per_module(m)
-        if m.right_algebra is cr.ext.total:
-            entry["chi"] = _iso_block(chi_M(cr, m, left_quasibase=lqb, seed=seed))
-            entry["rho"] = _iso_block(rho_M(cr, m, left_quasibase=lqb, seed=seed))
-        out[m.label] = entry
+        out[m.label] = module_block(cr, cls, m, seed)[0]
     return out
 
 

@@ -10,6 +10,7 @@ round-trips exactly; floats are rejected outright since they cannot
 promise exactness.
 """
 
+import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,6 +37,8 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 # scalars
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def parse_scalar(f: Field, v, loc: str):
     if isinstance(v, bool):
@@ -49,10 +52,15 @@ def parse_scalar(f: Field, v, loc: str):
     if isinstance(v, int):
         return f.of(v)
     if isinstance(v, str):
+        # only the input schema's grammar: Fraction alone would also read
+        # "1_0", "0.5e1" and exponents too large to print
         try:
-            return f.of(Fraction(v.strip()))
+            if _RATIONAL.fullmatch(v):
+                return f.of(Fraction(v))
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"cannot read {v!r} as a rational", loc)
+            pass
+        raise InputError(f"cannot read {v!r} as a rational \"p\" or \"p/q\"",
+                         loc)
     raise InputError(f"cannot read {v!r} as a scalar", loc)
 
 

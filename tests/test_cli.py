@@ -116,6 +116,28 @@ def test_nonassociative_table_is_input_error(tmp_path, capsys):
     assert "associative" in err
 
 
+def test_out_of_range_subgroup_index_is_input_error(tmp_path, capsys):
+    doc = {"field": "Q",
+           "algebra": {"group": {"order": 2, "cayley": [[0, 1], [1, 0]]}},
+           "subalgebra": {"subgroup": [0, 7]}}
+    code, _, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert code == 1
+    assert "$.subalgebra.subgroup" in err
+    assert "out of range" in err
+
+
+@pytest.mark.parametrize("text", ["1_0", "0.5e1", "1e999999"])
+def test_rational_outside_schema_grammar_is_input_error(tmp_path, capsys,
+                                                        text):
+    # Fraction() would read these as 10, 5 and an unprintable number
+    doc = {"field": "Q",
+           "algebra": {"dim": 1, "mult": [[[text]]], "unit": ["1"]}}
+    code, _, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert code == 1
+    assert "$.algebra.mult[0][0][0]" in err
+    assert repr(text) in err
+
+
 def test_unknown_module_label_is_input_error(capsys):
     code, _, err = run_cli(capsys, "equivalence", input_path("qc2_q"),
                            "--module", "missing")

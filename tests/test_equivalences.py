@@ -1,10 +1,13 @@
 """Structural isomorphisms between module categories, with certificates."""
 
+from dataclasses import replace
+
 import pytest
 
-from ringext.bimodule import (forget_left, forget_right, hom_space,
-                              random_cyclic_module, restrict_right,
-                              right_regular_module)
+from ringext.bimodule import (BimoduleError, forget_left, forget_right,
+                              hom_space, random_cyclic_module,
+                              restrict_right, right_regular_module)
+from ringext.certify import verify_d2, verify_separability, verify_split
 from ringext.equivalences import (chi_M, dress_inverse, evaluation_map,
                                   functor_iso_checks, gamma_M, pi_A_iso,
                                   rho_M, split_counit, triangle_check)
@@ -106,7 +109,7 @@ def test_chi_and_rho_verified(built):
     rho = rho_M(b.cr, b.cr.a_reg, left_quasibase=b.cls.left_quasibase, seed=5)
     _assert_verified_with_inverse(rho)
     assert rho.route == "composite-through-chi"
-    assert rho.checks.get("composite_agrees", True)
+    assert rho.checks["agrees_with_composite"]
 
 
 def test_rho_bijective_without_certificate(built):
@@ -185,3 +188,60 @@ def test_functor_isos_certified_for_every_depth_two_extension(built):
                                 left_quasibase=b.cls.left_quasibase, seed=2)
         assert fi["induction"].status == "verified", name
         assert fi["coinduction"].status == "verified", name
+
+
+# -- every constructor re-checks the certificate it is given -------------------
+
+def _right_quasibase(b):
+    return {"left_quasibase": b.cls.right_quasibase}
+
+
+def _altered_quasibase(b):
+    qb, f = b.cls.left_quasibase, b.cr.field
+    first = qb.pairs[0]
+    tensor = [f.add(first.tensor[0], f.one)] + list(first.tensor[1:])
+    bad = replace(qb, pairs=[replace(first, tensor=tensor)] + qb.pairs[1:])
+    assert not verify_d2(b.cr, bad)
+    return {"left_quasibase": bad}
+
+
+def _altered_separability(b):
+    cert, f = b.cls.separability_element, b.cr.field
+    element = [f.add(cert.element[0], f.one)] + list(cert.element[1:])
+    bad = replace(cert, element=element)
+    assert not verify_separability(b.cr, bad)
+    return {"separability": bad}
+
+
+def _altered_expectation(b):
+    cert, f = b.cls.conditional_expectation, b.cr.field
+    e = cert.expectation
+    data = [row[:] for row in e.data]
+    data[0][0] = f.add(data[0][0], f.one)
+    bad = replace(cert, expectation=Matrix(f, e.rows, e.cols, data))
+    assert not verify_split(b.cr, bad)
+    return {"split": bad}
+
+
+_CONSTRUCTORS = {
+    "gamma_M": lambda cr, **kw: gamma_M(cr, cr.a_reg, **kw),
+    "functor_iso_checks": lambda cr, **kw: functor_iso_checks(cr, cr.a_reg, **kw),
+    "chi_M": lambda cr, **kw: chi_M(cr, cr.a_reg, **kw),
+    "rho_M": lambda cr, **kw: rho_M(cr, cr.a_reg, **kw),
+    "pi_A_iso": pi_A_iso,
+    "split_counit": lambda cr, **kw: split_counit(cr, cr.b_reg, **kw),
+}
+
+
+@pytest.mark.parametrize("constructor, fault", [
+    *((name, fault)
+      for name in ("gamma_M", "functor_iso_checks", "chi_M", "rho_M",
+                   "pi_A_iso")
+      for fault in (_right_quasibase, _altered_quasibase)),
+    ("gamma_M", _altered_separability),
+    ("split_counit", _altered_expectation),
+], ids=lambda v: v if isinstance(v, str) else v.__name__.lstrip("_"))
+def test_constructors_reject_unverified_certificates(built, constructor, fault):
+    b = built("qc2_q")
+    with pytest.raises(BimoduleError):
+        _CONSTRUCTORS[constructor](b.cr, **fault(b))
