@@ -20,6 +20,7 @@ from .linalg import (
     Matrix,
     Subspace,
     kernel,
+    lin_comb,
     span_decide,
     unit_vec,
     vec_eq,
@@ -156,22 +157,12 @@ class FDAlgebra:
     def left_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix of v -> x v in the algebra basis."""
         self._ensure_regular()
-        f = self.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if not f.is_zero(xi):
-                out = out + self._left_regular[i].scale(xi)
-        return out
+        return lin_comb(self.field, self.dim, self.dim, x, self._left_regular)
 
     def right_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix of v -> v x in the algebra basis."""
         self._ensure_regular()
-        f = self.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if not f.is_zero(xi):
-                out = out + self._right_regular[i].scale(xi)
-        return out
+        return lin_comb(self.field, self.dim, self.dim, x, self._right_regular)
 
     def basis_left_mult(self, i: int) -> Matrix:
         self._ensure_regular()

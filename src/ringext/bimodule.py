@@ -11,9 +11,13 @@ abstract coordinates).
 
 Balanced tensor products m (x)_C n are presented as quotients of the
 ambient m.dim * n.dim space by the balancing relations (x.c (x) y -
-x (x) c.y); the QuotientPresentation holds the relation subspace plus a
-section and projection pair, so maps in and out of the quotient are
-ordinary matrices.
+x (x) c.y); the QuotientPresentation holds the relation subspace, and
+every quotient basis class is the class of one pure tensor of basis
+elements, so maps out of the quotient are read off pure tensors.
+
+Every linear system and operator here is written from the nonzero
+entries of its ingredients: hom constraints row by row, operator sums
+in place, tensor-leg operators one pure tensor at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .linalg import (
     Matrix,
     Subspace,
     kernel,
-    kron,
+    lin_comb,
     span_decide,
     unit_vec,
     vec_is_zero,
@@ -87,27 +91,11 @@ class Bimodule:
 
     def left_operator(self, x: Sequence) -> Matrix:
         """Matrix of v -> x.v for x in the left algebra."""
-        f = self.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if not f.is_zero(xi):
-                out = out + self.left_action[i].scale(xi)
-        return out
+        return lin_comb(self.field, self.dim, self.dim, x, self.left_action)
 
     def right_operator(self, x: Sequence) -> Matrix:
         """Matrix of v -> v.x for x in the right algebra."""
-        f = self.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if not f.is_zero(xi):
-                out = out + self.right_action[i].scale(xi)
-        return out
-
-    def act_left(self, x: Sequence, v: Sequence) -> list:
-        return self.left_operator(x).apply(v)
-
-    def act_right(self, v: Sequence, x: Sequence) -> list:
-        return self.right_operator(x).apply(v)
+        return lin_comb(self.field, self.dim, self.dim, x, self.right_action)
 
     def __repr__(self) -> str:
         return (f"Bimodule({self.label}: {self.left_algebra.name}-"
@@ -183,29 +171,6 @@ def forget_right(m: Bimodule) -> Bimodule:
     triv = trivial_algebra(m.field)
     return Bimodule(m.left_algebra, triv, m.dim, m.left_action,
                     [Matrix.identity(m.field, m.dim)], label=m.label)
-
-
-def direct_sum(m: Bimodule, n: Bimodule, label: Optional[str] = None) -> Bimodule:
-    if m.left_algebra != n.left_algebra or m.right_algebra != n.right_algebra:
-        raise BimoduleError("direct sum needs matching acting algebras")
-    f = m.field
-    d = m.dim + n.dim
-
-    def block(a: Matrix, b: Matrix) -> Matrix:
-        out = Matrix.zeros(f, d, d)
-        for i in range(a.rows):
-            for j in range(a.cols):
-                out.data[i][j] = a.data[i][j]
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out.data[m.dim + i][m.dim + j] = b.data[i][j]
-        return out
-
-    return Bimodule(
-        m.left_algebra, m.right_algebra, d,
-        [block(x, y) for x, y in zip(m.left_action, n.left_action)],
-        [block(x, y) for x, y in zip(m.right_action, n.right_action)],
-        label=label or f"{m.label}+{n.label}")
 
 
 def submodule_as_module(parent: Bimodule, sub: Subspace,
@@ -292,13 +257,13 @@ def _free_one_sided(a: FDAlgebra, side: str, rank: int) -> Bimodule:
 # quotient presentations and balanced tensor products
 
 class QuotientPresentation:
-    """An ambient space modulo a relation subspace, with a section.
+    """An ambient space modulo a relation subspace.
 
     The quotient basis consists of the classes of the unit vectors at the
     non-pivot columns of the relation space, so projection is pivot
-    elimination followed by reading off those coordinates.  projection @
-    section is the identity on the quotient and the kernel of projection
-    is exactly the relation subspace.
+    elimination followed by reading off those coordinates, and lifting
+    places coordinates at those columns.  The kernel of projection is
+    exactly the relation subspace.
     """
 
     def __init__(self, field: Field, ambient_dim: int, relations: Subspace) -> None:
@@ -308,18 +273,6 @@ class QuotientPresentation:
         pivset = set(relations.pivots)
         self.free_cols = [c for c in range(ambient_dim) if c not in pivset]
         self.dim = len(self.free_cols)
-        sec = Matrix.zeros(field, ambient_dim, self.dim)
-        for k, c in enumerate(self.free_cols):
-            sec.data[c][k] = field.one
-        self.section = sec
-        proj = Matrix.zeros(field, self.dim, ambient_dim)
-        for k, c in enumerate(self.free_cols):
-            proj.data[k][c] = field.one
-        for i, (row, pc) in enumerate(zip(relations.rows, relations.pivots)):
-            for k, c in enumerate(self.free_cols):
-                if not field.is_zero(row[c]):
-                    proj.data[k][pc] = field.neg(row[c])
-        self.projection = proj
 
     @classmethod
     def from_relation_vectors(cls, field: Field, ambient_dim: int,
@@ -328,14 +281,14 @@ class QuotientPresentation:
                    Subspace.from_vectors(field, ambient_dim, vectors))
 
     def project(self, v: Sequence) -> list:
-        return self.projection.apply(v)
+        w = self.relations.reduce(v)
+        return [w[c] for c in self.free_cols]
 
     def lift(self, coords: Sequence) -> list:
-        return self.section.apply(coords)
-
-    def induced_operator(self, ambient_op: Matrix) -> Matrix:
-        """The operator on the quotient, assuming ambient_op preserves relations."""
-        return self.projection @ ambient_op @ self.section
+        out = [self.field.zero] * self.ambient_dim
+        for c, x in zip(self.free_cols, coords):
+            out[c] = x
+        return out
 
 
 @dataclass
@@ -349,23 +302,59 @@ class TensorProduct:
     def pure(self, x: Sequence, y: Sequence) -> list:
         """Coordinates of the class of the pure tensor x (x) y."""
         return self.presentation.project(_outer_flat(
-            self.module.field, x, y, self.right_factor.dim))
+            self.presentation.field, x, y, self.right_factor.dim))
+
+    def free_pairs(self) -> list[tuple[int, int]]:
+        """(left index, right index) of the pure tensor representing each
+        quotient basis class, in order; maps defined on pure tensors are
+        assembled column by column from these pairs."""
+        dn = self.right_factor.dim
+        return [divmod(c, dn) for c in self.presentation.free_cols]
 
 
 def _outer_flat(field: Field, x: Sequence, y: Sequence, dn: int) -> list:
     out = [field.zero] * (len(x) * dn)
     for i, xi in enumerate(x):
-        if field.is_zero(xi):
+        if not xi:
             continue
         base = i * dn
         for j, yj in enumerate(y):
-            if not field.is_zero(yj):
+            if yj:
                 out[base + j] = field.mul(xi, yj)
     return out
 
 
 def _unflatten(field: Field, v: Sequence, dm: int, dn: int) -> Matrix:
     return Matrix.from_vec(field, dm, dn, list(v))
+
+
+def _nonzero_cols(op: Matrix) -> list[list[tuple[int, object]]]:
+    return [[(r, x) for r, x in enumerate(col) if x] for col in op.columns()]
+
+
+def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
+                dst: Optional[TensorProduct] = None) -> Matrix:
+    """The map sum c * (op_l (x) op_r) over terms (c, op_l, op_r), from src
+    to dst (default src); the caller vouches that it respects relations.
+
+    Each quotient basis class of src is a pure tensor e_u (x) e_v, which
+    goes to the class of sum c * op_l.col(u) (x) op_r.col(v) in dst.
+    """
+    dst = dst or src
+    pres = dst.presentation
+    f, dn = pres.field, dst.right_factor.dim
+    sparse = [(c, _nonzero_cols(op_l), _nonzero_cols(op_r))
+              for c, op_l, op_r in terms if c]
+    cols = []
+    for u, v in src.free_pairs():
+        w = [f.zero] * pres.ambient_dim
+        for c, lcols, rcols in sparse:
+            for r, a in lcols[u]:
+                ca, base = f.mul(c, a), r * dn
+                for k, b in rcols[v]:
+                    w[base + k] = f.add(w[base + k], f.mul(ca, b))
+        cols.append(pres.project(w))
+    return Matrix.from_cols(f, cols, pres.dim)
 
 
 def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
@@ -392,32 +381,24 @@ def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
             for j in range(dn):
                 v = zero_vec(f, amb)
                 for u, a in enumerate(xcol):
-                    if not f.is_zero(a):
+                    if a:
                         v[u * dn + j] = f.add(v[u * dn + j], a)
                 ycol = lmat.col(j)
                 for w, a in enumerate(ycol):
-                    if not f.is_zero(a):
+                    if a:
                         v[i * dn + w] = f.sub(v[i * dn + w], a)
-                if not vec_is_zero(f, v):
+                if any(v):
                     rels.append(v)
     pres = QuotientPresentation.from_relation_vectors(f, amb, rels)
-    sec_mats = [_unflatten(f, pres.section.col(k), dm, dn)
-                for k in range(pres.dim)]
-
-    def left_act(op: Matrix) -> Matrix:
-        cols = [pres.project((op @ s).vec()) for s in sec_mats]
-        return Matrix.from_cols(f, cols, pres.dim)
-
-    def right_act(op: Matrix) -> Matrix:
-        opt = op.transpose()
-        cols = [pres.project((s @ opt).vec()) for s in sec_mats]
-        return Matrix.from_cols(f, cols, pres.dim)
-
-    lab = label or f"{m.label}(x){n.label}"
-    mod = Bimodule(m.left_algebra, n.right_algebra, pres.dim,
-                   [left_act(op) for op in m.left_action],
-                   [right_act(op) for op in n.right_action], label=lab)
-    return TensorProduct(mod, pres, m, n)
+    # the outer actions move one leg each; they only read the presentation
+    tp = TensorProduct(None, pres, m, n)
+    one, eye_m, eye_n = f.one, Matrix.identity(f, dm), Matrix.identity(f, dn)
+    tp.module = Bimodule(
+        m.left_algebra, n.right_algebra, pres.dim,
+        [tensor_legs(tp, [(one, op, eye_n)]) for op in m.left_action],
+        [tensor_legs(tp, [(one, eye_m, op)]) for op in n.right_action],
+        label=label or f"{m.label}(x){n.label}")
+    return tp
 
 
 def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
@@ -427,19 +408,14 @@ def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
     Spot-checks well-definedness on a sample of the source relations (the
     full guarantee is the middle-linearity of the ingredient maps).
     """
-    f = src.module.field
+    f = src.presentation.field
     dm, dn = src.left_factor.dim, src.right_factor.dim
     frt = f_right.transpose()
-
-    def ambient(v: Sequence) -> list:
-        return (f_left @ _unflatten(f, v, dm, dn) @ frt).vec()
-
     for row in src.presentation.relations.rows[:check_rows]:
-        if not dst.presentation.relations.contains(ambient(row)):
+        ambient = (f_left @ _unflatten(f, row, dm, dn) @ frt).vec()
+        if not dst.presentation.relations.contains(ambient):
             raise BimoduleError("tensor map does not respect the relations")
-    cols = [dst.presentation.project(ambient(src.presentation.section.col(k)))
-            for k in range(src.presentation.dim)]
-    return Matrix.from_cols(f, cols, dst.presentation.dim)
+    return tensor_legs(src, [(f.one, f_left, f_right)], dst)
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +451,36 @@ class MapSpace:
         return self._span.contains(mat.vec())
 
     def element(self, coords: Sequence) -> Matrix:
-        f = self.field
-        out = Matrix.zeros(f, self.target.dim, self.source.dim)
-        for c, b in zip(coords, self.basis):
-            if not f.is_zero(c):
-                out = out + b.scale(c)
-        return out
+        return lin_comb(self.field, self.target.dim, self.source.dim,
+                        coords, self.basis)
 
     def __repr__(self) -> str:
         return f"MapSpace({self.source.label} -> {self.target.label}, dim={self.dim})"
+
+
+def _intertwining_rows(field: Field, am: Matrix, an: Matrix) -> list[list]:
+    """The nonzero rows of an.X - X.am = 0 in the row-major entries of X.
+
+    Row (i, j) holds an[i][k] at column k*dm + j and -am[l][j] at column
+    i*dm + l; rows that vanish, as they do for trivial actions, are dropped.
+    """
+    dm = am.rows
+    am_cols = _nonzero_cols(am)
+    rows = []
+    for i, arow in enumerate(an.data):
+        an_row = [(k, x) for k, x in enumerate(arow) if x]
+        base = i * dm
+        for j in range(dm):
+            row = [field.zero] * (an.cols * dm)
+            for k, x in an_row:
+                row[k * dm + j] = x
+            for l, x in am_cols[j]:
+                row[base + l] = field.sub(row[base + l], x)
+            # only the entries just written can be nonzero
+            if any(row[k * dm + j] for k, _ in an_row) or \
+                    any(row[base + l] for l, _ in am_cols[j]):
+                rows.append(row)
+    return rows
 
 
 def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
@@ -495,14 +492,9 @@ def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
     if dm == 0 or dn == 0:
         return MapSpace(m, n, [])
     rows: list[list] = []
-    eye_m = Matrix.identity(f, dm)
-    eye_n = Matrix.identity(f, dn)
-    for am, an in zip(m.left_action, n.left_action):
-        diff = kron(an, eye_m) - kron(eye_n, am.transpose())
-        rows.extend(diff.data)
-    for am, an in zip(m.right_action, n.right_action):
-        diff = kron(an, eye_m) - kron(eye_n, am.transpose())
-        rows.extend(diff.data)
+    for am, an in zip(m.left_action + m.right_action,
+                      n.left_action + n.right_action):
+        rows.extend(_intertwining_rows(f, am, an))
     ker = kernel(Matrix.from_rows(f, rows)) if rows else \
         [unit_vec(f, dn * dm, i) for i in range(dn * dm)]
     return MapSpace(m, n, [Matrix.from_vec(f, dn, dm, v) for v in ker])
@@ -514,11 +506,14 @@ def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
     Elements are coordinate vectors in the acting algebra, which must be
     the same on both sides for the condition to typecheck.
     """
+    if len(m.left_action) != len(m.right_action):
+        raise BimoduleError("invariants need one algebra acting on both sides")
     f = m.field
     rows: list[list] = []
     for x in elements:
-        diff = m.left_operator(x) - m.right_operator(x)
-        rows.extend(diff.data)
+        diff = lin_comb(f, m.dim, m.dim, list(x) + [f.neg(c) for c in x],
+                        m.left_action + m.right_action)
+        rows.extend(row for row in diff.data if any(row))
     if not rows:
         return Subspace.full(f, m.dim)
     return Subspace.from_vectors(f, m.dim,
@@ -586,26 +581,17 @@ def summand_witness(m: Bimodule, n: Bimodule) -> Optional[SummandWitness]:
     if into_space.dim == 0 or back_space.dim == 0:
         return None
     f = m.field
-    composites = []
-    index = []
-    for a, fa in enumerate(into_space.basis):
-        for b, gb in enumerate(back_space.basis):
-            composites.append((gb @ fa).vec())
-            index.append((a, b))
+    composites = [(gb @ fa).vec()
+                  for fa in into_space.basis for gb in back_space.basis]
     target = Matrix.identity(f, m.dim).vec()
     coeffs = span_decide(f, composites, target)
     if coeffs is None:
         return None
-    folded: dict[int, Matrix] = {}
-    for c, (a, b) in zip(coeffs, index):
-        if f.is_zero(c):
-            continue
-        add = back_space.basis[b].scale(c)
-        folded[a] = folded.get(a, Matrix.zeros(f, m.dim, n.dim)) + add
-    pairs = [(into_space.basis[a], g) for a, g in sorted(folded.items())]
-    if not pairs:
-        # the identity of m is the zero map only when m = 0
-        pairs = []
+    # coefficient a * nb + b weighs back_b @ into_a; fold each into_a's
+    nb = back_space.dim
+    chunks = [coeffs[a * nb:(a + 1) * nb] for a in range(into_space.dim)]
+    pairs = [(fa, back_space.element(chunk))
+             for fa, chunk in zip(into_space.basis, chunks) if any(chunk)]
     witness = SummandWitness(m, n, pairs)
     if not witness.verify():
         raise BimoduleError("summand witness failed its own verification")

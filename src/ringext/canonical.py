@@ -28,18 +28,17 @@ from typing import Optional, Sequence
 from .algebra import Extension, FDAlgebra, trivial_algebra
 from .bimodule import (
     Bimodule,
-    MapSpace,
-    QuotientPresentation,
-    TensorProduct,
     centralizer_subspace,
     hom_space,
     invariants_subspace,
     regular_bimodule,
     restrict_left,
     restrict_right,
+    tensor_legs,
     tensor_over,
 )
-from .linalg import Matrix, Subspace, kron, rank, unit_vec, vec_eq, zero_vec
+from .linalg import (Matrix, Subspace, lin_comb, rank, unit_vec, vec_eq,
+                     zero_vec)
 
 
 class InternalInconsistency(RuntimeError):
@@ -179,30 +178,17 @@ class CanonicalRings:
         unit = self.r_coords(a.unit, "unit of A")
         return FDAlgebra(self.field, k, mult, unit, name="R")
 
-    def _tensor_action_ambient(self, tcoords: Sequence) -> Matrix:
-        """Ambient operator of the invariant tensor acting on Q: the left
-        factor is multiplied on the right by the tensor's first leg, the
-        right factor on the left by its second leg."""
-        a = self.ext.total
-        f = self.field
-        tm = self.t_ambient(tcoords)
-        amb = Matrix.zeros(f, a.dim * a.dim, a.dim * a.dim)
-        for i in range(a.dim):
-            for j in range(a.dim):
-                c = tm.data[i][j]
-                if f.is_zero(c):
-                    continue
-                piece = kron(a.basis_right_mult(i), a.basis_left_mult(j))
-                amb = amb + piece.scale(c)
-        return amb
-
     def _build_tensor_actions_on_q(self) -> list[Matrix]:
+        """Each invariant tensor acting on Q: the left factor is multiplied
+        on the right by the tensor's first leg, the right factor on the
+        left by its second leg."""
+        a = self.ext.total
         ops = []
-        k = self.tensor_space.dim
-        for idx in range(k):
-            coords = unit_vec(self.field, k, idx)
-            amb = self._tensor_action_ambient(coords)
-            ops.append(self.q.presentation.induced_operator(amb))
+        for row in self.tensor_space.rows:
+            tm = self.q_ambient(row)
+            ops.append(tensor_legs(self.q, [
+                (tm.data[i][j], a.basis_right_mult(i), a.basis_left_mult(j))
+                for i in range(a.dim) for j in range(a.dim)]))
         return ops
 
     def _build_tensor_ring(self) -> FDAlgebra:
@@ -297,12 +283,10 @@ class CanonicalRings:
         eye = Matrix.identity(f, a.dim)
         lefts, rights = [], []
         for row in self.centralizer_space.rows:
-            lop = self.q.presentation.induced_operator(
-                kron(a.left_mult_matrix(row), eye))
+            lop = tensor_legs(self.q, [(f.one, a.left_mult_matrix(row), eye)])
             lefts.append(self._restrict_q_operator(
                 lop, "centralizer multiple of an invariant tensor"))
-            rop = self.q.presentation.induced_operator(
-                kron(eye, a.right_mult_matrix(row)))
+            rop = tensor_legs(self.q, [(f.one, eye, a.right_mult_matrix(row))])
             rights.append(self._restrict_q_operator(
                 rop, "centralizer multiple of an invariant tensor"))
         return Bimodule(self.centralizer, self.centralizer,
@@ -318,13 +302,11 @@ class CanonicalRings:
         rights = []
         for idx in range(k):
             tm = self.t_ambient(unit_vec(f, k, idx))
-            op = Matrix.zeros(f, a.dim, a.dim)
-            for i in range(a.dim):
-                for j in range(a.dim):
-                    c = tm.data[i][j]
-                    if not f.is_zero(c):
-                        op = op + (a.basis_left_mult(i)
-                                   @ a.basis_right_mult(j)).scale(c)
+            nz = [(i, j) for i in range(a.dim) for j in range(a.dim)
+                  if tm.data[i][j]]
+            op = lin_comb(f, a.dim, a.dim, [tm.data[i][j] for i, j in nz],
+                          [a.basis_left_mult(i) @ a.basis_right_mult(j)
+                           for i, j in nz])
             cols = [self.r_coords(op.apply(row), "sandwiched centralizer element")
                     for row in self.centralizer_space.rows]
             rights.append(Matrix.from_cols(f, cols, self.centralizer.dim))

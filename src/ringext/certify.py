@@ -40,6 +40,7 @@ from .bimodule import (
 from .canonical import CanonicalRings, InternalInconsistency
 from .linalg import (
     Matrix,
+    lin_comb,
     rank,
     span_decide,
     unit_vec,
@@ -334,7 +335,6 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
     target = [x for chunk in targets for x in chunk]
 
     gens = []
-    index = []
     for ti in t_order:
         trow = t_rows[ti]
         for si in s_order:
@@ -348,18 +348,17 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
                     chunk = cr.q.module.left_operator(val).apply(trow)
                 col.extend(chunk)
             gens.append(col)
-            index.append((ti, si))
     coeffs = span_decide(f, gens, target)
     if coeffs is None:
         return None
-    folded: dict[int, Matrix] = {}
-    for c, (ti, si) in zip(coeffs, index):
-        if f.is_zero(c):
-            continue
-        add = s_mats[si].scale(c)
-        folded[ti] = folded.get(ti, Matrix.zeros(f, a.dim, a.dim)) + add
+    # coefficient p * ns + q weighs the pair (t_order[p], s_order[q])
+    ns = len(s_order)
+    chunks = {ti: coeffs[p * ns:(p + 1) * ns] for p, ti in enumerate(t_order)}
+    s_ordered = [s_mats[si] for si in s_order]
+    folded = [(ti, lin_comb(f, a.dim, a.dim, chunks[ti], s_ordered))
+              for ti in sorted(chunks)]
     pairs = [QuasibasePair(list(t_rows[ti]), mat)
-             for ti, mat in sorted(folded.items()) if not mat.is_zero()]
+             for ti, mat in folded if not mat.is_zero()]
     cert = D2Certificate(side, pairs, reverse_order=reverse_order)
     if not verify_d2(cr, cert, seed=seed):
         raise InternalInconsistency(f"{side} quasibase failed verification")

@@ -43,6 +43,10 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc.msg}",
                          f"{path}:{exc.lineno}:{exc.colno}")
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the interpreter's digit limit, or
+        # nesting deeper than the decoder's recursion limit
+        raise InputError(f"unreadable JSON: {exc}", path)
 
 
 def _parsed_input(args):

@@ -44,6 +44,7 @@ from .bimodule import (
     restrict_left,
     restrict_right,
     right_module,
+    tensor_legs,
     tensor_map,
     tensor_over,
 )
@@ -56,7 +57,7 @@ from .certify import (
     verify_separability,
     verify_split,
 )
-from .linalg import Matrix, invert, kron, unit_vec, vec_add, zero_vec
+from .linalg import Matrix, invert, unit_vec, vec_add, zero_vec
 
 
 # ---------------------------------------------------------------------------
@@ -200,28 +201,16 @@ def _comparison(name: str, fwd: Matrix, domain: str, codomain: str,
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _free_pairs(tp: TensorProduct) -> list[tuple[int, int]]:
-    """(left index, right index) of the pure tensor representing each class.
-
-    Quotient sections are unit vectors at the free columns, so every class
-    of a presented tensor product is the class of a single pure tensor of
-    basis elements.  Maps defined on pure tensors are assembled column by
-    column from these pairs.
-    """
-    dn = tp.right_factor.dim
-    return [divmod(c, dn) for c in tp.presentation.free_cols]
-
-
 def _first_leg(tp: TensorProduct, op: Matrix) -> Matrix:
     """op (x) id on a presented tensor product."""
-    eye = Matrix.identity(tp.module.field, tp.right_factor.dim)
-    return tp.presentation.induced_operator(kron(op, eye))
+    f = op.field
+    return tensor_legs(tp, [(f.one, op, Matrix.identity(f, tp.right_factor.dim))])
 
 
 def _second_leg(tp: TensorProduct, op: Matrix) -> Matrix:
     """id (x) op on a presented tensor product."""
-    eye = Matrix.identity(tp.module.field, tp.left_factor.dim)
-    return tp.presentation.induced_operator(kron(eye, op))
+    f = op.field
+    return tensor_legs(tp, [(f.one, Matrix.identity(f, tp.left_factor.dim), op)])
 
 
 def _gather(ops: Sequence[Matrix], mu: int) -> Matrix:
@@ -249,39 +238,6 @@ def _require_module(m: Bimodule, side: str, ring: FDAlgebra) -> None:
             f"{m.label}: expected a {side} module over {ring.name}")
 
 
-def _kron_comb(weights: Matrix, lefts: Sequence[Matrix],
-               rights: Sequence[Matrix]) -> Matrix:
-    """sum over (k, l) of weights[k][l] . kron(lefts[k], rights[l])."""
-    f = weights.field
-    pr, pc = lefts[0].rows, lefts[0].cols
-    qr, qc = rights[0].rows, rights[0].cols
-    out = Matrix.zeros(f, pr * qr, pc * qc)
-    od = out.data
-    for k in range(weights.rows):
-        wrow = weights.data[k]
-        for l in range(weights.cols):
-            c = wrow[l]
-            if f.is_zero(c):
-                continue
-            ld, rd = lefts[k].data, rights[l].data
-            for i in range(pr):
-                li = ld[i]
-                base_r = i * qr
-                for j in range(pc):
-                    v = li[j]
-                    if f.is_zero(v):
-                        continue
-                    cv = f.mul(c, v)
-                    base_c = j * qc
-                    for s in range(qr):
-                        orow = od[base_r + s]
-                        for rv_j, rv in enumerate(rd[s]):
-                            if not f.is_zero(rv):
-                                orow[base_c + rv_j] = f.add(
-                                    orow[base_c + rv_j], f.mul(cv, rv))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # induced module machinery
 
@@ -307,16 +263,17 @@ def _induced_from_base(cr: CanonicalRings, m: Bimodule) -> _InducedModule:
     second = restrict_left(forget_right(m), ext)
     x = tensor_over(first, second, label=f"A(x)B[{m.label}]")
 
-    rights = [a.basis_right_mult(k) for k in range(a.dim)]
     t_ops = []
     for trow in cr.tensor_space.rows:
-        amb = _kron_comb(cr.q_ambient(trow), rights, m.left_action)
-        t_ops.append(x.presentation.induced_operator(amb))
+        tm = cr.q_ambient(trow)
+        t_ops.append(tensor_legs(x, [
+            (tm.data[k][l], a.basis_right_mult(k), m.left_action[l])
+            for k in range(a.dim) for l in range(a.dim)]))
     as_left_t = left_module(cr.tensor_ring, x.module.dim, t_ops,
                             label=f"T|{x.module.label}")
 
     collapse = Matrix.from_cols(
-        f, [m.left_action[i].col(mu) for i, mu in _free_pairs(x)], m.dim)
+        f, [m.left_action[i].col(mu) for i, mu in x.free_pairs()], m.dim)
     return _InducedModule(x, as_left_t, collapse)
 
 
@@ -327,14 +284,14 @@ def _collapse(m: Bimodule, outer: TensorProduct, inner: TensorProduct,
     outer is R (x) inner, and each class of inner is the pure tensor
     s (x) v of basis elements; r and s are basis indices.
     """
-    inner_pairs = _free_pairs(inner)
+    inner_pairs = inner.free_pairs()
 
     @cache
     def op(u: int, s: int) -> Matrix:
         return m.left_operator(element(u, s))
 
     cols = []
-    for u, v in _free_pairs(outer):
+    for u, v in outer.free_pairs():
         s, mu = inner_pairs[v]
         cols.append(op(u, s).col(mu))
     return Matrix.from_cols(m.field, cols, m.dim)
@@ -368,7 +325,9 @@ def _through_legs(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
     """
     ops = _leg_ops(cr, m.left_operator, tensor)
     stacked = Matrix.from_rows(cr.field, [row for op in ops for row in op.data])
-    return x.presentation.projection @ stacked
+    return Matrix.from_cols(
+        cr.field, [x.presentation.project(col) for col in stacked.columns()],
+        x.module.dim)
 
 
 def _t_as_right_r(cr: CanonicalRings) -> Bimodule:
@@ -396,7 +355,7 @@ def _pi_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
     module, column per quotient class of y."""
     legs = cache(lambda ti: _through_legs(cr, m, x, cr.tensor_space.rows[ti]))
     return Matrix.from_cols(
-        cr.field, [legs(ti).col(mu) for ti, mu in _free_pairs(y)], x.module.dim)
+        cr.field, [legs(ti).col(mu) for ti, mu in y.free_pairs()], x.module.dim)
 
 
 def _quasibase_to_y(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
@@ -405,7 +364,7 @@ def _quasibase_to_y(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
     f = cr.field
     pre = [(cr.t_coords(p.tensor), p.endo) for p in pairs]
     cols = []
-    for i, mu in _free_pairs(x):
+    for i, mu in x.free_pairs():
         acc = zero_vec(f, y.module.dim)
         for tco, endo in pre:
             val = m.left_operator(endo.col(i)).col(mu)
@@ -622,7 +581,7 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
         return [m.left_operator(sb.col(i)) for sb in s_basis]
 
     fwd = _hom_coords(homsp, [_gather(values_at(i), mu)
-                              for i, mu in _free_pairs(x)])
+                              for i, mu in x.free_pairs()])
     base = [(x.module.left_operator(b), m.left_operator(b))
             for b in (ext.iota.col(i) for i in range(ext.base.dim))]
     s_right = [cr.endo_ring.basis_right_mult(j) for j in range(len(s_basis))]
@@ -708,7 +667,7 @@ def _chi(cr: CanonicalRings, m: Bimodule, hs: MapSpace
         return [m.right_operator(sb.col(k)) for k in range(a.dim)]
 
     return dom, _hom_coords(hs, [_gather(values_of(b), mu)
-                                 for mu, b in _free_pairs(dom)])
+                                 for mu, b in dom.free_pairs()])
 
 
 def _chi_inverse(cr: CanonicalRings, m: Bimodule, hs: MapSpace,
@@ -770,7 +729,7 @@ def _counit(cr: CanonicalRings, target: Bimodule, label: str
                       label=f"Hom(A,{label})(x)S[R]")
     rows = cr.centralizer_space.rows
     fwd = Matrix.from_cols(
-        cr.field, [hs.basis[b].apply(rows[u]) for b, u in _free_pairs(dom)],
+        cr.field, [hs.basis[b].apply(rows[u]) for b, u in dom.free_pairs()],
         target.dim)
     return hs, dom, fwd
 
@@ -803,9 +762,9 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
     nested = tensor_over(chi_dom.module, cr.cent_module_endo)
     big = tensor_map(nested, dom, chi_fwd, Matrix.identity(f, cr.centralizer.dim))
     rows = cr.centralizer_space.rows
-    chi_pairs = _free_pairs(chi_dom)
+    chi_pairs = chi_dom.free_pairs()
     direct_cols = []
-    for p, u in _free_pairs(nested):
+    for p, u in nested.free_pairs():
         mu, b = chi_pairs[p]
         av = cr.endo_space.basis[b].apply(rows[u])
         direct_cols.append(m.right_operator(av).col(mu))
@@ -907,7 +866,7 @@ def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule
     tensor = tensor_over(hom_mod, m_mod,
                          label=f"Hom({m.label},{n.label})(x)End[{m.label}]")
     forward = Matrix.from_cols(
-        c.field, [hom.basis[b].col(mu) for b, mu in _free_pairs(tensor)],
+        c.field, [hom.basis[b].col(mu) for b, mu in tensor.free_pairs()],
         n1.dim)
     return hom, tensor, forward
 

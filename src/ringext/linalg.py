@@ -26,14 +26,34 @@ class LinalgError(ValueError):
     """Dimension mismatch, field mismatch, or malformed scalar input."""
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly for
+# every n below this bound (Sorenson and Webster, Math. Comp. 2017), so
+# larger moduli are refused rather than guessed at.
+MODULUS_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality for 0 <= p < MODULUS_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -108,6 +128,11 @@ class RationalField:
             if v:
                 row[i] = v * c
 
+    def sparse_submul(self, dst: list, pairs: list, c) -> None:
+        """dst -= c * src, src given by its (index, nonzero entry) pairs."""
+        for i, s in pairs:
+            dst[i] = dst[i] - c * s
+
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
 
@@ -122,6 +147,9 @@ class PrimeField:
     """Arithmetic for F_p, p prime.  Elements are ints in [0, p)."""
 
     def __init__(self, p: int) -> None:
+        if isinstance(p, int) and p >= MODULUS_BOUND:
+            raise LinalgError(f"modulus {p} is not below {MODULUS_BOUND}, "
+                              f"the largest checked for primality")
         if not isinstance(p, int) or not _is_prime(p):
             raise LinalgError(f"modulus {p!r} is not a prime")
         self.p = p
@@ -187,6 +215,11 @@ class PrimeField:
         for i, v in enumerate(row):
             if v:
                 row[i] = (v * c) % p
+
+    def sparse_submul(self, dst: list, pairs: list, c) -> None:
+        p = self.p
+        for i, s in pairs:
+            dst[i] = (dst[i] - c * s) % p
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -305,7 +338,7 @@ class Matrix:
         for i, row in enumerate(self.data):
             acc = f.zero
             for a, b in zip(row, v):
-                if not f.is_zero(a):
+                if a:
                     acc = f.add(acc, f.mul(a, b))
             out[i] = acc
         return out
@@ -323,7 +356,7 @@ class Matrix:
         for i, row in enumerate(self.data):
             dst = out[i]
             for k, a in enumerate(row):
-                if not f.is_zero(a):
+                if a:
                     f.row_addmul(dst, odata[k], a)
         return Matrix(f, self.rows, other.cols, out)
 
@@ -387,34 +420,23 @@ class Matrix:
             return False
         f = self.field
         return all(
-            f.is_zero(f.sub(a, b))
+            r1 == r2 or all(f.is_zero(f.sub(a, b)) for a, b in zip(r1, r2))
             for r1, r2 in zip(self.data, other.data)
-            for a, b in zip(r1, r2)
         )
 
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; index (i,j) of the result pairs row i of a with row j of b."""
-    if a.field != b.field:
-        raise LinalgError("field mismatch in kron")
-    f = a.field
-    out = [[f.zero] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    for i in range(a.rows):
-        for k in range(a.cols):
-            c = a.data[i][k]
-            if f.is_zero(c):
-                continue
-            for j in range(b.rows):
-                dst = out[i * b.rows + j]
-                src = b.data[j]
-                base = k * b.cols
-                for l, s in enumerate(src):
-                    if not f.is_zero(s):
-                        dst[base + l] = f.add(dst[base + l], f.mul(c, s))
-    return Matrix(f, a.rows * b.rows, a.cols * b.cols, out)
+def lin_comb(field: Field, rows: int, cols: int, coeffs: Sequence,
+             mats: Sequence[Matrix]) -> Matrix:
+    """sum_k coeffs[k] * mats[k], accumulated row by row into one matrix."""
+    out = [[field.zero] * cols for _ in range(rows)]
+    for c, mat in zip(coeffs, mats):
+        if c:
+            for dst, src in zip(out, mat.data):
+                field.row_addmul(dst, src, c)
+    return Matrix(field, rows, cols, out)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +452,7 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     for c in range(n):
         pr = None
         for i in range(r, m):
-            if not f.is_zero(rows[i][c]):
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -439,21 +461,23 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
             rows[r], rows[pr] = rows[pr], rows[r]
         if not f.is_one(rows[r][c]):
             f.row_scale(rows[r], f.inv(rows[r][c]))
+        # the pivot row's nonzeros, found once for every row it clears
+        nz = [(j, x) for j, x in enumerate(rows[r]) if x]
         for i in range(r + 1, m):
             a = rows[i][c]
-            if not f.is_zero(a):
-                f.row_submul(rows[i], rows[r], a)
+            if a:
+                f.sparse_submul(rows[i], nz, a)
         pivots.append(c)
         r += 1
         if r == m:
             break
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
-        src = rows[k]
+        nz = [(j, x) for j, x in enumerate(rows[k]) if x]
         for i in range(k):
             a = rows[i][c]
-            if not f.is_zero(a):
-                f.row_submul(rows[i], src, a)
+            if a:
+                f.sparse_submul(rows[i], nz, a)
     return Matrix(f, m, n, rows), pivots
 
 
@@ -578,17 +602,13 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def basis_matrix(self) -> Matrix:
-        return Matrix.from_rows(self.field, [r[:] for r in self.rows]) \
-            if self.rows else Matrix(self.field, 0, self.ambient_dim, [])
-
     def reduce(self, v: Sequence) -> list:
         """Residual of v after subtracting its projection onto the basis rows."""
         f = self.field
         w = list(v)
         for row, pc in zip(self.rows, self.pivots):
             a = w[pc]
-            if not f.is_zero(a):
+            if a:
                 f.row_submul(w, row, a)
         return w
 
@@ -601,11 +621,6 @@ class Subspace:
         if not self.contains(v):
             return None
         return coeffs
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace.from_vectors(self.field, self.ambient_dim,
-                                     self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)

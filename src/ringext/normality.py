@@ -361,14 +361,8 @@ def prebraided_check(cr: CanonicalRings, right_quasibase: D2Certificate) -> dict
     a = cr.ext.total
     f = cr.field
     cent = cr.centralizer_space
-    sandwich_ops = []
-    for p in right_quasibase.pairs:
-        tco = cr.t_coords(p.tensor)
-        op = Matrix.zeros(f, cent.dim, cent.dim)
-        for ti, c in enumerate(tco):
-            if not f.is_zero(c):
-                op = op + cr.cent_module_tensor.right_action[ti].scale(c)
-        sandwich_ops.append(op)
+    sandwich_ops = [cr.cent_module_tensor.right_operator(cr.t_coords(p.tensor))
+                    for p in right_quasibase.pairs]
 
     holds = True
     naive = True

@@ -4,6 +4,10 @@ These read corpus JSON directly (no library parsing) and compute the
 structural dimensions by writing down the defining linear systems in
 full, on top of the independent elimination in oracle_linalg.  The
 numbers frozen into the tests came from here.
+
+At the end, the dense Kronecker formulation of hom constraints that the
+library once solved is kept on library matrices, as the reference that
+hom_space's direct constraint rows are compared against.
 """
 
 import json
@@ -243,3 +247,43 @@ def _tensor_invariants_dim(a: RawAlgebra, elements) -> int:
         for r_idx in range(dim_q):
             rows.append([cols[c_idx][r_idx] for c_idx in range(dim_q)])
     return len(nullspace(a.ops, rows, dim_q))
+
+
+# ---------------------------------------------------------------------------
+# the dense Kronecker formulation of hom constraints, kept as a reference
+
+def kron(a, b):
+    """Kronecker product of two library matrices; index (i, j) of the
+    result pairs row i of a with row j of b."""
+    from ringext.linalg import Matrix
+
+    f = a.field
+    out = [[f.zero] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
+    for i in range(a.rows):
+        for k in range(a.cols):
+            c = a.data[i][k]
+            for j in range(b.rows):
+                for l, s in enumerate(b.data[j]):
+                    out[i * b.rows + j][k * b.cols + l] = f.add(
+                        out[i * b.rows + j][k * b.cols + l], f.mul(c, s))
+    return Matrix(f, a.rows * b.rows, a.cols * b.cols, out)
+
+
+def reference_hom_basis(m, n):
+    """Basis of the bimodule maps m -> n from the stacked dense systems
+    kron(an, I) - kron(I, am^T), one block per acting basis element,
+    solved with the library's kernel and echelonized the way MapSpace does;
+    the zero rows of trivial actions stay in."""
+    from ringext.linalg import Matrix, Subspace, kernel, unit_vec
+
+    f = m.field
+    dm, dn = m.dim, n.dim
+    eye_m, eye_n = Matrix.identity(f, dm), Matrix.identity(f, dn)
+    rows = []
+    for am, an in zip(m.left_action + m.right_action,
+                      n.left_action + n.right_action):
+        diff = kron(an, eye_m) - kron(eye_n, am.transpose())
+        rows.extend(diff.data)
+    ker = kernel(Matrix.from_rows(f, rows)) if rows else \
+        [unit_vec(f, dn * dm, i) for i in range(dn * dm)]
+    return Subspace.from_vectors(f, dn * dm, ker).rows

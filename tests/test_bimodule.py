@@ -7,14 +7,41 @@ from hypothesis import strategies as st
 from ringext.algebra import (group_algebra, matrix_algebra, self_extension,
                              subalgebra_extension, trivial_algebra)
 from ringext.bimodule import (Bimodule, BimoduleError, centralizer_subspace,
-                              direct_sum, dual_basis_witness, forget_left,
+                              dual_basis_witness, forget_left,
                               forget_right, hom_space, invariants_subspace,
                               left_regular_module, random_cyclic_module,
                               regular_bimodule, restrict_left, restrict_right,
                               right_regular_module, summand_witness,
                               tensor_map, tensor_over)
 from ringext.linalg import GF, QQ, Matrix, unit_vec, vec_eq
+from tests.oracles import reference_hom_basis
 from tests.test_algebra import cyclic, sym3
+
+
+def act_left(m, x, v):
+    return m.left_operator(x).apply(v)
+
+
+def act_right(m, v, x):
+    return m.right_operator(x).apply(v)
+
+
+def direct_sum(m, n):
+    """m + n with block-diagonal actions."""
+    d = m.dim + n.dim
+
+    def block(a, b):
+        out = Matrix.zeros(m.field, d, d)
+        for i, row in enumerate(a.data):
+            out.data[i][:m.dim] = row
+        for i, row in enumerate(b.data):
+            out.data[m.dim + i][m.dim:] = row
+        return out
+
+    return Bimodule(m.left_algebra, m.right_algebra, d,
+                    [block(x, y) for x, y in zip(m.left_action, n.left_action)],
+                    [block(x, y) for x, y in zip(m.right_action, n.right_action)],
+                    label=f"{m.label}+{n.label}")
 
 
 def s3_over_a3():
@@ -30,10 +57,10 @@ def test_regular_bimodule_actions_commute():
     x = unit_vec(QQ, 6, 1)
     y = unit_vec(QQ, 6, 3)
     v = unit_vec(QQ, 6, 2)
-    lhs = m.act_right(m.act_left(x, v), y)
-    rhs = m.act_left(x, m.act_right(v, y))
+    lhs = act_right(m, act_left(m, x, v), y)
+    rhs = act_left(m, x, act_right(m, v, y))
     assert lhs == rhs
-    assert m.act_left(a.unit, v) == v
+    assert act_left(m, a.unit, v) == v
 
 
 def test_bimodule_validation_rejects_nonmodule():
@@ -52,7 +79,7 @@ def test_restriction_along_embedding():
     assert res.left_algebra == ext.base
     assert res.dim == 6
     x = unit_vec(QQ, 3, 1)
-    assert res.act_left(x, ext.total.unit) == ext.embed(x)
+    assert act_left(res, x, ext.total.unit) == ext.embed(x)
 
 
 def test_forget_and_direct_sum():
@@ -63,9 +90,9 @@ def test_forget_and_direct_sum():
     s = direct_sum(m, m)
     assert s.dim == 6
     v = unit_vec(QQ, 6, 4)
-    top = s.act_left(unit_vec(QQ, 3, 1), v)
+    top = act_left(s, unit_vec(QQ, 3, 1), v)
     assert top[:3] == [QQ.zero] * 3
-    assert top[3:] == m.act_left(unit_vec(QQ, 3, 1), unit_vec(QQ, 3, 1))
+    assert top[3:] == act_left(m, unit_vec(QQ, 3, 1), unit_vec(QQ, 3, 1))
 
 
 # -- tensor products ---------------------------------------------------------
@@ -151,6 +178,44 @@ def test_hom_space_coordinates_roundtrip():
     el = h.element(coeffs)
     assert h.contains(el)
     assert h.coordinates(el) == coeffs
+
+
+def hom_cases(field):
+    """(label, m, n) pairs with matching acting algebras: regular,
+    restricted, one-sided and random cyclic modules, group and matrix."""
+    a = group_algebra(field, sym3())
+    ext = subalgebra_extension(a, subgroup=[0, 3, 4])
+    reg = regular_bimodule(a)
+    res = restrict_right(restrict_left(reg, ext), ext)
+    cyc_l = random_cyclic_module(a, "left", 2, seed=3)
+    cyc_r = random_cyclic_module(a, "right", 2, seed=5)
+    m2 = matrix_algebra(field, 2)
+    t2 = subalgebra_extension(m2, basis=[unit_vec(field, 4, i)
+                                         for i in (0, 1, 3)])
+    m2_reg = regular_bimodule(m2)
+    return [
+        ("regular", reg, reg),
+        ("restricted", res, res),
+        ("restricted_to_base", res, regular_bimodule(ext.base)),
+        ("left_regular_to_cyclic", left_regular_module(a), cyc_l),
+        ("cyclic_to_left_regular", cyc_l, left_regular_module(a)),
+        ("cyclic_left", cyc_l, random_cyclic_module(a, "left", 1, seed=7)),
+        ("cyclic_right", cyc_r, right_regular_module(a)),
+        ("one_sided_base", forget_left(restrict_right(reg, ext)),
+         right_regular_module(ext.base)),
+        ("matrix_regular", m2_reg, m2_reg),
+        ("matrix_restricted", restrict_left(m2_reg, t2),
+         restrict_left(m2_reg, t2)),
+        ("matrix_cyclic", random_cyclic_module(m2, "right", 2, seed=11),
+         right_regular_module(m2)),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
+def test_hom_space_matches_kronecker_reference(field):
+    for label, m, n in hom_cases(field):
+        got = [b.vec() for b in hom_space(m, n).basis]
+        assert got == reference_hom_basis(m, n), label
 
 
 # -- invariants ---------------------------------------------------------------

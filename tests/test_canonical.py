@@ -114,8 +114,8 @@ def test_casimir_space_inside_tensor_ring(built):
     for row in cr.casimir_space.rows:
         for i in range(a.dim):
             x = unit_vec(cr.field, a.dim, i)
-            lhs = cr.q.module.act_left(x, row)
-            rhs = cr.q.module.act_right(row, x)
+            lhs = cr.q.module.left_operator(x).apply(row)
+            rhs = cr.q.module.right_operator(x).apply(row)
             assert vec_eq(cr.field, lhs, rhs)
 
 

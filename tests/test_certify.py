@@ -116,8 +116,8 @@ def test_separability_element_is_symmetric_idempotent_source(built):
     assert cr.mu_matrix.apply(e) == cr.ext.total.unit
     for i in range(cr.ext.total.dim):
         x = unit_vec(f, cr.ext.total.dim, i)
-        lhs = cr.q.module.act_left(x, e)
-        rhs = cr.q.module.act_right(e, x)
+        lhs = cr.q.module.left_operator(x).apply(e)
+        rhs = cr.q.module.right_operator(x).apply(e)
         assert lhs == rhs
 
 

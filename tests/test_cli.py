@@ -138,6 +138,44 @@ def test_rational_outside_schema_grammar_is_input_error(tmp_path, capsys,
     assert repr(text) in err
 
 
+HUGE = "9" * 5000   # past the interpreter's 4300-digit int conversion limit
+
+
+@pytest.mark.parametrize("text", [
+    '{"field": {"Fp": %s}, "algebra": {"dim": 1, "mult": [[[1]]], '
+    '"unit": [1]}}' % HUGE,
+    '{"field": "Q", "algebra": {"dim": 1, "mult": [[[%s]]], '
+    '"unit": [1]}}' % HUGE,
+    '{"field": "Q", "algebra": {"dim": 1, "mult": %s, "unit": [1]}}'
+    % ("[" * 100000 + "]" * 100000),
+], ids=["modulus", "structure_constant", "deep_nesting"])
+def test_unreadable_json_is_input_error(tmp_path, capsys, text):
+    p = tmp_path / "unreadable.json"
+    p.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, "analyze", str(p))
+    assert code == 1
+    assert f"input error at {p}:" in err
+
+
+@pytest.mark.parametrize("p", [561, 41041, 3215031751, 2**82 + 1])
+def test_composite_or_oversized_modulus_is_input_error(tmp_path, capsys, p):
+    # Carmichael numbers, a strong pseudoprime to bases 2, 3, 5 and 7, and
+    # a modulus past the bound up to which primality is decided
+    doc = {"field": {"Fp": p},
+           "algebra": {"dim": 1, "mult": [[[1]]], "unit": [1]}}
+    code, _, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert code == 1
+    assert "$.field.Fp" in err
+
+
+def test_large_prime_modulus_is_accepted(tmp_path, capsys):
+    doc = {"field": {"Fp": 2**61 - 1},
+           "algebra": {"group": {"order": 2, "cayley": [[0, 1], [1, 0]]}}}
+    code, out, _ = run_cli(capsys, "analyze", write_doc(tmp_path, doc), "--json")
+    assert code == 0
+    assert json.loads(out)["field"] == {"Fp": 2**61 - 1}
+
+
 def test_unknown_module_label_is_input_error(capsys):
     code, _, err = run_cli(capsys, "equivalence", input_path("qc2_q"),
                            "--module", "missing")

@@ -1,12 +1,18 @@
 """Exact linear algebra: elimination, kernels, solving, subspaces."""
 
+import time
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ringext.linalg import (GF, QQ, LinalgError, Matrix, Subspace, invert,
-                            kernel, kron, rank, rref, solve, span_decide,
-                            unit_vec, vec_eq, vec_is_zero, zero_vec)
+from ringext.linalg import (GF, MODULUS_BOUND, QQ, LinalgError, Matrix,
+                            PrimeField, Subspace, invert, kernel, rank, rref,
+                            solve, span_decide, unit_vec, vec_eq, vec_is_zero,
+                            zero_vec)
+from tests import oracle_linalg
+from tests.oracles import kron
 
 F5 = GF(5)
 
@@ -49,6 +55,34 @@ def test_gf_rejects_composite():
         GF(6)
     with pytest.raises(LinalgError):
         GF(1)
+
+
+def test_primality_is_exact_and_fast():
+    t0 = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - t0 < 0.5
+    assert PrimeField(10**12 + 39).p == 10**12 + 39
+    # Carmichael numbers and a strong pseudoprime to bases 2, 3, 5 and 7
+    for n in (561, 41041, 3215031751):
+        with pytest.raises(LinalgError, match="not a prime"):
+            PrimeField(n)
+    trial = [n for n in range(2, 3000)
+             if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    accepted = []
+    for n in range(3000):
+        try:
+            PrimeField(n)
+        except LinalgError:
+            continue
+        accepted.append(n)
+    assert accepted == trial
+
+
+def test_modulus_bound_is_enforced():
+    with pytest.raises(LinalgError, match="not below"):
+        PrimeField(MODULUS_BOUND)
+    with pytest.raises(LinalgError, match="not below"):
+        PrimeField(2**127 - 1)
 
 
 def test_gf_is_cached():
@@ -144,9 +178,8 @@ def test_subspace_membership_and_coordinates():
     v = vec(QQ, [2, 3, 5])
     assert s.contains(v)
     coords = s.coordinates(v)
-    basis = s.basis_matrix()
     rebuilt = zero_vec(QQ, 3)
-    for c, row in zip(coords, basis.data):
+    for c, row in zip(coords, s.rows):
         rebuilt = [QQ.add(a, QQ.mul(c, x)) for a, x in zip(rebuilt, row)]
     assert vec_eq(QQ, rebuilt, v)
     assert not s.contains(vec(QQ, [1, 0, 0]))
@@ -157,7 +190,7 @@ def test_subspace_lattice_ops():
     e0, e1, e2 = (unit_vec(QQ, 3, i) for i in range(3))
     u = Subspace.from_vectors(QQ, 3, [e0, e1])
     w = Subspace.from_vectors(QQ, 3, [e1, e2])
-    assert u.sum_with(w) == Subspace.full(QQ, 3)
+    assert Subspace.from_vectors(QQ, 3, u.rows + w.rows) == Subspace.full(QQ, 3)
     inter = u.intersect(w)
     assert inter.dim == 1 and inter.contains(e1)
     assert inter.is_contained_in(u) and inter.is_contained_in(w)
@@ -225,3 +258,46 @@ def test_subspace_from_vectors_contains_generators(a):
     for row in a.data:
         assert s.contains(row)
     assert s.dim == rank(a)
+
+
+# -- sparse elimination against the independent oracle ------------------------
+
+@st.composite
+def sparse_rows(draw, nonzero):
+    """A tall matrix (up to 30 x 10) with at least 80% zero entries."""
+    cols = draw(st.integers(1, 10))
+    rows = draw(st.integers(cols, 30))
+    cells = rows * cols
+    count = draw(st.integers(0, cells // 5))
+    where = draw(st.lists(st.integers(0, cells - 1), min_size=count,
+                          max_size=count, unique=True))
+    data = [[0] * cols for _ in range(rows)]
+    for pos in where:
+        data[pos // cols][pos % cols] = draw(nonzero)
+    return data
+
+
+big = st.integers(-10**30, 10**30).filter(bool)
+large_fractions = st.builds(Fraction, big, st.integers(1, 10**30))
+
+
+def assert_matches_oracle(field, ops, data):
+    m = Matrix.from_rows(field, [[field.of(x) for x in row] for row in data])
+    red, pivots = rref(m)
+    want_rows, want_pivots = oracle_linalg.rref(ops, [[ops.of(x) for x in row]
+                                                      for row in data])
+    assert pivots == want_pivots
+    assert red.data[:len(pivots)] == want_rows
+    assert all(vec_is_zero(field, row) for row in red.data[len(pivots):])
+    assert kernel(m) == oracle_linalg.nullspace(
+        ops, [[ops.of(x) for x in row] for row in data], m.cols)
+
+
+@given(sparse_rows(large_fractions))
+def test_sparse_rref_and_kernel_match_oracle_over_q(data):
+    assert_matches_oracle(QQ, oracle_linalg.FracOps(), data)
+
+
+@given(sparse_rows(st.integers(1, 4)))
+def test_sparse_rref_and_kernel_match_oracle_over_f5(data):
+    assert_matches_oracle(F5, oracle_linalg.ModOps(5), data)
