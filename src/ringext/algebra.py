@@ -74,6 +74,28 @@ class GroupData:
                         raise AlgebraError(
                             f"group table not associative at ({i},{j},{k})")
 
+    def check_subgroup(self, elems: Sequence[int]) -> None:
+        """Raise AlgebraError unless elems lists the elements of a
+        subgroup, each once.
+
+        Every index is range-checked before the closure loop reads the
+        table.  A finite subset closed under the product is a subgroup,
+        so inverses need no separate check.
+        """
+        if len(set(elems)) != len(elems):
+            raise AlgebraError("subgroup list has repeats")
+        for x in elems:
+            if not isinstance(x, int) or not 0 <= x < self.order:
+                raise AlgebraError(f"subgroup element {x!r} out of range")
+        if 0 not in elems:
+            raise AlgebraError("subgroup does not contain the identity")
+        hset = set(elems)
+        for x in elems:
+            for y in elems:
+                if self.cayley[x][y] not in hset:
+                    raise AlgebraError(f"not closed: elements {x} * {y} = "
+                                       f"{self.cayley[x][y]} escapes")
+
     def conjugate(self, g: int, h: int) -> int:
         """g h g^{-1}."""
         return self.cayley[self.cayley[g][h]][self.inverse[g]]
@@ -282,6 +304,20 @@ class Extension:
     def field(self) -> Field:
         return self.base.field
 
+    def subgroup(self) -> Optional[list[int]]:
+        """The group elements the base basis maps to, in base order, or
+        None unless the total algebra is a group algebra and every base
+        basis vector lands on a group element."""
+        if self.total.group is None:
+            return None
+        idx = []
+        for col in self.iota.columns():
+            nz = [k for k, c in enumerate(col) if c]
+            if len(nz) != 1 or not self.field.is_one(col[nz[0]]):
+                return None
+            idx.append(nz[0])
+        return idx
+
     def embed(self, b: Sequence) -> list:
         return self.iota.apply(b)
 
@@ -314,23 +350,12 @@ def subalgebra_extension(total: FDAlgebra, basis: Optional[Sequence[Sequence]] =
             raise AlgebraError("subgroup given but the algebra has no group data")
         g = total.group
         elems = list(subgroup)
-        if len(set(elems)) != len(elems):
-            raise AlgebraError("subgroup list has repeats")
-        if 0 not in elems:
-            raise AlgebraError("subgroup does not contain the identity")
-        index_of = {e: i for i, e in enumerate(elems)}
-        for x in elems:
-            if not 0 <= x < g.order:
-                raise AlgebraError(f"subgroup element {x} out of range")
-        for x in elems:
-            for y in elems:
-                if g.cayley[x][y] not in index_of:
-                    raise AlgebraError(
-                        f"not closed: elements {x} * {y} = {g.cayley[x][y]} escapes")
+        g.check_subgroup(elems)
         # force the identity to index 0 in the subgroup table
         if elems[0] != 0:
-            elems[index_of[0]], elems[0] = elems[0], elems[index_of[0]]
-            index_of = {e: i for i, e in enumerate(elems)}
+            k = elems.index(0)
+            elems[k], elems[0] = elems[0], elems[k]
+        index_of = {e: i for i, e in enumerate(elems)}
         sub_cayley = [[index_of[g.cayley[x][y]] for y in elems] for x in elems]
         base = group_algebra(f, GroupData(len(elems), sub_cayley), name="kH")
         iota = Matrix.from_cols(f, [unit_vec(f, total.dim, e) for e in elems])

@@ -32,6 +32,7 @@ from .linalg import (
     Subspace,
     kernel,
     lin_comb,
+    random_scalar,
     span_decide,
     unit_vec,
     vec_is_zero,
@@ -209,16 +210,10 @@ def random_cyclic_module(a: FDAlgebra, side: str, ambient_rank: int,
         raise BimoduleError("side must be 'left' or 'right'")
     f = a.field
     rng = random.Random(seed)
-
-    def scalar():
-        if isinstance(f.zero, int):
-            return f.of(rng.randrange(f.p))
-        return f.of(rng.randint(-3, 3))
-
     ambient = a.dim * ambient_rank
     free = _free_one_sided(a, side, ambient_rank)
     for _ in range(32):
-        x = [scalar() for _ in range(ambient)]
+        x = [random_scalar(f, rng) for _ in range(ambient)]
         if not vec_is_zero(f, x):
             break
     else:
@@ -401,17 +396,22 @@ def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
     return tp
 
 
+# source relations tensor_map spot-checks for well-definedness
+RELATION_CHECKS = 8
+
+
 def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
-               f_right: Matrix, check_rows: int = 8) -> Matrix:
+               f_right: Matrix) -> Matrix:
     """The map f_left (x) f_right between two presented tensor products.
 
-    Spot-checks well-definedness on a sample of the source relations (the
-    full guarantee is the middle-linearity of the ingredient maps).
+    Spot-checks well-definedness on the first RELATION_CHECKS source
+    relations (the full guarantee is the middle-linearity of the
+    ingredient maps).
     """
     f = src.presentation.field
     dm, dn = src.left_factor.dim, src.right_factor.dim
     frt = f_right.transpose()
-    for row in src.presentation.relations.rows[:check_rows]:
+    for row in src.presentation.relations.rows[:RELATION_CHECKS]:
         ambient = (f_left @ _unflatten(f, row, dm, dn) @ frt).vec()
         if not dst.presentation.relations.contains(ambient):
             raise BimoduleError("tensor map does not respect the relations")
@@ -547,15 +547,16 @@ class SummandWitness:
         f = self.source.field
         acc = Matrix.zeros(f, self.source.dim, self.source.dim)
         for into, back in self.pairs:
-            if not _is_bimodule_map(self.source, self.target, into):
+            if not is_bimodule_map(self.source, self.target, into):
                 return False
-            if not _is_bimodule_map(self.target, self.source, back):
+            if not is_bimodule_map(self.target, self.source, back):
                 return False
             acc = acc + (back @ into)
         return acc == Matrix.identity(f, self.source.dim)
 
 
-def _is_bimodule_map(src: Bimodule, dst: Bimodule, mat: Matrix) -> bool:
+def is_bimodule_map(src: Bimodule, dst: Bimodule, mat: Matrix) -> bool:
+    """mat has the shape of a map src -> dst and commutes with both actions."""
     if mat.rows != dst.dim or mat.cols != src.dim:
         return False
     for am, an in zip(src.left_action, dst.left_action):

@@ -50,6 +50,35 @@ class InternalInconsistency(RuntimeError):
     """
 
 
+def coordinates_in(space, x, what: str) -> list:
+    """Coordinates of x in a Subspace (x a vector) or a MapSpace (x a
+    matrix); x lying outside space is an InternalInconsistency."""
+    coords = space.coordinates(x)
+    if coords is None:
+        raise InternalInconsistency(f"{what} lies outside {space!r}")
+    return coords
+
+
+def coordinate_matrix(space, items: Sequence, what: str) -> Matrix:
+    """The coordinates of each item in space, as columns."""
+    return Matrix.from_cols(
+        space.field, [coordinates_in(space, x, what) for x in items], space.dim)
+
+
+def restrict_to(space: Subspace, op: Matrix, what: str) -> Matrix:
+    """An operator preserving space, in the coordinates of space."""
+    return coordinate_matrix(space, [op.apply(row) for row in space.rows], what)
+
+
+def ring_on(space, product, one, name: str) -> FDAlgebra:
+    """The algebra on a product-closed space: product(i, j) is the product
+    of basis elements i and j, and one the unit, both in the ambient."""
+    mult = [[coordinates_in(space, product(i, j), f"product in {name}")
+             for j in range(space.dim)] for i in range(space.dim)]
+    unit = coordinates_in(space, one, f"unit of {name}")
+    return FDAlgebra(space.field, space.dim, mult, unit, name=name)
+
+
 class CanonicalRings:
     """Container for the computed rings, maps, and module structures."""
 
@@ -71,29 +100,42 @@ class CanonicalRings:
         self.dim_q = self.q.module.dim
 
         # R: the centralizer of the embedded base
-        self.centralizer_space = centralizer_subspace(self.a_reg, ext)
-        self.centralizer = self._build_centralizer_ring()
+        R = self.centralizer_space = centralizer_subspace(self.a_reg, ext)
+        self.centralizer = ring_on(
+            R, lambda i, j: a.multiply(R.rows[i], R.rows[j]), a.unit, "R")
 
         # T: base-central tensors, multiplied through the tensor-square action
-        self.tensor_space = centralizer_subspace(self.q.module, ext)
+        T = self.tensor_space = centralizer_subspace(self.q.module, ext)
         self.t_action_on_q = self._build_tensor_actions_on_q()
-        self.tensor_ring = self._build_tensor_ring()
+        self.tensor_ring = ring_on(
+            T, lambda i, j: self.t_action_on_q[i].apply(T.rows[j]),
+            self.one_tensor_one(), "T")
 
         # S: bimodule endomorphisms of A over B, under composition
-        self.endo_space = hom_space(self.restricted, self.restricted)
-        self.endo_ring = self._build_endo_ring()
+        S = self.endo_space = hom_space(self.restricted, self.restricted)
+        self.endo_ring = ring_on(S, lambda i, j: S.basis[i] @ S.basis[j],
+                                 Matrix.identity(f, a.dim), "S")
 
         # Casimir elements: tensors central for all of A
         self.casimir_space = invariants_subspace(
             self.q.module, [unit_vec(f, a.dim, i) for i in range(a.dim)])
-        self.casimir_in_tensor = self._casimir_inside_tensor()
+        self.casimir_in_tensor = Subspace.from_vectors(f, T.dim, [
+            self.t_coords(row, "Casimir element") for row in self.casimir_space.rows])
 
         # evaluation maps
-        self.mu_matrix = self._build_mu()
-        self.tensor_counit = self._build_tensor_counit()
-        self.endo_counit = self._build_endo_counit()
-        self.lambda_map = self._build_lambda()
-        self.rho_map = self._build_rho()
+        self.mu_matrix = self._q_to_total(lambda i, j: a.mult[i][j])
+        self.tensor_counit = coordinate_matrix(
+            R, [self.mu_matrix.apply(row) for row in T.rows],
+            "image of an invariant tensor under multiplication")
+        self.endo_counit = coordinate_matrix(
+            R, [mat.apply(a.unit) for mat in S.basis],
+            "value of an endomorphism at 1")
+        self.lambda_map = coordinate_matrix(
+            S, [a.left_mult_matrix(row) for row in R.rows],
+            "left multiplication by a centralizer element")
+        self.rho_map = coordinate_matrix(
+            S, [a.right_mult_matrix(row) for row in R.rows],
+            "right multiplication by a centralizer element")
 
         # module structures
         self.q_bimodule = Bimodule(
@@ -101,52 +143,34 @@ class CanonicalRings:
             self.q.module.right_action, label="Q|T-A")
         self.tensor_bimodule_cent = self._build_t_over_r()
         self.cent_module_tensor = self._build_r_right_t()
-        self.cent_module_endo = self._build_r_left_s()
+        # R as a left S-module by evaluating endomorphisms
+        self.cent_module_endo = Bimodule(
+            self.endo_ring, trivial_algebra(f), R.dim,
+            [restrict_to(R, mat, "endomorphism value on a centralizer element")
+             for mat in S.basis], [Matrix.identity(f, R.dim)], label="R|S")
         self.endo_bimodule_cent = self._build_s_over_r()
 
     # -- coordinate helpers -------------------------------------------------
 
     def r_lift(self, coords: Sequence) -> list:
         """Centralizer coordinates -> element of A."""
-        f = self.field
-        out = zero_vec(f, self.ext.total.dim)
-        for c, row in zip(coords, self.centralizer_space.rows):
-            if not f.is_zero(c):
-                f.row_addmul(out, row, c)
-        return out
+        return self.centralizer_space.element(coords)
 
     def r_coords(self, v: Sequence, what: str = "element") -> list:
-        coords = self.centralizer_space.coordinates(v)
-        if coords is None:
-            raise InternalInconsistency(
-                f"{what} escaped the centralizer subspace")
-        return coords
+        return coordinates_in(self.centralizer_space, v, what)
 
     def t_lift(self, coords: Sequence) -> list:
         """Invariant-tensor coordinates -> element of Q."""
-        f = self.field
-        out = zero_vec(f, self.dim_q)
-        for c, row in zip(coords, self.tensor_space.rows):
-            if not f.is_zero(c):
-                f.row_addmul(out, row, c)
-        return out
+        return self.tensor_space.element(coords)
 
     def t_coords(self, v: Sequence, what: str = "element") -> list:
-        coords = self.tensor_space.coordinates(v)
-        if coords is None:
-            raise InternalInconsistency(
-                f"{what} escaped the invariant tensor subspace")
-        return coords
+        return coordinates_in(self.tensor_space, v, what)
 
     def s_matrix(self, coords: Sequence) -> Matrix:
         return self.endo_space.element(coords)
 
     def s_coords(self, mat: Matrix, what: str = "map") -> list:
-        coords = self.endo_space.coordinates(mat)
-        if coords is None:
-            raise InternalInconsistency(
-                f"{what} is not a bimodule endomorphism")
-        return coords
+        return coordinates_in(self.endo_space, mat, what)
 
     def pure(self, x: Sequence, y: Sequence) -> list:
         """Q-coordinates of the class of x (x) y."""
@@ -166,17 +190,7 @@ class CanonicalRings:
     def t_ambient(self, tcoords: Sequence) -> Matrix:
         return self.q_ambient(self.t_lift(tcoords))
 
-    # -- ring builders ------------------------------------------------------
-
-    def _build_centralizer_ring(self) -> FDAlgebra:
-        a = self.ext.total
-        rows = self.centralizer_space.rows
-        k = len(rows)
-        mult = [[self.r_coords(a.multiply(rows[i], rows[j]),
-                               "centralizer product")
-                 for j in range(k)] for i in range(k)]
-        unit = self.r_coords(a.unit, "unit of A")
-        return FDAlgebra(self.field, k, mult, unit, name="R")
+    # -- builders -----------------------------------------------------------
 
     def _build_tensor_actions_on_q(self) -> list[Matrix]:
         """Each invariant tensor acting on Q: the left factor is multiplied
@@ -190,39 +204,6 @@ class CanonicalRings:
                 (tm.data[i][j], a.basis_right_mult(i), a.basis_left_mult(j))
                 for i in range(a.dim) for j in range(a.dim)]))
         return ops
-
-    def _build_tensor_ring(self) -> FDAlgebra:
-        k = self.tensor_space.dim
-        mult = []
-        for i in range(k):
-            op = self.t_action_on_q[i]
-            row = [self.t_coords(op.apply(self.tensor_space.rows[j]),
-                                 "invariant tensor product")
-                   for j in range(k)]
-            mult.append(row)
-        unit = self.t_coords(self.one_tensor_one(), "class of 1 (x) 1")
-        return FDAlgebra(self.field, k, mult, unit, name="T")
-
-    def _build_endo_ring(self) -> FDAlgebra:
-        k = self.endo_space.dim
-        basis = self.endo_space.basis
-        mult = [[self.s_coords(basis[i] @ basis[j], "composite endomorphism")
-                 for j in range(k)] for i in range(k)]
-        unit = self.s_coords(Matrix.identity(self.field, self.ext.total.dim),
-                             "identity map")
-        return FDAlgebra(self.field, k, mult, unit, name="S")
-
-    def _casimir_inside_tensor(self) -> Subspace:
-        coords = [self.t_coords(row, "Casimir element")
-                  for row in self.casimir_space.rows]
-        return Subspace.from_vectors(self.field, self.tensor_space.dim, coords)
-
-    # -- evaluation maps ----------------------------------------------------
-
-    def _build_mu(self) -> Matrix:
-        """Multiplication Q -> A on quotient coordinates."""
-        a = self.ext.total
-        return self._q_to_total(lambda i, j: a.mult[i][j])
 
     def _q_to_total(self, pure) -> Matrix:
         """The linear map Q -> A sending the basis tensor e_i (x) e_j to
@@ -241,54 +222,17 @@ class CanonicalRings:
             cols.append(acc)
         return Matrix.from_cols(f, cols, a.dim)
 
-    def _build_tensor_counit(self) -> Matrix:
-        cols = [self.r_coords(self.mu_matrix.apply(row),
-                              "image of an invariant tensor under multiplication")
-                for row in self.tensor_space.rows]
-        return Matrix.from_cols(self.field, cols, self.centralizer.dim)
-
-    def _build_endo_counit(self) -> Matrix:
-        a = self.ext.total
-        cols = [self.r_coords(mat.apply(a.unit), "value of an endomorphism at 1")
-                for mat in self.endo_space.basis]
-        return Matrix.from_cols(self.field, cols, self.centralizer.dim)
-
-    def _build_lambda(self) -> Matrix:
-        a = self.ext.total
-        cols = [self.s_coords(a.left_mult_matrix(row),
-                              "left multiplication by a centralizer element")
-                for row in self.centralizer_space.rows]
-        return Matrix.from_cols(self.field, cols, self.endo_ring.dim)
-
-    def _build_rho(self) -> Matrix:
-        a = self.ext.total
-        cols = [self.s_coords(a.right_mult_matrix(row),
-                              "right multiplication by a centralizer element")
-                for row in self.centralizer_space.rows]
-        return Matrix.from_cols(self.field, cols, self.endo_ring.dim)
-
-    # -- module structure builders -------------------------------------------
-
-    def _restrict_q_operator(self, q_op: Matrix, what: str) -> Matrix:
-        """A Q-operator preserving the invariant subspace, in T coordinates."""
-        cols = [self.t_coords(q_op.apply(row), what)
-                for row in self.tensor_space.rows]
-        return Matrix.from_cols(self.field, cols, self.tensor_space.dim)
-
     def _build_t_over_r(self) -> Bimodule:
         """T as an R-R-bimodule: multiply the first leg on the left and the
         second leg on the right by centralizer elements."""
-        a = self.ext.total
-        f = self.field
+        a, f = self.ext.total, self.field
         eye = Matrix.identity(f, a.dim)
-        lefts, rights = [], []
-        for row in self.centralizer_space.rows:
-            lop = tensor_legs(self.q, [(f.one, a.left_mult_matrix(row), eye)])
-            lefts.append(self._restrict_q_operator(
-                lop, "centralizer multiple of an invariant tensor"))
-            rop = tensor_legs(self.q, [(f.one, eye, a.right_mult_matrix(row))])
-            rights.append(self._restrict_q_operator(
-                rop, "centralizer multiple of an invariant tensor"))
+        what = "centralizer multiple of an invariant tensor"
+        rows = self.centralizer_space.rows
+        lefts = [restrict_to(self.tensor_space, tensor_legs(
+            self.q, [(f.one, a.left_mult_matrix(r), eye)]), what) for r in rows]
+        rights = [restrict_to(self.tensor_space, tensor_legs(
+            self.q, [(f.one, eye, a.right_mult_matrix(r))]), what) for r in rows]
         return Bimodule(self.centralizer, self.centralizer,
                         self.tensor_space.dim, lefts, rights, label="T|R-R")
 
@@ -297,7 +241,6 @@ class CanonicalRings:
         centralizer element between its two legs."""
         a = self.ext.total
         f = self.field
-        triv = trivial_algebra(f)
         k = self.tensor_space.dim
         rights = []
         for idx in range(k):
@@ -307,41 +250,23 @@ class CanonicalRings:
             op = lin_comb(f, a.dim, a.dim, [tm.data[i][j] for i, j in nz],
                           [a.basis_left_mult(i) @ a.basis_right_mult(j)
                            for i, j in nz])
-            cols = [self.r_coords(op.apply(row), "sandwiched centralizer element")
-                    for row in self.centralizer_space.rows]
-            rights.append(Matrix.from_cols(f, cols, self.centralizer.dim))
-        return Bimodule(triv, self.tensor_ring, self.centralizer.dim,
+            rights.append(restrict_to(self.centralizer_space, op,
+                                      "sandwiched centralizer element"))
+        return Bimodule(trivial_algebra(f), self.tensor_ring,
+                        self.centralizer.dim,
                         [Matrix.identity(f, self.centralizer.dim)],
                         rights, label="R|T")
-
-    def _build_r_left_s(self) -> Bimodule:
-        """R as a left S-module by evaluating endomorphisms."""
-        f = self.field
-        triv = trivial_algebra(f)
-        lefts = []
-        for mat in self.endo_space.basis:
-            cols = [self.r_coords(mat.apply(row),
-                                  "endomorphism value on a centralizer element")
-                    for row in self.centralizer_space.rows]
-            lefts.append(Matrix.from_cols(f, cols, self.centralizer.dim))
-        return Bimodule(self.endo_ring, triv, self.centralizer.dim, lefts,
-                        [Matrix.identity(f, self.centralizer.dim)],
-                        label="R|S")
 
     def _build_s_over_r(self) -> Bimodule:
         """S as an R-R-bimodule by post-multiplying values on either side."""
         a = self.ext.total
-        f = self.field
-        lefts, rights = [], []
-        for row in self.centralizer_space.rows:
-            lmat = a.left_mult_matrix(row)
-            rmat = a.right_mult_matrix(row)
-            lcols = [self.s_coords(lmat @ b, "left translate of an endomorphism")
-                     for b in self.endo_space.basis]
-            rcols = [self.s_coords(rmat @ b, "right translate of an endomorphism")
-                     for b in self.endo_space.basis]
-            lefts.append(Matrix.from_cols(f, lcols, self.endo_ring.dim))
-            rights.append(Matrix.from_cols(f, rcols, self.endo_ring.dim))
+        S = self.endo_space
+        lefts = [coordinate_matrix(S, [a.left_mult_matrix(row) @ b for b in S.basis],
+                                   "left translate of an endomorphism")
+                 for row in self.centralizer_space.rows]
+        rights = [coordinate_matrix(S, [a.right_mult_matrix(row) @ b for b in S.basis],
+                                    "right translate of an endomorphism")
+                  for row in self.centralizer_space.rows]
         return Bimodule(self.centralizer, self.centralizer,
                         self.endo_ring.dim, lefts, rights, label="S|R-R")
 
@@ -471,9 +396,7 @@ class CanonicalRings:
                     "sandwich map does not reproduce the original map")
         for row in self.centralizer_space.rows:
             mat = self._sandwich_map(row)
-            if maps.coordinates(mat) is None:
-                raise InternalInconsistency(
-                    "sandwich map is not a two-sided map")
+            coordinates_in(maps, mat, "sandwich map")
             val = mat.apply(one)
             if not vec_eq(f, val, row):
                 raise InternalInconsistency(

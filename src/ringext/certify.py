@@ -31,16 +31,18 @@ from .bimodule import (
     dual_basis_witness,
     forget_left,
     hom_space,
+    is_bimodule_map,
     left_regular_module,
     restrict_left,
     restrict_right,
     right_regular_module,
     summand_witness,
 )
-from .canonical import CanonicalRings, InternalInconsistency
+from .canonical import CanonicalRings, InternalInconsistency, coordinate_matrix
 from .linalg import (
     Matrix,
     lin_comb,
+    random_scalar,
     rank,
     span_decide,
     unit_vec,
@@ -98,72 +100,35 @@ class D2Certificate:
 # ---------------------------------------------------------------------------
 # verifiers (substitution only)
 
-def _is_casimir(cr: CanonicalRings, qcoords: Sequence) -> bool:
-    f = cr.field
-    a = cr.ext.total
-    for i in range(a.dim):
-        left = cr.q.module.left_action[i].apply(qcoords)
-        right = cr.q.module.right_action[i].apply(qcoords)
-        if not vec_eq(f, left, right):
-            return False
-    return True
+# seeded random points (x, y) at which verify_d2 spot-checks the two-leg
+# identity, beyond the basis points of the free leg
+D2_SAMPLES = 4
 
 
-def _is_base_central_tensor(cr: CanonicalRings, qcoords: Sequence) -> bool:
-    f = cr.field
-    for i in range(cr.ext.base.dim):
-        bi = cr.ext.iota.col(i)
-        left = cr.q.module.left_operator(bi).apply(qcoords)
-        right = cr.q.module.right_operator(bi).apply(qcoords)
-        if not vec_eq(f, left, right):
-            return False
-    return True
+def _is_invariant(m: Bimodule, elements: Sequence[Sequence], v: Sequence) -> bool:
+    """x.v = v.x in m for every listed element x of its (one) algebra."""
+    return all(vec_eq(m.field, m.left_operator(x).apply(v),
+                      m.right_operator(x).apply(v)) for x in elements)
 
 
-def _is_centralizer_element(cr: CanonicalRings, acoords: Sequence) -> bool:
-    f = cr.field
-    a = cr.ext.total
-    for i in range(cr.ext.base.dim):
-        bi = cr.ext.iota.col(i)
-        if not vec_eq(f, a.multiply(bi, acoords), a.multiply(acoords, bi)):
-            return False
-    return True
-
-
-def _is_endo(cr: CanonicalRings, mat: Matrix) -> bool:
-    """B-B-linearity of a candidate endomorphism of A, checked matrixwise."""
-    a = cr.ext.total
-    if mat.rows != a.dim or mat.cols != a.dim:
-        return False
-    for i in range(cr.ext.base.dim):
-        bi = cr.ext.iota.col(i)
-        lm = a.left_mult_matrix(bi)
-        rm = a.right_mult_matrix(bi)
-        if mat @ lm != lm @ mat or mat @ rm != rm @ mat:
-            return False
-    return True
+def _a_basis(cr: CanonicalRings) -> list:
+    n = cr.ext.total.dim
+    return [unit_vec(cr.field, n, i) for i in range(n)]
 
 
 def verify_separability(cr: CanonicalRings, cert: SeparabilityCertificate) -> bool:
-    if not _is_casimir(cr, cert.element):
+    if not _is_invariant(cr.q.module, _a_basis(cr), cert.element):
         return False
     value = cr.mu_matrix.apply(cert.element)
     return vec_eq(cr.field, value, cr.ext.total.unit)
 
 
 def verify_split(cr: CanonicalRings, cert: SplitCertificate) -> bool:
-    a, b = cr.ext.total, cr.ext.base
-    f = cr.field
+    f, b = cr.field, cr.ext.base
     e = cert.expectation
-    if e.rows != b.dim or e.cols != a.dim:
+    if not is_bimodule_map(cr.restricted, cr.b_reg, e):
         return False
-    for i in range(b.dim):
-        bi = cr.ext.iota.col(i)
-        if e @ a.left_mult_matrix(bi) != b.basis_left_mult(i) @ e:
-            return False
-        if e @ a.right_mult_matrix(bi) != b.basis_right_mult(i) @ e:
-            return False
-    if not vec_eq(f, e.apply(a.unit), b.unit):
+    if not vec_eq(f, e.apply(cr.ext.total.unit), b.unit):
         return False
     # a retraction: composing with the embedding gives the identity of B
     return e @ cr.ext.iota == Matrix.identity(f, b.dim)
@@ -171,70 +136,62 @@ def verify_split(cr: CanonicalRings, cert: SplitCertificate) -> bool:
 
 def verify_hsep(cr: CanonicalRings, cert: HSepCertificate) -> bool:
     f = cr.field
+    basis = _a_basis(cr)
     acc = zero_vec(f, cr.dim_q)
     for pair in cert.pairs:
-        if not _is_casimir(cr, pair.casimir):
+        if not _is_invariant(cr.q.module, basis, pair.casimir):
             return False
-        if not _is_centralizer_element(cr, pair.multiplier):
+        if not _is_invariant(cr.a_reg, cr.ext.iota.columns(), pair.multiplier):
             return False
         pushed = cr.q.module.right_operator(pair.multiplier).apply(pair.casimir)
         acc = vec_add(f, acc, pushed)
     return vec_eq(f, acc, cr.one_tensor_one())
 
 
-def verify_d2(cr: CanonicalRings, cert: D2Certificate, seed: int = 0,
-              samples: int = 4) -> bool:
-    f = cr.field
+def _d2_side(cr: CanonicalRings, side: str) -> tuple:
+    """One side's quasibase identity x (x) y = sum_p act(value(endo_p, x, y))
+    applied to tensor_p, as (act, value, free points).
+
+    Left: x (x) y = sum t_p . endo_p(x) y, the right outer action on Q.
+    Right: x (x) y = sum x endo_p(y) . t_p, the left outer action.  The
+    free points put each basis element of A into the free leg, the other
+    leg being 1; the identity at them is the linear system of the search.
+    """
     a = cr.ext.total
+    if side == "left":
+        return (cr.q.module.right_operator,
+                lambda endo, x, y: a.multiply(endo.apply(x), y),
+                [(e, a.unit) for e in _a_basis(cr)])
+    if side == "right":
+        return (cr.q.module.left_operator,
+                lambda endo, x, y: a.multiply(x, endo.apply(y)),
+                [(a.unit, e) for e in _a_basis(cr)])
+    raise ValueError("side must be 'left' or 'right'")
+
+
+def verify_d2(cr: CanonicalRings, cert: D2Certificate, seed: int = 0) -> bool:
+    f = cr.field
+    iotas = cr.ext.iota.columns()
     for pair in cert.pairs:
-        if not _is_base_central_tensor(cr, pair.tensor):
+        if not _is_invariant(cr.q.module, iotas, pair.tensor):
             return False
-        if not _is_endo(cr, pair.endo):
+        if not is_bimodule_map(cr.restricted, cr.restricted, pair.endo):
             return False
-    # exact identity on every basis element of the free leg
-    for k in range(a.dim):
-        ek = unit_vec(f, a.dim, k)
-        if cert.side == "left":
-            want = cr.pure(ek, a.unit)
-            got = zero_vec(f, cr.dim_q)
-            for pair in cert.pairs:
-                val = pair.endo.apply(ek)
-                got = vec_add(f, got, cr.q.module.right_operator(val)
-                              .apply(pair.tensor))
-        else:
-            want = cr.pure(a.unit, ek)
-            got = zero_vec(f, cr.dim_q)
-            for pair in cert.pairs:
-                val = pair.endo.apply(ek)
-                got = vec_add(f, got, cr.q.module.left_operator(val)
-                              .apply(pair.tensor))
-        if not vec_eq(f, want, got):
-            return False
-    # seeded spot checks of the two-leg identity
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = _random_element(f, a.dim, rng)
-        y = _random_element(f, a.dim, rng)
-        want = cr.pure(x, y)
+    act, value, free = _d2_side(cr, cert.side)
+
+    def holds(x: Sequence, y: Sequence) -> bool:
         got = zero_vec(f, cr.dim_q)
         for pair in cert.pairs:
-            if cert.side == "left":
-                val = a.multiply(pair.endo.apply(x), y)
-                got = vec_add(f, got, cr.q.module.right_operator(val)
-                              .apply(pair.tensor))
-            else:
-                val = a.multiply(x, pair.endo.apply(y))
-                got = vec_add(f, got, cr.q.module.left_operator(val)
-                              .apply(pair.tensor))
-        if not vec_eq(f, want, got):
-            return False
-    return True
+            got = vec_add(f, got, act(value(pair.endo, x, y)).apply(pair.tensor))
+        return vec_eq(f, got, cr.pure(x, y))
 
-
-def _random_element(f, n: int, rng: random.Random) -> list:
-    if isinstance(f.zero, int):
-        return [f.of(rng.randrange(f.p)) for _ in range(n)]
-    return [f.of(rng.randint(-3, 3)) for _ in range(n)]
+    # exact identity at the free points, then seeded spot checks
+    n = cr.ext.total.dim
+    rng = random.Random(seed)
+    samples = [[random_scalar(f, rng) for _ in range(2 * n)]
+               for _ in range(D2_SAMPLES)]
+    return (all(holds(x, y) for x, y in free)
+            and all(holds(s[:n], s[n:]) for s in samples))
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +200,11 @@ def _random_element(f, n: int, rng: random.Random) -> list:
 def find_separability_element(cr: CanonicalRings
                               ) -> Optional[SeparabilityCertificate]:
     """Solve for a Casimir element with multiplication value 1."""
-    f = cr.field
     cols = [cr.mu_matrix.apply(row) for row in cr.casimir_space.rows]
-    coeffs = span_decide(f, cols, list(cr.ext.total.unit))
+    coeffs = span_decide(cr.field, cols, list(cr.ext.total.unit))
     if coeffs is None:
         return None
-    elem = zero_vec(f, cr.dim_q)
-    for c, row in zip(coeffs, cr.casimir_space.rows):
-        if not f.is_zero(c):
-            f.row_addmul(elem, row, c)
-    cert = SeparabilityCertificate(elem)
+    cert = SeparabilityCertificate(cr.casimir_space.element(coeffs))
     if not verify_separability(cr, cert):
         raise InternalInconsistency("separability element failed verification")
     return cert
@@ -280,22 +232,18 @@ def find_hsep_system(cr: CanonicalRings) -> Optional[HSepCertificate]:
     """Express 1 (x) 1 through Casimir elements and centralizer multipliers."""
     f = cr.field
     cas_rows = cr.casimir_space.rows
-    cent_rows = cr.centralizer_space.rows
+    cent = cr.centralizer_space
     gens = []
     for crow in cas_rows:
-        for rrow in cent_rows:
+        for rrow in cent.rows:
             gens.append(cr.q.module.right_operator(rrow).apply(crow))
     coeffs = span_decide(f, gens, cr.one_tensor_one())
     if coeffs is None:
         return None
     pairs = []
-    nr = len(cent_rows)
+    nr = cent.dim
     for a_idx, crow in enumerate(cas_rows):
-        mult = zero_vec(f, cr.ext.total.dim)
-        for b_idx, rrow in enumerate(cent_rows):
-            c = coeffs[a_idx * nr + b_idx]
-            if not f.is_zero(c):
-                f.row_addmul(mult, rrow, c)
+        mult = cent.element(coeffs[a_idx * nr:(a_idx + 1) * nr])
         if not vec_is_zero(f, mult):
             pairs.append(HSepPair(list(crow), mult))
     cert = HSepCertificate(pairs)
@@ -309,14 +257,14 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
     """Solve the identity-leg factorization through invariant tensors.
 
     The unknowns are coefficients over (invariant tensor, endomorphism)
-    basis pairs; the equations put one algebra basis element at a time
-    into the free leg.  reverse_order enumerates the pairs backwards,
-    which changes which canonical solution the solver picks without
-    changing solvability; downstream checks use that to show their
-    results do not depend on the particular quasibase.
+    basis pairs; the equations are the side's quasibase identity at its
+    free points, one algebra basis element at a time in the free leg.
+    reverse_order enumerates the pairs backwards, which changes which
+    canonical solution the solver picks without changing solvability;
+    downstream checks use that to show their results do not depend on
+    the particular quasibase.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+    act, value, free = _d2_side(cr, side)
     f = cr.field
     a = cr.ext.total
     t_rows = cr.tensor_space.rows
@@ -327,27 +275,10 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
         t_order.reverse()
         s_order.reverse()
 
-    targets = []
-    for k in range(a.dim):
-        ek = unit_vec(f, a.dim, k)
-        targets.append(cr.pure(ek, a.unit) if side == "left"
-                       else cr.pure(a.unit, ek))
-    target = [x for chunk in targets for x in chunk]
-
-    gens = []
-    for ti in t_order:
-        trow = t_rows[ti]
-        for si in s_order:
-            smat = s_mats[si]
-            col = []
-            for k in range(a.dim):
-                val = smat.apply(unit_vec(f, a.dim, k))
-                if side == "left":
-                    chunk = cr.q.module.right_operator(val).apply(trow)
-                else:
-                    chunk = cr.q.module.left_operator(val).apply(trow)
-                col.extend(chunk)
-            gens.append(col)
+    target = [c for x, y in free for c in cr.pure(x, y)]
+    gens = [[c for x, y in free
+             for c in act(value(s_mats[si], x, y)).apply(t_rows[ti])]
+            for ti in t_order for si in s_order]
     coeffs = span_decide(f, gens, target)
     if coeffs is None:
         return None
@@ -405,29 +336,19 @@ def endo_ring_probe(cr: CanonicalRings) -> Optional[bool]:
     fails, else the verdict.
     """
     a = cr.ext.total
-    f = cr.field
     right_a = forget_left(restrict_right(cr.a_reg, cr.ext))
     if dual_basis_witness(right_a, cr.ext.base, "right") is None:
         return None
     endos = hom_space(right_a, right_a)
-    k = endos.dim
-    lefts = []
-    rights = []
-    for i in range(a.dim):
-        lm = a.basis_left_mult(i)
-        cols = [endos.coordinates(lm @ mat) for mat in endos.basis]
-        if any(c is None for c in cols):
-            raise InternalInconsistency(
-                "left translation does not preserve the endomorphism space")
-        lefts.append(Matrix.from_cols(f, cols))
-    for i in range(cr.ext.base.dim):
-        lm = a.left_mult_matrix(cr.ext.iota.col(i))
-        cols = [endos.coordinates(mat @ lm) for mat in endos.basis]
-        if any(c is None for c in cols):
-            raise InternalInconsistency(
-                "precomposition does not preserve the endomorphism space")
-        rights.append(Matrix.from_cols(f, cols))
-    e_bimod = Bimodule(a, cr.ext.base, k, lefts, rights, label="End(A|B)")
+    lefts = [coordinate_matrix(endos, [a.basis_left_mult(i) @ mat
+                                       for mat in endos.basis],
+                               "left translate of a one-sided endomorphism")
+             for i in range(a.dim)]
+    rights = [coordinate_matrix(endos, [mat @ a.left_mult_matrix(b)
+                                        for mat in endos.basis],
+                                "precomposite of a one-sided endomorphism")
+              for b in cr.ext.iota.columns()]
+    e_bimod = Bimodule(a, cr.ext.base, endos.dim, lefts, rights, label="End(A|B)")
     a_ab = restrict_right(cr.a_reg, cr.ext)
     return summand_witness(e_bimod, a_ab) is not None
 

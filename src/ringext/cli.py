@@ -156,17 +156,12 @@ def cmd_hopf(args) -> int:
     a = parsed.ext.total
     if a.group is None:
         raise InputError("the hopf command needs a group algebra", "$.algebra")
-    f = parsed.field
-    idx = []
-    for i in range(parsed.ext.base.dim):
-        col = parsed.ext.iota.col(i)
-        nz = [k for k, c in enumerate(col) if not f.is_zero(c)]
-        if len(nz) != 1 or not f.is_one(col[nz[0]]):
-            raise InputError("the hopf command needs a subgroup subalgebra",
-                             "$.subalgebra")
-        idx.append(nz[0])
+    idx = parsed.ext.subgroup()
+    if idx is None:
+        raise InputError("the hopf command needs a subgroup subalgebra",
+                         "$.subalgebra")
     idx.sort()
-    verdicts = hopf_normality(a.group, idx, f)
+    verdicts = hopf_normality(a.group, idx, parsed.field)
     if len(set(verdicts.values())) != 1:
         raise InternalInconsistency(
             "the three subgroup normality tests disagree: " + repr(verdicts))

@@ -48,7 +48,8 @@ from .bimodule import (
     tensor_map,
     tensor_over,
 )
-from .canonical import CanonicalRings, InternalInconsistency
+from .canonical import (CanonicalRings, InternalInconsistency,
+                        coordinate_matrix, ring_on)
 from .certify import (
     D2Certificate,
     SeparabilityCertificate,
@@ -57,7 +58,7 @@ from .certify import (
     verify_separability,
     verify_split,
 )
-from .linalg import Matrix, invert, unit_vec, vec_add, zero_vec
+from .linalg import Matrix, invert, random_scalar, unit_vec, vec_add, zero_vec
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +95,14 @@ class VerifiedIso:
     checks: dict = dataclass_field(default_factory=dict)
     detail: str = ""
 
-    @property
-    def is_iso(self) -> bool:
-        return self.status in ("verified", "bijective")
-
 
 # ---------------------------------------------------------------------------
 # the comparison-map engine
 
 _NO_QUASIBASE = "no left quasibase supplied; formula inverse not certified"
+
+# seeded random module maps whose naturality square each comparison checks
+NATURALITY_SAMPLES = 3
 
 
 def _rng(seed: int, tag: str) -> random.Random:
@@ -110,20 +110,13 @@ def _rng(seed: int, tag: str) -> random.Random:
     return random.Random(f"{seed}:{tag}")
 
 
-def _rand_scalar(field, rng: random.Random):
-    p = getattr(field, "p", None)
-    if p is not None:
-        return rng.randrange(p)
-    return field.of(rng.randint(-3, 3))
-
-
-def _sample_endos(m: Bimodule, seed: int, tag: str, count: int) -> list[Matrix]:
+def _sample_endos(m: Bimodule, seed: int, tag: str) -> list[Matrix]:
     """Seeded random endomorphisms of m, one per naturality square."""
     space = hom_space(m, m)
     rng = _rng(seed, tag)
-    return [space.element([_rand_scalar(space.field, rng)
+    return [space.element([random_scalar(space.field, rng)
                            for _ in range(space.dim)])
-            for _ in range(count)]
+            for _ in range(NATURALITY_SAMPLES)]
 
 
 def _intertwines(fwd: Matrix, pairs: Iterable[tuple[Matrix, Matrix]]) -> bool:
@@ -134,13 +127,7 @@ def _intertwines(fwd: Matrix, pairs: Iterable[tuple[Matrix, Matrix]]) -> bool:
 
 def _hom_coords(hs: MapSpace, maps: Iterable[Matrix]) -> Matrix:
     """Columns of coordinates of maps that must lie in hs."""
-    cols = []
-    for mat in maps:
-        co = hs.coordinates(mat)
-        if co is None:
-            raise InternalInconsistency(f"a structural map left {hs!r}")
-        cols.append(co)
-    return Matrix.from_cols(hs.field, cols, hs.dim)
+    return coordinate_matrix(hs, list(maps), "a structural map")
 
 
 def _on_hom(hs: MapSpace, fn: Callable[[Matrix], Matrix]) -> Matrix:
@@ -379,7 +366,7 @@ def _quasibase_to_y(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
 def gamma_M(cr: CanonicalRings, m: Bimodule,
             separability: Optional[SeparabilityCertificate] = None,
             left_quasibase: Optional[D2Certificate] = None,
-            seed: int = 0, samples: int = 3) -> VerifiedIso:
+            seed: int = 0) -> VerifiedIso:
     """The action map from the centralizer-tensor of an induced module.
 
     For a left module m over the total algebra, builds
@@ -445,7 +432,7 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
     eye_r = Matrix.identity(f, cr.centralizer.dim)
     squares = [(tensor_map(g, g, eye_r, tensor_map(x, x, eye_a, e)), e)
                for e in _sample_endos(_one_sided_left(m), seed,
-                                      f"gamma:{m.label}", samples)]
+                                      f"gamma:{m.label}")]
     return _comparison("gamma", gamma, g.module.label, m.label, checks,
                        squares, back, route)
 
@@ -465,7 +452,7 @@ def triangle_check(cr: CanonicalRings, m: Bimodule) -> bool:
 
 def pi_A_iso(cr: CanonicalRings,
              left_quasibase: Optional[D2Certificate] = None,
-             seed: int = 0, samples: int = 3) -> VerifiedIso:
+             seed: int = 0) -> VerifiedIso:
     """T (x)_R A against the tensor square, t (x) a -> t1 (x) t2.a.
 
     A left quasibase certifies the inverse x (x) y -> sum t_p (x)
@@ -476,12 +463,12 @@ def pi_A_iso(cr: CanonicalRings,
     _check_left_quasibase(cr, left_quasibase, seed, "induction comparison")
     m = cr.a_reg
     return _induction_comparison(cr, m, _induced_from_base(cr, m),
-                                 left_quasibase, seed, samples, "pi_A")
+                                 left_quasibase, seed, "pi_A")
 
 
 def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
                        left_quasibase: Optional[D2Certificate] = None,
-                       seed: int = 0, samples: int = 3) -> dict:
+                       seed: int = 0) -> dict:
     """Induction from the base against induction from the centralizer.
 
     For a left module m over the total algebra, compares A (x)_B m with
@@ -495,7 +482,7 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
     _check_left_quasibase(cr, left_quasibase, seed, "induction comparison")
     ind = _induced_from_base(cr, m)
     collapse = _induction_comparison(cr, m, ind, left_quasibase, seed,
-                                     samples, "induction")
+                                     "induction")
     if collapse.backward is not None:
         # report the map from the base-induced module to the other one
         induction = replace(
@@ -506,7 +493,7 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
         induction = replace(collapse, detail="comparison map is not "
                             "bijective; reporting the collapse direction")
     coinduction = _coinduction_comparison(cr, m, ind.tensor, left_quasibase,
-                                          seed, samples)
+                                          seed)
     t_fgp = dual_basis_witness(cr.tensor_bimodule_cent, cr.centralizer, "right")
     s_fgp = dual_basis_witness(cr.endo_bimodule_cent, cr.centralizer, "left")
     return {
@@ -520,7 +507,7 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
 def _induction_comparison(cr: CanonicalRings, m: Bimodule,
                           ind: _InducedModule,
                           left_quasibase: Optional[D2Certificate],
-                          seed: int, samples: int, name: str) -> VerifiedIso:
+                          seed: int, name: str) -> VerifiedIso:
     """The always-constructible collapse pi from T (x)_R m to A (x)_B m.
 
     A left quasibase, already verified by the caller, certifies its
@@ -555,7 +542,7 @@ def _induction_comparison(cr: CanonicalRings, m: Bimodule,
     eye_t = Matrix.identity(f, cr.tensor_ring.dim)
     squares = [(tensor_map(y, y, eye_t, e), tensor_map(x, x, eye_a, e))
                for e in _sample_endos(_one_sided_left(m), seed,
-                                      f"{name}:{m.label}", samples)]
+                                      f"{name}:{m.label}")]
     return _comparison(name, pi, y.module.label, x.module.label, checks,
                        squares, back, "left-quasibase",
                        "" if left_quasibase is not None else _NO_QUASIBASE)
@@ -564,7 +551,7 @@ def _induction_comparison(cr: CanonicalRings, m: Bimodule,
 def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
                             x: TensorProduct,
                             left_quasibase: Optional[D2Certificate],
-                            seed: int, samples: int) -> VerifiedIso:
+                            seed: int) -> VerifiedIso:
     """A (x)_B m against centralizer-linear maps from the endo ring to m.
 
     Forward: a (x) v goes to the map alpha -> alpha(a).v.  A left
@@ -613,7 +600,7 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     eye_a = Matrix.identity(f, a.dim)
     squares = [(tensor_map(x, x, eye_a, e), _on_hom(homsp, lambda h: e @ h))
                for e in _sample_endos(_one_sided_left(m), seed,
-                                      f"coinduction:{m.label}", samples)]
+                                      f"coinduction:{m.label}")]
     return _comparison("coinduction", fwd, x.module.label,
                        f"HomR(S,{m.label})", checks, squares, back,
                        "left-quasibase",
@@ -690,7 +677,7 @@ def _chi_inverse(cr: CanonicalRings, m: Bimodule, hs: MapSpace,
 
 def chi_M(cr: CanonicalRings, m: Bimodule,
           left_quasibase: Optional[D2Certificate] = None,
-          seed: int = 0, samples: int = 3) -> VerifiedIso:
+          seed: int = 0) -> VerifiedIso:
     """m (x)_R S against base-linear maps out of the total algebra.
 
     For a right module m over the total algebra, chi(v (x) alpha) is the
@@ -715,7 +702,7 @@ def chi_M(cr: CanonicalRings, m: Bimodule,
     eye_s = Matrix.identity(cr.field, cr.endo_ring.dim)
     squares = [(tensor_map(dom, dom, e, eye_s), _on_hom(hs, lambda h: e @ h))
                for e in _sample_endos(_one_sided_right(m), seed,
-                                      f"chi:{m.label}", samples)]
+                                      f"chi:{m.label}")]
     return _comparison("chi", fwd, dom.module.label, f"Hom(A,{m.label})",
                        checks, squares, back, "left-quasibase",
                        "" if left_quasibase is not None else _NO_QUASIBASE)
@@ -744,7 +731,7 @@ def _counit_squares(cr: CanonicalRings, hs: MapSpace, dom: TensorProduct,
 
 def rho_M(cr: CanonicalRings, m: Bimodule,
           left_quasibase: Optional[D2Certificate] = None,
-          seed: int = 0, samples: int = 3) -> VerifiedIso:
+          seed: int = 0) -> VerifiedIso:
     """Evaluation at centralizer points, Hom(A, m) (x)_S R -> m.
 
     Built directly and compared against the composite route: chi into the
@@ -786,7 +773,7 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
                 fwd, back, "composite route must invert the evaluation")
 
     squares = _counit_squares(cr, hs, dom, _sample_endos(
-        _one_sided_right(m), seed, f"rho:{m.label}", samples))
+        _one_sided_right(m), seed, f"rho:{m.label}"))
     return _comparison("rho", fwd, dom.module.label, m.label, checks, squares,
                        back, "composite-through-chi",
                        "" if left_quasibase is not None else _NO_QUASIBASE)
@@ -794,7 +781,7 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
 
 def split_counit(cr: CanonicalRings, n: Bimodule,
                  split: Optional[SplitCertificate] = None,
-                 seed: int = 0, samples: int = 3) -> VerifiedIso:
+                 seed: int = 0) -> VerifiedIso:
     """Evaluation Hom(A, n) (x)_S R -> n for a right module n over the base.
 
     A conditional expectation E certifies the inverse
@@ -832,7 +819,7 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
             "a verified conditional expectation must invert the counit")
 
     squares = _counit_squares(cr, hs, dom, _sample_endos(
-        n_one, seed, f"split:{n.label}", samples))
+        n_one, seed, f"split:{n.label}"))
     return _comparison(
         "split_counit", fwd, dom.module.label, n.label, checks, squares, back,
         "conditional-expectation", "" if split is not None else
@@ -842,14 +829,6 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
 # ---------------------------------------------------------------------------
 # generic evaluation over an endomorphism ring
 
-def _endomorphism_algebra(space: MapSpace, name: str) -> FDAlgebra:
-    mult = [_hom_coords(space, [bi @ bj for bj in space.basis]).columns()
-            for bi in space.basis]
-    unit = _hom_coords(
-        space, [Matrix.identity(space.field, space.source.dim)]).col(0)
-    return FDAlgebra(space.field, space.dim, mult, unit, name=name)
-
-
 def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule
                      ) -> tuple[MapSpace, TensorProduct, Matrix]:
     """Hom(m, n), its tensor with m over End(m), and the evaluation."""
@@ -857,7 +836,9 @@ def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule
     if m1.right_algebra != c or n1.right_algebra != c:
         raise BimoduleError("evaluation needs two right modules over one ring")
     end_space = hom_space(m1, m1)
-    end_alg = _endomorphism_algebra(end_space, name=f"End({m.label})")
+    basis = end_space.basis
+    end_alg = ring_on(end_space, lambda i, j: basis[i] @ basis[j],
+                      Matrix.identity(c.field, m1.dim), f"End({m.label})")
     hom = hom_space(m1, n1)
     hom_mod = _precomposition_module(hom, end_alg, end_space.basis,
                                      f"Hom({m.label},{n.label})")
@@ -872,7 +853,7 @@ def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule
 
 
 def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule,
-                   seed: int = 0, samples: int = 3) -> VerifiedIso:
+                   seed: int = 0) -> VerifiedIso:
     """Hom(m, n) (x)_End(m) m -> n for right modules over any algebra.
 
     The evaluation is right linear over c; bijectivity is decided by
@@ -888,8 +869,7 @@ def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule,
     squares = [(tensor_map(tensor, tensor, _on_hom(hom, lambda h: e @ h),
                            eye_m), e)
                for e in _sample_endos(n1, seed,
-                                      f"evaluation:{m.label}->{n.label}",
-                                      samples)]
+                                      f"evaluation:{m.label}->{n.label}")]
     return _comparison("evaluation", fwd, tensor.module.label, n.label,
                        checks, squares)
 

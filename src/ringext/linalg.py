@@ -271,6 +271,13 @@ def vec_scale(field: Field, v: Sequence, c) -> list:
     return [field.mul(c, a) for a in v]
 
 
+def random_scalar(field: Field, rng):
+    """A seeded sample scalar: uniform over F_p, an integer in [-3, 3] over Q."""
+    if isinstance(field, PrimeField):
+        return field.of(rng.randrange(field.p))
+    return field.of(rng.randint(-3, 3))
+
+
 def vec_eq(field: Field, u: Sequence, v: Sequence) -> bool:
     return len(u) == len(v) and all(
         field.is_zero(field.sub(a, b)) for a, b in zip(u, v)
@@ -615,6 +622,15 @@ class Subspace:
     def contains(self, v: Sequence) -> bool:
         return vec_is_zero(self.field, self.reduce(v))
 
+    def element(self, coords: Sequence) -> list:
+        """The vector with the given coefficients over the RREF basis."""
+        f = self.field
+        out = [f.zero] * self.ambient_dim
+        for c, row in zip(coords, self.rows):
+            if c:
+                f.row_addmul(out, row, c)
+        return out
+
     def coordinates(self, v: Sequence) -> Optional[list]:
         """Coefficients of v over the RREF basis, or None if v is outside."""
         coeffs = [v[pc] for pc in self.pivots]
@@ -632,14 +648,8 @@ class Subspace:
         cols = [list(r) for r in self.rows] + \
                [vec_scale(f, r, f.neg(f.one)) for r in other.rows]
         ker = kernel(Matrix.from_cols(f, cols))
-        vecs = []
-        for kv in ker:
-            w = [f.zero] * self.ambient_dim
-            for j, row in enumerate(self.rows):
-                if not f.is_zero(kv[j]):
-                    f.row_addmul(w, row, kv[j])
-            vecs.append(w)
-        return Subspace.from_vectors(f, self.ambient_dim, vecs)
+        return Subspace.from_vectors(
+            f, self.ambient_dim, [self.element(kv[:self.dim]) for kv in ker])
 
     def is_contained_in(self, other: "Subspace") -> bool:
         self._check_compatible(other)

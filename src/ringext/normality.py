@@ -220,31 +220,11 @@ class HopfPairData:
     span: Subspace
     k_plus: Subspace
     h_plus: Subspace
-    counit: Matrix
-    antipode: Matrix
-
-
-def _validated_subgroup(group: GroupData, subgroup: Sequence[int]) -> list[int]:
-    idx = list(subgroup)
-    if len(set(idx)) != len(idx):
-        raise AlgebraError("subgroup indices repeat")
-    for i in idx:
-        if not isinstance(i, int) or not 0 <= i < group.order:
-            raise AlgebraError(f"subgroup index {i!r} out of range")
-    hset = set(idx)
-    if 0 not in hset:
-        raise AlgebraError("subgroup does not contain the identity")
-    for i in idx:
-        if group.inverse[i] not in hset:
-            raise AlgebraError("subgroup not closed under inversion")
-        for j in idx:
-            if group.cayley[i][j] not in hset:
-                raise AlgebraError("subgroup not closed under multiplication")
-    return idx
 
 
 def hopf_pair(group: GroupData, subgroup: Sequence[int], field: Field) -> HopfPairData:
-    idx = _validated_subgroup(group, subgroup)
+    idx = list(subgroup)
+    group.check_subgroup(idx)
     kg = group_algebra(field, group)
     n = group.order
     span = Subspace.from_vectors(field, n, [unit_vec(field, n, i) for i in idx])
@@ -268,11 +248,7 @@ def hopf_pair(group: GroupData, subgroup: Sequence[int], field: Field) -> HopfPa
         raise InternalInconsistency(
             "counit kernel of the subgroup span disagrees with the "
             "contracted augmentation ideal")
-    counit = Matrix(field, 1, n, [[field.one] * n])
-    anti = Matrix.zeros(field, n, n)
-    for g in range(n):
-        anti.data[group.inverse[g]][g] = field.one
-    return HopfPairData(group, idx, kg, span, k_plus, h_plus, counit, anti)
+    return HopfPairData(group, idx, kg, span, k_plus, h_plus)
 
 
 def hopf_normality(group: GroupData, subgroup: Sequence[int], field: Field) -> dict:

@@ -20,7 +20,7 @@ from .certify import (Classification, classify, verify_d2, verify_hsep,
                       verify_separability, verify_split)
 from .equivalences import (VerifiedIso, chi_M, evaluation_map,
                            functor_iso_checks, gamma_M, pi_A_iso, rho_M,
-                           split_counit, triangle_check)
+                           split_counit)
 from .normality import (a_invariant_contraction, centralizer_normality_suite,
                         default_ideal_sample, double_centralizer,
                         hopf_normality, prebraided_check)
@@ -85,10 +85,10 @@ def module_block(cr: CanonicalRings, cls: Classification, m,
     lqb = cls.left_quasibase
     entry, fi = {}, None
     if m.left_algebra is cr.ext.total:
-        entry["triangle"] = triangle_check(cr, m)
-        entry["gamma"] = _iso_block(
-            gamma_M(cr, m, separability=cls.separability_element,
-                    left_quasibase=lqb, seed=seed))
+        gamma = gamma_M(cr, m, separability=cls.separability_element,
+                        left_quasibase=lqb, seed=seed)
+        entry["triangle"] = gamma.checks["triangle"]
+        entry["gamma"] = _iso_block(gamma)
         fi = functor_iso_checks(cr, m, left_quasibase=lqb, seed=seed)
         entry["induction"] = _iso_block(fi["induction"])
         entry["coinduction"] = _iso_block(fi["coinduction"])
@@ -136,10 +136,9 @@ def normality_block(cr: CanonicalRings, cls: Classification, ideals) -> dict:
            "base_ideal_contractions": base_contractions,
            "base_normal_on_sample": all(c["balanced"] for c in base_contractions)}
 
-    if a.group is not None:
-        idx = _subgroup_indices(cr)
-        if idx is not None:
-            out["hopf"] = hopf_normality(a.group, idx, cr.field)
+    idx = cr.ext.subgroup()
+    if idx is not None:
+        out["hopf"] = hopf_normality(a.group, sorted(idx), cr.field)
 
     dc = double_centralizer(cr.ext)
     out["double_centralizer"] = {
@@ -159,19 +158,7 @@ def normality_block(cr: CanonicalRings, cls: Classification, ideals) -> dict:
     return out
 
 
-def _subgroup_indices(cr: CanonicalRings) -> Optional[list]:
-    f = cr.field
-    idx = []
-    for i in range(cr.ext.base.dim):
-        col = cr.ext.iota.col(i)
-        nz = [k for k, c in enumerate(col) if not f.is_zero(c)]
-        if len(nz) != 1 or not f.is_one(col[nz[0]]):
-            return None
-        idx.append(nz[0])
-    return sorted(idx)
-
-
-def analysis_report(parsed: ParsedInput, command: str = "analyze",
+def analysis_report(parsed: ParsedInput,
                     rings: Optional[CanonicalRings] = None,
                     classification: Optional[Classification] = None) -> dict:
     """The full pipeline on one parsed input.
@@ -184,7 +171,7 @@ def analysis_report(parsed: ParsedInput, command: str = "analyze",
         else classify(cr, seed=parsed.seed)
     doc = {
         "tool": dict(TOOL),
-        "command": command,
+        "command": "analyze",
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "seed": parsed.seed,
         "field": field_json(parsed.field),

@@ -201,20 +201,10 @@ def parse_extension(a: FDAlgebra, spec, loc: str = "$.subalgebra") -> Extension:
 
 
 def extension_json(ext: Extension) -> dict:
-    f = ext.field
-    if ext.total.group is not None:
-        idx = []
-        for i in range(ext.base.dim):
-            col = ext.iota.col(i)
-            nz = [k for k, c in enumerate(col) if not f.is_zero(c)]
-            if len(nz) != 1 or not f.is_one(col[nz[0]]):
-                idx = None
-                break
-            idx.append(nz[0])
-        if idx is not None:
-            return {"subgroup": idx}
-    return {"basis": [vector_json(f, ext.iota.col(i))
-                      for i in range(ext.base.dim)]}
+    idx = ext.subgroup()
+    if idx is not None:
+        return {"subgroup": idx}
+    return {"basis": [vector_json(ext.field, col) for col in ext.iota.columns()]}
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +237,17 @@ def parse_module(a: FDAlgebra, spec, loc: str) -> Bimodule:
     right = actions("right_action")
     if left is None and right is None:
         raise InputError("module needs left_action, right_action, or both", loc)
+    if left is not None and right is not None:
+        m = Bimodule(a, a, dim, left, right, label=label)
+    elif left is not None:
+        m = left_module(a, dim, left, label=label)
+    else:
+        m = right_module(a, dim, right, label=label)
     try:
-        if left is not None and right is not None:
-            return Bimodule(a, a, dim, left, right, label=label)
-        if left is not None:
-            return left_module(a, dim, left, label=label)
-        return right_module(a, dim, right, label=label)
+        m.validate()
     except BimoduleError as exc:
         raise InputError(str(exc), loc)
+    return m
 
 
 def module_json(m: Bimodule) -> dict:

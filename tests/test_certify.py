@@ -2,6 +2,7 @@
 
 import pytest
 
+from ringext import certify
 from ringext.certify import (D2Certificate, HSepCertificate, HSepPair,
                              QuasibasePair, SeparabilityCertificate,
                              SplitCertificate, base_module_projectivity,
@@ -103,6 +104,82 @@ def test_empty_certificates_rejected_on_nontrivial_extension(built):
     b = built("qc2_q")
     assert not verify_hsep(b.cr, HSepCertificate([]))
     assert not verify_d2(b.cr, D2Certificate("left", []))
+
+
+# -- each verifier condition rejects on its own -------------------------------
+# Every certificate below satisfies all conditions of its verifier but one.
+
+def test_separability_element_must_be_a_casimir(built):
+    cr = built("qs3_qa3").cr
+    one = cr.one_tensor_one()
+    assert cr.mu_matrix.apply(one) == cr.ext.total.unit
+    assert not cr.casimir_space.contains(one)
+    assert not verify_separability(cr, SeparabilityCertificate(one))
+
+
+def test_expectation_must_be_base_bilinear(built):
+    b = built("qs3_qa3")
+    cr, f = b.cr, b.cr.field
+    a, base = cr.ext.total, cr.ext.base
+    # add x -> x_s . 1 for a group element s outside the subgroup: still
+    # a unital retraction, but no longer base-linear
+    s = min(set(range(a.dim)) - set(cr.ext.subgroup()))
+    bump = Matrix.zeros(f, base.dim, a.dim)
+    bump.data[0][s] = f.one
+    e = b.cls.conditional_expectation.expectation + bump
+    assert e.apply(a.unit) == base.unit
+    assert e @ cr.ext.iota == Matrix.identity(f, base.dim)
+    assert not verify_split(cr, SplitCertificate(e))
+
+
+def test_hsep_pairs_need_casimirs_and_centralizer_multipliers(built):
+    b = built("m2q_t2")
+    cr, f = b.cr, b.cr.field
+    pairs = b.cls.hsep_system.pairs
+    a = cr.ext.total
+    # cancelling pairs leave the sum at 1 (x) 1
+    leg = cr.pure(unit_vec(f, 4, 1), unit_vec(f, 4, 2))
+    assert not cr.casimir_space.contains(leg)
+    neg_unit = vec_scale(f, a.unit, f.of(-1))
+    assert not verify_hsep(cr, HSepCertificate(
+        pairs + [HSepPair(leg, a.unit), HSepPair(leg, neg_unit)]))
+    z = unit_vec(f, 4, 1)
+    assert not cr.centralizer_space.contains(z)
+    p0 = pairs[0]
+    shifted = [HSepPair(p0.casimir, vec_add(f, p0.multiplier, z)),
+               HSepPair(p0.casimir, vec_scale(f, z, f.of(-1)))]
+    assert not verify_hsep(cr, HSepCertificate(shifted + pairs[1:]))
+
+
+def test_quasibase_pairs_need_invariant_tensors_and_bimodule_endos(built):
+    b = built("qs3_qa3")
+    cr, f = b.cr, b.cr.field
+    n = cr.ext.total.dim
+    for qb in (b.cls.left_quasibase, b.cls.right_quasibase):
+        # cancelling pairs leave the quasibase identity intact
+        leg = cr.pure(unit_vec(f, n, 1), unit_vec(f, n, 0))
+        assert not cr.tensor_space.contains(leg)
+        eye = Matrix.identity(f, n)
+        assert not verify_d2(cr, D2Certificate(qb.side, qb.pairs + [
+            QuasibasePair(leg, eye), QuasibasePair(leg, eye.scale(f.of(-1)))]))
+        bump = Matrix.zeros(f, n, n)
+        bump.data[0][1] = f.one
+        assert not cr.endo_space.contains(bump)
+        t = cr.one_tensor_one()
+        assert not verify_d2(cr, D2Certificate(qb.side, qb.pairs + [
+            QuasibasePair(t, bump), QuasibasePair(t, bump.scale(f.of(-1)))]))
+
+
+def test_quasibase_identity_at_free_points_rejects_without_samples(
+        built, monkeypatch):
+    b = built("qc2_q")
+    f = b.cr.field
+    monkeypatch.setattr(certify, "D2_SAMPLES", 0)
+    for qb in (b.cls.left_quasibase, b.cls.right_quasibase):
+        assert verify_d2(b.cr, qb)
+        bad = D2Certificate(qb.side, [QuasibasePair(p.tensor, p.endo.scale(f.of(2)))
+                                      for p in qb.pairs])
+        assert not verify_d2(b.cr, bad)
 
 
 # -- searches against structure ---------------------------------------------

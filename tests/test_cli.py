@@ -126,6 +126,29 @@ def test_out_of_range_subgroup_index_is_input_error(tmp_path, capsys):
     assert "out of range" in err
 
 
+_SWAP = [["0", "1"], ["1", "0"]]
+_EYE2 = [["1", "0"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("module, reason", [
+    # g acting as 2: g g = e would have to act as 4
+    ({"dim": 1, "left_action": [[["1"]], [["2"]]]}, "not a representation"),
+    ({"dim": 1, "left_action": [[["2"]], [["1"]]]}, "unit"),
+    # each side is a C2 action, but swapping and sign-flipping do not commute
+    ({"dim": 2, "left_action": [_EYE2, _SWAP],
+      "right_action": [_EYE2, [["1", "0"], ["0", "-1"]]]}, "do not commute"),
+])
+def test_module_that_is_not_a_bimodule_is_input_error(tmp_path, capsys,
+                                                      module, reason):
+    doc = corpus_doc("qc2_q")
+    doc["modules"] = [dict(module, label="bad")]
+    code, out, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert code == 1
+    assert "$.modules[0]" in err
+    assert reason in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("text", ["1_0", "0.5e1", "1e999999"])
 def test_rational_outside_schema_grammar_is_input_error(tmp_path, capsys,
                                                         text):
