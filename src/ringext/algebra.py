@@ -154,11 +154,11 @@ class FDAlgebra:
         f, n = self.field, self.dim
         out = zero_vec(f, n)
         for i, xi in enumerate(x):
-            if f.is_zero(xi):
+            if not xi:
                 continue
             row = self.mult[i]
             for j, yj in enumerate(y):
-                if f.is_zero(yj):
+                if not yj:
                     continue
                 c = f.mul(xi, yj)
                 f.row_addmul(out, row[j], c)

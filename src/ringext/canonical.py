@@ -217,7 +217,7 @@ class CanonicalRings:
             for i in range(a.dim):
                 for j in range(a.dim):
                     c = m.data[i][j]
-                    if not f.is_zero(c):
+                    if c:
                         f.row_addmul(acc, pure(i, j), c)
             cols.append(acc)
         return Matrix.from_cols(f, cols, a.dim)

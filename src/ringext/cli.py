@@ -104,9 +104,9 @@ def cmd_certify(args) -> int:
         ok = None if cert is None else verify_hsep(cr, cert)
     else:
         side = "left" if kind == "d2-left" else "right"
-        cert = find_d2_quasibase(cr, side, seed=parsed.seed)
+        cert = find_d2_quasibase(cr, side)
         payload = None if cert is None else d2_json(f, cert)
-        ok = None if cert is None else verify_d2(cr, cert, seed=parsed.seed)
+        ok = None if cert is None else verify_d2(cr, cert)
     if cert is not None and not ok:
         raise InternalInconsistency(
             f"solver produced a {kind} certificate that fails substitution")
@@ -121,7 +121,7 @@ def cmd_certify(args) -> int:
 def cmd_equivalence(args) -> int:
     parsed = _parsed_input(args)
     cr = build_canonical_rings(parsed.ext)
-    cls = classify(cr, seed=parsed.seed)
+    cls = classify(cr)
     name = args.module
     if name == "regular":
         m = cr.a_reg
@@ -144,7 +144,7 @@ def cmd_equivalence(args) -> int:
 def cmd_normality(args) -> int:
     parsed = _parsed_input(args)
     cr = build_canonical_rings(parsed.ext)
-    cls = classify(cr, seed=parsed.seed)
+    cls = classify(cr)
     doc = _stamp(parsed, "normality")
     doc["dims"] = cr.dims()
     doc["normality"] = normality_block(cr, cls, parsed.ideals)

@@ -148,13 +148,13 @@ def _certify_inverse(fwd: Matrix, back: Matrix, failure: str) -> bool:
 
 
 def _check_left_quasibase(cr: CanonicalRings, qb: Optional[D2Certificate],
-                          seed: int, what: str) -> None:
+                          what: str) -> None:
     """A supplied quasibase must be left-sided and pass substitution."""
     if qb is None:
         return
     if qb.side != "left":
         raise BimoduleError(f"{what} needs a left quasibase")
-    if not verify_d2(cr, qb, seed=seed):
+    if not verify_d2(cr, qb):
         raise BimoduleError("quasibase certificate failed verification")
 
 
@@ -379,7 +379,7 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
     _require_module(m, "left", cr.ext.total)
     if separability is not None and not verify_separability(cr, separability):
         raise BimoduleError("separability certificate failed verification")
-    _check_left_quasibase(cr, left_quasibase, seed, "gamma certification")
+    _check_left_quasibase(cr, left_quasibase, "gamma certification")
     f, a = cr.field, cr.ext.total
     ind, g, gamma, triangle = _gamma(cr, m)
     x = ind.tensor
@@ -460,7 +460,7 @@ def pi_A_iso(cr: CanonicalRings,
     and both outer actions of the total algebra; those checks run
     unconditionally.
     """
-    _check_left_quasibase(cr, left_quasibase, seed, "induction comparison")
+    _check_left_quasibase(cr, left_quasibase, "induction comparison")
     m = cr.a_reg
     return _induction_comparison(cr, m, _induced_from_base(cr, m),
                                  left_quasibase, seed, "pi_A")
@@ -479,7 +479,7 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
     right centralizer module and of the endo ring as a left one.
     """
     _require_module(m, "left", cr.ext.total)
-    _check_left_quasibase(cr, left_quasibase, seed, "induction comparison")
+    _check_left_quasibase(cr, left_quasibase, "induction comparison")
     ind = _induced_from_base(cr, m)
     collapse = _induction_comparison(cr, m, ind, left_quasibase, seed,
                                      "induction")
@@ -686,7 +686,7 @@ def chi_M(cr: CanonicalRings, m: Bimodule,
     F -> sum_p F(t_p1).t_p2 (x) beta_p.
     """
     _require_module(m, "right", cr.ext.total)
-    _check_left_quasibase(cr, left_quasibase, seed, "chi certification")
+    _check_left_quasibase(cr, left_quasibase, "chi certification")
     hs, h_mod = _hom_from_total(cr, restrict_right(forget_left(m), cr.ext))
     dom, fwd = _chi(cr, m, hs)
     # right endo-ring linearity, tensor side versus precomposition
@@ -740,7 +740,7 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
     the inverse; agreement of the two constructions is always checked.
     """
     _require_module(m, "right", cr.ext.total)
-    _check_left_quasibase(cr, left_quasibase, seed, "chi certification")
+    _check_left_quasibase(cr, left_quasibase, "chi certification")
     f = cr.field
     hs, dom, fwd = _counit(cr, restrict_right(forget_left(m), cr.ext), m.label)
 

@@ -1,8 +1,10 @@
 """Exact dense linear algebra over Q and over prime fields F_p.
 
-Scalars are plain Python values: arbitrary-precision rationals for Q
-(gmpy2.mpq when importable, fractions.Fraction otherwise; either way
-lowest terms, positive denominator), ints in the range [0, p) for F_p.
+Scalars are plain Python values, one representative per value: over Q
+an int when the value is whole and otherwise a rational in lowest terms
+(gmpy2.mpq when importable, fractions.Fraction otherwise), over F_p an
+int in the range [0, p).  Most structure constants are small integers,
+so keeping whole values as ints lets their arithmetic run as int code.
 A Field instance owns the arithmetic; values belonging to different
 fields are never mixed, and matrices and subspaces remember their field.
 
@@ -57,21 +59,29 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _int_if_whole(q):
+    """The int equal to rational q when q is whole, else q itself."""
+    return int(q.numerator) if q.denominator == 1 else q
+
+
 class RationalField:
-    """Arithmetic for Q.  Elements are Fraction/mpq values."""
+    """Arithmetic for Q.  Elements are ints when whole, else Fraction/mpq;
+    every operation returns an int for a whole result."""
 
     name = "Q"
 
     def __init__(self) -> None:
-        self.zero = _rational(0)
-        self.one = _rational(1)
+        self.zero = 0
+        self.one = 1
 
     def of(self, value):
         """Coerce an int, numerator/denominator string, or rational."""
+        if type(value) is int:
+            return value
         if isinstance(value, bool) or isinstance(value, float):
             raise LinalgError(f"refusing inexact scalar {value!r} over Q")
         try:
-            return _rational(value)
+            return _int_if_whole(_rational(value))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise LinalgError(f"bad rational scalar {value!r}: {exc}") from None
 
@@ -80,13 +90,16 @@ class RationalField:
         return int(num) if den == 1 else f"{num}/{den}"
 
     def add(self, a, b):
-        return a + b
+        v = a + b
+        return v if type(v) is int else _int_if_whole(v)
 
     def sub(self, a, b):
-        return a - b
+        v = a - b
+        return v if type(v) is int else _int_if_whole(v)
 
     def mul(self, a, b):
-        return a * b
+        v = a * b
+        return v if type(v) is int else _int_if_whole(v)
 
     def neg(self, a):
         return -a
@@ -94,16 +107,13 @@ class RationalField:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / a
+        # divide as rationals: 1 / a on an int would give a float
+        return _int_if_whole(_rational(1) / a)
 
     def div(self, a, b):
-        return a / self._nonzero(b)
-
-    @staticmethod
-    def _nonzero(b):
         if not b:
             raise ZeroDivisionError("division by zero in Q")
-        return b
+        return _int_if_whole(_rational(a) / b)
 
     def is_zero(self, a) -> bool:
         return not a
@@ -112,26 +122,31 @@ class RationalField:
         return a == 1
 
     # Row kernels.  These are the hot loops of every solver; they skip
-    # zero source entries so sparse systems eliminate cheaply.
+    # zero source entries so sparse systems eliminate cheaply, and keep
+    # whole results as ints.
     def row_submul(self, dst: list, src: list, c) -> None:
         for i, s in enumerate(src):
             if s:
-                dst[i] = dst[i] - c * s
+                v = dst[i] - c * s
+                dst[i] = v if type(v) is int else _int_if_whole(v)
 
     def row_addmul(self, dst: list, src: list, c) -> None:
         for i, s in enumerate(src):
             if s:
-                dst[i] = dst[i] + c * s
+                v = dst[i] + c * s
+                dst[i] = v if type(v) is int else _int_if_whole(v)
 
     def row_scale(self, row: list, c) -> None:
         for i, v in enumerate(row):
             if v:
-                row[i] = v * c
+                v = v * c
+                row[i] = v if type(v) is int else _int_if_whole(v)
 
     def sparse_submul(self, dst: list, pairs: list, c) -> None:
         """dst -= c * src, src given by its (index, nonzero entry) pairs."""
         for i, s in pairs:
-            dst[i] = dst[i] - c * s
+            v = dst[i] - c * s
+            dst[i] = v if type(v) is int else _int_if_whole(v)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
@@ -260,7 +275,7 @@ def unit_vec(field: Field, n: int, i: int) -> list:
 
 
 def vec_is_zero(field: Field, v: Sequence) -> bool:
-    return all(field.is_zero(a) for a in v)
+    return not any(v)
 
 
 def vec_add(field: Field, u: Sequence, v: Sequence) -> list:
@@ -279,9 +294,9 @@ def random_scalar(field: Field, rng):
 
 
 def vec_eq(field: Field, u: Sequence, v: Sequence) -> bool:
-    return len(u) == len(v) and all(
-        field.is_zero(field.sub(a, b)) for a, b in zip(u, v)
-    )
+    # both fields keep one representative per value, so equal vectors
+    # have equal entries
+    return list(u) == list(v)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +428,7 @@ class Matrix:
                    [list(flat[i * cols:(i + 1) * cols]) for i in range(rows)])
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(a) for row in self.data for a in row)
+        return not any(map(any, self.data))
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
@@ -425,11 +439,7 @@ class Matrix:
             return NotImplemented
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        f = self.field
-        return all(
-            r1 == r2 or all(f.is_zero(f.sub(a, b)) for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.data, other.data)
-        )
+        return self.data == other.data
 
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
@@ -517,7 +527,7 @@ def _kernel_from_rref(field: Field, data: list, cols: int, pivots: list[int]) ->
         v[fc] = field.one
         for k, pc in enumerate(pivots):
             a = data[k][fc]
-            if not field.is_zero(a):
+            if a:
                 v[pc] = field.neg(a)
         basis.append(v)
     return basis
@@ -662,12 +672,9 @@ class Subspace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.field != other.field or self.ambient_dim != other.ambient_dim:
-            return False
-        if self.pivots != other.pivots:
-            return False
-        f = self.field
-        return all(vec_eq(f, a, b) for a, b in zip(self.rows, other.rows))
+        # equal RREF rows have equal pivots
+        return (self.field == other.field and self.ambient_dim == other.ambient_dim
+                and self.rows == other.rows)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

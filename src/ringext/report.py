@@ -167,8 +167,7 @@ def analysis_report(parsed: ParsedInput,
     reuse work; they must come from the same extension and seed.
     """
     cr = rings if rings is not None else build_canonical_rings(parsed.ext)
-    cls = classification if classification is not None \
-        else classify(cr, seed=parsed.seed)
+    cls = classification if classification is not None else classify(cr)
     doc = {
         "tool": dict(TOOL),
         "command": "analyze",
@@ -253,7 +252,7 @@ def verify_report(doc) -> tuple:
                                     f"{loc}.{key}")
                 if cert.side != side:
                     msgs.append(f"{key} is labeled for the wrong side")
-                elif not verify_d2(cr, cert, seed=parsed.seed):
+                elif not verify_d2(cr, cert):
                     msgs.append(f"{key} fails substitution")
     except InputError as exc:
         msgs.append(f"certificate payload malformed: {exc}")

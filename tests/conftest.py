@@ -59,7 +59,7 @@ def built():
         if name not in cache:
             parsed = parse_input(corpus_doc(name))
             cr = build_canonical_rings(parsed.ext)
-            cls = classify(cr, seed=parsed.seed)
+            cls = classify(cr)
             cache[name] = SimpleNamespace(name=name, parsed=parsed,
                                           cr=cr, cls=cls)
         return cache[name]

@@ -93,3 +93,9 @@ def nullspace(ops, rows, ncols):
 def in_span(ops, rows, vec) -> bool:
     base = rank(ops, rows)
     return rank(ops, list(rows) + [list(vec)]) == base
+
+
+def matmul(ops, a, b):
+    """Product of two matrices given as row lists."""
+    return [[ops.of(sum((x * y for x, y in zip(row, col)), ops.zero))
+             for col in zip(*b)] for row in a]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from ringext import certify
 from ringext.certify import (D2Certificate, HSepCertificate, HSepPair,
                              QuasibasePair, SeparabilityCertificate,
                              SplitCertificate, base_module_projectivity,
@@ -35,9 +34,9 @@ def test_every_found_certificate_verifies(name, built):
     if cls.hsep_system is not None:
         assert verify_hsep(cr, cls.hsep_system)
     if cls.left_quasibase is not None:
-        assert verify_d2(cr, cls.left_quasibase, seed=99)
+        assert verify_d2(cr, cls.left_quasibase)
     if cls.right_quasibase is not None:
-        assert verify_d2(cr, cls.right_quasibase, seed=99)
+        assert verify_d2(cr, cls.right_quasibase)
 
 
 def test_flags_match_certificate_presence(built):
@@ -170,11 +169,9 @@ def test_quasibase_pairs_need_invariant_tensors_and_bimodule_endos(built):
             QuasibasePair(t, bump), QuasibasePair(t, bump.scale(f.of(-1)))]))
 
 
-def test_quasibase_identity_at_free_points_rejects_without_samples(
-        built, monkeypatch):
+def test_quasibase_identity_at_free_points_rejects_without_samples(built):
     b = built("qc2_q")
     f = b.cr.field
-    monkeypatch.setattr(certify, "D2_SAMPLES", 0)
     for qb in (b.cls.left_quasibase, b.cls.right_quasibase):
         assert verify_d2(b.cr, qb)
         bad = D2Certificate(qb.side, [QuasibasePair(p.tensor, p.endo.scale(f.of(2)))
@@ -223,10 +220,10 @@ def test_no_quasibase_for_group_algebra_over_nonnormal_part(built):
 
 def test_reverse_order_quasibase_also_verifies(built):
     cr = built("qs3_qa3").cr
-    qb = find_d2_quasibase(cr, "right", reverse_order=True, seed=5)
+    qb = find_d2_quasibase(cr, "right", reverse_order=True)
     assert qb is not None
     assert qb.reverse_order
-    assert verify_d2(cr, qb, seed=123)
+    assert verify_d2(cr, qb)
 
 
 def test_hsep_induces_left_quasibase_explicitly(built):
@@ -239,7 +236,7 @@ def test_hsep_induces_left_quasibase_explicitly(built):
         a = cr.ext.total
         pairs = [QuasibasePair(p.casimir, a.right_mult_matrix(p.multiplier))
                  for p in hsep.pairs]
-        assert verify_d2(cr, D2Certificate("left", pairs), seed=7)
+        assert verify_d2(cr, D2Certificate("left", pairs))
 
 
 # -- witnesses and probes ----------------------------------------------------

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ringext.linalg import (GF, MODULUS_BOUND, QQ, LinalgError, Matrix,
-                            PrimeField, Subspace, invert, kernel, rank, rref,
-                            solve, span_decide, unit_vec, vec_eq, vec_is_zero,
-                            zero_vec)
+                            PrimeField, Subspace, invert, kernel, lin_comb,
+                            rank, rref, solve, span_decide, unit_vec, vec_eq,
+                            vec_is_zero, zero_vec)
 from tests import oracle_linalg
 from tests.oracles import kron
 
@@ -37,6 +37,15 @@ def test_rational_field_ops():
     assert f.is_one(f.div(b, b))
     with pytest.raises(ZeroDivisionError):
         f.inv(f.zero)
+    # whole results are ints; division is rational, never float
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.div(3, 2)) is not float and QQ.div(3, 2) == Fraction(3, 2)
+    assert type(QQ.of("4/2")) is int and QQ.of("4/2") == 2
+    half = Fraction(1, 2)
+    for whole in (QQ.zero, QQ.one, QQ.of(Fraction(6, 3)), QQ.add(half, half),
+                  QQ.sub(half, half), QQ.mul(half, 4), QQ.inv(half),
+                  QQ.div(4, 2), QQ.div(half, half)):
+        assert type(whole) is int
 
 
 def test_prime_field_ops():
@@ -301,3 +310,84 @@ def test_sparse_rref_and_kernel_match_oracle_over_q(data):
 @given(sparse_rows(st.integers(1, 4)))
 def test_sparse_rref_and_kernel_match_oracle_over_f5(data):
     assert_matches_oracle(F5, oracle_linalg.ModOps(5), data)
+
+
+# -- whole rationals stay ints through every kernel ---------------------------
+
+q_entry = st.one_of(
+    st.just(0), st.integers(-3, 3), rat, large_fractions,
+    # whole values held as Fraction, as an input may hand them over
+    st.builds(lambda n, d: Fraction(n * d, d), st.integers(-9, 9),
+              st.integers(1, 10**20)),
+)
+
+
+def assert_canonical(entries):
+    """Every whole entry is an int, never a Fraction with denominator 1."""
+    assert [e for e in entries if type(e) is not int and e.denominator == 1] == []
+
+
+def q_rows(draw, rows, cols):
+    """Rows of Q entries as QQ.of reads them, and the same as Fractions."""
+    raw = [[draw(q_entry) for _ in range(cols)] for _ in range(rows)]
+    return ([[QQ.of(x) for x in row] for row in raw],
+            [[Fraction(x) for x in row] for row in raw])
+
+
+@given(st.data())
+def test_mixed_int_and_fraction_entries_match_oracle(data):
+    draw = data.draw
+    m, n, p = (draw(st.integers(1, 4)) for _ in range(3))
+    ops = oracle_linalg.FracOps()
+    rows, frac = q_rows(draw, m, n)
+    other, other_frac = q_rows(draw, n, p)
+    (rhs, v, coeffs), _ = q_rows(draw, 3, max(m, n, 2))
+    rhs, v, coeffs = rhs[:m], v[:n], coeffs[:2]
+    a, b = Matrix.from_rows(QQ, rows), Matrix.from_rows(QQ, other)
+    a2 = Matrix.from_rows(QQ, rows[::-1])
+    outputs = [a.vec(), b.vec()]
+
+    red, pivots = rref(a)
+    want_rows, want_pivots = oracle_linalg.rref(ops, frac)
+    assert pivots == want_pivots and red.data[:len(pivots)] == want_rows
+    ker = kernel(a)
+    assert ker == oracle_linalg.nullspace(ops, frac, n)
+    outputs += [red.vec()] + ker
+
+    got = solve(a, rhs)
+    aug, aug_pivots = oracle_linalg.rref(
+        ops, [row + [Fraction(y)] for row, y in zip(frac, rhs)])
+    if n in aug_pivots:
+        assert got is None
+    else:
+        particular = [0] * n
+        for row, c in zip(aug, aug_pivots):
+            particular[c] = row[n]
+        assert got == (particular, ker)
+        outputs += [got[0]]
+
+    k = min(m, n)
+    square = Matrix.from_rows(QQ, [row[:k] for row in a.data[:k]])
+    inv = invert(square)
+    eye = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    ired, ipivots = oracle_linalg.rref(
+        ops, [row[:k] + e for row, e in zip(frac, eye)])
+    if ipivots[:k] != list(range(k)) or len(ipivots) != k:
+        assert inv is None
+    else:
+        assert inv.data == [row[k:] for row in ired]
+        outputs += [inv.vec()]
+
+    prod = a @ b
+    assert prod.data == oracle_linalg.matmul(ops, frac, other_frac)
+    applied = a.apply(v)
+    assert applied == [r for r, in oracle_linalg.matmul(ops, frac, [[x] for x in v])]
+    comb = lin_comb(QQ, m, n, coeffs, [a, a2])
+    assert comb.data == [[coeffs[0] * x + coeffs[1] * y for x, y in zip(r1, r2)]
+                         for r1, r2 in zip(frac, frac[::-1])]
+    space = Subspace.from_vectors(QQ, n, a.data)
+    residual = space.reduce(v)
+    assert (not any(residual)) == oracle_linalg.in_span(
+        ops, frac, [Fraction(x) for x in v])
+    outputs += [prod.vec(), applied, comb.vec(), residual, space.element(coeffs)]
+    assert_canonical([e for out in outputs for e in out])

@@ -197,7 +197,7 @@ def test_prebraided_beyond_naive_commutativity(built):
 
 def test_prebraided_invariant_under_quasibase_choice(built):
     b = built("qs3_qa3")
-    alt = find_d2_quasibase(b.cr, "right", reverse_order=True, seed=31)
+    alt = find_d2_quasibase(b.cr, "right", reverse_order=True)
     assert alt is not None
     out1 = prebraided_check(b.cr, b.cls.right_quasibase)
     out2 = prebraided_check(b.cr, alt)

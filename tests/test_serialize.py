@@ -205,7 +205,7 @@ def test_certificate_payloads_roundtrip_and_verify(built):
 
     d2 = d2_from_json(f, d2_json(f, cls.left_quasibase), dq, da, "$")
     assert d2.side == "left"
-    assert verify_d2(cr, d2, seed=41)
+    assert verify_d2(cr, d2)
 
     hb = built("m2q_q")
     h2 = hsep_from_json(hb.cr.field, hsep_json(hb.cr.field, hb.cls.hsep_system),

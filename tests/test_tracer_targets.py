@@ -7,6 +7,7 @@ import os
 import sys
 
 import ringext  # noqa: F401  (imports every module the tracer looks up)
+import ringext.linalg
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,3 +30,11 @@ def test_every_tracer_target_resolves():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_rational_backend_is_named():
+    """Every benchmark run records the Q backend by module and name in its
+    environment fingerprint, read from ringext.linalg._rational."""
+    rational = getattr(ringext.linalg, "_rational", None)
+    assert isinstance(getattr(rational, "__module__", None), str)
+    assert isinstance(getattr(rational, "__name__", None), str)
