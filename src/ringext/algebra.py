@@ -23,7 +23,6 @@ from .linalg import (
     lin_comb,
     span_decide,
     unit_vec,
-    vec_eq,
     zero_vec,
 )
 
@@ -136,9 +135,9 @@ class FDAlgebra:
             raise AlgebraError("unit vector has wrong length")
         for j in range(n):
             ej = unit_vec(f, n, j)
-            if not vec_eq(f, self.multiply(self.unit, ej), ej):
+            if self.multiply(self.unit, ej) != ej:
                 raise AlgebraError(f"unit fails on the left at basis {j}")
-            if not vec_eq(f, self.multiply(ej, self.unit), ej):
+            if self.multiply(ej, self.unit) != ej:
                 raise AlgebraError(f"unit fails on the right at basis {j}")
         for i in range(n):
             for j in range(n):
@@ -146,7 +145,7 @@ class FDAlgebra:
                 for k in range(n):
                     left = self.multiply(ij, unit_vec(f, n, k))
                     right = self.multiply(unit_vec(f, n, i), self.mult[j][k])
-                    if not vec_eq(f, left, right):
+                    if left != right:
                         raise AlgebraError(
                             f"not associative: (e{i} e{j}) e{k} != e{i} (e{j} e{k})")
 
@@ -195,9 +194,8 @@ class FDAlgebra:
         return self._right_regular[i]
 
     def is_commutative(self) -> bool:
-        f = self.field
         return all(
-            vec_eq(f, self.mult[i][j], self.mult[j][i])
+            self.mult[i][j] == self.mult[j][i]
             for i in range(self.dim) for j in range(i))
 
     def center(self) -> Subspace:
@@ -287,7 +285,7 @@ class Extension:
 
     def _validate(self) -> None:
         f = self.base.field
-        if not vec_eq(f, self.iota.apply(self.base.unit), self.total.unit):
+        if self.iota.apply(self.base.unit) != self.total.unit:
             raise AlgebraError("embedding does not preserve the unit")
         cols = self.iota.columns()
         if Subspace.from_vectors(f, self.total.dim, cols).dim != self.base.dim:
@@ -296,7 +294,7 @@ class Extension:
             for j in range(self.base.dim):
                 lhs = self.iota.apply(self.base.mult[i][j])
                 rhs = self.total.multiply(cols[i], cols[j])
-                if not vec_eq(f, lhs, rhs):
+                if lhs != rhs:
                     raise AlgebraError(
                         f"embedding not multiplicative at basis pair ({i},{j})")
 

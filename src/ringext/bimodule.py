@@ -35,7 +35,6 @@ from .linalg import (
     random_scalar,
     span_decide,
     unit_vec,
-    vec_is_zero,
     zero_vec,
 )
 
@@ -214,7 +213,7 @@ def random_cyclic_module(a: FDAlgebra, side: str, ambient_rank: int,
     free = _free_one_sided(a, side, ambient_rank)
     for _ in range(32):
         x = [random_scalar(f, rng) for _ in range(ambient)]
-        if not vec_is_zero(f, x):
+        if any(x):
             break
     else:
         x = unit_vec(f, ambient, 0)

@@ -23,7 +23,7 @@ as a property of the input.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import Extension, FDAlgebra, trivial_algebra
 from .bimodule import (
@@ -37,8 +37,7 @@ from .bimodule import (
     tensor_legs,
     tensor_over,
 )
-from .linalg import (Matrix, Subspace, lin_comb, rank, unit_vec, vec_eq,
-                     zero_vec)
+from .linalg import Matrix, Subspace, lin_comb, rank, unit_vec, zero_vec
 
 
 class InternalInconsistency(RuntimeError):
@@ -283,13 +282,13 @@ class CanonicalRings:
             "casimir": self.casimir_space.dim,
         }
 
-    def verify_ring_axioms(self, roundtrip: Optional[bool] = None) -> None:
+    def verify_ring_axioms(self) -> None:
         """Re-derive the structural identities the construction promises.
 
         Raises InternalInconsistency on any failure.  The endomorphism
-        description of the tensor square (roundtrip) is skipped on large
-        inputs unless forced, since it solves a quadratically bigger
-        system than anything else here.
+        description of the tensor square is checked only on small inputs,
+        since it solves a quadratically bigger system than anything else
+        here.
         """
         f = self.field
         a, b = self.ext.total, self.ext.base
@@ -303,7 +302,7 @@ class CanonicalRings:
         for row in self.centralizer_space.rows:
             for i in range(b.dim):
                 bi = self.ext.iota.col(i)
-                check(vec_eq(f, a.multiply(bi, row), a.multiply(row, bi)),
+                check(a.multiply(bi, row) == a.multiply(row, bi),
                       "centralizer element does not commute with the base")
 
         # action laws and compatibilities packaged as bimodule validations
@@ -327,7 +326,7 @@ class CanonicalRings:
                 lhs = self.tensor_counit.apply(T.mult[i][j])
                 rhs = self.cent_module_tensor.right_action[j].apply(
                     self.tensor_counit.apply(ei))
-                check(vec_eq(f, lhs, rhs),
+                check(lhs == rhs,
                       "tensor counit is not right T-linear")
 
         # evaluating a composite at 1 is acting on the inner value at 1
@@ -337,7 +336,7 @@ class CanonicalRings:
                 lhs = self.endo_counit.apply(S.mult[i][j])
                 rhs = self.cent_module_endo.left_action[i].apply(
                     self.endo_counit.apply(unit_vec(f, S.dim, j)))
-                check(vec_eq(f, lhs, rhs),
+                check(lhs == rhs,
                       "endomorphism counit does not intertwine evaluation")
 
         # left and right multiplication embed R into S, one straight and
@@ -351,13 +350,13 @@ class CanonicalRings:
             for j in range(R.dim):
                 lj = self.lambda_map.col(j)
                 rj = self.rho_map.col(j)
-                check(vec_eq(f, self.lambda_map.apply(R.mult[i][j]),
-                             S.multiply(li, lj)),
+                check(self.lambda_map.apply(R.mult[i][j])
+                      == S.multiply(li, lj),
                       "left multiplication does not respect products")
-                check(vec_eq(f, self.rho_map.apply(R.mult[i][j]),
-                             S.multiply(rj, self.rho_map.col(i))),
+                check(self.rho_map.apply(R.mult[i][j])
+                      == S.multiply(rj, self.rho_map.col(i)),
                       "right multiplication does not reverse products")
-                check(vec_eq(f, S.multiply(li, rj), S.multiply(rj, li)),
+                check(S.multiply(li, rj) == S.multiply(rj, li),
                       "left and right multiplications fail to commute")
 
         # Casimir elements sit inside T and absorb T from the left
@@ -371,17 +370,13 @@ class CanonicalRings:
         check(rank(self.mu_matrix) == a.dim,
               "multiplication map is not onto")
 
-        if roundtrip is None:
-            roundtrip = a.dim * self.dim_q <= 160
-        if roundtrip:
+        if a.dim * self.dim_q <= 160:
             self._verify_endo_description_of_q()
 
     def _verify_endo_description_of_q(self) -> None:
         """The A-A-maps from the tensor square to A are exactly the maps
         sandwiching a centralizer element, matching R dimension for
         dimension, with mutually inverse translations."""
-        f = self.field
-        a = self.ext.total
         maps = hom_space(self.q.module, self.a_reg)
         if maps.dim != self.centralizer.dim:
             raise InternalInconsistency(
@@ -398,7 +393,7 @@ class CanonicalRings:
             mat = self._sandwich_map(row)
             coordinates_in(maps, mat, "sandwich map")
             val = mat.apply(one)
-            if not vec_eq(f, val, row):
+            if val != row:
                 raise InternalInconsistency(
                     "sandwich map does not evaluate back to its element")
 
@@ -410,11 +405,9 @@ class CanonicalRings:
             a.multiply(unit_vec(f, a.dim, i), r), unit_vec(f, a.dim, j)))
 
 
-def build_canonical_rings(ext: Extension, check: bool = True,
-                          roundtrip: Optional[bool] = None) -> CanonicalRings:
-    """Construct all canonical rings for an extension and, unless told
-    otherwise, verify the structural identities they must satisfy."""
+def build_canonical_rings(ext: Extension) -> CanonicalRings:
+    """Construct all canonical rings for an extension and verify the
+    structural identities they must satisfy."""
     rings = CanonicalRings(ext)
-    if check:
-        rings.verify_ring_axioms(roundtrip=roundtrip)
+    rings.verify_ring_axioms()
     return rings

@@ -45,8 +45,6 @@ from .linalg import (
     span_decide,
     unit_vec,
     vec_add,
-    vec_eq,
-    vec_is_zero,
     zero_vec,
 )
 
@@ -100,8 +98,8 @@ class D2Certificate:
 
 def _is_invariant(m: Bimodule, elements: Sequence[Sequence], v: Sequence) -> bool:
     """x.v = v.x in m for every listed element x of its (one) algebra."""
-    return all(vec_eq(m.field, m.left_operator(x).apply(v),
-                      m.right_operator(x).apply(v)) for x in elements)
+    return all(m.left_operator(x).apply(v) == m.right_operator(x).apply(v)
+               for x in elements)
 
 
 def _a_basis(cr: CanonicalRings) -> list:
@@ -113,7 +111,7 @@ def verify_separability(cr: CanonicalRings, cert: SeparabilityCertificate) -> bo
     if not _is_invariant(cr.q.module, _a_basis(cr), cert.element):
         return False
     value = cr.mu_matrix.apply(cert.element)
-    return vec_eq(cr.field, value, cr.ext.total.unit)
+    return value == cr.ext.total.unit
 
 
 def verify_split(cr: CanonicalRings, cert: SplitCertificate) -> bool:
@@ -121,7 +119,7 @@ def verify_split(cr: CanonicalRings, cert: SplitCertificate) -> bool:
     e = cert.expectation
     if not is_bimodule_map(cr.restricted, cr.b_reg, e):
         return False
-    if not vec_eq(f, e.apply(cr.ext.total.unit), b.unit):
+    if e.apply(cr.ext.total.unit) != b.unit:
         return False
     # a retraction: composing with the embedding gives the identity of B
     return e @ cr.ext.iota == Matrix.identity(f, b.dim)
@@ -138,7 +136,7 @@ def verify_hsep(cr: CanonicalRings, cert: HSepCertificate) -> bool:
             return False
         pushed = cr.q.module.right_operator(pair.multiplier).apply(pair.casimir)
         acc = vec_add(f, acc, pushed)
-    return vec_eq(f, acc, cr.one_tensor_one())
+    return acc == cr.one_tensor_one()
 
 
 def _d2_side(cr: CanonicalRings, side: str) -> tuple:
@@ -176,7 +174,7 @@ def verify_d2(cr: CanonicalRings, cert: D2Certificate) -> bool:
         got = zero_vec(f, cr.dim_q)
         for pair in cert.pairs:
             got = vec_add(f, got, act(value(pair.endo, x, y)).apply(pair.tensor))
-        return vec_eq(f, got, cr.pure(x, y))
+        return got == cr.pure(x, y)
 
     # the free points imply the identity: it is linear in the free leg,
     # and acting by y on the other side of x (x) 1 gives x (x) y on the
@@ -234,7 +232,7 @@ def find_hsep_system(cr: CanonicalRings) -> Optional[HSepCertificate]:
     nr = cent.dim
     for a_idx, crow in enumerate(cas_rows):
         mult = cent.element(coeffs[a_idx * nr:(a_idx + 1) * nr])
-        if not vec_is_zero(f, mult):
+        if any(mult):
             pairs.append(HSepPair(list(crow), mult))
     cert = HSepCertificate(pairs)
     if not verify_hsep(cr, cert):

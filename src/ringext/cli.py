@@ -1,11 +1,13 @@
 """Command line driver.
 
-Subcommands: analyze (everything), certify <kind> (one certificate),
-equivalence (isomorphism suite on one module), normality, hopf (group
-algebra subgroup tests), verify (re-check a previously emitted JSON
-report).  Exit codes: 0 the run completed and the report holds the
-verdicts, 1 the input was rejected, 2 an internal invariant failed,
-which is a bug trap rather than a data verdict.
+Subcommands: analyze (everything), certify <kind> (one certificate; the
+kinds are the rows of report.certificate_kinds), equivalence
+(isomorphism suite on one module), normality, hopf (group algebra
+subgroup tests), verify (re-check a previously emitted JSON report).
+Exit codes: 0 the run completed and the report holds the verdicts, 1 the
+input was rejected (for verify: the report is malformed or a certificate
+fails), 2 an internal invariant failed, which is a bug trap rather than
+a data verdict.
 """
 
 import argparse
@@ -15,17 +17,13 @@ from typing import Optional
 
 from .algebra import AlgebraError
 from .canonical import InternalInconsistency, build_canonical_rings
-from .certify import (classify, find_conditional_expectation,
-                      find_d2_quasibase, find_hsep_system,
-                      find_separability_element, verify_d2, verify_hsep,
-                      verify_separability, verify_split)
+from .certify import classify
 from .equivalences import pi_A_iso
 from .normality import hopf_normality
-from .report import (TOOL, _iso_block, analysis_report, module_block,
-                     normality_block, render_text, report_json, verify_report)
-from .serialize import (InputError, d2_json, field_json, hsep_json,
-                        input_json, parse_input, separability_json,
-                        split_json)
+from .report import (TOOL, _iso_block, analysis_report, certificate_kinds,
+                     module_block, normality_block, render_text, report_json,
+                     verify_report)
+from .serialize import InputError, field_json, input_json, parse_input
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -82,39 +80,19 @@ def cmd_analyze(args) -> int:
     return _emit(analysis_report(parsed), args)
 
 
-_CERT_KINDS = ("separable", "split", "hsep", "d2-left", "d2-right")
-
-
 def cmd_certify(args) -> int:
     parsed = _parsed_input(args)
     cr = build_canonical_rings(parsed.ext)
-    f = cr.field
-    kind = args.kind
-    if kind == "separable":
-        cert = find_separability_element(cr)
-        payload = None if cert is None else separability_json(f, cert)
-        ok = None if cert is None else verify_separability(cr, cert)
-    elif kind == "split":
-        cert = find_conditional_expectation(cr)
-        payload = None if cert is None else split_json(cert)
-        ok = None if cert is None else verify_split(cr, cert)
-    elif kind == "hsep":
-        cert = find_hsep_system(cr)
-        payload = None if cert is None else hsep_json(f, cert)
-        ok = None if cert is None else verify_hsep(cr, cert)
-    else:
-        side = "left" if kind == "d2-left" else "right"
-        cert = find_d2_quasibase(cr, side)
-        payload = None if cert is None else d2_json(f, cert)
-        ok = None if cert is None else verify_d2(cr, cert)
-    if cert is not None and not ok:
-        raise InternalInconsistency(
-            f"solver produced a {kind} certificate that fails substitution")
-    doc = _stamp(parsed, f"certify {kind}")
+    kind = next(k for k in certificate_kinds() if k.name == args.kind)
+    # the search verifies its certificate by substitution before returning
+    cert = kind.search(cr)
+    found = cert is not None
+    doc = _stamp(parsed, f"certify {kind.name}")
     doc["dims"] = cr.dims()
-    doc["certify"] = {"kind": kind, "verdict": cert is not None,
-                      "certificate": payload,
-                      "verified": bool(ok) if cert is not None else None}
+    doc["certify"] = {
+        "kind": kind.name, "verdict": found,
+        "certificate": kind.encode(cr.field, cert) if found else None,
+        "verified": True if found else None}
     return _emit(doc, args)
 
 
@@ -207,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("certify", help="search for one certificate kind")
-    p.add_argument("kind", choices=_CERT_KINDS)
+    p.add_argument("kind", choices=[k.name for k in certificate_kinds()])
     common(p)
     p.set_defaults(func=cmd_certify)
 

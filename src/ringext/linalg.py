@@ -85,10 +85,6 @@ class RationalField:
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise LinalgError(f"bad rational scalar {value!r}: {exc}") from None
 
-    def to_json(self, a):
-        num, den = a.numerator, a.denominator
-        return int(num) if den == 1 else f"{num}/{den}"
-
     def add(self, a, b):
         v = a + b
         return v if type(v) is int else _int_if_whole(v)
@@ -109,14 +105,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero in Q")
         # divide as rationals: 1 / a on an int would give a float
         return _int_if_whole(_rational(1) / a)
-
-    def div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero in Q")
-        return _int_if_whole(_rational(a) / b)
-
-    def is_zero(self, a) -> bool:
-        return not a
 
     def is_one(self, a) -> bool:
         return a == 1
@@ -184,9 +172,6 @@ class PrimeField:
             raise LinalgError(f"bad {self.name} scalar {value!r}")
         return value % self.p
 
-    def to_json(self, a):
-        return int(a)
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -203,12 +188,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in {self.name}")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def is_one(self, a) -> bool:
         return a == 1 % self.p
@@ -274,10 +253,6 @@ def unit_vec(field: Field, n: int, i: int) -> list:
     return v
 
 
-def vec_is_zero(field: Field, v: Sequence) -> bool:
-    return not any(v)
-
-
 def vec_add(field: Field, u: Sequence, v: Sequence) -> list:
     return [field.add(a, b) for a, b in zip(u, v)]
 
@@ -291,12 +266,6 @@ def random_scalar(field: Field, rng):
     if isinstance(field, PrimeField):
         return field.of(rng.randrange(field.p))
     return field.of(rng.randint(-3, 3))
-
-
-def vec_eq(field: Field, u: Sequence, v: Sequence) -> bool:
-    # both fields keep one representative per value, so equal vectors
-    # have equal entries
-    return list(u) == list(v)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +543,7 @@ def span_decide(field: Field, generators: Sequence[Sequence], target: Sequence
         if len(g) != n:
             raise LinalgError("generator/target length mismatch")
     if not generators:
-        return [] if vec_is_zero(field, target) else None
+        return None if any(target) else []
     cols = Matrix.from_cols(field, [list(g) for g in generators])
     result = solve(cols, list(target))
     return None if result is None else result[0]
@@ -630,7 +599,7 @@ class Subspace:
         return w
 
     def contains(self, v: Sequence) -> bool:
-        return vec_is_zero(self.field, self.reduce(v))
+        return not any(self.reduce(v))
 
     def element(self, coords: Sequence) -> list:
         """The vector with the given coefficients over the RREF basis."""

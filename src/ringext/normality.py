@@ -19,7 +19,7 @@ twisted rule that provably holds whenever the right quasibase exists.
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Field, Matrix, Subspace, unit_vec, vec_add, vec_eq, zero_vec
+from .linalg import Field, Matrix, Subspace, unit_vec, vec_add, zero_vec
 from .algebra import AlgebraError, Extension, FDAlgebra, GroupData, group_algebra
 from .bimodule import (Bimodule, BimoduleError, centralizer_subspace,
                        invariants_subspace, regular_bimodule)
@@ -83,13 +83,8 @@ def _translate_span(field: Field, dim: int, ops: Sequence[Matrix],
                                  [op.apply(v) for v in vectors for op in ops])
 
 
-def _two_sided_balance(a: FDAlgebra, sub: Subspace) -> dict:
-    """Compare the left and right algebra translates of a subspace of a."""
-    f = a.field
-    lops = [a.basis_left_mult(i) for i in range(a.dim)]
-    rops = [a.basis_right_mult(i) for i in range(a.dim)]
-    left = _translate_span(f, a.dim, lops, sub.rows)
-    right = _translate_span(f, a.dim, rops, sub.rows)
+def _balance(left: Subspace, right: Subspace) -> dict:
+    """Compare a left translate span with a right translate span."""
     return {
         "left_dim": left.dim,
         "right_dim": right.dim,
@@ -97,6 +92,25 @@ def _two_sided_balance(a: FDAlgebra, sub: Subspace) -> dict:
         "right_in_left": right.is_contained_in(left),
         "equal": left == right,
     }
+
+
+def _two_sided_balance(a: FDAlgebra, sub: Subspace) -> dict:
+    """Compare the left and right algebra translates of a subspace of a."""
+    lops = [a.basis_left_mult(i) for i in range(a.dim)]
+    rops = [a.basis_right_mult(i) for i in range(a.dim)]
+    return _balance(_translate_span(a.field, a.dim, lops, sub.rows),
+                    _translate_span(a.field, a.dim, rops, sub.rows))
+
+
+def _minus_identity(field: Field, n: int, elements: Sequence[int]) -> list:
+    """e_g - e_0 for each listed group element g other than the identity."""
+    out = []
+    for g in elements:
+        if g:
+            v = unit_vec(field, n, g)
+            v[0] = field.neg(field.one)
+            out.append(v)
+    return out
 
 
 def a_invariant_contraction(ext: Extension, j: Ideal) -> bool:
@@ -125,13 +139,8 @@ def default_ideal_sample(a: FDAlgebra,
     out = [Ideal(a, [], Subspace.zero(f, a.dim), "0"),
            ideal_closure(a, [a.unit], "(1)")]
     if a.group is not None and a.dim > 1:
-        gens = []
-        for g in range(1, a.dim):
-            v = zero_vec(f, a.dim)
-            v[g] = f.one
-            v[0] = f.neg(f.one)
-            gens.append(v)
-        out.append(ideal_closure(a, gens, "augmentation"))
+        out.append(ideal_closure(a, _minus_identity(f, a.dim, range(a.dim)),
+                                 "augmentation"))
     for i in range(a.dim):
         out.append(ideal_closure(a, [unit_vec(f, a.dim, i)], f"(e{i})"))
     for k, g in enumerate(extra_generators or []):
@@ -183,17 +192,11 @@ def centralizer_normality_suite(cr: CanonicalRings,
     invariants = []
     for m in mods:
         inv = centralizer_subspace(m, cr.ext)
-        left = _translate_span(m.field, m.dim, m.left_action, inv.rows)
-        right = _translate_span(m.field, m.dim, m.right_action, inv.rows)
-        invariants.append({
-            "module": m.label,
-            "invariants_dim": inv.dim,
-            "left_dim": left.dim,
-            "right_dim": right.dim,
-            "left_in_right": left.is_contained_in(right),
-            "right_in_left": right.is_contained_in(left),
-            "equal": left == right,
-        })
+        entry = {"module": m.label, "invariants_dim": inv.dim}
+        entry.update(_balance(
+            _translate_span(m.field, m.dim, m.left_action, inv.rows),
+            _translate_span(m.field, m.dim, m.right_action, inv.rows)))
+        invariants.append(entry)
     report["bimodule_invariants"] = invariants
     report["all_equal"] = (report["centralizer"]["equal"]
                            and all(c["equal"] for c in contractions)
@@ -228,22 +231,9 @@ def hopf_pair(group: GroupData, subgroup: Sequence[int], field: Field) -> HopfPa
     kg = group_algebra(field, group)
     n = group.order
     span = Subspace.from_vectors(field, n, [unit_vec(field, n, i) for i in idx])
-    kp_gens = []
-    for i in idx:
-        if i == 0:
-            continue
-        v = zero_vec(field, n)
-        v[i] = field.one
-        v[0] = field.neg(field.one)
-        kp_gens.append(v)
-    k_plus = Subspace.from_vectors(field, n, kp_gens)
-    hp_gens = []
-    for g in range(1, n):
-        v = zero_vec(field, n)
-        v[g] = field.one
-        v[0] = field.neg(field.one)
-        hp_gens.append(v)
-    h_plus = Subspace.from_vectors(field, n, hp_gens)
+    k_plus = Subspace.from_vectors(field, n, _minus_identity(field, n, idx))
+    h_plus = Subspace.from_vectors(field, n,
+                                   _minus_identity(field, n, range(n)))
     if k_plus != h_plus.intersect(span):
         raise InternalInconsistency(
             "counit kernel of the subgroup span disagrees with the "
@@ -346,14 +336,14 @@ def prebraided_check(cr: CanonicalRings, right_quasibase: D2Certificate) -> dict
         s_co = cr.r_coords(s)
         for r in cent.rows:
             lhs = a.multiply(s, r)
-            if not vec_eq(f, lhs, a.multiply(r, s)):
+            if lhs != a.multiply(r, s):
                 naive = False
             acc = zero_vec(f, a.dim)
             for p, op in zip(right_quasibase.pairs, sandwich_ops):
                 gval = p.endo.apply(r)
                 sand = cr.r_lift(op.apply(s_co))
                 acc = vec_add(f, acc, a.multiply(gval, sand))
-            if not vec_eq(f, lhs, acc):
+            if lhs != acc:
                 holds = False
     return {"holds": holds, "naive_commutative": naive,
             "pairs": len(right_quasibase.pairs)}

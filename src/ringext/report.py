@@ -11,25 +11,65 @@ equations against a freshly built extension.
 
 import json
 from datetime import datetime, timezone
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
-from . import __version__
+from . import __version__, certify, serialize
 from .bimodule import right_regular_module
 from .canonical import CanonicalRings, build_canonical_rings
-from .certify import (Classification, classify, verify_d2, verify_hsep,
-                      verify_separability, verify_split)
+from .certify import Classification, classify
 from .equivalences import (VerifiedIso, chi_M, evaluation_map,
                            functor_iso_checks, gamma_M, pi_A_iso, rho_M,
                            split_counit)
 from .normality import (a_invariant_contraction, centralizer_normality_suite,
                         default_ideal_sample, double_centralizer,
                         hopf_normality, prebraided_check)
-from .serialize import (InputError, ParsedInput, d2_from_json, d2_json,
-                        field_json, hsep_from_json, hsep_json, parse_input,
-                        separability_from_json, separability_json,
-                        split_from_json, split_json, vector_json)
+from .serialize import (InputError, ParsedInput, field_json, parse_input,
+                        vector_json)
 
 TOOL = {"name": "ringext", "version": __version__}
+
+
+class CertificateKind(NamedTuple):
+    """One certificate kind: its certify name, its report flag, its key
+    (both in the report's certificates and on Classification), and its
+    search, verifier and JSON codec."""
+    name: str
+    flag: str
+    key: str
+    search: Callable    # (cr) -> certificate or None
+    verify: Callable    # (cr, cert) -> bool
+    encode: Callable    # (f, cert) -> payload
+    decode: Callable    # (f, payload, dims, loc) -> cert; raises InputError
+
+
+def certificate_kinds() -> tuple:
+    """The five certificate kinds, in report order.
+
+    Built on each call so that the functions are looked up afresh, and a
+    caller that rebinds one of them (a tracer, say) is seen.
+    """
+    c, s = certify, serialize
+
+    def d2(side: str) -> CertificateKind:
+        return CertificateKind(
+            f"d2-{side}", f"{side}_depth_two", f"{side}_quasibase",
+            partial(c.find_d2_quasibase, side=side), c.verify_d2, s.d2_json,
+            partial(s.d2_from_json, side=side))
+
+    return (
+        CertificateKind("separable", "separable", "separability_element",
+                        c.find_separability_element, c.verify_separability,
+                        s.separability_json, s.separability_from_json),
+        CertificateKind("split", "split", "conditional_expectation",
+                        c.find_conditional_expectation, c.verify_split,
+                        s.split_json, s.split_from_json),
+        CertificateKind("hsep", "hseparable", "hsep_system",
+                        c.find_hsep_system, c.verify_hsep,
+                        s.hsep_json, s.hsep_from_json),
+        d2("left"),
+        d2("right"),
+    )
 
 
 def _iso_block(iso: VerifiedIso) -> dict:
@@ -48,30 +88,18 @@ def _iso_block(iso: VerifiedIso) -> dict:
 
 
 def classification_block(cr: CanonicalRings, cls: Classification) -> dict:
-    f = cr.field
-    certs = {}
-    if cls.separability_element is not None:
-        certs["separability_element"] = separability_json(f, cls.separability_element)
-    if cls.conditional_expectation is not None:
-        certs["conditional_expectation"] = split_json(cls.conditional_expectation)
-    if cls.hsep_system is not None:
-        certs["hsep_system"] = hsep_json(f, cls.hsep_system)
-    if cls.left_quasibase is not None:
-        certs["left_quasibase"] = d2_json(f, cls.left_quasibase)
-    if cls.right_quasibase is not None:
-        certs["right_quasibase"] = d2_json(f, cls.right_quasibase)
-    return {
-        "separable": cls.separable,
-        "split": cls.split,
-        "hseparable": cls.hseparable,
-        "left_depth_two": cls.left_d2,
-        "right_depth_two": cls.right_d2,
+    kinds = certificate_kinds()
+    certs = {k.key: getattr(cls, k.key) for k in kinds}
+    block = {k.flag: certs[k.key] is not None for k in kinds}
+    block.update({
         "endo_ring_detection": cls.endo_d2,
         "base_projective": dict(cls.base_projective),
         "module_facts": cls.facts,
         "consistency_notes": list(cls.consistency_notes),
-        "certificates": certs,
-    }
+        "certificates": {k.key: k.encode(cr.field, certs[k.key])
+                         for k in kinds if certs[k.key] is not None},
+    })
+    return block
 
 
 def module_block(cr: CanonicalRings, cls: Classification, m,
@@ -210,52 +238,35 @@ def verify_report(doc) -> tuple:
     except InputError as exc:
         return False, [f"input echo does not parse: {exc}"]
     cr = build_canonical_rings(parsed.ext)
-    f = cr.field
+    dims = cr.dims()
 
-    if doc["dims"] != cr.dims():
+    if doc["dims"] != dims:
         msgs.append("recorded dimensions disagree with the rebuilt extension")
 
     cl = doc["classification"]
-    certs = cl.get("certificates", {})
-    flag_to_cert = {"separable": "separability_element",
-                    "split": "conditional_expectation",
-                    "hseparable": "hsep_system",
-                    "left_depth_two": "left_quasibase",
-                    "right_depth_two": "right_quasibase"}
-    for flag, cert_key in flag_to_cert.items():
-        if cl.get(flag) and cert_key not in certs:
-            msgs.append(f"{flag} is asserted but no {cert_key} is attached")
-
+    if not isinstance(cl, dict):
+        return False, msgs + ["$.classification: not a JSON object"]
     loc = "$.classification.certificates"
-    try:
-        if "separability_element" in certs:
-            cert = separability_from_json(
-                f, certs["separability_element"], cr.dim_q,
-                f"{loc}.separability_element")
-            if not verify_separability(cr, cert):
-                msgs.append("separability element fails substitution")
-        if "conditional_expectation" in certs:
-            cert = split_from_json(
-                f, certs["conditional_expectation"], cr.ext.base.dim,
-                cr.ext.total.dim, f"{loc}.conditional_expectation")
-            if not verify_split(cr, cert):
-                msgs.append("conditional expectation fails substitution")
-        if "hsep_system" in certs:
-            cert = hsep_from_json(
-                f, certs["hsep_system"], cr.dim_q, cr.ext.total.dim,
-                f"{loc}.hsep_system")
-            if not verify_hsep(cr, cert):
-                msgs.append("H-separability system fails substitution")
-        for key, side in (("left_quasibase", "left"), ("right_quasibase", "right")):
-            if key in certs:
-                cert = d2_from_json(f, certs[key], cr.dim_q, cr.ext.total.dim,
-                                    f"{loc}.{key}")
-                if cert.side != side:
-                    msgs.append(f"{key} is labeled for the wrong side")
-                elif not verify_d2(cr, cert):
-                    msgs.append(f"{key} fails substitution")
-    except InputError as exc:
-        msgs.append(f"certificate payload malformed: {exc}")
+    certs = cl.get("certificates", {})
+    if not isinstance(certs, dict):
+        return False, msgs + [f"{loc}: not a JSON object"]
+    kinds = certificate_kinds()
+    unknown = sorted(set(certs) - {k.key for k in kinds})
+    if unknown:
+        msgs.append(f"{loc}: unknown certificates {unknown}")
+    for k in kinds:
+        present = k.key in certs
+        if bool(cl.get(k.flag)) != present:
+            msgs.append(f"{k.flag} disagrees with the presence of {k.key}")
+        if not present:
+            continue
+        try:
+            cert = k.decode(cr.field, certs[k.key], dims, f"{loc}.{k.key}")
+        except InputError as exc:
+            msgs.append(f"certificate payload malformed: {exc}")
+            continue
+        if not k.verify(cr, cert):
+            msgs.append(f"{k.key} fails substitution")
     return not msgs, msgs
 
 

@@ -13,7 +13,7 @@ promise exactness.
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .linalg import GF, QQ, Field, LinalgError, Matrix, PrimeField
 from .algebra import (AlgebraError, Extension, FDAlgebra, GroupData,
@@ -352,22 +352,24 @@ def separability_json(f: Field, cert: SeparabilityCertificate) -> dict:
     return {"element": vector_json(f, cert.element)}
 
 
-def separability_from_json(f: Field, payload, dim_q: int, loc: str) -> SeparabilityCertificate:
+def separability_from_json(f: Field, payload, dims: dict,
+                           loc: str) -> SeparabilityCertificate:
     if not isinstance(payload, dict) or "element" not in payload:
         raise InputError("separability certificate wants {element}", loc)
-    return SeparabilityCertificate(
-        parse_vector(f, payload["element"], dim_q, f"{loc}.element"))
+    return SeparabilityCertificate(parse_vector(
+        f, payload["element"], dims["tensor_square"], f"{loc}.element"))
 
 
-def split_json(cert: SplitCertificate) -> dict:
+def split_json(f: Field, cert: SplitCertificate) -> dict:
     return {"expectation": matrix_json(cert.expectation)}
 
 
-def split_from_json(f: Field, payload, dim_b: int, dim_a: int, loc: str) -> SplitCertificate:
+def split_from_json(f: Field, payload, dims: dict, loc: str) -> SplitCertificate:
     if not isinstance(payload, dict) or "expectation" not in payload:
         raise InputError("split certificate wants {expectation}", loc)
-    return SplitCertificate(
-        parse_matrix(f, payload["expectation"], dim_b, dim_a, f"{loc}.expectation"))
+    return SplitCertificate(parse_matrix(
+        f, payload["expectation"], dims["subalgebra"], dims["algebra"],
+        f"{loc}.expectation"))
 
 
 def hsep_json(f: Field, cert: HSepCertificate) -> dict:
@@ -376,7 +378,7 @@ def hsep_json(f: Field, cert: HSepCertificate) -> dict:
                       for p in cert.pairs]}
 
 
-def hsep_from_json(f: Field, payload, dim_q: int, dim_a: int, loc: str) -> HSepCertificate:
+def hsep_from_json(f: Field, payload, dims: dict, loc: str) -> HSepCertificate:
     if not isinstance(payload, dict) or "pairs" not in payload \
             or not isinstance(payload["pairs"], list):
         raise InputError("H-separability certificate wants {pairs}", loc)
@@ -386,8 +388,10 @@ def hsep_from_json(f: Field, payload, dim_q: int, dim_a: int, loc: str) -> HSepC
         if not isinstance(p, dict) or set(p) != {"casimir", "multiplier"}:
             raise InputError("pair wants {casimir, multiplier}", ploc)
         pairs.append(HSepPair(
-            parse_vector(f, p["casimir"], dim_q, f"{ploc}.casimir"),
-            parse_vector(f, p["multiplier"], dim_a, f"{ploc}.multiplier")))
+            parse_vector(f, p["casimir"], dims["tensor_square"],
+                         f"{ploc}.casimir"),
+            parse_vector(f, p["multiplier"], dims["algebra"],
+                         f"{ploc}.multiplier")))
     return HSepCertificate(pairs)
 
 
@@ -399,17 +403,27 @@ def d2_json(f: Field, cert: D2Certificate) -> dict:
                       for p in cert.pairs]}
 
 
-def d2_from_json(f: Field, payload, dim_q: int, dim_a: int, loc: str) -> D2Certificate:
+def d2_from_json(f: Field, payload, dims: dict, loc: str,
+                 side: str) -> D2Certificate:
+    """Decode a quasibase that must be labeled for the given side."""
     if not isinstance(payload, dict) or "pairs" not in payload \
-            or payload.get("side") not in ("left", "right"):
+            or not isinstance(payload["pairs"], list):
         raise InputError("quasibase certificate wants {side, pairs}", loc)
+    if payload.get("side") != side:
+        raise InputError(f"a {side} quasibase wants side {side!r}",
+                         f"{loc}.side")
+    reverse_order = payload.get("reverse_order", False)
+    if not isinstance(reverse_order, bool):
+        raise InputError("reverse_order must be a boolean",
+                         f"{loc}.reverse_order")
+    n = dims["algebra"]
     pairs = []
     for i, p in enumerate(payload["pairs"]):
         ploc = f"{loc}.pairs[{i}]"
-        if not isinstance(p, dict) or set(p) - {"tensor", "endo"}:
+        if not isinstance(p, dict) or set(p) != {"tensor", "endo"}:
             raise InputError("pair wants {tensor, endo}", ploc)
         pairs.append(QuasibasePair(
-            parse_vector(f, p["tensor"], dim_q, f"{ploc}.tensor"),
-            parse_matrix(f, p["endo"], dim_a, dim_a, f"{ploc}.endo")))
-    return D2Certificate(payload["side"], pairs,
-                         bool(payload.get("reverse_order", False)))
+            parse_vector(f, p["tensor"], dims["tensor_square"],
+                         f"{ploc}.tensor"),
+            parse_matrix(f, p["endo"], n, n, f"{ploc}.endo")))
+    return D2Certificate(side, pairs, reverse_order)

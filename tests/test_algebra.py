@@ -8,7 +8,7 @@ from ringext.algebra import (AlgebraError, Extension, FDAlgebra, GroupData,
                              diagonal_algebra, group_algebra, matrix_algebra,
                              self_extension, subalgebra_extension,
                              trivial_algebra)
-from ringext.linalg import GF, QQ, Matrix, unit_vec, vec_eq
+from ringext.linalg import GF, QQ, Matrix, unit_vec
 
 
 def cyclic(n):
@@ -75,7 +75,7 @@ def test_matrix_algebra_relations():
     assert a.multiply(e11, e12) == e12
     assert a.multiply(e12, e21) == e11
     assert a.multiply(e12, e12) == [QQ.zero] * 4
-    assert vec_eq(QQ, a.unit, [QQ.one, QQ.zero, QQ.zero, QQ.one])
+    assert a.unit == [QQ.one, QQ.zero, QQ.zero, QQ.one]
     assert not a.is_commutative()
     assert a.center().dim == 1
 
@@ -153,7 +153,7 @@ def test_basis_extension_builds_structure_constants():
         for j in range(3):
             lhs = ext.embed(ext.base.mult[i][j])
             rhs = a.multiply(rows[i], rows[j])
-            assert vec_eq(QQ, lhs, rhs)
+            assert lhs == rhs
 
 
 def test_basis_extension_rejects_nonclosed_span():

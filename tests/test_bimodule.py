@@ -13,7 +13,7 @@ from ringext.bimodule import (Bimodule, BimoduleError, centralizer_subspace,
                               regular_bimodule, restrict_left, restrict_right,
                               right_regular_module, summand_witness,
                               tensor_map, tensor_over)
-from ringext.linalg import GF, QQ, Matrix, unit_vec, vec_eq
+from ringext.linalg import GF, QQ, Matrix, unit_vec
 from tests.oracles import reference_hom_basis
 from tests.test_algebra import cyclic, sym3
 
@@ -314,4 +314,4 @@ def test_pure_tensor_bilinear(data):
     lhs = t.pure(xs, y)
     r1, r2 = t.pure(x1, y), t.pure(x2, y)
     rhs = [QQ.add(u, QQ.mul(s, v)) for u, v in zip(r1, r2)]
-    assert vec_eq(QQ, lhs, rhs)
+    assert lhs == rhs

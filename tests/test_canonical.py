@@ -8,7 +8,7 @@ agreement here is two implementations confirming one another.
 import pytest
 
 from ringext.canonical import InternalInconsistency, build_canonical_rings
-from ringext.linalg import QQ, Matrix, unit_vec, vec_eq
+from ringext.linalg import QQ, Matrix, unit_vec
 
 from tests import oracles
 
@@ -56,8 +56,11 @@ def test_oracle_agrees_on_modular_extension(built):
 
 
 def test_ring_axioms_with_roundtrip(built):
-    # force the quadratic endomorphism description check on a small case
-    built("qc2_q").cr.verify_ring_axioms(roundtrip=True)
+    # qc2_q is small enough that the quadratic endomorphism description
+    # of the tensor square is checked
+    cr = built("qc2_q").cr
+    assert cr.ext.total.dim * cr.dim_q <= 160
+    cr.verify_ring_axioms()
 
 
 def test_centralizer_ring_multiplication(built):
@@ -69,7 +72,7 @@ def test_centralizer_ring_multiplication(built):
         for j in range(r.dim):
             prod = a.multiply(cr.r_lift(unit_vec(cr.field, r.dim, i)),
                               cr.r_lift(unit_vec(cr.field, r.dim, j)))
-            assert vec_eq(cr.field, prod, cr.r_lift(r.mult[i][j]))
+            assert prod == cr.r_lift(r.mult[i][j])
     assert cr.r_lift(r.unit) == a.unit
 
 
@@ -84,7 +87,7 @@ def test_tensor_ring_acts_on_tensor_square(built):
             prod_coords = t.mult[i][j]
             acc = Matrix.zeros(f, cr.dim_q, cr.dim_q)
             for k, c in enumerate(prod_coords):
-                if not f.is_zero(c):
+                if c:
                     acc = acc + cr.t_action_on_q[k].scale(c)
             assert composed == acc
 
@@ -116,7 +119,7 @@ def test_casimir_space_inside_tensor_ring(built):
             x = unit_vec(cr.field, a.dim, i)
             lhs = cr.q.module.left_operator(x).apply(row)
             rhs = cr.q.module.right_operator(x).apply(row)
-            assert vec_eq(cr.field, lhs, rhs)
+            assert lhs == rhs
 
 
 def test_coordinate_helpers_roundtrip(built):

@@ -10,7 +10,7 @@ import pytest
 
 from ringext.cli import main
 
-from tests.conftest import CORPUS, corpus_doc
+from tests.conftest import CORPUS, corpus_doc, expected_doc
 
 
 def run_cli(capsys, *argv):
@@ -319,6 +319,45 @@ def test_verify_detects_flag_certificate_mismatch(tmp_path, capsys):
         json.dump(doc, fh)
     code, out, err = run_cli(capsys, "verify", target)
     assert code == 1
+
+
+def _set(path, value):
+    def edit(doc):
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    return edit
+
+
+def _drop_endo(doc):
+    del doc["classification"]["certificates"]["left_quasibase"]["pairs"][0]["endo"]
+
+
+_QB = ("classification", "certificates", "left_quasibase")
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_set(("classification",), []), "$.classification"),
+    (_set(("classification", "certificates"), ["separability_element"]),
+     "$.classification.certificates"),
+    (_set(("classification", "certificates"), 7),
+     "$.classification.certificates"),
+    (_set(("classification", "certificates", "bogus"), {}),
+     "$.classification.certificates"),
+    (_set(_QB + ("pairs",), 5), "$.classification.certificates.left_quasibase"),
+    (_drop_endo, "$.classification.certificates.left_quasibase.pairs[0]"),
+    (_set(_QB + ("reverse_order",), "no"),
+     "$.classification.certificates.left_quasibase.reverse_order"),
+], ids=["classification_list", "certificates_list", "certificates_int",
+        "unknown_certificate", "pairs_not_list", "pair_without_endo", "reverse_order_string"])
+def test_verify_malformed_report_is_exit_one(tmp_path, capsys, edit, where):
+    doc = expected_doc("qq8_qi")
+    edit(doc)
+    code, out, err = run_cli(capsys, "verify", write_doc(tmp_path, doc))
+    assert code == 1
+    assert f"{where}:" in err
+    assert "report verifies" not in out
 
 
 # -- installed entry point --------------------------------------------------------

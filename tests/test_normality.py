@@ -223,8 +223,8 @@ def test_scenario_normal_subgroup_gives_balanced_extension(subgroup):
     g = sym3()
     a = group_algebra(QQ, g)
     ext = subalgebra_extension(a, subgroup=subgroup)
-    from ringext.canonical import build_canonical_rings
-    cr = build_canonical_rings(ext, check=False)
+    from ringext.canonical import CanonicalRings
+    cr = CanonicalRings(ext)
     hopf = hopf_normality(g, subgroup, QQ)
     suite = centralizer_normality_suite(cr)
     assert hopf["subgroup_normal"] == suite["all_equal"] == True  # noqa: E712

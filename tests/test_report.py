@@ -1,0 +1,140 @@
+"""The certificate kind table, report re-verification and report schema."""
+
+import copy
+import json
+import os
+from fractions import Fraction
+
+import pytest
+
+from ringext.cli import main
+from ringext.report import certificate_kinds, verify_report
+
+from tests.conftest import CORPUS, CORPUS_NAMES, expected_doc
+
+DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
+
+
+def _golden_certificates():
+    return [(name, key) for name in CORPUS_NAMES
+            for key in sorted(expected_doc(name)["classification"]["certificates"])]
+
+
+def _first_scalar_path(payload):
+    """Keys and indices down to the first scalar of a certificate payload."""
+    path, node = [], payload
+    while isinstance(node, (dict, list)):
+        key = next(k for k in sorted(node) if k != "side") \
+            if isinstance(node, dict) else 0
+        path.append(key)
+        node = node[key]
+    return path
+
+
+# -- the table ---------------------------------------------------------------
+
+def test_table_names_each_kind_once():
+    kinds = certificate_kinds()
+    for field in ("name", "flag", "key"):
+        values = [getattr(k, field) for k in kinds]
+        assert len(set(values)) == len(values) == 5
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_table_reproduces_golden_certificates(built, name):
+    cr = built(name).cr
+    cl = expected_doc(name)["classification"]
+    for k in certificate_kinds():
+        cert = k.search(cr)
+        assert cl[k.flag] is (cert is not None), k.name
+        if cert is None:
+            assert k.key not in cl["certificates"]
+        else:
+            payload = json.loads(json.dumps(k.encode(cr.field, cert)))
+            assert payload == cl["certificates"][k.key], k.name
+
+
+# -- verify_report -----------------------------------------------------------
+
+@pytest.mark.parametrize("name, key", _golden_certificates())
+def test_changed_scalar_fails_verification(name, key):
+    doc = expected_doc(name)
+    payload = doc["classification"]["certificates"][key]
+    *outer, last = _first_scalar_path(payload)
+    node = payload
+    for step in outer:
+        node = node[step]
+    p = doc["field"]["Fp"] if isinstance(doc["field"], dict) else None
+    node[last] = (node[last] + 1) % p if p else str(Fraction(node[last]) + 1)
+    ok, msgs = verify_report(doc)
+    assert not ok
+    assert any(key in m for m in msgs), msgs
+
+
+def test_golden_reports_verify():
+    for name in CORPUS_NAMES:
+        assert verify_report(expected_doc(name)) == (True, []), name
+
+
+@pytest.mark.parametrize("key, side", [("left_quasibase", "right"),
+                                       ("right_quasibase", "left")])
+def test_wrong_side_quasibase_fails(key, side):
+    doc = expected_doc("qc2_q")
+    doc["classification"]["certificates"][key]["side"] = side
+    ok, msgs = verify_report(doc)
+    assert not ok
+    assert any(f"{key}.side" in m for m in msgs), msgs
+
+
+def test_false_flag_with_certificate_fails():
+    doc = expected_doc("qc2_q")
+    doc["classification"]["separable"] = False
+    ok, msgs = verify_report(doc)
+    assert not ok
+    assert any("separability_element" in m for m in msgs), msgs
+
+
+# -- schema ------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def report_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    referencing = pytest.importorskip("referencing")
+    from referencing.jsonschema import DRAFT7
+    schemas = {}
+    for name in ("report.schema.json", "input.schema.json"):
+        with open(os.path.join(DOCS, name), encoding="utf-8") as fh:
+            schemas[name] = json.load(fh)
+    # both schemas carry an $id, so the report's relative $ref to the
+    # input schema resolves within this registry and never leaves it
+    registry = referencing.Registry().with_resources(
+        (s["$id"], DRAFT7.create_resource(s)) for s in schemas.values())
+    return jsonschema.Draft7Validator(schemas["report.schema.json"],
+                                      registry=registry)
+
+
+def test_golden_reports_match_schema(report_validator):
+    for name in CORPUS_NAMES:
+        report_validator.validate(expected_doc(name))
+
+
+def test_schema_rejects_a_malformed_report(report_validator):
+    doc = copy.deepcopy(expected_doc("qc2_q"))
+    doc["classification"]["certificates"]["left_quasibase"]["side"] = "up"
+    assert not report_validator.is_valid(doc)
+    doc = copy.deepcopy(expected_doc("qc2_q"))
+    doc["input"]["field"] = "R"
+    assert not report_validator.is_valid(doc)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_certify_output_matches_schema(report_validator, tmp_path, name):
+    for k in certificate_kinds():
+        target = str(tmp_path / f"{k.name}.json")
+        assert main(["certify", k.name, os.path.join(CORPUS, f"{name}.json"),
+                     "--json", "-o", target]) == 0
+        with open(target, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        report_validator.validate(doc)
+        assert doc["certify"]["verified"] is (True if doc["certify"]["verdict"]
+                                              else None)

@@ -193,30 +193,32 @@ def test_module_actions_roundtrip():
 def test_certificate_payloads_roundtrip_and_verify(built):
     b = built("qc2_q")
     cr, cls, f = b.cr, b.cls, b.cr.field
-    dq, da, db = cr.dim_q, cr.ext.total.dim, cr.ext.base.dim
+    dims = cr.dims()
 
     sep2 = separability_from_json(
-        f, separability_json(f, cls.separability_element), dq, "$")
+        f, separability_json(f, cls.separability_element), dims, "$")
     assert verify_separability(cr, sep2)
 
-    spl2 = split_from_json(f, split_json(cls.conditional_expectation),
-                           db, da, "$")
+    spl2 = split_from_json(f, split_json(f, cls.conditional_expectation),
+                           dims, "$")
     assert verify_split(cr, spl2)
 
-    d2 = d2_from_json(f, d2_json(f, cls.left_quasibase), dq, da, "$")
+    d2 = d2_from_json(f, d2_json(f, cls.left_quasibase), dims, "$", "left")
     assert d2.side == "left"
     assert verify_d2(cr, d2)
 
     hb = built("m2q_q")
     h2 = hsep_from_json(hb.cr.field, hsep_json(hb.cr.field, hb.cls.hsep_system),
-                        hb.cr.dim_q, hb.cr.ext.total.dim, "$")
+                        hb.cr.dims(), "$")
     assert verify_hsep(hb.cr, h2)
 
 
 def test_certificate_codec_rejects_bad_side():
     f = QQ
-    with pytest.raises(InputError, match="side"):
-        d2_from_json(f, {"side": "middle", "pairs": []}, 2, 2, "$")
+    dims = {"tensor_square": 2, "algebra": 2, "subalgebra": 1}
+    for side in ("middle", "right"):
+        with pytest.raises(InputError, match="side"):
+            d2_from_json(f, {"side": side, "pairs": []}, dims, "$", "left")
 
 
 def test_algebra_json_group_form_kept():
