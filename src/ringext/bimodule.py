@@ -33,7 +33,7 @@ from .linalg import (
     kernel,
     lin_comb,
     random_scalar,
-    span_decide,
+    span_decide_pairs,
     unit_vec,
     zero_vec,
 )
@@ -574,80 +574,32 @@ def summand_witness(m: Bimodule, n: Bimodule) -> Optional[SummandWitness]:
     combination of composites back_b @ into_a, which is a linear problem
     in the coefficients.  Returns a verified witness or None.
     """
-    if m.dim == 0:
-        return SummandWitness(m, n, [])
     into_space = hom_space(m, n)
     back_space = hom_space(n, m)
-    if into_space.dim == 0 or back_space.dim == 0:
+    found = span_decide_pairs(
+        m.field, into_space.basis, back_space.basis,
+        lambda fa, gb: (gb @ fa).vec(), Matrix.identity(m.field, m.dim).vec())
+    if found is None:
         return None
-    f = m.field
-    composites = [(gb @ fa).vec()
-                  for fa in into_space.basis for gb in back_space.basis]
-    target = Matrix.identity(f, m.dim).vec()
-    coeffs = span_decide(f, composites, target)
-    if coeffs is None:
-        return None
-    # coefficient a * nb + b weighs back_b @ into_a; fold each into_a's
-    nb = back_space.dim
-    chunks = [coeffs[a * nb:(a + 1) * nb] for a in range(into_space.dim)]
-    pairs = [(fa, back_space.element(chunk))
-             for fa, chunk in zip(into_space.basis, chunks) if any(chunk)]
-    witness = SummandWitness(m, n, pairs)
+    witness = SummandWitness(m, n, [(into_space.basis[a], back_space.element(c))
+                                    for a, c in found])
     if not witness.verify():
         raise BimoduleError("summand witness failed its own verification")
     return witness
 
 
-@dataclass
-class DualBasisWitness:
-    """A finite dual basis for a one-sided module over an algebra.
-
-    For a right module: elements x_i and right-linear functionals f_i to
-    the regular module with sum x_i . f_i(t) = t for all t.  For a left
-    module the sum is f_i(t) . x_i.  Existence is exactly finitely
-    generated projectivity.
-    """
-    module: Bimodule
-    side: str
-    elements: list[list]
-    functionals: list[Matrix]
-
-    def verify(self, algebra: FDAlgebra) -> bool:
-        f = self.module.field
-        for t in range(self.module.dim):
-            tv = unit_vec(f, self.module.dim, t)
-            acc = zero_vec(f, self.module.dim)
-            for x, func in zip(self.elements, self.functionals):
-                val = func.apply(tv)
-                if self.side == "right":
-                    op = self.module.right_operator(val)
-                else:
-                    op = self.module.left_operator(val)
-                img = op.apply(x)
-                acc = [f.add(a, b) for a, b in zip(acc, img)]
-            if acc != tv:
-                return False
-        return True
-
-
 def dual_basis_witness(m: Bimodule, algebra: FDAlgebra, side: str
-                       ) -> Optional[DualBasisWitness]:
-    """Finitely generated projectivity of a one-sided module, with witness."""
-    triv = trivial_algebra(m.field)
+                       ) -> Optional[SummandWitness]:
+    """Finitely generated projectivity of m as a one-sided module over
+    algebra: m, its other action forgotten, as a summand of a finite power
+    of the regular module.
+
+    The pairs (into_i, back_i) give a dual basis x_i = back_i(1), f_i =
+    into_i: sum x_i . f_i(t) = t for a right module, f_i(t) . x_i = t for
+    a left one, because each back_i is linear over the algebra.
+    """
     if side == "right":
-        reg = right_regular_module(algebra)
-        probe = forget_left(m) if m.left_algebra != triv else m
-    elif side == "left":
-        reg = left_regular_module(algebra)
-        probe = forget_right(m) if m.right_algebra != triv else m
-    else:
-        raise BimoduleError("side must be 'left' or 'right'")
-    witness = summand_witness(probe, reg)
-    if witness is None:
-        return None
-    elements = [back.apply(list(algebra.unit)) for _, back in witness.pairs]
-    functionals = [into for into, _ in witness.pairs]
-    out = DualBasisWitness(probe, side, elements, functionals)
-    if not out.verify(algebra):
-        raise BimoduleError("dual basis witness failed its own verification")
-    return out
+        return summand_witness(forget_left(m), right_regular_module(algebra))
+    if side == "left":
+        return summand_witness(forget_right(m), left_regular_module(algebra))
+    raise BimoduleError("side must be 'left' or 'right'")

@@ -43,6 +43,7 @@ from .linalg import (
     lin_comb,
     rank,
     span_decide,
+    span_decide_pairs,
     unit_vec,
     vec_add,
     zero_vec,
@@ -218,23 +219,15 @@ def find_conditional_expectation(cr: CanonicalRings) -> Optional[SplitCertificat
 
 def find_hsep_system(cr: CanonicalRings) -> Optional[HSepCertificate]:
     """Express 1 (x) 1 through Casimir elements and centralizer multipliers."""
-    f = cr.field
-    cas_rows = cr.casimir_space.rows
     cent = cr.centralizer_space
-    gens = []
-    for crow in cas_rows:
-        for rrow in cent.rows:
-            gens.append(cr.q.module.right_operator(rrow).apply(crow))
-    coeffs = span_decide(f, gens, cr.one_tensor_one())
-    if coeffs is None:
+    found = span_decide_pairs(
+        cr.field, cr.casimir_space.rows, cent.rows,
+        lambda c, r: cr.q.module.right_operator(r).apply(c),
+        cr.one_tensor_one())
+    if found is None:
         return None
-    pairs = []
-    nr = cent.dim
-    for a_idx, crow in enumerate(cas_rows):
-        mult = cent.element(coeffs[a_idx * nr:(a_idx + 1) * nr])
-        if any(mult):
-            pairs.append(HSepPair(list(crow), mult))
-    cert = HSepCertificate(pairs)
+    cert = HSepCertificate([HSepPair(list(cr.casimir_space.rows[i]),
+                                     cent.element(c)) for i, c in found])
     if not verify_hsep(cr, cert):
         raise InternalInconsistency("H-separability system failed verification")
     return cert
@@ -253,31 +246,18 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
     the particular quasibase.
     """
     act, value, free = _d2_side(cr, side)
-    f = cr.field
-    a = cr.ext.total
-    t_rows = cr.tensor_space.rows
-    s_mats = cr.endo_space.basis
-    t_order = list(range(len(t_rows)))
-    s_order = list(range(len(s_mats)))
-    if reverse_order:
-        t_order.reverse()
-        s_order.reverse()
-
-    target = [c for x, y in free for c in cr.pure(x, y)]
-    gens = [[c for x, y in free
-             for c in act(value(s_mats[si], x, y)).apply(t_rows[ti])]
-            for ti in t_order for si in s_order]
-    coeffs = span_decide(f, gens, target)
-    if coeffs is None:
+    n = cr.ext.total.dim
+    step = -1 if reverse_order else 1
+    tensors, endos = cr.tensor_space.rows[::step], cr.endo_space.basis[::step]
+    found = span_decide_pairs(
+        cr.field, tensors, endos,
+        lambda t, s: [c for x, y in free for c in act(value(s, x, y)).apply(t)],
+        [c for x, y in free for c in cr.pure(x, y)])
+    if found is None:
         return None
-    # coefficient p * ns + q weighs the pair (t_order[p], s_order[q])
-    ns = len(s_order)
-    chunks = {ti: coeffs[p * ns:(p + 1) * ns] for p, ti in enumerate(t_order)}
-    s_ordered = [s_mats[si] for si in s_order]
-    folded = [(ti, lin_comb(f, a.dim, a.dim, chunks[ti], s_ordered))
-              for ti in sorted(chunks)]
-    pairs = [QuasibasePair(list(t_rows[ti]), mat)
-             for ti, mat in folded if not mat.is_zero()]
+    # found[::step] lists the pairs in ascending tensor-basis order
+    pairs = [QuasibasePair(list(tensors[i]), lin_comb(cr.field, n, n, c, endos))
+             for i, c in found[::step]]
     cert = D2Certificate(side, pairs, reverse_order=reverse_order)
     if not verify_d2(cr, cert):
         raise InternalInconsistency(f"{side} quasibase failed verification")
@@ -290,13 +270,9 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
 def d2_summand_witness(cr: CanonicalRings, side: str) -> Optional[SummandWitness]:
     """The tensor square as a summand of a finite power of the algebra,
     with the outer action forgotten down to B on the stated side."""
-    if side == "left":
-        q_side = restrict_left(cr.q.module, cr.ext, label="Q|B-A")
-        a_side = restrict_left(cr.a_reg, cr.ext, label="A|B-A")
-    else:
-        q_side = restrict_right(cr.q.module, cr.ext, label="Q|A-B")
-        a_side = restrict_right(cr.a_reg, cr.ext, label="A|A-B")
-    return summand_witness(q_side, a_side)
+    restrict = restrict_left if side == "left" else restrict_right
+    return summand_witness(restrict(cr.q.module, cr.ext),
+                           restrict(cr.a_reg, cr.ext))
 
 
 def hsep_summand_witness(cr: CanonicalRings) -> Optional[SummandWitness]:
@@ -344,24 +320,21 @@ def endo_ring_probe(cr: CanonicalRings) -> Optional[bool]:
 def module_facts(cr: CanonicalRings) -> dict:
     """Projectivity, generator, and cyclicity facts for the centralizer
     as a right module over the invariant tensor ring and as a left module
-    over the endomorphism ring."""
-    t_reg = right_regular_module(cr.tensor_ring)
-    s_reg = left_regular_module(cr.endo_ring)
-    r_over_t = cr.cent_module_tensor
-    r_over_s = cr.cent_module_endo
+    over the endomorphism ring.  Projective and generator are the two
+    summand questions between the module and the regular one."""
+
+    def facts(r_mod: Bimodule, reg: Bimodule, counit: Matrix) -> dict:
+        return {"projective": summand_witness(r_mod, reg) is not None,
+                "generator": summand_witness(reg, r_mod) is not None,
+                "cyclic_via_unit": rank(counit) == cr.centralizer.dim}
+
     return {
-        "cent_over_tensor_ring": {
-            "projective": dual_basis_witness(
-                r_over_t, cr.tensor_ring, "right") is not None,
-            "generator": summand_witness(t_reg, r_over_t) is not None,
-            "cyclic_via_unit": rank(cr.tensor_counit) == cr.centralizer.dim,
-        },
-        "cent_over_endo_ring": {
-            "projective": dual_basis_witness(
-                r_over_s, cr.endo_ring, "left") is not None,
-            "generator": summand_witness(s_reg, r_over_s) is not None,
-            "cyclic_via_unit": rank(cr.endo_counit) == cr.centralizer.dim,
-        },
+        "cent_over_tensor_ring": facts(
+            cr.cent_module_tensor, right_regular_module(cr.tensor_ring),
+            cr.tensor_counit),
+        "cent_over_endo_ring": facts(
+            cr.cent_module_endo, left_regular_module(cr.endo_ring),
+            cr.endo_counit),
     }
 
 

@@ -3,7 +3,8 @@
 Subcommands: analyze (everything), certify <kind> (one certificate; the
 kinds are the rows of report.certificate_kinds), equivalence
 (isomorphism suite on one module), normality, hopf (group algebra
-subgroup tests), verify (re-check a previously emitted JSON report).
+subgroup tests), verify (re-check a JSON report emitted by analyze or
+by certify --json).
 Exit codes: 0 the run completed and the report holds the verdicts, 1 the
 input was rejected (for verify: the report is malformed or a certificate
 fails), 2 an internal invariant failed, which is a bug trap rather than

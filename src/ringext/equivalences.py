@@ -30,11 +30,12 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import FDAlgebra, trivial_algebra
+from .algebra import FDAlgebra
 from .bimodule import (
     Bimodule,
     BimoduleError,
     MapSpace,
+    SummandWitness,
     TensorProduct,
     dual_basis_witness,
     forget_left,
@@ -209,14 +210,6 @@ def _leg_ops(cr: CanonicalRings, act: Callable[[Sequence], Matrix],
              tensor: Sequence) -> list[Matrix]:
     """act(t_k) for t = sum_k e_k (x) t_k in the tensor square."""
     return [act(row) for row in cr.q_ambient(tensor).data]
-
-
-def _one_sided_left(m: Bimodule) -> Bimodule:
-    return m if m.right_algebra == trivial_algebra(m.field) else forget_right(m)
-
-
-def _one_sided_right(m: Bimodule) -> Bimodule:
-    return m if m.left_algebra == trivial_algebra(m.field) else forget_left(m)
 
 
 def _require_module(m: Bimodule, side: str, ring: FDAlgebra) -> None:
@@ -431,7 +424,7 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
     eye_a = Matrix.identity(f, a.dim)
     eye_r = Matrix.identity(f, cr.centralizer.dim)
     squares = [(tensor_map(g, g, eye_r, tensor_map(x, x, eye_a, e)), e)
-               for e in _sample_endos(_one_sided_left(m), seed,
+               for e in _sample_endos(forget_right(m), seed,
                                       f"gamma:{m.label}")]
     return _comparison("gamma", gamma, g.module.label, m.label, checks,
                        squares, back, route)
@@ -541,7 +534,7 @@ def _induction_comparison(cr: CanonicalRings, m: Bimodule,
     eye_a = Matrix.identity(f, a.dim)
     eye_t = Matrix.identity(f, cr.tensor_ring.dim)
     squares = [(tensor_map(y, y, eye_t, e), tensor_map(x, x, eye_a, e))
-               for e in _sample_endos(_one_sided_left(m), seed,
+               for e in _sample_endos(forget_right(m), seed,
                                       f"{name}:{m.label}")]
     return _comparison(name, pi, y.module.label, x.module.label, checks,
                        squares, back, "left-quasibase",
@@ -599,7 +592,7 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
 
     eye_a = Matrix.identity(f, a.dim)
     squares = [(tensor_map(x, x, eye_a, e), _on_hom(homsp, lambda h: e @ h))
-               for e in _sample_endos(_one_sided_left(m), seed,
+               for e in _sample_endos(forget_right(m), seed,
                                       f"coinduction:{m.label}")]
     return _comparison("coinduction", fwd, x.module.label,
                        f"HomR(S,{m.label})", checks, squares, back,
@@ -701,7 +694,7 @@ def chi_M(cr: CanonicalRings, m: Bimodule,
 
     eye_s = Matrix.identity(cr.field, cr.endo_ring.dim)
     squares = [(tensor_map(dom, dom, e, eye_s), _on_hom(hs, lambda h: e @ h))
-               for e in _sample_endos(_one_sided_right(m), seed,
+               for e in _sample_endos(forget_left(m), seed,
                                       f"chi:{m.label}")]
     return _comparison("chi", fwd, dom.module.label, f"Hom(A,{m.label})",
                        checks, squares, back, "left-quasibase",
@@ -773,7 +766,7 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
                 fwd, back, "composite route must invert the evaluation")
 
     squares = _counit_squares(cr, hs, dom, _sample_endos(
-        _one_sided_right(m), seed, f"rho:{m.label}"))
+        forget_left(m), seed, f"rho:{m.label}"))
     return _comparison("rho", fwd, dom.module.label, m.label, checks, squares,
                        back, "composite-through-chi",
                        "" if left_quasibase is not None else _NO_QUASIBASE)
@@ -794,7 +787,7 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
         raise BimoduleError(
             "conditional expectation certificate failed verification")
     f, a, b = cr.field, cr.ext.total, cr.ext.base
-    n_one = _one_sided_right(n)
+    n_one = forget_left(n)
     hs, dom, fwd = _counit(cr, n_one, n.label)
 
     # right base action on the domain: precompose with left multiplication
@@ -832,7 +825,7 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
 def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule
                      ) -> tuple[MapSpace, TensorProduct, Matrix]:
     """Hom(m, n), its tensor with m over End(m), and the evaluation."""
-    m1, n1 = _one_sided_right(m), _one_sided_right(n)
+    m1, n1 = forget_left(m), forget_left(n)
     if m1.right_algebra != c or n1.right_algebra != c:
         raise BimoduleError("evaluation needs two right modules over one ring")
     end_space = hom_space(m1, m1)
@@ -862,7 +855,7 @@ def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule,
     summand system.
     """
     hom, tensor, fwd = _evaluation_data(c, m, n)
-    n1 = _one_sided_right(n)
+    n1 = forget_left(n)
     checks: dict = {"ring_linear": _intertwines(
         fwd, zip(tensor.module.right_action, n1.right_action))}
     eye_m = Matrix.identity(c.field, m.dim)
@@ -889,22 +882,13 @@ def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,
         raise BimoduleError("projections and injections must pair up")
     hom, tensor, fwd = _evaluation_data(c, m, n)
     f = c.field
-    n1 = _one_sided_right(n)
-    acc = Matrix.zeros(f, n1.dim, n1.dim)
-    back_hom = hom_space(n1, _one_sided_right(m))
-    pcoords = []
-    for p, j in zip(projections, injections):
-        co = hom.coordinates(p)
-        if co is None:
-            raise BimoduleError("a projection is not linear over the ring")
-        if back_hom.coordinates(j) is None:
-            raise BimoduleError("an injection is not linear over the ring")
-        pcoords.append(co)
-        acc = acc + (p @ j)
-    if acc != Matrix.identity(f, n1.dim):
+    n1 = forget_left(n)
+    if not SummandWitness(n1, forget_left(m),
+                          list(zip(injections, projections))).verify():
         raise BimoduleError(
-            "the summand system does not compose to the identity")
-
+            "not a summand system over the ring: every map must be linear "
+            "over it and sum p_i . j_i the identity")
+    pcoords = [hom.coordinates(p) for p in projections]
     cols = []
     for mu in range(n1.dim):
         vec = zero_vec(f, tensor.module.dim)

@@ -16,7 +16,7 @@ chosen first-nonzero, particular solutions set free variables to zero.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 try:
     from gmpy2 import mpq as _rational
@@ -396,9 +396,6 @@ class Matrix:
         return cls(field, rows, cols,
                    [list(flat[i * cols:(i + 1) * cols]) for i in range(rows)])
 
-    def is_zero(self) -> bool:
-        return not any(map(any, self.data))
-
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
             raise LinalgError("matrix shape or field mismatch")
@@ -547,6 +544,21 @@ def span_decide(field: Field, generators: Sequence[Sequence], target: Sequence
     cols = Matrix.from_cols(field, [list(g) for g in generators])
     result = solve(cols, list(target))
     return None if result is None else result[0]
+
+
+def span_decide_pairs(field: Field, lefts: Sequence, rights: Sequence,
+                      product: Callable[[object, object], Sequence],
+                      target: Sequence) -> Optional[list]:
+    """span_decide over the generators product(lefts[i], rights[j]) in
+    row-major order, grouped by i: (i, [c_i0, c_i1, ...]) for each i whose
+    coefficients are not all zero, in ascending i, or None."""
+    coeffs = span_decide(field, [product(u, v) for u in lefts for v in rights],
+                         target)
+    if coeffs is None:
+        return None
+    n = len(rights)
+    chunks = (coeffs[i * n:(i + 1) * n] for i in range(len(lefts)))
+    return [(i, c) for i, c in enumerate(chunks) if any(c)]
 
 
 # ---------------------------------------------------------------------------

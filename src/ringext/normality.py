@@ -21,8 +21,7 @@ from typing import Optional, Sequence
 
 from .linalg import Field, Matrix, Subspace, unit_vec, vec_add, zero_vec
 from .algebra import AlgebraError, Extension, FDAlgebra, GroupData, group_algebra
-from .bimodule import (Bimodule, BimoduleError, centralizer_subspace,
-                       invariants_subspace, regular_bimodule)
+from .bimodule import BimoduleError, invariants_subspace
 from .canonical import CanonicalRings, InternalInconsistency
 from .certify import D2Certificate, verify_d2
 
@@ -149,8 +148,7 @@ def default_ideal_sample(a: FDAlgebra,
 
 
 def centralizer_normality_suite(cr: CanonicalRings,
-                                ideals: Optional[Sequence[Ideal]] = None,
-                                modules: Optional[Sequence[Bimodule]] = None) -> dict:
+                                ideals: Optional[Sequence[Ideal]] = None) -> dict:
     """Normality facts about the centralizer of the base.
 
     Three layers, all reported as exact span comparisons:
@@ -158,23 +156,15 @@ def centralizer_normality_suite(cr: CanonicalRings,
         centralizer times algebra inside the total algebra;
       * each sampled ideal, contracted to the centralizer, compared the
         same way;
-      * the invariant part of each supplied bimodule over the total
-        algebra (defaults: the regular bimodule and the tensor square
-        over the base), with both inclusion directions reported so a
-        one-sided quasibase can certify its one-sided inclusion.
+      * the invariant part of the regular bimodule and of the tensor
+        square over the base (the rings R and T), with both inclusion
+        directions reported so a one-sided quasibase can certify its
+        one-sided inclusion.
     """
     a = cr.ext.total
-    cent_rows = [r[:] for r in cr.centralizer_space.rows]
+    cent_sub = cr.centralizer_space
     if ideals is None:
-        ideals = default_ideal_sample(a, extra_generators=cent_rows)
-    mods = [cr.a_reg, cr.q.module]
-    for m in modules or []:
-        if m.left_algebra != a or m.right_algebra != a:
-            raise BimoduleError(
-                f"module {m.label} is not a bimodule over the total algebra")
-        mods.append(m)
-
-    cent_sub = Subspace.from_vectors(a.field, a.dim, cent_rows)
+        ideals = default_ideal_sample(a, extra_generators=cent_sub.rows)
     report = {"centralizer": _two_sided_balance(a, cent_sub)}
     report["centralizer"]["dim"] = cent_sub.dim
 
@@ -190,8 +180,7 @@ def centralizer_normality_suite(cr: CanonicalRings,
     report["ideal_contractions"] = contractions
 
     invariants = []
-    for m in mods:
-        inv = centralizer_subspace(m, cr.ext)
+    for m, inv in ((cr.a_reg, cent_sub), (cr.q.module, cr.tensor_space)):
         entry = {"module": m.label, "invariants_dim": inv.dim}
         entry.update(_balance(
             _translate_span(m.field, m.dim, m.left_action, inv.rows),
@@ -268,15 +257,10 @@ def hopf_normality(group: GroupData, subgroup: Sequence[int], field: Field) -> d
         if not conj_stable:
             break
 
-    lops = [kg.basis_left_mult(i) for i in range(group.order)]
-    rops = [kg.basis_right_mult(i) for i in range(group.order)]
-    left_ideal = _translate_span(field, group.order, lops, pair.k_plus.rows)
-    right_ideal = _translate_span(field, group.order, rops, pair.k_plus.rows)
-
     return {
         "subgroup_normal": table_normal,
         "conjugation_hopf_normal": conj_stable,
-        "augmentation_test": left_ideal == right_ideal,
+        "augmentation_test": _two_sided_balance(kg, pair.k_plus)["equal"],
     }
 
 
@@ -284,7 +268,7 @@ def hopf_normality(group: GroupData, subgroup: Sequence[int], field: Field) -> d
 # double centralizer
 
 
-def double_centralizer(ext: Extension) -> dict:
+def double_centralizer(cr: CanonicalRings) -> dict:
     """The centralizer of the base and the centralizer of that.
 
     The base always lands inside its double centralizer; strict
@@ -292,10 +276,9 @@ def double_centralizer(ext: Extension) -> dict:
     with everything that commutes with the base is weaker than lying
     in the base.
     """
-    a_reg = regular_bimodule(ext.total)
-    c = centralizer_subspace(a_reg, ext)
-    cc = invariants_subspace(a_reg, [r[:] for r in c.rows])
-    image = ext.image()
+    c = cr.centralizer_space
+    cc = invariants_subspace(cr.a_reg, c.rows)
+    image = cr.ext.image()
     if not image.is_contained_in(cc):
         raise InternalInconsistency(
             "base algebra escapes its own double centralizer")

@@ -154,7 +154,7 @@ def equivalence_block(cr: CanonicalRings, cls: Classification,
 def normality_block(cr: CanonicalRings, cls: Classification, ideals) -> dict:
     a = cr.ext.total
     sample = default_ideal_sample(
-        a, extra_generators=[r[:] for r in cr.centralizer_space.rows])
+        a, extra_generators=cr.centralizer_space.rows)
     sample.extend(ideals)
     suite = centralizer_normality_suite(cr, ideals=sample)
     base_contractions = [{"ideal": j.label,
@@ -168,7 +168,7 @@ def normality_block(cr: CanonicalRings, cls: Classification, ideals) -> dict:
     if idx is not None:
         out["hopf"] = hopf_normality(a.group, sorted(idx), cr.field)
 
-    dc = double_centralizer(cr.ext)
+    dc = double_centralizer(cr)
     out["double_centralizer"] = {
         "centralizer_dim": dc["centralizer"].dim,
         "double_dim": dc["double_centralizer"].dim,
@@ -224,15 +224,18 @@ def verify_report(doc) -> tuple:
 
     Returns (ok, messages).  The input echo is parsed exactly like a
     fresh input file, the extension is rebuilt, and each certificate
-    payload must still satisfy its defining equations.  Verdict flags
-    must agree with certificate presence.
+    payload must still satisfy its defining equations.  A report carries
+    an analyze classification, a certify block, or both; verdicts must
+    agree with certificate presence.
     """
-    msgs = []
     if not isinstance(doc, dict):
         return False, ["report is not a JSON object"]
-    for key in ("input", "classification", "dims"):
+    for key in ("input", "dims"):
         if key not in doc:
             return False, [f"report lacks the {key} block"]
+    if "classification" not in doc and "certify" not in doc:
+        return False, ["report lacks both the classification and the "
+                       "certify block"]
     try:
         parsed = parse_input(doc["input"])
     except InputError as exc:
@@ -240,34 +243,64 @@ def verify_report(doc) -> tuple:
     cr = build_canonical_rings(parsed.ext)
     dims = cr.dims()
 
+    msgs = []
     if doc["dims"] != dims:
         msgs.append("recorded dimensions disagree with the rebuilt extension")
+    attached = []
+    if "classification" in doc:
+        attached += _classification_certificates(doc["classification"], msgs)
+    if "certify" in doc:
+        attached += _certify_certificate(doc["certify"], msgs)
+    for kind, payload, loc in attached:
+        try:
+            cert = kind.decode(cr.field, payload, dims, loc)
+        except InputError as exc:
+            msgs.append(f"certificate payload malformed: {exc}")
+            continue
+        if not kind.verify(cr, cert):
+            msgs.append(f"{loc}: fails substitution")
+    return not msgs, msgs
 
-    cl = doc["classification"]
+
+def _classification_certificates(cl, msgs: list) -> list:
+    """(kind, payload, location) of each certificate in a classification
+    block; every problem with the block itself goes to msgs."""
     if not isinstance(cl, dict):
-        return False, msgs + ["$.classification: not a JSON object"]
+        msgs.append("$.classification: not a JSON object")
+        return []
     loc = "$.classification.certificates"
     certs = cl.get("certificates", {})
     if not isinstance(certs, dict):
-        return False, msgs + [f"{loc}: not a JSON object"]
+        msgs.append(f"{loc}: not a JSON object")
+        return []
     kinds = certificate_kinds()
     unknown = sorted(set(certs) - {k.key for k in kinds})
     if unknown:
         msgs.append(f"{loc}: unknown certificates {unknown}")
     for k in kinds:
-        present = k.key in certs
-        if bool(cl.get(k.flag)) != present:
+        if bool(cl.get(k.flag)) != (k.key in certs):
             msgs.append(f"{k.flag} disagrees with the presence of {k.key}")
-        if not present:
-            continue
-        try:
-            cert = k.decode(cr.field, certs[k.key], dims, f"{loc}.{k.key}")
-        except InputError as exc:
-            msgs.append(f"certificate payload malformed: {exc}")
-            continue
-        if not k.verify(cr, cert):
-            msgs.append(f"{k.key} fails substitution")
-    return not msgs, msgs
+    return [(k, certs[k.key], f"{loc}.{k.key}") for k in kinds
+            if k.key in certs]
+
+
+def _certify_certificate(ct, msgs: list) -> list:
+    """The certificate of a certify block, as for a classification; the
+    verdict must be true exactly when a certificate is attached."""
+    loc = "$.certify"
+    if not isinstance(ct, dict):
+        msgs.append(f"{loc}: not a JSON object")
+        return []
+    kind = next((k for k in certificate_kinds() if k.name == ct.get("kind")),
+                None)
+    payload = ct.get("certificate")
+    if kind is None:
+        msgs.append(f"{loc}.kind: unknown certificate kind {ct.get('kind')!r}")
+    elif ct.get("verdict") is not (payload is not None):
+        msgs.append(f"{loc}.verdict: disagrees with the certificate")
+    elif payload is not None:
+        return [(kind, payload, f"{loc}.certificate")]
+    return []
 
 
 # ---------------------------------------------------------------------------

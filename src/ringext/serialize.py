@@ -348,14 +348,32 @@ def input_json(parsed: ParsedInput) -> dict:
 # certificates
 
 
+def _certificate_object(payload, keys: set, loc: str,
+                        optional: frozenset = frozenset()) -> dict:
+    """A certificate or pair object: every key in keys and no others
+    besides those in optional."""
+    if not isinstance(payload, dict):
+        raise InputError(f"wants an object with keys {sorted(keys)}", loc)
+    _require_keys(payload, keys | optional, keys, loc)
+    return payload
+
+
+def _pairs(payload: dict, keys: set, loc: str):
+    """(location, object) for each pair of a certificate, keys checked."""
+    if not isinstance(payload["pairs"], list):
+        raise InputError("pairs must be a list", loc)
+    for i, p in enumerate(payload["pairs"]):
+        ploc = f"{loc}.pairs[{i}]"
+        yield ploc, _certificate_object(p, keys, ploc)
+
+
 def separability_json(f: Field, cert: SeparabilityCertificate) -> dict:
     return {"element": vector_json(f, cert.element)}
 
 
 def separability_from_json(f: Field, payload, dims: dict,
                            loc: str) -> SeparabilityCertificate:
-    if not isinstance(payload, dict) or "element" not in payload:
-        raise InputError("separability certificate wants {element}", loc)
+    payload = _certificate_object(payload, {"element"}, loc)
     return SeparabilityCertificate(parse_vector(
         f, payload["element"], dims["tensor_square"], f"{loc}.element"))
 
@@ -365,8 +383,7 @@ def split_json(f: Field, cert: SplitCertificate) -> dict:
 
 
 def split_from_json(f: Field, payload, dims: dict, loc: str) -> SplitCertificate:
-    if not isinstance(payload, dict) or "expectation" not in payload:
-        raise InputError("split certificate wants {expectation}", loc)
+    payload = _certificate_object(payload, {"expectation"}, loc)
     return SplitCertificate(parse_matrix(
         f, payload["expectation"], dims["subalgebra"], dims["algebra"],
         f"{loc}.expectation"))
@@ -379,20 +396,13 @@ def hsep_json(f: Field, cert: HSepCertificate) -> dict:
 
 
 def hsep_from_json(f: Field, payload, dims: dict, loc: str) -> HSepCertificate:
-    if not isinstance(payload, dict) or "pairs" not in payload \
-            or not isinstance(payload["pairs"], list):
-        raise InputError("H-separability certificate wants {pairs}", loc)
-    pairs = []
-    for i, p in enumerate(payload["pairs"]):
-        ploc = f"{loc}.pairs[{i}]"
-        if not isinstance(p, dict) or set(p) != {"casimir", "multiplier"}:
-            raise InputError("pair wants {casimir, multiplier}", ploc)
-        pairs.append(HSepPair(
-            parse_vector(f, p["casimir"], dims["tensor_square"],
-                         f"{ploc}.casimir"),
-            parse_vector(f, p["multiplier"], dims["algebra"],
-                         f"{ploc}.multiplier")))
-    return HSepCertificate(pairs)
+    payload = _certificate_object(payload, {"pairs"}, loc)
+    return HSepCertificate([
+        HSepPair(parse_vector(f, p["casimir"], dims["tensor_square"],
+                              f"{ploc}.casimir"),
+                 parse_vector(f, p["multiplier"], dims["algebra"],
+                              f"{ploc}.multiplier"))
+        for ploc, p in _pairs(payload, {"casimir", "multiplier"}, loc)])
 
 
 def d2_json(f: Field, cert: D2Certificate) -> dict:
@@ -406,10 +416,9 @@ def d2_json(f: Field, cert: D2Certificate) -> dict:
 def d2_from_json(f: Field, payload, dims: dict, loc: str,
                  side: str) -> D2Certificate:
     """Decode a quasibase that must be labeled for the given side."""
-    if not isinstance(payload, dict) or "pairs" not in payload \
-            or not isinstance(payload["pairs"], list):
-        raise InputError("quasibase certificate wants {side, pairs}", loc)
-    if payload.get("side") != side:
+    payload = _certificate_object(payload, {"side", "pairs"}, loc,
+                                  optional=frozenset({"reverse_order"}))
+    if payload["side"] != side:
         raise InputError(f"a {side} quasibase wants side {side!r}",
                          f"{loc}.side")
     reverse_order = payload.get("reverse_order", False)
@@ -417,13 +426,8 @@ def d2_from_json(f: Field, payload, dims: dict, loc: str,
         raise InputError("reverse_order must be a boolean",
                          f"{loc}.reverse_order")
     n = dims["algebra"]
-    pairs = []
-    for i, p in enumerate(payload["pairs"]):
-        ploc = f"{loc}.pairs[{i}]"
-        if not isinstance(p, dict) or set(p) != {"tensor", "endo"}:
-            raise InputError("pair wants {tensor, endo}", ploc)
-        pairs.append(QuasibasePair(
-            parse_vector(f, p["tensor"], dims["tensor_square"],
-                         f"{ploc}.tensor"),
-            parse_matrix(f, p["endo"], n, n, f"{ploc}.endo")))
-    return D2Certificate(side, pairs, reverse_order)
+    return D2Certificate(side, [
+        QuasibasePair(parse_vector(f, p["tensor"], dims["tensor_square"],
+                                   f"{ploc}.tensor"),
+                      parse_matrix(f, p["endo"], n, n, f"{ploc}.endo"))
+        for ploc, p in _pairs(payload, {"tensor", "endo"}, loc)], reverse_order)

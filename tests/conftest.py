@@ -11,6 +11,7 @@ settings.load_profile("suite")
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 EXPECTED = os.path.join(CORPUS, "expected")
+DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
 
 CORPUS_NAMES = ["b_eq_a", "qc2_q", "f2c2_f2", "f3c3_f3", "qs3_qa3",
                 "f7s3_f7t", "m2q_q", "m2q_t2", "qq8_qi", "qxq_q"]
@@ -65,6 +66,24 @@ def built():
         return cache[name]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def report_validator():
+    """A validator for docs/report.schema.json."""
+    jsonschema = pytest.importorskip("jsonschema")
+    referencing = pytest.importorskip("referencing")
+    from referencing.jsonschema import DRAFT7
+    schemas = {}
+    for name in ("report.schema.json", "input.schema.json"):
+        with open(os.path.join(DOCS, name), encoding="utf-8") as fh:
+            schemas[name] = json.load(fh)
+    # both schemas carry an $id, so the report's relative $ref to the
+    # input schema resolves within this registry and never leaves it
+    registry = referencing.Registry().with_resources(
+        (s["$id"], DRAFT7.create_resource(s)) for s in schemas.values())
+    return jsonschema.Draft7Validator(schemas["report.schema.json"],
+                                      registry=registry)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def test_criterion_6_normality(built):
     suite = centralizer_normality_suite(built("qs3_qa3").cr)
     assert suite["all_equal"]
 
-    assert double_centralizer(built("qq8_qi").cr.ext)["strict"]
+    assert double_centralizer(built("qq8_qi").cr)["strict"]
 
 
 # -- criterion 7: pre-braided commutativity -------------------------------------------

@@ -269,7 +269,7 @@ def test_dual_basis_witness_regular_module():
     a = group_algebra(QQ, sym3())
     m = right_regular_module(a)
     w = dual_basis_witness(m, a, "right")
-    assert w is not None and w.verify(a)
+    assert w is not None and w.verify()
 
 
 def test_dual_basis_witness_sign_not_projective_mod_2():

@@ -263,7 +263,7 @@ def test_base_projectivity_structure(built):
     assert set(facts) == {"left", "right"}
     assert facts["left"] is not None and facts["right"] is not None
     # group algebra over subgroup algebra is free, hence projective, both sides
-    assert facts["left"].verify(built("qs3_qa3").cr.ext.total)
+    assert facts["left"].verify()
 
 
 def test_module_facts_shape_and_generator_tracks_hsep(built):

@@ -334,30 +334,55 @@ def _drop_endo(doc):
     del doc["classification"]["certificates"]["left_quasibase"]["pairs"][0]["endo"]
 
 
-_QB = ("classification", "certificates", "left_quasibase")
+_CERTS = ("classification", "certificates")
+_QB = _CERTS + ("left_quasibase",)
+_HS = _CERTS + ("hsep_system",)
 
 
-@pytest.mark.parametrize("edit, where", [
-    (_set(("classification",), []), "$.classification"),
-    (_set(("classification", "certificates"), ["separability_element"]),
+def _extra_key(*path):
+    return _set(path + ("extra",), 1)
+
+
+@pytest.mark.parametrize("name, edit, where", [
+    ("qq8_qi", _set(("classification",), []), "$.classification"),
+    ("qq8_qi", _set(_CERTS, ["separability_element"]),
      "$.classification.certificates"),
-    (_set(("classification", "certificates"), 7),
+    ("qq8_qi", _set(_CERTS, 7), "$.classification.certificates"),
+    ("qq8_qi", _set(_CERTS + ("bogus",), {}),
      "$.classification.certificates"),
-    (_set(("classification", "certificates", "bogus"), {}),
-     "$.classification.certificates"),
-    (_set(_QB + ("pairs",), 5), "$.classification.certificates.left_quasibase"),
-    (_drop_endo, "$.classification.certificates.left_quasibase.pairs[0]"),
-    (_set(_QB + ("reverse_order",), "no"),
+    ("qq8_qi", _set(_QB + ("pairs",), 5),
+     "$.classification.certificates.left_quasibase"),
+    ("qq8_qi", _drop_endo,
+     "$.classification.certificates.left_quasibase.pairs[0]"),
+    ("qq8_qi", _set(_QB + ("reverse_order",), "no"),
      "$.classification.certificates.left_quasibase.reverse_order"),
+    ("qq8_qi", _extra_key(*_CERTS, "separability_element"),
+     "$.classification.certificates.separability_element"),
+    ("qq8_qi", _extra_key(*_CERTS, "conditional_expectation"),
+     "$.classification.certificates.conditional_expectation"),
+    ("m2q_q", _extra_key(*_HS), "$.classification.certificates.hsep_system"),
+    ("qq8_qi", _extra_key(*_QB), "$.classification.certificates.left_quasibase"),
+    ("qq8_qi", _extra_key(*_CERTS, "right_quasibase"),
+     "$.classification.certificates.right_quasibase"),
+    ("qq8_qi", _extra_key(*_QB, "pairs", 0),
+     "$.classification.certificates.left_quasibase.pairs[0]"),
+    ("m2q_q", _extra_key(*_HS, "pairs", 0),
+     "$.classification.certificates.hsep_system.pairs[0]"),
 ], ids=["classification_list", "certificates_list", "certificates_int",
-        "unknown_certificate", "pairs_not_list", "pair_without_endo", "reverse_order_string"])
-def test_verify_malformed_report_is_exit_one(tmp_path, capsys, edit, where):
-    doc = expected_doc("qq8_qi")
+        "unknown_certificate", "pairs_not_list", "pair_without_endo",
+        "reverse_order_string", "extra_key_separable", "extra_key_split",
+        "extra_key_hsep", "extra_key_d2_left", "extra_key_d2_right",
+        "extra_key_quasibase_pair", "extra_key_hsep_pair"])
+def test_verify_malformed_report_is_exit_one(tmp_path, capsys,
+                                             report_validator, name, edit,
+                                             where):
+    doc = expected_doc(name)
     edit(doc)
     code, out, err = run_cli(capsys, "verify", write_doc(tmp_path, doc))
     assert code == 1
     assert f"{where}:" in err
     assert "report verifies" not in out
+    assert not report_validator.is_valid(doc)
 
 
 # -- installed entry point --------------------------------------------------------

@@ -170,6 +170,29 @@ def test_dress_inverse_certifies_evaluation(built):
     assert iso.forward @ iso.backward == Matrix.identity(f, iso.codomain_dim)
 
 
+@pytest.mark.parametrize("case", ["off_identity", "projection_not_linear"])
+def test_dress_inverse_rejects_an_invalid_summand_system(built, case):
+    cr = built("qc2_q").cr
+    a = cr.ext.total
+    reg = right_regular_module(a)
+    f = cr.field
+    eye = Matrix.identity(f, a.dim)
+    if case == "off_identity":
+        projections, injections = [eye.scale(f.of(2))], [eye]
+    else:
+        # coordinate projections against identity injections compose to
+        # the identity, but they do not commute with right multiplication
+        # by the group element
+        units = [Matrix.from_rows(f, [[f.one if r == c == k else f.zero
+                                       for c in range(a.dim)]
+                                      for r in range(a.dim)])
+                 for k in range(a.dim)]
+        assert any(hom_space(reg, reg).coordinates(u) is None for u in units)
+        projections, injections = units, [eye] * a.dim
+    with pytest.raises(BimoduleError):
+        dress_inverse(a, reg, reg, projections, injections)
+
+
 # -- sweeping certificates across the corpus ----------------------------------
 
 def test_gamma_certified_for_every_separable_extension(built):

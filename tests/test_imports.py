@@ -1,0 +1,51 @@
+"""Every name a library module imports is used in that module."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ringext"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + \
+                    [args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set:
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # quoted annotations such as "Matrix" name their types inside a string
+    for ann in _annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(n.id for n in ast.walk(ast.parse(node.value))
+                             if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = sorted(_imported(tree) - _used(tree))
+    assert not unused, f"{path.name} imports but never uses {unused}"

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ringext.linalg import (GF, MODULUS_BOUND, QQ, LinalgError, Matrix,
                             PrimeField, Subspace, invert, kernel, lin_comb,
-                            rank, rref, solve, span_decide, unit_vec,
-                            zero_vec)
+                            rank, rref, solve, span_decide,
+                            span_decide_pairs, unit_vec, vec_add, zero_vec)
 from tests import oracle_linalg
 from tests.oracles import kron
 
@@ -175,6 +175,47 @@ def test_span_decide():
         acc = [QQ.add(a, QQ.mul(c, x)) for a, x in zip(acc, g)]
     assert acc == vec(QQ, [3, 2])
     assert span_decide(QQ, [vec(QQ, [1, 0])], vec(QQ, [0, 1])) is None
+
+
+def _hadamard(field):
+    return lambda u, v: [field.mul(a, b) for a, b in zip(u, v)]
+
+
+@given(st.sampled_from([QQ, F5]), st.data())
+def test_span_decide_pairs_groups_span_decide(field, data):
+    n = 3
+    vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
+        lambda v: vec(field, v))
+    lefts = data.draw(st.lists(vectors, max_size=3))
+    rights = data.draw(st.lists(vectors, max_size=3))
+    target = data.draw(st.one_of(st.just(zero_vec(field, n)), vectors))
+    product = _hadamard(field)
+    got = span_decide_pairs(field, lefts, rights, product, target)
+    flat = span_decide(field, [product(u, v) for u in lefts for v in rights],
+                       target)
+    if flat is None:
+        assert got is None
+        return
+    k = len(rights)
+    chunks = [flat[i * k:(i + 1) * k] for i in range(len(lefts))]
+    assert got == [(i, c) for i, c in enumerate(chunks) if any(c)]
+    acc = zero_vec(field, n)
+    for i, coeffs in got:
+        for c, v in zip(coeffs, rights):
+            acc = vec_add(field, acc, [field.mul(c, x)
+                                       for x in product(lefts[i], v)])
+    assert acc == target
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_span_decide_pairs_empty_sides_and_zero_target(field):
+    product, one, zero = _hadamard(field), vec(field, [1, 1]), zero_vec(field, 2)
+    assert span_decide_pairs(field, [], [one], product, zero) == []
+    assert span_decide_pairs(field, [one], [], product, zero) == []
+    assert span_decide_pairs(field, [], [], product, one) is None
+    assert span_decide_pairs(field, [one, one], [one], product, zero) == []
+    assert span_decide_pairs(field, [zero, one], [one], product, one) == \
+        [(1, [field.one])]
 
 
 # -- subspaces --------------------------------------------------------------

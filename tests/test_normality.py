@@ -155,7 +155,7 @@ def test_suite_on_user_ideal(built):
 # -- double centralizer ------------------------------------------------------------
 
 def test_double_centralizer_strict_for_proper_noncentral_base(built):
-    out = double_centralizer(built("qq8_qi").cr.ext)
+    out = double_centralizer(built("qq8_qi").cr)
     assert out["strict"]
     assert out["double_centralizer"].dim == 6
     assert out["centralizer"].dim == 6
@@ -164,15 +164,15 @@ def test_double_centralizer_strict_for_proper_noncentral_base(built):
 def test_double_centralizer_not_strict_for_azumaya_like_cases(built):
     # B = A: centralizer is the center, double centralizer returns A... no:
     # both collapse back, nothing gained
-    out = double_centralizer(built("b_eq_a").cr.ext)
+    out = double_centralizer(built("b_eq_a").cr)
     assert not out["strict"]
-    out2 = double_centralizer(built("m2q_q").cr.ext)
+    out2 = double_centralizer(built("m2q_q").cr)
     assert not out2["strict"]
 
 
 def test_double_centralizer_strict_cases(built):
     for name in ("qc2_q", "f3c3_f3", "qs3_qa3", "m2q_t2"):
-        out = double_centralizer(built(name).cr.ext)
+        out = double_centralizer(built(name).cr)
         assert out["strict"], name
 
 

@@ -12,23 +12,22 @@ from ringext.report import certificate_kinds, verify_report
 
 from tests.conftest import CORPUS, CORPUS_NAMES, expected_doc
 
-DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
-
 
 def _golden_certificates():
     return [(name, key) for name in CORPUS_NAMES
             for key in sorted(expected_doc(name)["classification"]["certificates"])]
 
 
-def _first_scalar_path(payload):
-    """Keys and indices down to the first scalar of a certificate payload."""
-    path, node = [], payload
-    while isinstance(node, (dict, list)):
-        key = next(k for k in sorted(node) if k != "side") \
-            if isinstance(node, dict) else 0
-        path.append(key)
-        node = node[key]
-    return path
+def _bump_first_scalar(field, payload):
+    """Add one to the first scalar of a certificate payload."""
+    parent, key = None, None
+    while isinstance(payload, (dict, list)):
+        parent = payload
+        key = next(k for k in sorted(payload) if k != "side") \
+            if isinstance(payload, dict) else 0
+        payload = payload[key]
+    p = field["Fp"] if isinstance(field, dict) else None
+    parent[key] = (payload + 1) % p if p else str(Fraction(payload) + 1)
 
 
 # -- the table ---------------------------------------------------------------
@@ -59,13 +58,7 @@ def test_table_reproduces_golden_certificates(built, name):
 @pytest.mark.parametrize("name, key", _golden_certificates())
 def test_changed_scalar_fails_verification(name, key):
     doc = expected_doc(name)
-    payload = doc["classification"]["certificates"][key]
-    *outer, last = _first_scalar_path(payload)
-    node = payload
-    for step in outer:
-        node = node[step]
-    p = doc["field"]["Fp"] if isinstance(doc["field"], dict) else None
-    node[last] = (node[last] + 1) % p if p else str(Fraction(node[last]) + 1)
+    _bump_first_scalar(doc["field"], doc["classification"]["certificates"][key])
     ok, msgs = verify_report(doc)
     assert not ok
     assert any(key in m for m in msgs), msgs
@@ -96,23 +89,6 @@ def test_false_flag_with_certificate_fails():
 
 # -- schema ------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def report_validator():
-    jsonschema = pytest.importorskip("jsonschema")
-    referencing = pytest.importorskip("referencing")
-    from referencing.jsonschema import DRAFT7
-    schemas = {}
-    for name in ("report.schema.json", "input.schema.json"):
-        with open(os.path.join(DOCS, name), encoding="utf-8") as fh:
-            schemas[name] = json.load(fh)
-    # both schemas carry an $id, so the report's relative $ref to the
-    # input schema resolves within this registry and never leaves it
-    registry = referencing.Registry().with_resources(
-        (s["$id"], DRAFT7.create_resource(s)) for s in schemas.values())
-    return jsonschema.Draft7Validator(schemas["report.schema.json"],
-                                      registry=registry)
-
-
 def test_golden_reports_match_schema(report_validator):
     for name in CORPUS_NAMES:
         report_validator.validate(expected_doc(name))
@@ -138,3 +114,37 @@ def test_certify_output_matches_schema(report_validator, tmp_path, name):
         report_validator.validate(doc)
         assert doc["certify"]["verified"] is (True if doc["certify"]["verdict"]
                                               else None)
+        assert main(["verify", target]) == 0, k.name
+
+
+def _bad_scalar(doc):
+    _bump_first_scalar(doc["field"], doc["certify"]["certificate"])
+
+
+def _bad_kind(doc):
+    doc["certify"]["kind"] = "separability"
+
+
+def _bad_verdict(doc):
+    doc["certify"]["verdict"] = False
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_bad_scalar, "$.certify.certificate"),
+    (_bad_kind, "$.certify.kind"),
+    (_bad_verdict, "$.certify.verdict"),
+], ids=["altered_scalar", "unknown_kind", "verdict_disagrees"])
+def test_verify_rejects_a_bad_certify_document(tmp_path, capsys, edit, where):
+    target = str(tmp_path / "separable.json")
+    assert main(["certify", "separable", os.path.join(CORPUS, "qc2_q.json"),
+                 "--json", "-o", target]) == 0
+    with open(target, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(target, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["verify", target]) == 1
+    out = capsys.readouterr()
+    assert f"{where}:" in out.err
+    assert "report verifies" not in out.out
