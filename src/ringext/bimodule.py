@@ -18,12 +18,16 @@ elements, so maps out of the quotient are read off pure tensors.
 Every linear system and operator here is written from the nonzero
 entries of its ingredients: hom constraints row by row, operator sums
 in place, tensor-leg operators one pure tensor at a time.
+
+hom_space and tensor_over build anew on every call; their
+results, MapSpace and TensorProduct, are frozen so that a memo (the one
+on CanonicalRings) can hand one result to several callers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 from .algebra import FDAlgebra, trivial_algebra
 from .linalg import (
@@ -96,6 +100,11 @@ class Bimodule:
     def right_operator(self, x: Sequence) -> Matrix:
         """Matrix of v -> v.x for x in the right algebra."""
         return lin_comb(self.field, self.dim, self.dim, x, self.right_action)
+
+    def with_label(self, label: str) -> "Bimodule":
+        """The same bimodule, sharing its action matrices, under label."""
+        return Bimodule(self.left_algebra, self.right_algebra, self.dim,
+                        self.left_action, self.right_action, label=label)
 
     def __repr__(self) -> str:
         return (f"Bimodule({self.label}: {self.left_algebra.name}-"
@@ -265,7 +274,7 @@ class QuotientPresentation:
         self.ambient_dim = ambient_dim
         self.relations = relations
         pivset = set(relations.pivots)
-        self.free_cols = [c for c in range(ambient_dim) if c not in pivset]
+        self.free_cols = tuple(c for c in range(ambient_dim) if c not in pivset)
         self.dim = len(self.free_cols)
 
     @classmethod
@@ -285,9 +294,11 @@ class QuotientPresentation:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorProduct:
-    """m (x)_C n together with its presentation and outer actions."""
+    """m (x)_C n together with its presentation and outer actions.
+
+    Frozen, so that one instance can be shared."""
     module: Bimodule
     presentation: QuotientPresentation
     left_factor: Bimodule
@@ -387,12 +398,16 @@ def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
     # the outer actions move one leg each; they only read the presentation
     tp = TensorProduct(None, pres, m, n)
     one, eye_m, eye_n = f.one, Matrix.identity(f, dm), Matrix.identity(f, dn)
-    tp.module = Bimodule(
+    return replace(tp, module=Bimodule(
         m.left_algebra, n.right_algebra, pres.dim,
         [tensor_legs(tp, [(one, op, eye_n)]) for op in m.left_action],
         [tensor_legs(tp, [(one, eye_m, op)]) for op in n.right_action],
-        label=label or f"{m.label}(x){n.label}")
-    return tp
+        label=tensor_label(m, n, label)))
+
+
+def tensor_label(m: Bimodule, n: Bimodule, label: Optional[str] = None) -> str:
+    """The label tensor_over gives m (x) n: label, else both factors'."""
+    return label or f"{m.label}(x){n.label}"
 
 
 # source relations tensor_map spot-checks for well-definedness
@@ -420,34 +435,43 @@ def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
 # ---------------------------------------------------------------------------
 # hom spaces
 
+@dataclass(frozen=True, eq=False)
 class MapSpace:
-    """A basis of the space of bimodule maps m -> n, with coordinates.
+    """A basis of the space of bimodule maps source -> target, with
+    coordinates.
 
-    Maps are n.dim x m.dim matrices.  The vectorized basis is re-reduced
-    to echelon form so coordinates of a member are a pivot readoff.
+    Maps are target.dim x source.dim matrices.  The vectorized basis is
+    the echelon basis of span, so coordinates of a member are a pivot
+    readoff.  Frozen with a tuple basis, so that one instance can be
+    shared.
     """
+    source: Bimodule
+    target: Bimodule
+    basis: tuple
+    span: Subspace
 
-    def __init__(self, source: Bimodule, target: Bimodule,
-                 basis: list[Matrix]) -> None:
-        self.source = source
-        self.target = target
-        self.basis = basis
-        self.field = source.field
-        self._span = Subspace.from_vectors(
-            self.field, target.dim * source.dim, [b.vec() for b in basis])
+    @classmethod
+    def spanned_by(cls, source: Bimodule, target: Bimodule,
+                   maps: Sequence[Matrix]) -> "MapSpace":
+        f, rows, cols = source.field, target.dim, source.dim
+        span = Subspace.from_vectors(f, rows * cols, [b.vec() for b in maps])
         # keep the basis aligned with the echelon rows so coordinates match
-        self.basis = [Matrix.from_vec(self.field, target.dim, source.dim, r)
-                      for r in self._span.rows]
+        return cls(source, target, tuple(Matrix.from_vec(f, rows, cols, r)
+                                         for r in span.rows), span)
+
+    @property
+    def field(self) -> Field:
+        return self.source.field
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coordinates(self, mat: Matrix) -> Optional[list]:
-        return self._span.coordinates(mat.vec())
+        return self.span.coordinates(mat.vec())
 
     def contains(self, mat: Matrix) -> bool:
-        return self._span.contains(mat.vec())
+        return self.span.contains(mat.vec())
 
     def element(self, coords: Sequence) -> Matrix:
         return lin_comb(self.field, self.target.dim, self.source.dim,
@@ -489,14 +513,15 @@ def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
     f = m.field
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
-        return MapSpace(m, n, [])
+        return MapSpace.spanned_by(m, n, [])
     rows: list[list] = []
     for am, an in zip(m.left_action + m.right_action,
                       n.left_action + n.right_action):
         rows.extend(_intertwining_rows(f, am, an))
     ker = kernel(Matrix.from_rows(f, rows)) if rows else \
         [unit_vec(f, dn * dm, i) for i in range(dn * dm)]
-    return MapSpace(m, n, [Matrix.from_vec(f, dn, dm, v) for v in ker])
+    return MapSpace.spanned_by(m, n, [Matrix.from_vec(f, dn, dm, v)
+                                      for v in ker])
 
 
 def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
@@ -567,15 +592,19 @@ def is_bimodule_map(src: Bimodule, dst: Bimodule, mat: Matrix) -> bool:
     return True
 
 
-def summand_witness(m: Bimodule, n: Bimodule) -> Optional[SummandWitness]:
+def summand_witness(m: Bimodule, n: Bimodule,
+                    hom: Optional[Callable[[Bimodule, Bimodule], MapSpace]]
+                    = None) -> Optional[SummandWitness]:
     """Decide whether m is a direct summand of a finite power of n.
 
-    Works entirely inside the two hom spaces: the identity of m must be a
-    combination of composites back_b @ into_a, which is a linear problem
-    in the coefficients.  Returns a verified witness or None.
+    Works entirely inside the two hom spaces, built by hom (hom_space by
+    default; CanonicalRings.hom builds each once): the identity of m must
+    be a combination of composites back_b @ into_a, which is a linear
+    problem in the coefficients.  Returns a verified witness or None.
     """
-    into_space = hom_space(m, n)
-    back_space = hom_space(n, m)
+    hom = hom or hom_space
+    into_space = hom(m, n)
+    back_space = hom(n, m)
     found = span_decide_pairs(
         m.field, into_space.basis, back_space.basis,
         lambda fa, gb: (gb @ fa).vec(), Matrix.identity(m.field, m.dim).vec())
@@ -588,18 +617,21 @@ def summand_witness(m: Bimodule, n: Bimodule) -> Optional[SummandWitness]:
     return witness
 
 
-def dual_basis_witness(m: Bimodule, algebra: FDAlgebra, side: str
+def dual_basis_witness(m: Bimodule, algebra: FDAlgebra, side: str,
+                       hom: Optional[Callable] = None
                        ) -> Optional[SummandWitness]:
     """Finitely generated projectivity of m as a one-sided module over
     algebra: m, its other action forgotten, as a summand of a finite power
-    of the regular module.
+    of the regular module, decided by summand_witness with hom.
 
     The pairs (into_i, back_i) give a dual basis x_i = back_i(1), f_i =
     into_i: sum x_i . f_i(t) = t for a right module, f_i(t) . x_i = t for
     a left one, because each back_i is linear over the algebra.
     """
     if side == "right":
-        return summand_witness(forget_left(m), right_regular_module(algebra))
+        return summand_witness(forget_left(m), right_regular_module(algebra),
+                               hom)
     if side == "left":
-        return summand_witness(forget_right(m), left_regular_module(algebra))
+        return summand_witness(forget_right(m), left_regular_module(algebra),
+                               hom)
     raise BimoduleError("side must be 'left' or 'right'")

@@ -23,17 +23,21 @@ as a property of the input.
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import replace
+from typing import Callable, Optional, Sequence
 
 from .algebra import Extension, FDAlgebra, trivial_algebra
 from .bimodule import (
     Bimodule,
+    MapSpace,
+    TensorProduct,
     centralizer_subspace,
     hom_space,
     invariants_subspace,
     regular_bimodule,
     restrict_left,
     restrict_right,
+    tensor_label,
     tensor_legs,
     tensor_over,
 )
@@ -78,11 +82,49 @@ def ring_on(space, product, one, name: str) -> FDAlgebra:
     return FDAlgebra(space.field, space.dim, mult, unit, name=name)
 
 
+def _memoized(table: dict, m: Bimodule, n: Bimodule, build: Callable,
+              rebind: Callable):
+    """build() on the first (m, n) of a content, rebind(its result) on
+    every later one.
+
+    What a hom space or tensor product depends on in a module is the
+    identity of both acting algebras, the dimension and the action
+    matrices.  A hash of those picks the bucket; a hit is confirmed by
+    exact equality.
+    """
+    bucket = table.setdefault((_content_hash(m), _content_hash(n)), [])
+    for m0, n0, result in bucket:
+        if _same_content(m0, m) and _same_content(n0, n):
+            return rebind(result)
+    result = build()
+    bucket.append((m, n, result))
+    return result
+
+
+def _content_hash(m: Bimodule) -> int:
+    return hash((id(m.left_algebra), id(m.right_algebra), m.dim,
+                 tuple(tuple(map(tuple, a.data))
+                       for a in m.left_action + m.right_action)))
+
+
+def _same_content(m0: Bimodule, m: Bimodule) -> bool:
+    return m0 is m or (
+        m0.left_algebra is m.left_algebra and m0.right_algebra is m.right_algebra
+        and m0.dim == m.dim and m0.left_action == m.left_action
+        and m0.right_action == m.right_action)
+
+
 class CanonicalRings:
-    """Container for the computed rings, maps, and module structures."""
+    """Container for the computed rings, maps, and module structures.
+
+    hom and tensor build each hom space and tensor product asked for
+    through these rings once, and keep it exactly as long as the rings.
+    """
 
     def __init__(self, ext: Extension) -> None:
         self.ext = ext
+        self._homs: dict = {}
+        self._tensors: dict = {}
         self.field = ext.field
         a, b = ext.total, ext.base
         f = self.field
@@ -94,7 +136,7 @@ class CanonicalRings:
                                          label=f"{a.name}|B")
 
         # Q = A (x)_B A with its outer A-A-structure
-        self.q = tensor_over(restrict_right(self.a_reg, ext),
+        self.q = self.tensor(restrict_right(self.a_reg, ext),
                              restrict_left(self.a_reg, ext), label="Q")
         self.dim_q = self.q.module.dim
 
@@ -111,7 +153,7 @@ class CanonicalRings:
             self.one_tensor_one(), "T")
 
         # S: bimodule endomorphisms of A over B, under composition
-        S = self.endo_space = hom_space(self.restricted, self.restricted)
+        S = self.endo_space = self.hom(self.restricted, self.restricted)
         self.endo_ring = ring_on(S, lambda i, j: S.basis[i] @ S.basis[j],
                                  Matrix.identity(f, a.dim), "S")
 
@@ -148,6 +190,23 @@ class CanonicalRings:
             [restrict_to(R, mat, "endomorphism value on a centralizer element")
              for mat in S.basis], [Matrix.identity(f, R.dim)], label="R|S")
         self.endo_bimodule_cent = self._build_s_over_r()
+
+    # -- hom spaces and tensor products, each built once --------------------
+
+    def hom(self, m: Bimodule, n: Bimodule) -> MapSpace:
+        """hom_space(m, n); a repeat comes back around the caller's modules."""
+        return _memoized(self._homs, m, n, lambda: hom_space(m, n),
+                         lambda hs: replace(hs, source=m, target=n))
+
+    def tensor(self, m: Bimodule, n: Bimodule, label: Optional[str] = None
+               ) -> TensorProduct:
+        """tensor_over(m, n, label); a repeat comes back with the caller's
+        factors and label."""
+        label = tensor_label(m, n, label)
+        return _memoized(
+            self._tensors, m, n, lambda: tensor_over(m, n, label),
+            lambda tp: replace(tp, module=tp.module.with_label(label),
+                               left_factor=m, right_factor=n))
 
     # -- coordinate helpers -------------------------------------------------
 
@@ -377,7 +436,7 @@ class CanonicalRings:
         """The A-A-maps from the tensor square to A are exactly the maps
         sandwiching a centralizer element, matching R dimension for
         dimension, with mutually inverse translations."""
-        maps = hom_space(self.q.module, self.a_reg)
+        maps = self.hom(self.q.module, self.a_reg)
         if maps.dim != self.centralizer.dim:
             raise InternalInconsistency(
                 "tensor-square-to-algebra map space does not match the centralizer")

@@ -29,7 +29,6 @@ from .bimodule import (
     SummandWitness,
     dual_basis_witness,
     forget_left,
-    hom_space,
     is_bimodule_map,
     left_regular_module,
     restrict_left,
@@ -203,7 +202,7 @@ def find_conditional_expectation(cr: CanonicalRings) -> Optional[SplitCertificat
     """Solve for a B-B-linear map A -> B fixing the unit."""
     f = cr.field
     b = cr.ext.base
-    maps = hom_space(cr.restricted, cr.b_reg)
+    maps = cr.hom(cr.restricted, cr.b_reg)
     if maps.dim == 0:
         return None
     cols = [mat.apply(cr.ext.total.unit) for mat in maps.basis]
@@ -272,38 +271,39 @@ def d2_summand_witness(cr: CanonicalRings, side: str) -> Optional[SummandWitness
     with the outer action forgotten down to B on the stated side."""
     restrict = restrict_left if side == "left" else restrict_right
     return summand_witness(restrict(cr.q.module, cr.ext),
-                           restrict(cr.a_reg, cr.ext))
+                           restrict(cr.a_reg, cr.ext), cr.hom)
 
 
 def hsep_summand_witness(cr: CanonicalRings) -> Optional[SummandWitness]:
     """The tensor square as a summand of a finite power of the algebra,
     with both outer actions kept."""
-    return summand_witness(cr.q.module, cr.a_reg)
+    return summand_witness(cr.q.module, cr.a_reg, cr.hom)
 
 
 def base_module_projectivity(cr: CanonicalRings) -> dict:
     """Finitely generated projectivity of A over B on each side."""
     right = dual_basis_witness(
-        restrict_right(cr.a_reg, cr.ext), cr.ext.base, "right")
+        restrict_right(cr.a_reg, cr.ext), cr.ext.base, "right", cr.hom)
     left = dual_basis_witness(
-        restrict_left(cr.a_reg, cr.ext), cr.ext.base, "left")
+        restrict_left(cr.a_reg, cr.ext), cr.ext.base, "left", cr.hom)
     return {"left": left, "right": right}
 
 
-def endo_ring_probe(cr: CanonicalRings) -> Optional[bool]:
+def endo_ring_probe(cr: CanonicalRings, right_projective: bool
+                    ) -> Optional[bool]:
     """Left depth two read off the one-sided endomorphism ring.
 
-    When A is finitely generated projective as a right B-module, the ring
-    of right-B-linear endomorphisms of A, carrying A on the left and B on
-    the right, splits off a finite power of A exactly when the extension
-    is left depth two.  Returns None when the projectivity hypothesis
-    fails, else the verdict.
+    When A is finitely generated projective as a right B-module (the
+    right verdict of base_module_projectivity), the ring of right-B-linear
+    endomorphisms of A, carrying A on the left and B on the right, splits
+    off a finite power of A exactly when the extension is left depth two.
+    Returns None when the projectivity hypothesis fails, else the verdict.
     """
+    if not right_projective:
+        return None
     a = cr.ext.total
     right_a = forget_left(restrict_right(cr.a_reg, cr.ext))
-    if dual_basis_witness(right_a, cr.ext.base, "right") is None:
-        return None
-    endos = hom_space(right_a, right_a)
+    endos = cr.hom(right_a, right_a)
     lefts = [coordinate_matrix(endos, [a.basis_left_mult(i) @ mat
                                        for mat in endos.basis],
                                "left translate of a one-sided endomorphism")
@@ -314,7 +314,7 @@ def endo_ring_probe(cr: CanonicalRings) -> Optional[bool]:
               for b in cr.ext.iota.columns()]
     e_bimod = Bimodule(a, cr.ext.base, endos.dim, lefts, rights, label="End(A|B)")
     a_ab = restrict_right(cr.a_reg, cr.ext)
-    return summand_witness(e_bimod, a_ab) is not None
+    return summand_witness(e_bimod, a_ab, cr.hom) is not None
 
 
 def module_facts(cr: CanonicalRings) -> dict:
@@ -324,8 +324,8 @@ def module_facts(cr: CanonicalRings) -> dict:
     summand questions between the module and the regular one."""
 
     def facts(r_mod: Bimodule, reg: Bimodule, counit: Matrix) -> dict:
-        return {"projective": summand_witness(r_mod, reg) is not None,
-                "generator": summand_witness(reg, r_mod) is not None,
+        return {"projective": summand_witness(r_mod, reg, cr.hom) is not None,
+                "generator": summand_witness(reg, r_mod, cr.hom) is not None,
                 "cyclic_via_unit": rank(counit) == cr.centralizer.dim}
 
     return {
@@ -395,7 +395,8 @@ def classify(cr: CanonicalRings) -> Classification:
         _check_hsep_induced_quasibases(cr, hsep)
         notes.append("explicit quasibases from the H-separability system verified")
 
-    endo = endo_ring_probe(cr)
+    base = base_module_projectivity(cr)
+    endo = endo_ring_probe(cr, base["right"] is not None)
     if endo is not None:
         if endo != (left_qb is not None):
             raise InternalInconsistency(
@@ -414,8 +415,7 @@ def classify(cr: CanonicalRings) -> Classification:
         left_quasibase=left_qb,
         right_quasibase=right_qb,
         endo_d2=endo,
-        base_projective={k: v is not None
-                         for k, v in base_module_projectivity(cr).items()},
+        base_projective={k: v is not None for k, v in base.items()},
         facts=module_facts(cr),
         consistency_notes=notes,
     )

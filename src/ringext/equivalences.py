@@ -111,9 +111,11 @@ def _rng(seed: int, tag: str) -> random.Random:
     return random.Random(f"{seed}:{tag}")
 
 
-def _sample_endos(m: Bimodule, seed: int, tag: str) -> list[Matrix]:
-    """Seeded random endomorphisms of m, one per naturality square."""
-    space = hom_space(m, m)
+def _sample_endos(hom: Callable[[Bimodule, Bimodule], MapSpace], m: Bimodule,
+                  seed: int, tag: str) -> list[Matrix]:
+    """Seeded random endomorphisms of m, one per naturality square, in the
+    endomorphism space that hom builds."""
+    space = hom(m, m)
     rng = _rng(seed, tag)
     return [space.element([random_scalar(space.field, rng)
                            for _ in range(space.dim)])
@@ -241,7 +243,7 @@ def _induced_from_base(cr: CanonicalRings, m: Bimodule) -> _InducedModule:
     a, ext, f = cr.ext.total, cr.ext, cr.field
     first = restrict_right(cr.a_reg, ext)
     second = restrict_left(forget_right(m), ext)
-    x = tensor_over(first, second, label=f"A(x)B[{m.label}]")
+    x = cr.tensor(first, second, label=f"A(x)B[{m.label}]")
 
     t_ops = []
     for trow in cr.tensor_space.rows:
@@ -284,8 +286,8 @@ def _gamma(cr: CanonicalRings, m: Bimodule
     f, a = cr.field, cr.ext.total
     ind = _induced_from_base(cr, m)
     x = ind.tensor
-    g = tensor_over(cr.cent_module_tensor, forget_right(ind.as_left_t),
-                    label=f"R(x)T[{x.module.label}]")
+    g = cr.tensor(cr.cent_module_tensor, forget_right(ind.as_left_t),
+                  label=f"R(x)T[{x.module.label}]")
     gamma = _collapse(m, g, x, lambda u, i: a.multiply(
         unit_vec(f, a.dim, i), cr.centralizer_space.rows[u]))
     # the section xi -> 1 (x) xi from the induced module into g
@@ -325,8 +327,8 @@ def _m_as_left_r(cr: CanonicalRings, m: Bimodule) -> Bimodule:
 
 
 def _t_tensor_r(cr: CanonicalRings, m: Bimodule) -> TensorProduct:
-    return tensor_over(_t_as_right_r(cr), _m_as_left_r(cr, m),
-                       label=f"T(x)R[{m.label}]")
+    return cr.tensor(_t_as_right_r(cr), _m_as_left_r(cr, m),
+                     label=f"T(x)R[{m.label}]")
 
 
 def _pi_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
@@ -399,8 +401,8 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
 
     if left_quasibase is not None:
         y = _t_tensor_r(cr, m)
-        w = tensor_over(cr.cent_module_tensor, forget_right(y.module),
-                        label=f"R(x)T[{y.module.label}]")
+        w = cr.tensor(cr.cent_module_tensor, forget_right(y.module),
+                      label=f"R(x)T[{y.module.label}]")
         # the unconditional collapse r (x) (t (x) v) -> (r.t).v, where r.t
         # is the right tensor-ring action on the centralizer (a sandwich)
         delta = _collapse(m, w, y, lambda u, ti: cr.r_lift(
@@ -424,7 +426,7 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
     eye_a = Matrix.identity(f, a.dim)
     eye_r = Matrix.identity(f, cr.centralizer.dim)
     squares = [(tensor_map(g, g, eye_r, tensor_map(x, x, eye_a, e)), e)
-               for e in _sample_endos(forget_right(m), seed,
+               for e in _sample_endos(cr.hom, forget_right(m), seed,
                                       f"gamma:{m.label}")]
     return _comparison("gamma", gamma, g.module.label, m.label, checks,
                        squares, back, route)
@@ -487,8 +489,10 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
                             "bijective; reporting the collapse direction")
     coinduction = _coinduction_comparison(cr, m, ind.tensor, left_quasibase,
                                           seed)
-    t_fgp = dual_basis_witness(cr.tensor_bimodule_cent, cr.centralizer, "right")
-    s_fgp = dual_basis_witness(cr.endo_bimodule_cent, cr.centralizer, "left")
+    t_fgp = dual_basis_witness(cr.tensor_bimodule_cent, cr.centralizer,
+                               "right", cr.hom)
+    s_fgp = dual_basis_witness(cr.endo_bimodule_cent, cr.centralizer,
+                               "left", cr.hom)
     return {
         "induction": induction,
         "coinduction": coinduction,
@@ -534,7 +538,7 @@ def _induction_comparison(cr: CanonicalRings, m: Bimodule,
     eye_a = Matrix.identity(f, a.dim)
     eye_t = Matrix.identity(f, cr.tensor_ring.dim)
     squares = [(tensor_map(y, y, eye_t, e), tensor_map(x, x, eye_a, e))
-               for e in _sample_endos(forget_right(m), seed,
+               for e in _sample_endos(cr.hom, forget_right(m), seed,
                                       f"{name}:{m.label}")]
     return _comparison(name, pi, y.module.label, x.module.label, checks,
                        squares, back, "left-quasibase",
@@ -554,7 +558,7 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     s_basis = cr.endo_space.basis
     s_left_r = left_module(cr.centralizer, cr.endo_ring.dim,
                            cr.endo_bimodule_cent.left_action, label="R|S")
-    homsp = hom_space(s_left_r, _m_as_left_r(cr, m))
+    homsp = cr.hom(s_left_r, _m_as_left_r(cr, m))
 
     @cache
     def values_at(i: int) -> list[Matrix]:
@@ -592,7 +596,7 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
 
     eye_a = Matrix.identity(f, a.dim)
     squares = [(tensor_map(x, x, eye_a, e), _on_hom(homsp, lambda h: e @ h))
-               for e in _sample_endos(forget_right(m), seed,
+               for e in _sample_endos(cr.hom, forget_right(m), seed,
                                       f"coinduction:{m.label}")]
     return _comparison("coinduction", fwd, x.module.label,
                        f"HomR(S,{m.label})", checks, squares, back,
@@ -617,7 +621,7 @@ def _hom_from_total(cr: CanonicalRings, target: Bimodule
     """Base-linear maps from the right-restricted total algebra to a right
     module over the base, as a right module over the endo ring through
     argument precomposition."""
-    hs = hom_space(forget_left(restrict_right(cr.a_reg, cr.ext)), target)
+    hs = cr.hom(forget_left(restrict_right(cr.a_reg, cr.ext)), target)
     return hs, _precomposition_module(hs, cr.endo_ring, cr.endo_space.basis,
                                       f"Hom(A,{target.label})")
 
@@ -639,7 +643,7 @@ def _chi(cr: CanonicalRings, m: Bimodule, hs: MapSpace
         cr.centralizer, m.dim,
         [m.right_operator(row) for row in cr.centralizer_space.rows],
         label=f"{m.label}|R")
-    dom = tensor_over(m_right_r, _endo_as_r_s(cr), label=f"{m.label}(x)R[S]")
+    dom = cr.tensor(m_right_r, _endo_as_r_s(cr), label=f"{m.label}(x)R[S]")
 
     @cache
     def values_of(b: int) -> list[Matrix]:
@@ -694,7 +698,7 @@ def chi_M(cr: CanonicalRings, m: Bimodule,
 
     eye_s = Matrix.identity(cr.field, cr.endo_ring.dim)
     squares = [(tensor_map(dom, dom, e, eye_s), _on_hom(hs, lambda h: e @ h))
-               for e in _sample_endos(forget_left(m), seed,
+               for e in _sample_endos(cr.hom, forget_left(m), seed,
                                       f"chi:{m.label}")]
     return _comparison("chi", fwd, dom.module.label, f"Hom(A,{m.label})",
                        checks, squares, back, "left-quasibase",
@@ -705,8 +709,8 @@ def _counit(cr: CanonicalRings, target: Bimodule, label: str
             ) -> tuple[MapSpace, TensorProduct, Matrix]:
     """Evaluation at centralizer points, Hom_B(A, target) (x)_S R -> target."""
     hs, h_mod = _hom_from_total(cr, target)
-    dom = tensor_over(h_mod, cr.cent_module_endo,
-                      label=f"Hom(A,{label})(x)S[R]")
+    dom = cr.tensor(h_mod, cr.cent_module_endo,
+                    label=f"Hom(A,{label})(x)S[R]")
     rows = cr.centralizer_space.rows
     fwd = Matrix.from_cols(
         cr.field, [hs.basis[b].apply(rows[u]) for b, u in dom.free_pairs()],
@@ -739,7 +743,7 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
 
     # composite route through chi
     chi_dom, chi_fwd = _chi(cr, m, hs)
-    nested = tensor_over(chi_dom.module, cr.cent_module_endo)
+    nested = cr.tensor(chi_dom.module, cr.cent_module_endo)
     big = tensor_map(nested, dom, chi_fwd, Matrix.identity(f, cr.centralizer.dim))
     rows = cr.centralizer_space.rows
     chi_pairs = chi_dom.free_pairs()
@@ -766,7 +770,7 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
                 fwd, back, "composite route must invert the evaluation")
 
     squares = _counit_squares(cr, hs, dom, _sample_endos(
-        forget_left(m), seed, f"rho:{m.label}"))
+        cr.hom, forget_left(m), seed, f"rho:{m.label}"))
     return _comparison("rho", fwd, dom.module.label, m.label, checks, squares,
                        back, "composite-through-chi",
                        "" if left_quasibase is not None else _NO_QUASIBASE)
@@ -812,7 +816,7 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
             "a verified conditional expectation must invert the counit")
 
     squares = _counit_squares(cr, hs, dom, _sample_endos(
-        n_one, seed, f"split:{n.label}"))
+        cr.hom, n_one, seed, f"split:{n.label}"))
     return _comparison(
         "split_counit", fwd, dom.module.label, n.label, checks, squares, back,
         "conditional-expectation", "" if split is not None else
@@ -822,48 +826,51 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
 # ---------------------------------------------------------------------------
 # generic evaluation over an endomorphism ring
 
-def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule
+def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule, hom: Callable,
+                     tensor: Callable
                      ) -> tuple[MapSpace, TensorProduct, Matrix]:
-    """Hom(m, n), its tensor with m over End(m), and the evaluation."""
+    """Hom(m, n), its tensor with m over End(m), and the evaluation, built
+    by hom and tensor."""
     m1, n1 = forget_left(m), forget_left(n)
     if m1.right_algebra != c or n1.right_algebra != c:
         raise BimoduleError("evaluation needs two right modules over one ring")
-    end_space = hom_space(m1, m1)
+    end_space = hom(m1, m1)
     basis = end_space.basis
     end_alg = ring_on(end_space, lambda i, j: basis[i] @ basis[j],
                       Matrix.identity(c.field, m1.dim), f"End({m.label})")
-    hom = hom_space(m1, n1)
-    hom_mod = _precomposition_module(hom, end_alg, end_space.basis,
+    hs = hom(m1, n1)
+    hom_mod = _precomposition_module(hs, end_alg, end_space.basis,
                                      f"Hom({m.label},{n.label})")
     m_mod = Bimodule(end_alg, c, m1.dim, list(end_space.basis),
                      m1.right_action, label=m.label)
-    tensor = tensor_over(hom_mod, m_mod,
-                         label=f"Hom({m.label},{n.label})(x)End[{m.label}]")
+    tp = tensor(hom_mod, m_mod,
+                label=f"Hom({m.label},{n.label})(x)End[{m.label}]")
     forward = Matrix.from_cols(
-        c.field, [hom.basis[b].col(mu) for b, mu in tensor.free_pairs()],
-        n1.dim)
-    return hom, tensor, forward
+        c.field, [hs.basis[b].col(mu) for b, mu in tp.free_pairs()], n1.dim)
+    return hs, tp, forward
 
 
-def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule,
-                   seed: int = 0) -> VerifiedIso:
+def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule, seed: int = 0,
+                   rings: Optional[CanonicalRings] = None) -> VerifiedIso:
     """Hom(m, n) (x)_End(m) m -> n for right modules over any algebra.
 
     The evaluation is right linear over c; bijectivity is decided by
     exact rank.  It is an isomorphism exactly when n is a summand of a
     finite power of m, which dress_inverse certifies from an explicit
-    summand system.
+    summand system.  Given the canonical rings of an extension, the hom
+    spaces and tensor products come from rings.hom and rings.tensor.
     """
-    hom, tensor, fwd = _evaluation_data(c, m, n)
+    build_hom, build_tensor = (rings.hom, rings.tensor) if rings is not None \
+        else (hom_space, tensor_over)
+    hs, tp, fwd = _evaluation_data(c, m, n, build_hom, build_tensor)
     n1 = forget_left(n)
     checks: dict = {"ring_linear": _intertwines(
-        fwd, zip(tensor.module.right_action, n1.right_action))}
+        fwd, zip(tp.module.right_action, n1.right_action))}
     eye_m = Matrix.identity(c.field, m.dim)
-    squares = [(tensor_map(tensor, tensor, _on_hom(hom, lambda h: e @ h),
-                           eye_m), e)
-               for e in _sample_endos(n1, seed,
+    squares = [(tensor_map(tp, tp, _on_hom(hs, lambda h: e @ h), eye_m), e)
+               for e in _sample_endos(build_hom, n1, seed,
                                       f"evaluation:{m.label}->{n.label}")]
-    return _comparison("evaluation", fwd, tensor.module.label, n.label,
+    return _comparison("evaluation", fwd, tp.module.label, n.label,
                        checks, squares)
 
 
@@ -880,7 +887,7 @@ def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,
     """
     if len(projections) != len(injections):
         raise BimoduleError("projections and injections must pair up")
-    hom, tensor, fwd = _evaluation_data(c, m, n)
+    hom, tensor, fwd = _evaluation_data(c, m, n, hom_space, tensor_over)
     f = c.field
     n1 = forget_left(n)
     if not SummandWitness(n1, forget_left(m),

@@ -139,7 +139,8 @@ def equivalence_block(cr: CanonicalRings, cls: Classification,
             split_counit(cr, cr.b_reg, split=cls.conditional_expectation,
                          seed=seed)),
         "evaluation_regular": _iso_block(
-            evaluation_map(cr.ext.total, a_right, a_right, seed=seed)),
+            evaluation_map(cr.ext.total, a_right, a_right, seed=seed,
+                           rings=cr)),
         "tensor_ring_fg_projective_over_centralizer":
             fi["tensor_ring_fg_projective_over_centralizer"],
         "endo_ring_fg_projective_over_centralizer":
@@ -286,7 +287,8 @@ def _classification_certificates(cl, msgs: list) -> list:
 
 def _certify_certificate(ct, msgs: list) -> list:
     """The certificate of a certify block, as for a classification; the
-    verdict must be true exactly when a certificate is attached."""
+    verdict must be true exactly when a certificate is attached, and the
+    verified claim true then and null otherwise."""
     loc = "$.certify"
     if not isinstance(ct, dict):
         msgs.append(f"{loc}: not a JSON object")
@@ -298,6 +300,8 @@ def _certify_certificate(ct, msgs: list) -> list:
         msgs.append(f"{loc}.kind: unknown certificate kind {ct.get('kind')!r}")
     elif ct.get("verdict") is not (payload is not None):
         msgs.append(f"{loc}.verdict: disagrees with the certificate")
+    elif ct.get("verified") is not (True if payload is not None else None):
+        msgs.append(f"{loc}.verified: disagrees with the certificate")
     elif payload is not None:
         return [(kind, payload, f"{loc}.certificate")]
     return []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ringext import bimodule
 from ringext.certify import (D2Certificate, HSepCertificate, HSepPair,
                              QuasibasePair, SeparabilityCertificate,
                              SplitCertificate, base_module_projectivity,
@@ -11,6 +12,7 @@ from ringext.certify import (D2Certificate, HSepCertificate, HSepPair,
                              find_separability_element, hsep_summand_witness,
                              module_facts, verify_d2, verify_hsep,
                              verify_separability, verify_split)
+from ringext.algebra import trivial_algebra
 from ringext.linalg import Matrix, unit_vec, vec_add, vec_scale
 
 from tests.conftest import CORPUS_NAMES, EXPECTED_FLAGS
@@ -252,10 +254,32 @@ def test_summand_witnesses_track_quasibases(built):
 def test_endo_ring_probe_matches_when_defined(built):
     for name in CORPUS_NAMES:
         b = built(name)
-        probe = endo_ring_probe(b.cr)
+        right = base_module_projectivity(b.cr)["right"]
+        probe = endo_ring_probe(b.cr, right is not None)
         if probe is not None:
             assert probe == b.cls.left_d2
         assert b.cls.endo_d2 == probe
+
+
+def test_classify_asks_the_right_base_projectivity_question_once(
+        built, monkeypatch):
+    """A restricted to a right B-module against B_B: classify used to solve
+    it for base_module_projectivity and again for endo_ring_probe."""
+    cr = built("qq8_qi").cr
+    a, b = cr.ext.total, cr.ext.base
+    asked = []
+    engine = bimodule.summand_witness
+
+    def counted(m, n, *args):
+        if (m.left_algebra is trivial_algebra(cr.field) and m.dim == a.dim
+                and m.right_algebra is b and n.right_algebra is b
+                and n.dim == b.dim):
+            asked.append(m)
+        return engine(m, n, *args)
+
+    monkeypatch.setattr(bimodule, "summand_witness", counted)
+    classify(cr)
+    assert len(asked) == 1
 
 
 def test_base_projectivity_structure(built):

@@ -1,0 +1,136 @@
+"""The hom-space and tensor-product memo of CanonicalRings: it is scoped
+to one set of rings, exact, keeps each caller's labels and shares only
+frozen results."""
+
+import dataclasses
+import json
+from collections import Counter
+
+import pytest
+
+from ringext import bimodule, canonical, equivalences
+from ringext.algebra import FDAlgebra
+from ringext.canonical import build_canonical_rings
+from ringext.certify import classify
+from ringext.report import analysis_report, report_json
+from ringext.serialize import parse_input
+
+from tests.conftest import corpus_doc, expected_doc
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Wrap the uncached engine bimodule.<name> under every name a ringext
+    module holds it by, and record the module pair of every call."""
+    calls = []
+    engine = getattr(bimodule, name)
+
+    def counted(m, n, *args, **kwargs):
+        calls.append((m, n))
+        return engine(m, n, *args, **kwargs)
+
+    for module in (bimodule, canonical, equivalences):
+        if getattr(module, name, None) is engine:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _without_stamp(doc: dict) -> str:
+    return report_json({k: v for k, v in doc.items() if k != "generated_at"})
+
+
+def _content(m) -> tuple:
+    """A module by dimension and action matrices only."""
+    return (m.dim, tuple(tuple(map(tuple, a.data))
+                         for a in m.left_action + m.right_action))
+
+
+def test_no_state_carries_over_between_analyses(monkeypatch):
+    parsed = parse_input(corpus_doc("qc2_q"))
+    calls = _counting(monkeypatch, "hom_space")
+    first = analysis_report(parsed)
+    n_first = len(calls)
+    second = analysis_report(parsed)
+    assert n_first > 0
+    assert len(calls) - n_first == n_first
+    assert _without_stamp(first) == _without_stamp(second)
+
+
+@pytest.mark.parametrize("engine", ["hom_space", "tensor_over"])
+def test_no_pair_is_built_twice_in_one_analysis(monkeypatch, engine):
+    parsed = parse_input(corpus_doc("qq8_qi"))
+    calls = _counting(monkeypatch, engine)
+    analysis_report(parsed)
+    seen = Counter((_content(m), _content(n)) for m, n in calls)
+    assert calls and max(seen.values()) == 1
+
+
+def test_a_shared_result_keeps_each_callers_label():
+    """A second module with the regular module's actions reuses every hom
+    space and tensor product built for the regular one, and its report
+    block is the regular block under its own label."""
+    doc = corpus_doc("qc2_q")
+    eye, swap = [["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]
+    doc["modules"].append({"label": "twin", "dim": 2,
+                           "left_action": [eye, swap],
+                           "right_action": [eye, swap]})
+    got = analysis_report(parse_input(doc))["equivalences"]
+    want = expected_doc("qc2_q")["equivalences"]
+    assert got["regular"] == want["regular"]
+    assert got["sign"] == want["sign"]
+    assert got["twin"] == json.loads(
+        json.dumps(want["regular"]).replace("kG", "twin"))
+
+
+def test_memo_hit_comes_back_with_the_callers_modules():
+    cr = build_canonical_rings(parse_input(corpus_doc("qc2_q")).ext)
+    first = cr.tensor(cr.a_reg, cr.a_reg, label="one")
+    twin = cr.a_reg.with_label("twin")
+    again = cr.tensor(twin, cr.a_reg)
+    assert again.presentation is first.presentation
+    assert (first.module.label, again.module.label) == ("one", "twin(x)kG")
+    assert again.left_factor is twin
+    hs, hs_twin = cr.hom(cr.a_reg, cr.a_reg), cr.hom(twin, twin)
+    assert hs_twin.basis is hs.basis
+    assert (hs_twin.source, hs_twin.target) == (twin, twin)
+
+
+def test_memo_tells_apart_modules_over_different_algebras(monkeypatch):
+    """Equal action matrices over two equal but distinct algebras are two
+    keys: each call reaches the engine, and each space keeps its own."""
+    cr = build_canonical_rings(parse_input(corpus_doc("qc2_q")).ext)
+    a = cr.ext.total
+    twin = FDAlgebra(a.field, a.dim, a.mult, a.unit, name="twin")
+    over_a = bimodule.right_regular_module(a)
+    over_twin = bimodule.right_regular_module(twin)
+    calls = _counting(monkeypatch, "hom_space")
+    assert cr.hom(over_a, over_a).source.right_algebra is a
+    assert cr.hom(over_twin, over_twin).source.right_algebra is twin
+    assert len(calls) == 2
+
+
+def test_shared_results_cannot_be_mutated():
+    cr = build_canonical_rings(parse_input(corpus_doc("qc2_q")).ext)
+    hs = cr.hom(cr.restricted, cr.restricted)
+    with pytest.raises(AttributeError):
+        hs.basis.append(hs.basis[0])
+    with pytest.raises(TypeError):
+        hs.basis[0] = hs.basis[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hs.basis = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cr.q.module = cr.a_reg
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cr.q.presentation = None
+    with pytest.raises(TypeError):
+        cr.q.presentation.free_cols[0] = 0
+
+
+@pytest.mark.parametrize("name", ["qc2_q", "m2q_t2"])
+def test_reused_rings_give_the_fresh_report(name):
+    parsed = parse_input(corpus_doc(name))
+    fresh = _without_stamp(analysis_report(parsed))
+    cr = build_canonical_rings(parsed.ext)
+    cls = classify(cr)
+    for _ in range(2):
+        again = analysis_report(parsed, rings=cr, classification=cls)
+        assert _without_stamp(again) == fresh

@@ -129,14 +129,29 @@ def _bad_verdict(doc):
     doc["certify"]["verdict"] = False
 
 
-@pytest.mark.parametrize("edit, where", [
-    (_bad_scalar, "$.certify.certificate"),
-    (_bad_kind, "$.certify.kind"),
-    (_bad_verdict, "$.certify.verdict"),
-], ids=["altered_scalar", "unknown_kind", "verdict_disagrees"])
-def test_verify_rejects_a_bad_certify_document(tmp_path, capsys, edit, where):
-    target = str(tmp_path / "separable.json")
-    assert main(["certify", "separable", os.path.join(CORPUS, "qc2_q.json"),
+def _claims_failure(doc):
+    doc["certify"]["verified"] = False
+
+
+def _claims_success(doc):
+    doc["certify"]["verified"] = True
+
+
+# qc2_q is separable and not H-separable: a separable document carries a
+# certificate and an hsep one does not
+@pytest.mark.parametrize("kind, edit, where, schema_rejects", [
+    ("separable", _bad_scalar, "$.certify.certificate", False),
+    ("separable", _bad_kind, "$.certify.kind", True),
+    ("separable", _bad_verdict, "$.certify.verdict", False),
+    ("separable", _claims_failure, "$.certify.verified", True),
+    ("hsep", _claims_success, "$.certify.verified", True),
+], ids=["altered_scalar", "unknown_kind", "verdict_disagrees",
+        "false_with_certificate", "true_without_certificate"])
+def test_verify_rejects_a_bad_certify_document(tmp_path, capsys,
+                                               report_validator, kind, edit,
+                                               where, schema_rejects):
+    target = str(tmp_path / f"{kind}.json")
+    assert main(["certify", kind, os.path.join(CORPUS, "qc2_q.json"),
                  "--json", "-o", target]) == 0
     with open(target, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -148,3 +163,5 @@ def test_verify_rejects_a_bad_certify_document(tmp_path, capsys, edit, where):
     out = capsys.readouterr()
     assert f"{where}:" in out.err
     assert "report verifies" not in out.out
+    if schema_rejects:
+        assert not report_validator.is_valid(doc)
