@@ -9,15 +9,17 @@ modules, right modules, and genuine bimodules, including modules over
 rings that were themselves computed (those are plain FDAlgebra values in
 abstract coordinates).
 
-Balanced tensor products m (x)_C n are presented as quotients of the
-ambient m.dim * n.dim space by the balancing relations (x.c (x) y -
-x (x) c.y); the QuotientPresentation holds the relation subspace, and
-every quotient basis class is the class of one pure tensor of basis
+A balanced tensor product m (x)_C n is a TensorProduct: the ambient
+m.dim * n.dim space modulo the balancing relations (x.c (x) y -
+x (x) c.y).  It alone knows how the quotient is presented; callers go
+through its project, lift, pure, sum_pure, free_pairs and leg operators.
+Every quotient basis class is the class of one pure tensor of basis
 elements, so maps out of the quotient are read off pure tensors.
 
 Every linear system and operator here is written from the nonzero
-entries of its ingredients: hom constraints row by row, operator sums
-in place, tensor-leg operators one pure tensor at a time.
+entries of its ingredients: hom constraints and balancing relations row
+by row, operator sums in place, tensor-leg operators one pure tensor at
+a time.
 
 hom_space and tensor_over build anew on every call; their
 results, MapSpace and TensorProduct, are frozen so that a memo (the one
@@ -27,7 +29,7 @@ on CanonicalRings) can hand one result to several callers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FDAlgebra, trivial_algebra
 from .linalg import (
@@ -39,7 +41,6 @@ from .linalg import (
     random_scalar,
     span_decide_pairs,
     unit_vec,
-    zero_vec,
 )
 
 
@@ -257,84 +258,83 @@ def _free_one_sided(a: FDAlgebra, side: str, rank: int) -> Bimodule:
 
 
 # ---------------------------------------------------------------------------
-# quotient presentations and balanced tensor products
+# balanced tensor products
 
-class QuotientPresentation:
-    """An ambient space modulo a relation subspace.
-
-    The quotient basis consists of the classes of the unit vectors at the
-    non-pivot columns of the relation space, so projection is pivot
-    elimination followed by reading off those coordinates, and lifting
-    places coordinates at those columns.  The kernel of projection is
-    exactly the relation subspace.
-    """
-
-    def __init__(self, field: Field, ambient_dim: int, relations: Subspace) -> None:
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.relations = relations
-        pivset = set(relations.pivots)
-        self.free_cols = tuple(c for c in range(ambient_dim) if c not in pivset)
-        self.dim = len(self.free_cols)
-
-    @classmethod
-    def from_relation_vectors(cls, field: Field, ambient_dim: int,
-                              vectors: Sequence[Sequence]) -> "QuotientPresentation":
-        return cls(field, ambient_dim,
-                   Subspace.from_vectors(field, ambient_dim, vectors))
-
-    def project(self, v: Sequence) -> list:
-        w = self.relations.reduce(v)
-        return [w[c] for c in self.free_cols]
-
-    def lift(self, coords: Sequence) -> list:
-        out = [self.field.zero] * self.ambient_dim
-        for c, x in zip(self.free_cols, coords):
-            out[c] = x
-        return out
+def _nonzero_cols(op: Matrix) -> list[list[tuple[int, object]]]:
+    return [[(r, x) for r, x in enumerate(col) if x] for col in op.columns()]
 
 
 @dataclass(frozen=True)
 class TensorProduct:
-    """m (x)_C n together with its presentation and outer actions.
+    """m (x)_C n presented as the ambient m.dim * n.dim space modulo the
+    balancing relations, together with its outer actions.
 
-    Frozen, so that one instance can be shared."""
+    An ambient element is the left_factor.dim x right_factor.dim matrix of
+    its coefficients on the pure tensors e_i (x) e_j.  relations holds the
+    balancing relations in RREF over the row-major entries of that matrix;
+    the quotient basis consists of the classes of the unit vectors at its
+    non-pivot columns, free_cols, so projection is pivot elimination
+    followed by reading off those coordinates, lifting places coordinates
+    at those columns, and every basis class is one pure tensor of basis
+    elements.  Frozen, so that one instance can be shared.
+    """
     module: Bimodule
-    presentation: QuotientPresentation
+    relations: Subspace
+    free_cols: tuple
     left_factor: Bimodule
     right_factor: Bimodule
 
+    def project(self, ambient: Matrix) -> list:
+        """Coordinates of the class of an ambient element."""
+        return self._class_of(ambient.vec())
+
+    def _class_of(self, flat: list) -> list:
+        """project on the row-major entries of an ambient element."""
+        w = self.relations.reduce(flat)
+        return [w[c] for c in self.free_cols]
+
+    def lift(self, coords: Sequence) -> Matrix:
+        """The canonical ambient representative of a class."""
+        f = self.left_factor.field
+        flat = [f.zero] * self.relations.ambient_dim
+        for c, x in zip(self.free_cols, coords):
+            flat[c] = x
+        return Matrix.from_vec(f, self.left_factor.dim, self.right_factor.dim,
+                               flat)
+
+    def sum_pure(self, pairs: Iterable[tuple[Sequence, Sequence]]) -> list:
+        """Coordinates of the class of sum x (x) y over the pairs (x, y),
+        summed in the ambient and projected once."""
+        f = self.left_factor.field
+        rows = [[f.zero] * self.right_factor.dim
+                for _ in range(self.left_factor.dim)]
+        for x, y in pairs:
+            for i, xi in enumerate(x):
+                if xi:
+                    f.row_addmul(rows[i], y, xi)
+        return self._class_of([c for row in rows for c in row])
+
     def pure(self, x: Sequence, y: Sequence) -> list:
         """Coordinates of the class of the pure tensor x (x) y."""
-        return self.presentation.project(_outer_flat(
-            self.presentation.field, x, y, self.right_factor.dim))
+        return self.sum_pure([(x, y)])
 
     def free_pairs(self) -> list[tuple[int, int]]:
         """(left index, right index) of the pure tensor representing each
         quotient basis class, in order; maps defined on pure tensors are
         assembled column by column from these pairs."""
-        dn = self.right_factor.dim
-        return [divmod(c, dn) for c in self.presentation.free_cols]
+        return [divmod(c, self.right_factor.dim) for c in self.free_cols]
 
+    def first_leg(self, op: Matrix) -> Matrix:
+        """op (x) id on this tensor product."""
+        f = op.field
+        return tensor_legs(self, [(f.one, op, Matrix.identity(
+            f, self.right_factor.dim))])
 
-def _outer_flat(field: Field, x: Sequence, y: Sequence, dn: int) -> list:
-    out = [field.zero] * (len(x) * dn)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        base = i * dn
-        for j, yj in enumerate(y):
-            if yj:
-                out[base + j] = field.mul(xi, yj)
-    return out
-
-
-def _unflatten(field: Field, v: Sequence, dm: int, dn: int) -> Matrix:
-    return Matrix.from_vec(field, dm, dn, list(v))
-
-
-def _nonzero_cols(op: Matrix) -> list[list[tuple[int, object]]]:
-    return [[(r, x) for r, x in enumerate(col) if x] for col in op.columns()]
+    def second_leg(self, op: Matrix) -> Matrix:
+        """id (x) op on this tensor product."""
+        f = op.field
+        return tensor_legs(self, [(f.one, Matrix.identity(
+            f, self.left_factor.dim), op)])
 
 
 def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
@@ -346,28 +346,30 @@ def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
     goes to the class of sum c * op_l.col(u) (x) op_r.col(v) in dst.
     """
     dst = dst or src
-    pres = dst.presentation
-    f, dn = pres.field, dst.right_factor.dim
+    f = src.left_factor.field
+    dm, dn = dst.left_factor.dim, dst.right_factor.dim
     sparse = [(c, _nonzero_cols(op_l), _nonzero_cols(op_r))
               for c, op_l, op_r in terms if c]
     cols = []
     for u, v in src.free_pairs():
-        w = [f.zero] * pres.ambient_dim
+        w = [f.zero] * (dm * dn)
         for c, lcols, rcols in sparse:
             for r, a in lcols[u]:
                 ca, base = f.mul(c, a), r * dn
                 for k, b in rcols[v]:
                     w[base + k] = f.add(w[base + k], f.mul(ca, b))
-        cols.append(pres.project(w))
-    return Matrix.from_cols(f, cols, pres.dim)
+        cols.append(dst._class_of(w))
+    return Matrix.from_cols(f, cols, len(dst.free_cols))
 
 
 def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
                 ) -> TensorProduct:
     """The balanced tensor product over C = m.right_algebra = n.left_algebra.
 
-    The result is an (m.left_algebra, n.right_algebra)-bimodule.  Relations
-    are generated by (x.c (x) y) - (x (x) c.y) over all basis triples.
+    The result is an (m.left_algebra, n.right_algebra)-bimodule.  The
+    relation x.c (x) y - x (x) c.y is the hom constraint
+    n.left(c) X - X m.right(c)^T at the coefficient matrix X, so the
+    relations are the intertwining rows over the basis of C.
     """
     c = m.right_algebra
     if c != n.left_algebra:
@@ -375,33 +377,19 @@ def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
             f"tensor factors disagree on the middle algebra: "
             f"{c.name} vs {n.left_algebra.name}")
     f = m.field
-    dm, dn = m.dim, n.dim
-    amb = dm * dn
     rels = []
     for b in range(c.dim):
-        rmat = m.right_action[b]
-        lmat = n.left_action[b]
-        for i in range(dm):
-            xcol = rmat.col(i)
-            for j in range(dn):
-                v = zero_vec(f, amb)
-                for u, a in enumerate(xcol):
-                    if a:
-                        v[u * dn + j] = f.add(v[u * dn + j], a)
-                ycol = lmat.col(j)
-                for w, a in enumerate(ycol):
-                    if a:
-                        v[i * dn + w] = f.sub(v[i * dn + w], a)
-                if any(v):
-                    rels.append(v)
-    pres = QuotientPresentation.from_relation_vectors(f, amb, rels)
+        rels.extend(_intertwining_rows(f, n.left_action[b],
+                                       m.right_action[b].transpose()))
+    relations = Subspace.from_vectors(f, m.dim * n.dim, rels)
+    pivots = set(relations.pivots)
+    free = tuple(col for col in range(m.dim * n.dim) if col not in pivots)
     # the outer actions move one leg each; they only read the presentation
-    tp = TensorProduct(None, pres, m, n)
-    one, eye_m, eye_n = f.one, Matrix.identity(f, dm), Matrix.identity(f, dn)
+    tp = TensorProduct(None, relations, free, m, n)
     return replace(tp, module=Bimodule(
-        m.left_algebra, n.right_algebra, pres.dim,
-        [tensor_legs(tp, [(one, op, eye_n)]) for op in m.left_action],
-        [tensor_legs(tp, [(one, eye_m, op)]) for op in n.right_action],
+        m.left_algebra, n.right_algebra, len(free),
+        [tp.first_leg(op) for op in m.left_action],
+        [tp.second_leg(op) for op in n.right_action],
         label=tensor_label(m, n, label)))
 
 
@@ -422,12 +410,12 @@ def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
     relations (the full guarantee is the middle-linearity of the
     ingredient maps).
     """
-    f = src.presentation.field
+    f = src.left_factor.field
     dm, dn = src.left_factor.dim, src.right_factor.dim
     frt = f_right.transpose()
-    for row in src.presentation.relations.rows[:RELATION_CHECKS]:
-        ambient = (f_left @ _unflatten(f, row, dm, dn) @ frt).vec()
-        if not dst.presentation.relations.contains(ambient):
+    for row in src.relations.rows[:RELATION_CHECKS]:
+        ambient = (f_left @ Matrix.from_vec(f, dm, dn, row) @ frt).vec()
+        if not dst.relations.contains(ambient):
             raise BimoduleError("tensor map does not respect the relations")
     return tensor_legs(src, [(f.one, f_left, f_right)], dst)
 
@@ -579,17 +567,17 @@ class SummandWitness:
         return acc == Matrix.identity(f, self.source.dim)
 
 
+def intertwines(fwd: Matrix, pairs: Iterable[tuple[Matrix, Matrix]]) -> bool:
+    """fwd @ s == t @ fwd for every pair (s, t): fwd carries the operator s
+    on its domain to the operator t on its codomain."""
+    return all(fwd @ s == t @ fwd for s, t in pairs)
+
+
 def is_bimodule_map(src: Bimodule, dst: Bimodule, mat: Matrix) -> bool:
     """mat has the shape of a map src -> dst and commutes with both actions."""
-    if mat.rows != dst.dim or mat.cols != src.dim:
-        return False
-    for am, an in zip(src.left_action, dst.left_action):
-        if mat @ am != an @ mat:
-            return False
-    for am, an in zip(src.right_action, dst.right_action):
-        if mat @ am != an @ mat:
-            return False
-    return True
+    return (mat.rows == dst.dim and mat.cols == src.dim
+            and intertwines(mat, zip(src.left_action, dst.left_action))
+            and intertwines(mat, zip(src.right_action, dst.right_action)))
 
 
 def summand_witness(m: Bimodule, n: Bimodule,

@@ -41,7 +41,7 @@ from .bimodule import (
     tensor_legs,
     tensor_over,
 )
-from .linalg import Matrix, Subspace, lin_comb, rank, unit_vec, zero_vec
+from .linalg import Matrix, Subspace, lin_comb, rank, unit_vec
 
 
 class InternalInconsistency(RuntimeError):
@@ -147,7 +147,8 @@ class CanonicalRings:
 
         # T: base-central tensors, multiplied through the tensor-square action
         T = self.tensor_space = centralizer_subspace(self.q.module, ext)
-        self.t_action_on_q = self._build_tensor_actions_on_q()
+        self.t_action_on_q = self.t_acting_on(
+            self.q, [a.basis_left_mult(j) for j in range(a.dim)])
         self.tensor_ring = ring_on(
             T, lambda i, j: self.t_action_on_q[i].apply(T.rows[j]),
             self.one_tensor_one(), "T")
@@ -238,59 +239,36 @@ class CanonicalRings:
         a = self.ext.total
         return self.pure(a.unit, a.unit)
 
-    def q_ambient(self, qcoords: Sequence) -> Matrix:
-        """The canonical ambient representative of a tensor class, as a
-        dim(A) x dim(A) matrix of coefficients on e_i (x) e_j."""
-        a = self.ext.total
-        flat = self.q.presentation.lift(qcoords)
-        return Matrix.from_vec(self.field, a.dim, a.dim, flat)
-
-    def t_ambient(self, tcoords: Sequence) -> Matrix:
-        return self.q_ambient(self.t_lift(tcoords))
-
     # -- builders -----------------------------------------------------------
 
-    def _build_tensor_actions_on_q(self) -> list[Matrix]:
-        """Each invariant tensor acting on Q: the left factor is multiplied
-        on the right by the tensor's first leg, the right factor on the
-        left by its second leg."""
+    def t_acting_on(self, x: TensorProduct, second: Sequence[Matrix]
+                    ) -> list[Matrix]:
+        """Each invariant tensor t acting on x = A (x)_B m by
+        a (x) v -> a t1 (x) t2.v, where second[l] acts on m as the basis
+        element e_l of A."""
         a = self.ext.total
-        ops = []
-        for row in self.tensor_space.rows:
-            tm = self.q_ambient(row)
-            ops.append(tensor_legs(self.q, [
-                (tm.data[i][j], a.basis_right_mult(i), a.basis_left_mult(j))
-                for i in range(a.dim) for j in range(a.dim)]))
-        return ops
+        return [tensor_legs(x, [
+            (tm.data[k][l], a.basis_right_mult(k), second[l])
+            for k in range(a.dim) for l in range(a.dim)])
+            for tm in map(self.q.lift, self.tensor_space.rows)]
 
     def _q_to_total(self, pure) -> Matrix:
         """The linear map Q -> A sending the basis tensor e_i (x) e_j to
         the vector pure(i, j), on quotient coordinates."""
-        a = self.ext.total
-        f = self.field
-        cols = []
-        for k in range(self.dim_q):
-            m = self.q_ambient(unit_vec(f, self.dim_q, k))
-            acc = zero_vec(f, a.dim)
-            for i in range(a.dim):
-                for j in range(a.dim):
-                    c = m.data[i][j]
-                    if c:
-                        f.row_addmul(acc, pure(i, j), c)
-            cols.append(acc)
-        return Matrix.from_cols(f, cols, a.dim)
+        return Matrix.from_cols(
+            self.field, [pure(i, j) for i, j in self.q.free_pairs()],
+            self.ext.total.dim)
 
     def _build_t_over_r(self) -> Bimodule:
         """T as an R-R-bimodule: multiply the first leg on the left and the
         second leg on the right by centralizer elements."""
-        a, f = self.ext.total, self.field
-        eye = Matrix.identity(f, a.dim)
+        a = self.ext.total
         what = "centralizer multiple of an invariant tensor"
         rows = self.centralizer_space.rows
-        lefts = [restrict_to(self.tensor_space, tensor_legs(
-            self.q, [(f.one, a.left_mult_matrix(r), eye)]), what) for r in rows]
-        rights = [restrict_to(self.tensor_space, tensor_legs(
-            self.q, [(f.one, eye, a.right_mult_matrix(r))]), what) for r in rows]
+        lefts = [restrict_to(self.tensor_space, self.q.first_leg(
+            a.left_mult_matrix(r)), what) for r in rows]
+        rights = [restrict_to(self.tensor_space, self.q.second_leg(
+            a.right_mult_matrix(r)), what) for r in rows]
         return Bimodule(self.centralizer, self.centralizer,
                         self.tensor_space.dim, lefts, rights, label="T|R-R")
 
@@ -299,10 +277,8 @@ class CanonicalRings:
         centralizer element between its two legs."""
         a = self.ext.total
         f = self.field
-        k = self.tensor_space.dim
         rights = []
-        for idx in range(k):
-            tm = self.t_ambient(unit_vec(f, k, idx))
+        for tm in map(self.q.lift, self.tensor_space.rows):
             nz = [(i, j) for i in range(a.dim) for j in range(a.dim)
                   if tm.data[i][j]]
             op = lin_comb(f, a.dim, a.dim, [tm.data[i][j] for i, j in nz],

@@ -44,8 +44,7 @@ from .linalg import (
     span_decide,
     span_decide_pairs,
     unit_vec,
-    vec_add,
-    zero_vec,
+    vec_sum,
 )
 
 
@@ -126,17 +125,15 @@ def verify_split(cr: CanonicalRings, cert: SplitCertificate) -> bool:
 
 
 def verify_hsep(cr: CanonicalRings, cert: HSepCertificate) -> bool:
-    f = cr.field
     basis = _a_basis(cr)
-    acc = zero_vec(f, cr.dim_q)
     for pair in cert.pairs:
         if not _is_invariant(cr.q.module, basis, pair.casimir):
             return False
         if not _is_invariant(cr.a_reg, cr.ext.iota.columns(), pair.multiplier):
             return False
-        pushed = cr.q.module.right_operator(pair.multiplier).apply(pair.casimir)
-        acc = vec_add(f, acc, pushed)
-    return acc == cr.one_tensor_one()
+    return vec_sum(cr.field, cr.dim_q, (
+        cr.q.module.right_operator(pair.multiplier).apply(pair.casimir)
+        for pair in cert.pairs)) == cr.one_tensor_one()
 
 
 def _d2_side(cr: CanonicalRings, side: str) -> tuple:
@@ -161,7 +158,6 @@ def _d2_side(cr: CanonicalRings, side: str) -> tuple:
 
 
 def verify_d2(cr: CanonicalRings, cert: D2Certificate) -> bool:
-    f = cr.field
     iotas = cr.ext.iota.columns()
     for pair in cert.pairs:
         if not _is_invariant(cr.q.module, iotas, pair.tensor):
@@ -171,10 +167,9 @@ def verify_d2(cr: CanonicalRings, cert: D2Certificate) -> bool:
     act, value, free = _d2_side(cr, cert.side)
 
     def holds(x: Sequence, y: Sequence) -> bool:
-        got = zero_vec(f, cr.dim_q)
-        for pair in cert.pairs:
-            got = vec_add(f, got, act(value(pair.endo, x, y)).apply(pair.tensor))
-        return got == cr.pure(x, y)
+        return vec_sum(cr.field, cr.dim_q, (
+            act(value(pair.endo, x, y)).apply(pair.tensor)
+            for pair in cert.pairs)) == cr.pure(x, y)
 
     # the free points imply the identity: it is linear in the free leg,
     # and acting by y on the other side of x (x) 1 gives x (x) y on the

@@ -21,10 +21,10 @@ from .canonical import InternalInconsistency, build_canonical_rings
 from .certify import classify
 from .equivalences import pi_A_iso
 from .normality import hopf_normality
-from .report import (TOOL, _iso_block, analysis_report, certificate_kinds,
-                     module_block, normality_block, render_text, report_json,
-                     verify_report)
-from .serialize import InputError, field_json, input_json, parse_input
+from .report import (_iso_block, analysis_report, certificate_kinds,
+                     module_block, normality_block, render_text, report_header,
+                     report_json, verify_report)
+from .serialize import InputError, input_json, parse_input
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,16 +66,6 @@ def _emit(doc: dict, args) -> int:
     return EXIT_OK
 
 
-def _stamp(parsed, command: str) -> dict:
-    from datetime import datetime, timezone
-    return {"tool": dict(TOOL),
-            "command": command,
-            "generated_at": datetime.now(timezone.utc).isoformat(),
-            "seed": parsed.seed,
-            "field": field_json(parsed.field),
-            "input": parsed.echo}
-
-
 def cmd_analyze(args) -> int:
     parsed = _parsed_input(args)
     return _emit(analysis_report(parsed), args)
@@ -88,7 +78,7 @@ def cmd_certify(args) -> int:
     # the search verifies its certificate by substitution before returning
     cert = kind.search(cr)
     found = cert is not None
-    doc = _stamp(parsed, f"certify {kind.name}")
+    doc = report_header(parsed, f"certify {kind.name}")
     doc["dims"] = cr.dims()
     doc["certify"] = {
         "kind": kind.name, "verdict": found,
@@ -110,7 +100,7 @@ def cmd_equivalence(args) -> int:
             raise InputError(f"no module labeled {name!r} in the input",
                              "$.modules")
         m = found[0]
-    doc = _stamp(parsed, f"equivalence {name}")
+    doc = report_header(parsed, f"equivalence {name}")
     doc["dims"] = cr.dims()
     doc["equivalences"] = {
         name: module_block(cr, cls, m, parsed.seed)[0],
@@ -124,7 +114,7 @@ def cmd_normality(args) -> int:
     parsed = _parsed_input(args)
     cr = build_canonical_rings(parsed.ext)
     cls = classify(cr)
-    doc = _stamp(parsed, "normality")
+    doc = report_header(parsed, "normality")
     doc["dims"] = cr.dims()
     doc["normality"] = normality_block(cr, cls, parsed.ideals)
     return _emit(doc, args)
@@ -144,7 +134,7 @@ def cmd_hopf(args) -> int:
     if len(set(verdicts.values())) != 1:
         raise InternalInconsistency(
             "the three subgroup normality tests disagree: " + repr(verdicts))
-    doc = _stamp(parsed, "hopf")
+    doc = report_header(parsed, "hopf")
     doc["normality"] = {"hopf": verdicts, "subgroup": idx}
     return _emit(doc, args)
 

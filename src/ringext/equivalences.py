@@ -17,10 +17,11 @@ composites.  Naturality squares are sampled with seeded random module
 maps.  Missing certificates and failed checks produce reports, never
 exceptions; an exception means either bad input or an internal bug.
 
-All constructors share one engine: _intertwines for every linearity and
-naturality square, _sample_endos for the seeded module maps, _on_hom for
-operators induced on map spaces, _certify_inverse for certified
-inverses, and _comparison for the status, route and result.
+All constructors share one engine: bimodule.intertwines for every
+linearity and naturality square, the leg operators and sums of pure
+tensors of TensorProduct, _sample_endos for the seeded module maps,
+_on_hom for operators induced on map spaces, _certify_inverse for
+certified inverses, and _comparison for the status, route and result.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from .bimodule import (
     forget_left,
     forget_right,
     hom_space,
+    intertwines,
     left_module,
     restrict_left,
     restrict_right,
     right_module,
-    tensor_legs,
     tensor_map,
     tensor_over,
 )
@@ -59,7 +60,7 @@ from .certify import (
     verify_separability,
     verify_split,
 )
-from .linalg import Matrix, invert, random_scalar, unit_vec, vec_add, zero_vec
+from .linalg import Matrix, invert, random_scalar, unit_vec, vec_sum
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +123,6 @@ def _sample_endos(hom: Callable[[Bimodule, Bimodule], MapSpace], m: Bimodule,
             for _ in range(NATURALITY_SAMPLES)]
 
 
-def _intertwines(fwd: Matrix, pairs: Iterable[tuple[Matrix, Matrix]]) -> bool:
-    """fwd @ s == t @ fwd for every pair (s, t): fwd carries the operator s
-    on its domain to the operator t on its codomain."""
-    return all(fwd @ s == t @ fwd for s, t in pairs)
-
-
 def _hom_coords(hs: MapSpace, maps: Iterable[Matrix]) -> Matrix:
     """Columns of coordinates of maps that must lie in hs."""
     return coordinate_matrix(hs, list(maps), "a structural map")
@@ -174,7 +169,7 @@ def _comparison(name: str, fwd: Matrix, domain: str, codomain: str,
     names its certificate.  Without one, bijectivity is decided by exact
     rank and the stored inverse comes from elimination.
     """
-    checks["naturality"] = _intertwines(fwd, squares)
+    checks["naturality"] = intertwines(fwd, squares)
     if back is not None:
         status = "verified"
     else:
@@ -191,18 +186,6 @@ def _comparison(name: str, fwd: Matrix, domain: str, codomain: str,
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _first_leg(tp: TensorProduct, op: Matrix) -> Matrix:
-    """op (x) id on a presented tensor product."""
-    f = op.field
-    return tensor_legs(tp, [(f.one, op, Matrix.identity(f, tp.right_factor.dim))])
-
-
-def _second_leg(tp: TensorProduct, op: Matrix) -> Matrix:
-    """id (x) op on a presented tensor product."""
-    f = op.field
-    return tensor_legs(tp, [(f.one, Matrix.identity(f, tp.left_factor.dim), op)])
-
-
 def _gather(ops: Sequence[Matrix], mu: int) -> Matrix:
     """The matrix whose k-th column is ops[k].col(mu)."""
     return Matrix.from_cols(ops[0].field, [op.col(mu) for op in ops])
@@ -211,7 +194,7 @@ def _gather(ops: Sequence[Matrix], mu: int) -> Matrix:
 def _leg_ops(cr: CanonicalRings, act: Callable[[Sequence], Matrix],
              tensor: Sequence) -> list[Matrix]:
     """act(t_k) for t = sum_k e_k (x) t_k in the tensor square."""
-    return [act(row) for row in cr.q_ambient(tensor).data]
+    return [act(row) for row in cr.q.lift(tensor).data]
 
 
 def _require_module(m: Bimodule, side: str, ring: FDAlgebra) -> None:
@@ -240,18 +223,12 @@ class _InducedModule:
 
 
 def _induced_from_base(cr: CanonicalRings, m: Bimodule) -> _InducedModule:
-    a, ext, f = cr.ext.total, cr.ext, cr.field
+    ext, f = cr.ext, cr.field
     first = restrict_right(cr.a_reg, ext)
     second = restrict_left(forget_right(m), ext)
     x = cr.tensor(first, second, label=f"A(x)B[{m.label}]")
-
-    t_ops = []
-    for trow in cr.tensor_space.rows:
-        tm = cr.q_ambient(trow)
-        t_ops.append(tensor_legs(x, [
-            (tm.data[k][l], a.basis_right_mult(k), m.left_action[l])
-            for k in range(a.dim) for l in range(a.dim)]))
-    as_left_t = left_module(cr.tensor_ring, x.module.dim, t_ops,
+    as_left_t = left_module(cr.tensor_ring, x.module.dim,
+                            cr.t_acting_on(x, m.left_action),
                             label=f"T|{x.module.label}")
 
     collapse = Matrix.from_cols(
@@ -302,14 +279,14 @@ def _through_legs(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
                   tensor: Sequence) -> Matrix:
     """v -> t1 (x) t2.v from m into x = A (x)_B m for a tensor t.
 
-    Stacking the operators t_k.(-) spreads v over the ambient blocks
-    e_k (x) m of A (x) m; the projection then takes the class.
+    With t = sum_k e_k (x) t_k, the image of v is the class of the ambient
+    element whose row k is t_k.v.
     """
     ops = _leg_ops(cr, m.left_operator, tensor)
-    stacked = Matrix.from_rows(cr.field, [row for op in ops for row in op.data])
     return Matrix.from_cols(
-        cr.field, [x.presentation.project(col) for col in stacked.columns()],
-        x.module.dim)
+        cr.field, [x.project(Matrix.from_rows(cr.field,
+                                              [op.col(mu) for op in ops]))
+                   for mu in range(m.dim)], x.module.dim)
 
 
 def _t_as_right_r(cr: CanonicalRings) -> Bimodule:
@@ -343,16 +320,11 @@ def _pi_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
 def _quasibase_to_y(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
                     y: TensorProduct, pairs) -> Matrix:
     """a (x) v -> sum_p t_p (x) beta_p(a).v, the certified inverse of pi."""
-    f = cr.field
     pre = [(cr.t_coords(p.tensor), p.endo) for p in pairs]
-    cols = []
-    for i, mu in x.free_pairs():
-        acc = zero_vec(f, y.module.dim)
-        for tco, endo in pre:
-            val = m.left_operator(endo.col(i)).col(mu)
-            acc = vec_add(f, acc, y.pure(tco, val))
-        cols.append(acc)
-    return Matrix.from_cols(f, cols, y.module.dim)
+    return Matrix.from_cols(cr.field, [
+        y.sum_pure((tco, m.left_operator(endo.col(i)).col(mu))
+                   for tco, endo in pre)
+        for i, mu in x.free_pairs()], y.module.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +354,11 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
 
     # gamma always intertwines whatever outer structure m carries
     if m.right_algebra == a:
-        checks["left_linear"] = _intertwines(gamma, (
-            (_second_leg(g, op), mop)
+        checks["left_linear"] = intertwines(gamma, (
+            (g.second_leg(op), mop)
             for op, mop in zip(x.module.left_action, m.left_action)))
-        checks["right_linear"] = _intertwines(gamma, (
-            (_second_leg(g, _second_leg(x, op)), op) for op in m.right_action))
+        checks["right_linear"] = intertwines(gamma, (
+            (g.second_leg(x.second_leg(op)), op) for op in m.right_action))
 
     back, route = None, ""
     if separability is not None:
@@ -516,17 +488,17 @@ def _induction_comparison(cr: CanonicalRings, m: Bimodule,
     pi = _pi_matrix(cr, m, x, y)
     iotas = [ext.iota.col(i) for i in range(ext.base.dim)]
     checks: dict = {
-        "tensor_ring_linear": _intertwines(
+        "tensor_ring_linear": intertwines(
             pi, zip(y.module.left_action, ind.as_left_t.left_action)),
         # the base acts on the second leg on the tensor-ring side and by
         # the outer action on the induced side
-        "base_linear": _intertwines(pi, (
-            (_second_leg(y, m.left_operator(b)), x.module.left_operator(b))
+        "base_linear": intertwines(pi, (
+            (y.second_leg(m.left_operator(b)), x.module.left_operator(b))
             for b in iotas)),
     }
     if m.right_algebra == a:
-        checks["right_linear"] = _intertwines(pi, (
-            (_second_leg(y, op), _second_leg(x, op)) for op in m.right_action))
+        checks["right_linear"] = intertwines(pi, (
+            (y.second_leg(op), x.second_leg(op)) for op in m.right_action))
 
     back = None
     if left_quasibase is not None:
@@ -570,12 +542,12 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
             for b in (ext.iota.col(i) for i in range(ext.base.dim))]
     s_right = [cr.endo_ring.basis_right_mult(j) for j in range(len(s_basis))]
     checks: dict = {
-        "base_linear": _intertwines(fwd, (
+        "base_linear": intertwines(fwd, (
             (xb, _on_hom(homsp, lambda h: mb @ h)) for xb, mb in base)),
         # the endo ring applies to the first leg on the induced side and
         # precomposes on the hom side
-        "endo_ring_linear": _intertwines(fwd, (
-            (_first_leg(x, sb), _on_hom(homsp, lambda h: h @ rm))
+        "endo_ring_linear": intertwines(fwd, (
+            (x.first_leg(sb), _on_hom(homsp, lambda h: h @ rm))
             for sb, rm in zip(s_basis, s_right))),
     }
 
@@ -583,13 +555,10 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     if left_quasibase is not None:
         pre = [(cr.s_coords(p.endo), _through_legs(cr, m, x, p.tensor))
                for p in left_quasibase.pairs]
-        cols = []
-        for h in homsp.basis:
-            acc = zero_vec(f, x.module.dim)
-            for sco, legs in pre:
-                acc = vec_add(f, acc, legs.apply(h.apply(sco)))
-            cols.append(acc)
-        back = Matrix.from_cols(f, cols, x.module.dim)
+        back = Matrix.from_cols(f, [
+            vec_sum(f, x.module.dim,
+                    (legs.apply(h.apply(sco)) for sco, legs in pre))
+            for h in homsp.basis], x.module.dim)
         checks["quasibase_inverse"] = _certify_inverse(
             fwd, back, "a verified left quasibase must invert the "
             "coinduction comparison map")
@@ -662,13 +631,11 @@ def _chi_inverse(cr: CanonicalRings, m: Bimodule, hs: MapSpace,
            for p in pairs]
     cols = []
     for h in hs.basis:
-        acc = zero_vec(f, dom.module.dim)
-        for ops, sco in pre:
-            xv = zero_vec(f, m.dim)
-            for k, op in enumerate(ops):
-                xv = vec_add(f, xv, op.apply(h.col(k)))
-            acc = vec_add(f, acc, dom.pure(xv, sco))
-        cols.append(acc)
+        # F(t_p1).t_p2 is sum_k F(e_k).t_pk, and F(e_k) is h.col(k)
+        cols.append(dom.sum_pure(
+            (vec_sum(f, m.dim, (op.apply(h.col(k))
+                                for k, op in enumerate(ops))), sco)
+            for ops, sco in pre))
     return Matrix.from_cols(f, cols, dom.module.dim)
 
 
@@ -687,7 +654,7 @@ def chi_M(cr: CanonicalRings, m: Bimodule,
     hs, h_mod = _hom_from_total(cr, restrict_right(forget_left(m), cr.ext))
     dom, fwd = _chi(cr, m, hs)
     # right endo-ring linearity, tensor side versus precomposition
-    checks: dict = {"endo_ring_linear": _intertwines(
+    checks: dict = {"endo_ring_linear": intertwines(
         fwd, zip(dom.module.right_action, h_mod.right_action))}
 
     back = None
@@ -796,12 +763,12 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
 
     # right base action on the domain: precompose with left multiplication
     lmats = [a.left_mult_matrix(cr.ext.iota.col(i)) for i in range(b.dim)]
-    checks: dict = {"base_linear": _intertwines(fwd, (
-        (_first_leg(dom, _on_hom(hs, lambda h: h @ lm)), op)
+    checks: dict = {"base_linear": intertwines(fwd, (
+        (dom.first_leg(_on_hom(hs, lambda h: h @ lm)), op)
         for lm, op in zip(lmats, n.right_action)))}
     if n.left_algebra == b:
-        checks["left_linear"] = _intertwines(fwd, (
-            (_first_leg(dom, _on_hom(hs, lambda h: op @ h)), op)
+        checks["left_linear"] = intertwines(fwd, (
+            (dom.first_leg(_on_hom(hs, lambda h: op @ h)), op)
             for op in n.left_action))
 
     back = None
@@ -864,7 +831,7 @@ def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule, seed: int = 0,
         else (hom_space, tensor_over)
     hs, tp, fwd = _evaluation_data(c, m, n, build_hom, build_tensor)
     n1 = forget_left(n)
-    checks: dict = {"ring_linear": _intertwines(
+    checks: dict = {"ring_linear": intertwines(
         fwd, zip(tp.module.right_action, n1.right_action))}
     eye_m = Matrix.identity(c.field, m.dim)
     squares = [(tensor_map(tp, tp, _on_hom(hs, lambda h: e @ h), eye_m), e)
@@ -888,7 +855,6 @@ def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,
     if len(projections) != len(injections):
         raise BimoduleError("projections and injections must pair up")
     hom, tensor, fwd = _evaluation_data(c, m, n, hom_space, tensor_over)
-    f = c.field
     n1 = forget_left(n)
     if not SummandWitness(n1, forget_left(m),
                           list(zip(injections, projections))).verify():
@@ -896,13 +862,9 @@ def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,
             "not a summand system over the ring: every map must be linear "
             "over it and sum p_i . j_i the identity")
     pcoords = [hom.coordinates(p) for p in projections]
-    cols = []
-    for mu in range(n1.dim):
-        vec = zero_vec(f, tensor.module.dim)
-        for co, j in zip(pcoords, injections):
-            vec = vec_add(f, vec, tensor.pure(co, j.col(mu)))
-        cols.append(vec)
-    back = Matrix.from_cols(f, cols, tensor.module.dim)
+    back = Matrix.from_cols(c.field, [
+        tensor.sum_pure((co, j.col(mu)) for co, j in zip(pcoords, injections))
+        for mu in range(n1.dim)], tensor.module.dim)
     checks = {"summand_inverse": _certify_inverse(
         fwd, back, "a validated summand system must invert the evaluation")}
     return VerifiedIso(

@@ -253,8 +253,12 @@ def unit_vec(field: Field, n: int, i: int) -> list:
     return v
 
 
-def vec_add(field: Field, u: Sequence, v: Sequence) -> list:
-    return [field.add(a, b) for a, b in zip(u, v)]
+def vec_sum(field: Field, n: int, vectors: Iterable[Sequence]) -> list:
+    """The sum of vectors of length n, accumulated in place."""
+    out = [field.zero] * n
+    for v in vectors:
+        field.row_addmul(out, v, field.one)
+    return out
 
 
 def vec_scale(field: Field, v: Sequence, c) -> list:

@@ -19,7 +19,7 @@ twisted rule that provably holds whenever the right quasibase exists.
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Field, Matrix, Subspace, unit_vec, vec_add, zero_vec
+from .linalg import Field, Matrix, Subspace, unit_vec, vec_sum
 from .algebra import AlgebraError, Extension, FDAlgebra, GroupData, group_algebra
 from .bimodule import BimoduleError, invariants_subspace
 from .canonical import CanonicalRings, InternalInconsistency
@@ -308,7 +308,6 @@ def prebraided_check(cr: CanonicalRings, right_quasibase: D2Certificate) -> dict
         raise BimoduleError("supplied right quasibase fails verification")
 
     a = cr.ext.total
-    f = cr.field
     cent = cr.centralizer_space
     sandwich_ops = [cr.cent_module_tensor.right_operator(cr.t_coords(p.tensor))
                     for p in right_quasibase.pairs]
@@ -321,11 +320,9 @@ def prebraided_check(cr: CanonicalRings, right_quasibase: D2Certificate) -> dict
             lhs = a.multiply(s, r)
             if lhs != a.multiply(r, s):
                 naive = False
-            acc = zero_vec(f, a.dim)
-            for p, op in zip(right_quasibase.pairs, sandwich_ops):
-                gval = p.endo.apply(r)
-                sand = cr.r_lift(op.apply(s_co))
-                acc = vec_add(f, acc, a.multiply(gval, sand))
+            acc = vec_sum(cr.field, a.dim, (
+                a.multiply(p.endo.apply(r), cr.r_lift(op.apply(s_co)))
+                for p, op in zip(right_quasibase.pairs, sandwich_ops)))
             if lhs != acc:
                 holds = False
     return {"holds": holds, "naive_commutative": naive,

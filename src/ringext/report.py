@@ -197,19 +197,24 @@ def analysis_report(parsed: ParsedInput,
     """
     cr = rings if rings is not None else build_canonical_rings(parsed.ext)
     cls = classification if classification is not None else classify(cr)
-    doc = {
-        "tool": dict(TOOL),
-        "command": "analyze",
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "seed": parsed.seed,
-        "field": field_json(parsed.field),
-        "input": parsed.echo,
+    return {
+        **report_header(parsed, "analyze"),
         "dims": cr.dims(),
         "classification": classification_block(cr, cls),
         "equivalences": equivalence_block(cr, cls, parsed.modules, parsed.seed),
         "normality": normality_block(cr, cls, parsed.ideals),
     }
-    return doc
+
+
+def report_header(parsed: ParsedInput, command: str) -> dict:
+    """The keys every report starts with: the tool, the command that made
+    it, the time, the seed, the field and the input echo."""
+    return {"tool": dict(TOOL),
+            "command": command,
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+            "seed": parsed.seed,
+            "field": field_json(parsed.field),
+            "input": parsed.echo}
 
 
 def report_json(doc: dict) -> str:
@@ -279,8 +284,9 @@ def _classification_certificates(cl, msgs: list) -> list:
     if unknown:
         msgs.append(f"{loc}: unknown certificates {unknown}")
     for k in kinds:
-        if bool(cl.get(k.flag)) != (k.key in certs):
-            msgs.append(f"{k.flag} disagrees with the presence of {k.key}")
+        if cl.get(k.flag) is not (k.key in certs):
+            msgs.append(f"$.classification.{k.flag}: disagrees with the "
+                        f"presence of {k.key}")
     return [(k, certs[k.key], f"{loc}.{k.key}") for k in kinds
             if k.key in certs]
 

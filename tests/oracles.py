@@ -287,3 +287,20 @@ def reference_hom_basis(m, n):
     ker = kernel(Matrix.from_rows(f, rows)) if rows else \
         [unit_vec(f, dn * dm, i) for i in range(dn * dm)]
     return Subspace.from_vectors(f, dn * dm, ker).rows
+
+
+def reference_tensor_relations(m, n):
+    """The balancing relations of m (x)_C n from the stacked dense systems
+    kron(rc^T, I) - kron(I, lc^T), one block per basis element c of C with
+    rc its right action on m and lc its left action on n: row (i, j) is
+    e_i.c (x) e_j - e_i (x) c.e_j on the row-major pure tensors, and the
+    relation space is their RREF span."""
+    from ringext.linalg import Matrix, Subspace
+
+    f = m.field
+    eye_m, eye_n = Matrix.identity(f, m.dim), Matrix.identity(f, n.dim)
+    rows = []
+    for rc, lc in zip(m.right_action, n.left_action):
+        diff = kron(rc.transpose(), eye_n) - kron(eye_m, lc.transpose())
+        rows.extend(diff.data)
+    return Subspace.from_vectors(f, m.dim * n.dim, rows)

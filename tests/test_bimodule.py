@@ -1,5 +1,7 @@
 """Bimodules, balanced tensor products, hom spaces, witnesses."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,9 +14,11 @@ from ringext.bimodule import (Bimodule, BimoduleError, centralizer_subspace,
                               left_regular_module, random_cyclic_module,
                               regular_bimodule, restrict_left, restrict_right,
                               right_regular_module, summand_witness,
-                              tensor_map, tensor_over)
-from ringext.linalg import GF, QQ, Matrix, unit_vec
-from tests.oracles import reference_hom_basis
+                              tensor_legs, tensor_map, tensor_over)
+from ringext.linalg import GF, QQ, Matrix, unit_vec, vec_sum
+from ringext.serialize import parse_input
+from tests.conftest import CORPUS_NAMES, corpus_doc
+from tests.oracles import reference_hom_basis, reference_tensor_relations
 from tests.test_algebra import cyclic, sym3
 
 
@@ -145,6 +149,85 @@ def test_tensor_map_respects_relations():
     ident = Matrix.identity(QQ, 2)
     tm = tensor_map(t, t, ident, ident)
     assert tm == Matrix.identity(QQ, t.module.dim)
+
+
+def tensor_cases(field):
+    """(label, m, n) pairs over a shared middle algebra: tensor squares
+    over a subalgebra, regular and one-sided factors, and random cyclic
+    modules, over a group algebra and a matrix algebra."""
+    a = group_algebra(field, sym3())
+    ext = subalgebra_extension(a, subgroup=[0, 3, 4])
+    reg = regular_bimodule(a)
+    cyc_r = random_cyclic_module(a, "right", 2, seed=5)
+    cyc_l = random_cyclic_module(a, "left", 2, seed=3)
+    m2 = matrix_algebra(field, 2)
+    t2 = subalgebra_extension(m2, basis=[unit_vec(field, 4, i)
+                                         for i in (0, 1, 3)])
+    m2_reg = regular_bimodule(m2)
+    return [
+        ("square_over_subgroup", restrict_right(reg, ext),
+         restrict_left(reg, ext)),
+        ("over_total", reg, reg),
+        ("over_scalars", forget_right(reg), forget_left(reg)),
+        ("matrix_square_over_t2", restrict_right(m2_reg, t2),
+         restrict_left(m2_reg, t2)),
+        ("cyclic", cyc_r, cyc_l),
+        ("cyclic_over_subgroup", restrict_right(cyc_r, ext),
+         restrict_left(cyc_l, ext)),
+        ("cyclic_against_regular", cyc_r, forget_right(reg)),
+        ("matrix_cyclic", random_cyclic_module(m2, "right", 2, seed=11),
+         forget_right(m2_reg)),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_tensor_relations_match_dense_reference(field):
+    for label, m, n in tensor_cases(field):
+        assert tensor_over(m, n).relations == \
+            reference_tensor_relations(m, n), label
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_tensor_square_relations_match_dense_reference(name):
+    ext = parse_input(corpus_doc(name)).ext
+    reg = regular_bimodule(ext.total)
+    m, n = restrict_right(reg, ext), restrict_left(reg, ext)
+    assert tensor_over(m, n).relations == reference_tensor_relations(m, n)
+
+
+@cache
+def _built_tensor_cases(field):
+    return [(label, tensor_over(m, n)) for label, m, n in tensor_cases(field)]
+
+
+def _vectors(field, n, size):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+                    .map(lambda v: [field.of(x) for x in v]),
+                    min_size=size, max_size=size)
+
+
+@given(st.sampled_from([QQ, GF(5)]), st.data())
+def test_tensor_product_methods(field, data):
+    """sum_pure is the sum of the pure classes, the leg operators are
+    tensor_legs with an identity leg, and lift is a section of project."""
+    label, tp = data.draw(st.sampled_from(_built_tensor_cases(field)))
+    m, n = tp.left_factor, tp.right_factor
+    k = data.draw(st.integers(0, 3))
+    xs = data.draw(_vectors(field, m.dim, k))
+    ys = data.draw(_vectors(field, n.dim, k))
+    pairs = list(zip(xs, ys))
+    assert tp.sum_pure(pairs) == vec_sum(
+        field, tp.module.dim, [tp.pure(x, y) for x, y in pairs]), label
+    [x] = data.draw(_vectors(field, m.left_algebra.dim, 1))
+    [y] = data.draw(_vectors(field, n.right_algebra.dim, 1))
+    op_m, op_n = m.left_operator(x), n.right_operator(y)
+    one = field.one
+    assert tp.first_leg(op_m) == tensor_legs(
+        tp, [(one, op_m, Matrix.identity(field, n.dim))]), label
+    assert tp.second_leg(op_n) == tensor_legs(
+        tp, [(one, Matrix.identity(field, m.dim), op_n)]), label
+    [coords] = data.draw(_vectors(field, tp.module.dim, 1))
+    assert tp.project(tp.lift(coords)) == coords, label
 
 
 # -- hom spaces ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from ringext.certify import (D2Certificate, HSepCertificate, HSepPair,
                              module_facts, verify_d2, verify_hsep,
                              verify_separability, verify_split)
 from ringext.algebra import trivial_algebra
-from ringext.linalg import Matrix, unit_vec, vec_add, vec_scale
+from ringext.linalg import Matrix, unit_vec, vec_scale, vec_sum
 
 from tests.conftest import CORPUS_NAMES, EXPECTED_FLAGS
 
@@ -60,7 +60,7 @@ def test_tampered_separability_element_rejected(built):
     bad = SeparabilityCertificate(vec_scale(f, cert.element, f.of(2)))
     assert not verify_separability(b.cr, bad)
     shifted = SeparabilityCertificate(
-        vec_add(f, cert.element, unit_vec(f, b.cr.dim_q, 0)))
+        vec_sum(f, b.cr.dim_q, [cert.element, unit_vec(f, b.cr.dim_q, 0)]))
     assert not verify_separability(b.cr, shifted)
 
 
@@ -147,7 +147,7 @@ def test_hsep_pairs_need_casimirs_and_centralizer_multipliers(built):
     z = unit_vec(f, 4, 1)
     assert not cr.centralizer_space.contains(z)
     p0 = pairs[0]
-    shifted = [HSepPair(p0.casimir, vec_add(f, p0.multiplier, z)),
+    shifted = [HSepPair(p0.casimir, vec_sum(f, 4, [p0.multiplier, z])),
                HSepPair(p0.casimir, vec_scale(f, z, f.of(-1)))]
     assert not verify_hsep(cr, HSepCertificate(shifted + pairs[1:]))
 

@@ -368,11 +368,21 @@ def _extra_key(*path):
      "$.classification.certificates.left_quasibase.pairs[0]"),
     ("m2q_q", _extra_key(*_HS, "pairs", 0),
      "$.classification.certificates.hsep_system.pairs[0]"),
+    ("qc2_q", _set(("classification", "separable"), 1),
+     "$.classification.separable"),
+    ("qc2_q", _set(("classification", "separable"), "yes"),
+     "$.classification.separable"),
+    ("qc2_q", _set(("classification", "hseparable"), None),
+     "$.classification.hseparable"),
+    ("qc2_q", _set(("classification", "hseparable"), 0),
+     "$.classification.hseparable"),
 ], ids=["classification_list", "certificates_list", "certificates_int",
         "unknown_certificate", "pairs_not_list", "pair_without_endo",
         "reverse_order_string", "extra_key_separable", "extra_key_split",
         "extra_key_hsep", "extra_key_d2_left", "extra_key_d2_right",
-        "extra_key_quasibase_pair", "extra_key_hsep_pair"])
+        "extra_key_quasibase_pair", "extra_key_hsep_pair",
+        "flag_one_with_certificate", "flag_string_with_certificate",
+        "flag_null_without_certificate", "flag_zero_without_certificate"])
 def test_verify_malformed_report_is_exit_one(tmp_path, capsys,
                                              report_validator, name, edit,
                                              where):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ringext.linalg import (GF, MODULUS_BOUND, QQ, LinalgError, Matrix,
                             PrimeField, Subspace, invert, kernel, lin_comb,
                             rank, rref, solve, span_decide,
-                            span_decide_pairs, unit_vec, vec_add, zero_vec)
+                            span_decide_pairs, unit_vec, vec_sum, zero_vec)
 from tests import oracle_linalg
 from tests.oracles import kron
 
@@ -202,8 +202,8 @@ def test_span_decide_pairs_groups_span_decide(field, data):
     acc = zero_vec(field, n)
     for i, coeffs in got:
         for c, v in zip(coeffs, rights):
-            acc = vec_add(field, acc, [field.mul(c, x)
-                                       for x in product(lefts[i], v)])
+            acc = vec_sum(field, n, [acc, [field.mul(c, x)
+                                           for x in product(lefts[i], v)]])
     assert acc == target
 
 

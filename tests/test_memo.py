@@ -86,7 +86,7 @@ def test_memo_hit_comes_back_with_the_callers_modules():
     first = cr.tensor(cr.a_reg, cr.a_reg, label="one")
     twin = cr.a_reg.with_label("twin")
     again = cr.tensor(twin, cr.a_reg)
-    assert again.presentation is first.presentation
+    assert again.relations is first.relations
     assert (first.module.label, again.module.label) == ("one", "twin(x)kG")
     assert again.left_factor is twin
     hs, hs_twin = cr.hom(cr.a_reg, cr.a_reg), cr.hom(twin, twin)
@@ -120,9 +120,9 @@ def test_shared_results_cannot_be_mutated():
     with pytest.raises(dataclasses.FrozenInstanceError):
         cr.q.module = cr.a_reg
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cr.q.presentation = None
+        cr.q.relations = None
     with pytest.raises(TypeError):
-        cr.q.presentation.free_cols[0] = 0
+        cr.q.free_cols[0] = 0
 
 
 @pytest.mark.parametrize("name", ["qc2_q", "m2q_t2"])
