@@ -204,8 +204,8 @@ class FDAlgebra:
         rows = []
         for i in range(n):
             diff = self.basis_left_mult(i) - self.basis_right_mult(i)
-            rows.extend(diff.data)
-        ker = kernel(Matrix.from_rows(self.field, rows)) if rows else []
+            rows.extend(diff.pairs)
+        ker = kernel(Matrix.from_pairs(self.field, len(rows), n, rows))
         return Subspace.from_vectors(self.field, n, ker)
 
     def __eq__(self, other) -> bool:

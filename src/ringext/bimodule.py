@@ -242,13 +242,9 @@ def _free_one_sided(a: FDAlgebra, side: str, rank: int) -> Bimodule:
     dim = a.dim * rank
 
     def blocks(op: Matrix) -> Matrix:
-        out = Matrix.zeros(f, dim, dim)
-        for b in range(rank):
-            o = b * a.dim
-            for i in range(a.dim):
-                for j in range(a.dim):
-                    out.data[o + i][o + j] = op.data[i][j]
-        return out
+        return Matrix.from_pairs(f, dim, dim, [
+            [(b * a.dim + j, x) for j, x in row]
+            for b in range(rank) for row in op.pairs])
 
     if side == "left":
         return left_module(a, dim, [blocks(a.basis_left_mult(i))
@@ -259,10 +255,6 @@ def _free_one_sided(a: FDAlgebra, side: str, rank: int) -> Bimodule:
 
 # ---------------------------------------------------------------------------
 # balanced tensor products
-
-def _nonzero_cols(op: Matrix) -> list[list[tuple[int, object]]]:
-    return [[(r, x) for r, x in enumerate(col) if x] for col in op.columns()]
-
 
 @dataclass(frozen=True)
 class TensorProduct:
@@ -326,15 +318,13 @@ class TensorProduct:
 
     def first_leg(self, op: Matrix) -> Matrix:
         """op (x) id on this tensor product."""
-        f = op.field
-        return tensor_legs(self, [(f.one, op, Matrix.identity(
-            f, self.right_factor.dim))])
+        return tensor_legs(self, [(op.field.one, op, Matrix.identity(
+            op.field, self.right_factor.dim))])
 
     def second_leg(self, op: Matrix) -> Matrix:
         """id (x) op on this tensor product."""
-        f = op.field
-        return tensor_legs(self, [(f.one, Matrix.identity(
-            f, self.left_factor.dim), op)])
+        return tensor_legs(self, [(op.field.one, Matrix.identity(
+            op.field, self.left_factor.dim), op)])
 
 
 def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
@@ -348,7 +338,7 @@ def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
     dst = dst or src
     f = src.left_factor.field
     dm, dn = dst.left_factor.dim, dst.right_factor.dim
-    sparse = [(c, _nonzero_cols(op_l), _nonzero_cols(op_r))
+    sparse = [(c, op_l.transpose().pairs, op_r.transpose().pairs)
               for c, op_l, op_r in terms if c]
     cols = []
     for u, v in src.free_pairs():
@@ -369,19 +359,16 @@ def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
     The result is an (m.left_algebra, n.right_algebra)-bimodule.  The
     relation x.c (x) y - x (x) c.y is the hom constraint
     n.left(c) X - X m.right(c)^T at the coefficient matrix X, so the
-    relations are the intertwining rows over the basis of C.
+    relations span the intertwining system over the basis of C.
     """
     c = m.right_algebra
     if c != n.left_algebra:
         raise BimoduleError(
             f"tensor factors disagree on the middle algebra: "
             f"{c.name} vs {n.left_algebra.name}")
-    f = m.field
-    rels = []
-    for b in range(c.dim):
-        rels.extend(_intertwining_rows(f, n.left_action[b],
-                                       m.right_action[b].transpose()))
-    relations = Subspace.from_vectors(f, m.dim * n.dim, rels)
+    relations = Subspace.row_space(_intertwining_system(
+        m.field, [(n.left_action[b], m.right_action[b].transpose())
+                  for b in range(c.dim)], n.dim, m.dim))
     pivots = set(relations.pivots)
     free = tuple(col for col in range(m.dim * n.dim) if col not in pivots)
     # the outer actions move one leg each; they only read the presentation
@@ -469,29 +456,27 @@ class MapSpace:
         return f"MapSpace({self.source.label} -> {self.target.label}, dim={self.dim})"
 
 
-def _intertwining_rows(field: Field, am: Matrix, an: Matrix) -> list[list]:
-    """The nonzero rows of an.X - X.am = 0 in the row-major entries of X.
+def _intertwining_system(field: Field, actions: Iterable[tuple[Matrix, Matrix]],
+                         dm: int, dn: int) -> Matrix:
+    """The nonzero rows of an.X - X.am = 0 over the pairs (am, an) in
+    actions, in the row-major entries of the dn x dm matrix X.
 
     Row (i, j) holds an[i][k] at column k*dm + j and -am[l][j] at column
     i*dm + l; rows that vanish, as they do for trivial actions, are dropped.
     """
-    dm = am.rows
-    am_cols = _nonzero_cols(am)
+    minus_one = field.neg(field.one)
     rows = []
-    for i, arow in enumerate(an.data):
-        an_row = [(k, x) for k, x in enumerate(arow) if x]
-        base = i * dm
-        for j in range(dm):
-            row = [field.zero] * (an.cols * dm)
-            for k, x in an_row:
-                row[k * dm + j] = x
-            for l, x in am_cols[j]:
-                row[base + l] = field.sub(row[base + l], x)
-            # only the entries just written can be nonzero
-            if any(row[k * dm + j] for k, _ in an_row) or \
-                    any(row[base + l] for l, _ in am_cols[j]):
-                rows.append(row)
-    return rows
+    for am, an in actions:
+        am_cols = am.transpose().pairs
+        for i, an_row in enumerate(an.pairs):
+            base = i * dm
+            for j, am_col in enumerate(am_cols):
+                row = {k * dm + j: x for k, x in an_row}
+                field.sparse_addmul(row, ((base + l, x) for l, x in am_col),
+                                    minus_one)
+                if row:
+                    rows.append(row.items())
+    return Matrix.from_pairs(field, len(rows), dn * dm, rows)
 
 
 def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
@@ -502,11 +487,10 @@ def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return MapSpace.spanned_by(m, n, [])
-    rows: list[list] = []
-    for am, an in zip(m.left_action + m.right_action,
-                      n.left_action + n.right_action):
-        rows.extend(_intertwining_rows(f, am, an))
-    ker = kernel(Matrix.from_rows(f, rows)) if rows else \
+    system = _intertwining_system(f, zip(m.left_action + m.right_action,
+                                         n.left_action + n.right_action),
+                                  dm, dn)
+    ker = kernel(system) if system.rows else \
         [unit_vec(f, dn * dm, i) for i in range(dn * dm)]
     return MapSpace.spanned_by(m, n, [Matrix.from_vec(f, dn, dm, v)
                                       for v in ker])
@@ -521,15 +505,15 @@ def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
     if len(m.left_action) != len(m.right_action):
         raise BimoduleError("invariants need one algebra acting on both sides")
     f = m.field
-    rows: list[list] = []
+    rows = []
     for x in elements:
         diff = lin_comb(f, m.dim, m.dim, list(x) + [f.neg(c) for c in x],
                         m.left_action + m.right_action)
-        rows.extend(row for row in diff.data if any(row))
+        rows.extend(row for row in diff.pairs if row)
     if not rows:
         return Subspace.full(f, m.dim)
-    return Subspace.from_vectors(f, m.dim,
-                                 kernel(Matrix.from_rows(f, rows)))
+    return Subspace.from_vectors(
+        f, m.dim, kernel(Matrix.from_pairs(f, len(rows), m.dim, rows)))
 
 
 def centralizer_subspace(m: Bimodule, embedding) -> Subspace:

@@ -103,8 +103,7 @@ def _memoized(table: dict, m: Bimodule, n: Bimodule, build: Callable,
 
 def _content_hash(m: Bimodule) -> int:
     return hash((id(m.left_algebra), id(m.right_algebra), m.dim,
-                 tuple(tuple(map(tuple, a.data))
-                       for a in m.left_action + m.right_action)))
+                 tuple(a.pairs for a in m.left_action + m.right_action)))
 
 
 def _same_content(m0: Bimodule, m: Bimodule) -> bool:
@@ -248,8 +247,8 @@ class CanonicalRings:
         element e_l of A."""
         a = self.ext.total
         return [tensor_legs(x, [
-            (tm.data[k][l], a.basis_right_mult(k), second[l])
-            for k in range(a.dim) for l in range(a.dim)])
+            (c, a.basis_right_mult(k), second[l])
+            for k, row in enumerate(tm.pairs) for l, c in row])
             for tm in map(self.q.lift, self.tensor_space.rows)]
 
     def _q_to_total(self, pure) -> Matrix:
@@ -279,11 +278,10 @@ class CanonicalRings:
         f = self.field
         rights = []
         for tm in map(self.q.lift, self.tensor_space.rows):
-            nz = [(i, j) for i in range(a.dim) for j in range(a.dim)
-                  if tm.data[i][j]]
-            op = lin_comb(f, a.dim, a.dim, [tm.data[i][j] for i, j in nz],
+            nz = [(i, j, c) for i, row in enumerate(tm.pairs) for j, c in row]
+            op = lin_comb(f, a.dim, a.dim, [c for _, _, c in nz],
                           [a.basis_left_mult(i) @ a.basis_right_mult(j)
-                           for i, j in nz])
+                           for i, j, _ in nz])
             rights.append(restrict_to(self.centralizer_space, op,
                                       "sandwiched centralizer element"))
         return Bimodule(trivial_algebra(f), self.tensor_ring,

@@ -194,7 +194,8 @@ def _gather(ops: Sequence[Matrix], mu: int) -> Matrix:
 def _leg_ops(cr: CanonicalRings, act: Callable[[Sequence], Matrix],
              tensor: Sequence) -> list[Matrix]:
     """act(t_k) for t = sum_k e_k (x) t_k in the tensor square."""
-    return [act(row) for row in cr.q.lift(tensor).data]
+    lifted = cr.q.lift(tensor)
+    return [act(lifted.row(i)) for i in range(lifted.rows)]
 
 
 def _require_module(m: Bimodule, side: str, ring: FDAlgebra) -> None:

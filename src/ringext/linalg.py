@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q and over prime fields F_p.
+"""Exact sparse linear algebra over Q and over prime fields F_p.
 
 Scalars are plain Python values, one representative per value: over Q
 an int when the value is whole and otherwise a rational in lowest terms
@@ -8,10 +8,13 @@ so keeping whole values as ints lets their arithmetic run as int code.
 A Field instance owns the arithmetic; values belonging to different
 fields are never mixed, and matrices and subspaces remember their field.
 
-Subspaces are stored with a reduced-row-echelon basis, so two equal
-subspaces have literally equal data and membership coordinates can be
-read off the pivot columns.  All solvers are deterministic: pivots are
-chosen first-nonzero, particular solutions set free variables to zero.
+Vectors are dense lists.  A Matrix holds each row as an immutable tuple
+of its (column, nonzero value) pairs, so products, sums and elimination
+touch only the nonzero entries of these mostly-zero systems.  Subspaces
+keep an RREF basis, so equal subspaces have equal data and coordinates
+are read off the pivot columns.  An RREF is unique, so its rows, pivots,
+kernel basis and the particular solution with free variables zero do
+not depend on the order in which elimination visits the rows.
 """
 
 from __future__ import annotations
@@ -109,32 +112,32 @@ class RationalField:
     def is_one(self, a) -> bool:
         return a == 1
 
-    # Row kernels.  These are the hot loops of every solver; they skip
-    # zero source entries so sparse systems eliminate cheaply, and keep
-    # whole results as ints.
-    def row_submul(self, dst: list, src: list, c) -> None:
-        for i, s in enumerate(src):
-            if s:
-                v = dst[i] - c * s
-                dst[i] = v if type(v) is int else _int_if_whole(v)
-
+    # Row kernels, the hot loops of every solver; all keep whole results
+    # as ints.
     def row_addmul(self, dst: list, src: list, c) -> None:
         for i, s in enumerate(src):
             if s:
                 v = dst[i] + c * s
                 dst[i] = v if type(v) is int else _int_if_whole(v)
 
-    def row_scale(self, row: list, c) -> None:
-        for i, v in enumerate(row):
-            if v:
-                v = v * c
-                row[i] = v if type(v) is int else _int_if_whole(v)
+    def dot(self, pairs: Iterable, v: Sequence):
+        """sum x * v[j] over the (j, x) pairs of a sparse row."""
+        acc = 0
+        for j, x in pairs:
+            b = v[j]
+            if b:
+                acc += x * b
+        return acc if type(acc) is int else _int_if_whole(acc)
 
-    def sparse_submul(self, dst: list, pairs: list, c) -> None:
-        """dst -= c * src, src given by its (index, nonzero entry) pairs."""
-        for i, s in pairs:
-            v = dst[i] - c * s
-            dst[i] = v if type(v) is int else _int_if_whole(v)
+    def sparse_addmul(self, dst: dict, pairs: Iterable, c) -> None:
+        """dst += c * src for a nonzero c: dst holds a row's nonzero entries
+        as a dict, src its (index, nonzero value) pairs; zeros leave dst."""
+        for j, s in pairs:
+            v = dst.get(j, 0) + c * s
+            if v:
+                dst[j] = v if type(v) is int else _int_if_whole(v)
+            else:
+                del dst[j]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
@@ -192,28 +195,23 @@ class PrimeField:
     def is_one(self, a) -> bool:
         return a == 1 % self.p
 
-    def row_submul(self, dst: list, src: list, c) -> None:
-        p = self.p
-        for i, s in enumerate(src):
-            if s:
-                dst[i] = (dst[i] - c * s) % p
-
     def row_addmul(self, dst: list, src: list, c) -> None:
         p = self.p
         for i, s in enumerate(src):
             if s:
                 dst[i] = (dst[i] + c * s) % p
 
-    def row_scale(self, row: list, c) -> None:
-        p = self.p
-        for i, v in enumerate(row):
-            if v:
-                row[i] = (v * c) % p
+    def dot(self, pairs: Iterable, v: Sequence):
+        return sum(x * v[j] for j, x in pairs) % self.p
 
-    def sparse_submul(self, dst: list, pairs: list, c) -> None:
+    def sparse_addmul(self, dst: dict, pairs: Iterable, c) -> None:
         p = self.p
-        for i, s in pairs:
-            dst[i] = (dst[i] - c * s) % p
+        for j, s in pairs:
+            v = (dst.get(j, 0) + c * s) % p
+            if v:
+                dst[j] = v
+            else:
+                del dst[j]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -272,37 +270,61 @@ def random_scalar(field: Field, rng):
     return field.of(rng.randint(-3, 3))
 
 
+def _dense(field: Field, n: int, pairs: Iterable) -> list:
+    """The length-n vector with the given (index, value) entries."""
+    out = [field.zero] * n
+    for j, x in pairs:
+        out[j] = x
+    return out
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
 class Matrix:
-    """Dense row-major matrix over one exact field.
+    """A matrix over one exact field, held as immutable sparse rows:
+    pairs[i] holds the (column, value) pairs of the nonzero entries of row
+    i in ascending column order and is all a matrix stores, so equal
+    matrices have equal pairs.  No method changes a matrix; zero-row and
+    zero-column matrices are legal."""
 
-    Data is a list of row lists.  Constructors validate shape; arithmetic
-    validates field and dimension compatibility.  Zero-row and zero-column
-    matrices are legal (they show up as maps to or from zero spaces).
-    """
+    __slots__ = ("field", "rows", "cols", "pairs")
 
-    __slots__ = ("field", "rows", "cols", "data")
-
-    def __init__(self, field: Field, rows: int, cols: int, data: list) -> None:
+    def __init__(self, field: Field, rows: int, cols: int,
+                 data: Sequence[Sequence]) -> None:
         if len(data) != rows or any(len(r) != cols for r in data):
             raise LinalgError(f"matrix data does not match shape {rows}x{cols}")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        self.field, self.rows, self.cols = field, rows, cols
+        self.pairs = tuple(tuple((j, x) for j, x in enumerate(r) if x)
+                           for r in data)
+
+    @classmethod
+    def _of(cls, field: Field, rows: int, cols: int, pairs: tuple) -> "Matrix":
+        """A matrix from pair rows already sorted, zero-free and in range."""
+        mat = object.__new__(cls)
+        mat.field, mat.rows, mat.cols, mat.pairs = field, rows, cols, pairs
+        return mat
+
+    @classmethod
+    def from_pairs(cls, field: Field, rows: int, cols: int,
+                   pair_rows: Iterable[Iterable[tuple]]) -> "Matrix":
+        """The matrix whose row i has the (column, value) pairs pair_rows[i],
+        in any order, zeros dropped; a column outside 0..cols-1 or repeated
+        in a row leaves that row too few distinct valid columns."""
+        out = [[(j, x) for j, x in row if x] for row in pair_rows]
+        if len(out) != rows or any(len({j for j, _ in row if type(j) is int
+                                        and 0 <= j < cols}) != len(row)
+                                   for row in out):
+            raise LinalgError(f"sparse rows do not fit a {rows}x{cols} matrix")
+        return cls._of(field, rows, cols, tuple(tuple(sorted(r)) for r in out))
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [[field.zero] * cols for _ in range(rows)])
+        return cls._of(field, rows, cols, ((),) * rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        data = [[field.zero] * n for _ in range(n)]
-        for i in range(n):
-            data[i][i] = field.one
-        return cls(field, n, n, data)
+        return cls._of(field, n, n, tuple(((i, field.one),) for i in range(n)))
 
     @classmethod
     def from_rows(cls, field: Field, rows: Iterable[Sequence]) -> "Matrix":
@@ -315,101 +337,89 @@ class Matrix:
                   rows: int = 0) -> "Matrix":
         """Columns side by side; rows is the row count when cols is empty."""
         m = len(cols[0]) if cols else rows
-        data = [[col[i] for col in cols] for i in range(m)]
-        return cls(field, m, len(cols), data)
+        return cls(field, len(cols), m, cols).transpose()
+
+    @property
+    def data(self) -> list[list]:
+        """Fresh dense rows; writing to them leaves the matrix unchanged."""
+        return [self.row(i) for i in range(self.rows)]
+
+    def row(self, i: int) -> list:
+        return _dense(self.field, self.cols, self.pairs[i])
 
     def col(self, j: int) -> list:
-        return [row[j] for row in self.data]
+        return [dict(row).get(j, self.field.zero) for row in self.pairs]
 
     def columns(self) -> list[list]:
-        return [self.col(j) for j in range(self.cols)]
+        return self.transpose().data
 
     def apply(self, v: Sequence) -> list:
         """Matrix-vector product (v as a column)."""
         if len(v) != self.cols:
             raise LinalgError("matrix/vector size mismatch")
-        f = self.field
-        out = [f.zero] * self.rows
-        for i, row in enumerate(self.data):
-            acc = f.zero
-            for a, b in zip(row, v):
-                if a:
-                    acc = f.add(acc, f.mul(a, b))
-            out[i] = acc
-        return out
+        dot = self.field.dot
+        return [dot(row, v) for row in self.pairs]
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise LinalgError("field mismatch in matrix product")
         if self.cols != other.rows:
-            raise LinalgError(
-                f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        f = self.field
-        out = [[f.zero] * other.cols for _ in range(self.rows)]
-        odata = other.data
-        for i, row in enumerate(self.data):
-            dst = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    f.row_addmul(dst, odata[k], a)
-        return Matrix(f, self.rows, other.cols, out)
+            raise LinalgError(f"shape mismatch {self.rows}x{self.cols} @ "
+                              f"{other.rows}x{other.cols}")
+        addmul, opairs = self.field.sparse_addmul, other.pairs
+        out = []
+        for row in self.pairs:
+            if len(row) == 1 and row[0][1] == 1:   # as in a permutation matrix
+                out.append(opairs[row[0][0]])
+                continue
+            acc: dict = {}
+            for k, a in row:
+                addmul(acc, opairs[k], a)
+            out.append(tuple(sorted(acc.items())))
+        return Matrix._of(self.field, self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        f = self.field
-        return Matrix(
-            f, self.rows, self.cols,
-            [[f.add(a, b) for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.data, other.data)],
-        )
+        return self._plus(other, self.field.one)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        f = self.field
-        return Matrix(
-            f, self.rows, self.cols,
-            [[f.sub(a, b) for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.data, other.data)],
-        )
+        return self._plus(other, self.field.neg(self.field.one))
+
+    def _plus(self, other: "Matrix", c) -> "Matrix":
+        if (self.field, self.rows, self.cols) != (other.field, other.rows, other.cols):
+            raise LinalgError("matrix shape or field mismatch")
+        return lin_comb(self.field, self.rows, self.cols, (self.field.one, c),
+                        (self, other))
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(
-            f, self.rows, self.cols,
-            [[f.mul(c, a) for a in row] for row in self.data],
-        )
+        return lin_comb(self.field, self.rows, self.cols, (c,), (self,))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field, self.cols, self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        cols: list[list] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.pairs):
+            for j, x in row:
+                cols[j].append((i, x))
+        return Matrix._of(self.field, self.cols, self.rows,
+                          tuple(map(tuple, cols)))
 
     def vec(self) -> list:
         """Row-major flattening."""
-        out = []
-        for row in self.data:
-            out.extend(row)
-        return out
+        n = self.cols
+        return _dense(self.field, self.rows * n,
+                      ((i * n + j, x) for i, row in enumerate(self.pairs)
+                       for j, x in row))
 
     @classmethod
     def from_vec(cls, field: Field, rows: int, cols: int, flat: Sequence) -> "Matrix":
         if len(flat) != rows * cols:
             raise LinalgError("flat vector does not match matrix shape")
         return cls(field, rows, cols,
-                   [list(flat[i * cols:(i + 1) * cols]) for i in range(rows)])
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
-            raise LinalgError("matrix shape or field mismatch")
+                   [flat[i * cols:(i + 1) * cols] for i in range(rows)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return self.data == other.data
+        return (self.field, self.rows, self.cols, self.pairs) == \
+            (other.field, other.rows, other.cols, other.pairs)
 
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
@@ -418,54 +428,53 @@ class Matrix:
 def lin_comb(field: Field, rows: int, cols: int, coeffs: Sequence,
              mats: Sequence[Matrix]) -> Matrix:
     """sum_k coeffs[k] * mats[k], accumulated row by row into one matrix."""
-    out = [[field.zero] * cols for _ in range(rows)]
-    for c, mat in zip(coeffs, mats):
-        if c:
-            for dst, src in zip(out, mat.data):
-                field.row_addmul(dst, src, c)
-    return Matrix(field, rows, cols, out)
+    terms = [(c, mat) for c, mat in zip(coeffs, mats) if c]
+    if len(terms) == 1 and terms[0][0] == 1:   # immutable, so shared
+        return terms[0][1]
+    addmul = field.sparse_addmul
+    accs: list[dict] = [{} for _ in range(rows)]
+    for c, mat in terms:
+        for acc, row in zip(accs, mat.pairs):
+            addmul(acc, row, c)
+    return Matrix._of(field, rows, cols,
+                      tuple(tuple(sorted(acc.items())) for acc in accs))
 
 
 # ---------------------------------------------------------------------------
 # elimination
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
+    """Reduced row echelon form and the list of pivot columns.
+
+    Rows enter one at a time as dicts and are reduced by the pivot rows so
+    far, which stay fully reduced; a row that does not vanish takes its
+    least column as a new pivot, cleared from the earlier pivot rows.
+    """
     f = mat.field
-    rows = [r[:] for r in mat.data]
-    m, n = mat.rows, mat.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        if not f.is_one(rows[r][c]):
-            f.row_scale(rows[r], f.inv(rows[r][c]))
-        # the pivot row's nonzeros, found once for every row it clears
-        nz = [(j, x) for j, x in enumerate(rows[r]) if x]
-        for i in range(r + 1, m):
-            a = rows[i][c]
-            if a:
-                f.sparse_submul(rows[i], nz, a)
-        pivots.append(c)
-        r += 1
-        if r == m:
+    addmul, neg = f.sparse_addmul, f.neg
+    echelon: dict[int, dict] = {}   # pivot column -> its reduced row
+    for row in mat.pairs:
+        if len(echelon) == mat.cols:
             break
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        nz = [(j, x) for j, x in enumerate(rows[k]) if x]
-        for i in range(k):
-            a = rows[i][c]
+        acc = dict(row)
+        # pivot rows vanish at each other's pivots: clear acc's one by one
+        for c in [c for c in acc if c in echelon]:
+            addmul(acc, echelon[c].items(), neg(acc[c]))
+        if not acc:
+            continue
+        c = min(acc)
+        if not f.is_one(acc[c]):
+            inv = f.inv(acc[c])
+            acc = {j: f.mul(inv, x) for j, x in acc.items()}
+        for other in echelon.values():
+            a = other.get(c)
             if a:
-                f.sparse_submul(rows[i], nz, a)
-    return Matrix(f, m, n, rows), pivots
+                addmul(other, acc.items(), neg(a))
+        echelon[c] = acc
+    pivots = sorted(echelon)
+    rows = tuple(tuple(sorted(echelon[c].items())) for c in pivots)
+    return Matrix._of(f, mat.rows, mat.cols,
+                      rows + ((),) * (mat.rows - len(rows))), pivots
 
 
 def rank(mat: Matrix) -> int:
@@ -476,37 +485,36 @@ def invert(mat: Matrix) -> Optional[Matrix]:
     """Exact inverse of a square matrix, or None if singular."""
     if mat.rows != mat.cols:
         return None
-    n = mat.rows
-    f = mat.field
-    eye = Matrix.identity(f, n)
-    aug = Matrix(f, n, 2 * n,
-                 [row + eyerow for row, eyerow in zip(mat.data, eye.data)])
+    n, f = mat.rows, mat.field
+    aug = Matrix._of(f, n, 2 * n, tuple(row + ((n + i, f.one),)
+                                        for i, row in enumerate(mat.pairs)))
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)) or len(pivots) != n:
         return None
-    return Matrix(f, n, n, [row[n:] for row in red.data])
+    return Matrix._of(f, n, n, tuple(tuple((j - n, x) for j, x in row if j >= n)
+                                     for row in red.pairs))
 
 
-def _kernel_from_rref(field: Field, data: list, cols: int, pivots: list[int]) -> list[list]:
+def _kernel_from_rref(field: Field, pairs: tuple, cols: int,
+                      pivots: list[int]) -> list[list]:
+    """The kernel basis of the first cols columns of an RREF, one vector
+    per free column; entries of pairs at columns >= cols are ignored."""
     pivset = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pivset:
-            continue
-        v = [field.zero] * cols
-        v[fc] = field.one
-        for k, pc in enumerate(pivots):
-            a = data[k][fc]
-            if a:
-                v[pc] = field.neg(a)
-        basis.append(v)
+    free = {fc: k for k, fc in enumerate(c for c in range(cols)
+                                         if c not in pivset)}
+    basis = [unit_vec(field, cols, fc) for fc in free]
+    for pc, row in zip(pivots, pairs):
+        for j, x in row:
+            k = free.get(j)
+            if k is not None:
+                basis[k][pc] = field.neg(x)
     return basis
 
 
 def kernel(mat: Matrix) -> list[list]:
     """Basis of the right null space {v : mat v = 0}, one vector per free column."""
     red, pivots = rref(mat)
-    return _kernel_from_rref(mat.field, red.data, mat.cols, pivots)
+    return _kernel_from_rref(mat.field, red.pairs, mat.cols, pivots)
 
 
 def solve(mat: Matrix, rhs: Sequence) -> Optional[tuple[list, list[list]]]:
@@ -518,18 +526,15 @@ def solve(mat: Matrix, rhs: Sequence) -> Optional[tuple[list, list[list]]]:
     """
     if len(rhs) != mat.rows:
         raise LinalgError("rhs length does not match row count")
-    f = mat.field
-    n = mat.cols
-    aug = Matrix(f, mat.rows, n + 1,
-                 [row + [b] for row, b in zip(mat.data, rhs)])
+    f, n = mat.field, mat.cols
+    aug = Matrix._of(f, mat.rows, n + 1, tuple(
+        row + ((n, b),) if b else row for row, b in zip(mat.pairs, rhs)))
     red, pivots = rref(aug)
     if pivots and pivots[-1] == n:
         return None
-    particular = [f.zero] * n
-    for k, c in enumerate(pivots):
-        particular[c] = red.data[k][n]
-    left = [row[:n] for row in red.data]
-    return particular, _kernel_from_rref(f, left, n, pivots)
+    particular = _dense(f, n, ((c, row[-1][1]) for c, row
+                               in zip(pivots, red.pairs) if row[-1][0] == n))
+    return particular, _kernel_from_rref(f, red.pairs, n, pivots)
 
 
 def span_decide(field: Field, generators: Sequence[Sequence], target: Sequence
@@ -545,7 +550,7 @@ def span_decide(field: Field, generators: Sequence[Sequence], target: Sequence
             raise LinalgError("generator/target length mismatch")
     if not generators:
         return None if any(target) else []
-    cols = Matrix.from_cols(field, [list(g) for g in generators])
+    cols = Matrix.from_cols(field, generators)
     result = solve(cols, list(target))
     return None if result is None else result[0]
 
@@ -569,69 +574,74 @@ def span_decide_pairs(field: Field, lefts: Sequence, rights: Sequence,
 # subspaces
 
 class Subspace:
-    """A subspace of F^n held as an RREF basis (canonical representation)."""
+    """A subspace of F^n held as its RREF basis: basis, a Matrix with one
+    row per basis vector, and rows, the same vectors as dense lists."""
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "rows", "pivots")
 
-    def __init__(self, field: Field, ambient_dim: int, rows: list, pivots: list[int]) -> None:
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.rows = rows
+    def __init__(self, basis: Matrix, pivots: list[int]) -> None:
+        """The span of basis, an RREF with these pivots and no zero row."""
+        self.field = basis.field
+        self.ambient_dim = basis.cols
+        self.basis = basis
+        self.rows = basis.data
         self.pivots = pivots
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int,
                      vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise LinalgError("vector length does not match ambient dimension")
-        if not vecs:
-            return cls(field, ambient_dim, [], [])
-        red, pivots = rref(Matrix.from_rows(field, vecs))
-        return cls(field, ambient_dim, [red.data[i] for i in range(len(pivots))], pivots)
+        vecs = list(vectors)
+        return cls.row_space(Matrix(field, len(vecs), ambient_dim, vecs))
+
+    @classmethod
+    def row_space(cls, mat: Matrix) -> "Subspace":
+        if not mat.rows:
+            return cls.zero(mat.field, mat.cols)
+        red, pivots = rref(mat)
+        return cls(Matrix._of(mat.field, len(pivots), mat.cols,
+                              red.pairs[:len(pivots)]), pivots)
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, [], [])
+        return cls(Matrix.zeros(field, 0, ambient_dim), [])
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        eye = Matrix.identity(field, ambient_dim)
-        return cls(field, ambient_dim, eye.data, list(range(ambient_dim)))
+        return cls(Matrix.identity(field, ambient_dim), list(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    def _residual(self, v: Sequence) -> dict:
+        f = self.field
+        w = {j: x for j, x in enumerate(v) if x}
+        # basis rows vanish at each other's pivots, so the order is free
+        for pc, row in zip(self.pivots, self.basis.pairs):
+            a = w.get(pc)
+            if a:
+                f.sparse_addmul(w, row, f.neg(a))
+        return w
 
     def reduce(self, v: Sequence) -> list:
         """Residual of v after subtracting its projection onto the basis rows."""
-        f = self.field
-        w = list(v)
-        for row, pc in zip(self.rows, self.pivots):
-            a = w[pc]
-            if a:
-                f.row_submul(w, row, a)
-        return w
+        return _dense(self.field, len(v), self._residual(v).items())
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+        return not self._residual(v)
 
     def element(self, coords: Sequence) -> list:
         """The vector with the given coefficients over the RREF basis."""
         f = self.field
-        out = [f.zero] * self.ambient_dim
-        for c, row in zip(coords, self.rows):
+        acc: dict = {}
+        for c, row in zip(coords, self.basis.pairs):
             if c:
-                f.row_addmul(out, row, c)
-        return out
+                f.sparse_addmul(acc, row, c)
+        return _dense(f, self.ambient_dim, acc.items())
 
     def coordinates(self, v: Sequence) -> Optional[list]:
         """Coefficients of v over the RREF basis, or None if v is outside."""
-        coeffs = [v[pc] for pc in self.pivots]
-        if not self.contains(v):
-            return None
-        return coeffs
+        return [v[pc] for pc in self.pivots] if self.contains(v) else None
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -640,8 +650,7 @@ class Subspace:
         f = self.field
         # columns: basis of self, then negated basis of other; kernel rows
         # give coefficient pairs (a, b) with a.U = b.V, i.e. intersection.
-        cols = [list(r) for r in self.rows] + \
-               [vec_scale(f, r, f.neg(f.one)) for r in other.rows]
+        cols = self.rows + [vec_scale(f, r, f.neg(f.one)) for r in other.rows]
         ker = kernel(Matrix.from_cols(f, cols))
         return Subspace.from_vectors(
             f, self.ambient_dim, [self.element(kv[:self.dim]) for kv in ker])
@@ -657,9 +666,7 @@ class Subspace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        # equal RREF rows have equal pivots
-        return (self.field == other.field and self.ambient_dim == other.ambient_dim
-                and self.rows == other.rows)
+        return self.basis == other.basis
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -274,6 +274,16 @@ def _classification_certificates(cl, msgs: list) -> list:
     if not isinstance(cl, dict):
         msgs.append("$.classification: not a JSON object")
         return []
+    # the other keys the report schema gives a type
+    for key, what, ok in (
+            ("endo_ring_detection", "a boolean or null",
+             lambda v: v is None or isinstance(v, bool)),
+            ("base_projective", "a JSON object", lambda v: isinstance(v, dict)),
+            ("module_facts", "a JSON object", lambda v: isinstance(v, dict)),
+            ("consistency_notes", "a list of strings", lambda v: isinstance(
+                v, list) and all(isinstance(s, str) for s in v))):
+        if key in cl and not ok(cl[key]):
+            msgs.append(f"$.classification.{key}: not {what}")
     loc = "$.classification.certificates"
     certs = cl.get("certificates", {})
     if not isinstance(certs, dict):

@@ -90,7 +90,7 @@ def parse_matrix(f: Field, rows, nrows: int, ncols: int, loc: str) -> Matrix:
 
 
 def matrix_json(mat: Matrix) -> list:
-    return [vector_json(mat.field, row) for row in mat.data]
+    return [vector_json(mat.field, mat.row(i)) for i in range(mat.rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,9 @@ def direct_sum(m, n):
     d = m.dim + n.dim
 
     def block(a, b):
-        out = Matrix.zeros(m.field, d, d)
-        for i, row in enumerate(a.data):
-            out.data[i][:m.dim] = row
-        for i, row in enumerate(b.data):
-            out.data[m.dim + i][m.dim:] = row
-        return out
+        z = m.field.zero
+        return Matrix.from_rows(m.field, [row + [z] * n.dim for row in a.data]
+                                + [[z] * m.dim + row for row in b.data])
 
     return Bimodule(m.left_algebra, m.right_algebra, d,
                     [block(x, y) for x, y in zip(m.left_action, n.left_action)],

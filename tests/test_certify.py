@@ -125,8 +125,8 @@ def test_expectation_must_be_base_bilinear(built):
     # add x -> x_s . 1 for a group element s outside the subgroup: still
     # a unital retraction, but no longer base-linear
     s = min(set(range(a.dim)) - set(cr.ext.subgroup()))
-    bump = Matrix.zeros(f, base.dim, a.dim)
-    bump.data[0][s] = f.one
+    bump = Matrix.from_rows(f, [unit_vec(f, a.dim, s)]
+                            + [[f.zero] * a.dim] * (base.dim - 1))
     e = b.cls.conditional_expectation.expectation + bump
     assert e.apply(a.unit) == base.unit
     assert e @ cr.ext.iota == Matrix.identity(f, base.dim)
@@ -163,8 +163,8 @@ def test_quasibase_pairs_need_invariant_tensors_and_bimodule_endos(built):
         eye = Matrix.identity(f, n)
         assert not verify_d2(cr, D2Certificate(qb.side, qb.pairs + [
             QuasibasePair(leg, eye), QuasibasePair(leg, eye.scale(f.of(-1)))]))
-        bump = Matrix.zeros(f, n, n)
-        bump.data[0][1] = f.one
+        bump = Matrix.from_rows(f, [unit_vec(f, n, 1)]
+                                + [[f.zero] * n] * (n - 1))
         assert not cr.endo_space.contains(bump)
         t = cr.one_tensor_one()
         assert not verify_d2(cr, D2Certificate(qb.side, qb.pairs + [

@@ -376,13 +376,23 @@ def _extra_key(*path):
      "$.classification.hseparable"),
     ("qc2_q", _set(("classification", "hseparable"), 0),
      "$.classification.hseparable"),
+    ("qc2_q", _set(("classification", "endo_ring_detection"), "banana"),
+     "$.classification.endo_ring_detection"),
+    ("qc2_q", _set(("classification", "base_projective"), 7),
+     "$.classification.base_projective"),
+    ("qc2_q", _set(("classification", "module_facts"), []),
+     "$.classification.module_facts"),
+    ("qc2_q", _set(("classification", "consistency_notes"), ["ok", 3]),
+     "$.classification.consistency_notes"),
 ], ids=["classification_list", "certificates_list", "certificates_int",
         "unknown_certificate", "pairs_not_list", "pair_without_endo",
         "reverse_order_string", "extra_key_separable", "extra_key_split",
         "extra_key_hsep", "extra_key_d2_left", "extra_key_d2_right",
         "extra_key_quasibase_pair", "extra_key_hsep_pair",
         "flag_one_with_certificate", "flag_string_with_certificate",
-        "flag_null_without_certificate", "flag_zero_without_certificate"])
+        "flag_null_without_certificate", "flag_zero_without_certificate",
+        "endo_ring_detection_string", "base_projective_int",
+        "module_facts_list", "consistency_notes_not_strings"])
 def test_verify_malformed_report_is_exit_one(tmp_path, capsys,
                                              report_validator, name, edit,
                                              where):

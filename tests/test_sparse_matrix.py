@@ -1,0 +1,234 @@
+"""The sparse-row Matrix against plain list-of-lists arithmetic.
+
+Every operation of Matrix is recomputed here on dense rows of Fractions
+(over Q) or of ints mod 5 (over F_5), with no library arithmetic, and the
+two must agree entry for entry; whole rationals must come back as ints.
+The drawn shapes include empty ones, and some matrices get rows that are
+combinations of earlier rows, so those rows vanish during elimination.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ringext.linalg import (GF, QQ, LinalgError, Matrix, invert, lin_comb,
+                            solve)
+from tests import oracle_linalg
+
+F5 = GF(5)
+FIELDS = {"Q": (QQ, oracle_linalg.FracOps()), "F5": (F5, oracle_linalg.ModOps(5))}
+
+big = st.integers(-10**30, 10**30)
+q_entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                    st.builds(Fraction, big, st.integers(1, 10**30)))
+f5_entry = st.one_of(st.just(0), st.integers(0, 4))
+
+
+def entries(name):
+    return q_entry if name == "Q" else f5_entry
+
+
+@st.composite
+def dense_rows(draw, name, rows, cols, dependent=0):
+    """rows x cols entries, then `dependent` extra rows that are
+    combinations of the drawn ones."""
+    field, ops = FIELDS[name]
+    data = [[ops.of(draw(entries(name))) for _ in range(cols)]
+            for _ in range(rows)]
+    for _ in range(dependent if rows else 0):
+        cs = [ops.of(draw(entries(name))) for _ in range(rows)]
+        data.append([ops.of(sum((c * row[j] for c, row in zip(cs, data)),
+                                ops.zero)) for j in range(cols)])
+    return data
+
+
+def lib(name, data, cols):
+    """The library matrix of dense reference rows."""
+    field = FIELDS[name][0]
+    return Matrix(field, len(data), cols,
+                  [[field.of(x) for x in row] for row in data])
+
+
+def reduce_(name, x):
+    return x % 5 if name == "F5" else x
+
+
+def ref_matmul(name, a, b, k):
+    return [[reduce_(name, sum(x * b[j][c] for j, x in enumerate(row)))
+             for c in range(k)] for row in a]
+
+
+def ref_transpose(a, cols):
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def ref_comb(name, coeffs, mats):
+    return [[reduce_(name, sum(c * mat[i][j] for c, mat in zip(coeffs, mats)))
+             for j in range(len(mats[0][i]))] for i in range(len(mats[0]))]
+
+
+def ref_solve(ops, a, rhs, n):
+    """(particular with free variables zero, kernel basis) or None."""
+    red, pivots = oracle_linalg.rref(ops, [row + [b] for row, b in zip(a, rhs)])
+    if pivots and pivots[-1] == n:
+        return None
+    particular = [ops.zero] * n
+    for row, c in zip(red, pivots):
+        particular[c] = row[n]
+    return particular, oracle_linalg.nullspace(ops, [row[:n] for row in red], n)
+
+
+def ref_invert(ops, a, n):
+    eye = [[ops.one if i == j else ops.zero for j in range(n)] for i in range(n)]
+    red, pivots = oracle_linalg.rref(ops, [row + e for row, e in zip(a, eye)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def assert_canonical(name, rows):
+    for x in (x for row in rows for x in row):
+        if name == "F5":
+            assert type(x) is int and 0 <= x < 5
+        else:
+            assert type(x) is int or x.denominator != 1
+
+
+@given(st.sampled_from(["Q", "F5"]), st.data())
+def test_arithmetic_matches_dense_lists(name, data):
+    draw = data.draw
+    field, ops = FIELDS[name]
+    m, n, k = (draw(st.integers(0, 4)) for _ in range(3))
+    a = draw(dense_rows(name, m, n))
+    a2 = draw(dense_rows(name, m, n))
+    b = draw(dense_rows(name, n, k))
+    v = [ops.of(draw(entries(name))) for _ in range(n)]
+    c1, c2 = (ops.of(draw(entries(name))) for _ in range(2))
+    A, A2, B = lib(name, a, n), lib(name, a2, n), lib(name, b, k)
+    lv = [field.of(x) for x in v]
+    minus = ops.of(-1)
+
+    outputs = {
+        "matmul": ((A @ B).data, ref_matmul(name, a, b, k)),
+        "apply": ([A.apply(lv)], [[reduce_(name, sum(
+            x * v[j] for j, x in enumerate(row))) for row in a]]),
+        "lin_comb": (lin_comb(field, m, n, [field.of(c1), field.of(c2)],
+                              [A, A2]).data,
+                     ref_comb(name, [c1, c2], [a, a2])),
+        "transpose": (A.transpose().data, ref_transpose(a, n)),
+        "add": ((A + A2).data, ref_comb(name, [1, 1], [a, a2])),
+        "sub": ((A - A2).data, ref_comb(name, [1, minus], [a, a2])),
+        "scale": (A.scale(field.of(c1)).data, ref_comb(name, [c1], [a])),
+        "vec": ([A.vec()], [[x for row in a for x in row]]),
+    }
+    for what, (got, want) in outputs.items():
+        assert got == want, what
+        assert_canonical(name, got)
+    assert (A.transpose().rows, A.transpose().cols) == (n, m)
+    assert (A @ B).rows == m and (A @ B).cols == k
+    assert Matrix.from_vec(field, m, n, A.vec()) == A
+    assert [A.row(i) for i in range(m)] == a
+    assert [A.col(j) for j in range(n)] == A.columns() == ref_transpose(a, n)
+
+
+@given(st.sampled_from(["Q", "F5"]), st.data())
+def test_solve_and_invert_match_dense_lists(name, data):
+    draw = data.draw
+    field, ops = FIELDS[name]
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a = draw(dense_rows(name, m, n, dependent=draw(st.integers(0, 2))))
+    rhs = [ops.of(draw(entries(name))) for _ in a]
+    got = solve(lib(name, a, n), [field.of(x) for x in rhs])
+    want = ref_solve(ops, a, rhs, n)
+    assert got == want
+    if got is not None:
+        assert_canonical(name, [got[0]] + got[1])
+
+    s = draw(dense_rows(name, n, n))
+    if n and draw(st.booleans()):
+        # a repeated row makes the square matrix singular
+        s[-1] = list(s[0])
+    inv = invert(lib(name, s, n))
+    want_inv = ref_invert(ops, s, n)
+    assert (inv is None) == (want_inv is None)
+    if inv is not None:
+        assert inv.data == want_inv
+        assert_canonical(name, inv.data)
+
+
+@pytest.mark.parametrize("name", ["Q", "F5"])
+@pytest.mark.parametrize("perm", [(), (0,), (1, 0), (2, 0, 1), (3, 1, 0, 2)])
+def test_identity_and_permutation_matrices(name, perm):
+    field, ops = FIELDS[name]
+    n = len(perm)
+    p = [[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    P = lib(name, p, n)
+    eye = Matrix.identity(field, n)
+    x = lib(name, [[ops.of(3 * i + j + 1) for j in range(2)] for i in range(n)], 2)
+    assert eye.data == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert eye @ P == P @ eye == P
+    assert (P @ x).data == [x.data[perm[i]] for i in range(n)]
+    assert invert(P) == P.transpose()
+    assert P @ P.transpose() == eye
+    assert P.apply(list(range(n))) == list(perm)
+    assert solve(P, list(range(n))) == (list(perm_inverse(perm)), [])
+
+
+def perm_inverse(perm):
+    out = [0] * len(perm)
+    for i, j in enumerate(perm):
+        out[j] = i
+    return out
+
+
+@pytest.mark.parametrize("name", ["Q", "F5"])
+def test_empty_shapes(name):
+    field = FIELDS[name][0]
+    wide, tall = Matrix(field, 0, 3, []), Matrix(field, 3, 0, [[], [], []])
+    assert (tall @ wide).data == [[0] * 3] * 3
+    assert (wide @ tall).data == [] and (wide @ tall).cols == 0
+    assert tall.apply([]) == [0, 0, 0] and wide.apply([1, 2, 3]) == []
+    assert wide.transpose() == tall and tall.transpose() == wide
+    assert solve(wide, []) == ([0, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert solve(tall, [0, 0, 0]) == ([], [])
+    assert solve(tall, [0, 1, 0]) is None
+    assert invert(Matrix(field, 0, 0, [])) == Matrix.identity(field, 0)
+    assert wide.vec() == [] and Matrix.from_vec(field, 3, 0, []) == tall
+
+
+def test_writing_dense_views_leaves_the_matrix_unchanged():
+    m = Matrix.from_rows(QQ, [[1, 0, Fraction(1, 2)], [0, 0, 4]])
+    same = Matrix.from_rows(QQ, [[1, 0, Fraction(1, 2)], [0, 0, 4]])
+    m.data[0][0] = 7
+    rows = m.data
+    rows[1][1] = 9
+    rows.append([1, 1, 1])
+    m.row(0)[2] = 5
+    m.col(2)[1] = 5
+    m.vec()[0] = 5
+    m.columns()[0][0] = 5
+    assert m == same
+    assert m.data == [[1, 0, Fraction(1, 2)], [0, 0, 4]]
+    with pytest.raises(TypeError):
+        m.pairs[0] = ()
+
+
+def test_sparse_constructor_checks_shape_and_columns():
+    m = Matrix.from_pairs(QQ, 2, 3, [[(2, 5), (0, 0), (1, Fraction(1, 2))], []])
+    assert m.data == [[0, Fraction(1, 2), 5], [0, 0, 0]]
+    assert m == Matrix.from_rows(QQ, [[0, Fraction(1, 2), 5], [0, 0, 0]])
+    assert Matrix.from_pairs(F5, 1, 2, [{1: 3}.items()]).data == [[0, 3]]
+    for rows, pairs in [
+            (2, [[(3, 1)], []]),            # column past the last one
+            (2, [[(-1, 1)], []]),           # negative column
+            (2, [[(0, 1), (0, 2)], []]),    # repeated column
+            (2, [[("0", 1)], []]),          # column that is not an int
+            (2, [[(0, 1)]]),                # too few rows
+            (1, [[(0, 1)], [(1, 1)]]),      # too many rows
+    ]:
+        with pytest.raises(LinalgError):
+            Matrix.from_pairs(QQ, rows, 3, pairs)
+    with pytest.raises(LinalgError):
+        Matrix(QQ, 2, 2, [[1, 2], [3]])
