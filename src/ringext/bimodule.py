@@ -38,7 +38,6 @@ from .linalg import (
     Subspace,
     kernel,
     lin_comb,
-    random_scalar,
     span_decide_pairs,
     unit_vec,
 )
@@ -181,76 +180,6 @@ def forget_right(m: Bimodule) -> Bimodule:
     triv = trivial_algebra(m.field)
     return Bimodule(m.left_algebra, triv, m.dim, m.left_action,
                     [Matrix.identity(m.field, m.dim)], label=m.label)
-
-
-def submodule_as_module(parent: Bimodule, sub: Subspace,
-                        label: str = "M'") -> Bimodule:
-    """An action-stable subspace of a bimodule, in its own coordinates."""
-    if sub.ambient_dim != parent.dim:
-        raise BimoduleError("subspace does not live in the parent module")
-
-    def induce(op: Matrix) -> Matrix:
-        cols = []
-        for row in sub.rows:
-            image = op.apply(row)
-            coords = sub.coordinates(image)
-            if coords is None:
-                raise BimoduleError(
-                    f"subspace of {parent.label} is not action-stable")
-            cols.append(coords)
-        return Matrix.from_cols(parent.field, cols, sub.dim)
-
-    return Bimodule(parent.left_algebra, parent.right_algebra, sub.dim,
-                    [induce(op) for op in parent.left_action],
-                    [induce(op) for op in parent.right_action], label=label)
-
-
-def random_cyclic_module(a: FDAlgebra, side: str, ambient_rank: int,
-                         seed: int, label: Optional[str] = None) -> Bimodule:
-    """A seeded pseudo-random one-sided module: the submodule of a free
-    module of the given rank generated by one random element.
-
-    The span of the basis translates of a single element is already
-    action-stable, so no closure iteration is needed.
-    """
-    import random
-
-    if side not in ("left", "right"):
-        raise BimoduleError("side must be 'left' or 'right'")
-    f = a.field
-    rng = random.Random(seed)
-    ambient = a.dim * ambient_rank
-    free = _free_one_sided(a, side, ambient_rank)
-    for _ in range(32):
-        x = [random_scalar(f, rng) for _ in range(ambient)]
-        if any(x):
-            break
-    else:
-        x = unit_vec(f, ambient, 0)
-    if side == "left":
-        gens = [free.left_action[i].apply(x) for i in range(a.dim)]
-    else:
-        gens = [free.right_action[i].apply(x) for i in range(a.dim)]
-    sub = Subspace.from_vectors(f, ambient, gens)
-    return submodule_as_module(free, sub,
-                               label=label or f"{a.name}-cyclic{seed}")
-
-
-def _free_one_sided(a: FDAlgebra, side: str, rank: int) -> Bimodule:
-    f = a.field
-    a._ensure_regular()
-    dim = a.dim * rank
-
-    def blocks(op: Matrix) -> Matrix:
-        return Matrix.from_pairs(f, dim, dim, [
-            [(b * a.dim + j, x) for j, x in row]
-            for b in range(rank) for row in op.pairs])
-
-    if side == "left":
-        return left_module(a, dim, [blocks(a.basis_left_mult(i))
-                                    for i in range(a.dim)], label=f"{a.name}^{rank}")
-    return right_module(a, dim, [blocks(a.basis_right_mult(i))
-                                 for i in range(a.dim)], label=f"{a.name}^{rank}")
 
 
 # ---------------------------------------------------------------------------

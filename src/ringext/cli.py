@@ -6,9 +6,9 @@ kinds are the rows of report.certificate_kinds), equivalence
 subgroup tests), verify (re-check a JSON report emitted by analyze or
 by certify --json).
 Exit codes: 0 the run completed and the report holds the verdicts, 1 the
-input was rejected (for verify: the report is malformed or a certificate
-fails), 2 an internal invariant failed, which is a bug trap rather than
-a data verdict.
+command line or the input was rejected (for verify: the report is
+malformed or a certificate fails), 2 an internal invariant failed, which
+is a bug trap rather than a data verdict.
 """
 
 import argparse
@@ -24,11 +24,20 @@ from .normality import hopf_normality
 from .report import (_iso_block, analysis_report, certificate_kinds,
                      module_block, normality_block, render_text, report_header,
                      report_json, verify_report)
-from .serialize import InputError, input_json, parse_input
+from .serialize import InputError, parse_input
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, like any rejected
+    input; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _load_json(path: str):
@@ -49,11 +58,7 @@ def _load_json(path: str):
 
 
 def _parsed_input(args):
-    parsed = parse_input(_load_json(args.input))
-    if args.seed is not None:
-        parsed.seed = args.seed
-        parsed.echo = input_json(parsed)
-    return parsed
+    return parse_input(_load_json(args.input))
 
 
 def _emit(doc: dict, args) -> int:
@@ -103,9 +108,9 @@ def cmd_equivalence(args) -> int:
     doc = report_header(parsed, f"equivalence {name}")
     doc["dims"] = cr.dims()
     doc["equivalences"] = {
-        name: module_block(cr, cls, m, parsed.seed)[0],
+        name: module_block(cr, cls, m)[0],
         "base_change_of_total": _iso_block(
-            pi_A_iso(cr, left_quasibase=cls.left_quasibase, seed=parsed.seed)),
+            pi_A_iso(cr, left_quasibase=cls.left_quasibase)),
     }
     return _emit(doc, args)
 
@@ -152,7 +157,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="ringext",
         description="Exact structure analysis of finite dimensional "
                     "algebra extensions.")
@@ -166,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the machine-readable JSON report")
         fmt.add_argument("--text", action="store_true",
                          help="emit the prose report (default)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the sampling seed from the input")
         p.add_argument("-o", "--output", default=None,
                        help="write the report to a file instead of stdout")
 

@@ -13,20 +13,21 @@ constructor builds the forward matrix of the structural map, decides
 bijectivity by exact rank, and, when a certificate (separability
 element, conditional expectation, quasibase, summand system) is
 supplied, constructs the predicted inverse formula and verifies both
-composites.  Naturality squares are sampled with seeded random module
-maps.  Missing certificates and failed checks produce reports, never
+composites.  A naturality square is linear in the module map, so it is
+checked exactly on a basis of the endomorphism space of the module the
+functors are applied to, which proves it for every endomorphism.
+Missing certificates and failed checks produce reports, never
 exceptions; an exception means either bad input or an internal bug.
 
 All constructors share one engine: bimodule.intertwines for every
 linearity and naturality square, the leg operators and sums of pure
-tensors of TensorProduct, _sample_endos for the seeded module maps,
-_on_hom for operators induced on map spaces, _certify_inverse for
-certified inverses, and _comparison for the status, route and result.
+tensors of TensorProduct, _on_hom for operators induced on map spaces,
+_certify_inverse for certified inverses, and _comparison for the
+naturality squares, status, route and result.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -60,7 +61,7 @@ from .certify import (
     verify_separability,
     verify_split,
 )
-from .linalg import Matrix, invert, random_scalar, unit_vec, vec_sum
+from .linalg import Matrix, invert, unit_vec, vec_sum
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +81,9 @@ class VerifiedIso:
 
     checks holds named boolean side conditions (linearity over the various
     rings, triangle identities, composite agreements).  naturality_samples
-    counts the seeded random module maps whose naturality square was
-    checked; all of them must have commuted for checks["naturality"].
+    is the dimension of the endomorphism space whose basis maps had their
+    naturality squares checked; checks["naturality"] holds when all of
+    them commute, and then every endomorphism's square commutes.
     """
 
     name: str
@@ -103,24 +105,8 @@ class VerifiedIso:
 
 _NO_QUASIBASE = "no left quasibase supplied; formula inverse not certified"
 
-# seeded random module maps whose naturality square each comparison checks
-NATURALITY_SAMPLES = 3
-
-
-def _rng(seed: int, tag: str) -> random.Random:
-    # string seeding is hash-free and stable across processes
-    return random.Random(f"{seed}:{tag}")
-
-
-def _sample_endos(hom: Callable[[Bimodule, Bimodule], MapSpace], m: Bimodule,
-                  seed: int, tag: str) -> list[Matrix]:
-    """Seeded random endomorphisms of m, one per naturality square, in the
-    endomorphism space that hom builds."""
-    space = hom(m, m)
-    rng = _rng(seed, tag)
-    return [space.element([random_scalar(space.field, rng)
-                           for _ in range(space.dim)])
-            for _ in range(NATURALITY_SAMPLES)]
+# e -> (the operator e induces on the domain, the one on the codomain)
+Square = Callable[[Matrix], tuple[Matrix, Matrix]]
 
 
 def _hom_coords(hs: MapSpace, maps: Iterable[Matrix]) -> Matrix:
@@ -160,16 +146,26 @@ def _bijective_inverse(fwd: Matrix) -> Optional[Matrix]:
     return invert(fwd) if fwd.rows == fwd.cols else None
 
 
-def _comparison(name: str, fwd: Matrix, domain: str, codomain: str,
-                checks: dict, squares: list, back: Optional[Matrix] = None,
-                route: str = "", detail: str = "") -> VerifiedIso:
-    """Record the sampled naturality squares and choose status and route.
+def _postcompose_square(hs: MapSpace, tp: TensorProduct) -> Square:
+    """The naturality square of an evaluation tp -> hs.target whose first
+    leg is hs: e postcomposes on the hom leg and acts on the target."""
+    return lambda e: (tp.first_leg(_on_hom(hs, lambda h: e @ h)), e)
 
-    back is an inverse already passed through _certify_inverse, and route
-    names its certificate.  Without one, bijectivity is decided by exact
-    rank and the stored inverse comes from elimination.
+
+def _comparison(name: str, fwd: Matrix, domain: str, codomain: str,
+                checks: dict, endos: MapSpace, square: Square,
+                back: Optional[Matrix] = None, route: str = "",
+                detail: str = "") -> VerifiedIso:
+    """Check naturality on the basis of endos and choose status and route.
+
+    square(e) gives the operators an endomorphism e induces on the domain
+    and on the codomain; both are linear in e, so commuting on a basis of
+    endos proves naturality for all of it.  back is an inverse already
+    passed through _certify_inverse, and route names its certificate.
+    Without one, bijectivity is decided by exact rank and the stored
+    inverse comes from elimination.
     """
-    checks["naturality"] = intertwines(fwd, squares)
+    checks["naturality"] = intertwines(fwd, map(square, endos.basis))
     if back is not None:
         status = "verified"
     else:
@@ -179,7 +175,7 @@ def _comparison(name: str, fwd: Matrix, domain: str, codomain: str,
     return VerifiedIso(
         name=name, domain=domain, codomain=codomain, domain_dim=fwd.cols,
         codomain_dim=fwd.rows, status=status, route=route, forward=fwd,
-        backward=back, naturality_samples=len(squares), checks=checks,
+        backward=back, naturality_samples=endos.dim, checks=checks,
         detail=detail)
 
 
@@ -333,8 +329,7 @@ def _quasibase_to_y(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
 
 def gamma_M(cr: CanonicalRings, m: Bimodule,
             separability: Optional[SeparabilityCertificate] = None,
-            left_quasibase: Optional[D2Certificate] = None,
-            seed: int = 0) -> VerifiedIso:
+            left_quasibase: Optional[D2Certificate] = None) -> VerifiedIso:
     """The action map from the centralizer-tensor of an induced module.
 
     For a left module m over the total algebra, builds
@@ -396,13 +391,11 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
         if back is None:
             back, route = through, "left-quasibase-collapse"
 
-    eye_a = Matrix.identity(f, a.dim)
-    eye_r = Matrix.identity(f, cr.centralizer.dim)
-    squares = [(tensor_map(g, g, eye_r, tensor_map(x, x, eye_a, e)), e)
-               for e in _sample_endos(cr.hom, forget_right(m), seed,
-                                      f"gamma:{m.label}")]
+    m1 = forget_right(m)
     return _comparison("gamma", gamma, g.module.label, m.label, checks,
-                       squares, back, route)
+                       cr.hom(m1, m1),
+                       lambda e: (g.second_leg(x.second_leg(e)), e),
+                       back, route)
 
 
 def triangle_check(cr: CanonicalRings, m: Bimodule) -> bool:
@@ -419,8 +412,7 @@ def triangle_check(cr: CanonicalRings, m: Bimodule) -> bool:
 # the tensor-ring comparison and the induced functor isomorphisms
 
 def pi_A_iso(cr: CanonicalRings,
-             left_quasibase: Optional[D2Certificate] = None,
-             seed: int = 0) -> VerifiedIso:
+             left_quasibase: Optional[D2Certificate] = None) -> VerifiedIso:
     """T (x)_R A against the tensor square, t (x) a -> t1 (x) t2.a.
 
     A left quasibase certifies the inverse x (x) y -> sum t_p (x)
@@ -431,12 +423,11 @@ def pi_A_iso(cr: CanonicalRings,
     _check_left_quasibase(cr, left_quasibase, "induction comparison")
     m = cr.a_reg
     return _induction_comparison(cr, m, _induced_from_base(cr, m),
-                                 left_quasibase, seed, "pi_A")
+                                 left_quasibase, "pi_A")
 
 
 def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
-                       left_quasibase: Optional[D2Certificate] = None,
-                       seed: int = 0) -> dict:
+                       left_quasibase: Optional[D2Certificate] = None) -> dict:
     """Induction from the base against induction from the centralizer.
 
     For a left module m over the total algebra, compares A (x)_B m with
@@ -449,8 +440,7 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
     _require_module(m, "left", cr.ext.total)
     _check_left_quasibase(cr, left_quasibase, "induction comparison")
     ind = _induced_from_base(cr, m)
-    collapse = _induction_comparison(cr, m, ind, left_quasibase, seed,
-                                     "induction")
+    collapse = _induction_comparison(cr, m, ind, left_quasibase, "induction")
     if collapse.backward is not None:
         # report the map from the base-induced module to the other one
         induction = replace(
@@ -460,8 +450,7 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
     else:
         induction = replace(collapse, detail="comparison map is not "
                             "bijective; reporting the collapse direction")
-    coinduction = _coinduction_comparison(cr, m, ind.tensor, left_quasibase,
-                                          seed)
+    coinduction = _coinduction_comparison(cr, m, ind.tensor, left_quasibase)
     t_fgp = dual_basis_witness(cr.tensor_bimodule_cent, cr.centralizer,
                                "right", cr.hom)
     s_fgp = dual_basis_witness(cr.endo_bimodule_cent, cr.centralizer,
@@ -477,13 +466,13 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
 def _induction_comparison(cr: CanonicalRings, m: Bimodule,
                           ind: _InducedModule,
                           left_quasibase: Optional[D2Certificate],
-                          seed: int, name: str) -> VerifiedIso:
+                          name: str) -> VerifiedIso:
     """The always-constructible collapse pi from T (x)_R m to A (x)_B m.
 
     A left quasibase, already verified by the caller, certifies its
     inverse.
     """
-    f, a, ext = cr.field, cr.ext.total, cr.ext
+    a, ext = cr.ext.total, cr.ext
     x = ind.tensor
     y = _t_tensor_r(cr, m)
     pi = _pi_matrix(cr, m, x, y)
@@ -508,26 +497,24 @@ def _induction_comparison(cr: CanonicalRings, m: Bimodule,
             pi, back, "a verified left quasibase must invert the "
             "induced-module comparison map")
 
-    eye_a = Matrix.identity(f, a.dim)
-    eye_t = Matrix.identity(f, cr.tensor_ring.dim)
-    squares = [(tensor_map(y, y, eye_t, e), tensor_map(x, x, eye_a, e))
-               for e in _sample_endos(cr.hom, forget_right(m), seed,
-                                      f"{name}:{m.label}")]
+    m1 = forget_right(m)
     return _comparison(name, pi, y.module.label, x.module.label, checks,
-                       squares, back, "left-quasibase",
+                       cr.hom(m1, m1),
+                       lambda e: (y.second_leg(e), x.second_leg(e)),
+                       back, "left-quasibase",
                        "" if left_quasibase is not None else _NO_QUASIBASE)
 
 
 def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
                             x: TensorProduct,
-                            left_quasibase: Optional[D2Certificate],
-                            seed: int) -> VerifiedIso:
+                            left_quasibase: Optional[D2Certificate]
+                            ) -> VerifiedIso:
     """A (x)_B m against centralizer-linear maps from the endo ring to m.
 
     Forward: a (x) v goes to the map alpha -> alpha(a).v.  A left
     quasibase certifies the inverse F -> sum_p t_p1 (x) t_p2.F(beta_p).
     """
-    f, a, ext = cr.field, cr.ext.total, cr.ext
+    f, ext = cr.field, cr.ext
     s_basis = cr.endo_space.basis
     s_left_r = left_module(cr.centralizer, cr.endo_ring.dim,
                            cr.endo_bimodule_cent.left_action, label="R|S")
@@ -564,13 +551,12 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
             fwd, back, "a verified left quasibase must invert the "
             "coinduction comparison map")
 
-    eye_a = Matrix.identity(f, a.dim)
-    squares = [(tensor_map(x, x, eye_a, e), _on_hom(homsp, lambda h: e @ h))
-               for e in _sample_endos(cr.hom, forget_right(m), seed,
-                                      f"coinduction:{m.label}")]
+    m1 = forget_right(m)
     return _comparison("coinduction", fwd, x.module.label,
-                       f"HomR(S,{m.label})", checks, squares, back,
-                       "left-quasibase",
+                       f"HomR(S,{m.label})", checks, cr.hom(m1, m1),
+                       lambda e: (x.second_leg(e),
+                                  _on_hom(homsp, lambda h: e @ h)),
+                       back, "left-quasibase",
                        "" if left_quasibase is not None else _NO_QUASIBASE)
 
 
@@ -641,8 +627,7 @@ def _chi_inverse(cr: CanonicalRings, m: Bimodule, hs: MapSpace,
 
 
 def chi_M(cr: CanonicalRings, m: Bimodule,
-          left_quasibase: Optional[D2Certificate] = None,
-          seed: int = 0) -> VerifiedIso:
+          left_quasibase: Optional[D2Certificate] = None) -> VerifiedIso:
     """m (x)_R S against base-linear maps out of the total algebra.
 
     For a right module m over the total algebra, chi(v (x) alpha) is the
@@ -664,12 +649,12 @@ def chi_M(cr: CanonicalRings, m: Bimodule,
         checks["quasibase_inverse"] = _certify_inverse(
             fwd, back, "a verified left quasibase must invert chi")
 
-    eye_s = Matrix.identity(cr.field, cr.endo_ring.dim)
-    squares = [(tensor_map(dom, dom, e, eye_s), _on_hom(hs, lambda h: e @ h))
-               for e in _sample_endos(cr.hom, forget_left(m), seed,
-                                      f"chi:{m.label}")]
+    m1 = forget_left(m)
     return _comparison("chi", fwd, dom.module.label, f"Hom(A,{m.label})",
-                       checks, squares, back, "left-quasibase",
+                       checks, cr.hom(m1, m1),
+                       lambda e: (dom.first_leg(e),
+                                  _on_hom(hs, lambda h: e @ h)),
+                       back, "left-quasibase",
                        "" if left_quasibase is not None else _NO_QUASIBASE)
 
 
@@ -686,17 +671,8 @@ def _counit(cr: CanonicalRings, target: Bimodule, label: str
     return hs, dom, fwd
 
 
-def _counit_squares(cr: CanonicalRings, hs: MapSpace, dom: TensorProduct,
-                    endos: list[Matrix]) -> list:
-    """Naturality squares of the counit: postcompose on the hom leg."""
-    eye_r = Matrix.identity(cr.field, cr.centralizer.dim)
-    return [(tensor_map(dom, dom, _on_hom(hs, lambda h: e @ h), eye_r), e)
-            for e in endos]
-
-
 def rho_M(cr: CanonicalRings, m: Bimodule,
-          left_quasibase: Optional[D2Certificate] = None,
-          seed: int = 0) -> VerifiedIso:
+          left_quasibase: Optional[D2Certificate] = None) -> VerifiedIso:
     """Evaluation at centralizer points, Hom(A, m) (x)_S R -> m.
 
     Built directly and compared against the composite route: chi into the
@@ -706,8 +682,8 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
     """
     _require_module(m, "right", cr.ext.total)
     _check_left_quasibase(cr, left_quasibase, "chi certification")
-    f = cr.field
-    hs, dom, fwd = _counit(cr, restrict_right(forget_left(m), cr.ext), m.label)
+    f, m1 = cr.field, forget_left(m)
+    hs, dom, fwd = _counit(cr, restrict_right(m1, cr.ext), m.label)
 
     # composite route through chi
     chi_dom, chi_fwd = _chi(cr, m, hs)
@@ -737,16 +713,14 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
             checks["composite_inverse"] = _certify_inverse(
                 fwd, back, "composite route must invert the evaluation")
 
-    squares = _counit_squares(cr, hs, dom, _sample_endos(
-        cr.hom, forget_left(m), seed, f"rho:{m.label}"))
-    return _comparison("rho", fwd, dom.module.label, m.label, checks, squares,
+    return _comparison("rho", fwd, dom.module.label, m.label, checks,
+                       cr.hom(m1, m1), _postcompose_square(hs, dom),
                        back, "composite-through-chi",
                        "" if left_quasibase is not None else _NO_QUASIBASE)
 
 
 def split_counit(cr: CanonicalRings, n: Bimodule,
-                 split: Optional[SplitCertificate] = None,
-                 seed: int = 0) -> VerifiedIso:
+                 split: Optional[SplitCertificate] = None) -> VerifiedIso:
     """Evaluation Hom(A, n) (x)_S R -> n for a right module n over the base.
 
     A conditional expectation E certifies the inverse
@@ -783,10 +757,9 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
             fwd, back,
             "a verified conditional expectation must invert the counit")
 
-    squares = _counit_squares(cr, hs, dom, _sample_endos(
-        cr.hom, n_one, seed, f"split:{n.label}"))
     return _comparison(
-        "split_counit", fwd, dom.module.label, n.label, checks, squares, back,
+        "split_counit", fwd, dom.module.label, n.label, checks,
+        cr.hom(n_one, n_one), _postcompose_square(hs, dom), back,
         "conditional-expectation", "" if split is not None else
         "no conditional expectation supplied; formula inverse not certified")
 
@@ -818,7 +791,7 @@ def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule, hom: Callable,
     return hs, tp, forward
 
 
-def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule, seed: int = 0,
+def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule,
                    rings: Optional[CanonicalRings] = None) -> VerifiedIso:
     """Hom(m, n) (x)_End(m) m -> n for right modules over any algebra.
 
@@ -834,12 +807,8 @@ def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule, seed: int = 0,
     n1 = forget_left(n)
     checks: dict = {"ring_linear": intertwines(
         fwd, zip(tp.module.right_action, n1.right_action))}
-    eye_m = Matrix.identity(c.field, m.dim)
-    squares = [(tensor_map(tp, tp, _on_hom(hs, lambda h: e @ h), eye_m), e)
-               for e in _sample_endos(build_hom, n1, seed,
-                                      f"evaluation:{m.label}->{n.label}")]
     return _comparison("evaluation", fwd, tp.module.label, n.label,
-                       checks, squares)
+                       checks, build_hom(n1, n1), _postcompose_square(hs, tp))
 
 
 def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,

@@ -263,13 +263,6 @@ def vec_scale(field: Field, v: Sequence, c) -> list:
     return [field.mul(c, a) for a in v]
 
 
-def random_scalar(field: Field, rng):
-    """A seeded sample scalar: uniform over F_p, an integer in [-3, 3] over Q."""
-    if isinstance(field, PrimeField):
-        return field.of(rng.randrange(field.p))
-    return field.of(rng.randint(-3, 3))
-
-
 def _dense(field: Field, n: int, pairs: Iterable) -> list:
     """The length-n vector with the given (index, value) entries."""
     out = [field.zero] * n

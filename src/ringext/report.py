@@ -2,11 +2,13 @@
 
 A report is a plain JSON-able dict: input echo, dimensions, the
 classification with its certificate payloads, isomorphism verdicts,
-normality results, and the braided commutation verdict.  Two runs on
-the same input and seed produce byte-identical JSON except for the
-generated_at stamp.  Reports can be re-verified later: every
-certificate payload is decoded and substituted back into its defining
-equations against a freshly built extension.
+normality results, and the braided commutation verdict.  Nothing is
+sampled at random: two runs on the same input produce byte-identical
+JSON except for the generated_at stamp.  Reports can be re-verified
+later: every certificate payload is decoded and substituted back into
+its defining equations against a freshly built extension, and the
+classification, equivalences and normality blocks are checked against
+the types the report schema gives them.
 """
 
 import json
@@ -102,8 +104,7 @@ def classification_block(cr: CanonicalRings, cls: Classification) -> dict:
     return block
 
 
-def module_block(cr: CanonicalRings, cls: Classification, m,
-                 seed: int) -> tuple:
+def module_block(cr: CanonicalRings, cls: Classification, m) -> tuple:
     """The equivalence entry of one module, and its functor_iso_checks.
 
     A left module over the total algebra gets the triangle, gamma and the
@@ -114,33 +115,30 @@ def module_block(cr: CanonicalRings, cls: Classification, m,
     entry, fi = {}, None
     if m.left_algebra is cr.ext.total:
         gamma = gamma_M(cr, m, separability=cls.separability_element,
-                        left_quasibase=lqb, seed=seed)
+                        left_quasibase=lqb)
         entry["triangle"] = gamma.checks["triangle"]
         entry["gamma"] = _iso_block(gamma)
-        fi = functor_iso_checks(cr, m, left_quasibase=lqb, seed=seed)
+        fi = functor_iso_checks(cr, m, left_quasibase=lqb)
         entry["induction"] = _iso_block(fi["induction"])
         entry["coinduction"] = _iso_block(fi["coinduction"])
     if m.right_algebra is cr.ext.total:
-        entry["chi"] = _iso_block(chi_M(cr, m, left_quasibase=lqb, seed=seed))
-        entry["rho"] = _iso_block(rho_M(cr, m, left_quasibase=lqb, seed=seed))
+        entry["chi"] = _iso_block(chi_M(cr, m, left_quasibase=lqb))
+        entry["rho"] = _iso_block(rho_M(cr, m, left_quasibase=lqb))
     return entry, fi
 
 
 def equivalence_block(cr: CanonicalRings, cls: Classification,
-                      modules, seed: int) -> dict:
+                      modules) -> dict:
     lqb = cls.left_quasibase
-    regular, fi = module_block(cr, cls, cr.a_reg, seed)
+    regular, fi = module_block(cr, cls, cr.a_reg)
     a_right = right_regular_module(cr.ext.total)
     out = {
         "regular": regular,
-        "base_change_of_total": _iso_block(
-            pi_A_iso(cr, left_quasibase=lqb, seed=seed)),
+        "base_change_of_total": _iso_block(pi_A_iso(cr, left_quasibase=lqb)),
         "split_counit_on_base": _iso_block(
-            split_counit(cr, cr.b_reg, split=cls.conditional_expectation,
-                         seed=seed)),
+            split_counit(cr, cr.b_reg, split=cls.conditional_expectation)),
         "evaluation_regular": _iso_block(
-            evaluation_map(cr.ext.total, a_right, a_right, seed=seed,
-                           rings=cr)),
+            evaluation_map(cr.ext.total, a_right, a_right, rings=cr)),
         "tensor_ring_fg_projective_over_centralizer":
             fi["tensor_ring_fg_projective_over_centralizer"],
         "endo_ring_fg_projective_over_centralizer":
@@ -148,7 +146,7 @@ def equivalence_block(cr: CanonicalRings, cls: Classification,
     }
 
     for m in modules:
-        out[m.label] = module_block(cr, cls, m, seed)[0]
+        out[m.label] = module_block(cr, cls, m)[0]
     return out
 
 
@@ -193,7 +191,7 @@ def analysis_report(parsed: ParsedInput,
     """The full pipeline on one parsed input.
 
     Prebuilt canonical rings and classification may be supplied to
-    reuse work; they must come from the same extension and seed.
+    reuse work; they must come from the same extension.
     """
     cr = rings if rings is not None else build_canonical_rings(parsed.ext)
     cls = classification if classification is not None else classify(cr)
@@ -201,14 +199,15 @@ def analysis_report(parsed: ParsedInput,
         **report_header(parsed, "analyze"),
         "dims": cr.dims(),
         "classification": classification_block(cr, cls),
-        "equivalences": equivalence_block(cr, cls, parsed.modules, parsed.seed),
+        "equivalences": equivalence_block(cr, cls, parsed.modules),
         "normality": normality_block(cr, cls, parsed.ideals),
     }
 
 
 def report_header(parsed: ParsedInput, command: str) -> dict:
     """The keys every report starts with: the tool, the command that made
-    it, the time, the seed, the field and the input echo."""
+    it, the time, the input's seed (echoed; it has no effect), the field
+    and the input echo."""
     return {"tool": dict(TOOL),
             "command": command,
             "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -232,7 +231,8 @@ def verify_report(doc) -> tuple:
     fresh input file, the extension is rebuilt, and each certificate
     payload must still satisfy its defining equations.  A report carries
     an analyze classification, a certify block, or both; verdicts must
-    agree with certificate presence.
+    agree with certificate presence.  The equivalences and normality
+    blocks, when present, must have the types of docs/report.schema.json.
     """
     if not isinstance(doc, dict):
         return False, ["report is not a JSON object"]
@@ -257,6 +257,10 @@ def verify_report(doc) -> tuple:
         attached += _classification_certificates(doc["classification"], msgs)
     if "certify" in doc:
         attached += _certify_certificate(doc["certify"], msgs)
+    if "equivalences" in doc:
+        _check_equivalences(doc["equivalences"], msgs)
+    if "normality" in doc:
+        _check_typed(doc["normality"], _NORMALITY_TYPES, "$.normality", msgs)
     for kind, payload, loc in attached:
         try:
             cert = kind.decode(cr.field, payload, dims, loc)
@@ -268,22 +272,92 @@ def verify_report(doc) -> tuple:
     return not msgs, msgs
 
 
+# (what, test) of each JSON type docs/report.schema.json names
+_BOOL = ("a boolean", lambda v: isinstance(v, bool))
+_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_STR = ("a string", lambda v: isinstance(v, str))
+_OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
+
+# the typed keys of each block the schema describes
+_CLASSIFICATION_TYPES = {
+    "endo_ring_detection": ("a boolean or null",
+                            lambda v: v is None or isinstance(v, bool)),
+    "base_projective": _OBJECT,
+    "module_facts": _OBJECT,
+    "consistency_notes": ("a list of strings", lambda v: isinstance(
+        v, list) and all(isinstance(s, str) for s in v)),
+}
+_ISO_STATUSES = ("verified", "bijective", "not-bijective", "inapplicable")
+_ISO_TYPES = {
+    "name": _STR, "domain": _STR, "codomain": _STR, "domain_dim": _INT,
+    "codomain_dim": _INT, "route": _STR, "naturality_samples": _INT,
+    "checks": _OBJECT, "detail": _STR,
+    "status": (f"one of {', '.join(_ISO_STATUSES)}",
+               lambda v: isinstance(v, str) and v in _ISO_STATUSES),
+}
+_NORMALITY_TYPES = {
+    "centralizer_suite": _OBJECT,
+    "base_ideal_contractions": ("a list", lambda v: isinstance(v, list)),
+    "base_normal_on_sample": _BOOL,
+    "hopf": dict.fromkeys(("subgroup_normal", "conjugation_hopf_normal",
+                           "augmentation_test"), _BOOL),
+    "double_centralizer": _OBJECT,
+    "prebraided": _OBJECT,
+}
+
+
+def _check_typed(block, types: dict, loc: str, msgs: list) -> bool:
+    """block must be a JSON object whose keys named in types, when
+    present, pass their (what, test), or are objects typed by a nested
+    dict; each fault goes to msgs.  Whether block was an object."""
+    if not isinstance(block, dict):
+        msgs.append(f"{loc}: not a JSON object")
+        return False
+    for key, spec in types.items():
+        if key not in block:
+            continue
+        if isinstance(spec, dict):
+            _check_typed(block[key], spec, f"{loc}.{key}", msgs)
+        elif not spec[1](block[key]):
+            msgs.append(f"{loc}.{key}: not {spec[0]}")
+    return True
+
+
+def _check_entry(value, loc: str, msgs: list) -> None:
+    """A boolean, or an isomorphism block: name and status required, the
+    other keys typed."""
+    if isinstance(value, bool):
+        return
+    if not isinstance(value, dict):
+        msgs.append(f"{loc}: not a boolean or an isomorphism block")
+        return
+    _check_typed(value, _ISO_TYPES, loc, msgs)
+    for key in ("name", "status"):
+        if key not in value:
+            msgs.append(f"{loc}: lacks {key}")
+
+
+def _check_equivalences(eq, msgs: list) -> None:
+    """Each entry is an entry of _check_entry or an object of them; a
+    name or status marks an isomorphism block."""
+    loc = "$.equivalences"
+    if not isinstance(eq, dict):
+        msgs.append(f"{loc}: not a JSON object")
+        return
+    for key, entry in eq.items():
+        if isinstance(entry, dict) and not ("name" in entry
+                                            or "status" in entry):
+            for sub, value in entry.items():
+                _check_entry(value, f"{loc}.{key}.{sub}", msgs)
+        else:
+            _check_entry(entry, f"{loc}.{key}", msgs)
+
+
 def _classification_certificates(cl, msgs: list) -> list:
     """(kind, payload, location) of each certificate in a classification
     block; every problem with the block itself goes to msgs."""
-    if not isinstance(cl, dict):
-        msgs.append("$.classification: not a JSON object")
+    if not _check_typed(cl, _CLASSIFICATION_TYPES, "$.classification", msgs):
         return []
-    # the other keys the report schema gives a type
-    for key, what, ok in (
-            ("endo_ring_detection", "a boolean or null",
-             lambda v: v is None or isinstance(v, bool)),
-            ("base_projective", "a JSON object", lambda v: isinstance(v, dict)),
-            ("module_facts", "a JSON object", lambda v: isinstance(v, dict)),
-            ("consistency_notes", "a list of strings", lambda v: isinstance(
-                v, list) and all(isinstance(s, str) for s in v))):
-        if key in cl and not ok(cl[key]):
-            msgs.append(f"$.classification.{key}: not {what}")
     loc = "$.classification.certificates"
     certs = cl.get("certificates", {})
     if not isinstance(certs, dict):
@@ -337,7 +411,7 @@ def render_text(doc: dict) -> str:
     lines = []
     tool = doc.get("tool", TOOL)
     lines.append(f"{tool['name']} {tool['version']} "
-                 f"{doc.get('command', 'analyze')} report (seed {doc.get('seed', 0)})")
+                 f"{doc.get('command', 'analyze')} report")
     fld = doc.get("field")
     fld_txt = "Q" if fld == "Q" else f"F_{fld['Fp']}" if isinstance(fld, dict) else "?"
     d = doc.get("dims")
@@ -423,4 +497,5 @@ def _iso_line(name: str, block: dict) -> str:
     route = f" via {block['route']}" if block.get("route") else ""
     return (f"{name}: {block['status']}{route} "
             f"({block['domain_dim']} -> {block['codomain_dim']}, "
-            f"{block['naturality_samples']} naturality samples)")
+            f"naturality checked on {block['naturality_samples']} basis "
+            "endomorphisms)")

@@ -2,12 +2,12 @@
 
 Input documents describe a field, an algebra with an embedded
 subalgebra, and optionally extra modules, ideal generators, and a
-sampling seed; everything else the tool computes.  Rational scalars
-travel as strings like "3/4" so nothing is rounded, prime-field
-scalars as plain integers with the modulus stated once in the field
-descriptor.  Every encoder has a matching decoder and each pair
-round-trips exactly; floats are rejected outright since they cannot
-promise exactness.
+seed, which is echoed and has no effect; everything else the tool
+computes.  Rational scalars travel as strings like "3/4" so nothing is
+rounded, prime-field scalars as plain integers with the modulus stated
+once in the field descriptor.  Every encoder has a matching decoder and
+each pair round-trips exactly; floats are rejected outright since they
+cannot promise exactness.
 """
 
 import re

@@ -7,7 +7,7 @@ The corpus lives in corpus/*.json with stored reports in corpus/expected/.
 
 import json
 
-from ringext.bimodule import dual_basis_witness, random_cyclic_module, \
+from ringext.bimodule import dual_basis_witness, forget_left, forget_right, \
     summand_witness, right_regular_module
 from ringext.certify import (D2Certificate, QuasibasePair, d2_summand_witness,
                              hsep_summand_witness, module_facts, verify_d2,
@@ -24,6 +24,8 @@ from ringext.serialize import parse_input
 from tests import oracles
 from tests.conftest import (CORPUS_NAMES, EXPECTED_FLAGS, LEFT_D2, RIGHT_D2,
                             SEPARABLE, corpus_doc, expected_doc)
+from tests.modules import random_cyclic_module
+from tests.test_equivalences import end_dim
 from tests.test_normality import Q8_SUBGROUPS, S3_SUBGROUPS, quaternion
 from tests.test_algebra import sym3
 
@@ -134,7 +136,7 @@ def test_criterion_4_equivalence_suite(built):
         sep = b.cls.separability_element
         for m in (b.cr.a_reg,
                   random_cyclic_module(b.cr.ext.total, "left", 2, seed=29)):
-            iso = gamma_M(b.cr, m, separability=sep, seed=29)
+            iso = gamma_M(b.cr, m, separability=sep)
             assert iso.status == "verified", (name, m.label)
             assert iso.route == "separability-element"
             f = b.cr.field
@@ -142,26 +144,28 @@ def test_criterion_4_equivalence_suite(built):
                 Matrix.identity(f, iso.codomain_dim)
             assert iso.backward @ iso.forward == \
                 Matrix.identity(f, iso.domain_dim)
-            assert iso.naturality_samples >= 3
+            assert iso.naturality_samples == end_dim(b.cr, forget_right(m))
             assert iso.checks["naturality"]
 
     # the comparison maps on every left depth-two extension
     for name in LEFT_D2:
         b = built(name)
         lqb = b.cls.left_quasibase
-        fi = functor_iso_checks(b.cr, b.cr.a_reg, left_quasibase=lqb, seed=29)
+        a_left = end_dim(b.cr, forget_right(b.cr.a_reg))
+        a_right = end_dim(b.cr, forget_left(b.cr.a_reg))
+        fi = functor_iso_checks(b.cr, b.cr.a_reg, left_quasibase=lqb)
         for key in ("induction", "coinduction"):
             assert fi[key].status == "verified", (name, key)
-            assert fi[key].naturality_samples >= 3
+            assert fi[key].naturality_samples == a_left
             assert fi[key].checks["naturality"]
-        pia = pi_A_iso(b.cr, left_quasibase=lqb, seed=29)
+        pia = pi_A_iso(b.cr, left_quasibase=lqb)
         assert pia.status == "verified", name
-        chi = chi_M(b.cr, b.cr.a_reg, left_quasibase=lqb, seed=29)
+        chi = chi_M(b.cr, b.cr.a_reg, left_quasibase=lqb)
         assert chi.status == "verified", name
-        assert chi.naturality_samples >= 3
-        rho = rho_M(b.cr, b.cr.a_reg, left_quasibase=lqb, seed=29)
+        assert chi.naturality_samples == a_right
+        rho = rho_M(b.cr, b.cr.a_reg, left_quasibase=lqb)
         assert rho.status == "verified", name
-        assert rho.naturality_samples >= 3
+        assert rho.naturality_samples == a_right
 
 
 # -- criterion 5: the progenerator detection --------------------------------------

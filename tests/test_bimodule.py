@@ -11,13 +11,13 @@ from ringext.algebra import (group_algebra, matrix_algebra, self_extension,
 from ringext.bimodule import (Bimodule, BimoduleError, centralizer_subspace,
                               dual_basis_witness, forget_left,
                               forget_right, hom_space, invariants_subspace,
-                              left_regular_module, random_cyclic_module,
-                              regular_bimodule, restrict_left, restrict_right,
+                              left_regular_module, regular_bimodule, restrict_left, restrict_right,
                               right_regular_module, summand_witness,
                               tensor_legs, tensor_map, tensor_over)
 from ringext.linalg import GF, QQ, Matrix, unit_vec, vec_sum
 from ringext.serialize import parse_input
 from tests.conftest import CORPUS_NAMES, corpus_doc
+from tests.modules import random_cyclic_module
 from tests.oracles import reference_hom_basis, reference_tensor_relations
 from tests.test_algebra import cyclic, sym3
 

@@ -67,16 +67,30 @@ def test_analyze_output_file(tmp_path, capsys):
     assert doc["command"] == "analyze"
 
 
-def test_seed_override_recorded(capsys):
-    code, out, _ = run_cli(capsys, "analyze", input_path("qc2_q"), "--json",
-                           "--seed", "42")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["seed"] == 42
-    assert doc["input"]["seed"] == 42
+# -- usage and input errors ------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", input_path("qc2_q"), "--seed", "4"],
+     "unrecognized arguments: --seed 4"),
+    (["certify", "nope", input_path("qc2_q")], "invalid choice: 'nope'"),
+    ([], "the following arguments are required"),
+])
+def test_usage_error_is_exit_one(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ringext")
+    assert message in err
 
 
-# -- input errors ---------------------------------------------------------------
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: ringext" in capsys.readouterr().out
+
 
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/input.json")
@@ -384,6 +398,32 @@ def _extra_key(*path):
      "$.classification.module_facts"),
     ("qc2_q", _set(("classification", "consistency_notes"), ["ok", 3]),
      "$.classification.consistency_notes"),
+    ("qc2_q", _set(("equivalences",), {"regular": {"status": "nonsense"}}),
+     "$.equivalences.regular.status"),
+    ("qc2_q", _set(("equivalences",), {"regular": {"status": "verified"}}),
+     "$.equivalences.regular"),
+    ("qc2_q", _set(("equivalences",), [True]), "$.equivalences"),
+    ("qc2_q", _set(("equivalences", "base_change_of_total",
+                    "naturality_samples"), "three"),
+     "$.equivalences.base_change_of_total.naturality_samples"),
+    ("qc2_q", _set(("equivalences", "sign", "gamma", "domain_dim"), True),
+     "$.equivalences.sign.gamma.domain_dim"),
+    ("qc2_q", _set(("equivalences", "regular", "chi", "checks"), []),
+     "$.equivalences.regular.chi.checks"),
+    ("qc2_q", _set(("equivalences", "regular", "triangle"), "yes"),
+     "$.equivalences.regular.triangle"),
+    ("qc2_q", _set(("equivalences", "tensor_ring_fg_projective_over_"
+                    "centralizer"), 1),
+     "$.equivalences.tensor_ring_fg_projective_over_centralizer"),
+    ("qc2_q", _set(("normality",), [1, 2]), "$.normality"),
+    ("qc2_q", _set(("normality", "base_normal_on_sample"), "yes"),
+     "$.normality.base_normal_on_sample"),
+    ("qc2_q", _set(("normality", "base_ideal_contractions"), {}),
+     "$.normality.base_ideal_contractions"),
+    ("qc2_q", _set(("normality", "hopf", "subgroup_normal"), None),
+     "$.normality.hopf.subgroup_normal"),
+    ("qc2_q", _set(("normality", "prebraided"), True),
+     "$.normality.prebraided"),
 ], ids=["classification_list", "certificates_list", "certificates_int",
         "unknown_certificate", "pairs_not_list", "pair_without_endo",
         "reverse_order_string", "extra_key_separable", "extra_key_split",
@@ -392,7 +432,12 @@ def _extra_key(*path):
         "flag_one_with_certificate", "flag_string_with_certificate",
         "flag_null_without_certificate", "flag_zero_without_certificate",
         "endo_ring_detection_string", "base_projective_int",
-        "module_facts_list", "consistency_notes_not_strings"])
+        "module_facts_list", "consistency_notes_not_strings",
+        "iso_status_nonsense", "iso_without_name", "equivalences_list",
+        "naturality_samples_string", "iso_dim_bool", "iso_checks_list",
+        "entry_string", "entry_int", "normality_list",
+        "normality_flag_string", "contractions_object", "hopf_flag_null",
+        "prebraided_bool"])
 def test_verify_malformed_report_is_exit_one(tmp_path, capsys,
                                              report_validator, name, edit,
                                              where):

@@ -5,23 +5,30 @@ from dataclasses import replace
 import pytest
 
 from ringext.bimodule import (BimoduleError, forget_left, forget_right,
-                              hom_space, random_cyclic_module,
-                              restrict_right, right_regular_module)
+                              hom_space, intertwines, restrict_right,
+                              right_regular_module)
 from ringext.certify import verify_d2, verify_separability, verify_split
-from ringext.equivalences import (chi_M, dress_inverse, evaluation_map,
-                                  functor_iso_checks, gamma_M, pi_A_iso,
-                                  rho_M, split_counit, triangle_check)
+from ringext.equivalences import (_comparison, chi_M, dress_inverse,
+                                  evaluation_map, functor_iso_checks, gamma_M,
+                                  pi_A_iso, rho_M, split_counit,
+                                  triangle_check)
 from ringext.linalg import Matrix
 
 from tests.conftest import CORPUS_NAMES, LEFT_D2, SEPARABLE
+from tests.modules import random_cyclic_module
 
 
-def _assert_verified_with_inverse(iso):
+def end_dim(cr, m) -> int:
+    """The dimension of End(m), on whose basis naturality is checked."""
+    return cr.hom(m, m).dim
+
+
+def _assert_verified_with_inverse(iso, endos: int):
     assert iso.status == "verified"
     f = iso.forward.field
     assert iso.forward @ iso.backward == Matrix.identity(f, iso.codomain_dim)
     assert iso.backward @ iso.forward == Matrix.identity(f, iso.domain_dim)
-    assert iso.naturality_samples >= 3
+    assert iso.naturality_samples == endos
     assert iso.checks.get("naturality", False)
 
 
@@ -29,9 +36,8 @@ def _assert_verified_with_inverse(iso):
 
 def test_gamma_separability_route(built):
     b = built("qc2_q")
-    iso = gamma_M(b.cr, b.cr.a_reg, separability=b.cls.separability_element,
-                  seed=3)
-    _assert_verified_with_inverse(iso)
+    iso = gamma_M(b.cr, b.cr.a_reg, separability=b.cls.separability_element)
+    _assert_verified_with_inverse(iso, end_dim(b.cr, forget_right(b.cr.a_reg)))
     assert iso.route == "separability-element"
     assert iso.checks["separability_inverse"]
 
@@ -39,16 +45,15 @@ def test_gamma_separability_route(built):
 def test_gamma_quasibase_route_without_separability(built):
     # char 2 kills separability but the quasibase collapse still certifies
     b = built("f2c2_f2")
-    iso = gamma_M(b.cr, b.cr.a_reg, left_quasibase=b.cls.left_quasibase,
-                  seed=3)
-    _assert_verified_with_inverse(iso)
+    iso = gamma_M(b.cr, b.cr.a_reg, left_quasibase=b.cls.left_quasibase)
+    _assert_verified_with_inverse(iso, end_dim(b.cr, forget_right(b.cr.a_reg)))
     assert iso.route == "left-quasibase-collapse"
     assert iso.checks["factors_through_collapse"]
 
 
 def test_gamma_uncertified_falls_back_to_rank(built):
     b = built("qc2_q")
-    iso = gamma_M(b.cr, b.cr.a_reg, seed=3)
+    iso = gamma_M(b.cr, b.cr.a_reg)
     assert iso.status == "bijective"
     assert iso.route == "exact-rank"
 
@@ -56,8 +61,8 @@ def test_gamma_uncertified_falls_back_to_rank(built):
 def test_gamma_on_random_cyclic_module(built):
     b = built("qs3_qa3")
     m = random_cyclic_module(b.cr.ext.total, "left", 2, seed=17)
-    iso = gamma_M(b.cr, m, separability=b.cls.separability_element, seed=17)
-    _assert_verified_with_inverse(iso)
+    iso = gamma_M(b.cr, m, separability=b.cls.separability_element)
+    _assert_verified_with_inverse(iso, end_dim(b.cr, forget_right(m)))
 
 
 def test_triangle_identity_needs_no_hypotheses(built):
@@ -71,9 +76,10 @@ def test_triangle_identity_needs_no_hypotheses(built):
 def test_functor_isos_verified_under_quasibase(built):
     b = built("qc2_q")
     fi = functor_iso_checks(b.cr, b.cr.a_reg,
-                            left_quasibase=b.cls.left_quasibase, seed=5)
-    _assert_verified_with_inverse(fi["induction"])
-    _assert_verified_with_inverse(fi["coinduction"])
+                            left_quasibase=b.cls.left_quasibase)
+    endos = end_dim(b.cr, forget_right(b.cr.a_reg))
+    _assert_verified_with_inverse(fi["induction"], endos)
+    _assert_verified_with_inverse(fi["coinduction"], endos)
     assert fi["induction"].route == "left-quasibase"
     assert fi["tensor_ring_fg_projective_over_centralizer"]
     assert fi["endo_ring_fg_projective_over_centralizer"]
@@ -81,20 +87,20 @@ def test_functor_isos_verified_under_quasibase(built):
 
 def test_pi_a_verified_under_quasibase(built):
     b = built("qs3_qa3")
-    iso = pi_A_iso(b.cr, left_quasibase=b.cls.left_quasibase, seed=5)
-    _assert_verified_with_inverse(iso)
+    iso = pi_A_iso(b.cr, left_quasibase=b.cls.left_quasibase)
+    _assert_verified_with_inverse(iso, end_dim(b.cr, forget_right(b.cr.a_reg)))
 
 
 def test_comparisons_fail_without_depth_two(built):
     # group algebra over a non-normal subgroup: dims 16 vs 18 split apart
     b = built("f7s3_f7t")
-    fi = functor_iso_checks(b.cr, b.cr.a_reg, seed=5)
+    fi = functor_iso_checks(b.cr, b.cr.a_reg)
     for key in ("induction", "coinduction"):
         iso = fi[key]
         assert iso.status == "not-bijective"
         assert iso.domain_dim != iso.codomain_dim
-    assert pi_A_iso(b.cr, seed=5).status == "not-bijective"
-    assert chi_M(b.cr, b.cr.a_reg, seed=5).status == "not-bijective"
+    assert pi_A_iso(b.cr).status == "not-bijective"
+    assert chi_M(b.cr, b.cr.a_reg).status == "not-bijective"
     # structural side conditions still hold for the maps that exist
     assert fi["induction"].checks.get("naturality", False)
 
@@ -103,18 +109,19 @@ def test_comparisons_fail_without_depth_two(built):
 
 def test_chi_and_rho_verified(built):
     b = built("qc2_q")
-    chi = chi_M(b.cr, b.cr.a_reg, left_quasibase=b.cls.left_quasibase, seed=5)
-    _assert_verified_with_inverse(chi)
+    endos = end_dim(b.cr, forget_left(b.cr.a_reg))
+    chi = chi_M(b.cr, b.cr.a_reg, left_quasibase=b.cls.left_quasibase)
+    _assert_verified_with_inverse(chi, endos)
     assert chi.route == "left-quasibase"
-    rho = rho_M(b.cr, b.cr.a_reg, left_quasibase=b.cls.left_quasibase, seed=5)
-    _assert_verified_with_inverse(rho)
+    rho = rho_M(b.cr, b.cr.a_reg, left_quasibase=b.cls.left_quasibase)
+    _assert_verified_with_inverse(rho, endos)
     assert rho.route == "composite-through-chi"
     assert rho.checks["agrees_with_composite"]
 
 
 def test_rho_bijective_without_certificate(built):
     b = built("f7s3_f7t")
-    rho = rho_M(b.cr, b.cr.a_reg, seed=5)
+    rho = rho_M(b.cr, b.cr.a_reg)
     assert rho.status == "bijective"
     assert rho.route == "exact-rank"
 
@@ -122,17 +129,17 @@ def test_rho_bijective_without_certificate(built):
 def test_chi_rho_on_user_style_right_module(built):
     b = built("m2q_q")
     m = random_cyclic_module(b.cr.ext.total, "right", 2, seed=23)
-    chi = chi_M(b.cr, m, left_quasibase=b.cls.left_quasibase, seed=23)
-    _assert_verified_with_inverse(chi)
-    rho = rho_M(b.cr, m, left_quasibase=b.cls.left_quasibase, seed=23)
-    _assert_verified_with_inverse(rho)
+    endos = end_dim(b.cr, forget_left(m))
+    chi = chi_M(b.cr, m, left_quasibase=b.cls.left_quasibase)
+    _assert_verified_with_inverse(chi, endos)
+    rho = rho_M(b.cr, m, left_quasibase=b.cls.left_quasibase)
+    _assert_verified_with_inverse(rho, endos)
 
 
 def test_split_counit_route(built):
     b = built("qc2_q")
-    iso = split_counit(b.cr, b.cr.b_reg, split=b.cls.conditional_expectation,
-                       seed=5)
-    _assert_verified_with_inverse(iso)
+    iso = split_counit(b.cr, b.cr.b_reg, split=b.cls.conditional_expectation)
+    _assert_verified_with_inverse(iso, end_dim(b.cr, forget_left(b.cr.b_reg)))
     assert iso.route == "conditional-expectation"
 
 
@@ -142,7 +149,7 @@ def test_split_counit_every_split_extension(built):
         if b.cls.conditional_expectation is None:
             continue
         iso = split_counit(b.cr, b.cr.b_reg,
-                           split=b.cls.conditional_expectation, seed=5)
+                           split=b.cls.conditional_expectation)
         assert iso.status == "verified"
 
 
@@ -152,10 +159,56 @@ def test_evaluation_regular_module(built):
     cr = built("qs3_qa3").cr
     a = cr.ext.total
     reg = right_regular_module(a)
-    iso = evaluation_map(a, reg, reg, seed=5)
+    iso = evaluation_map(a, reg, reg)
     assert iso.status == "bijective"
     assert iso.checks["ring_linear"]
     assert iso.checks["naturality"]
+    assert iso.naturality_samples == hom_space(reg, reg).dim == a.dim
+
+
+# -- naturality on a basis of the endomorphisms --------------------------------
+
+@pytest.mark.parametrize("name", ["qc2_q", "qq8_qi"])
+def test_naturality_checked_on_a_basis_of_every_endomorphism_space(built,
+                                                                   name):
+    b = built(name)
+    cr, cls = b.cr, b.cls
+    lqb = cls.left_quasibase
+    a_left, a_right = forget_right(cr.a_reg), forget_left(cr.a_reg)
+    reg = right_regular_module(cr.ext.total)
+    fi = functor_iso_checks(cr, cr.a_reg, left_quasibase=lqb)
+    comparisons = [
+        (gamma_M(cr, cr.a_reg, separability=cls.separability_element,
+                 left_quasibase=lqb), a_left),
+        (fi["induction"], a_left),
+        (fi["coinduction"], a_left),
+        (pi_A_iso(cr, left_quasibase=lqb), a_left),
+        (chi_M(cr, cr.a_reg, left_quasibase=lqb), a_right),
+        (rho_M(cr, cr.a_reg, left_quasibase=lqb), a_right),
+        (split_counit(cr, cr.b_reg, split=cls.conditional_expectation),
+         forget_left(cr.b_reg)),
+        (evaluation_map(cr.ext.total, reg, reg, rings=cr), reg),
+    ]
+    for iso, m in comparisons:
+        assert iso.naturality_samples == end_dim(cr, m), (name, iso.name)
+        assert iso.checks["naturality"], (name, iso.name)
+
+
+def test_naturality_fails_when_one_basis_endomorphism_does_not_commute(built):
+    cr = built("qc2_q").cr
+    f = cr.field
+    reg = right_regular_module(cr.ext.total)
+    endos = cr.hom(reg, reg)
+    assert endos.dim == 2
+    # a coordinate projection commutes with the identity of the group
+    # algebra but not with left multiplication by the group element
+    fwd = Matrix.from_rows(f, [[f.one, f.zero], [f.zero, f.zero]])
+    eye = Matrix.identity(f, 2)
+    assert intertwines(fwd, [(eye, eye)])
+    assert not all(intertwines(fwd, [(e, e)]) for e in endos.basis)
+    iso = _comparison("probe", fwd, "A", "A", {}, endos, lambda e: (e, e))
+    assert iso.naturality_samples == 2
+    assert iso.checks["naturality"] is False
 
 
 def test_dress_inverse_certifies_evaluation(built):
@@ -199,7 +252,7 @@ def test_gamma_certified_for_every_separable_extension(built):
     for name in SEPARABLE:
         b = built(name)
         iso = gamma_M(b.cr, b.cr.a_reg,
-                      separability=b.cls.separability_element, seed=2)
+                      separability=b.cls.separability_element)
         assert iso.status == "verified", name
         assert iso.route == "separability-element", name
 
@@ -208,7 +261,7 @@ def test_functor_isos_certified_for_every_depth_two_extension(built):
     for name in LEFT_D2:
         b = built(name)
         fi = functor_iso_checks(b.cr, b.cr.a_reg,
-                                left_quasibase=b.cls.left_quasibase, seed=2)
+                                left_quasibase=b.cls.left_quasibase)
         assert fi["induction"].status == "verified", name
         assert fi["coinduction"].status == "verified", name
 

@@ -49,3 +49,22 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(_imported(tree) - _used(tree))
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def _modules_imported(tree: ast.Module) -> set:
+    """Top-level names of the modules a tree imports, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_random_sampling(path):
+    # every check is exact; randomness belongs to the tests that feed them
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "random" not in _modules_imported(tree), \
+        f"{path.name} imports random"
