@@ -13,7 +13,9 @@ together with the evaluation counits from T and S back to R, the ring maps
 from R into S by left and right multiplication, the Casimir subspace of
 fully A-central tensors, and the bimodule structures tying everything
 together (T and S as R-R-bimodules, R as a right T-module and a left
-S-module, Q as a left T-module).
+S-module, Q as a left T-module).  CanonicalSpaces builds only Q, the
+spaces underlying R, T and S and the Casimir subspace, which is all a
+certificate verifier reads; CanonicalRings adds the rest.
 
 Every closure property used here (products of invariants stay invariant,
 counits land in R, and so on) is a theorem given a valid extension, so a
@@ -23,7 +25,7 @@ as a property of the input.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .algebra import Extension, FDAlgebra, trivial_algebra
@@ -32,8 +34,10 @@ from .bimodule import (
     MapSpace,
     TensorProduct,
     centralizer_subspace,
+    forget_right,
     hom_space,
     invariants_subspace,
+    left_module,
     regular_bimodule,
     restrict_left,
     restrict_right,
@@ -113,11 +117,11 @@ def _same_content(m0: Bimodule, m: Bimodule) -> bool:
         and m0.right_action == m.right_action)
 
 
-class CanonicalRings:
-    """Container for the computed rings, maps, and module structures.
-
-    hom and tensor build each hom space and tensor product asked for
-    through these rings once, and keep it exactly as long as the rings.
+class CanonicalSpaces:
+    """Q = A (x)_B A, its multiplication map to A, and the spaces of R, T,
+    S and the Casimir tensors, with no ring structure: all that the
+    certificate verifiers and dims() read.  hom and tensor build each hom
+    space and tensor product asked for once, kept as long as the spaces.
     """
 
     def __init__(self, ext: Extension) -> None:
@@ -125,11 +129,10 @@ class CanonicalRings:
         self._homs: dict = {}
         self._tensors: dict = {}
         self.field = ext.field
-        a, b = ext.total, ext.base
-        f = self.field
+        a = ext.total
 
         self.a_reg = regular_bimodule(a)
-        self.b_reg = regular_bimodule(b)
+        self.b_reg = regular_bimodule(ext.base)
         # A as a B-B-bimodule, the hom source and target for S
         self.restricted = restrict_right(restrict_left(self.a_reg, ext), ext,
                                          label=f"{a.name}|B")
@@ -139,57 +142,14 @@ class CanonicalRings:
                              restrict_left(self.a_reg, ext), label="Q")
         self.dim_q = self.q.module.dim
 
-        # R: the centralizer of the embedded base
-        R = self.centralizer_space = centralizer_subspace(self.a_reg, ext)
-        self.centralizer = ring_on(
-            R, lambda i, j: a.multiply(R.rows[i], R.rows[j]), a.unit, "R")
-
-        # T: base-central tensors, multiplied through the tensor-square action
-        T = self.tensor_space = centralizer_subspace(self.q.module, ext)
-        self.t_action_on_q = self.t_acting_on(
-            self.q, [a.basis_left_mult(j) for j in range(a.dim)])
-        self.tensor_ring = ring_on(
-            T, lambda i, j: self.t_action_on_q[i].apply(T.rows[j]),
-            self.one_tensor_one(), "T")
-
-        # S: bimodule endomorphisms of A over B, under composition
-        S = self.endo_space = self.hom(self.restricted, self.restricted)
-        self.endo_ring = ring_on(S, lambda i, j: S.basis[i] @ S.basis[j],
-                                 Matrix.identity(f, a.dim), "S")
-
-        # Casimir elements: tensors central for all of A
-        self.casimir_space = invariants_subspace(
-            self.q.module, [unit_vec(f, a.dim, i) for i in range(a.dim)])
-        self.casimir_in_tensor = Subspace.from_vectors(f, T.dim, [
-            self.t_coords(row, "Casimir element") for row in self.casimir_space.rows])
-
-        # evaluation maps
+        # R centralizes the embedded base, T holds the base-central tensors,
+        # S the B-B-endomorphisms of A, the Casimir tensors are A-central
+        self.centralizer_space = centralizer_subspace(self.a_reg, ext)
+        self.tensor_space = centralizer_subspace(self.q.module, ext)
+        self.endo_space = self.hom(self.restricted, self.restricted)
+        self.a_basis = [unit_vec(self.field, a.dim, i) for i in range(a.dim)]
+        self.casimir_space = invariants_subspace(self.q.module, self.a_basis)
         self.mu_matrix = self._q_to_total(lambda i, j: a.mult[i][j])
-        self.tensor_counit = coordinate_matrix(
-            R, [self.mu_matrix.apply(row) for row in T.rows],
-            "image of an invariant tensor under multiplication")
-        self.endo_counit = coordinate_matrix(
-            R, [mat.apply(a.unit) for mat in S.basis],
-            "value of an endomorphism at 1")
-        self.lambda_map = coordinate_matrix(
-            S, [a.left_mult_matrix(row) for row in R.rows],
-            "left multiplication by a centralizer element")
-        self.rho_map = coordinate_matrix(
-            S, [a.right_mult_matrix(row) for row in R.rows],
-            "right multiplication by a centralizer element")
-
-        # module structures
-        self.q_bimodule = Bimodule(
-            self.tensor_ring, a, self.dim_q, self.t_action_on_q,
-            self.q.module.right_action, label="Q|T-A")
-        self.tensor_bimodule_cent = self._build_t_over_r()
-        self.cent_module_tensor = self._build_r_right_t()
-        # R as a left S-module by evaluating endomorphisms
-        self.cent_module_endo = Bimodule(
-            self.endo_ring, trivial_algebra(f), R.dim,
-            [restrict_to(R, mat, "endomorphism value on a centralizer element")
-             for mat in S.basis], [Matrix.identity(f, R.dim)], label="R|S")
-        self.endo_bimodule_cent = self._build_s_over_r()
 
     # -- hom spaces and tensor products, each built once --------------------
 
@@ -217,15 +177,8 @@ class CanonicalRings:
     def r_coords(self, v: Sequence, what: str = "element") -> list:
         return coordinates_in(self.centralizer_space, v, what)
 
-    def t_lift(self, coords: Sequence) -> list:
-        """Invariant-tensor coordinates -> element of Q."""
-        return self.tensor_space.element(coords)
-
     def t_coords(self, v: Sequence, what: str = "element") -> list:
         return coordinates_in(self.tensor_space, v, what)
-
-    def s_matrix(self, coords: Sequence) -> Matrix:
-        return self.endo_space.element(coords)
 
     def s_coords(self, mat: Matrix, what: str = "map") -> list:
         return coordinates_in(self.endo_space, mat, what)
@@ -238,7 +191,109 @@ class CanonicalRings:
         a = self.ext.total
         return self.pure(a.unit, a.unit)
 
+    def _q_to_total(self, pure) -> Matrix:
+        """The linear map Q -> A sending the basis tensor e_i (x) e_j to
+        the vector pure(i, j), on quotient coordinates."""
+        return Matrix.from_cols(
+            self.field, [pure(i, j) for i, j in self.q.free_pairs()],
+            self.ext.total.dim)
+
+    def dims(self) -> dict:
+        return {
+            "algebra": self.ext.total.dim,
+            "subalgebra": self.ext.base.dim,
+            "tensor_square": self.dim_q,
+            "centralizer": self.centralizer_space.dim,
+            "tensor_ring": self.tensor_space.dim,
+            "endo_ring": self.endo_space.dim,
+            "casimir": self.casimir_space.dim,
+        }
+
+
+@dataclass(frozen=True)
+class InducedModule:
+    """A (x)_B m for a left module m over A, with its outer left A-action;
+    as_left_t is that space as a left T-module (the right leg of a tensor
+    multiplies the A factor, the left leg acts on m), and collapse is the
+    action map a (x) x -> a.x onto m."""
+    tensor: TensorProduct
+    as_left_t: Bimodule
+    collapse: Matrix
+
+
+class CanonicalRings(CanonicalSpaces):
+    """The canonical spaces as the rings R, T and S, with the counits,
+    lambda and rho and the module structures that only analysis reads."""
+
+    def __init__(self, ext: Extension) -> None:
+        super().__init__(ext)
+        self._induced: dict = {}
+        a, f = ext.total, self.field
+        R, T, S = self.centralizer_space, self.tensor_space, self.endo_space
+
+        self.centralizer = ring_on(
+            R, lambda i, j: a.multiply(R.rows[i], R.rows[j]), a.unit, "R")
+        # T multiplied through the tensor-square action
+        self.t_action_on_q = self.t_acting_on(
+            self.q, [a.basis_left_mult(j) for j in range(a.dim)])
+        self.tensor_ring = ring_on(
+            T, lambda i, j: self.t_action_on_q[i].apply(T.rows[j]),
+            self.one_tensor_one(), "T")
+        # S under composition
+        self.endo_ring = ring_on(S, lambda i, j: S.basis[i] @ S.basis[j],
+                                 Matrix.identity(f, a.dim), "S")
+        self.casimir_in_tensor = Subspace.from_vectors(f, T.dim, [
+            self.t_coords(row, "Casimir element") for row in self.casimir_space.rows])
+
+        # evaluation maps
+        self.tensor_counit = coordinate_matrix(
+            R, [self.mu_matrix.apply(row) for row in T.rows],
+            "image of an invariant tensor under multiplication")
+        self.endo_counit = coordinate_matrix(
+            R, [mat.apply(a.unit) for mat in S.basis],
+            "value of an endomorphism at 1")
+        self.lambda_map = coordinate_matrix(
+            S, [a.left_mult_matrix(row) for row in R.rows],
+            "left multiplication by a centralizer element")
+        self.rho_map = coordinate_matrix(
+            S, [a.right_mult_matrix(row) for row in R.rows],
+            "right multiplication by a centralizer element")
+
+        # module structures
+        self.q_bimodule = Bimodule(
+            self.tensor_ring, a, self.dim_q, self.t_action_on_q,
+            self.q.module.right_action, label="Q|T-A")
+        self.tensor_bimodule_cent = self._build_t_over_r()
+        self.cent_module_tensor = self._build_r_right_t()
+        # R as a left S-module by evaluating endomorphisms
+        self.cent_module_endo = Bimodule(
+            self.endo_ring, trivial_algebra(f), R.dim,
+            [restrict_to(R, mat, "endomorphism value on a centralizer element")
+             for mat in S.basis], [Matrix.identity(f, R.dim)], label="R|S")
+        self.endo_bimodule_cent = self._build_s_over_r()
+
     # -- builders -----------------------------------------------------------
+
+    def induced(self, m: Bimodule) -> InducedModule:
+        """A (x)_B m, built once per content of m; a repeat comes back
+        under the labels of the caller's m."""
+        def relabel(ind: InducedModule) -> InducedModule:
+            x = ind.tensor.module.with_label(f"A(x)B[{m.label}]")
+            return replace(ind, tensor=replace(ind.tensor, module=x),
+                           as_left_t=ind.as_left_t.with_label(f"T|{x.label}"))
+        return _memoized(self._induced, m, m, lambda: self._build_induced(m),
+                         relabel)
+
+    def _build_induced(self, m: Bimodule) -> InducedModule:
+        x = self.tensor(restrict_right(self.a_reg, self.ext),
+                        restrict_left(forget_right(m), self.ext),
+                        label=f"A(x)B[{m.label}]")
+        as_left_t = left_module(self.tensor_ring, x.module.dim,
+                                self.t_acting_on(x, m.left_action),
+                                label=f"T|{x.module.label}")
+        collapse = Matrix.from_cols(self.field, [
+            m.left_action[i].col(mu) for i, mu in x.free_pairs()], m.dim)
+        return InducedModule(x, as_left_t, collapse)
 
     def t_acting_on(self, x: TensorProduct, second: Sequence[Matrix]
                     ) -> list[Matrix]:
@@ -250,13 +305,6 @@ class CanonicalRings:
             (c, a.basis_right_mult(k), second[l])
             for k, row in enumerate(tm.pairs) for l, c in row])
             for tm in map(self.q.lift, self.tensor_space.rows)]
-
-    def _q_to_total(self, pure) -> Matrix:
-        """The linear map Q -> A sending the basis tensor e_i (x) e_j to
-        the vector pure(i, j), on quotient coordinates."""
-        return Matrix.from_cols(
-            self.field, [pure(i, j) for i, j in self.q.free_pairs()],
-            self.ext.total.dim)
 
     def _build_t_over_r(self) -> Bimodule:
         """T as an R-R-bimodule: multiply the first leg on the left and the
@@ -302,18 +350,7 @@ class CanonicalRings:
         return Bimodule(self.centralizer, self.centralizer,
                         self.endo_ring.dim, lefts, rights, label="S|R-R")
 
-    # -- dimensions and verification ------------------------------------------
-
-    def dims(self) -> dict:
-        return {
-            "algebra": self.ext.total.dim,
-            "subalgebra": self.ext.base.dim,
-            "tensor_square": self.dim_q,
-            "centralizer": self.centralizer.dim,
-            "tensor_ring": self.tensor_ring.dim,
-            "endo_ring": self.endo_ring.dim,
-            "casimir": self.casimir_space.dim,
-        }
+    # -- verification ---------------------------------------------------------
 
     def verify_ring_axioms(self) -> None:
         """Re-derive the structural identities the construction promises.

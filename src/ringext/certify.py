@@ -12,8 +12,9 @@ exact linear problem whose solution doubles as a certificate:
   with bimodule endomorphisms (quasibases).
 
 Every verifier is substitution only: it re-checks the defining identity
-of the certificate against the raw extension data and never trusts the
-search that produced it.  The depth-two verdicts are cross-checked
+of the certificate against A, B, the embedding and the tensor square
+with its canonical subspaces (a CanonicalSpaces, no ring structure) and
+never trusts the search that produced it.  The depth-two verdicts are cross-checked
 against an independent characterization (the tensor square splitting off
 a finite power of the algebra as a one-sided bimodule); those two answers
 agreeing is a theorem, so a mismatch raises InternalInconsistency.
@@ -36,14 +37,14 @@ from .bimodule import (
     right_regular_module,
     summand_witness,
 )
-from .canonical import CanonicalRings, InternalInconsistency, coordinate_matrix
+from .canonical import (CanonicalRings, CanonicalSpaces, InternalInconsistency,
+                        coordinate_matrix)
 from .linalg import (
     Matrix,
     lin_comb,
     rank,
     span_decide,
     span_decide_pairs,
-    unit_vec,
     vec_sum,
 )
 
@@ -101,19 +102,14 @@ def _is_invariant(m: Bimodule, elements: Sequence[Sequence], v: Sequence) -> boo
                for x in elements)
 
 
-def _a_basis(cr: CanonicalRings) -> list:
-    n = cr.ext.total.dim
-    return [unit_vec(cr.field, n, i) for i in range(n)]
-
-
-def verify_separability(cr: CanonicalRings, cert: SeparabilityCertificate) -> bool:
-    if not _is_invariant(cr.q.module, _a_basis(cr), cert.element):
+def verify_separability(cr: CanonicalSpaces, cert: SeparabilityCertificate) -> bool:
+    if not _is_invariant(cr.q.module, cr.a_basis, cert.element):
         return False
     value = cr.mu_matrix.apply(cert.element)
     return value == cr.ext.total.unit
 
 
-def verify_split(cr: CanonicalRings, cert: SplitCertificate) -> bool:
+def verify_split(cr: CanonicalSpaces, cert: SplitCertificate) -> bool:
     f, b = cr.field, cr.ext.base
     e = cert.expectation
     if not is_bimodule_map(cr.restricted, cr.b_reg, e):
@@ -124,10 +120,9 @@ def verify_split(cr: CanonicalRings, cert: SplitCertificate) -> bool:
     return e @ cr.ext.iota == Matrix.identity(f, b.dim)
 
 
-def verify_hsep(cr: CanonicalRings, cert: HSepCertificate) -> bool:
-    basis = _a_basis(cr)
+def verify_hsep(cr: CanonicalSpaces, cert: HSepCertificate) -> bool:
     for pair in cert.pairs:
-        if not _is_invariant(cr.q.module, basis, pair.casimir):
+        if not _is_invariant(cr.q.module, cr.a_basis, pair.casimir):
             return False
         if not _is_invariant(cr.a_reg, cr.ext.iota.columns(), pair.multiplier):
             return False
@@ -136,7 +131,7 @@ def verify_hsep(cr: CanonicalRings, cert: HSepCertificate) -> bool:
         for pair in cert.pairs)) == cr.one_tensor_one()
 
 
-def _d2_side(cr: CanonicalRings, side: str) -> tuple:
+def _d2_side(cr: CanonicalSpaces, side: str) -> tuple:
     """One side's quasibase identity x (x) y = sum_p act(value(endo_p, x, y))
     applied to tensor_p, as (act, value, free points).
 
@@ -149,15 +144,15 @@ def _d2_side(cr: CanonicalRings, side: str) -> tuple:
     if side == "left":
         return (cr.q.module.right_operator,
                 lambda endo, x, y: a.multiply(endo.apply(x), y),
-                [(e, a.unit) for e in _a_basis(cr)])
+                [(e, a.unit) for e in cr.a_basis])
     if side == "right":
         return (cr.q.module.left_operator,
                 lambda endo, x, y: a.multiply(x, endo.apply(y)),
-                [(a.unit, e) for e in _a_basis(cr)])
+                [(a.unit, e) for e in cr.a_basis])
     raise ValueError("side must be 'left' or 'right'")
 
 
-def verify_d2(cr: CanonicalRings, cert: D2Certificate) -> bool:
+def verify_d2(cr: CanonicalSpaces, cert: D2Certificate) -> bool:
     iotas = cr.ext.iota.columns()
     for pair in cert.pairs:
         if not _is_invariant(cr.q.module, iotas, pair.tensor):

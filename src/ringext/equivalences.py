@@ -45,13 +45,12 @@ from .bimodule import (
     hom_space,
     intertwines,
     left_module,
-    restrict_left,
     restrict_right,
     right_module,
     tensor_map,
     tensor_over,
 )
-from .canonical import (CanonicalRings, InternalInconsistency,
+from .canonical import (CanonicalRings, InducedModule, InternalInconsistency,
                         coordinate_matrix, ring_on)
 from .certify import (
     D2Certificate,
@@ -203,36 +202,6 @@ def _require_module(m: Bimodule, side: str, ring: FDAlgebra) -> None:
 # ---------------------------------------------------------------------------
 # induced module machinery
 
-@dataclass
-class _InducedModule:
-    """The tensor of the total algebra against a left module over the base.
-
-    tensor     A (x)_B m with its outer left A-action
-    as_left_t  the same space as a left module over the tensor ring
-               (right leg of the tensor multiplies the A factor, left leg
-               acts on m through its module structure)
-    collapse   the action map A (x)_B m -> m, a (x) x -> a.x
-    """
-
-    tensor: TensorProduct
-    as_left_t: Bimodule
-    collapse: Matrix
-
-
-def _induced_from_base(cr: CanonicalRings, m: Bimodule) -> _InducedModule:
-    ext, f = cr.ext, cr.field
-    first = restrict_right(cr.a_reg, ext)
-    second = restrict_left(forget_right(m), ext)
-    x = cr.tensor(first, second, label=f"A(x)B[{m.label}]")
-    as_left_t = left_module(cr.tensor_ring, x.module.dim,
-                            cr.t_acting_on(x, m.left_action),
-                            label=f"T|{x.module.label}")
-
-    collapse = Matrix.from_cols(
-        f, [m.left_action[i].col(mu) for i, mu in x.free_pairs()], m.dim)
-    return _InducedModule(x, as_left_t, collapse)
-
-
 def _collapse(m: Bimodule, outer: TensorProduct, inner: TensorProduct,
               element: Callable[[int, int], Sequence]) -> Matrix:
     """r (x) (s (x) v) -> element(r, s).v, column per quotient class.
@@ -254,11 +223,11 @@ def _collapse(m: Bimodule, outer: TensorProduct, inner: TensorProduct,
 
 
 def _gamma(cr: CanonicalRings, m: Bimodule
-           ) -> tuple[_InducedModule, TensorProduct, Matrix, bool]:
+           ) -> tuple[InducedModule, TensorProduct, Matrix, bool]:
     """gamma(r (x) (a (x) v)) = (a r).v on R (x)_T (A (x)_B m), and whether
     it satisfies the triangle identity against the induced collapse."""
     f, a = cr.field, cr.ext.total
-    ind = _induced_from_base(cr, m)
+    ind = cr.induced(m)
     x = ind.tensor
     g = cr.tensor(cr.cent_module_tensor, forget_right(ind.as_left_t),
                   label=f"R(x)T[{x.module.label}]")
@@ -422,7 +391,7 @@ def pi_A_iso(cr: CanonicalRings,
     """
     _check_left_quasibase(cr, left_quasibase, "induction comparison")
     m = cr.a_reg
-    return _induction_comparison(cr, m, _induced_from_base(cr, m),
+    return _induction_comparison(cr, m, cr.induced(m),
                                  left_quasibase, "pi_A")
 
 
@@ -439,7 +408,7 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
     """
     _require_module(m, "left", cr.ext.total)
     _check_left_quasibase(cr, left_quasibase, "induction comparison")
-    ind = _induced_from_base(cr, m)
+    ind = cr.induced(m)
     collapse = _induction_comparison(cr, m, ind, left_quasibase, "induction")
     if collapse.backward is not None:
         # report the map from the base-induced module to the other one
@@ -464,7 +433,7 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
 
 
 def _induction_comparison(cr: CanonicalRings, m: Bimodule,
-                          ind: _InducedModule,
+                          ind: InducedModule,
                           left_quasibase: Optional[D2Certificate],
                           name: str) -> VerifiedIso:
     """The always-constructible collapse pi from T (x)_R m to A (x)_B m.

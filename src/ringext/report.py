@@ -5,10 +5,11 @@ classification with its certificate payloads, isomorphism verdicts,
 normality results, and the braided commutation verdict.  Nothing is
 sampled at random: two runs on the same input produce byte-identical
 JSON except for the generated_at stamp.  Reports can be re-verified
-later: every certificate payload is decoded and substituted back into
-its defining equations against a freshly built extension, and the
-classification, equivalences and normality blocks are checked against
-the types the report schema gives them.
+later against the tensor square and its canonical subspaces alone (no
+rings, no ring axioms): every certificate payload is decoded and
+substituted back into its defining equations, and the header, dims,
+classification, equivalences and normality are checked against them
+and against the types the report schema gives them.
 """
 
 import json
@@ -18,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import __version__, certify, serialize
 from .bimodule import right_regular_module
-from .canonical import CanonicalRings, build_canonical_rings
+from .canonical import CanonicalRings, CanonicalSpaces, build_canonical_rings
 from .certify import Classification, classify
 from .equivalences import (VerifiedIso, chi_M, evaluation_map,
                            functor_iso_checks, gamma_M, pi_A_iso, rho_M,
@@ -40,7 +41,7 @@ class CertificateKind(NamedTuple):
     flag: str
     key: str
     search: Callable    # (cr) -> certificate or None
-    verify: Callable    # (cr, cert) -> bool
+    verify: Callable    # (spaces, cert) -> bool
     encode: Callable    # (f, cert) -> payload
     decode: Callable    # (f, payload, dims, loc) -> cert; raises InputError
 
@@ -228,11 +229,13 @@ def verify_report(doc) -> tuple:
     """Decode every certificate in a report and substitute it back.
 
     Returns (ok, messages).  The input echo is parsed exactly like a
-    fresh input file, the extension is rebuilt, and each certificate
-    payload must still satisfy its defining equations.  A report carries
-    an analyze classification, a certify block, or both; verdicts must
-    agree with certificate presence.  The equivalences and normality
-    blocks, when present, must have the types of docs/report.schema.json.
+    fresh input file, only its CanonicalSpaces are built (no rings, no
+    ring axioms), the dims must be theirs, and each certificate payload
+    must still satisfy its defining equations.  A report carries an
+    analyze classification, a certify block, or both; verdicts must agree
+    with certificate presence.  The header, equivalences and normality
+    must have the types of docs/report.schema.json, and the header the
+    field and seed of the input echo.
     """
     if not isinstance(doc, dict):
         return False, ["report is not a JSON object"]
@@ -246,10 +249,11 @@ def verify_report(doc) -> tuple:
         parsed = parse_input(doc["input"])
     except InputError as exc:
         return False, [f"input echo does not parse: {exc}"]
-    cr = build_canonical_rings(parsed.ext)
-    dims = cr.dims()
+    cs = CanonicalSpaces(parsed.ext)
+    dims = cs.dims()
 
     msgs = []
+    _check_header(doc, parsed, msgs)
     if doc["dims"] != dims:
         msgs.append("recorded dimensions disagree with the rebuilt extension")
     attached = []
@@ -263,11 +267,11 @@ def verify_report(doc) -> tuple:
         _check_typed(doc["normality"], _NORMALITY_TYPES, "$.normality", msgs)
     for kind, payload, loc in attached:
         try:
-            cert = kind.decode(cr.field, payload, dims, loc)
+            cert = kind.decode(cs.field, payload, dims, loc)
         except InputError as exc:
             msgs.append(f"certificate payload malformed: {exc}")
             continue
-        if not kind.verify(cr, cert):
+        if not kind.verify(cs, cert):
             msgs.append(f"{loc}: fails substitution")
     return not msgs, msgs
 
@@ -295,6 +299,8 @@ _ISO_TYPES = {
     "status": (f"one of {', '.join(_ISO_STATUSES)}",
                lambda v: isinstance(v, str) and v in _ISO_STATUSES),
 }
+_HEADER_TYPES = {"tool": dict.fromkeys(("name", "version"), _STR),
+                 "command": _STR, "seed": _INT}
 _NORMALITY_TYPES = {
     "centralizer_suite": _OBJECT,
     "base_ideal_contractions": ("a list", lambda v: isinstance(v, list)),
@@ -306,21 +312,35 @@ _NORMALITY_TYPES = {
 }
 
 
-def _check_typed(block, types: dict, loc: str, msgs: list) -> bool:
+def _check_typed(block, types: dict, loc: str, msgs: list,
+                 required: bool = False) -> bool:
     """block must be a JSON object whose keys named in types, when
-    present, pass their (what, test), or are objects typed by a nested
-    dict; each fault goes to msgs.  Whether block was an object."""
+    present (always, if required), pass their (what, test), or are
+    objects typed by a nested dict; each fault goes to msgs.  Whether
+    block was an object."""
     if not isinstance(block, dict):
         msgs.append(f"{loc}: not a JSON object")
         return False
     for key, spec in types.items():
         if key not in block:
+            if required:
+                msgs.append(f"{loc}.{key}: missing")
             continue
         if isinstance(spec, dict):
-            _check_typed(block[key], spec, f"{loc}.{key}", msgs)
+            _check_typed(block[key], spec, f"{loc}.{key}", msgs, required)
         elif not spec[1](block[key]):
             msgs.append(f"{loc}.{key}: not {spec[0]}")
     return True
+
+
+def _check_header(doc: dict, parsed: ParsedInput, msgs: list) -> None:
+    """The header keys the schema requires, typed, and the field and seed
+    of the input echo."""
+    _check_typed(doc, _HEADER_TYPES, "$", msgs, required=True)
+    for key, echoed in (("field", field_json(parsed.field)),
+                        ("seed", parsed.seed)):
+        if doc.get(key) != echoed:
+            msgs.append(f"$.{key}: differs from the input echo")
 
 
 def _check_entry(value, loc: str, msgs: list) -> None:

@@ -94,7 +94,7 @@ def test_tensor_ring_acts_on_tensor_square(built):
 
 def test_tensor_ring_unit_is_one_tensor_one(built):
     cr = built("qs3_qa3").cr
-    assert cr.t_lift(cr.tensor_ring.unit) == cr.one_tensor_one()
+    assert cr.tensor_space.element(cr.tensor_ring.unit) == cr.one_tensor_one()
 
 
 def test_endo_ring_composition(built):
@@ -103,10 +103,10 @@ def test_endo_ring_composition(built):
     f = cr.field
     for i in range(s.dim):
         for j in range(s.dim):
-            lhs = cr.s_matrix(unit_vec(f, s.dim, i)) @ \
-                cr.s_matrix(unit_vec(f, s.dim, j))
-            assert lhs == cr.s_matrix(s.mult[i][j])
-    assert cr.s_matrix(s.unit) == Matrix.identity(f, cr.ext.total.dim)
+            lhs = cr.endo_space.element(unit_vec(f, s.dim, i)) @ \
+                cr.endo_space.element(unit_vec(f, s.dim, j))
+            assert lhs == cr.endo_space.element(s.mult[i][j])
+    assert cr.endo_space.element(s.unit) == Matrix.identity(f, cr.ext.total.dim)
 
 
 def test_casimir_space_inside_tensor_ring(built):
@@ -127,8 +127,8 @@ def test_coordinate_helpers_roundtrip(built):
     f = cr.field
     v = cr.r_lift([f.of(k + 1) for k in range(cr.centralizer.dim)])
     assert cr.r_lift(cr.r_coords(v)) == v
-    w = cr.t_lift([f.of(k - 2) for k in range(cr.tensor_ring.dim)])
-    assert cr.t_lift(cr.t_coords(w)) == w
+    w = cr.tensor_space.element([f.of(k - 2) for k in range(cr.tensor_ring.dim)])
+    assert cr.tensor_space.element(cr.t_coords(w)) == w
 
 
 def test_coordinate_helpers_reject_outsiders(built):

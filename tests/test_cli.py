@@ -357,6 +357,18 @@ def _extra_key(*path):
     return _set(path + ("extra",), 1)
 
 
+def _drop_tool(doc):
+    del doc["tool"]
+
+
+def _other_prime(doc):
+    doc["field"] = {"Fp": 5}
+
+
+# a well-formed field that contradicts the input echo: only verify sees it
+_other_prime.schema_accepts = True
+
+
 @pytest.mark.parametrize("name, edit, where", [
     ("qq8_qi", _set(("classification",), []), "$.classification"),
     ("qq8_qi", _set(_CERTS, ["separability_element"]),
@@ -424,6 +436,12 @@ def _extra_key(*path):
      "$.normality.hopf.subgroup_normal"),
     ("qc2_q", _set(("normality", "prebraided"), True),
      "$.normality.prebraided"),
+    ("qc2_q", _set(("seed",), "x"), "$.seed"),
+    ("qc2_q", _set(("field",), 7), "$.field"),
+    ("qc2_q", _other_prime, "$.field"),
+    ("qc2_q", _set(("tool",), 5), "$.tool"),
+    ("qc2_q", _set(("command",), [1]), "$.command"),
+    ("qc2_q", _drop_tool, "$.tool"),
 ], ids=["classification_list", "certificates_list", "certificates_int",
         "unknown_certificate", "pairs_not_list", "pair_without_endo",
         "reverse_order_string", "extra_key_separable", "extra_key_split",
@@ -437,7 +455,8 @@ def _extra_key(*path):
         "naturality_samples_string", "iso_dim_bool", "iso_checks_list",
         "entry_string", "entry_int", "normality_list",
         "normality_flag_string", "contractions_object", "hopf_flag_null",
-        "prebraided_bool"])
+        "prebraided_bool", "seed_string", "field_int", "field_other_prime",
+        "tool_int", "command_list", "tool_missing"])
 def test_verify_malformed_report_is_exit_one(tmp_path, capsys,
                                              report_validator, name, edit,
                                              where):
@@ -447,7 +466,8 @@ def test_verify_malformed_report_is_exit_one(tmp_path, capsys,
     assert code == 1
     assert f"{where}:" in err
     assert "report verifies" not in out
-    assert not report_validator.is_valid(doc)
+    assert report_validator.is_valid(doc) is getattr(edit, "schema_accepts",
+                                                     False)
 
 
 # -- installed entry point --------------------------------------------------------

@@ -134,3 +134,33 @@ def test_reused_rings_give_the_fresh_report(name):
     for _ in range(2):
         again = analysis_report(parsed, rings=cr, classification=cls)
         assert _without_stamp(again) == fresh
+
+
+def test_each_induced_module_is_built_once(monkeypatch):
+    """One qc2_q analysis induces the regular module for gamma, the
+    induction comparison and pi_A, and the sign module for the first two
+    (five calls without a memo): each is built once, and the
+    report is the golden one."""
+    built_for = Counter()
+    build = canonical.CanonicalRings._build_induced
+
+    def counted(cr, m):
+        built_for[m.label] += 1
+        return build(cr, m)
+
+    monkeypatch.setattr(canonical.CanonicalRings, "_build_induced", counted)
+    doc = analysis_report(parse_input(corpus_doc("qc2_q")))
+    assert built_for == Counter({"kG": 1, "sign": 1})
+    assert _without_stamp(doc) == _without_stamp(expected_doc("qc2_q"))
+
+
+def test_induced_memo_hit_comes_back_with_the_callers_labels():
+    cr = build_canonical_rings(parse_input(corpus_doc("qc2_q")).ext)
+    first = cr.induced(cr.a_reg)
+    again = cr.induced(cr.a_reg.with_label("twin"))
+    assert again.collapse is first.collapse
+    assert again.tensor.relations is first.tensor.relations
+    assert (first.tensor.module.label, again.tensor.module.label) == (
+        "A(x)B[kG]", "A(x)B[twin]")
+    assert again.as_left_t.label == "T|A(x)B[twin]"
+    assert cr.induced(cr.a_reg).tensor.module.label == "A(x)B[kG]"

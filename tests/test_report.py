@@ -7,10 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from ringext.canonical import CanonicalRings, CanonicalSpaces
 from ringext.cli import main
 from ringext.report import certificate_kinds, verify_report
 
 from tests.conftest import CORPUS, CORPUS_NAMES, expected_doc
+
+DIMS = ("algebra", "subalgebra", "tensor_square", "centralizer",
+        "tensor_ring", "endo_ring", "casimir")
 
 
 def _golden_certificates():
@@ -28,6 +32,50 @@ def _bump_first_scalar(field, payload):
         payload = payload[key]
     p = field["Fp"] if isinstance(field, dict) else None
     parent[key] = (payload + 1) % p if p else str(Fraction(payload) + 1)
+
+
+@pytest.fixture(scope="module")
+def spaces(built):
+    """Lazy per-extension CanonicalSpaces, the lean base verify builds."""
+    cache = {}
+
+    def get(name: str) -> CanonicalSpaces:
+        if name not in cache:
+            cache[name] = CanonicalSpaces(built(name).parsed.ext)
+        return cache[name]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def certify_docs(tmp_path_factory):
+    """Lazy per-extension `certify KIND --json` documents: for each kind
+    name, the path the CLI wrote and the document read back."""
+    out = tmp_path_factory.mktemp("certify")
+    cache = {}
+
+    def get(name: str) -> dict:
+        if name not in cache:
+            cache[name] = {}
+            for k in certificate_kinds():
+                target = str(out / f"{name}.{k.name}.json")
+                assert main(["certify", k.name, os.path.join(
+                    CORPUS, f"{name}.json"), "--json", "-o", target]) == 0
+                with open(target, encoding="utf-8") as fh:
+                    cache[name][k.name] = (target, json.load(fh))
+        return cache[name]
+
+    return get
+
+
+def _verdict(built, spaces, name, kind, payload) -> bool:
+    """kind.verify of a payload against the lean spaces, which must agree
+    with its verdict against the full rings of build_canonical_rings."""
+    cr = built(name).cr
+    cert = kind.decode(cr.field, payload, cr.dims(), "$")
+    lean = kind.verify(spaces(name), cert)
+    assert lean is kind.verify(cr, cert), (name, kind.name)
+    return lean
 
 
 # -- the table ---------------------------------------------------------------
@@ -56,9 +104,13 @@ def test_table_reproduces_golden_certificates(built, name):
 # -- verify_report -----------------------------------------------------------
 
 @pytest.mark.parametrize("name, key", _golden_certificates())
-def test_changed_scalar_fails_verification(name, key):
+def test_changed_scalar_fails_verification(built, spaces, name, key):
     doc = expected_doc(name)
-    _bump_first_scalar(doc["field"], doc["classification"]["certificates"][key])
+    kind = next(k for k in certificate_kinds() if k.key == key)
+    payload = doc["classification"]["certificates"][key]
+    assert _verdict(built, spaces, name, kind, payload) is True
+    _bump_first_scalar(doc["field"], payload)
+    assert _verdict(built, spaces, name, kind, payload) is False
     ok, msgs = verify_report(doc)
     assert not ok
     assert any(key in m for m in msgs), msgs
@@ -67,6 +119,31 @@ def test_changed_scalar_fails_verification(name, key):
 def test_golden_reports_verify():
     for name in CORPUS_NAMES:
         assert verify_report(expected_doc(name)) == (True, []), name
+
+
+def test_verify_builds_no_rings(monkeypatch, certify_docs):
+    """Every golden and every certify document verifies against the lean
+    spaces alone: no CanonicalRings is built and no ring axiom runs."""
+    docs = [expected_doc(name) for name in CORPUS_NAMES]
+    docs += [doc for name in CORPUS_NAMES
+             for _, doc in certify_docs(name).values()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built the canonical rings")
+
+    monkeypatch.setattr(CanonicalRings, "__init__", refuse)
+    monkeypatch.setattr(CanonicalRings, "verify_ring_axioms", refuse)
+    for doc in docs:
+        assert verify_report(doc) == (True, []), doc["command"]
+
+
+@pytest.mark.parametrize("key", DIMS)
+def test_changed_dimension_fails_verification(key):
+    doc = expected_doc("qc2_q")
+    assert set(doc["dims"]) == set(DIMS)
+    doc["dims"][key] += 1
+    assert verify_report(doc) == (False, [
+        "recorded dimensions disagree with the rebuilt extension"])
 
 
 @pytest.mark.parametrize("key, side", [("left_quasibase", "right"),
@@ -104,17 +181,17 @@ def test_schema_rejects_a_malformed_report(report_validator):
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
-def test_certify_output_matches_schema(report_validator, tmp_path, name):
+def test_certify_output_matches_schema(report_validator, certify_docs, built,
+                                       spaces, name):
     for k in certificate_kinds():
-        target = str(tmp_path / f"{k.name}.json")
-        assert main(["certify", k.name, os.path.join(CORPUS, f"{name}.json"),
-                     "--json", "-o", target]) == 0
-        with open(target, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        target, doc = certify_docs(name)[k.name]
         report_validator.validate(doc)
         assert doc["certify"]["verified"] is (True if doc["certify"]["verdict"]
                                               else None)
         assert main(["verify", target]) == 0, k.name
+        payload = doc["certify"]["certificate"]
+        if payload is not None:
+            assert _verdict(built, spaces, name, k, payload) is True
 
 
 def _bad_scalar(doc):
