@@ -14,10 +14,11 @@ exact linear problem whose solution doubles as a certificate:
 Every verifier is substitution only: it re-checks the defining identity
 of the certificate against A, B, the embedding and the tensor square
 with its canonical subspaces (a CanonicalSpaces, no ring structure) and
-never trusts the search that produced it.  The depth-two verdicts are cross-checked
-against an independent characterization (the tensor square splitting off
-a finite power of the algebra as a one-sided bimodule); those two answers
-agreeing is a theorem, so a mismatch raises InternalInconsistency.
+never trusts the search that produced it.  The depth-two verdicts are
+cross-checked against an independent characterization (the tensor
+square splitting off a finite power of the algebra as a one-sided
+bimodule); those two answers agreeing is a theorem, so a mismatch
+raises InternalInconsistency.
 """
 
 from __future__ import annotations

@@ -106,7 +106,8 @@ def test_endo_ring_composition(built):
             lhs = cr.endo_space.element(unit_vec(f, s.dim, i)) @ \
                 cr.endo_space.element(unit_vec(f, s.dim, j))
             assert lhs == cr.endo_space.element(s.mult[i][j])
-    assert cr.endo_space.element(s.unit) == Matrix.identity(f, cr.ext.total.dim)
+    assert cr.endo_space.element(s.unit) == Matrix.identity(
+        f, cr.ext.total.dim)
 
 
 def test_casimir_space_inside_tensor_ring(built):
@@ -127,7 +128,8 @@ def test_coordinate_helpers_roundtrip(built):
     f = cr.field
     v = cr.r_lift([f.of(k + 1) for k in range(cr.centralizer.dim)])
     assert cr.r_lift(cr.r_coords(v)) == v
-    w = cr.tensor_space.element([f.of(k - 2) for k in range(cr.tensor_ring.dim)])
+    w = cr.tensor_space.element(
+        [f.of(k - 2) for k in range(cr.tensor_ring.dim)])
     assert cr.tensor_space.element(cr.t_coords(w)) == w
 
 
