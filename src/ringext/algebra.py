@@ -6,6 +6,11 @@ vector of the unit.  Everything downstream (bimodules, centralizers, tensor
 rings) consumes this one representation, so computed rings are repackaged
 through the same class and inherit the whole toolkit.
 
+Each algebra picks, once, basis elements whose words span it
+(generators()).  Every "for all a" condition in the library (associativity,
+module laws, hom and balancing constraints, centralizers, ideal closures)
+is checked on those, since each such condition is closed under products.
+
 Group algebras carry their group table along, which lets group-specific
 checks (augmentation ideals, conjugation stability) recover the group
 without re-deriving it from the multiplication.
@@ -120,6 +125,7 @@ class FDAlgebra:
         self.name = name
         self._left_regular: Optional[list[Matrix]] = None
         self._right_regular: Optional[list[Matrix]] = None
+        self._generators: Optional[list[int]] = None
         if not _validated:
             self.validate()
 
@@ -139,7 +145,9 @@ class FDAlgebra:
                 raise AlgebraError(f"unit fails on the left at basis {j}")
             if self.multiply(ej, self.unit) != ej:
                 raise AlgebraError(f"unit fails on the right at basis {j}")
-        for i in range(n):
+        # associative on generators x basis x basis is associative: the
+        # elements x with (x y) z = x (y z) for all y, z form a subalgebra
+        for i in self.generators():
             for j in range(n):
                 ij = self.mult[i][j]
                 for k in range(n):
@@ -162,6 +170,38 @@ class FDAlgebra:
                 c = f.mul(xi, yj)
                 f.row_addmul(out, row[j], c)
         return out
+
+    def generators(self) -> list[int]:
+        """Basis indices whose words span the algebra, cached: e_i is taken
+        when outside the span of the words so far, then each generator
+        that the others produce is dropped."""
+        if self._generators is None:
+            gens, span, n = [], self._word_span([]), self.dim
+            for i in range(n):
+                if not span.contains(unit_vec(self.field, n, i)):
+                    gens.append(i)
+                    span = self._word_span(gens, span)
+            for g in list(gens):
+                if self._word_span([h for h in gens if h != g]).dim == n:
+                    gens.remove(g)
+            self._generators = gens
+        return self._generators
+
+    def _word_span(self, gens: Sequence[int],
+                   start: Optional[Subspace] = None) -> Subspace:
+        """The least space holding start (default: the unit) closed under
+        right multiplication by each generator: the span of the words in
+        gens in one bracketing, with no associativity assumed."""
+        f, n = self.field, self.dim
+        span = start or Subspace.from_vectors(f, n, [self.unit])
+        words = list(span.rows)
+        for w in words:  # grows while it is read
+            for g in gens:
+                p = self.multiply(w, unit_vec(f, n, g))
+                if not span.contains(p):
+                    words.append(p)
+                    span = Subspace.from_vectors(f, n, words)
+        return span
 
     def _ensure_regular(self) -> None:
         if self._left_regular is not None:
@@ -194,19 +234,14 @@ class FDAlgebra:
         return self._right_regular[i]
 
     def is_commutative(self) -> bool:
-        return all(
-            self.mult[i][j] == self.mult[j][i]
-            for i in range(self.dim) for j in range(i))
+        return self.center().dim == self.dim
 
     def center(self) -> Subspace:
-        """Elements commuting with the whole algebra."""
-        n = self.dim
-        rows = []
-        for i in range(n):
-            diff = self.basis_left_mult(i) - self.basis_right_mult(i)
-            rows.extend(diff.pairs)
-        ker = kernel(Matrix.from_pairs(self.field, len(rows), n, rows))
-        return Subspace.from_vectors(self.field, n, ker)
+        """Elements commuting with the generators, so with everything."""
+        rows = [row for i in self.generators() for row in
+                (self.basis_left_mult(i) - self.basis_right_mult(i)).pairs]
+        return Subspace.from_vectors(self.field, self.dim, kernel(
+            Matrix._of(self.field, len(rows), self.dim, tuple(rows))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FDAlgebra):
@@ -290,7 +325,7 @@ class Extension:
         cols = self.iota.columns()
         if Subspace.from_vectors(f, self.total.dim, cols).dim != self.base.dim:
             raise AlgebraError("embedding is not injective")
-        for i in range(self.base.dim):
+        for i in self.base.generators():
             for j in range(self.base.dim):
                 lhs = self.iota.apply(self.base.mult[i][j])
                 rhs = self.total.multiply(cols[i], cols[j])

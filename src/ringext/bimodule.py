@@ -19,7 +19,9 @@ elements, so maps out of the quotient are read off pure tensors.
 Every linear system and operator here is written from the nonzero
 entries of its ingredients: hom constraints and balancing relations row
 by row, operator sums in place, tensor-leg operators one pure tensor at
-a time.
+a time.  validate, hom constraints, balancing relations and centralizers
+take one block per generator of an acting algebra (FDAlgebra.generators),
+not one per basis element.
 
 hom_space and tensor_over build anew on every call; their
 results, MapSpace and TensorProduct, are frozen so that a memo (the one
@@ -39,7 +41,6 @@ from .linalg import (
     kernel,
     lin_comb,
     span_decide_pairs,
-    unit_vec,
 )
 
 
@@ -76,20 +77,22 @@ class Bimodule:
             raise BimoduleError("left unit does not act as identity")
         if self.right_operator(ra.unit) != eye:
             raise BimoduleError("right unit does not act as identity")
-        for i in range(la.dim):
+        # the laws on generators x basis give them on all products, by
+        # induction on word length (the algebras are associative)
+        for i in la.generators():
             for j in range(la.dim):
                 if self.left_operator(la.mult[i][j]) != \
                         self.left_action[i] @ self.left_action[j]:
                     raise BimoduleError(
                         f"left action is not a representation at ({i},{j})")
-        for i in range(ra.dim):
+        for i in ra.generators():
             for j in range(ra.dim):
                 if self.right_operator(ra.mult[i][j]) != \
                         self.right_action[j] @ self.right_action[i]:
                     raise BimoduleError(
                         f"right action is not an anti-representation at ({i},{j})")
-        for li in self.left_action:
-            for rj in self.right_action:
+        for li in (self.left_action[i] for i in la.generators()):
+            for rj in (self.right_action[j] for j in ra.generators()):
                 if li @ rj != rj @ li:
                     raise BimoduleError("left and right actions do not commute")
 
@@ -288,7 +291,9 @@ def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
     The result is an (m.left_algebra, n.right_algebra)-bimodule.  The
     relation x.c (x) y - x (x) c.y is the hom constraint
     n.left(c) X - X m.right(c)^T at the coefficient matrix X, so the
-    relations span the intertwining system over the basis of C.
+    relations span the intertwining system over the generators of C
+    (x.(cd) (x) y - x (x) (cd).y is the relation at c on (x, d.y) plus
+    the one at d on (x.c, y)).
     """
     c = m.right_algebra
     if c != n.left_algebra:
@@ -297,7 +302,7 @@ def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
             f"{c.name} vs {n.left_algebra.name}")
     relations = Subspace.row_space(_intertwining_system(
         m.field, [(n.left_action[b], m.right_action[b].transpose())
-                  for b in range(c.dim)], n.dim, m.dim))
+                  for b in c.generators()], n.dim, m.dim))
     pivots = set(relations.pivots)
     free = tuple(col for col in range(m.dim * n.dim) if col not in pivots)
     # the outer actions move one leg each; they only read the presentation
@@ -404,25 +409,23 @@ def _intertwining_system(field: Field, actions: Iterable[tuple[Matrix, Matrix]],
                 field.sparse_addmul(row, ((base + l, x) for l, x in am_col),
                                     minus_one)
                 if row:
-                    rows.append(row.items())
-    return Matrix.from_pairs(field, len(rows), dn * dm, rows)
+                    rows.append(tuple(sorted(row.items())))
+    return Matrix._of(field, len(rows), dn * dm, tuple(rows))
 
 
 def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
-    """All linear maps m -> n commuting with both actions."""
-    if m.left_algebra != n.left_algebra or m.right_algebra != n.right_algebra:
+    """All linear maps m -> n commuting with both algebras' generators."""
+    la, ra = m.left_algebra, m.right_algebra
+    if la != n.left_algebra or ra != n.right_algebra:
         raise BimoduleError("hom needs matching acting algebras on both sides")
     f = m.field
     dm, dn = m.dim, n.dim
-    if dm == 0 or dn == 0:
-        return MapSpace.spanned_by(m, n, [])
-    system = _intertwining_system(f, zip(m.left_action + m.right_action,
-                                         n.left_action + n.right_action),
-                                  dm, dn)
-    ker = kernel(system) if system.rows else \
-        [unit_vec(f, dn * dm, i) for i in range(dn * dm)]
+    system = _intertwining_system(
+        f, [(m.left_action[i], n.left_action[i]) for i in la.generators()]
+        + [(m.right_action[i], n.right_action[i]) for i in ra.generators()],
+        dm, dn)
     return MapSpace.spanned_by(m, n, [Matrix.from_vec(f, dn, dm, v)
-                                      for v in ker])
+                                      for v in kernel(system)])
 
 
 def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
@@ -439,8 +442,6 @@ def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
         diff = lin_comb(f, m.dim, m.dim, list(x) + [f.neg(c) for c in x],
                         m.left_action + m.right_action)
         rows.extend(row for row in diff.pairs if row)
-    if not rows:
-        return Subspace.full(f, m.dim)
     return Subspace.from_vectors(
         f, m.dim, kernel(Matrix.from_pairs(f, len(rows), m.dim, rows)))
 
@@ -450,7 +451,7 @@ def centralizer_subspace(m: Bimodule, embedding) -> Subspace:
     if m.left_algebra != embedding.total or m.right_algebra != embedding.total:
         raise BimoduleError("centralizer needs the embedded algebra acting on both sides")
     return invariants_subspace(
-        m, [embedding.iota.col(i) for i in range(embedding.base.dim)])
+        m, [embedding.iota.col(i) for i in embedding.base.generators()])
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,8 @@ class CanonicalSpaces:
         self.tensor_space = centralizer_subspace(self.q.module, ext)
         self.endo_space = self.hom(self.restricted, self.restricted)
         self.a_basis = [unit_vec(self.field, a.dim, i) for i in range(a.dim)]
-        self.casimir_space = invariants_subspace(self.q.module, self.a_basis)
+        self.casimir_space = invariants_subspace(
+            self.q.module, [self.a_basis[i] for i in a.generators()])
         self.mu_matrix = self._q_to_total(lambda i, j: a.mult[i][j])
 
     # -- hom spaces and tensor products, each built once --------------------
@@ -360,7 +361,6 @@ class CanonicalRings(CanonicalSpaces):
         since it solves a quadratically bigger system than anything else
         here.
         """
-        f = self.field
         a, b = self.ext.total, self.ext.base
         R, T, S = self.centralizer, self.tensor_ring, self.endo_ring
 
@@ -368,9 +368,9 @@ class CanonicalRings(CanonicalSpaces):
             if not cond:
                 raise InternalInconsistency(msg)
 
-        # the defining membership of R, re-verified elementwise
+        # R's defining membership; each law here is checked on generators
         for row in self.centralizer_space.rows:
-            for i in range(b.dim):
+            for i in b.generators():
                 bi = self.ext.iota.col(i)
                 check(a.multiply(bi, row) == a.multiply(row, bi),
                       "centralizer element does not commute with the base")
@@ -389,24 +389,18 @@ class CanonicalRings(CanonicalSpaces):
         check(self.endo_counit.apply(S.unit) == R.unit,
               "endomorphism counit is not unital")
 
-        # the tensor counit intertwines the right T-actions
+        # the tensor counit intertwines the right T-actions, and evaluating
+        # a composite at 1 is acting on the inner value at 1
+        eps_t, eps_s = self.tensor_counit, self.endo_counit
         for i in range(T.dim):
-            ei = unit_vec(f, T.dim, i)
-            for j in range(T.dim):
-                lhs = self.tensor_counit.apply(T.mult[i][j])
-                rhs = self.cent_module_tensor.right_action[j].apply(
-                    self.tensor_counit.apply(ei))
-                check(lhs == rhs,
+            for j in T.generators():
+                check(eps_t.apply(T.mult[i][j]) == self.cent_module_tensor
+                      .right_action[j].apply(eps_t.col(i)),
                       "tensor counit is not right T-linear")
-
-        # evaluating a composite at 1 is acting on the inner value at 1
-        for i in range(S.dim):
-            ei = unit_vec(f, S.dim, i)
+        for i in S.generators():
             for j in range(S.dim):
-                lhs = self.endo_counit.apply(S.mult[i][j])
-                rhs = self.cent_module_endo.left_action[i].apply(
-                    self.endo_counit.apply(unit_vec(f, S.dim, j)))
-                check(lhs == rhs,
+                check(eps_s.apply(S.mult[i][j]) == self.cent_module_endo
+                      .left_action[i].apply(eps_s.col(j)),
                       "endomorphism counit does not intertwine evaluation")
 
         # left and right multiplication embed R into S, one straight and
@@ -415,25 +409,25 @@ class CanonicalRings(CanonicalSpaces):
               "left multiplication by 1 is not the identity map")
         check(self.rho_map.apply(R.unit) == S.unit,
               "right multiplication by 1 is not the identity map")
-        for i in range(R.dim):
-            li = self.lambda_map.col(i)
+        for i in R.generators():
+            li, ri = self.lambda_map.col(i), self.rho_map.col(i)
             for j in range(R.dim):
-                lj = self.lambda_map.col(j)
-                rj = self.rho_map.col(j)
                 check(self.lambda_map.apply(R.mult[i][j])
-                      == S.multiply(li, lj),
+                      == S.multiply(li, self.lambda_map.col(j)),
                       "left multiplication does not respect products")
                 check(self.rho_map.apply(R.mult[i][j])
-                      == S.multiply(rj, self.rho_map.col(i)),
+                      == S.multiply(self.rho_map.col(j), ri),
                       "right multiplication does not reverse products")
+            for j in R.generators():
+                rj = self.rho_map.col(j)
                 check(S.multiply(li, rj) == S.multiply(rj, li),
                       "left and right multiplications fail to commute")
 
         # Casimir elements sit inside T and absorb T from the left
         for crow in self.casimir_in_tensor.rows:
-            for i in range(T.dim):
-                prod = T.multiply(unit_vec(f, T.dim, i), crow)
-                check(self.casimir_in_tensor.contains(prod),
+            for i in T.generators():
+                check(self.casimir_in_tensor.contains(
+                    T.basis_left_mult(i).apply(crow)),
                       "Casimir subspace is not a left ideal")
 
         # multiplication maps the tensor square onto A

@@ -53,8 +53,8 @@ def ideal_closure(a: FDAlgebra, generators: Sequence[Sequence],
     """Two-sided ideal generated by the given elements of a.
 
     Iterates multiply-and-span until the dimension stops growing; each
-    pass multiplies the current basis by every algebra basis element on
-    both sides, so the result is genuinely two-sided closed.
+    pass multiplies the current basis by every algebra generator on both
+    sides, so the result is closed under every word on either side.
     """
     f = a.field
     gens = []
@@ -66,7 +66,7 @@ def ideal_closure(a: FDAlgebra, generators: Sequence[Sequence],
     while True:
         vecs = [r[:] for r in span.rows]
         for v in span.rows:
-            for i in range(a.dim):
+            for i in a.generators():
                 vecs.append(a.basis_left_mult(i).apply(v))
                 vecs.append(a.basis_right_mult(i).apply(v))
         grown = Subspace.from_vectors(f, a.dim, vecs)
@@ -234,9 +234,9 @@ def hopf_normality(group: GroupData, subgroup: Sequence[int], field: Field) -> d
     """Three independent normality verdicts for a subgroup span.
 
     subgroup_normal reads the multiplication table directly;
-    conjugation_hopf_normal conjugates the subgroup span by every basis
-    element through the algebra's multiplication operators and checks
-    stability; augmentation_test compares the left and right ideals
+    conjugation_hopf_normal conjugates the subgroup span by every
+    generator of the algebra through its multiplication operators and
+    checks stability; augmentation_test compares the left and right ideals
     generated by the counit kernel of the span.  The three booleans
     agree for every pair; a disagreement would falsify the equivalence
     the checks encode.
@@ -247,15 +247,10 @@ def hopf_normality(group: GroupData, subgroup: Sequence[int], field: Field) -> d
                        for g in range(group.order) for h in pair.subgroup)
 
     kg = pair.algebra
-    conj_stable = True
-    for g in range(group.order):
-        op = kg.basis_left_mult(g) @ kg.basis_right_mult(group.inverse[g])
-        for h in pair.subgroup:
-            if not pair.span.contains(op.apply(unit_vec(field, group.order, h))):
-                conj_stable = False
-                break
-        if not conj_stable:
-            break
+    conj_stable = all(pair.span.contains(
+        (kg.basis_left_mult(g) @ kg.basis_right_mult(group.inverse[g]))
+        .apply(unit_vec(field, group.order, h)))
+        for g in kg.generators() for h in pair.subgroup)
 
     return {
         "subgroup_normal": table_normal,

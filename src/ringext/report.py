@@ -76,17 +76,11 @@ def certificate_kinds() -> tuple:
 
 
 def _iso_block(iso: VerifiedIso) -> dict:
-    out = {"name": iso.name,
-           "domain": iso.domain,
-           "codomain": iso.codomain,
-           "domain_dim": iso.domain_dim,
-           "codomain_dim": iso.codomain_dim,
-           "status": iso.status,
-           "route": iso.route,
-           "naturality_samples": iso.naturality_samples,
-           "checks": dict(iso.checks)}
-    if iso.detail:
-        out["detail"] = iso.detail
+    """Every key _ISO_TYPES types, detail only when there is one."""
+    out = {key: getattr(iso, key) for key in _ISO_TYPES}
+    out["checks"] = dict(iso.checks)
+    if not iso.detail:
+        del out["detail"]
     return out
 
 
@@ -334,9 +328,10 @@ def _check_typed(block, types: dict, loc: str, msgs: list,
 
 
 def _check_header(doc: dict, parsed: ParsedInput, msgs: list) -> None:
-    """The header keys the schema requires, typed, and the field and seed
-    of the input echo."""
+    """The header keys the schema requires, typed, generated_at typed if
+    present, and the field and seed of the input echo."""
     _check_typed(doc, _HEADER_TYPES, "$", msgs, required=True)
+    _check_typed(doc, {"generated_at": _STR}, "$", msgs)
     for key, echoed in (("field", field_json(parsed.field)),
                         ("seed", parsed.seed)):
         if doc.get(key) != echoed:

@@ -442,6 +442,7 @@ _other_prime.schema_accepts = True
     ("qc2_q", _set(("tool",), 5), "$.tool"),
     ("qc2_q", _set(("command",), [1]), "$.command"),
     ("qc2_q", _drop_tool, "$.tool"),
+    ("qc2_q", _set(("generated_at",), 5), "$.generated_at"),
 ], ids=["classification_list", "certificates_list", "certificates_int",
         "unknown_certificate", "pairs_not_list", "pair_without_endo",
         "reverse_order_string", "extra_key_separable", "extra_key_split",
@@ -456,7 +457,7 @@ _other_prime.schema_accepts = True
         "entry_string", "entry_int", "normality_list",
         "normality_flag_string", "contractions_object", "hopf_flag_null",
         "prebraided_bool", "seed_string", "field_int", "field_other_prime",
-        "tool_int", "command_list", "tool_missing"])
+        "tool_int", "command_list", "tool_missing", "generated_at_int"])
 def test_verify_malformed_report_is_exit_one(tmp_path, capsys,
                                              report_validator, name, edit,
                                              where):
