@@ -24,6 +24,7 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
+    echelon_insert,
     kernel,
     lin_comb,
     span_decide,
@@ -193,15 +194,12 @@ class FDAlgebra:
         right multiplication by each generator: the span of the words in
         gens in one bracketing, with no associativity assumed."""
         f, n = self.field, self.dim
-        span = start or Subspace.from_vectors(f, n, [self.unit])
-        words = list(span.rows)
-        for w in words:  # grows while it is read
-            for g in gens:
-                p = self.multiply(w, unit_vec(f, n, g))
-                if not span.contains(p):
-                    words.append(p)
-                    span = Subspace.from_vectors(f, n, words)
-        return span
+        echelon: dict = {}
+        words = list(start.rows) if start else [self.unit]
+        for w in words:  # grows while it is read: a new word's products
+            if echelon_insert(f, echelon, {j: x for j, x in enumerate(w) if x}):
+                words.extend(self.multiply(w, unit_vec(f, n, g)) for g in gens)
+        return Subspace.from_echelon(f, n, echelon)
 
     def _ensure_regular(self) -> None:
         if self._left_regular is not None:

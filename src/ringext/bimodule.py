@@ -19,9 +19,11 @@ elements, so maps out of the quotient are read off pure tensors.
 Every linear system and operator here is written from the nonzero
 entries of its ingredients: hom constraints and balancing relations row
 by row, operator sums in place, tensor-leg operators one pure tensor at
-a time.  validate, hom constraints, balancing relations and centralizers
-take one block per generator of an acting algebra (FDAlgebra.generators),
-not one per basis element.
+a time, each image a dict of nonzeros reduced in place by the relations
+into quotient coordinates.  validate, hom constraints, balancing
+relations and centralizers take one block per generator of an acting
+algebra (FDAlgebra.generators), not one per basis element; tensor_map
+checks every relation row.
 
 hom_space and tensor_over build anew on every call; their
 results, MapSpace and TensorProduct, are frozen so that a memo (the one
@@ -210,12 +212,13 @@ class TensorProduct:
 
     def project(self, ambient: Matrix) -> list:
         """Coordinates of the class of an ambient element."""
-        return self._class_of(ambient.vec())
+        return self._class_of({j: x for j, x in enumerate(ambient.vec()) if x})
 
-    def _class_of(self, flat: list) -> list:
-        """project on the row-major entries of an ambient element."""
-        w = self.relations.reduce(flat)
-        return [w[c] for c in self.free_cols]
+    def _class_of(self, w: dict) -> list:
+        """project on the nonzero entries, by row-major index, of an
+        ambient element; w is reduced in place."""
+        w, zero = self.relations._reduce(w), self.relations.field.zero
+        return [w.get(c, zero) for c in self.free_cols]
 
     def lift(self, coords: Sequence) -> Matrix:
         """The canonical ambient representative of a class."""
@@ -229,14 +232,13 @@ class TensorProduct:
     def sum_pure(self, pairs: Iterable[tuple[Sequence, Sequence]]) -> list:
         """Coordinates of the class of sum x (x) y over the pairs (x, y),
         summed in the ambient and projected once."""
-        f = self.left_factor.field
-        rows = [[f.zero] * self.right_factor.dim
-                for _ in range(self.left_factor.dim)]
+        f, n, w = self.left_factor.field, self.right_factor.dim, {}
         for x, y in pairs:
-            for i, xi in enumerate(x):
-                if xi:
-                    f.row_addmul(rows[i], y, xi)
-        return self._class_of([c for row in rows for c in row])
+            ys = [(j, b) for j, b in enumerate(y) if b]
+            for i, a in enumerate(x):
+                if a:
+                    f.sparse_addmul(w, [(i * n + j, b) for j, b in ys], a)
+        return self._class_of(w)
 
     def pure(self, x: Sequence, y: Sequence) -> list:
         """Coordinates of the class of the pure tensor x (x) y."""
@@ -264,24 +266,27 @@ def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
     """The map sum c * (op_l (x) op_r) over terms (c, op_l, op_r), from src
     to dst (default src); the caller vouches that it respects relations.
 
-    Each quotient basis class of src is a pure tensor e_u (x) e_v, which
-    goes to the class of sum c * op_l.col(u) (x) op_r.col(v) in dst.
+    Each quotient basis class of src is a pure tensor e_u (x) e_v, whose
+    image sum c * op_l.col(u) (x) op_r.col(v) is accumulated from nonzeros
+    and reduced by dst's relations; that residual vanishes at every pivot,
+    so its entries are the coordinates of the image class in dst.
     """
     dst = dst or src
-    f = src.left_factor.field
-    dm, dn = dst.left_factor.dim, dst.right_factor.dim
+    f, dn = src.left_factor.field, dst.right_factor.dim
+    index = {c: k for k, c in enumerate(dst.free_cols)}
     sparse = [(c, op_l.transpose().pairs, op_r.transpose().pairs)
               for c, op_l, op_r in terms if c]
     cols = []
     for u, v in src.free_pairs():
-        w = [f.zero] * (dm * dn)
+        w: dict = {}
         for c, lcols, rcols in sparse:
             for r, a in lcols[u]:
-                ca, base = f.mul(c, a), r * dn
-                for k, b in rcols[v]:
-                    w[base + k] = f.add(w[base + k], f.mul(ca, b))
-        cols.append(dst._class_of(w))
-    return Matrix.from_cols(f, cols, len(dst.free_cols))
+                base = r * dn
+                f.sparse_addmul(w, [(base + k, b) for k, b in rcols[v]],
+                                f.mul(c, a))
+        cols.append(tuple(sorted((index[j], x) for j, x
+                                 in dst.relations._reduce(w).items())))
+    return Matrix._of(f, len(cols), len(dst.free_cols), tuple(cols)).transpose()
 
 
 def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
@@ -319,22 +324,14 @@ def tensor_label(m: Bimodule, n: Bimodule, label: Optional[str] = None) -> str:
     return label or f"{m.label}(x){n.label}"
 
 
-# source relations tensor_map spot-checks for well-definedness
-RELATION_CHECKS = 8
-
-
 def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
                f_right: Matrix) -> Matrix:
-    """The map f_left (x) f_right between two presented tensor products.
-
-    Spot-checks well-definedness on the first RELATION_CHECKS source
-    relations (the full guarantee is the middle-linearity of the
-    ingredient maps).
-    """
+    """The map f_left (x) f_right between two presented tensor products,
+    checked well defined: it sends every source relation into dst's."""
     f = src.left_factor.field
     dm, dn = src.left_factor.dim, src.right_factor.dim
     frt = f_right.transpose()
-    for row in src.relations.rows[:RELATION_CHECKS]:
+    for row in src.relations.rows:
         ambient = (f_left @ Matrix.from_vec(f, dm, dn, row) @ frt).vec()
         if not dst.relations.contains(ambient):
             raise BimoduleError("tensor map does not respect the relations")

@@ -230,23 +230,29 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
     The unknowns are coefficients over (invariant tensor, endomorphism)
     basis pairs; the equations are the side's quasibase identity at its
     free points, one algebra basis element at a time in the free leg.
+    The generator of a pair (t, s) is M_t @ s read column by column,
+    where the orbit matrix M_t = [act(e_k).t]_k is formed once per
+    tensor from the operators act(e_k), built once per call.
     reverse_order enumerates the pairs backwards, which changes which
     canonical solution the solver picks without changing solvability;
     downstream checks use that to show their results do not depend on
     the particular quasibase.
     """
-    act, value, free = _d2_side(cr, side)
-    n = cr.ext.total.dim
+    act, _, free = _d2_side(cr, side)
+    f, n = cr.field, cr.ext.total.dim
     step = -1 if reverse_order else 1
     tensors, endos = cr.tensor_space.rows[::step], cr.endo_space.basis[::step]
+    # at the k-th free point value(s, x, y) is s.e_k, so the summand at
+    # t is column k of M_t @ s, which is row k of s^T @ M_t^T
+    ops = [act(e) for e in cr.a_basis]
     found = span_decide_pairs(
-        cr.field, tensors, endos,
-        lambda t, s: [c for x, y in free for c in act(value(s, x, y)).apply(t)],
+        f, [Matrix.from_rows(f, [op.apply(t) for op in ops]) for t in tensors],
+        [s.transpose() for s in endos], lambda mt, st: (st @ mt).vec(),
         [c for x, y in free for c in cr.pure(x, y)])
     if found is None:
         return None
     # found[::step] lists the pairs in ascending tensor-basis order
-    pairs = [QuasibasePair(list(tensors[i]), lin_comb(cr.field, n, n, c, endos))
+    pairs = [QuasibasePair(list(tensors[i]), lin_comb(f, n, n, c, endos))
              for i, c in found[::step]]
     cert = D2Certificate(side, pairs, reverse_order=reverse_order)
     if not verify_d2(cr, cert):

@@ -437,37 +437,40 @@ def lin_comb(field: Field, rows: int, cols: int, coeffs: Sequence,
 # elimination
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
-
-    Rows enter one at a time as dicts and are reduced by the pivot rows so
-    far, which stay fully reduced; a row that does not vanish takes its
-    least column as a new pivot, cleared from the earlier pivot rows.
-    """
-    f = mat.field
-    addmul, neg = f.sparse_addmul, f.neg
+    """Reduced row echelon form and the list of pivot columns; the rows
+    enter one at a time through echelon_insert."""
     echelon: dict[int, dict] = {}   # pivot column -> its reduced row
     for row in mat.pairs:
         if len(echelon) == mat.cols:
             break
-        acc = dict(row)
-        # pivot rows vanish at each other's pivots: clear acc's one by one
-        for c in [c for c in acc if c in echelon]:
-            addmul(acc, echelon[c].items(), neg(acc[c]))
-        if not acc:
-            continue
-        c = min(acc)
-        if not f.is_one(acc[c]):
-            inv = f.inv(acc[c])
-            acc = {j: f.mul(inv, x) for j, x in acc.items()}
-        for other in echelon.values():
-            a = other.get(c)
-            if a:
-                addmul(other, acc.items(), neg(a))
-        echelon[c] = acc
+        echelon_insert(mat.field, echelon, dict(row))
     pivots = sorted(echelon)
     rows = tuple(tuple(sorted(echelon[c].items())) for c in pivots)
-    return Matrix._of(f, mat.rows, mat.cols,
+    return Matrix._of(mat.field, mat.rows, mat.cols,
                       rows + ((),) * (mat.rows - len(rows))), pivots
+
+
+def echelon_insert(f: Field, echelon: dict, acc: dict) -> bool:
+    """Reduce the row acc, a dict of nonzeros, by the pivot rows of
+    echelon, which stay fully reduced; unless it vanishes, it takes its
+    least column as a new pivot, cleared from the earlier pivot rows.
+    True when acc was inserted."""
+    addmul, neg = f.sparse_addmul, f.neg
+    # pivot rows vanish at each other's pivots: clear acc's one by one
+    for c in [c for c in acc if c in echelon]:
+        addmul(acc, echelon[c].items(), neg(acc[c]))
+    if not acc:
+        return False
+    c = min(acc)
+    if not f.is_one(acc[c]):
+        inv = f.inv(acc[c])
+        acc = {j: f.mul(inv, x) for j, x in acc.items()}
+    for other in echelon.values():
+        a = other.get(c)
+        if a:
+            addmul(other, acc.items(), neg(a))
+    echelon[c] = acc
+    return True
 
 
 def rank(mat: Matrix) -> int:
@@ -570,7 +573,7 @@ class Subspace:
     """A subspace of F^n held as its RREF basis: basis, a Matrix with one
     row per basis vector, and rows, the same vectors as dense lists."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "rows", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "rows", "pivots", "_row_at")
 
     def __init__(self, basis: Matrix, pivots: list[int]) -> None:
         """The span of basis, an RREF with these pivots and no zero row."""
@@ -579,6 +582,7 @@ class Subspace:
         self.basis = basis
         self.rows = basis.data
         self.pivots = pivots
+        self._row_at = dict(zip(pivots, basis.pairs))
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int,
@@ -595,6 +599,14 @@ class Subspace:
                               red.pairs[:len(pivots)]), pivots)
 
     @classmethod
+    def from_echelon(cls, field: Field, ambient_dim: int,
+                     echelon: dict) -> "Subspace":
+        """The span of the rows an echelon_insert dict holds."""
+        pivots = sorted(echelon)
+        return cls(Matrix._of(field, len(pivots), ambient_dim, tuple(
+            tuple(sorted(echelon[c].items())) for c in pivots)), pivots)
+
+    @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
         return cls(Matrix.zeros(field, 0, ambient_dim), [])
 
@@ -606,15 +618,17 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def _residual(self, v: Sequence) -> dict:
-        f = self.field
-        w = {j: x for j, x in enumerate(v) if x}
+    def _reduce(self, w: dict) -> dict:
+        """Reduce w, a vector's nonzero entries by index, by the basis rows
+        in place; the result vanishes at every pivot."""
+        f, at = self.field, self._row_at
         # basis rows vanish at each other's pivots, so the order is free
-        for pc, row in zip(self.pivots, self.basis.pairs):
-            a = w.get(pc)
-            if a:
-                f.sparse_addmul(w, row, f.neg(a))
+        for pc in [c for c in w if c in at]:
+            f.sparse_addmul(w, at[pc], f.neg(w[pc]))
         return w
+
+    def _residual(self, v: Sequence) -> dict:
+        return self._reduce({j: x for j, x in enumerate(v) if x})
 
     def reduce(self, v: Sequence) -> list:
         """Residual of v after subtracting its projection onto the basis rows."""

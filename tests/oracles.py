@@ -7,7 +7,9 @@ numbers frozen into the tests came from here.
 
 At the end, the dense Kronecker formulation of hom constraints that the
 library once solved is kept on library matrices, as the reference that
-hom_space's direct constraint rows are compared against.
+hom_space's direct constraint rows are compared against, and so are the
+dense tensor-leg loop and the per-tensor quasibase system that
+tensor_legs and find_d2_quasibase replaced.
 """
 
 import json
@@ -304,3 +306,51 @@ def reference_tensor_relations(m, n):
         diff = kron(rc.transpose(), eye_n) - kron(eye_m, lc.transpose())
         rows.extend(diff.data)
     return Subspace.from_vectors(f, m.dim * n.dim, rows)
+
+
+# ---------------------------------------------------------------------------
+# the dense tensor-leg loop and the per-tensor quasibase system, kept as
+# references for the sparse kernels that replaced them
+
+def reference_tensor_legs(src, terms, dst=None):
+    """sum c * (op_l (x) op_r) from src to dst, one dense ambient vector
+    per source quotient basis class, projected and set side by side."""
+    from ringext.linalg import Matrix
+
+    dst = dst or src
+    f = src.left_factor.field
+    dm, dn = dst.left_factor.dim, dst.right_factor.dim
+    sparse = [(c, op_l.transpose().pairs, op_r.transpose().pairs)
+              for c, op_l, op_r in terms if c]
+    cols = []
+    for u, v in src.free_pairs():
+        w = [f.zero] * (dm * dn)
+        for c, lcols, rcols in sparse:
+            for r, a in lcols[u]:
+                ca, base = f.mul(c, a), r * dn
+                for k, b in rcols[v]:
+                    w[base + k] = f.add(w[base + k], f.mul(ca, b))
+        reduced = dst.relations.reduce(w)
+        cols.append([reduced[c] for c in dst.free_cols])
+    return Matrix.from_cols(f, cols, len(dst.free_cols))
+
+
+def reference_d2_quasibase(cr, side, reverse_order=False):
+    """find_d2_quasibase with every generator built as
+    act(value(s, x, y)) applied to t at each free point, per (t, s)."""
+    from ringext.certify import D2Certificate, QuasibasePair, _d2_side
+    from ringext.linalg import lin_comb, span_decide_pairs
+
+    act, value, free = _d2_side(cr, side)
+    n = cr.ext.total.dim
+    step = -1 if reverse_order else 1
+    tensors, endos = cr.tensor_space.rows[::step], cr.endo_space.basis[::step]
+    found = span_decide_pairs(
+        cr.field, tensors, endos,
+        lambda t, s: [c for x, y in free for c in act(value(s, x, y)).apply(t)],
+        [c for x, y in free for c in cr.pure(x, y)])
+    if found is None:
+        return None
+    return D2Certificate(side, [
+        QuasibasePair(list(tensors[i]), lin_comb(cr.field, n, n, c, endos))
+        for i, c in found[::step]], reverse_order=reverse_order)

@@ -1,24 +1,29 @@
 """Bimodules, balanced tensor products, hom spaces, witnesses."""
 
+import random
 from functools import cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ringext.algebra import (group_algebra, matrix_algebra, self_extension,
-                             subalgebra_extension, trivial_algebra)
+from ringext.algebra import (diagonal_algebra, group_algebra, matrix_algebra,
+                             self_extension, subalgebra_extension,
+                             trivial_algebra)
 from ringext.bimodule import (Bimodule, BimoduleError, centralizer_subspace,
                               dual_basis_witness, forget_left,
                               forget_right, hom_space, invariants_subspace,
-                              left_regular_module, regular_bimodule, restrict_left, restrict_right,
+                              left_module, left_regular_module,
+                              regular_bimodule, restrict_left, restrict_right,
+                              right_module,
                               right_regular_module, summand_witness,
                               tensor_legs, tensor_map, tensor_over)
 from ringext.linalg import GF, QQ, Matrix, unit_vec, vec_sum
 from ringext.serialize import parse_input
 from tests.conftest import CORPUS_NAMES, corpus_doc
-from tests.modules import random_cyclic_module
-from tests.oracles import reference_hom_basis, reference_tensor_relations
+from tests.modules import random_cyclic_module, random_scalar
+from tests.oracles import (reference_hom_basis, reference_tensor_legs,
+                           reference_tensor_relations)
 from tests.test_algebra import cyclic, sym3
 
 
@@ -148,6 +153,23 @@ def test_tensor_map_respects_relations():
     assert tm == Matrix.identity(QQ, t.module.dim)
 
 
+def test_tensor_map_checks_every_relation():
+    """k^4 (x)_{k^4} k^4 has the 12 off-diagonal pure tensors as relations,
+    in pivot order; id (x) g with g(e_3) = e_3 + e_2 keeps all of them
+    among the relations but the ninth, e_2 (x) e_3."""
+    d = diagonal_algebra(QQ, 4)
+    t = tensor_over(right_regular_module(d), left_regular_module(d))
+    ident = Matrix.identity(QQ, 4)
+    g = ident + Matrix.from_pairs(QQ, 4, 4, [(), (), [(3, 1)], ()])
+    broken = [i for i, row in enumerate(t.relations.rows) if not
+              t.relations.contains((Matrix.from_vec(QQ, 4, 4, row)
+                                    @ g.transpose()).vec())]
+    assert len(t.relations.rows) == 12 and broken == [8]
+    with pytest.raises(BimoduleError, match="does not respect"):
+        tensor_map(t, t, ident, g)
+    assert tensor_map(t, t, ident, ident) == Matrix.identity(QQ, 4)
+
+
 def tensor_cases(field):
     """(label, m, n) pairs over a shared middle algebra: tensor squares
     over a subalgebra, regular and one-sided factors, and random cyclic
@@ -225,6 +247,72 @@ def test_tensor_product_methods(field, data):
         tp, [(one, Matrix.identity(field, m.dim), op_n)]), label
     [coords] = data.draw(_vectors(field, tp.module.dim, 1))
     assert tp.project(tp.lift(coords)) == coords, label
+
+
+def _zero_quotient(field):
+    """k (x)_{k x k} k with the factors on different idempotents: every
+    pure tensor is a relation, so the quotient is zero."""
+    d = diagonal_algebra(field, 2)
+    one, zero = Matrix.identity(field, 1), Matrix.zeros(field, 1, 1)
+    m, n = right_module(d, 1, [one, zero]), left_module(d, 1, [zero, one])
+    m.validate()
+    n.validate()
+    return tensor_over(m, n)
+
+
+@cache
+def _leg_spaces(field):
+    spaces = [tp for _, tp in _built_tensor_cases(field)]
+    spaces.append(_zero_quotient(field))
+    assert spaces[-1].module.dim == 0
+    return spaces
+
+
+def _matrices(field, rows, cols):
+    return st.lists(st.integers(-2, 2), min_size=rows * cols,
+                    max_size=rows * cols).map(lambda v: Matrix.from_vec(
+                        field, rows, cols, [field.of(x) for x in v]))
+
+
+def _leg_terms(field, src, dst):
+    """Strategy for tensor_legs terms from src to dst: up to four, zero
+    coefficients and zero entries included."""
+    return st.lists(st.tuples(
+        st.integers(-2, 2).map(field.of),
+        _matrices(field, dst.left_factor.dim, src.left_factor.dim),
+        _matrices(field, dst.right_factor.dim, src.right_factor.dim)),
+        max_size=4)
+
+
+@given(st.sampled_from([QQ, GF(5)]), st.data())
+def test_tensor_legs_matches_dense_reference(field, data):
+    spaces = _leg_spaces(field)
+    src = data.draw(st.sampled_from(spaces))
+    dst = data.draw(st.sampled_from([None] + spaces))
+    terms = data.draw(_leg_terms(field, src, dst or src))
+    assert tensor_legs(src, terms, dst) == \
+        reference_tensor_legs(src, terms, dst)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_tensor_legs_matches_dense_reference_on_every_pair(field):
+    """Every (src, dst) pair of the spaces above, the zero quotient on
+    either side included, with three terms, one of them at coefficient 0."""
+    rng = random.Random(17)
+
+    def mat(rows, cols):
+        return Matrix.from_vec(field, rows, cols, [
+            random_scalar(field, rng) for _ in range(rows * cols)])
+
+    spaces = _leg_spaces(field)
+    for src in spaces:
+        for dst in spaces:
+            terms = [(field.of(c),
+                      mat(dst.left_factor.dim, src.left_factor.dim),
+                      mat(dst.right_factor.dim, src.right_factor.dim))
+                     for c in (2, 0, -1)]
+            assert tensor_legs(src, terms, dst) == \
+                reference_tensor_legs(src, terms, dst)
 
 
 # -- hom spaces ---------------------------------------------------------------

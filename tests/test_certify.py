@@ -16,6 +16,7 @@ from ringext.algebra import trivial_algebra
 from ringext.linalg import Matrix, unit_vec, vec_scale, vec_sum
 
 from tests.conftest import CORPUS_NAMES, EXPECTED_FLAGS
+from tests.oracles import reference_d2_quasibase
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -226,6 +227,19 @@ def test_reverse_order_quasibase_also_verifies(built):
     assert qb is not None
     assert qb.reverse_order
     assert verify_d2(cr, qb)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_quasibase_matches_per_tensor_reference(name, built):
+    """The orbit-matrix system gives the certificate the per-(t, s)
+    generators give, on both sides and in both pair orders."""
+    cr = built(name).cr
+    left_d2, right_d2 = EXPECTED_FLAGS[name][3:]
+    for side, d2 in (("left", left_d2), ("right", right_d2)):
+        for reverse_order in (False, True):
+            got = find_d2_quasibase(cr, side, reverse_order)
+            assert (got is not None) == d2
+            assert got == reference_d2_quasibase(cr, side, reverse_order)
 
 
 def test_hsep_induces_left_quasibase_explicitly(built):

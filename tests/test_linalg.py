@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ringext.linalg import (GF, MODULUS_BOUND, QQ, LinalgError, Matrix,
-                            PrimeField, Subspace, invert, kernel, lin_comb,
+                            PrimeField, Subspace, echelon_insert, invert,
+                            kernel, lin_comb,
                             rank, rref, solve, span_decide,
                             span_decide_pairs, unit_vec, vec_sum, zero_vec)
 from tests import oracle_linalg
@@ -306,6 +307,20 @@ def test_subspace_from_vectors_contains_generators(a):
     for row in a.data:
         assert s.contains(row)
     assert s.dim == rank(a)
+
+
+@given(st.one_of(qq_matrix(5, 4), f5_matrix(5, 4)))
+def test_echelon_insert_grows_the_row_space(a):
+    """Rows inserted one at a time give the RREF of their span, and each
+    insertion reports whether its row was new."""
+    echelon, seen = {}, Subspace.zero(a.field, a.cols)
+    for row in a.data:
+        new = echelon_insert(a.field, echelon,
+                             {j: x for j, x in enumerate(row) if x})
+        assert new == (not seen.contains(row))
+        seen = Subspace.from_echelon(a.field, a.cols, echelon)
+    assert seen == Subspace.row_space(a)
+    assert seen.pivots == Subspace.row_space(a).pivots
 
 
 # -- sparse elimination against the independent oracle ------------------------
