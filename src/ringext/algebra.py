@@ -25,7 +25,6 @@ from .linalg import (
     Matrix,
     Subspace,
     echelon_insert,
-    kernel,
     lin_comb,
     span_decide,
     unit_vec,
@@ -230,16 +229,6 @@ class FDAlgebra:
     def basis_right_mult(self, i: int) -> Matrix:
         self._ensure_regular()
         return self._right_regular[i]
-
-    def is_commutative(self) -> bool:
-        return self.center().dim == self.dim
-
-    def center(self) -> Subspace:
-        """Elements commuting with the generators, so with everything."""
-        rows = [row for i in self.generators() for row in
-                (self.basis_left_mult(i) - self.basis_right_mult(i)).pairs]
-        return Subspace.from_vectors(self.field, self.dim, kernel(
-            Matrix._of(self.field, len(rows), self.dim, tuple(rows))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FDAlgebra):

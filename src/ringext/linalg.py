@@ -383,9 +383,6 @@ class Matrix:
         return lin_comb(self.field, self.rows, self.cols, (self.field.one, c),
                         (self, other))
 
-    def scale(self, c) -> "Matrix":
-        return lin_comb(self.field, self.rows, self.cols, (c,), (self,))
-
     def transpose(self) -> "Matrix":
         cols: list[list] = [[] for _ in range(self.cols)]
         for i, row in enumerate(self.pairs):
@@ -629,10 +626,6 @@ class Subspace:
 
     def _residual(self, v: Sequence) -> dict:
         return self._reduce({j: x for j, x in enumerate(v) if x})
-
-    def reduce(self, v: Sequence) -> list:
-        """Residual of v after subtracting its projection onto the basis rows."""
-        return _dense(self.field, len(v), self._residual(v).items())
 
     def contains(self, v: Sequence) -> bool:
         return not self._residual(v)

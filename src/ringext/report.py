@@ -6,10 +6,10 @@ normality results, and the braided commutation verdict.  Nothing is
 sampled at random: two runs on the same input produce byte-identical
 JSON except for the generated_at stamp.  Reports can be re-verified
 later against the tensor square and its canonical subspaces alone (no
-rings, no ring axioms): every certificate payload is decoded and
-substituted back into its defining equations, and the header, dims,
-classification, equivalences and normality are checked against them
-and against the types the report schema gives them.
+rings, no ring axioms): one check against report.schema.json settles
+every key and type, then each certificate payload is decoded and
+substituted back into its defining equations, and the header, dims and
+verdict flags are compared with the input echo and the certificates.
 """
 
 import json
@@ -27,7 +27,8 @@ from .equivalences import (VerifiedIso, chi_M, evaluation_map,
 from .normality import (a_invariant_contraction, centralizer_normality_suite,
                         default_ideal_sample, double_centralizer,
                         hopf_normality, prebraided_check)
-from .serialize import (InputError, ParsedInput, field_json, parse_input,
+from .schema import schema
+from .serialize import (InputError, ParsedInput, build_input, field_json,
                         vector_json)
 
 TOOL = {"name": "ringext", "version": __version__}
@@ -76,8 +77,10 @@ def certificate_kinds() -> tuple:
 
 
 def _iso_block(iso: VerifiedIso) -> dict:
-    """Every key _ISO_TYPES types, detail only when there is one."""
-    out = {key: getattr(iso, key) for key in _ISO_TYPES}
+    """Every field of the verdict but its two maps, detail only when there
+    is one."""
+    out = {k: v for k, v in vars(iso).items() if k not in ("forward",
+                                                             "backward")}
     out["checks"] = dict(iso.checks)
     if not iso.detail:
         del out["detail"]
@@ -220,45 +223,51 @@ def report_json(doc: dict) -> str:
 
 
 def verify_report(doc) -> tuple:
-    """Decode every certificate in a report and substitute it back.
+    """Check a report against report.schema.json, then substitute every
+    certificate back.  Returns (ok, messages).
 
-    Returns (ok, messages).  The input echo is parsed exactly like a
-    fresh input file, only its CanonicalSpaces are built (no rings, no
-    ring axioms), the dims must be theirs, and each certificate payload
-    must still satisfy its defining equations.  A report carries an
-    analyze classification, a certify block, or both; verdicts must agree
-    with certificate presence.  The header, equivalences and normality
-    must have the types of docs/report.schema.json, and the header the
-    field and seed of the input echo.
+    A schema fault is the only message, located at the value and at what
+    holds it.  Otherwise the input echo is built unchecked into its
+    CanonicalSpaces (no rings, no ring axioms), and the dims, field and
+    seed must be theirs, each verdict flag must match the presence of its
+    certificate, and each certificate must satisfy its equations.
     """
-    if not isinstance(doc, dict):
-        return False, ["report is not a JSON object"]
-    for key in ("input", "dims"):
-        if key not in doc:
-            return False, [f"report lacks the {key} block"]
-    if "classification" not in doc and "certify" not in doc:
-        return False, ["report lacks both the classification and the "
-                       "certify block"]
+    fault = schema("report.schema.json").first_fault(doc)
+    if fault is not None:
+        return False, [f"{fault.location(1)}: fails the report schema at "
+                       f"{fault.location()}: {fault.reason}"]
     try:
-        parsed = parse_input(doc["input"])
+        parsed = build_input(doc["input"])
     except InputError as exc:
         return False, [f"input echo does not parse: {exc}"]
     cs = CanonicalSpaces(parsed.ext)
     dims = cs.dims()
 
-    msgs = []
-    _check_header(doc, parsed, msgs)
+    msgs = [f"$.{key}: differs from the input echo" for key, echoed in (
+        ("field", field_json(parsed.field)), ("seed", parsed.seed))
+        if doc[key] != echoed]
     if doc["dims"] != dims:
         msgs.append("recorded dimensions disagree with the rebuilt extension")
     attached = []
     if "classification" in doc:
-        attached += _classification_certificates(doc["classification"], msgs)
+        cl = doc["classification"]
+        certs = cl.get("certificates", {})
+        for k in certificate_kinds():
+            if cl.get(k.flag) is not (k.key in certs):
+                msgs.append(f"$.classification.{k.flag}: disagrees with the "
+                            f"presence of {k.key}")
+            if k.key in certs:
+                attached.append((k, certs[k.key],
+                                 f"$.classification.certificates.{k.key}"))
     if "certify" in doc:
-        attached += _certify_certificate(doc["certify"], msgs)
-    if "equivalences" in doc:
-        _check_equivalences(doc["equivalences"], msgs)
-    if "normality" in doc:
-        _check_typed(doc["normality"], _NORMALITY_TYPES, "$.normality", msgs)
+        ct = doc["certify"]
+        payload = ct.get("certificate")
+        if ct["verdict"] is not (payload is not None):
+            msgs.append("$.certify.verdict: disagrees with the certificate")
+        elif payload is not None:
+            attached.append((next(k for k in certificate_kinds()
+                                  if k.name == ct["kind"]),
+                             payload, "$.certify.certificate"))
     for kind, payload, loc in attached:
         try:
             cert = kind.decode(cs.field, payload, dims, loc)
@@ -268,148 +277,6 @@ def verify_report(doc) -> tuple:
         if not kind.verify(cs, cert):
             msgs.append(f"{loc}: fails substitution")
     return not msgs, msgs
-
-
-# (what, test) of each JSON type docs/report.schema.json names
-_BOOL = ("a boolean", lambda v: isinstance(v, bool))
-_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-_STR = ("a string", lambda v: isinstance(v, str))
-_OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
-
-# the typed keys of each block the schema describes
-_CLASSIFICATION_TYPES = {
-    "endo_ring_detection": ("a boolean or null",
-                            lambda v: v is None or isinstance(v, bool)),
-    "base_projective": _OBJECT,
-    "module_facts": _OBJECT,
-    "consistency_notes": ("a list of strings", lambda v: isinstance(
-        v, list) and all(isinstance(s, str) for s in v)),
-}
-_ISO_STATUSES = ("verified", "bijective", "not-bijective", "inapplicable")
-_ISO_TYPES = {
-    "name": _STR, "domain": _STR, "codomain": _STR, "domain_dim": _INT,
-    "codomain_dim": _INT, "route": _STR, "naturality_samples": _INT,
-    "checks": _OBJECT, "detail": _STR,
-    "status": (f"one of {', '.join(_ISO_STATUSES)}",
-               lambda v: isinstance(v, str) and v in _ISO_STATUSES),
-}
-_HEADER_TYPES = {"tool": dict.fromkeys(("name", "version"), _STR),
-                 "command": _STR, "seed": _INT}
-_NORMALITY_TYPES = {
-    "centralizer_suite": _OBJECT,
-    "base_ideal_contractions": ("a list", lambda v: isinstance(v, list)),
-    "base_normal_on_sample": _BOOL,
-    "hopf": dict.fromkeys(("subgroup_normal", "conjugation_hopf_normal",
-                           "augmentation_test"), _BOOL),
-    "double_centralizer": _OBJECT,
-    "prebraided": _OBJECT,
-}
-
-
-def _check_typed(block, types: dict, loc: str, msgs: list,
-                 required: bool = False) -> bool:
-    """block must be a JSON object whose keys named in types, when
-    present (always, if required), pass their (what, test), or are
-    objects typed by a nested dict; each fault goes to msgs.  Whether
-    block was an object."""
-    if not isinstance(block, dict):
-        msgs.append(f"{loc}: not a JSON object")
-        return False
-    for key, spec in types.items():
-        if key not in block:
-            if required:
-                msgs.append(f"{loc}.{key}: missing")
-            continue
-        if isinstance(spec, dict):
-            _check_typed(block[key], spec, f"{loc}.{key}", msgs, required)
-        elif not spec[1](block[key]):
-            msgs.append(f"{loc}.{key}: not {spec[0]}")
-    return True
-
-
-def _check_header(doc: dict, parsed: ParsedInput, msgs: list) -> None:
-    """The header keys the schema requires, typed, generated_at typed if
-    present, and the field and seed of the input echo."""
-    _check_typed(doc, _HEADER_TYPES, "$", msgs, required=True)
-    _check_typed(doc, {"generated_at": _STR}, "$", msgs)
-    for key, echoed in (("field", field_json(parsed.field)),
-                        ("seed", parsed.seed)):
-        if doc.get(key) != echoed:
-            msgs.append(f"$.{key}: differs from the input echo")
-
-
-def _check_entry(value, loc: str, msgs: list) -> None:
-    """A boolean, or an isomorphism block: name and status required, the
-    other keys typed."""
-    if isinstance(value, bool):
-        return
-    if not isinstance(value, dict):
-        msgs.append(f"{loc}: not a boolean or an isomorphism block")
-        return
-    _check_typed(value, _ISO_TYPES, loc, msgs)
-    for key in ("name", "status"):
-        if key not in value:
-            msgs.append(f"{loc}: lacks {key}")
-
-
-def _check_equivalences(eq, msgs: list) -> None:
-    """Each entry is an entry of _check_entry or an object of them; a
-    name or status marks an isomorphism block."""
-    loc = "$.equivalences"
-    if not isinstance(eq, dict):
-        msgs.append(f"{loc}: not a JSON object")
-        return
-    for key, entry in eq.items():
-        if isinstance(entry, dict) and not ("name" in entry
-                                            or "status" in entry):
-            for sub, value in entry.items():
-                _check_entry(value, f"{loc}.{key}.{sub}", msgs)
-        else:
-            _check_entry(entry, f"{loc}.{key}", msgs)
-
-
-def _classification_certificates(cl, msgs: list) -> list:
-    """(kind, payload, location) of each certificate in a classification
-    block; every problem with the block itself goes to msgs."""
-    if not _check_typed(cl, _CLASSIFICATION_TYPES, "$.classification", msgs):
-        return []
-    loc = "$.classification.certificates"
-    certs = cl.get("certificates", {})
-    if not isinstance(certs, dict):
-        msgs.append(f"{loc}: not a JSON object")
-        return []
-    kinds = certificate_kinds()
-    unknown = sorted(set(certs) - {k.key for k in kinds})
-    if unknown:
-        msgs.append(f"{loc}: unknown certificates {unknown}")
-    for k in kinds:
-        if cl.get(k.flag) is not (k.key in certs):
-            msgs.append(f"$.classification.{k.flag}: disagrees with the "
-                        f"presence of {k.key}")
-    return [(k, certs[k.key], f"{loc}.{k.key}") for k in kinds
-            if k.key in certs]
-
-
-def _certify_certificate(ct, msgs: list) -> list:
-    """The certificate of a certify block, as for a classification; the
-    verdict must be true exactly when a certificate is attached, and the
-    verified claim true then and null otherwise."""
-    loc = "$.certify"
-    if not isinstance(ct, dict):
-        msgs.append(f"{loc}: not a JSON object")
-        return []
-    kind = next((k for k in certificate_kinds() if k.name == ct.get("kind")),
-                None)
-    payload = ct.get("certificate")
-    if kind is None:
-        msgs.append(f"{loc}.kind: unknown certificate kind {ct.get('kind')!r}")
-    elif ct.get("verdict") is not (payload is not None):
-        msgs.append(f"{loc}.verdict: disagrees with the certificate")
-    elif ct.get("verified") is not (True if payload is not None else None):
-        msgs.append(f"{loc}.verified: disagrees with the certificate")
-    elif payload is not None:
-        return [(kind, payload, f"{loc}.certificate")]
-    return []
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ settings.load_profile("suite")
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 EXPECTED = os.path.join(CORPUS, "expected")
-DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
+SCHEMAS = os.path.join(os.path.dirname(__file__), "..", "src", "ringext")
 
 CORPUS_NAMES = ["b_eq_a", "qc2_q", "f2c2_f2", "f3c3_f3", "qs3_qa3",
                 "f7s3_f7t", "m2q_q", "m2q_t2", "qq8_qi", "qxq_q"]
@@ -69,21 +69,59 @@ def built():
 
 
 @pytest.fixture(scope="session")
-def report_validator():
-    """A validator for docs/report.schema.json."""
+def certify_docs(tmp_path_factory):
+    """Lazy per-extension `certify KIND --json` documents: for each kind
+    name, the path the CLI wrote and the document read back."""
+    from ringext.cli import main
+    from ringext.report import certificate_kinds
+
+    out = tmp_path_factory.mktemp("certify")
+    cache = {}
+
+    def get(name: str) -> dict:
+        if name not in cache:
+            cache[name] = {}
+            for k in certificate_kinds():
+                target = str(out / f"{name}.{k.name}.json")
+                assert main(["certify", k.name, os.path.join(
+                    CORPUS, f"{name}.json"), "--json", "-o", target]) == 0
+                with open(target, encoding="utf-8") as fh:
+                    cache[name][k.name] = (target, json.load(fh))
+        return cache[name]
+
+    return get
+
+
+def draft7_validators(strict_integers: bool = False) -> dict:
+    """jsonschema's Draft7Validator for each shipped schema, by file name.
+    With strict_integers a float is never an integer, as in ringext."""
     jsonschema = pytest.importorskip("jsonschema")
     referencing = pytest.importorskip("referencing")
     from referencing.jsonschema import DRAFT7
+    cls = jsonschema.Draft7Validator
+    if strict_integers:
+        cls = jsonschema.validators.extend(
+            cls, type_checker=cls.TYPE_CHECKER.redefine(
+                "integer", lambda checker, x: type(x) is int))
     schemas = {}
     for name in ("report.schema.json", "input.schema.json"):
-        with open(os.path.join(DOCS, name), encoding="utf-8") as fh:
+        with open(os.path.join(SCHEMAS, name), encoding="utf-8") as fh:
             schemas[name] = json.load(fh)
+        if strict_integers:
+            # a $ref into a schema that names its $schema would switch
+            # back to the plain Draft7Validator there
+            del schemas[name]["$schema"]
     # both schemas carry an $id, so the report's relative $ref to the
     # input schema resolves within this registry and never leaves it
     registry = referencing.Registry().with_resources(
         (s["$id"], DRAFT7.create_resource(s)) for s in schemas.values())
-    return jsonschema.Draft7Validator(schemas["report.schema.json"],
-                                      registry=registry)
+    return {name: cls(s, registry=registry) for name, s in schemas.items()}
+
+
+@pytest.fixture(scope="session")
+def report_validator():
+    """A validator for the shipped report.schema.json."""
+    return draft7_validators()["report.schema.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,7 @@ def reference_tensor_legs(src, terms, dst=None):
     """sum c * (op_l (x) op_r) from src to dst, one dense ambient vector
     per source quotient basis class, projected and set side by side."""
     from ringext.linalg import Matrix
+    from tests.helpers import residual
 
     dst = dst or src
     f = src.left_factor.field
@@ -330,7 +331,7 @@ def reference_tensor_legs(src, terms, dst=None):
                 ca, base = f.mul(c, a), r * dn
                 for k, b in rcols[v]:
                     w[base + k] = f.add(w[base + k], f.mul(ca, b))
-        reduced = dst.relations.reduce(w)
+        reduced = residual(dst.relations, w)
         cols.append([reduced[c] for c in dst.free_cols])
     return Matrix.from_cols(f, cols, len(dst.free_cols))
 

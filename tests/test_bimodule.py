@@ -21,6 +21,7 @@ from ringext.bimodule import (Bimodule, BimoduleError, centralizer_subspace,
 from ringext.linalg import GF, QQ, Matrix, unit_vec, vec_sum
 from ringext.serialize import parse_input
 from tests.conftest import CORPUS_NAMES, corpus_doc
+from tests.helpers import center, scale
 from tests.modules import random_cyclic_module, random_scalar
 from tests.oracles import (reference_hom_basis, reference_tensor_legs,
                            reference_tensor_relations)
@@ -323,7 +324,7 @@ def test_hom_space_endomorphisms_of_matrix_algebra():
     m = regular_bimodule(a)
     h = hom_space(m, m)
     assert h.dim == 1
-    assert h.basis[0] == Matrix.identity(QQ, 4).scale(h.basis[0].data[0][0])
+    assert h.basis[0] == scale(Matrix.identity(QQ, 4), h.basis[0].data[0][0])
 
 
 def test_hom_space_base_valued_maps():
@@ -392,7 +393,7 @@ def test_invariants_of_self_extension_is_center():
     a = group_algebra(QQ, sym3())
     m = regular_bimodule(a)
     inv = invariants_subspace(m, [unit_vec(QQ, 6, i) for i in range(6)])
-    assert inv.dim == a.center().dim == 3
+    assert inv.dim == center(a).dim == 3
 
 
 def test_centralizer_subspace_matches_invariants():
@@ -426,7 +427,7 @@ def test_summand_witness_negative():
     triv = trivial_algebra(QQ)
     sign = Bimodule(triv, a, 1, [Matrix.identity(QQ, 1)],
                     [Matrix.identity(QQ, 1),
-                     Matrix.identity(QQ, 1).scale(QQ.of(-1))], label="sign")
+                     scale(Matrix.identity(QQ, 1), QQ.of(-1))], label="sign")
     unit = Bimodule(triv, a, 1, [Matrix.identity(QQ, 1)],
                     [Matrix.identity(QQ, 1), Matrix.identity(QQ, 1)],
                     label="unit")

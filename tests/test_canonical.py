@@ -11,6 +11,7 @@ from ringext.canonical import InternalInconsistency, build_canonical_rings
 from ringext.linalg import QQ, Matrix, unit_vec
 
 from tests import oracles
+from tests.helpers import scale
 
 # name -> (tensor_square, centralizer, endo_ring, tensor_ring, casimir)
 FROZEN_DIMS = {
@@ -88,7 +89,7 @@ def test_tensor_ring_acts_on_tensor_square(built):
             acc = Matrix.zeros(f, cr.dim_q, cr.dim_q)
             for k, c in enumerate(prod_coords):
                 if c:
-                    acc = acc + cr.t_action_on_q[k].scale(c)
+                    acc = acc + scale(cr.t_action_on_q[k], c)
             assert composed == acc
 
 

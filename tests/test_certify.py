@@ -16,6 +16,7 @@ from ringext.algebra import trivial_algebra
 from ringext.linalg import Matrix, unit_vec, vec_scale, vec_sum
 
 from tests.conftest import CORPUS_NAMES, EXPECTED_FLAGS
+from tests.helpers import scale
 from tests.oracles import reference_d2_quasibase
 
 
@@ -69,7 +70,7 @@ def test_tampered_expectation_rejected(built):
     b = built("qc2_q")
     cert = b.cls.conditional_expectation
     f = b.cr.field
-    bad = SplitCertificate(cert.expectation.scale(f.of(3)))
+    bad = SplitCertificate(scale(cert.expectation, f.of(3)))
     assert not verify_split(b.cr, bad)
     wrong_shape = SplitCertificate(Matrix.identity(f, b.cr.ext.total.dim))
     assert not verify_split(b.cr, wrong_shape)
@@ -95,7 +96,7 @@ def test_tampered_quasibase_rejected(built):
     cert = b.cls.left_quasibase
     f = b.cr.field
     assert verify_d2(b.cr, cert)
-    bad = D2Certificate("left", [QuasibasePair(p.tensor, p.endo.scale(f.of(2)))
+    bad = D2Certificate("left", [QuasibasePair(p.tensor, scale(p.endo, f.of(2)))
                                  for p in cert.pairs])
     assert not verify_d2(b.cr, bad)
     flipped = D2Certificate("right", cert.pairs)
@@ -163,13 +164,13 @@ def test_quasibase_pairs_need_invariant_tensors_and_bimodule_endos(built):
         assert not cr.tensor_space.contains(leg)
         eye = Matrix.identity(f, n)
         assert not verify_d2(cr, D2Certificate(qb.side, qb.pairs + [
-            QuasibasePair(leg, eye), QuasibasePair(leg, eye.scale(f.of(-1)))]))
+            QuasibasePair(leg, eye), QuasibasePair(leg, scale(eye, f.of(-1)))]))
         bump = Matrix.from_rows(f, [unit_vec(f, n, 1)]
                                 + [[f.zero] * n] * (n - 1))
         assert not cr.endo_space.contains(bump)
         t = cr.one_tensor_one()
         assert not verify_d2(cr, D2Certificate(qb.side, qb.pairs + [
-            QuasibasePair(t, bump), QuasibasePair(t, bump.scale(f.of(-1)))]))
+            QuasibasePair(t, bump), QuasibasePair(t, scale(bump, f.of(-1)))]))
 
 
 def test_quasibase_identity_at_free_points_rejects_without_samples(built):
@@ -177,7 +178,7 @@ def test_quasibase_identity_at_free_points_rejects_without_samples(built):
     f = b.cr.field
     for qb in (b.cls.left_quasibase, b.cls.right_quasibase):
         assert verify_d2(b.cr, qb)
-        bad = D2Certificate(qb.side, [QuasibasePair(p.tensor, p.endo.scale(f.of(2)))
+        bad = D2Certificate(qb.side, [QuasibasePair(p.tensor, scale(p.endo, f.of(2)))
                                       for p in qb.pairs])
         assert not verify_d2(b.cr, bad)
 

@@ -163,10 +163,10 @@ def test_module_that_is_not_a_bimodule_is_input_error(tmp_path, capsys,
     assert out == ""
 
 
-@pytest.mark.parametrize("text", ["1_0", "0.5e1", "1e999999"])
+@pytest.mark.parametrize("text", ["1_0", "0.5e1", "1e999999", "1\n"])
 def test_rational_outside_schema_grammar_is_input_error(tmp_path, capsys,
                                                         text):
-    # Fraction() would read these as 10, 5 and an unprintable number
+    # Fraction() would read these as 10, 5, an unprintable number and 1
     doc = {"field": "Q",
            "algebra": {"dim": 1, "mult": [[[text]]], "unit": ["1"]}}
     code, _, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
@@ -365,6 +365,15 @@ def _other_prime(doc):
     doc["field"] = {"Fp": 5}
 
 
+def _drop_dims(doc):
+    del doc["dims"]
+
+
+def _drop_classification(doc):
+    # an analyze report has no certify block, so this leaves neither
+    del doc["classification"]
+
+
 # a well-formed field that contradicts the input echo: only verify sees it
 _other_prime.schema_accepts = True
 
@@ -443,6 +452,10 @@ _other_prime.schema_accepts = True
     ("qc2_q", _set(("command",), [1]), "$.command"),
     ("qc2_q", _drop_tool, "$.tool"),
     ("qc2_q", _set(("generated_at",), 5), "$.generated_at"),
+    ("qc2_q", _drop_dims, "$.dims"),
+    ("qc2_q", _drop_classification, "$.certify"),
+    ("qc2_q", _set(_CERTS + ("separability_element", "element", 0), 0.5),
+     "$.classification.certificates.separability_element.element[0]"),
 ], ids=["classification_list", "certificates_list", "certificates_int",
         "unknown_certificate", "pairs_not_list", "pair_without_endo",
         "reverse_order_string", "extra_key_separable", "extra_key_split",
@@ -457,7 +470,9 @@ _other_prime.schema_accepts = True
         "entry_string", "entry_int", "normality_list",
         "normality_flag_string", "contractions_object", "hopf_flag_null",
         "prebraided_bool", "seed_string", "field_int", "field_other_prime",
-        "tool_int", "command_list", "tool_missing", "generated_at_int"])
+        "tool_int", "command_list", "tool_missing", "generated_at_int",
+        "dims_missing", "classification_and_certify_missing",
+        "certificate_scalar_float"])
 def test_verify_malformed_report_is_exit_one(tmp_path, capsys,
                                              report_validator, name, edit,
                                              where):

@@ -15,6 +15,7 @@ from ringext.equivalences import (_comparison, chi_M, dress_inverse,
 from ringext.linalg import Matrix
 
 from tests.conftest import CORPUS_NAMES, LEFT_D2, SEPARABLE
+from tests.helpers import scale
 from tests.modules import random_cyclic_module
 
 
@@ -231,7 +232,7 @@ def test_dress_inverse_rejects_an_invalid_summand_system(built, case):
     f = cr.field
     eye = Matrix.identity(f, a.dim)
     if case == "off_identity":
-        projections, injections = [eye.scale(f.of(2))], [eye]
+        projections, injections = [scale(eye, f.of(2))], [eye]
     else:
         # coordinate projections against identity injections compose to
         # the identity, but they do not commute with right multiplication

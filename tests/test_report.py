@@ -47,27 +47,6 @@ def spaces(built):
     return get
 
 
-@pytest.fixture(scope="module")
-def certify_docs(tmp_path_factory):
-    """Lazy per-extension `certify KIND --json` documents: for each kind
-    name, the path the CLI wrote and the document read back."""
-    out = tmp_path_factory.mktemp("certify")
-    cache = {}
-
-    def get(name: str) -> dict:
-        if name not in cache:
-            cache[name] = {}
-            for k in certificate_kinds():
-                target = str(out / f"{name}.{k.name}.json")
-                assert main(["certify", k.name, os.path.join(
-                    CORPUS, f"{name}.json"), "--json", "-o", target]) == 0
-                with open(target, encoding="utf-8") as fh:
-                    cache[name][k.name] = (target, json.load(fh))
-        return cache[name]
-
-    return get
-
-
 def _verdict(built, spaces, name, kind, payload) -> bool:
     """kind.verify of a payload against the lean spaces, which must agree
     with its verdict against the full rings of build_canonical_rings."""

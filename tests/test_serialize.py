@@ -35,16 +35,26 @@ def test_prime_scalar_normalizes():
     assert scalar_json(f, 3) == 3
 
 
+def _unit_scalar(field, value) -> dict:
+    """A one-dimensional algebra whose unit is the given scalar."""
+    return {"field": field,
+            "algebra": {"dim": 1, "mult": [[[1]]], "unit": [value]}}
+
+
+# the input schema refuses these before any scalar is read
 def test_floats_rejected_exactly():
-    with pytest.raises(InputError, match="floats are not exact"):
-        parse_scalar(QQ, 0.5, "$.x")
-    with pytest.raises(InputError, match="floats"):
-        parse_scalar(GF(5), 2.0, "$.x")
+    with pytest.raises(InputError, match="floats are not exact") as exc:
+        parse_input(_unit_scalar("Q", 0.5))
+    assert exc.value.location == "$.algebra.unit[0]"
+    with pytest.raises(InputError, match="floats") as exc:
+        parse_input(_unit_scalar({"Fp": 5}, 2.0))
+    assert exc.value.location == "$.algebra.unit[0]"
 
 
 def test_booleans_rejected():
-    with pytest.raises(InputError, match="boolean"):
-        parse_scalar(QQ, True, "$.x")
+    with pytest.raises(InputError, match="boolean") as exc:
+        parse_input(_unit_scalar("Q", True))
+    assert exc.value.location == "$.algebra.unit[0]"
 
 
 def test_bad_rational_string():
