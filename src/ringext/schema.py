@@ -34,8 +34,6 @@ class SchemaError(ValueError):
 class Fault:
     """Why a value fails, and the steps from it up to the document root."""
 
-    __slots__ = ("reason", "steps")
-
     def __init__(self, reason: str) -> None:
         self.reason, self.steps = reason, []
 
@@ -176,11 +174,11 @@ def _one_of(branches: list) -> Callable:
         tried = runs.get(type(x)) or branches
         if len(tried) == 1:
             return tried[0](x)
-        passed = sum(c(x) is None for c in tried)
-        if passed == 1:
-            return None
-        return Fault("matches more than one alternative") if passed else max(
-            (c(x) for c in tried), key=lambda fault: len(fault.steps))
+        faults = [fault for c in tried if (fault := c(x)) is not None]
+        if len(faults) == len(tried):
+            return max(faults, key=lambda fault: len(fault.steps))
+        return None if len(faults) == len(tried) - 1 else Fault(
+            "matches more than one alternative")
     return check
 
 

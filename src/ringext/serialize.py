@@ -51,9 +51,7 @@ def parse_scalar(f: Field, v, loc: str):
 
 
 def scalar_json(f: Field, v):
-    if isinstance(f, PrimeField):
-        return int(v)
-    return str(v)
+    return int(v) if isinstance(f, PrimeField) else str(v)
 
 
 def parse_vector(f: Field, v: list, n: int, loc: str) -> list:
@@ -155,8 +153,12 @@ def extension_json(ext: Extension) -> dict:
 
 def parse_module(a: FDAlgebra, spec: dict, loc: str) -> Bimodule:
     """A module with the left action, the right action or both (the schema
-    asks for one); validate checks one matrix per basis element of a."""
+    asks for one), counted before a one-sided module builds its identity."""
     dim, label = spec["dim"], spec.get("label", "M")
+    for key in ("left_action", "right_action"):
+        if key in spec and len(spec[key]) != a.dim:
+            raise InputError(f"wants one {dim}x{dim} matrix per algebra "
+                             f"basis element ({a.dim} total)", f"{loc}.{key}")
     left, right = ([parse_matrix(a.field, m, dim, dim, f"{loc}.{key}[{i}]")
                     for i, m in enumerate(spec[key])] if key in spec else None
                    for key in ("left_action", "right_action"))

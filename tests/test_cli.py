@@ -163,6 +163,25 @@ def test_module_that_is_not_a_bimodule_is_input_error(tmp_path, capsys,
     assert out == ""
 
 
+@pytest.mark.parametrize("side", ["left_action", "right_action"])
+def test_wrong_action_count_fails_before_building(tmp_path, capsys, side):
+    # a one-sided module builds a dim x dim identity for its other side;
+    # the action count must be refused before that is built
+    doc = corpus_doc("qc2_q")
+    doc["modules"] = [{"label": "big", "dim": 10**9, side: []}]
+    code, out, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert code == 1
+    assert f"$.modules[0].{side}:" in err
+    assert out == ""
+
+    report = expected_doc("qc2_q")
+    report["input"]["modules"] = doc["modules"]
+    code, out, err = run_cli(capsys, "verify", write_doc(tmp_path, report))
+    assert code == 1
+    assert f"$.modules[0].{side}:" in err
+    assert "report verifies" not in out
+
+
 @pytest.mark.parametrize("text", ["1_0", "0.5e1", "1e999999", "1\n"])
 def test_rational_outside_schema_grammar_is_input_error(tmp_path, capsys,
                                                         text):
