@@ -27,6 +27,7 @@ from .linalg import (
     echelon_insert,
     lin_comb,
     span_decide,
+    sparse,
     unit_vec,
     zero_vec,
 )
@@ -310,7 +311,7 @@ class Extension:
         if self.iota.apply(self.base.unit) != self.total.unit:
             raise AlgebraError("embedding does not preserve the unit")
         cols = self.iota.columns()
-        if Subspace.from_vectors(f, self.total.dim, cols).dim != self.base.dim:
+        if Subspace.row_space(self.iota.transpose()).dim != self.base.dim:
             raise AlgebraError("embedding is not injective")
         for i in self.base.generators():
             for j in range(self.base.dim):
@@ -344,8 +345,7 @@ class Extension:
     def image(self) -> Subspace:
         """The image of B inside A as a subspace."""
         if self._image is None:
-            self._image = Subspace.from_vectors(
-                self.field, self.total.dim, self.iota.columns())
+            self._image = Subspace.row_space(self.iota.transpose())
         return self._image
 
     def __repr__(self) -> str:
@@ -378,18 +378,20 @@ def subalgebra_extension(total: FDAlgebra, basis: Optional[Sequence[Sequence]] =
         index_of = {e: i for i, e in enumerate(elems)}
         sub_cayley = [[index_of[g.cayley[x][y]] for y in elems] for x in elems]
         base = group_algebra(f, GroupData(len(elems), sub_cayley), name="kH")
-        iota = Matrix.from_cols(f, [unit_vec(f, total.dim, e) for e in elems])
+        iota = Matrix(f, len(elems), total.dim,
+                      tuple(((e, f.one),) for e in elems)).transpose()
         return Extension(base, total, iota, name=name)
 
     vecs = [list(v) for v in basis]
     for v in vecs:
         if len(v) != total.dim:
             raise AlgebraError("subalgebra basis vector has wrong length")
-    span = Subspace.from_vectors(f, total.dim, vecs)
-    k = len(vecs)
-    if span.dim != k:
+    k, n = len(vecs), total.dim
+    gens = tuple(sparse(v) for v in vecs)
+    stacked = Matrix(f, k, n, gens)
+    if Subspace.row_space(stacked).dim != k:
         raise AlgebraError("subalgebra basis is linearly dependent")
-    unit_coords = span_decide(f, vecs, total.unit)
+    unit_coords = span_decide(f, n, gens, sparse(total.unit))
     if unit_coords is None:
         raise AlgebraError("subalgebra does not contain the unit")
     mult = []
@@ -397,15 +399,14 @@ def subalgebra_extension(total: FDAlgebra, basis: Optional[Sequence[Sequence]] =
         row = []
         for j in range(k):
             prod = total.multiply(vecs[i], vecs[j])
-            coords = span_decide(f, vecs, prod)
+            coords = span_decide(f, n, gens, sparse(prod))
             if coords is None:
                 raise AlgebraError(
                     f"not closed under multiplication at basis pair ({i},{j})")
             row.append(coords)
         mult.append(row)
     base = FDAlgebra(f, k, mult, unit_coords, name="B")
-    iota = Matrix.from_cols(f, vecs)
-    return Extension(base, total, iota, name=name)
+    return Extension(base, total, stacked.transpose(), name=name)
 
 
 def self_extension(total: FDAlgebra, name: str = "A/A") -> Extension:

@@ -212,7 +212,7 @@ class TensorProduct:
 
     def project(self, ambient: Matrix) -> list:
         """Coordinates of the class of an ambient element."""
-        return self._class_of({j: x for j, x in enumerate(ambient.vec()) if x})
+        return self._class_of(dict(ambient.vec()))
 
     def _class_of(self, w: dict) -> list:
         """project on the nonzero entries, by row-major index, of an
@@ -222,12 +222,9 @@ class TensorProduct:
 
     def lift(self, coords: Sequence) -> Matrix:
         """The canonical ambient representative of a class."""
-        f = self.left_factor.field
-        flat = [f.zero] * self.relations.ambient_dim
-        for c, x in zip(self.free_cols, coords):
-            flat[c] = x
-        return Matrix.from_vec(f, self.left_factor.dim, self.right_factor.dim,
-                               flat)
+        return Matrix.from_vec(
+            self.left_factor.field, self.left_factor.dim, self.right_factor.dim,
+            tuple((c, x) for c, x in zip(self.free_cols, coords) if x))
 
     def sum_pure(self, pairs: Iterable[tuple[Sequence, Sequence]]) -> list:
         """Coordinates of the class of sum x (x) y over the pairs (x, y),
@@ -286,7 +283,7 @@ def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
                                 f.mul(c, a))
         cols.append(tuple(sorted((index[j], x) for j, x
                                  in dst.relations._reduce(w).items())))
-    return Matrix._of(f, len(cols), len(dst.free_cols), tuple(cols)).transpose()
+    return Matrix(f, len(cols), len(dst.free_cols), tuple(cols)).transpose()
 
 
 def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
@@ -331,9 +328,9 @@ def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
     f = src.left_factor.field
     dm, dn = src.left_factor.dim, src.right_factor.dim
     frt = f_right.transpose()
-    for row in src.relations.rows:
+    for row in src.relations.basis.pairs:
         ambient = (f_left @ Matrix.from_vec(f, dm, dn, row) @ frt).vec()
-        if not dst.relations.contains(ambient):
+        if dst.relations._reduce(dict(ambient)):
             raise BimoduleError("tensor map does not respect the relations")
     return tensor_legs(src, [(f.one, f_left, f_right)], dst)
 
@@ -356,15 +353,6 @@ class MapSpace:
     basis: tuple
     span: Subspace
 
-    @classmethod
-    def spanned_by(cls, source: Bimodule, target: Bimodule,
-                   maps: Sequence[Matrix]) -> "MapSpace":
-        f, rows, cols = source.field, target.dim, source.dim
-        span = Subspace.from_vectors(f, rows * cols, [b.vec() for b in maps])
-        # keep the basis aligned with the echelon rows so coordinates match
-        return cls(source, target, tuple(Matrix.from_vec(f, rows, cols, r)
-                                         for r in span.rows), span)
-
     @property
     def field(self) -> Field:
         return self.source.field
@@ -374,10 +362,10 @@ class MapSpace:
         return len(self.basis)
 
     def coordinates(self, mat: Matrix) -> Optional[list]:
-        return self.span.coordinates(mat.vec())
+        return self.span._coordinates(dict(mat.vec()))
 
     def contains(self, mat: Matrix) -> bool:
-        return self.span.contains(mat.vec())
+        return not self.span._reduce(dict(mat.vec()))
 
     def element(self, coords: Sequence) -> Matrix:
         return lin_comb(self.field, self.target.dim, self.source.dim,
@@ -407,7 +395,7 @@ def _intertwining_system(field: Field, actions: Iterable[tuple[Matrix, Matrix]],
                                     minus_one)
                 if row:
                     rows.append(tuple(sorted(row.items())))
-    return Matrix._of(field, len(rows), dn * dm, tuple(rows))
+    return Matrix(field, len(rows), dn * dm, tuple(rows))
 
 
 def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
@@ -421,8 +409,11 @@ def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
         f, [(m.left_action[i], n.left_action[i]) for i in la.generators()]
         + [(m.right_action[i], n.right_action[i]) for i in ra.generators()],
         dm, dn)
-    return MapSpace.spanned_by(m, n, [Matrix.from_vec(f, dn, dm, v)
-                                      for v in kernel(system)])
+    ker = kernel(system)
+    span = Subspace.row_space(Matrix(f, len(ker), dn * dm, tuple(ker)))
+    # keep the basis aligned with the echelon rows so coordinates match
+    return MapSpace(m, n, tuple(Matrix.from_vec(f, dn, dm, r)
+                                for r in span.basis.pairs), span)
 
 
 def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
@@ -439,8 +430,8 @@ def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
         diff = lin_comb(f, m.dim, m.dim, list(x) + [f.neg(c) for c in x],
                         m.left_action + m.right_action)
         rows.extend(row for row in diff.pairs if row)
-    return Subspace.from_vectors(
-        f, m.dim, kernel(Matrix.from_pairs(f, len(rows), m.dim, rows)))
+    ker = kernel(Matrix(f, len(rows), m.dim, tuple(rows)))
+    return Subspace.row_space(Matrix(f, len(ker), m.dim, tuple(ker)))
 
 
 def centralizer_subspace(m: Bimodule, embedding) -> Subspace:
@@ -505,7 +496,7 @@ def summand_witness(m: Bimodule, n: Bimodule,
     into_space = hom(m, n)
     back_space = hom(n, m)
     found = span_decide_pairs(
-        m.field, into_space.basis, back_space.basis,
+        m.field, m.dim * m.dim, into_space.basis, back_space.basis,
         lambda fa, gb: (gb @ fa).vec(), Matrix.identity(m.field, m.dim).vec())
     if found is None:
         return None

@@ -292,8 +292,9 @@ class CanonicalRings(CanonicalSpaces):
         as_left_t = left_module(self.tensor_ring, x.module.dim,
                                 self.t_acting_on(x, m.left_action),
                                 label=f"T|{x.module.label}")
-        collapse = Matrix.from_cols(self.field, [
-            m.left_action[i].col(mu) for i, mu in x.free_pairs()], m.dim)
+        acts = [op.transpose().pairs for op in m.left_action]
+        cols = tuple(acts[i][mu] for i, mu in x.free_pairs())
+        collapse = Matrix(self.field, len(cols), m.dim, cols).transpose()
         return InducedModule(x, as_left_t, collapse)
 
     def t_acting_on(self, x: TensorProduct, second: Sequence[Matrix]

@@ -46,6 +46,7 @@ from .linalg import (
     rank,
     span_decide,
     span_decide_pairs,
+    sparse,
     vec_sum,
 )
 
@@ -179,8 +180,10 @@ def verify_d2(cr: CanonicalSpaces, cert: D2Certificate) -> bool:
 def find_separability_element(cr: CanonicalRings
                               ) -> Optional[SeparabilityCertificate]:
     """Solve for a Casimir element with multiplication value 1."""
-    cols = [cr.mu_matrix.apply(row) for row in cr.casimir_space.rows]
-    coeffs = span_decide(cr.field, cols, list(cr.ext.total.unit))
+    a = cr.ext.total
+    # row k of casimir basis @ mu^T is mu of the k-th Casimir basis tensor
+    values = (cr.casimir_space.basis @ cr.mu_matrix.transpose()).pairs
+    coeffs = span_decide(cr.field, a.dim, values, sparse(a.unit))
     if coeffs is None:
         return None
     cert = SeparabilityCertificate(cr.casimir_space.element(coeffs))
@@ -196,8 +199,8 @@ def find_conditional_expectation(cr: CanonicalRings) -> Optional[SplitCertificat
     maps = cr.hom(cr.restricted, cr.b_reg)
     if maps.dim == 0:
         return None
-    cols = [mat.apply(cr.ext.total.unit) for mat in maps.basis]
-    coeffs = span_decide(f, cols, list(b.unit))
+    values = [sparse(mat.apply(cr.ext.total.unit)) for mat in maps.basis]
+    coeffs = span_decide(f, b.dim, values, sparse(b.unit))
     if coeffs is None:
         return None
     e = maps.element(coeffs)
@@ -211,9 +214,9 @@ def find_hsep_system(cr: CanonicalRings) -> Optional[HSepCertificate]:
     """Express 1 (x) 1 through Casimir elements and centralizer multipliers."""
     cent = cr.centralizer_space
     found = span_decide_pairs(
-        cr.field, cr.casimir_space.rows, cent.rows,
-        lambda c, r: cr.q.module.right_operator(r).apply(c),
-        cr.one_tensor_one())
+        cr.field, cr.dim_q, cr.casimir_space.rows, cent.rows,
+        lambda c, r: sparse(cr.q.module.right_operator(r).apply(c)),
+        sparse(cr.one_tensor_one()))
     if found is None:
         return None
     cert = HSepCertificate([HSepPair(list(cr.casimir_space.rows[i]),
@@ -231,24 +234,27 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
     basis pairs; the equations are the side's quasibase identity at its
     free points, one algebra basis element at a time in the free leg.
     The generator of a pair (t, s) is M_t @ s read column by column,
-    where the orbit matrix M_t = [act(e_k).t]_k is formed once per
-    tensor from the operators act(e_k), built once per call.
+    where the orbit matrix M_t = [act(e_k).t]_k is read off the products
+    of the tensor basis with each act(e_k)^T, formed once per call.
     reverse_order enumerates the pairs backwards, which changes which
     canonical solution the solver picks without changing solvability;
     downstream checks use that to show their results do not depend on
     the particular quasibase.
     """
     act, _, free = _d2_side(cr, side)
-    f, n = cr.field, cr.ext.total.dim
+    f, n, basis = cr.field, cr.ext.total.dim, cr.tensor_space.basis
     step = -1 if reverse_order else 1
     tensors, endos = cr.tensor_space.rows[::step], cr.endo_space.basis[::step]
+    # row i of basis @ act(e_k)^T is act(e_k).t_i, row k of M_{t_i}
+    images = [(basis @ act(e).transpose()).pairs for e in cr.a_basis]
+    orbits = [Matrix(f, n, cr.dim_q, tuple(img[i] for img in images))
+              for i in range(basis.rows)]
     # at the k-th free point value(s, x, y) is s.e_k, so the summand at
     # t is column k of M_t @ s, which is row k of s^T @ M_t^T
-    ops = [act(e) for e in cr.a_basis]
     found = span_decide_pairs(
-        f, [Matrix.from_rows(f, [op.apply(t) for op in ops]) for t in tensors],
-        [s.transpose() for s in endos], lambda mt, st: (st @ mt).vec(),
-        [c for x, y in free for c in cr.pure(x, y)])
+        f, n * cr.dim_q, orbits[::step], [s.transpose() for s in endos],
+        lambda mt, st: (st @ mt).vec(),
+        sparse([c for x, y in free for c in cr.pure(x, y)]))
     if found is None:
         return None
     # found[::step] lists the pairs in ascending tensor-basis order

@@ -64,8 +64,11 @@ def _parsed_input(args):
 def _emit(doc: dict, args) -> int:
     text = report_json(doc) if args.json else render_text(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(str(exc), args.output)
     else:
         sys.stdout.write(text)
     return EXIT_OK

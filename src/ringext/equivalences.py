@@ -181,9 +181,11 @@ def _comparison(name: str, fwd: Matrix, domain: str, codomain: str,
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _gather(ops: Sequence[Matrix], mu: int) -> Matrix:
-    """The matrix whose k-th column is ops[k].col(mu)."""
-    return Matrix.from_cols(ops[0].field, [op.col(mu) for op in ops])
+def _gather(transposed: Sequence[Matrix], mu: int) -> Matrix:
+    """The matrix whose k-th column is row mu of transposed[k]."""
+    t = transposed[0]
+    return Matrix(t.field, len(transposed), t.cols,
+                  tuple(op.pairs[mu] for op in transposed)).transpose()
 
 
 def _leg_ops(cr: CanonicalRings, act: Callable[[Sequence], Matrix],
@@ -212,14 +214,14 @@ def _collapse(m: Bimodule, outer: TensorProduct, inner: TensorProduct,
     inner_pairs = inner.free_pairs()
 
     @cache
-    def op(u: int, s: int) -> Matrix:
-        return m.left_operator(element(u, s))
+    def op_cols(u: int, s: int) -> tuple:
+        return m.left_operator(element(u, s)).transpose().pairs
 
     cols = []
     for u, v in outer.free_pairs():
         s, mu = inner_pairs[v]
-        cols.append(op(u, s).col(mu))
-    return Matrix.from_cols(m.field, cols, m.dim)
+        cols.append(op_cols(u, s)[mu])
+    return Matrix(m.field, len(cols), m.dim, tuple(cols)).transpose()
 
 
 def _gamma(cr: CanonicalRings, m: Bimodule
@@ -248,10 +250,10 @@ def _through_legs(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
     With t = sum_k e_k (x) t_k, the image of v is the class of the ambient
     element whose row k is t_k.v.
     """
-    ops = _leg_ops(cr, m.left_operator, tensor)
+    ops = [op.transpose().pairs for op in _leg_ops(cr, m.left_operator, tensor)]
     return Matrix.from_cols(
-        cr.field, [x.project(Matrix.from_rows(cr.field,
-                                              [op.col(mu) for op in ops]))
+        cr.field, [x.project(Matrix(cr.field, len(ops), m.dim,
+                                    tuple(op[mu] for op in ops)))
                    for mu in range(m.dim)], x.module.dim)
 
 
@@ -278,9 +280,10 @@ def _pi_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
                y: TensorProduct) -> Matrix:
     """pi(t (x) v) = t1 (x) t2.v from the tensor-ring side to the induced
     module, column per quotient class of y."""
-    legs = cache(lambda ti: _through_legs(cr, m, x, cr.tensor_space.rows[ti]))
-    return Matrix.from_cols(
-        cr.field, [legs(ti).col(mu) for ti, mu in y.free_pairs()], x.module.dim)
+    legs = cache(lambda ti: _through_legs(
+        cr, m, x, cr.tensor_space.rows[ti]).transpose().pairs)
+    cols = tuple(legs(ti)[mu] for ti, mu in y.free_pairs())
+    return Matrix(cr.field, len(cols), x.module.dim, cols).transpose()
 
 
 def _quasibase_to_y(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
@@ -491,7 +494,7 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
 
     @cache
     def values_at(i: int) -> list[Matrix]:
-        return [m.left_operator(sb.col(i)) for sb in s_basis]
+        return [m.left_operator(sb.col(i)).transpose() for sb in s_basis]
 
     fwd = _hom_coords(homsp, [_gather(values_at(i), mu)
                               for i, mu in x.free_pairs()])
@@ -573,7 +576,7 @@ def _chi(cr: CanonicalRings, m: Bimodule, hs: MapSpace
     @cache
     def values_of(b: int) -> list[Matrix]:
         sb = cr.endo_space.basis[b]
-        return [m.right_operator(sb.col(k)) for k in range(a.dim)]
+        return [m.right_operator(sb.col(k)).transpose() for k in range(a.dim)]
 
     return dom, _hom_coords(hs, [_gather(values_of(b), mu)
                                  for mu, b in dom.free_pairs()])
@@ -664,8 +667,8 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
     for p, u in nested.free_pairs():
         mu, b = chi_pairs[p]
         av = cr.endo_space.basis[b].apply(rows[u])
-        direct_cols.append(m.right_operator(av).col(mu))
-    direct = Matrix.from_cols(f, direct_cols, m.dim)
+        direct_cols.append(m.right_operator(av).transpose().pairs[mu])
+    direct = Matrix(f, len(direct_cols), m.dim, tuple(direct_cols)).transpose()
     checks: dict = {"agrees_with_composite": fwd @ big == direct}
     direct_inv = _bijective_inverse(direct)
     if direct_inv is None:
@@ -717,7 +720,8 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
 
     back = None
     if split is not None:
-        ops = [n.right_operator(split.expectation.col(k)) for k in range(a.dim)]
+        ops = [n.right_operator(split.expectation.col(k)).transpose()
+               for k in range(a.dim)]
         coords = _hom_coords(hs, [_gather(ops, mu) for mu in range(n.dim)])
         runit = list(cr.centralizer.unit)
         back = Matrix.from_cols(
@@ -755,8 +759,9 @@ def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule, hom: Callable,
                      m1.right_action, label=m.label)
     tp = tensor(hom_mod, m_mod,
                 label=f"Hom({m.label},{n.label})(x)End[{m.label}]")
-    forward = Matrix.from_cols(
-        c.field, [hs.basis[b].col(mu) for b, mu in tp.free_pairs()], n1.dim)
+    hs_cols = [h.transpose().pairs for h in hs.basis]
+    cols = tuple(hs_cols[b][mu] for b, mu in tp.free_pairs())
+    forward = Matrix(c.field, len(cols), n1.dim, cols).transpose()
     return hs, tp, forward
 
 

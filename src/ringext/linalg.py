@@ -8,17 +8,22 @@ so keeping whole values as ints lets their arithmetic run as int code.
 A Field instance owns the arithmetic; values belonging to different
 fields are never mixed, and matrices and subspaces remember their field.
 
-Vectors are dense lists.  A Matrix holds each row as an immutable tuple
-of its (column, nonzero value) pairs, so products, sums and elimination
-touch only the nonzero entries of these mostly-zero systems.  Subspaces
-keep an RREF basis, so equal subspaces have equal data and coordinates
-are read off the pivot columns.  An RREF is unique, so its rows, pivots,
-kernel basis and the particular solution with free variables zero do
-not depend on the order in which elimination visits the rows.
+Linear systems use one sparse format, the pair vector: a tuple of
+(index, nonzero value) pairs in ascending index order.  Matrix rows,
+kernel vectors, solutions, span_decide generators and targets and vec
+are pair vectors, so elimination touches only nonzero entries and no
+vector is copied dense between two systems.  Dense lists hold only data
+born dense and used as algebra elements or coordinates (structure
+constants, apply, col, Subspace.rows and coordinates, certificates).
+Subspaces keep an RREF basis, so equal subspaces have equal data.  An
+RREF is unique, so its rows, pivots, kernel basis and the particular
+solution with free variables zero do not depend on the order in which
+elimination visits the rows.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 try:
@@ -259,8 +264,9 @@ def vec_sum(field: Field, n: int, vectors: Iterable[Sequence]) -> list:
     return out
 
 
-def vec_scale(field: Field, v: Sequence, c) -> list:
-    return [field.mul(c, a) for a in v]
+def sparse(v: Sequence) -> tuple:
+    """The (index, value) pairs of the nonzero entries of a dense vector."""
+    return tuple((j, x) for j, x in enumerate(v) if x)
 
 
 def _dense(field: Field, n: int, pairs: Iterable) -> list:
@@ -283,20 +289,9 @@ class Matrix:
 
     __slots__ = ("field", "rows", "cols", "pairs")
 
-    def __init__(self, field: Field, rows: int, cols: int,
-                 data: Sequence[Sequence]) -> None:
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise LinalgError(f"matrix data does not match shape {rows}x{cols}")
-        self.field, self.rows, self.cols = field, rows, cols
-        self.pairs = tuple(tuple((j, x) for j, x in enumerate(r) if x)
-                           for r in data)
-
-    @classmethod
-    def _of(cls, field: Field, rows: int, cols: int, pairs: tuple) -> "Matrix":
-        """A matrix from pair rows already sorted, zero-free and in range."""
-        mat = object.__new__(cls)
-        mat.field, mat.rows, mat.cols, mat.pairs = field, rows, cols, pairs
-        return mat
+    def __init__(self, field: Field, rows: int, cols: int, pairs: tuple) -> None:
+        """Pair rows as stored, unchecked; from_pairs checks its input."""
+        self.field, self.rows, self.cols, self.pairs = field, rows, cols, pairs
 
     @classmethod
     def from_pairs(cls, field: Field, rows: int, cols: int,
@@ -309,28 +304,22 @@ class Matrix:
                                         and 0 <= j < cols}) != len(row)
                                    for row in out):
             raise LinalgError(f"sparse rows do not fit a {rows}x{cols} matrix")
-        return cls._of(field, rows, cols, tuple(tuple(sorted(r)) for r in out))
+        return cls(field, rows, cols, tuple(tuple(sorted(r)) for r in out))
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls._of(field, rows, cols, ((),) * rows)
+        return cls(field, rows, cols, ((),) * rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._of(field, n, n, tuple(((i, field.one),) for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Sequence]) -> "Matrix":
-        data = [list(r) for r in rows]
-        n = len(data[0]) if data else 0
-        return cls(field, len(data), n, data)
+        return cls(field, n, n, tuple(((i, field.one),) for i in range(n)))
 
     @classmethod
     def from_cols(cls, field: Field, cols: Sequence[Sequence],
                   rows: int = 0) -> "Matrix":
-        """Columns side by side; rows is the row count when cols is empty."""
+        """Dense columns side by side; rows counts rows when cols is empty."""
         m = len(cols[0]) if cols else rows
-        return cls(field, len(cols), m, cols).transpose()
+        return cls(field, len(cols), m, tuple(map(sparse, cols))).transpose()
 
     @property
     def data(self) -> list[list]:
@@ -369,7 +358,7 @@ class Matrix:
             for k, a in row:
                 addmul(acc, opairs[k], a)
             out.append(tuple(sorted(acc.items())))
-        return Matrix._of(self.field, self.rows, other.cols, tuple(out))
+        return Matrix(self.field, self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._plus(other, self.field.one)
@@ -388,22 +377,24 @@ class Matrix:
         for i, row in enumerate(self.pairs):
             for j, x in row:
                 cols[j].append((i, x))
-        return Matrix._of(self.field, self.cols, self.rows,
-                          tuple(map(tuple, cols)))
+        return Matrix(self.field, self.cols, self.rows, tuple(map(tuple, cols)))
 
-    def vec(self) -> list:
-        """Row-major flattening."""
+    def vec(self) -> tuple:
+        """Row-major flattening, as the (index, value) pairs of its nonzeros."""
         n = self.cols
-        return _dense(self.field, self.rows * n,
-                      ((i * n + j, x) for i, row in enumerate(self.pairs)
-                       for j, x in row))
+        return tuple((i * n + j, x) for i, row in enumerate(self.pairs)
+                     for j, x in row)
 
     @classmethod
     def from_vec(cls, field: Field, rows: int, cols: int, flat: Sequence) -> "Matrix":
-        if len(flat) != rows * cols:
+        """The rows x cols matrix whose vec is the pair vector flat."""
+        if flat and flat[-1][0] >= rows * cols:
             raise LinalgError("flat vector does not match matrix shape")
-        return cls(field, rows, cols,
-                   [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+        out: list[list] = [[] for _ in range(rows)]
+        for k, x in flat:
+            i, j = divmod(k, cols)
+            out[i].append((j, x))
+        return cls(field, rows, cols, tuple(map(tuple, out)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -426,8 +417,8 @@ def lin_comb(field: Field, rows: int, cols: int, coeffs: Sequence,
     for c, mat in terms:
         for acc, row in zip(accs, mat.pairs):
             addmul(acc, row, c)
-    return Matrix._of(field, rows, cols,
-                      tuple(tuple(sorted(acc.items())) for acc in accs))
+    return Matrix(field, rows, cols,
+                  tuple(tuple(sorted(acc.items())) for acc in accs))
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +434,8 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
         echelon_insert(mat.field, echelon, dict(row))
     pivots = sorted(echelon)
     rows = tuple(tuple(sorted(echelon[c].items())) for c in pivots)
-    return Matrix._of(mat.field, mat.rows, mat.cols,
-                      rows + ((),) * (mat.rows - len(rows))), pivots
+    return Matrix(mat.field, mat.rows, mat.cols,
+                  rows + ((),) * (mat.rows - len(rows))), pivots
 
 
 def echelon_insert(f: Field, echelon: dict, acc: dict) -> bool:
@@ -479,82 +470,74 @@ def invert(mat: Matrix) -> Optional[Matrix]:
     if mat.rows != mat.cols:
         return None
     n, f = mat.rows, mat.field
-    aug = Matrix._of(f, n, 2 * n, tuple(row + ((n + i, f.one),)
-                                        for i, row in enumerate(mat.pairs)))
+    aug = Matrix(f, n, 2 * n, tuple(row + ((n + i, f.one),)
+                                    for i, row in enumerate(mat.pairs)))
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)) or len(pivots) != n:
         return None
-    return Matrix._of(f, n, n, tuple(tuple((j - n, x) for j, x in row if j >= n)
-                                     for row in red.pairs))
+    return Matrix(f, n, n, tuple(tuple((j - n, x) for j, x in row if j >= n)
+                                 for row in red.pairs))
 
 
-def _kernel_from_rref(field: Field, pairs: tuple, cols: int,
-                      pivots: list[int]) -> list[list]:
-    """The kernel basis of the first cols columns of an RREF, one vector
-    per free column; entries of pairs at columns >= cols are ignored."""
-    pivset = set(pivots)
-    free = {fc: k for k, fc in enumerate(c for c in range(cols)
-                                         if c not in pivset)}
-    basis = [unit_vec(field, cols, fc) for fc in free]
-    for pc, row in zip(pivots, pairs):
-        for j, x in row:
-            k = free.get(j)
-            if k is not None:
-                basis[k][pc] = field.neg(x)
-    return basis
-
-
-def kernel(mat: Matrix) -> list[list]:
-    """Basis of the right null space {v : mat v = 0}, one vector per free column."""
+def kernel(mat: Matrix) -> list[tuple]:
+    """Basis of the right null space {v : mat v = 0} as pair vectors: for
+    each free column fc, -x at each pivot whose RREF row holds x at fc,
+    in ascending order as pivot rows vanish left of their pivot, then 1."""
     red, pivots = rref(mat)
-    return _kernel_from_rref(mat.field, red.pairs, mat.cols, pivots)
+    f, pivset = mat.field, set(pivots)
+    free = {fc: [] for fc in range(mat.cols) if fc not in pivset}
+    for pc, row in zip(pivots, red.pairs):
+        for j, x in row:
+            vector = free.get(j)
+            if vector is not None:
+                vector.append((pc, f.neg(x)))
+    return [tuple(vector) + ((fc, f.one),) for fc, vector in free.items()]
 
 
-def solve(mat: Matrix, rhs: Sequence) -> Optional[tuple[list, list[list]]]:
-    """Solve mat x = rhs exactly.
+def solve(mat: Matrix, rhs: Sequence) -> Optional[tuple]:
+    """The particular solution of mat x = rhs, or None when inconsistent.
 
-    Returns (particular, kernel_basis) or None when inconsistent.  The
-    particular solution is canonical: free variables are set to zero, so
-    the same system always yields the same answer.
+    rhs and the solution are pair vectors.  The solution is canonical:
+    free variables are set to zero, so the same system always yields the
+    same answer; kernel gives the rest of the solution space.
     """
-    if len(rhs) != mat.rows:
+    if rhs and rhs[-1][0] >= mat.rows:
         raise LinalgError("rhs length does not match row count")
-    f, n = mat.field, mat.cols
-    aug = Matrix._of(f, mat.rows, n + 1, tuple(
-        row + ((n, b),) if b else row for row, b in zip(mat.pairs, rhs)))
+    f, n, b = mat.field, mat.cols, dict(rhs)
+    aug = Matrix(f, mat.rows, n + 1, tuple(
+        row + ((n, b[i]),) if i in b else row for i, row in enumerate(mat.pairs)))
     red, pivots = rref(aug)
     if pivots and pivots[-1] == n:
         return None
-    particular = _dense(f, n, ((c, row[-1][1]) for c, row
-                               in zip(pivots, red.pairs) if row[-1][0] == n))
-    return particular, _kernel_from_rref(f, red.pairs, n, pivots)
+    return tuple((c, row[-1][1]) for c, row in zip(pivots, red.pairs)
+                 if row[-1][0] == n)
 
 
-def span_decide(field: Field, generators: Sequence[Sequence], target: Sequence
-                ) -> Optional[list]:
+def span_decide(field: Field, dim: int, generators: Sequence[tuple],
+                target: tuple) -> Optional[list]:
     """Coefficients expressing target in the span of generators, or None.
 
-    The coefficient vector is the canonical (free-variables-zero) solution,
-    so the answer depends only on the generator list and the target.
+    generators and target are pair vectors in F^dim; the column system
+    is the generators stacked as rows, transposed once.  The dense
+    coefficients are the canonical solution of solve, so the answer
+    depends only on the generator list and the target.
     """
-    n = len(target)
-    for g in generators:
-        if len(g) != n:
-            raise LinalgError("generator/target length mismatch")
+    if any(v and v[-1][0] >= dim for v in (*generators, target)):
+        raise LinalgError("generator/target length mismatch")
     if not generators:
-        return None if any(target) else []
-    cols = Matrix.from_cols(field, generators)
-    result = solve(cols, list(target))
-    return None if result is None else result[0]
+        return None if target else []
+    x = solve(Matrix(field, len(generators), dim, tuple(generators)).transpose(),
+              target)
+    return None if x is None else _dense(field, len(generators), x)
 
 
-def span_decide_pairs(field: Field, lefts: Sequence, rights: Sequence,
-                      product: Callable[[object, object], Sequence],
-                      target: Sequence) -> Optional[list]:
-    """span_decide over the generators product(lefts[i], rights[j]) in
+def span_decide_pairs(field: Field, dim: int, lefts: Sequence, rights: Sequence,
+                      product: Callable[[object, object], tuple],
+                      target: tuple) -> Optional[list]:
+    """span_decide over the pair vectors product(lefts[i], rights[j]) in
     row-major order, grouped by i: (i, [c_i0, c_i1, ...]) for each i whose
     coefficients are not all zero, in ascending i, or None."""
-    coeffs = span_decide(field, [product(u, v) for u in lefts for v in rights],
+    coeffs = span_decide(field, dim, [product(u, v) for u in lefts for v in rights],
                          target)
     if coeffs is None:
         return None
@@ -568,23 +551,26 @@ def span_decide_pairs(field: Field, lefts: Sequence, rights: Sequence,
 
 class Subspace:
     """A subspace of F^n held as its RREF basis: basis, a Matrix with one
-    row per basis vector, and rows, the same vectors as dense lists."""
-
-    __slots__ = ("field", "ambient_dim", "basis", "rows", "pivots", "_row_at")
+    row per basis vector, and rows, the same vectors as dense lists for
+    use as algebra elements, built on first use."""
 
     def __init__(self, basis: Matrix, pivots: list[int]) -> None:
         """The span of basis, an RREF with these pivots and no zero row."""
         self.field = basis.field
         self.ambient_dim = basis.cols
         self.basis = basis
-        self.rows = basis.data
         self.pivots = pivots
         self._row_at = dict(zip(pivots, basis.pairs))
+
+    @cached_property
+    def rows(self) -> list[list]:
+        return self.basis.data
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int,
                      vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = list(vectors)
+        """The span of dense vectors."""
+        vecs = tuple(map(sparse, vectors))
         return cls.row_space(Matrix(field, len(vecs), ambient_dim, vecs))
 
     @classmethod
@@ -592,15 +578,15 @@ class Subspace:
         if not mat.rows:
             return cls.zero(mat.field, mat.cols)
         red, pivots = rref(mat)
-        return cls(Matrix._of(mat.field, len(pivots), mat.cols,
-                              red.pairs[:len(pivots)]), pivots)
+        return cls(Matrix(mat.field, len(pivots), mat.cols,
+                          red.pairs[:len(pivots)]), pivots)
 
     @classmethod
     def from_echelon(cls, field: Field, ambient_dim: int,
                      echelon: dict) -> "Subspace":
         """The span of the rows an echelon_insert dict holds."""
         pivots = sorted(echelon)
-        return cls(Matrix._of(field, len(pivots), ambient_dim, tuple(
+        return cls(Matrix(field, len(pivots), ambient_dim, tuple(
             tuple(sorted(echelon[c].items())) for c in pivots)), pivots)
 
     @classmethod
@@ -624,11 +610,13 @@ class Subspace:
             f.sparse_addmul(w, at[pc], f.neg(w[pc]))
         return w
 
-    def _residual(self, v: Sequence) -> dict:
-        return self._reduce({j: x for j, x in enumerate(v) if x})
+    def _coordinates(self, w: dict) -> Optional[list]:
+        """coordinates of the vector with nonzeros w, reduced in place."""
+        coords = [w.get(pc, self.field.zero) for pc in self.pivots]
+        return None if self._reduce(w) else coords
 
     def contains(self, v: Sequence) -> bool:
-        return not self._residual(v)
+        return not self._reduce(dict(sparse(v)))
 
     def element(self, coords: Sequence) -> list:
         """The vector with the given coefficients over the RREF basis."""
@@ -641,23 +629,26 @@ class Subspace:
 
     def coordinates(self, v: Sequence) -> Optional[list]:
         """Coefficients of v over the RREF basis, or None if v is outside."""
-        return [v[pc] for pc in self.pivots] if self.contains(v) else None
+        return self._coordinates(dict(sparse(v)))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient_dim)
-        f = self.field
+        f, d = self.field, self.dim
         # columns: basis of self, then negated basis of other; kernel rows
         # give coefficient pairs (a, b) with a.U = b.V, i.e. intersection.
-        cols = self.rows + [vec_scale(f, r, f.neg(f.one)) for r in other.rows]
-        ker = kernel(Matrix.from_cols(f, cols))
-        return Subspace.from_vectors(
-            f, self.ambient_dim, [self.element(kv[:self.dim]) for kv in ker])
+        stacked = self.basis.pairs + tuple(
+            tuple((j, f.neg(x)) for j, x in row)
+            for row in other.basis.pairs)
+        ker = kernel(Matrix(f, len(stacked), self.ambient_dim,
+                            stacked).transpose())
+        coeffs = tuple(tuple((k, c) for k, c in kv if k < d) for kv in ker)
+        return Subspace.row_space(Matrix(f, len(coeffs), d, coeffs) @ self.basis)
 
     def is_contained_in(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(other.contains(r) for r in self.rows)
+        return all(not other._reduce(dict(row)) for row in self.basis.pairs)
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:

@@ -69,7 +69,7 @@ def parse_matrix(f: Field, rows: list, nrows: int, ncols: int,
     if len(rows) != nrows:
         raise InputError(f"expected {nrows} rows", loc)
     data = [parse_vector(f, r, ncols, f"{loc}[{i}]") for i, r in enumerate(rows)]
-    return Matrix(f, nrows, ncols, data)
+    return Matrix.from_pairs(f, nrows, ncols, map(enumerate, data))
 
 
 def matrix_json(mat: Matrix) -> list:

@@ -99,3 +99,9 @@ def matmul(ops, a, b):
     """Product of two matrices given as row lists."""
     return [[ops.of(sum((x * y for x, y in zip(row, col)), ops.zero))
              for col in zip(*b)] for row in a]
+
+
+def as_pairs(vec):
+    """The (index, value) pairs of a dense vector's nonzero entries, in
+    ascending index order: the library's vector format."""
+    return tuple((i, x) for i, x in enumerate(vec) if x)

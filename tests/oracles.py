@@ -16,7 +16,7 @@ import json
 import os
 from fractions import Fraction
 
-from tests.oracle_linalg import FracOps, ModOps, nullspace, rank, rref
+from tests.oracle_linalg import FracOps, ModOps, as_pairs, nullspace, rank, rref
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -257,7 +257,7 @@ def _tensor_invariants_dim(a: RawAlgebra, elements) -> int:
 def kron(a, b):
     """Kronecker product of two library matrices; index (i, j) of the
     result pairs row i of a with row j of b."""
-    from ringext.linalg import Matrix
+    from tests.helpers import dense_matrix
 
     f = a.field
     out = [[f.zero] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
@@ -268,15 +268,16 @@ def kron(a, b):
                 for l, s in enumerate(b.data[j]):
                     out[i * b.rows + j][k * b.cols + l] = f.add(
                         out[i * b.rows + j][k * b.cols + l], f.mul(c, s))
-    return Matrix(f, a.rows * b.rows, a.cols * b.cols, out)
+    return dense_matrix(f, out, a.cols * b.cols)
 
 
 def reference_hom_basis(m, n):
     """Basis of the bimodule maps m -> n from the stacked dense systems
     kron(an, I) - kron(I, am^T), one block per acting basis element,
-    solved with the library's kernel and echelonized the way MapSpace does;
-    the zero rows of trivial actions stay in."""
-    from ringext.linalg import Matrix, Subspace, kernel, unit_vec
+    solved with the library's kernel and echelonized the way MapSpace does,
+    as pair vectors; the zero rows of trivial actions stay in."""
+    from ringext.linalg import Matrix, Subspace, kernel
+    from tests.helpers import dense_matrix
 
     f = m.field
     dm, dn = m.dim, n.dim
@@ -286,9 +287,11 @@ def reference_hom_basis(m, n):
                       n.left_action + n.right_action):
         diff = kron(an, eye_m) - kron(eye_n, am.transpose())
         rows.extend(diff.data)
-    ker = kernel(Matrix.from_rows(f, rows)) if rows else \
-        [unit_vec(f, dn * dm, i) for i in range(dn * dm)]
-    return Subspace.from_vectors(f, dn * dm, ker).rows
+    if not rows:
+        return list(Subspace.full(f, dn * dm).basis.pairs)
+    ker = kernel(dense_matrix(f, rows))
+    return list(Subspace.row_space(Matrix(f, len(ker), dn * dm,
+                                          tuple(ker))).basis.pairs)
 
 
 def reference_tensor_relations(m, n):
@@ -347,9 +350,10 @@ def reference_d2_quasibase(cr, side, reverse_order=False):
     step = -1 if reverse_order else 1
     tensors, endos = cr.tensor_space.rows[::step], cr.endo_space.basis[::step]
     found = span_decide_pairs(
-        cr.field, tensors, endos,
-        lambda t, s: [c for x, y in free for c in act(value(s, x, y)).apply(t)],
-        [c for x, y in free for c in cr.pure(x, y)])
+        cr.field, n * cr.dim_q, tensors, endos,
+        lambda t, s: as_pairs([c for x, y in free
+                               for c in act(value(s, x, y)).apply(t)]),
+        as_pairs([c for x, y in free for c in cr.pure(x, y)]))
     if found is None:
         return None
     return D2Certificate(side, [

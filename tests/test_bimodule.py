@@ -21,7 +21,7 @@ from ringext.bimodule import (Bimodule, BimoduleError, centralizer_subspace,
 from ringext.linalg import GF, QQ, Matrix, unit_vec, vec_sum
 from ringext.serialize import parse_input
 from tests.conftest import CORPUS_NAMES, corpus_doc
-from tests.helpers import center, scale
+from tests.helpers import center, dense_matrix, dense_vector, scale
 from tests.modules import random_cyclic_module, random_scalar
 from tests.oracles import (reference_hom_basis, reference_tensor_legs,
                            reference_tensor_relations)
@@ -42,8 +42,8 @@ def direct_sum(m, n):
 
     def block(a, b):
         z = m.field.zero
-        return Matrix.from_rows(m.field, [row + [z] * n.dim for row in a.data]
-                                + [[z] * m.dim + row for row in b.data])
+        return dense_matrix(m.field, [row + [z] * n.dim for row in a.data]
+                            + [[z] * m.dim + row for row in b.data])
 
     return Bimodule(m.left_algebra, m.right_algebra, d,
                     [block(x, y) for x, y in zip(m.left_action, n.left_action)],
@@ -162,9 +162,9 @@ def test_tensor_map_checks_every_relation():
     t = tensor_over(right_regular_module(d), left_regular_module(d))
     ident = Matrix.identity(QQ, 4)
     g = ident + Matrix.from_pairs(QQ, 4, 4, [(), (), [(3, 1)], ()])
-    broken = [i for i, row in enumerate(t.relations.rows) if not
-              t.relations.contains((Matrix.from_vec(QQ, 4, 4, row)
-                                    @ g.transpose()).vec())]
+    broken = [i for i, row in enumerate(t.relations.basis.pairs) if not
+              t.relations.contains(dense_vector(QQ, 16, (Matrix.from_vec(
+                  QQ, 4, 4, row) @ g.transpose()).vec()))]
     assert len(t.relations.rows) == 12 and broken == [8]
     with pytest.raises(BimoduleError, match="does not respect"):
         tensor_map(t, t, ident, g)
@@ -271,8 +271,9 @@ def _leg_spaces(field):
 
 def _matrices(field, rows, cols):
     return st.lists(st.integers(-2, 2), min_size=rows * cols,
-                    max_size=rows * cols).map(lambda v: Matrix.from_vec(
-                        field, rows, cols, [field.of(x) for x in v]))
+                    max_size=rows * cols).map(lambda v: dense_matrix(
+                        field, [[field.of(x) for x in v[i * cols:(i + 1) * cols]]
+                                for i in range(rows)], cols))
 
 
 def _leg_terms(field, src, dst):
@@ -302,8 +303,9 @@ def test_tensor_legs_matches_dense_reference_on_every_pair(field):
     rng = random.Random(17)
 
     def mat(rows, cols):
-        return Matrix.from_vec(field, rows, cols, [
-            random_scalar(field, rng) for _ in range(rows * cols)])
+        return dense_matrix(field, [[random_scalar(field, rng)
+                                     for _ in range(cols)]
+                                    for _ in range(rows)], cols)
 
     spaces = _leg_spaces(field)
     for src in spaces:
@@ -411,7 +413,7 @@ def test_summand_witness_of_row_module_in_regular():
     a = matrix_algebra(QQ, 2)
     reg = right_regular_module(a)
     # right module of length-2 row vectors under matrix multiplication
-    acts = [Matrix.from_rows(QQ, [[QQ.of(x) for x in r] for r in rows])
+    acts = [dense_matrix(QQ, [[QQ.of(x) for x in r] for r in rows])
             for rows in ([[1, 0], [0, 0]], [[0, 0], [1, 0]],
                          [[0, 1], [0, 0]], [[0, 0], [0, 1]])]
     row = Bimodule(trivial_algebra(QQ), a, 2,

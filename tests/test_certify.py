@@ -13,10 +13,10 @@ from ringext.certify import (D2Certificate, HSepCertificate, HSepPair,
                              module_facts, verify_d2, verify_hsep,
                              verify_separability, verify_split)
 from ringext.algebra import trivial_algebra
-from ringext.linalg import Matrix, unit_vec, vec_scale, vec_sum
+from ringext.linalg import Matrix, unit_vec, vec_sum
 
 from tests.conftest import CORPUS_NAMES, EXPECTED_FLAGS
-from tests.helpers import scale
+from tests.helpers import dense_matrix, scale
 from tests.oracles import reference_d2_quasibase
 
 
@@ -59,7 +59,7 @@ def test_tampered_separability_element_rejected(built):
     b = built("qs3_qa3")
     cert = b.cls.separability_element
     f = b.cr.field
-    bad = SeparabilityCertificate(vec_scale(f, cert.element, f.of(2)))
+    bad = SeparabilityCertificate([f.mul(f.of(2), x) for x in cert.element])
     assert not verify_separability(b.cr, bad)
     shifted = SeparabilityCertificate(
         vec_sum(f, b.cr.dim_q, [cert.element, unit_vec(f, b.cr.dim_q, 0)]))
@@ -81,7 +81,7 @@ def test_tampered_hsep_system_rejected(built):
     cert = b.cls.hsep_system
     f = b.cr.field
     assert verify_hsep(b.cr, cert)
-    bad_pairs = [HSepPair(p.casimir, vec_scale(f, p.multiplier, f.of(2)))
+    bad_pairs = [HSepPair(p.casimir, [f.mul(f.of(2), x) for x in p.multiplier])
                  for p in cert.pairs]
     assert not verify_hsep(b.cr, HSepCertificate(bad_pairs))
     # a non-Casimir first leg must be rejected even if the sum works out
@@ -127,8 +127,8 @@ def test_expectation_must_be_base_bilinear(built):
     # add x -> x_s . 1 for a group element s outside the subgroup: still
     # a unital retraction, but no longer base-linear
     s = min(set(range(a.dim)) - set(cr.ext.subgroup()))
-    bump = Matrix.from_rows(f, [unit_vec(f, a.dim, s)]
-                            + [[f.zero] * a.dim] * (base.dim - 1))
+    bump = dense_matrix(f, [unit_vec(f, a.dim, s)]
+                        + [[f.zero] * a.dim] * (base.dim - 1))
     e = b.cls.conditional_expectation.expectation + bump
     assert e.apply(a.unit) == base.unit
     assert e @ cr.ext.iota == Matrix.identity(f, base.dim)
@@ -143,14 +143,14 @@ def test_hsep_pairs_need_casimirs_and_centralizer_multipliers(built):
     # cancelling pairs leave the sum at 1 (x) 1
     leg = cr.pure(unit_vec(f, 4, 1), unit_vec(f, 4, 2))
     assert not cr.casimir_space.contains(leg)
-    neg_unit = vec_scale(f, a.unit, f.of(-1))
+    neg_unit = [f.neg(x) for x in a.unit]
     assert not verify_hsep(cr, HSepCertificate(
         pairs + [HSepPair(leg, a.unit), HSepPair(leg, neg_unit)]))
     z = unit_vec(f, 4, 1)
     assert not cr.centralizer_space.contains(z)
     p0 = pairs[0]
     shifted = [HSepPair(p0.casimir, vec_sum(f, 4, [p0.multiplier, z])),
-               HSepPair(p0.casimir, vec_scale(f, z, f.of(-1)))]
+               HSepPair(p0.casimir, [f.neg(x) for x in z])]
     assert not verify_hsep(cr, HSepCertificate(shifted + pairs[1:]))
 
 
@@ -165,8 +165,8 @@ def test_quasibase_pairs_need_invariant_tensors_and_bimodule_endos(built):
         eye = Matrix.identity(f, n)
         assert not verify_d2(cr, D2Certificate(qb.side, qb.pairs + [
             QuasibasePair(leg, eye), QuasibasePair(leg, scale(eye, f.of(-1)))]))
-        bump = Matrix.from_rows(f, [unit_vec(f, n, 1)]
-                                + [[f.zero] * n] * (n - 1))
+        bump = dense_matrix(f, [unit_vec(f, n, 1)]
+                            + [[f.zero] * n] * (n - 1))
         assert not cr.endo_space.contains(bump)
         t = cr.one_tensor_one()
         assert not verify_d2(cr, D2Certificate(qb.side, qb.pairs + [

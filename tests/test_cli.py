@@ -67,6 +67,22 @@ def test_analyze_output_file(tmp_path, capsys):
     assert doc["command"] == "analyze"
 
 
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_unwritable_output_path_is_input_error(tmp_path, where):
+    target = str(tmp_path / "absent" / "out.json") if where == "missing_directory" \
+        else str(tmp_path)
+    src = os.path.join(os.path.dirname(CORPUS), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringext.cli", "analyze", input_path("b_eq_a"),
+         "-o", target], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"input error at {target}: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 # -- usage and input errors ------------------------------------------------------
 
 @pytest.mark.parametrize("argv, message", [

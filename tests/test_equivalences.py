@@ -15,7 +15,7 @@ from ringext.equivalences import (_comparison, chi_M, dress_inverse,
 from ringext.linalg import Matrix
 
 from tests.conftest import CORPUS_NAMES, LEFT_D2, SEPARABLE
-from tests.helpers import scale
+from tests.helpers import dense_matrix, scale
 from tests.modules import random_cyclic_module
 
 
@@ -203,7 +203,7 @@ def test_naturality_fails_when_one_basis_endomorphism_does_not_commute(built):
     assert endos.dim == 2
     # a coordinate projection commutes with the identity of the group
     # algebra but not with left multiplication by the group element
-    fwd = Matrix.from_rows(f, [[f.one, f.zero], [f.zero, f.zero]])
+    fwd = dense_matrix(f, [[f.one, f.zero], [f.zero, f.zero]])
     eye = Matrix.identity(f, 2)
     assert intertwines(fwd, [(eye, eye)])
     assert not all(intertwines(fwd, [(e, e)]) for e in endos.basis)
@@ -237,9 +237,9 @@ def test_dress_inverse_rejects_an_invalid_summand_system(built, case):
         # coordinate projections against identity injections compose to
         # the identity, but they do not commute with right multiplication
         # by the group element
-        units = [Matrix.from_rows(f, [[f.one if r == c == k else f.zero
-                                       for c in range(a.dim)]
-                                      for r in range(a.dim)])
+        units = [dense_matrix(f, [[f.one if r == c == k else f.zero
+                                   for c in range(a.dim)]
+                                  for r in range(a.dim)])
                  for k in range(a.dim)]
         assert any(hom_space(reg, reg).coordinates(u) is None for u in units)
         projections, injections = units, [eye] * a.dim
@@ -295,7 +295,7 @@ def _altered_expectation(b):
     e = cert.expectation
     data = [row[:] for row in e.data]
     data[0][0] = f.add(data[0][0], f.one)
-    bad = replace(cert, expectation=Matrix(f, e.rows, e.cols, data))
+    bad = replace(cert, expectation=dense_matrix(f, data, e.cols))
     assert not verify_split(b.cr, bad)
     return {"split": bad}
 

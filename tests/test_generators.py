@@ -18,6 +18,7 @@ from ringext.linalg import GF, QQ, Matrix, Subspace, kernel, unit_vec
 from ringext.serialize import parse_input
 
 from tests.conftest import CORPUS_NAMES, corpus_doc
+from tests.helpers import dense_matrix
 
 
 def _algebras(cr):
@@ -91,7 +92,7 @@ def _modules(cr):
 def _bump(mat, r, c):
     data = [row[:] for row in mat.data]
     data[r][c] = mat.field.add(data[r][c], mat.field.one)
-    return Matrix(mat.field, mat.rows, mat.cols, data)
+    return dense_matrix(mat.field, data, mat.cols)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -122,7 +123,9 @@ def full_basis_hom_span(m, n):
     system = _intertwining_system(
         m.field, zip(m.left_action + m.right_action,
                      n.left_action + n.right_action), m.dim, n.dim)
-    return Subspace.from_vectors(m.field, m.dim * n.dim, kernel(system))
+    ker = kernel(system)
+    return Subspace.row_space(Matrix(m.field, len(ker), m.dim * n.dim,
+                                     tuple(ker)))
 
 
 def full_basis_tensor_relations(m, n):

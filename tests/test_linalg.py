@@ -13,18 +13,44 @@ from ringext.linalg import (GF, MODULUS_BOUND, QQ, LinalgError, Matrix,
                             rank, rref, solve, span_decide,
                             span_decide_pairs, unit_vec, vec_sum, zero_vec)
 from tests import oracle_linalg
-from tests.helpers import residual
+from tests.helpers import dense_matrix, dense_vector, residual
+from tests.oracle_linalg import as_pairs
 from tests.oracles import kron
 
 F5 = GF(5)
 
 
 def mat(field, rows):
-    return Matrix.from_rows(field, [[field.of(x) for x in r] for r in rows])
+    return dense_matrix(field, [[field.of(x) for x in r] for r in rows])
 
 
 def vec(field, entries):
     return [field.of(x) for x in entries]
+
+
+def assert_pair_format(vectors, dim):
+    """The library's vector format: int indices in 0..dim-1, strictly
+    ascending, and no zero value; Matrix.__eq__ compares pairs, so a
+    stray zero or an unsorted row would make equal matrices unequal."""
+    for v in vectors:
+        idx = [j for j, _ in v]
+        assert all(type(j) is int and 0 <= j < dim for j in idx), v
+        assert all(i < j for i, j in zip(idx, idx[1:])), v
+        assert all(x for _, x in v), v
+
+
+def oracle_particular(ops, rows, rhs, n):
+    """The free-variables-zero solution of rows x = rhs from the oracle's
+    RREF of the augmented matrix, dense, or None when inconsistent."""
+    red, pivots = oracle_linalg.rref(
+        ops, [[ops.of(x) for x in row] + [ops.of(y)]
+              for row, y in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    particular = [ops.zero] * n
+    for row, c in zip(red, pivots):
+        particular[c] = row[n]
+    return particular
 
 
 # -- field descriptors ------------------------------------------------------
@@ -123,6 +149,11 @@ def test_matrix_shape_mismatch():
 def test_vec_roundtrip():
     a = mat(QQ, [[1, 2, 3], [4, 5, 6]])
     assert Matrix.from_vec(QQ, 2, 3, a.vec()) == a
+    b = mat(QQ, [[0, 2, 0], [4, 0, 0]])
+    assert b.vec() == ((1, 2), (3, 4))
+    assert Matrix.from_vec(QQ, 2, 3, b.vec()) == b
+    with pytest.raises(LinalgError):
+        Matrix.from_vec(QQ, 2, 3, ((6, 1),))
 
 
 def test_kron_shape_and_values():
@@ -155,32 +186,60 @@ def test_invert_known():
 
 def test_solve_particular_and_homogeneous():
     a = mat(QQ, [[1, 1, 0], [0, 0, 1]])
-    got = solve(a, vec(QQ, [3, 5]))
-    assert got is not None
-    x, hom = got
-    assert a.apply(x) == vec(QQ, [3, 5])
-    assert len(hom) == 1
-    assert not any(a.apply(hom[0]))
+    x = solve(a, as_pairs(vec(QQ, [3, 5])))
+    assert x == ((0, 3), (2, 5))
+    assert a.apply(dense_vector(QQ, 3, x)) == vec(QQ, [3, 5])
+    hom = kernel(a)
+    assert hom == [((0, -1), (1, 1))]
+    assert not any(a.apply(dense_vector(QQ, 3, hom[0])))
+    with pytest.raises(LinalgError):
+        solve(a, ((2, 1),))
 
 
 def test_solve_inconsistent():
     a = mat(QQ, [[1, 1], [2, 2]])
-    assert solve(a, vec(QQ, [1, 3])) is None
+    assert solve(a, as_pairs(vec(QQ, [1, 3]))) is None
+
+
+SPAN_CASES = [
+    ([[1, 0], [1, 1]], [3, 2], [1, 2]),
+    ([[1, 0]], [0, 1], None),
+    # a dependent generator gets coefficient zero, a free variable
+    ([[1, 0], [2, 0], [0, 1]], [3, 2], [3, 0, 2]),
+    ([[0, 0], [1, 1]], [0, 0], [0, 0]),
+    ([], [0, 0], []),
+    ([], [1, 0], None),
+    ([[Fraction(1, 2), 0], [0, 3]], [1, 1], [2, Fraction(1, 3)]),
+]
 
 
 def test_span_decide():
-    gens = [vec(QQ, [1, 0]), vec(QQ, [1, 1])]
-    coeffs = span_decide(QQ, gens, vec(QQ, [3, 2]))
-    assert coeffs is not None
-    acc = zero_vec(QQ, 2)
-    for c, g in zip(coeffs, gens):
-        acc = [QQ.add(a, QQ.mul(c, x)) for a, x in zip(acc, g)]
-    assert acc == vec(QQ, [3, 2])
-    assert span_decide(QQ, [vec(QQ, [1, 0])], vec(QQ, [0, 1])) is None
+    ops = oracle_linalg.FracOps()
+    for gens, target, want in SPAN_CASES:
+        n = len(target)
+        pairs = [as_pairs(vec(QQ, g)) for g in gens]
+        coeffs = span_decide(QQ, n, pairs, as_pairs(vec(QQ, target)))
+        assert coeffs == want
+        # the canonical solution is the oracle's free-variables-zero one
+        columns = [[g[i] for g in gens] for i in range(n)]
+        assert coeffs == (oracle_particular(ops, columns, target, len(gens))
+                          if gens else (None if any(target) else []))
+        if coeffs is not None:
+            acc = zero_vec(QQ, n)
+            for c, g in zip(coeffs, gens):
+                acc = [QQ.add(a, QQ.mul(c, QQ.of(x))) for a, x in zip(acc, g)]
+            assert acc == vec(QQ, target)
+
+
+def test_span_decide_rejects_vectors_outside_the_dimension():
+    with pytest.raises(LinalgError):
+        span_decide(QQ, 2, [((2, 1),)], ())
+    with pytest.raises(LinalgError):
+        span_decide(QQ, 2, [((0, 1),)], ((2, 1),))
 
 
 def _hadamard(field):
-    return lambda u, v: [field.mul(a, b) for a, b in zip(u, v)]
+    return lambda u, v: as_pairs([field.mul(a, b) for a, b in zip(u, v)])
 
 
 @given(st.sampled_from([QQ, F5]), st.data())
@@ -192,31 +251,44 @@ def test_span_decide_pairs_groups_span_decide(field, data):
     rights = data.draw(st.lists(vectors, max_size=3))
     target = data.draw(st.one_of(st.just(zero_vec(field, n)), vectors))
     product = _hadamard(field)
-    got = span_decide_pairs(field, lefts, rights, product, target)
-    flat = span_decide(field, [product(u, v) for u in lefts for v in rights],
-                       target)
+    generators = [product(u, v) for u in lefts for v in rights]
+    assert_pair_format(generators, n)
+    got = span_decide_pairs(field, n, lefts, rights, product, as_pairs(target))
+    flat = span_decide(field, n, generators, as_pairs(target))
+    # solvable exactly when the oracle puts target in the generators' span
+    ops = oracle_linalg.FracOps() if field == QQ else oracle_linalg.ModOps(5)
+    gens = [dense_vector(field, n, g) for g in generators]
+    assert (flat is not None) == (
+        oracle_linalg.in_span(ops, [[ops.of(x) for x in g] for g in gens],
+                              [ops.of(x) for x in target])
+        if gens else not any(target))
     if flat is None:
         assert got is None
         return
+    if gens:
+        columns = [[g[i] for g in gens] for i in range(n)]
+        assert flat == oracle_particular(ops, columns, target, len(gens))
     k = len(rights)
     chunks = [flat[i * k:(i + 1) * k] for i in range(len(lefts))]
     assert got == [(i, c) for i, c in enumerate(chunks) if any(c)]
     acc = zero_vec(field, n)
     for i, coeffs in got:
         for c, v in zip(coeffs, rights):
-            acc = vec_sum(field, n, [acc, [field.mul(c, x)
-                                           for x in product(lefts[i], v)]])
+            acc = vec_sum(field, n, [acc, [field.mul(c, x) for x in
+                                           dense_vector(field, n,
+                                                        product(lefts[i], v))]])
     assert acc == target
 
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
 def test_span_decide_pairs_empty_sides_and_zero_target(field):
     product, one, zero = _hadamard(field), vec(field, [1, 1]), zero_vec(field, 2)
-    assert span_decide_pairs(field, [], [one], product, zero) == []
-    assert span_decide_pairs(field, [one], [], product, zero) == []
-    assert span_decide_pairs(field, [], [], product, one) is None
-    assert span_decide_pairs(field, [one, one], [one], product, zero) == []
-    assert span_decide_pairs(field, [zero, one], [one], product, one) == \
+    ones = as_pairs(one)
+    assert span_decide_pairs(field, 2, [], [one], product, ()) == []
+    assert span_decide_pairs(field, 2, [one], [], product, ()) == []
+    assert span_decide_pairs(field, 2, [], [], product, ones) is None
+    assert span_decide_pairs(field, 2, [one, one], [one], product, ()) == []
+    assert span_decide_pairs(field, 2, [zero, one], [one], product, ones) == \
         [(1, [field.one])]
 
 
@@ -256,14 +328,14 @@ def qq_matrix(rows, cols):
     return st.lists(
         st.lists(rat.map(QQ.of), min_size=cols, max_size=cols),
         min_size=rows, max_size=rows,
-    ).map(lambda data: Matrix.from_rows(QQ, data))
+    ).map(lambda data: dense_matrix(QQ, data, cols))
 
 
 def f5_matrix(rows, cols):
     return st.lists(
         st.lists(st.integers(0, 4), min_size=cols, max_size=cols),
         min_size=rows, max_size=rows,
-    ).map(lambda data: Matrix.from_rows(F5, data))
+    ).map(lambda data: dense_matrix(F5, data, cols))
 
 
 @given(qq_matrix(3, 4))
@@ -278,8 +350,9 @@ def test_rref_idempotent(a):
 def test_kernel_vectors_annihilate(a):
     ker = kernel(a)
     assert len(ker) == a.cols - rank(a)
+    assert_pair_format(ker, a.cols)
     for v in ker:
-        assert not any(a.apply(v))
+        assert not any(a.apply(dense_vector(F5, a.cols, v)))
 
 
 @given(qq_matrix(3, 3))
@@ -294,12 +367,14 @@ def test_invert_roundtrip(a):
 
 @given(qq_matrix(2, 3), st.lists(rat.map(QQ.of), min_size=2, max_size=2))
 def test_solve_when_consistent(a, rhs):
-    got = solve(a, rhs)
+    got = solve(a, as_pairs(rhs))
+    want = oracle_particular(oracle_linalg.FracOps(), a.data, rhs, a.cols)
+    assert got == (None if want is None else as_pairs(want))
     if got is not None:
-        x, hom = got
-        assert a.apply(x) == rhs
-        for h in hom:
-            assert not any(a.apply(h))
+        assert_pair_format([got], a.cols)
+        assert a.apply(dense_vector(QQ, a.cols, got)) == rhs
+    for h in kernel(a):
+        assert not any(a.apply(dense_vector(QQ, a.cols, h)))
 
 
 @given(f5_matrix(4, 3))
@@ -346,15 +421,28 @@ large_fractions = st.builds(Fraction, big, st.integers(1, 10**30))
 
 
 def assert_matches_oracle(field, ops, data):
-    m = Matrix.from_rows(field, [[field.of(x) for x in row] for row in data])
+    m = dense_matrix(field, [[field.of(x) for x in row] for row in data])
     red, pivots = rref(m)
     want_rows, want_pivots = oracle_linalg.rref(ops, [[ops.of(x) for x in row]
                                                       for row in data])
     assert pivots == want_pivots
     assert red.data[:len(pivots)] == want_rows
     assert not any(map(any, red.data[len(pivots):]))
-    assert kernel(m) == oracle_linalg.nullspace(
-        ops, [[ops.of(x) for x in row] for row in data], m.cols)
+    ker = kernel(m)
+    assert ker == [as_pairs(v) for v in oracle_linalg.nullspace(
+        ops, [[ops.of(x) for x in row] for row in data], m.cols)]
+    assert_pair_format(m.pairs + red.pairs, m.cols)
+    assert_pair_format(ker, m.cols)
+    # right-hand sides: a column of m (always consistent) and the sum of
+    # the unit vectors at the first rows (often not)
+    for rhs in ([row[0] for row in data],
+                [int(i < m.cols) for i in range(m.rows)]):
+        got = solve(m, as_pairs([field.of(x) for x in rhs]))
+        want = oracle_particular(ops, [[ops.of(x) for x in row]
+                                       for row in data], rhs, m.cols)
+        assert got == (None if want is None else as_pairs(want))
+        if got is not None:
+            assert_pair_format([got], m.cols)
 
 
 @given(sparse_rows(large_fractions))
@@ -382,6 +470,10 @@ def assert_canonical(entries):
     assert [e for e in entries if type(e) is not int and e.denominator == 1] == []
 
 
+def values(pairs):
+    return [x for _, x in pairs]
+
+
 def q_rows(draw, rows, cols):
     """Rows of Q entries as QQ.of reads them, and the same as Fractions."""
     raw = [[draw(q_entry) for _ in range(cols)] for _ in range(rows)]
@@ -398,18 +490,18 @@ def test_mixed_int_and_fraction_entries_match_oracle(data):
     other, other_frac = q_rows(draw, n, p)
     (rhs, v, coeffs), _ = q_rows(draw, 3, max(m, n, 2))
     rhs, v, coeffs = rhs[:m], v[:n], coeffs[:2]
-    a, b = Matrix.from_rows(QQ, rows), Matrix.from_rows(QQ, other)
-    a2 = Matrix.from_rows(QQ, rows[::-1])
-    outputs = [a.vec(), b.vec()]
+    a, b = dense_matrix(QQ, rows), dense_matrix(QQ, other)
+    a2 = dense_matrix(QQ, rows[::-1])
+    outputs = [values(a.vec()), values(b.vec())]
 
     red, pivots = rref(a)
     want_rows, want_pivots = oracle_linalg.rref(ops, frac)
     assert pivots == want_pivots and red.data[:len(pivots)] == want_rows
     ker = kernel(a)
-    assert ker == oracle_linalg.nullspace(ops, frac, n)
-    outputs += [red.vec()] + ker
+    assert ker == [as_pairs(v) for v in oracle_linalg.nullspace(ops, frac, n)]
+    outputs += [values(red.vec())] + [values(v) for v in ker]
 
-    got = solve(a, rhs)
+    got = solve(a, as_pairs(rhs))
     aug, aug_pivots = oracle_linalg.rref(
         ops, [row + [Fraction(y)] for row, y in zip(frac, rhs)])
     if n in aug_pivots:
@@ -418,11 +510,11 @@ def test_mixed_int_and_fraction_entries_match_oracle(data):
         particular = [0] * n
         for row, c in zip(aug, aug_pivots):
             particular[c] = row[n]
-        assert got == (particular, ker)
-        outputs += [got[0]]
+        assert got == as_pairs(particular)
+        outputs += [values(got)]
 
     k = min(m, n)
-    square = Matrix.from_rows(QQ, [row[:k] for row in a.data[:k]])
+    square = dense_matrix(QQ, [row[:k] for row in a.data[:k]], k)
     inv = invert(square)
     eye = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     ired, ipivots = oracle_linalg.rref(
@@ -431,7 +523,7 @@ def test_mixed_int_and_fraction_entries_match_oracle(data):
         assert inv is None
     else:
         assert inv.data == [row[k:] for row in ired]
-        outputs += [inv.vec()]
+        outputs += [values(inv.vec())]
 
     prod = a @ b
     assert prod.data == oracle_linalg.matmul(ops, frac, other_frac)
@@ -444,5 +536,6 @@ def test_mixed_int_and_fraction_entries_match_oracle(data):
     rest = residual(space, v)
     assert (not any(rest)) == oracle_linalg.in_span(
         ops, frac, [Fraction(x) for x in v])
-    outputs += [prod.vec(), applied, comb.vec(), rest, space.element(coeffs)]
+    outputs += [values(prod.vec()), applied, values(comb.vec()), rest,
+                space.element(coeffs)]
     assert_canonical([e for out in outputs for e in out])

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ringext.linalg import (GF, QQ, LinalgError, Matrix, invert, lin_comb,
-                            solve)
+from ringext.linalg import (GF, QQ, LinalgError, Matrix, invert, kernel,
+                            lin_comb, solve)
 from tests import oracle_linalg
-from tests.helpers import scale
+from tests.helpers import dense_matrix, scale
+from tests.oracle_linalg import as_pairs
 
 F5 = GF(5)
 FIELDS = {"Q": (QQ, oracle_linalg.FracOps()), "F5": (F5, oracle_linalg.ModOps(5))}
@@ -48,8 +49,8 @@ def dense_rows(draw, name, rows, cols, dependent=0):
 def lib(name, data, cols):
     """The library matrix of dense reference rows."""
     field = FIELDS[name][0]
-    return Matrix(field, len(data), cols,
-                  [[field.of(x) for x in row] for row in data])
+    return dense_matrix(field, [[field.of(x) for x in row] for row in data],
+                        cols)
 
 
 def reduce_(name, x):
@@ -71,14 +72,16 @@ def ref_comb(name, coeffs, mats):
 
 
 def ref_solve(ops, a, rhs, n):
-    """(particular with free variables zero, kernel basis) or None."""
+    """(particular with free variables zero, kernel basis) or None, as
+    pair vectors."""
     red, pivots = oracle_linalg.rref(ops, [row + [b] for row, b in zip(a, rhs)])
     if pivots and pivots[-1] == n:
         return None
     particular = [ops.zero] * n
     for row, c in zip(red, pivots):
         particular[c] = row[n]
-    return particular, oracle_linalg.nullspace(ops, [row[:n] for row in red], n)
+    return as_pairs(particular), [as_pairs(v) for v in oracle_linalg.nullspace(
+        ops, [row[:n] for row in red], n)]
 
 
 def ref_invert(ops, a, n):
@@ -122,11 +125,12 @@ def test_arithmetic_matches_dense_lists(name, data):
         "add": ((A + A2).data, ref_comb(name, [1, 1], [a, a2])),
         "sub": ((A - A2).data, ref_comb(name, [1, minus], [a, a2])),
         "scale": (scale(A, field.of(c1)).data, ref_comb(name, [c1], [a])),
-        "vec": ([A.vec()], [[x for row in a for x in row]]),
     }
     for what, (got, want) in outputs.items():
         assert got == want, what
         assert_canonical(name, got)
+    assert A.vec() == as_pairs([x for row in a for x in row])
+    assert_canonical(name, [[x for _, x in A.vec()]])
     assert (A.transpose().rows, A.transpose().cols) == (n, m)
     assert (A @ B).rows == m and (A @ B).cols == k
     assert Matrix.from_vec(field, m, n, A.vec()) == A
@@ -141,11 +145,15 @@ def test_solve_and_invert_match_dense_lists(name, data):
     m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     a = draw(dense_rows(name, m, n, dependent=draw(st.integers(0, 2))))
     rhs = [ops.of(draw(entries(name))) for _ in a]
-    got = solve(lib(name, a, n), [field.of(x) for x in rhs])
+    mat = lib(name, a, n)
+    got = solve(mat, as_pairs([field.of(x) for x in rhs]))
     want = ref_solve(ops, a, rhs, n)
-    assert got == want
-    if got is not None:
-        assert_canonical(name, [got[0]] + got[1])
+    if want is None:
+        assert got is None
+    else:
+        ker = kernel(mat)
+        assert (got, ker) == want
+        assert_canonical(name, [[x for _, x in v] for v in [got] + ker])
 
     s = draw(dense_rows(name, n, n))
     if n and draw(st.booleans()):
@@ -174,7 +182,8 @@ def test_identity_and_permutation_matrices(name, perm):
     assert invert(P) == P.transpose()
     assert P @ P.transpose() == eye
     assert P.apply(list(range(n))) == list(perm)
-    assert solve(P, list(range(n))) == (list(perm_inverse(perm)), [])
+    assert solve(P, as_pairs(range(n))) == as_pairs(perm_inverse(perm))
+    assert kernel(P) == []
 
 
 def perm_inverse(perm):
@@ -187,39 +196,41 @@ def perm_inverse(perm):
 @pytest.mark.parametrize("name", ["Q", "F5"])
 def test_empty_shapes(name):
     field = FIELDS[name][0]
-    wide, tall = Matrix(field, 0, 3, []), Matrix(field, 3, 0, [[], [], []])
+    wide, tall = dense_matrix(field, [], 3), dense_matrix(field, [[], [], []])
     assert (tall @ wide).data == [[0] * 3] * 3
     assert (wide @ tall).data == [] and (wide @ tall).cols == 0
     assert tall.apply([]) == [0, 0, 0] and wide.apply([1, 2, 3]) == []
     assert wide.transpose() == tall and tall.transpose() == wide
-    assert solve(wide, []) == ([0, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert solve(tall, [0, 0, 0]) == ([], [])
-    assert solve(tall, [0, 1, 0]) is None
-    assert invert(Matrix(field, 0, 0, [])) == Matrix.identity(field, 0)
-    assert wide.vec() == [] and Matrix.from_vec(field, 3, 0, []) == tall
+    assert solve(wide, ()) == ()
+    assert kernel(wide) == [((0, 1),), ((1, 1),), ((2, 1),)]
+    assert solve(tall, ()) == () and kernel(tall) == []
+    assert solve(tall, ((1, 1),)) is None
+    assert invert(dense_matrix(field, [])) == Matrix.identity(field, 0)
+    assert wide.vec() == () and Matrix.from_vec(field, 3, 0, ()) == tall
 
 
 def test_writing_dense_views_leaves_the_matrix_unchanged():
-    m = Matrix.from_rows(QQ, [[1, 0, Fraction(1, 2)], [0, 0, 4]])
-    same = Matrix.from_rows(QQ, [[1, 0, Fraction(1, 2)], [0, 0, 4]])
+    m = dense_matrix(QQ, [[1, 0, Fraction(1, 2)], [0, 0, 4]])
+    same = dense_matrix(QQ, [[1, 0, Fraction(1, 2)], [0, 0, 4]])
     m.data[0][0] = 7
     rows = m.data
     rows[1][1] = 9
     rows.append([1, 1, 1])
     m.row(0)[2] = 5
     m.col(2)[1] = 5
-    m.vec()[0] = 5
     m.columns()[0][0] = 5
     assert m == same
     assert m.data == [[1, 0, Fraction(1, 2)], [0, 0, 4]]
     with pytest.raises(TypeError):
         m.pairs[0] = ()
+    with pytest.raises(TypeError):
+        m.vec()[0] = (0, 5)
 
 
 def test_sparse_constructor_checks_shape_and_columns():
     m = Matrix.from_pairs(QQ, 2, 3, [[(2, 5), (0, 0), (1, Fraction(1, 2))], []])
     assert m.data == [[0, Fraction(1, 2), 5], [0, 0, 0]]
-    assert m == Matrix.from_rows(QQ, [[0, Fraction(1, 2), 5], [0, 0, 0]])
+    assert m == dense_matrix(QQ, [[0, Fraction(1, 2), 5], [0, 0, 0]])
     assert Matrix.from_pairs(F5, 1, 2, [{1: 3}.items()]).data == [[0, 3]]
     for rows, pairs in [
             (2, [[(3, 1)], []]),            # column past the last one
@@ -232,4 +243,4 @@ def test_sparse_constructor_checks_shape_and_columns():
         with pytest.raises(LinalgError):
             Matrix.from_pairs(QQ, rows, 3, pairs)
     with pytest.raises(LinalgError):
-        Matrix(QQ, 2, 2, [[1, 2], [3]])
+        dense_matrix(QQ, [[1, 2], [3]])
