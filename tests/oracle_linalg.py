@@ -90,6 +90,19 @@ def nullspace(ops, rows, ncols):
     return basis
 
 
+def particular(ops, rows, rhs, ncols):
+    """The solution of rows x = rhs with its free variables zero, or None
+    when the system is inconsistent."""
+    red, pivots = rref(ops, [[ops.of(x) for x in row] + [ops.of(b)]
+                             for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [ops.zero] * ncols
+    for r, pc in zip(red, pivots):
+        x[pc] = r[ncols]
+    return x
+
+
 def in_span(ops, rows, vec) -> bool:
     base = rank(ops, rows)
     return rank(ops, list(rows) + [list(vec)]) == base

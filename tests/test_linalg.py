@@ -39,20 +39,6 @@ def assert_pair_format(vectors, dim):
         assert all(x for _, x in v), v
 
 
-def oracle_particular(ops, rows, rhs, n):
-    """The free-variables-zero solution of rows x = rhs from the oracle's
-    RREF of the augmented matrix, dense, or None when inconsistent."""
-    red, pivots = oracle_linalg.rref(
-        ops, [[ops.of(x) for x in row] + [ops.of(y)]
-              for row, y in zip(rows, rhs)])
-    if n in pivots:
-        return None
-    particular = [ops.zero] * n
-    for row, c in zip(red, pivots):
-        particular[c] = row[n]
-    return particular
-
-
 # -- field descriptors ------------------------------------------------------
 
 def test_rational_field_ops():
@@ -222,8 +208,9 @@ def test_span_decide():
         assert coeffs == want
         # the canonical solution is the oracle's free-variables-zero one
         columns = [[g[i] for g in gens] for i in range(n)]
-        assert coeffs == (oracle_particular(ops, columns, target, len(gens))
-                          if gens else (None if any(target) else []))
+        oracle = oracle_linalg.particular(ops, columns, target, len(gens)) \
+            if gens else (None if any(target) else [])
+        assert coeffs == oracle
         if coeffs is not None:
             acc = zero_vec(QQ, n)
             for c, g in zip(coeffs, gens):
@@ -267,7 +254,7 @@ def test_span_decide_pairs_groups_span_decide(field, data):
         return
     if gens:
         columns = [[g[i] for g in gens] for i in range(n)]
-        assert flat == oracle_particular(ops, columns, target, len(gens))
+        assert flat == oracle_linalg.particular(ops, columns, target, len(gens))
     k = len(rights)
     chunks = [flat[i * k:(i + 1) * k] for i in range(len(lefts))]
     assert got == [(i, c) for i, c in enumerate(chunks) if any(c)]
@@ -368,7 +355,7 @@ def test_invert_roundtrip(a):
 @given(qq_matrix(2, 3), st.lists(rat.map(QQ.of), min_size=2, max_size=2))
 def test_solve_when_consistent(a, rhs):
     got = solve(a, as_pairs(rhs))
-    want = oracle_particular(oracle_linalg.FracOps(), a.data, rhs, a.cols)
+    want = oracle_linalg.particular(oracle_linalg.FracOps(), a.data, rhs, a.cols)
     assert got == (None if want is None else as_pairs(want))
     if got is not None:
         assert_pair_format([got], a.cols)
@@ -438,8 +425,7 @@ def assert_matches_oracle(field, ops, data):
     for rhs in ([row[0] for row in data],
                 [int(i < m.cols) for i in range(m.rows)]):
         got = solve(m, as_pairs([field.of(x) for x in rhs]))
-        want = oracle_particular(ops, [[ops.of(x) for x in row]
-                                       for row in data], rhs, m.cols)
+        want = oracle_linalg.particular(ops, data, rhs, m.cols)
         assert got == (None if want is None else as_pairs(want))
         if got is not None:
             assert_pair_format([got], m.cols)
@@ -502,14 +488,10 @@ def test_mixed_int_and_fraction_entries_match_oracle(data):
     outputs += [values(red.vec())] + [values(v) for v in ker]
 
     got = solve(a, as_pairs(rhs))
-    aug, aug_pivots = oracle_linalg.rref(
-        ops, [row + [Fraction(y)] for row, y in zip(frac, rhs)])
-    if n in aug_pivots:
+    particular = oracle_linalg.particular(ops, frac, rhs, n)
+    if particular is None:
         assert got is None
     else:
-        particular = [0] * n
-        for row, c in zip(aug, aug_pivots):
-            particular[c] = row[n]
         assert got == as_pairs(particular)
         outputs += [values(got)]
 

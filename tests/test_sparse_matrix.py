@@ -74,14 +74,10 @@ def ref_comb(name, coeffs, mats):
 def ref_solve(ops, a, rhs, n):
     """(particular with free variables zero, kernel basis) or None, as
     pair vectors."""
-    red, pivots = oracle_linalg.rref(ops, [row + [b] for row, b in zip(a, rhs)])
-    if pivots and pivots[-1] == n:
+    x = oracle_linalg.particular(ops, a, rhs, n)
+    if x is None:
         return None
-    particular = [ops.zero] * n
-    for row, c in zip(red, pivots):
-        particular[c] = row[n]
-    return as_pairs(particular), [as_pairs(v) for v in oracle_linalg.nullspace(
-        ops, [row[:n] for row in red], n)]
+    return as_pairs(x), [as_pairs(v) for v in oracle_linalg.nullspace(ops, a, n)]
 
 
 def ref_invert(ops, a, n):
