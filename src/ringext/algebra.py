@@ -24,10 +24,10 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
-    echelon_insert,
     lin_comb,
     span_decide,
     sparse,
+    spin,
     unit_vec,
     zero_vec,
 )
@@ -193,13 +193,9 @@ class FDAlgebra:
         """The least space holding start (default: the unit) closed under
         right multiplication by each generator: the span of the words in
         gens in one bracketing, with no associativity assumed."""
-        f, n = self.field, self.dim
-        echelon: dict = {}
-        words = list(start.rows) if start else [self.unit]
-        for w in words:  # grows while it is read: a new word's products
-            if echelon_insert(f, echelon, {j: x for j, x in enumerate(w) if x}):
-                words.extend(self.multiply(w, unit_vec(f, n, g)) for g in gens)
-        return Subspace.from_echelon(f, n, echelon)
+        return spin(self.field, self.dim,
+                    start.basis.pairs if start else [sparse(self.unit)],
+                    [self.basis_right_mult(g) for g in gens])
 
     def _ensure_regular(self) -> None:
         if self._left_regular is not None:

@@ -17,22 +17,24 @@ Every quotient basis class is the class of one pure tensor of basis
 elements, so maps out of the quotient are read off pure tensors.
 
 Every linear system and operator here is written from the nonzero
-entries of its ingredients: hom constraints and balancing relations row
-by row, operator sums in place, tensor-leg operators one pure tensor at
-a time, each image a dict of nonzeros reduced in place by the relations
-into quotient coordinates.  validate, hom constraints, balancing
-relations and centralizers take one block per generator of an acting
-algebra (FDAlgebra.generators), not one per basis element; tensor_map
-checks every relation row.
+entries of its ingredients (hom constraints and balancing relations row
+by row, operator sums in place, tensor-leg images one pure tensor at a
+time, reduced in place by the relations), with one block per generator
+of an acting algebra (FDAlgebra.generators), not per basis element;
+tensor_map checks every relation row.  Spans grow from generators
+(linalg.spin): a hom out of a module regular on one side is solved for
+its value at the unit, and summand_witness writes maps only at a
+generating set and stops once it reaches the identity.
 
-hom_space and tensor_over build anew on every call; their
-results, MapSpace and TensorProduct, are frozen so that a memo (the one
-on CanonicalRings) can hand one result to several callers.
+hom_space and tensor_over build anew on every call; their results,
+MapSpace and TensorProduct, are frozen so that a memo (the one on
+CanonicalRings) can hand one result to several callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FDAlgebra, trivial_algebra
@@ -40,9 +42,12 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
+    echelon_insert,
+    echelon_reduce,
     kernel,
     lin_comb,
-    span_decide_pairs,
+    span_decide,
+    spin,
 )
 
 
@@ -97,6 +102,11 @@ class Bimodule:
             for rj in (self.right_action[j] for j in ra.generators()):
                 if li @ rj != rj @ li:
                     raise BimoduleError("left and right actions do not commute")
+
+    def generator_actions(self) -> tuple[list, list]:
+        """The action matrices of the left and of the right generators."""
+        return ([self.left_action[i] for i in self.left_algebra.generators()],
+                [self.right_action[i] for i in self.right_algebra.generators()])
 
     def left_operator(self, x: Sequence) -> Matrix:
         """Matrix of v -> x.v for x in the left algebra."""
@@ -399,21 +409,47 @@ def _intertwining_system(field: Field, actions: Iterable[tuple[Matrix, Matrix]],
 
 
 def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
-    """All linear maps m -> n commuting with both algebras' generators."""
+    """All linear maps m -> n commuting with both algebras' generators.
+
+    If m's left action is the regular one, phi(x) = x.v for v = phi(1),
+    and phi commutes with a right generator g iff w.v = v.g for w = 1.g,
+    as phi(x.g) = phi(x.w) = x.w.v; so only v is unknown (mirrored on the
+    right).  Either path ends in the RREF of the maps, which is unique.
+    """
     la, ra = m.left_algebra, m.right_algebra
     if la != n.left_algebra or ra != n.right_algebra:
         raise BimoduleError("hom needs matching acting algebras on both sides")
-    f = m.field
-    dm, dn = m.dim, n.dim
-    system = _intertwining_system(
-        f, [(m.left_action[i], n.left_action[i]) for i in la.generators()]
-        + [(m.right_action[i], n.right_action[i]) for i in ra.generators()],
-        dm, dn)
-    ker = kernel(system)
-    span = Subspace.row_space(Matrix(f, len(ker), dn * dm, tuple(ker)))
+    f, dm, dn = m.field, m.dim, n.dim
+    maps = _maps_from_unit(m, n)
+    if maps is None:
+        (ml, mr), (nl, nr) = m.generator_actions(), n.generator_actions()
+        maps = tuple(kernel(_intertwining_system(
+            f, [*zip(ml, nl), *zip(mr, nr)], dm, dn)))
+    span = Subspace.row_space(Matrix(f, len(maps), dn * dm, maps))
     # keep the basis aligned with the echelon rows so coordinates match
     return MapSpace(m, n, tuple(Matrix.from_vec(f, dn, dm, r)
                                 for r in span.basis.pairs), span)
+
+
+def _maps_from_unit(m: Bimodule, n: Bimodule) -> Optional[tuple]:
+    """The vecs of a basis of the maps m -> n, solved for their value v at
+    the unit, when m's left or right action is its algebra's regular one."""
+    f, la, ra = m.field, m.left_algebra, m.right_algebra
+    (ml, mr), (nl, nr) = m.generator_actions(), n.generator_actions()
+    for alg, reg, acts, n_acts, m_other, n_other in (
+            (la, la.basis_left_mult, m.left_action, n.left_action, mr, nr),
+            (ra, ra.basis_right_mult, m.right_action, n.right_action, ml, nl)):
+        if m.dim == alg.dim and all(op == reg(i) for i, op in enumerate(acts)):
+            rows = tuple(row for mg, ng in zip(m_other, n_other) for row in lin_comb(
+                f, n.dim, n.dim, mg.apply(alg.unit) + [f.neg(f.one)],
+                n_acts + [ng]).pairs if row)
+            ker = tuple(kernel(Matrix(f, len(rows), n.dim, rows)))
+            # the map of v has n_acts[j] v as its column j
+            images = [(Matrix(f, len(ker), n.dim, ker) @ op.transpose()).pairs
+                      for op in n_acts]
+            return tuple(Matrix(f, m.dim, n.dim, tuple(img[r] for img in images))
+                         .transpose().vec() for r in range(len(ker)))
+    return None
 
 
 def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
@@ -485,23 +521,42 @@ def is_bimodule_map(src: Bimodule, dst: Bimodule, mat: Matrix) -> bool:
 def summand_witness(m: Bimodule, n: Bimodule,
                     hom: Optional[Callable[[Bimodule, Bimodule], MapSpace]]
                     = None) -> Optional[SummandWitness]:
-    """Decide whether m is a direct summand of a finite power of n.
-
-    Works entirely inside the two hom spaces, built by hom (hom_space by
-    default; CanonicalRings.hom builds each once): the identity of m must
-    be a combination of composites back_b @ into_a, which is a linear
-    problem in the coefficients.  Returns a verified witness or None.
+    """Decide whether m is a direct summand of a finite power of n: is
+    id_m a combination of composites back_b @ into_a over the hom spaces
+    hom builds (default hom_space)?  A bimodule map is fixed by its values
+    on a set generating m, so composites are written only there.  They
+    enter an echelon one at a time until the residual of id_m vanishes;
+    the kept ones are then solved for.  Returns a verified witness or None.
     """
     hom = hom or hom_space
-    into_space = hom(m, n)
-    back_space = hom(n, m)
-    found = span_decide_pairs(
-        m.field, m.dim * m.dim, into_space.basis, back_space.basis,
-        lambda fa, gb: (gb @ fa).vec(), Matrix.identity(m.field, m.dim).vec())
-    if found is None:
+    into_space, back_space = hom(m, n), hom(n, m)
+    f, dm = m.field, m.dim
+    acts, gens, echelon = sum(m.generator_actions(), []), [], {}
+    for i in range(dm):
+        if echelon_reduce(f, echelon, {i: f.one}):
+            gens.append(i)
+            spin(f, dm, [((i, f.one),)], acts, echelon)
+    k = len(gens)
+    target = tuple((i * k + x, f.one) for x, i in enumerate(gens))
+    # gb @ at_gens[a] holds the columns of gb @ fa at gens
+    at_gens = [Matrix(f, k, n.dim, tuple(fa.transpose().pairs[i] for i in gens))
+               .transpose() for fa in into_space.basis]
+    residual, echelon, kept = dict(target), {}, []
+    for a, b in product(range(len(at_gens)), range(back_space.dim)):
+        composite = (back_space.basis[b] @ at_gens[a]).vec()
+        if echelon_insert(f, echelon, dict(composite)):
+            kept.append((a, b, composite))
+            if not echelon_reduce(f, echelon, residual):
+                break
+    if residual:
         return None
-    witness = SummandWitness(m, n, [(into_space.basis[a], back_space.element(c))
-                                    for a, c in found])
+    coeffs = span_decide(f, k * dm, [v for _, _, v in kept], target)
+    back_coeffs: dict = {}
+    for (a, b, _), c in zip(kept, coeffs):
+        back_coeffs.setdefault(a, [f.zero] * back_space.dim)[b] = c
+    witness = SummandWitness(m, n, [
+        (into_space.basis[a], back_space.element(c))
+        for a, c in back_coeffs.items() if any(c)])
     if not witness.verify():
         raise BimoduleError("summand witness failed its own verification")
     return witness

@@ -444,10 +444,7 @@ def echelon_insert(f: Field, echelon: dict, acc: dict) -> bool:
     least column as a new pivot, cleared from the earlier pivot rows.
     True when acc was inserted."""
     addmul, neg = f.sparse_addmul, f.neg
-    # pivot rows vanish at each other's pivots: clear acc's one by one
-    for c in [c for c in acc if c in echelon]:
-        addmul(acc, echelon[c].items(), neg(acc[c]))
-    if not acc:
+    if not echelon_reduce(f, echelon, acc):
         return False
     c = min(acc)
     if not f.is_one(acc[c]):
@@ -459,6 +456,28 @@ def echelon_insert(f: Field, echelon: dict, acc: dict) -> bool:
             addmul(other, acc.items(), neg(a))
     echelon[c] = acc
     return True
+
+
+def echelon_reduce(f: Field, echelon: dict, acc: dict) -> dict:
+    """acc, a dict of nonzeros, reduced in place by the pivot rows of an
+    echelon_insert dict, which vanish at each other's pivots, so it does."""
+    for c in [c for c in acc if c in echelon]:
+        f.sparse_addmul(acc, echelon[c].items(), f.neg(acc[c]))
+    return acc
+
+
+def spin(field: Field, dim: int, vectors: Iterable, operators: Sequence[Matrix],
+         echelon: Optional[dict] = None) -> "Subspace":
+    """The least subspace of F^dim holding the pair vectors and closed under
+    the operators, grown into echelon (default empty) in place: only a vector
+    that enlarges the span has its images queued, so closed spans stay so."""
+    echelon = {} if echelon is None else echelon
+    transposes, queue = [op.transpose() for op in operators], list(vectors)
+    for v in queue:  # grows while it is read: the images of v as rows
+        if echelon_insert(field, echelon, dict(v)):
+            row = Matrix(field, 1, dim, (v,))
+            queue.extend((row @ t).pairs[0] for t in transposes)
+    return Subspace.from_echelon(field, dim, echelon)
 
 
 def rank(mat: Matrix) -> int:
@@ -560,7 +579,7 @@ class Subspace:
         self.ambient_dim = basis.cols
         self.basis = basis
         self.pivots = pivots
-        self._row_at = dict(zip(pivots, basis.pairs))
+        self._row_at = {c: dict(row) for c, row in zip(pivots, basis.pairs)}
 
     @cached_property
     def rows(self) -> list[list]:
@@ -604,11 +623,7 @@ class Subspace:
     def _reduce(self, w: dict) -> dict:
         """Reduce w, a vector's nonzero entries by index, by the basis rows
         in place; the result vanishes at every pivot."""
-        f, at = self.field, self._row_at
-        # basis rows vanish at each other's pivots, so the order is free
-        for pc in [c for c in w if c in at]:
-            f.sparse_addmul(w, at[pc], f.neg(w[pc]))
-        return w
+        return echelon_reduce(self.field, self._row_at, w)
 
     def _coordinates(self, w: dict) -> Optional[list]:
         """coordinates of the vector with nonzeros w, reduced in place."""

@@ -5,9 +5,10 @@ two-sided ideal of the big ring down to the subring yields a subspace
 whose left and right translates span the same thing.  For group
 algebras this recovers ordinary normality of the subgroup, and the
 module-theoretic analogue replaces the subring by the invariant part
-of a bimodule.  The checks in this file stay entirely inside exact
-linear algebra: every "ideal" is a concrete subspace closed under both
-multiplications, and every verdict is a rank comparison.
+of a bimodule.  The checks stay inside exact linear algebra: ideals and
+translate spans are spins of subspaces under the actions of algebra
+generators (linalg.spin), contractions are computed once per distinct
+ideal closure, and every verdict is a rank comparison.
 
 Also here: the double centralizer of the base inside the total
 algebra, and the braided commutation law tying the centralizer to a
@@ -19,9 +20,10 @@ twisted rule that provably holds whenever the right quasibase exists.
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Field, Matrix, Subspace, unit_vec, vec_sum
+from .linalg import Field, Subspace, sparse, spin, unit_vec, vec_sum
 from .algebra import AlgebraError, Extension, FDAlgebra, GroupData, group_algebra
-from .bimodule import BimoduleError, invariants_subspace
+from .bimodule import (Bimodule, BimoduleError, invariants_subspace,
+                       regular_bimodule)
 from .canonical import CanonicalRings, InternalInconsistency
 from .certify import D2Certificate, verify_d2
 
@@ -50,40 +52,27 @@ class Ideal:
 
 def ideal_closure(a: FDAlgebra, generators: Sequence[Sequence],
                   label: str = "J") -> Ideal:
-    """Two-sided ideal generated by the given elements of a.
-
-    Iterates multiply-and-span until the dimension stops growing; each
-    pass multiplies the current basis by every algebra generator on both
-    sides, so the result is closed under every word on either side.
-    """
+    """Two-sided ideal generated by the given elements of a: their spin
+    under left and right multiplication by the algebra generators, which
+    is closed under every word on either side."""
     f = a.field
-    gens = []
-    for g in generators:
-        if len(g) != a.dim:
-            raise AlgebraError("ideal generator has wrong length")
-        gens.append([f.of(c) for c in g])
-    span = Subspace.from_vectors(f, a.dim, gens)
-    while True:
-        vecs = [r[:] for r in span.rows]
-        for v in span.rows:
-            for i in a.generators():
-                vecs.append(a.basis_left_mult(i).apply(v))
-                vecs.append(a.basis_right_mult(i).apply(v))
-        grown = Subspace.from_vectors(f, a.dim, vecs)
-        if grown.dim == span.dim:
-            return Ideal(a, gens, grown, label)
-        span = grown
+    if any(len(g) != a.dim for g in generators):
+        raise AlgebraError("ideal generator has wrong length")
+    gens = [[f.of(c) for c in g] for g in generators]
+    return Ideal(a, gens, spin(f, a.dim, map(sparse, gens), sum(
+        regular_bimodule(a).generator_actions(), [])), label)
 
 
-def _translate_span(field: Field, dim: int, ops: Sequence[Matrix],
-                    vectors: Sequence[Sequence]) -> Subspace:
-    # span of op(v) over all listed operators and vectors
-    return Subspace.from_vectors(field, dim,
-                                 [op.apply(v) for v in vectors for op in ops])
+def _translates(m: Bimodule, sub: Subspace) -> tuple:
+    """m's left and right algebra translates of sub: its spins under each
+    side's generator actions, whose words span the algebra."""
+    return tuple(spin(m.field, m.dim, sub.basis.pairs, ops)
+                 for ops in m.generator_actions())
 
 
-def _balance(left: Subspace, right: Subspace) -> dict:
-    """Compare a left translate span with a right translate span."""
+def _balance(m: Bimodule, sub: Subspace) -> dict:
+    """Compare m's left and right algebra translates of a subspace."""
+    left, right = _translates(m, sub)
     return {
         "left_dim": left.dim,
         "right_dim": right.dim,
@@ -91,14 +80,6 @@ def _balance(left: Subspace, right: Subspace) -> dict:
         "right_in_left": right.is_contained_in(left),
         "equal": left == right,
     }
-
-
-def _two_sided_balance(a: FDAlgebra, sub: Subspace) -> dict:
-    """Compare the left and right algebra translates of a subspace of a."""
-    lops = [a.basis_left_mult(i) for i in range(a.dim)]
-    rops = [a.basis_right_mult(i) for i in range(a.dim)]
-    return _balance(_translate_span(a.field, a.dim, lops, sub.rows),
-                    _translate_span(a.field, a.dim, rops, sub.rows))
 
 
 def _minus_identity(field: Field, n: int, elements: Sequence[int]) -> list:
@@ -122,7 +103,7 @@ def a_invariant_contraction(ext: Extension, j: Ideal) -> bool:
     if j.algebra != ext.total:
         raise AlgebraError("ideal does not live in the extension's total algebra")
     contracted = j.closure.intersect(ext.image())
-    return _two_sided_balance(ext.total, contracted)["equal"]
+    return _balance(regular_bimodule(ext.total), contracted)["equal"]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +128,13 @@ def default_ideal_sample(a: FDAlgebra,
     return out
 
 
+def per_closure(ideals: Sequence[Ideal], fn) -> list:
+    """fn(j) for each ideal j, computed once per distinct closure."""
+    done: dict = {}
+    return [done[k] if (k := j.closure.basis.pairs) in done
+            else done.setdefault(k, fn(j)) for j in ideals]
+
+
 def centralizer_normality_suite(cr: CanonicalRings,
                                 ideals: Optional[Sequence[Ideal]] = None) -> dict:
     """Normality facts about the centralizer of the base.
@@ -165,27 +153,23 @@ def centralizer_normality_suite(cr: CanonicalRings,
     cent_sub = cr.centralizer_space
     if ideals is None:
         ideals = default_ideal_sample(a, extra_generators=cent_sub.rows)
-    report = {"centralizer": _two_sided_balance(a, cent_sub)}
+    report = {"centralizer": _balance(cr.a_reg, cent_sub)}
     report["centralizer"]["dim"] = cent_sub.dim
 
-    contractions = []
+    def contract(j: Ideal) -> dict:
+        contracted = j.closure.intersect(cent_sub)
+        return {"contracted_dim": contracted.dim,
+                **_balance(cr.a_reg, contracted)}
+
     for j in ideals:
         if j.algebra != a:
             raise AlgebraError(f"ideal {j.label} lives in the wrong algebra")
-        contracted = j.closure.intersect(cent_sub)
-        entry = {"ideal": j.label, "ideal_dim": j.dim,
-                 "contracted_dim": contracted.dim}
-        entry.update(_two_sided_balance(a, contracted))
-        contractions.append(entry)
+    contractions = [{"ideal": j.label, "ideal_dim": j.dim, **entry}
+                    for j, entry in zip(ideals, per_closure(ideals, contract))]
     report["ideal_contractions"] = contractions
 
-    invariants = []
-    for m, inv in ((cr.a_reg, cent_sub), (cr.q.module, cr.tensor_space)):
-        entry = {"module": m.label, "invariants_dim": inv.dim}
-        entry.update(_balance(
-            _translate_span(m.field, m.dim, m.left_action, inv.rows),
-            _translate_span(m.field, m.dim, m.right_action, inv.rows)))
-        invariants.append(entry)
+    invariants = [{"module": m.label, "invariants_dim": inv.dim, **_balance(m, inv)}
+                  for m, inv in ((cr.a_reg, cent_sub), (cr.q.module, cr.tensor_space))]
     report["bimodule_invariants"] = invariants
     report["all_equal"] = (report["centralizer"]["equal"]
                            and all(c["equal"] for c in contractions)
@@ -255,7 +239,7 @@ def hopf_normality(group: GroupData, subgroup: Sequence[int], field: Field) -> d
     return {
         "subgroup_normal": table_normal,
         "conjugation_hopf_normal": conj_stable,
-        "augmentation_test": _two_sided_balance(kg, pair.k_plus)["equal"],
+        "augmentation_test": _balance(regular_bimodule(kg), pair.k_plus)["equal"],
     }
 
 

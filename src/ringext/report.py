@@ -26,7 +26,7 @@ from .equivalences import (VerifiedIso, chi_M, evaluation_map,
                            split_counit)
 from .normality import (a_invariant_contraction, centralizer_normality_suite,
                         default_ideal_sample, double_centralizer,
-                        hopf_normality, prebraided_check)
+                        hopf_normality, per_closure, prebraided_check)
 from .schema import schema
 from .serialize import (InputError, ParsedInput, build_input, field_json,
                         vector_json)
@@ -154,9 +154,9 @@ def normality_block(cr: CanonicalRings, cls: Classification, ideals) -> dict:
         a, extra_generators=cr.centralizer_space.rows)
     sample.extend(ideals)
     suite = centralizer_normality_suite(cr, ideals=sample)
-    base_contractions = [{"ideal": j.label,
-                          "balanced": a_invariant_contraction(cr.ext, j)}
-                         for j in sample]
+    base_contractions = [{"ideal": j.label, "balanced": balanced}
+                         for j, balanced in zip(sample, per_closure(
+                             sample, lambda j: a_invariant_contraction(cr.ext, j)))]
     out = {"centralizer_suite": suite,
            "base_ideal_contractions": base_contractions,
            "base_normal_on_sample": all(c["balanced"] for c in base_contractions)}

@@ -9,7 +9,8 @@ At the end, the dense Kronecker formulation of hom constraints that the
 library once solved is kept on library matrices, as the reference that
 hom_space's direct constraint rows are compared against, and so are the
 dense tensor-leg loop and the per-tensor quasibase system that
-tensor_legs and find_d2_quasibase replaced.
+tensor_legs and find_d2_quasibase replaced, the full summand search
+that summand_witness replaced, and the closure loops that spin replaced.
 """
 
 import json
@@ -359,3 +360,49 @@ def reference_d2_quasibase(cr, side, reverse_order=False):
     return D2Certificate(side, [
         QuasibasePair(list(tensors[i]), lin_comb(cr.field, n, n, c, endos))
         for i, c in found[::step]], reverse_order=reverse_order)
+
+
+# ---------------------------------------------------------------------------
+# the full summand search and the multiply-every-basis-element closures,
+# kept as references for the searches and spins that replaced them
+
+def reference_summand_witness(m, n, hom):
+    """summand_witness over every composite back_b @ into_a written as a
+    full (dim m)^2 vector, solved in one span_decide_pairs system."""
+    from ringext.bimodule import SummandWitness
+    from ringext.linalg import Matrix, span_decide_pairs
+
+    into_space, back_space = hom(m, n), hom(n, m)
+    found = span_decide_pairs(
+        m.field, m.dim * m.dim, into_space.basis, back_space.basis,
+        lambda fa, gb: (gb @ fa).vec(), Matrix.identity(m.field, m.dim).vec())
+    if found is None:
+        return None
+    return SummandWitness(m, n, [(into_space.basis[a], back_space.element(c))
+                                 for a, c in found])
+
+
+def reference_ideal_closure(a, generators):
+    """The span of the generators, multiplied by every basis element on
+    both sides and re-spanned until its dimension stops growing."""
+    from ringext.linalg import Subspace
+
+    span = Subspace.from_vectors(a.field, a.dim, generators)
+    while True:
+        vecs = [r[:] for r in span.rows]
+        for v in span.rows:
+            for i in range(a.dim):
+                vecs.append(a.basis_left_mult(i).apply(v))
+                vecs.append(a.basis_right_mult(i).apply(v))
+        grown = Subspace.from_vectors(a.field, a.dim, vecs)
+        if grown.dim == span.dim:
+            return grown
+        span = grown
+
+
+def reference_translate_span(field, dim, ops, vectors):
+    """The span of op(v) over all listed operators and vectors."""
+    from ringext.linalg import Subspace
+
+    return Subspace.from_vectors(field, dim,
+                                 [op.apply(v) for v in vectors for op in ops])

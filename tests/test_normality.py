@@ -1,17 +1,21 @@
 """Normality of subgroups, ideals, centralizers; the commutation pairing."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ringext.algebra import group_algebra, subalgebra_extension
-from ringext.bimodule import BimoduleError
+from ringext import normality
+from ringext.algebra import group_algebra, matrix_algebra, subalgebra_extension
+from ringext.bimodule import BimoduleError, regular_bimodule
 from ringext.certify import find_d2_quasibase
-from ringext.linalg import GF, QQ, unit_vec
+from ringext.linalg import GF, QQ, Subspace, unit_vec
 from ringext.normality import (centralizer_normality_suite,
                                default_ideal_sample, double_centralizer,
                                hopf_normality, hopf_pair, ideal_closure,
                                prebraided_check)
 
-from tests.conftest import RIGHT_D2
+from tests.conftest import RIGHT_D2, expected_doc
+from tests.oracles import reference_ideal_closure, reference_translate_span
 from tests.test_algebra import cyclic, sym3
 
 
@@ -116,6 +120,59 @@ def test_default_ideal_sample_contains_named_ideals():
     assert "0" in labels
     assert "(1)" in labels
     assert "augmentation" in labels
+
+
+ALGEBRAS = {(name, field): make(field)
+            for field in (QQ, GF(2), GF(3))
+            for name, make in (("kS3", lambda f: group_algebra(f, sym3())),
+                               ("kQ8", lambda f: group_algebra(f, quaternion())),
+                               ("M2", lambda f: matrix_algebra(f, 2)))}
+
+
+@st.composite
+def algebra_and_vectors(draw):
+    a = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS, key=repr)))]
+    vector = st.lists(st.integers(-2, 2), min_size=a.dim, max_size=a.dim).map(
+        lambda v: [a.field.of(x) for x in v])
+    return a, draw(st.lists(vector, min_size=1, max_size=3))
+
+
+@given(algebra_and_vectors())
+def test_ideal_closure_matches_the_basis_loop(case):
+    a, gens = case
+    assert ideal_closure(a, gens).closure == reference_ideal_closure(a, gens)
+
+
+@given(algebra_and_vectors())
+def test_generator_translates_match_basis_translates(case):
+    a, vectors = case
+    sub = Subspace.from_vectors(a.field, a.dim, vectors)
+    spun = normality._translates(regular_bimodule(a), sub)
+    for got, mult in zip(spun, (a.basis_left_mult, a.basis_right_mult)):
+        assert got == reference_translate_span(
+            a.field, a.dim, [mult(i) for i in range(a.dim)], sub.rows)
+
+
+def test_suite_contracts_once_per_distinct_closure(built, monkeypatch):
+    # the sample normality_block builds for qq8_qi: many ideals, few closures
+    b = built("qq8_qi")
+    cr = b.cr
+    sample = default_ideal_sample(cr.ext.total,
+                                  extra_generators=cr.centralizer_space.rows)
+    sample.extend(b.parsed.ideals)
+    calls = []
+    intersect = Subspace.intersect
+
+    def counting(self, other):
+        calls.append(self)
+        return intersect(self, other)
+
+    monkeypatch.setattr(Subspace, "intersect", counting)
+    out = centralizer_normality_suite(cr, ideals=sample)
+    distinct = {j.closure.basis.pairs for j in sample}
+    assert len(calls) == len(distinct) < len(sample)
+    golden = expected_doc("qq8_qi")["normality"]["centralizer_suite"]
+    assert out["ideal_contractions"] == golden["ideal_contractions"]
 
 
 # -- the centralizer suite --------------------------------------------------------
