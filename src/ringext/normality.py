@@ -53,8 +53,7 @@ class Ideal:
 def ideal_closure(a: FDAlgebra, generators: Sequence[Sequence],
                   label: str = "J") -> Ideal:
     """Two-sided ideal generated by the given elements of a: their spin
-    under left and right multiplication by the algebra generators, which
-    is closed under every word on either side."""
+    under left and right multiplication by the algebra generators."""
     f = a.field
     if any(len(g) != a.dim for g in generators):
         raise AlgebraError("ideal generator has wrong length")
