@@ -140,23 +140,27 @@ class FDAlgebra:
                     raise AlgebraError("structure vector has wrong length")
         if len(self.unit) != n:
             raise AlgebraError("unit vector has wrong length")
+        # column j of the matrix of v -> x v (v -> v x) is x e_j (e_j x)
+        unit_l = self.left_mult_matrix(self.unit).transpose().pairs
+        unit_r = self.right_mult_matrix(self.unit).transpose().pairs
         for j in range(n):
-            ej = unit_vec(f, n, j)
-            if self.multiply(self.unit, ej) != ej:
+            if unit_l[j] != ((j, f.one),):
                 raise AlgebraError(f"unit fails on the left at basis {j}")
-            if self.multiply(ej, self.unit) != ej:
+            if unit_r[j] != ((j, f.one),):
                 raise AlgebraError(f"unit fails on the right at basis {j}")
         # associative on generators x basis x basis is associative: the
-        # elements x with (x y) z = x (y z) for all y, z form a subalgebra
+        # elements x with (x y) z = x (y z) for all y, z form a subalgebra;
+        # column k of L_{e_i e_j} is (e_i e_j) e_k, of L_i L_j e_i (e_j e_k)
         for i in self.generators():
             for j in range(n):
-                ij = self.mult[i][j]
-                for k in range(n):
-                    left = self.multiply(ij, unit_vec(f, n, k))
-                    right = self.multiply(unit_vec(f, n, i), self.mult[j][k])
-                    if left != right:
-                        raise AlgebraError(
-                            f"not associative: (e{i} e{j}) e{k} != e{i} (e{j} e{k})")
+                left = self.left_mult_matrix(self.mult[i][j])
+                right = self.basis_left_mult(i) @ self.basis_left_mult(j)
+                if left != right:
+                    k = next(k for k, (x, y) in enumerate(zip(
+                        left.transpose().pairs, right.transpose().pairs))
+                        if x != y)
+                    raise AlgebraError(
+                        f"not associative: (e{i} e{j}) e{k} != e{i} (e{j} e{k})")
 
     def multiply(self, x: Sequence, y: Sequence) -> list:
         f, n = self.field, self.dim

@@ -87,34 +87,38 @@ def ring_on(space, product, one, name: str) -> FDAlgebra:
 
 
 def _memoized(table: dict, m: Bimodule, n: Bimodule, build: Callable,
-              rebind: Callable):
-    """build() on the first (m, n) of a content, rebind(its result) on
-    every later one.
+              rebind: Callable, key: tuple = ()):
+    """build() on the first (m, n) of a content under key, rebind(its
+    result) on every later one.
 
     What a hom space or tensor product depends on in a module is the
     identity of both acting algebras, the dimension and the action
-    matrices.  A hash of those picks the bucket; a hit is confirmed by
-    exact equality.
+    matrices.  Each entry holds its m and n, which keeps those identities
+    theirs while the entry lives.
     """
-    bucket = table.setdefault((_content_hash(m), _content_hash(n)), [])
-    for m0, n0, result in bucket:
-        if _same_content(m0, m) and _same_content(n0, n):
-            return rebind(result)
-    result = build()
-    bucket.append((m, n, result))
-    return result
+    key += (_content(m), _content(n))
+    if key in table:
+        return rebind(table[key][2])
+    table[key] = (m, n, build())
+    return table[key][2]
 
 
-def _content_hash(m: Bimodule) -> int:
-    return hash((id(m.left_algebra), id(m.right_algebra), m.dim,
-                 tuple(a.pairs for a in m.left_action + m.right_action)))
+def content_key(x):
+    """A hashable copy of what a certificate holds: its class name and
+    fields, lists as tuples and matrices as shape and pairs.  A certificate
+    changed in place gets a new key."""
+    if isinstance(x, Matrix):
+        return x.rows, x.cols, x.pairs
+    if isinstance(x, (list, tuple)):
+        return tuple(map(content_key, x))
+    if hasattr(x, "__dict__"):
+        return (type(x).__name__, *map(content_key, vars(x).values()))
+    return x
 
 
-def _same_content(m0: Bimodule, m: Bimodule) -> bool:
-    return m0 is m or (
-        m0.left_algebra is m.left_algebra and m0.right_algebra is m.right_algebra
-        and m0.dim == m.dim and m0.left_action == m.left_action
-        and m0.right_action == m.right_action)
+def _content(m: Bimodule) -> tuple:
+    return (id(m.left_algebra), id(m.right_algebra), m.dim,
+            tuple(a.pairs for a in m.left_action + m.right_action))
 
 
 class CanonicalSpaces:
@@ -228,7 +232,8 @@ class CanonicalRings(CanonicalSpaces):
 
     def __init__(self, ext: Extension) -> None:
         super().__init__(ext)
-        self._induced: dict = {}
+        self._verified: set = set()
+        self._maps: dict = {}
         a, f = ext.total, self.field
         R, T, S = self.centralizer_space, self.tensor_space, self.endo_space
 
@@ -282,8 +287,21 @@ class CanonicalRings(CanonicalSpaces):
             x = ind.tensor.module.with_label(f"A(x)B[{m.label}]")
             return replace(ind, tensor=replace(ind.tensor, module=x),
                            as_left_t=ind.as_left_t.with_label(f"T|{x.label}"))
-        return _memoized(self._induced, m, m, lambda: self._build_induced(m),
+        return self.once(("induced",), m, lambda: self._build_induced(m),
                          relabel)
+
+    def certified(self, verify: Callable, cert) -> bool:
+        """verify(self, cert), run once per content of a passing cert."""
+        key = content_key(cert)
+        if key not in self._verified and verify(self, cert):
+            self._verified.add(key)
+        return key in self._verified
+
+    def once(self, key: tuple, m: Bimodule, build: Callable,
+             rebind: Callable = lambda built: built):
+        """build() on the first call with key and a module of m's content,
+        rebind(its result) on every later one."""
+        return _memoized(self._maps, m, m, build, rebind, key)
 
     def _build_induced(self, m: Bimodule) -> InducedModule:
         x = self.tensor(restrict_right(self.a_reg, self.ext),

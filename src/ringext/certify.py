@@ -14,7 +14,8 @@ exact linear problem whose solution doubles as a certificate:
 Every verifier is substitution only: it re-checks the defining identity
 of the certificate against A, B, the embedding and the tensor square
 with its canonical subspaces (a CanonicalSpaces, no ring structure) and
-never trusts the search that produced it.  The depth-two verdicts are
+never trusts the search that produced it.  A search records what it
+verified on its CanonicalRings, for later consumers of the same content.  The depth-two verdicts are
 cross-checked against an independent characterization (the tensor
 square splitting off a finite power of the algebra as a one-sided
 bimodule); those two answers agreeing is a theorem, so a mismatch
@@ -177,6 +178,14 @@ def verify_d2(cr: CanonicalSpaces, cert: D2Certificate) -> bool:
 # ---------------------------------------------------------------------------
 # searches
 
+def _checked(cr: CanonicalRings, verify, cert, what: str):
+    """cert, verified by substitution and recorded as verified on cr; a
+    search whose certificate fails is a bug."""
+    if not cr.certified(verify, cert):
+        raise InternalInconsistency(f"{what} failed verification")
+    return cert
+
+
 def find_separability_element(cr: CanonicalRings
                               ) -> Optional[SeparabilityCertificate]:
     """Solve for a Casimir element with multiplication value 1."""
@@ -186,10 +195,8 @@ def find_separability_element(cr: CanonicalRings
     coeffs = span_decide(cr.field, a.dim, values, sparse(a.unit))
     if coeffs is None:
         return None
-    cert = SeparabilityCertificate(cr.casimir_space.element(coeffs))
-    if not verify_separability(cr, cert):
-        raise InternalInconsistency("separability element failed verification")
-    return cert
+    return _checked(cr, verify_separability, SeparabilityCertificate(
+        cr.casimir_space.element(coeffs)), "separability element")
 
 
 def find_conditional_expectation(cr: CanonicalRings) -> Optional[SplitCertificate]:
@@ -203,11 +210,8 @@ def find_conditional_expectation(cr: CanonicalRings) -> Optional[SplitCertificat
     coeffs = span_decide(f, b.dim, values, sparse(b.unit))
     if coeffs is None:
         return None
-    e = maps.element(coeffs)
-    cert = SplitCertificate(e)
-    if not verify_split(cr, cert):
-        raise InternalInconsistency("conditional expectation failed verification")
-    return cert
+    return _checked(cr, verify_split, SplitCertificate(maps.element(coeffs)),
+                    "conditional expectation")
 
 
 def find_hsep_system(cr: CanonicalRings) -> Optional[HSepCertificate]:
@@ -219,11 +223,9 @@ def find_hsep_system(cr: CanonicalRings) -> Optional[HSepCertificate]:
         sparse(cr.one_tensor_one()))
     if found is None:
         return None
-    cert = HSepCertificate([HSepPair(list(cr.casimir_space.rows[i]),
-                                     cent.element(c)) for i, c in found])
-    if not verify_hsep(cr, cert):
-        raise InternalInconsistency("H-separability system failed verification")
-    return cert
+    return _checked(cr, verify_hsep, HSepCertificate([
+        HSepPair(list(cr.casimir_space.rows[i]), cent.element(c))
+        for i, c in found]), "H-separability system")
 
 
 def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
@@ -260,10 +262,8 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
     # found[::step] lists the pairs in ascending tensor-basis order
     pairs = [QuasibasePair(list(tensors[i]), lin_comb(f, n, n, c, endos))
              for i, c in found[::step]]
-    cert = D2Certificate(side, pairs, reverse_order=reverse_order)
-    if not verify_d2(cr, cert):
-        raise InternalInconsistency(f"{side} quasibase failed verification")
-    return cert
+    return _checked(cr, verify_d2, D2Certificate(
+        side, pairs, reverse_order=reverse_order), f"{side} quasibase")
 
 
 # ---------------------------------------------------------------------------

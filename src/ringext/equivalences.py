@@ -23,7 +23,14 @@ All constructors share one engine: bimodule.intertwines for every
 linearity and naturality square, the leg operators and sums of pure
 tensors of TensorProduct, _on_hom for operators induced on map spaces,
 _certify_inverse for certified inverses, and _comparison for the
-naturality squares, status, route and result.
+naturality squares, status, route and result.  Linearity over a ring is
+checked on its generators: both sides are representations, so the ring
+elements a map intertwines form a subalgebra.  Each map is built once per
+CanonicalRings (CanonicalRings.once, keyed by module and certificate
+content): pi for gamma and the induction comparison, which pi_A_iso is on
+the regular module, and chi with its inverse for chi_M and rho_M.  A
+supplied certificate is substituted once per content
+(CanonicalRings.certified), usually already by the search in classify.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from .bimodule import (
     tensor_map,
     tensor_over,
 )
-from .canonical import (CanonicalRings, InducedModule, InternalInconsistency,
+from .canonical import (CanonicalRings, InternalInconsistency, content_key,
                         coordinate_matrix, ring_on)
 from .certify import (
     D2Certificate,
@@ -137,12 +144,8 @@ def _check_left_quasibase(cr: CanonicalRings, qb: Optional[D2Certificate],
         return
     if qb.side != "left":
         raise BimoduleError(f"{what} needs a left quasibase")
-    if not verify_d2(cr, qb):
+    if not cr.certified(verify_d2, qb):
         raise BimoduleError("quasibase certificate failed verification")
-
-
-def _bijective_inverse(fwd: Matrix) -> Optional[Matrix]:
-    return invert(fwd) if fwd.rows == fwd.cols else None
 
 
 def _postcompose_square(hs: MapSpace, tp: TensorProduct) -> Square:
@@ -168,7 +171,7 @@ def _comparison(name: str, fwd: Matrix, domain: str, codomain: str,
     if back is not None:
         status = "verified"
     else:
-        back = _bijective_inverse(fwd)
+        back = invert(fwd)
         status = "bijective" if back is not None else "not-bijective"
         route = "exact-rank"
     return VerifiedIso(
@@ -240,7 +243,7 @@ def _gamma(cr: CanonicalRings, m: Bimodule
     dx = x.module.dim
     psi = Matrix.from_cols(
         f, [g.pure(runit, unit_vec(f, dx, v)) for v in range(dx)], g.module.dim)
-    return ind, g, gamma, gamma @ psi == ind.collapse
+    return x, g, gamma, gamma @ psi == ind.collapse
 
 
 def _through_legs(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
@@ -271,11 +274,6 @@ def _m_as_left_r(cr: CanonicalRings, m: Bimodule) -> Bimodule:
     return left_module(cr.centralizer, m.dim, acts, label=f"R|{m.label}")
 
 
-def _t_tensor_r(cr: CanonicalRings, m: Bimodule) -> TensorProduct:
-    return cr.tensor(_t_as_right_r(cr), _m_as_left_r(cr, m),
-                     label=f"T(x)R[{m.label}]")
-
-
 def _pi_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
                y: TensorProduct) -> Matrix:
     """pi(t (x) v) = t1 (x) t2.v from the tensor-ring side to the induced
@@ -284,6 +282,16 @@ def _pi_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
         cr, m, x, cr.tensor_space.rows[ti]).transpose().pairs)
     cols = tuple(legs(ti)[mu] for ti, mu in y.free_pairs())
     return Matrix(cr.field, len(cols), x.module.dim, cols).transpose()
+
+
+def _pi(cr: CanonicalRings, m: Bimodule
+        ) -> tuple[TensorProduct, TensorProduct, Matrix]:
+    """x = A (x)_B m, y = T (x)_R m and pi: y -> x, built once per content
+    of m for gamma and the induction comparison."""
+    x = cr.induced(m).tensor
+    y = cr.tensor(_t_as_right_r(cr), _m_as_left_r(cr, m),
+                  label=f"T(x)R[{m.label}]")
+    return x, y, cr.once(("pi",), m, lambda: _pi_matrix(cr, m, x, y))
 
 
 def _quasibase_to_y(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
@@ -312,21 +320,22 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
     the map is still built and bijectivity decided by exact rank.
     """
     _require_module(m, "left", cr.ext.total)
-    if separability is not None and not verify_separability(cr, separability):
+    if separability is not None and not cr.certified(verify_separability,
+                                                     separability):
         raise BimoduleError("separability certificate failed verification")
     _check_left_quasibase(cr, left_quasibase, "gamma certification")
     f, a = cr.field, cr.ext.total
-    ind, g, gamma, triangle = _gamma(cr, m)
-    x = ind.tensor
+    x, g, gamma, triangle = _gamma(cr, m)
     checks: dict = {"triangle": triangle}
 
     # gamma always intertwines whatever outer structure m carries
     if m.right_algebra == a:
+        lefts, rights = m.generator_actions()
         checks["left_linear"] = intertwines(gamma, (
             (g.second_leg(op), mop)
-            for op, mop in zip(x.module.left_action, m.left_action)))
+            for op, mop in zip(x.module.generator_actions()[0], lefts)))
         checks["right_linear"] = intertwines(gamma, (
-            (g.second_leg(x.second_leg(op)), op) for op in m.right_action))
+            (g.second_leg(x.second_leg(op)), op) for op in rights))
 
     back, route = None, ""
     if separability is not None:
@@ -340,19 +349,18 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
         route = "separability-element"
 
     if left_quasibase is not None:
-        y = _t_tensor_r(cr, m)
+        _, y, pi = _pi(cr, m)
         w = cr.tensor(cr.cent_module_tensor, forget_right(y.module),
                       label=f"R(x)T[{y.module.label}]")
         # the unconditional collapse r (x) (t (x) v) -> (r.t).v, where r.t
         # is the right tensor-ring action on the centralizer (a sandwich)
         delta = _collapse(m, w, y, lambda u, ti: cr.r_lift(
             cr.cent_module_tensor.right_action[ti].col(u)))
-        delta_inv = _bijective_inverse(delta)
+        delta_inv = invert(delta)
         if delta_inv is None:
             raise InternalInconsistency(
                 "the collapse through the tensor ring is always bijective")
-        top = tensor_map(w, g, Matrix.identity(f, cr.centralizer.dim),
-                         _pi_matrix(cr, m, x, y))
+        top = tensor_map(w, g, Matrix.identity(f, cr.centralizer.dim), pi)
         through = top @ delta_inv
         # gamma @ top equals the collapse exactly when top @ collapse^-1 is
         # a right inverse of gamma; the left composite proves bijectivity
@@ -393,9 +401,7 @@ def pi_A_iso(cr: CanonicalRings,
     unconditionally.
     """
     _check_left_quasibase(cr, left_quasibase, "induction comparison")
-    m = cr.a_reg
-    return _induction_comparison(cr, m, cr.induced(m),
-                                 left_quasibase, "pi_A")
+    return _induction_comparison(cr, cr.a_reg, left_quasibase, "pi_A")
 
 
 def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
@@ -411,8 +417,7 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
     """
     _require_module(m, "left", cr.ext.total)
     _check_left_quasibase(cr, left_quasibase, "induction comparison")
-    ind = cr.induced(m)
-    collapse = _induction_comparison(cr, m, ind, left_quasibase, "induction")
+    collapse = _induction_comparison(cr, m, left_quasibase, "induction")
     if collapse.backward is not None:
         # report the map from the base-induced module to the other one
         induction = replace(
@@ -422,7 +427,8 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
     else:
         induction = replace(collapse, detail="comparison map is not "
                             "bijective; reporting the collapse direction")
-    coinduction = _coinduction_comparison(cr, m, ind.tensor, left_quasibase)
+    coinduction = _coinduction_comparison(cr, m, cr.induced(m).tensor,
+                                          left_quasibase)
     t_fgp = dual_basis_witness(cr.tensor_bimodule_cent, cr.centralizer,
                                "right", cr.hom)
     s_fgp = dual_basis_witness(cr.endo_bimodule_cent, cr.centralizer,
@@ -436,45 +442,50 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
 
 
 def _induction_comparison(cr: CanonicalRings, m: Bimodule,
-                          ind: InducedModule,
                           left_quasibase: Optional[D2Certificate],
                           name: str) -> VerifiedIso:
-    """The always-constructible collapse pi from T (x)_R m to A (x)_B m.
+    """The always-constructible collapse pi from T (x)_R m to A (x)_B m,
+    built once per m and quasibase and reported under name.
 
     A left quasibase, already verified by the caller, certifies its
     inverse.
     """
-    a, ext = cr.ext.total, cr.ext
-    x = ind.tensor
-    y = _t_tensor_r(cr, m)
-    pi = _pi_matrix(cr, m, x, y)
-    iotas = [ext.iota.col(i) for i in range(ext.base.dim)]
-    checks: dict = {
-        "tensor_ring_linear": intertwines(
-            pi, zip(y.module.left_action, ind.as_left_t.left_action)),
-        # the base acts on the second leg on the tensor-ring side and by
-        # the outer action on the induced side
-        "base_linear": intertwines(pi, (
-            (y.second_leg(m.left_operator(b)), x.module.left_operator(b))
-            for b in iotas)),
-    }
-    if m.right_algebra == a:
-        checks["right_linear"] = intertwines(pi, (
-            (y.second_leg(op), x.second_leg(op)) for op in m.right_action))
+    def build() -> VerifiedIso:
+        a, ext = cr.ext.total, cr.ext
+        x, y, pi = _pi(cr, m)
+        iotas = [ext.iota.col(i) for i in ext.base.generators()]
+        checks: dict = {
+            "tensor_ring_linear": intertwines(pi, zip(
+                y.module.generator_actions()[0],
+                cr.induced(m).as_left_t.generator_actions()[0])),
+            # the base acts on the second leg on the tensor-ring side and
+            # by the outer action on the induced side
+            "base_linear": intertwines(pi, (
+                (y.second_leg(m.left_operator(b)), x.module.left_operator(b))
+                for b in iotas)),
+        }
+        if m.right_algebra == a:
+            checks["right_linear"] = intertwines(pi, (
+                (y.second_leg(op), x.second_leg(op))
+                for op in m.generator_actions()[1]))
 
-    back = None
-    if left_quasibase is not None:
-        back = _quasibase_to_y(cr, m, x, y, left_quasibase.pairs)
-        checks["quasibase_inverse"] = _certify_inverse(
-            pi, back, "a verified left quasibase must invert the "
-            "induced-module comparison map")
+        back = None
+        if left_quasibase is not None:
+            back = _quasibase_to_y(cr, m, x, y, left_quasibase.pairs)
+            checks["quasibase_inverse"] = _certify_inverse(
+                pi, back, "a verified left quasibase must invert the "
+                "induced-module comparison map")
 
-    m1 = forget_right(m)
-    return _comparison(name, pi, y.module.label, x.module.label, checks,
-                       cr.hom(m1, m1),
-                       lambda e: (y.second_leg(e), x.second_leg(e)),
-                       back, "left-quasibase",
-                       "" if left_quasibase is not None else _NO_QUASIBASE)
+        m1 = forget_right(m)
+        return _comparison(name, pi, y.module.label, x.module.label, checks,
+                           cr.hom(m1, m1),
+                           lambda e: (y.second_leg(e), x.second_leg(e)),
+                           back, "left-quasibase",
+                           "" if left_quasibase is not None else _NO_QUASIBASE)
+
+    iso = cr.once(("induction", m.label, content_key(left_quasibase)), m,
+                  build)
+    return replace(iso, name=name, checks=dict(iso.checks))
 
 
 def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
@@ -499,16 +510,17 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     fwd = _hom_coords(homsp, [_gather(values_at(i), mu)
                               for i, mu in x.free_pairs()])
     base = [(x.module.left_operator(b), m.left_operator(b))
-            for b in (ext.iota.col(i) for i in range(ext.base.dim))]
-    s_right = [cr.endo_ring.basis_right_mult(j) for j in range(len(s_basis))]
+            for b in (ext.iota.col(i) for i in ext.base.generators())]
+    s = cr.endo_ring
     checks: dict = {
         "base_linear": intertwines(fwd, (
             (xb, _on_hom(homsp, lambda h: mb @ h)) for xb, mb in base)),
         # the endo ring applies to the first leg on the induced side and
         # precomposes on the hom side
         "endo_ring_linear": intertwines(fwd, (
-            (x.first_leg(sb), _on_hom(homsp, lambda h: h @ rm))
-            for sb, rm in zip(s_basis, s_right))),
+            (x.first_leg(s_basis[j]),
+             _on_hom(homsp, lambda h: h @ s.basis_right_mult(j)))
+            for j in s.generators())),
     }
 
     back = None
@@ -563,39 +575,42 @@ def _endo_as_r_s(cr: CanonicalRings) -> Bimodule:
                     cr.endo_bimodule_cent.left_action, rights, label="S")
 
 
-def _chi(cr: CanonicalRings, m: Bimodule, hs: MapSpace
-         ) -> tuple[TensorProduct, Matrix]:
-    """m (x)_R S and chi(v (x) alpha) = (a -> v.alpha(a)) into hs."""
-    a = cr.ext.total
-    m_right_r = right_module(
-        cr.centralizer, m.dim,
-        [m.right_operator(row) for row in cr.centralizer_space.rows],
-        label=f"{m.label}|R")
-    dom = cr.tensor(m_right_r, _endo_as_r_s(cr), label=f"{m.label}(x)R[S]")
+def _chi(cr: CanonicalRings, m: Bimodule,
+         left_quasibase: Optional[D2Certificate]) -> tuple:
+    """(hs, h_mod, dom, chi, inverse) for a right module m, built once per
+    m and quasibase for chi_M and rho_M.
 
-    @cache
-    def values_of(b: int) -> list[Matrix]:
-        sb = cr.endo_space.basis[b]
-        return [m.right_operator(sb.col(k)).transpose() for k in range(a.dim)]
+    hs holds the base-linear maps from the total algebra to m, h_mod is hs
+    as a right endo-ring module, dom is m (x)_R S and chi(v (x) alpha) =
+    (a -> v.alpha(a)) maps dom into hs.  A left quasibase gives the inverse
+    F -> sum_p F(t_p1).t_p2 (x) beta_p, certified; else inverse is None.
+    """
+    f, a = cr.field, cr.ext.total
 
-    return dom, _hom_coords(hs, [_gather(values_of(b), mu)
-                                 for mu, b in dom.free_pairs()])
-
-
-def _chi_inverse(cr: CanonicalRings, m: Bimodule, hs: MapSpace,
-                 dom: TensorProduct, pairs) -> Matrix:
-    """F -> sum_p F(t_p1).t_p2 (x) beta_p for a left quasibase."""
-    f = cr.field
-    pre = [(_leg_ops(cr, m.right_operator, p.tensor), cr.s_coords(p.endo))
-           for p in pairs]
-    cols = []
-    for h in hs.basis:
+    def build() -> tuple:
+        hs, h_mod = _hom_from_total(cr, restrict_right(forget_left(m), cr.ext))
+        m_right_r = right_module(
+            cr.centralizer, m.dim,
+            [m.right_operator(row) for row in cr.centralizer_space.rows],
+            label=f"{m.label}|R")
+        dom = cr.tensor(m_right_r, _endo_as_r_s(cr), label=f"{m.label}(x)R[S]")
+        values_of = cache(lambda b: [
+            m.right_operator(cr.endo_space.basis[b].col(k)).transpose()
+            for k in range(a.dim)])
+        fwd = _hom_coords(hs, [_gather(values_of(b), mu)
+                               for mu, b in dom.free_pairs()])
+        if left_quasibase is None:
+            return hs, h_mod, dom, fwd, None
+        pre = [(_leg_ops(cr, m.right_operator, p.tensor), cr.s_coords(p.endo))
+               for p in left_quasibase.pairs]
         # F(t_p1).t_p2 is sum_k F(e_k).t_pk, and F(e_k) is h.col(k)
-        cols.append(dom.sum_pure(
-            (vec_sum(f, m.dim, (op.apply(h.col(k))
-                                for k, op in enumerate(ops))), sco)
-            for ops, sco in pre))
-    return Matrix.from_cols(f, cols, dom.module.dim)
+        back = Matrix.from_cols(f, [dom.sum_pure(
+            (vec_sum(f, m.dim, (op.apply(h.col(k)) for k, op in enumerate(ops))),
+             sco) for ops, sco in pre) for h in hs.basis], dom.module.dim)
+        _certify_inverse(fwd, back, "a verified left quasibase must invert chi")
+        return hs, h_mod, dom, fwd, back
+
+    return cr.once(("chi", m.label, content_key(left_quasibase)), m, build)
 
 
 def chi_M(cr: CanonicalRings, m: Bimodule,
@@ -609,17 +624,12 @@ def chi_M(cr: CanonicalRings, m: Bimodule,
     """
     _require_module(m, "right", cr.ext.total)
     _check_left_quasibase(cr, left_quasibase, "chi certification")
-    hs, h_mod = _hom_from_total(cr, restrict_right(forget_left(m), cr.ext))
-    dom, fwd = _chi(cr, m, hs)
+    hs, h_mod, dom, fwd, back = _chi(cr, m, left_quasibase)
     # right endo-ring linearity, tensor side versus precomposition
-    checks: dict = {"endo_ring_linear": intertwines(
-        fwd, zip(dom.module.right_action, h_mod.right_action))}
-
-    back = None
-    if left_quasibase is not None:
-        back = _chi_inverse(cr, m, hs, dom, left_quasibase.pairs)
-        checks["quasibase_inverse"] = _certify_inverse(
-            fwd, back, "a verified left quasibase must invert chi")
+    checks: dict = {"endo_ring_linear": intertwines(fwd, zip(
+        dom.module.generator_actions()[1], h_mod.generator_actions()[1]))}
+    if back is not None:
+        checks["quasibase_inverse"] = True
 
     m1 = forget_left(m)
     return _comparison("chi", fwd, dom.module.label, f"Hom(A,{m.label})",
@@ -630,17 +640,17 @@ def chi_M(cr: CanonicalRings, m: Bimodule,
                        "" if left_quasibase is not None else _NO_QUASIBASE)
 
 
-def _counit(cr: CanonicalRings, target: Bimodule, label: str
-            ) -> tuple[MapSpace, TensorProduct, Matrix]:
-    """Evaluation at centralizer points, Hom_B(A, target) (x)_S R -> target."""
-    hs, h_mod = _hom_from_total(cr, target)
+def _counit(cr: CanonicalRings, hs: MapSpace, h_mod: Bimodule, label: str
+            ) -> tuple[TensorProduct, Matrix]:
+    """Evaluation at centralizer points, Hom_B(A, target) (x)_S R -> target,
+    for hs and h_mod as _hom_from_total builds them."""
     dom = cr.tensor(h_mod, cr.cent_module_endo,
                     label=f"Hom(A,{label})(x)S[R]")
     rows = cr.centralizer_space.rows
     fwd = Matrix.from_cols(
         cr.field, [hs.basis[b].apply(rows[u]) for b, u in dom.free_pairs()],
-        target.dim)
-    return hs, dom, fwd
+        hs.target.dim)
+    return dom, fwd
 
 
 def rho_M(cr: CanonicalRings, m: Bimodule,
@@ -655,10 +665,10 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
     _require_module(m, "right", cr.ext.total)
     _check_left_quasibase(cr, left_quasibase, "chi certification")
     f, m1 = cr.field, forget_left(m)
-    hs, dom, fwd = _counit(cr, restrict_right(m1, cr.ext), m.label)
+    hs, h_mod, chi_dom, chi_fwd, chi_back = _chi(cr, m, left_quasibase)
+    dom, fwd = _counit(cr, hs, h_mod, m.label)
 
     # composite route through chi
-    chi_dom, chi_fwd = _chi(cr, m, hs)
     nested = cr.tensor(chi_dom.module, cr.cent_module_endo)
     big = tensor_map(nested, dom, chi_fwd, Matrix.identity(f, cr.centralizer.dim))
     rows = cr.centralizer_space.rows
@@ -670,20 +680,16 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
         direct_cols.append(m.right_operator(av).transpose().pairs[mu])
     direct = Matrix(f, len(direct_cols), m.dim, tuple(direct_cols)).transpose()
     checks: dict = {"agrees_with_composite": fwd @ big == direct}
-    direct_inv = _bijective_inverse(direct)
+    direct_inv = invert(direct)
     if direct_inv is None:
         raise InternalInconsistency(
             "the collapse through the endo ring is always bijective")
 
     back = None
-    if left_quasibase is not None:
-        _certify_inverse(chi_fwd,
-                         _chi_inverse(cr, m, hs, chi_dom, left_quasibase.pairs),
-                         "a verified left quasibase must invert chi")
-        if checks["agrees_with_composite"]:
-            back = big @ direct_inv
-            checks["composite_inverse"] = _certify_inverse(
-                fwd, back, "composite route must invert the evaluation")
+    if chi_back is not None and checks["agrees_with_composite"]:
+        back = big @ direct_inv
+        checks["composite_inverse"] = _certify_inverse(
+            fwd, back, "composite route must invert the evaluation")
 
     return _comparison("rho", fwd, dom.module.label, m.label, checks,
                        cr.hom(m1, m1), _postcompose_square(hs, dom),
@@ -701,22 +707,23 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
     when n carries a left base action as well, that one too.
     """
     _require_module(n, "right", cr.ext.base)
-    if split is not None and not verify_split(cr, split):
+    if split is not None and not cr.certified(verify_split, split):
         raise BimoduleError(
             "conditional expectation certificate failed verification")
     f, a, b = cr.field, cr.ext.total, cr.ext.base
     n_one = forget_left(n)
-    hs, dom, fwd = _counit(cr, n_one, n.label)
+    hs, h_mod = _hom_from_total(cr, n_one)
+    dom, fwd = _counit(cr, hs, h_mod, n.label)
 
     # right base action on the domain: precompose with left multiplication
-    lmats = [a.left_mult_matrix(cr.ext.iota.col(i)) for i in range(b.dim)]
+    lefts, rights = n.generator_actions()
+    lmats = [a.left_mult_matrix(cr.ext.iota.col(i)) for i in b.generators()]
     checks: dict = {"base_linear": intertwines(fwd, (
         (dom.first_leg(_on_hom(hs, lambda h: h @ lm)), op)
-        for lm, op in zip(lmats, n.right_action)))}
+        for lm, op in zip(lmats, rights)))}
     if n.left_algebra == b:
         checks["left_linear"] = intertwines(fwd, (
-            (dom.first_leg(_on_hom(hs, lambda h: op @ h)), op)
-            for op in n.left_action))
+            (dom.first_leg(_on_hom(hs, lambda h: op @ h)), op) for op in lefts))
 
     back = None
     if split is not None:
@@ -779,8 +786,8 @@ def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule,
         else (hom_space, tensor_over)
     hs, tp, fwd = _evaluation_data(c, m, n, build_hom, build_tensor)
     n1 = forget_left(n)
-    checks: dict = {"ring_linear": intertwines(
-        fwd, zip(tp.module.right_action, n1.right_action))}
+    checks: dict = {"ring_linear": intertwines(fwd, zip(
+        tp.module.generator_actions()[1], n1.generator_actions()[1]))}
     return _comparison("evaluation", fwd, tp.module.label, n.label,
                        checks, build_hom(n1, n1), _postcompose_square(hs, tp))
 

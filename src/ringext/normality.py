@@ -282,7 +282,7 @@ def prebraided_check(cr: CanonicalRings, right_quasibase: D2Certificate) -> dict
         raise BimoduleError("prebraided check needs a right quasibase")
     if right_quasibase.side != "right":
         raise BimoduleError("prebraided check needs a right-sided quasibase")
-    if not verify_d2(cr, right_quasibase):
+    if not cr.certified(verify_d2, right_quasibase):
         raise BimoduleError("supplied right quasibase fails verification")
 
     a = cr.ext.total

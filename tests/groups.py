@@ -3,7 +3,8 @@
 Each builder returns a Cayley table with the identity at index 0, as
 GroupData requires, together with the elements it indexes, so that
 subgroups can be named by their elements.  group_doc turns a table and a
-subgroup into an input document.
+subgroup into an input document.  GROUP_CASES names the extensions past
+the corpus that the reference comparisons run on.
 """
 
 from itertools import permutations
@@ -78,3 +79,26 @@ def group_doc(cayley: list, sub: list, field) -> dict:
     return {"field": field,
             "algebra": {"group": {"order": len(cayley), "cayley": cayley}},
             "subalgebra": {"subgroup": sub}}
+
+
+def group_case(builder, generator, field) -> dict:
+    """k[G] over the subgroup generated by the element with this image
+    (a permutation, or a signed permutation for Q8)."""
+    cayley, elements = builder()
+    return group_doc(cayley, subgroup(cayley, [elements.index(generator)]),
+                     field)
+
+
+S3_C2 = (symmetric3, (1, 0, 2))
+D4_FLIP = (dihedral4, (0, 3, 2, 1))   # a reflection through two vertices
+Q8_C4 = (quaternion8, ((1, 1), (0, -1), (3, 1), (2, -1)))   # <i>
+GROUP_CASES = {f"{name}_{field}": (case, fld)
+               for name, case in (("s3_c2", S3_C2), ("d4_flip", D4_FLIP),
+                                  ("q8_c4", Q8_C4))
+               for field, fld in (("q", "Q"), ("f3", {"Fp": 3}))}
+
+
+def case_doc(name: str) -> dict:
+    """The input document of a GROUP_CASES entry."""
+    (builder, gen), field = GROUP_CASES[name]
+    return group_case(builder, gen, field)

@@ -10,7 +10,9 @@ library once solved is kept on library matrices, as the reference that
 hom_space's direct constraint rows are compared against, and so are the
 dense tensor-leg loop and the per-tensor quasibase system that
 tensor_legs and find_d2_quasibase replaced, the full summand search
-that summand_witness replaced, and the closure loops that spin replaced.
+that summand_witness replaced, the closure loops that spin replaced, the
+dense multiply loops of FDAlgebra.validate and the basis-wide linearity
+checks of the comparison maps.
 """
 
 import json
@@ -406,3 +408,39 @@ def reference_translate_span(field, dim, ops, vectors):
 
     return Subspace.from_vectors(field, dim,
                                  [op.apply(v) for v in vectors for op in ops])
+
+
+# ---------------------------------------------------------------------------
+# the dense algebra validation and the basis-wide linearity checks, kept as
+# references for the sparse validation and the generator checks
+
+def reference_validation_fault(field, dim, mult, unit):
+    """The message FDAlgebra.validate gives well-shaped structure constants,
+    or None, by the dense multiply loops it replaced: the unit against
+    every basis element, then (e_i e_j) e_k against e_i (e_j e_k) for each
+    generator i."""
+    from ringext.algebra import FDAlgebra
+    from ringext.linalg import unit_vec
+
+    a = FDAlgebra(field, dim, mult, unit, _validated=True)
+    e = [unit_vec(field, dim, j) for j in range(dim)]
+    for j in range(dim):
+        if a.multiply(a.unit, e[j]) != e[j]:
+            return f"unit fails on the left at basis {j}"
+        if a.multiply(e[j], a.unit) != e[j]:
+            return f"unit fails on the right at basis {j}"
+    for i in a.generators():
+        for j in range(dim):
+            for k in range(dim):
+                if (a.multiply(a.mult[i][j], e[k])
+                        != a.multiply(e[i], a.mult[j][k])):
+                    return (f"not associative: (e{i} e{j}) e{k} != "
+                            f"e{i} (e{j} e{k})")
+    return None
+
+
+def reference_generators(a):
+    """Every basis index of a: patched over FDAlgebra.generators, it makes
+    each "on generators" check of the library basis-wide, as the
+    linearity checks of the comparison maps were."""
+    return list(range(a.dim))

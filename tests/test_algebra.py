@@ -1,16 +1,17 @@
 """Structure-constant algebras, groups, and embeddings."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringext.algebra import (AlgebraError, Extension, FDAlgebra, GroupData,
                              diagonal_algebra, group_algebra, matrix_algebra,
                              self_extension, subalgebra_extension,
                              trivial_algebra)
-from ringext.linalg import GF, QQ, Matrix, unit_vec
+from ringext.linalg import GF, QQ, Matrix, invert, unit_vec
 
 from tests.helpers import center, is_commutative, scale
+from tests.oracles import reference_validation_fault
 
 
 def cyclic(n):
@@ -214,3 +215,58 @@ def test_mult_matrix_linearity(data):
     lhs = a.left_mult_matrix(scaled)
     rhs = a.left_mult_matrix(x) + scale(a.left_mult_matrix(y), QQ.of(s))
     assert lhs == rhs
+
+
+# -- the sparse validation against the dense loops ----------------------------
+
+def rebased(a: FDAlgebra, p: Matrix) -> tuple:
+    """The structure constants and unit of a in the basis of p's columns."""
+    pinv, b = invert(p), p.columns()
+    return ([[pinv.apply(a.multiply(x, y)) for y in b] for x in b],
+            pinv.apply(a.unit))
+
+
+def validation_fault(field, n, mult, unit):
+    try:
+        FDAlgebra(field, n, mult, unit)
+    except AlgebraError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_validation_matches_the_dense_loops(data):
+    """Valid tables in a random unitriangular basis, the same with one
+    structure constant or unit entry moved, and random tables: the sparse
+    check accepts or rejects each as the dense loops do, with the same
+    indices."""
+    field = data.draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    small = st.integers(-2, 2).map(field.of)
+    kind = data.draw(st.sampled_from(["valid", "table", "unit", "random"]))
+    if kind == "random":
+        n = data.draw(st.integers(1, 3))
+        mult = [[[data.draw(small) for _ in range(n)] for _ in range(n)]
+                for _ in range(n)]
+        unit = [data.draw(small) for _ in range(n)]
+    else:
+        a = data.draw(st.sampled_from([
+            group_algebra(field, cyclic(3)), group_algebra(field, sym3()),
+            matrix_algebra(field, 2), diagonal_algebra(field, 3)]))
+        n = a.dim
+        p = Matrix.from_pairs(field, n, n, [
+            [(j, field.one if i == j else data.draw(small)) for j in range(i, n)]
+            for i in range(n)])
+        mult, unit = rebased(a, p)
+        index = st.integers(0, n - 1)
+        if kind == "table":
+            v = mult[data.draw(index)][data.draw(index)]
+            k = data.draw(index)
+            v[k] = field.add(v[k], field.one)
+        elif kind == "unit":
+            k = data.draw(index)
+            unit[k] = field.add(unit[k], field.one)
+    want = reference_validation_fault(field, n, mult, unit)
+    assert validation_fault(field, n, mult, unit) == want
+    if kind == "valid":
+        assert want is None

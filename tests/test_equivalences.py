@@ -1,5 +1,6 @@
 """Structural isomorphisms between module categories, with certificates."""
 
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -300,6 +301,31 @@ def _altered_expectation(b):
     return {"split": bad}
 
 
+def _verified_then_mutated_quasibase(b):
+    qb = deepcopy(b.cls.left_quasibase)
+    for name in _QUASIBASE_TAKERS:
+        _CONSTRUCTORS[name](b.cr, left_quasibase=qb)
+    qb.pairs[0] = _altered_quasibase(b)["left_quasibase"].pairs[0]
+    return {"left_quasibase": qb}
+
+
+def _verified_then_mutated_separability(b):
+    cert, f = deepcopy(b.cls.separability_element), b.cr.field
+    gamma_M(b.cr, b.cr.a_reg, separability=cert)
+    cert.element[0] = f.add(cert.element[0], f.one)
+    assert not verify_separability(b.cr, cert)
+    return {"separability": cert}
+
+
+def _verified_then_mutated_expectation(b):
+    cert = deepcopy(b.cls.conditional_expectation)
+    split_counit(b.cr, b.cr.b_reg, split=cert)
+    cert.expectation = _altered_expectation(b)["split"].expectation
+    return {"split": cert}
+
+
+_QUASIBASE_TAKERS = ("gamma_M", "functor_iso_checks", "chi_M", "rho_M",
+                     "pi_A_iso")
 _CONSTRUCTORS = {
     "gamma_M": lambda cr, **kw: gamma_M(cr, cr.a_reg, **kw),
     "functor_iso_checks": lambda cr, **kw: functor_iso_checks(cr, cr.a_reg, **kw),
@@ -312,13 +338,17 @@ _CONSTRUCTORS = {
 
 @pytest.mark.parametrize("constructor, fault", [
     *((name, fault)
-      for name in ("gamma_M", "functor_iso_checks", "chi_M", "rho_M",
-                   "pi_A_iso")
-      for fault in (_right_quasibase, _altered_quasibase)),
+      for name in _QUASIBASE_TAKERS
+      for fault in (_right_quasibase, _altered_quasibase,
+                    _verified_then_mutated_quasibase)),
     ("gamma_M", _altered_separability),
+    ("gamma_M", _verified_then_mutated_separability),
     ("split_counit", _altered_expectation),
+    ("split_counit", _verified_then_mutated_expectation),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__.lstrip("_"))
 def test_constructors_reject_unverified_certificates(built, constructor, fault):
+    """A certificate that fails substitution is refused, also when an
+    earlier call verified it and it was changed in place since."""
     b = built("qc2_q")
     with pytest.raises(BimoduleError):
         _CONSTRUCTORS[constructor](b.cr, **fault(b))

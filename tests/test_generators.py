@@ -140,8 +140,7 @@ def full_basis_tensor_relations(m, n):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_memo_spaces_match_the_full_basis_reference(built, name):
     cr = built(name).cr
-    homs = [entry for bucket in cr._homs.values() for entry in bucket]
-    tensors = [entry for bucket in cr._tensors.values() for entry in bucket]
+    homs, tensors = list(cr._homs.values()), list(cr._tensors.values())
     assert homs and tensors
     for m, n, hs in homs:
         assert hs.span == full_basis_hom_span(m, n), (m, n)

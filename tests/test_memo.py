@@ -8,14 +8,15 @@ from collections import Counter
 
 import pytest
 
-from ringext import bimodule, canonical, equivalences
+from ringext import bimodule, canonical, certify, equivalences, normality
 from ringext.algebra import FDAlgebra
-from ringext.canonical import build_canonical_rings
+from ringext.canonical import build_canonical_rings, content_key
 from ringext.certify import classify
-from ringext.report import analysis_report, report_json
+from ringext.report import (_iso_block, analysis_report, equivalence_block,
+                            report_json)
 from ringext.serialize import parse_input
 
-from tests.conftest import corpus_doc, expected_doc
+from tests.conftest import CORPUS_NAMES, corpus_doc, expected_doc
 
 
 def _counting(monkeypatch, name: str) -> list:
@@ -164,3 +165,78 @@ def test_induced_memo_hit_comes_back_with_the_callers_labels():
         "A(x)B[kG]", "A(x)B[twin]")
     assert again.as_left_t.label == "T|A(x)B[twin]"
     assert cr.induced(cr.a_reg).tensor.module.label == "A(x)B[kG]"
+
+
+def test_one_analysis_verifies_each_certificate_once(monkeypatch):
+    """classify verifies what it finds; gamma, the induction comparisons,
+    chi, rho, split_counit and the prebraided check take the same
+    certificates and substitute none of them again."""
+    seen = Counter()
+    for name in ("verify_separability", "verify_split", "verify_hsep",
+                 "verify_d2"):
+        verify = getattr(certify, name)
+
+        def counted(cr, cert, verify=verify):
+            seen[content_key(cert)] += 1
+            return verify(cr, cert)
+
+        for module in (certify, equivalences, normality):
+            if getattr(module, name, None) is verify:
+                monkeypatch.setattr(module, name, counted)
+    doc = analysis_report(parse_input(corpus_doc("qq8_qi")))
+    assert sorted(key[0] for key in seen) == [
+        "D2Certificate", "D2Certificate", "SeparabilityCertificate",
+        "SplitCertificate"]
+    assert max(seen.values()) == 1
+    assert _without_stamp(doc) == _without_stamp(expected_doc("qq8_qi"))
+
+
+def test_each_comparison_map_is_built_once(monkeypatch):
+    """pi_A is the regular module's induction comparison, gamma's quasibase
+    route goes through pi and rho through chi: one qc2_q analysis builds pi
+    once per left module (kG three times without the memo), and the hom
+    space out of A, with its endo-ring action, once per right module for
+    chi and rho (twice without) and once for split_counit on B."""
+    built_for = Counter()
+    for name in ("_pi_matrix", "_hom_from_total"):
+        build = getattr(equivalences, name)
+
+        def counted(cr, m, *args, name=name, build=build):
+            built_for[name, m.label] += 1
+            return build(cr, m, *args)
+
+        monkeypatch.setattr(equivalences, name, counted)
+    doc = analysis_report(parse_input(corpus_doc("qc2_q")))
+    assert built_for == Counter({("_pi_matrix", "kG"): 1,
+                                 ("_pi_matrix", "sign"): 1,
+                                 ("_hom_from_total", "kG"): 1,
+                                 ("_hom_from_total", "sign"): 1,
+                                 ("_hom_from_total", "B"): 1})
+    assert _without_stamp(doc) == _without_stamp(expected_doc("qc2_q"))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_shared_base_change_equals_a_standalone_pi_a(name, built):
+    b = built(name)
+    shared = equivalence_block(b.cr, b.cls, b.parsed.modules)
+    alone = equivalences.pi_A_iso(build_canonical_rings(b.parsed.ext),
+                                  left_quasibase=b.cls.left_quasibase)
+    assert shared["base_change_of_total"] == _iso_block(alone)
+
+
+def test_memo_tells_apart_comparisons_with_and_without_a_quasibase():
+    """A comparison built without a quasibase is not handed to a caller
+    that supplies one, nor the other way round."""
+    cr = build_canonical_rings(parse_input(corpus_doc("qc2_q")).ext)
+    lqb = classify(cr).left_quasibase
+    comparisons = {
+        "pi_A": lambda **kw: equivalences.pi_A_iso(cr, **kw),
+        "induction": lambda **kw: equivalences.functor_iso_checks(
+            cr, cr.a_reg, **kw)["induction"],
+        "chi": lambda **kw: equivalences.chi_M(cr, cr.a_reg, **kw),
+        "rho": lambda **kw: equivalences.rho_M(cr, cr.a_reg, **kw),
+    }
+    for name, build in comparisons.items():
+        statuses = [build().status, build(left_quasibase=lqb).status,
+                    build().status]
+        assert statuses == ["bijective", "verified", "bijective"], name

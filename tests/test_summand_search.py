@@ -16,26 +16,9 @@ from ringext.linalg import GF, QQ, Matrix
 from ringext.serialize import parse_input
 
 from tests.conftest import CORPUS_NAMES, corpus_doc
-from tests.groups import (dihedral4, group_doc, quaternion8, subgroup,
-                          symmetric3)
+from tests.groups import (D4_FLIP, GROUP_CASES, Q8_C4, S3_C2, case_doc,
+                          dihedral4, group_case, subgroup, symmetric3)
 from tests.oracles import reference_hom_basis, reference_summand_witness
-
-
-def group_case(builder, generator, field):
-    """k[G] over the subgroup generated by the element with this image
-    (a permutation, or a signed permutation for Q8)."""
-    cayley, elements = builder()
-    return group_doc(cayley, subgroup(cayley, [elements.index(generator)]),
-                     field)
-
-
-S3_C2 = (symmetric3, (1, 0, 2))
-D4_FLIP = (dihedral4, (0, 3, 2, 1))   # a reflection through two vertices
-Q8_C4 = (quaternion8, ((1, 1), (0, -1), (3, 1), (2, -1)))   # <i>
-GROUP_CASES = {f"{name}_{field}": (case, fld)
-               for name, case in (("s3_c2", S3_C2), ("d4_flip", D4_FLIP),
-                                  ("q8_c4", Q8_C4))
-               for field, fld in (("q", "Q"), ("f3", {"Fp": 3}))}
 
 
 def test_group_cases_are_the_named_subgroups():
@@ -75,11 +58,7 @@ def recorded_searches(doc, monkeypatch):
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + sorted(GROUP_CASES))
 def test_summand_verdicts_match_the_full_search(name, monkeypatch):
-    if name in GROUP_CASES:
-        (builder, gen), field = GROUP_CASES[name]
-        doc = group_case(builder, gen, field)
-    else:
-        doc = corpus_doc(name)
+    doc = case_doc(name) if name in GROUP_CASES else corpus_doc(name)
     cr, calls = recorded_searches(doc, monkeypatch)
     assert len(calls) == 12
     for m, n, found in calls:
