@@ -205,13 +205,11 @@ class FDAlgebra:
         if self._left_regular is not None:
             return
         f, n = self.field, self.dim
-        lefts, rights = [], []
-        for i in range(n):
-            # column j of left mult by e_i is e_i e_j
-            lefts.append(Matrix.from_cols(f, [self.mult[i][j] for j in range(n)]))
-            rights.append(Matrix.from_cols(f, [self.mult[j][i] for j in range(n)]))
-        self._left_regular = lefts
-        self._right_regular = rights
+        consts = [[sparse(v) for v in row] for row in self.mult]
+        # column j of left mult by e_i is e_i e_j
+        self._left_regular = [Matrix.from_cols(f, n, consts[i]) for i in range(n)]
+        self._right_regular = [Matrix.from_cols(f, n, [row[i] for row in consts])
+                               for i in range(n)]
 
     def left_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix of v -> x v in the algebra basis."""
@@ -378,8 +376,7 @@ def subalgebra_extension(total: FDAlgebra, basis: Optional[Sequence[Sequence]] =
         index_of = {e: i for i, e in enumerate(elems)}
         sub_cayley = [[index_of[g.cayley[x][y]] for y in elems] for x in elems]
         base = group_algebra(f, GroupData(len(elems), sub_cayley), name="kH")
-        iota = Matrix(f, len(elems), total.dim,
-                      tuple(((e, f.one),) for e in elems)).transpose()
+        iota = Matrix.from_cols(f, total.dim, [((e, f.one),) for e in elems])
         return Extension(base, total, iota, name=name)
 
     vecs = [list(v) for v in basis]

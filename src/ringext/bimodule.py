@@ -11,10 +11,11 @@ abstract coordinates).
 
 A balanced tensor product m (x)_C n is a TensorProduct: the ambient
 m.dim * n.dim space modulo the balancing relations (x.c (x) y -
-x (x) c.y).  It alone knows how the quotient is presented; callers go
-through its project, lift, pure, sum_pure, free_pairs and leg operators.
-Every quotient basis class is the class of one pure tensor of basis
-elements, so maps out of the quotient are read off pure tensors.
+x (x) c.y).  It alone knows how the quotient is presented and in which
+order its basis classes come: project, pure and sum_pure give classes as
+pair vectors of quotient coordinates, the columns of a map into it, and
+map_out assembles a map out of it from its column at each basis class,
+the class of one pure tensor e_u (x) e_v of basis elements.
 
 Every linear system and operator here is written from the nonzero
 entries of its ingredients (hom constraints and balancing relations row
@@ -34,6 +35,7 @@ CanonicalRings) can hand one result to several callers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -212,7 +214,10 @@ class TensorProduct:
     non-pivot columns, free_cols, so projection is pivot elimination
     followed by reading off those coordinates, lifting places coordinates
     at those columns, and every basis class is one pure tensor of basis
-    elements.  Frozen, so that one instance can be shared.
+    elements.  A class is a pair vector of quotient coordinates, and
+    map_out builds a map out of the quotient from its column at each of
+    those pure tensors, so no caller knows their order.  Frozen, so that
+    one instance can be shared.
     """
     module: Bimodule
     relations: Subspace
@@ -220,15 +225,21 @@ class TensorProduct:
     left_factor: Bimodule
     right_factor: Bimodule
 
-    def project(self, ambient: Matrix) -> list:
-        """Coordinates of the class of an ambient element."""
+    def project(self, ambient: Matrix) -> tuple:
+        """The class of an ambient element, as a pair vector."""
         return self._class_of(dict(ambient.vec()))
 
-    def _class_of(self, w: dict) -> list:
+    def _class_of(self, w: dict) -> tuple:
         """project on the nonzero entries, by row-major index, of an
-        ambient element; w is reduced in place."""
-        w, zero = self.relations._reduce(w), self.relations.field.zero
-        return [w.get(c, zero) for c in self.free_cols]
+        ambient element; w is reduced in place, so it vanishes at every
+        pivot and each entry left is a quotient coordinate."""
+        index = self._free_index
+        return tuple(sorted((index[c], x)
+                            for c, x in self.relations._reduce(w).items()))
+
+    @cached_property
+    def _free_index(self) -> dict:
+        return {c: k for k, c in enumerate(self.free_cols)}
 
     def lift(self, coords: Sequence) -> Matrix:
         """The canonical ambient representative of a class."""
@@ -236,9 +247,9 @@ class TensorProduct:
             self.left_factor.field, self.left_factor.dim, self.right_factor.dim,
             tuple((c, x) for c, x in zip(self.free_cols, coords) if x))
 
-    def sum_pure(self, pairs: Iterable[tuple[Sequence, Sequence]]) -> list:
-        """Coordinates of the class of sum x (x) y over the pairs (x, y),
-        summed in the ambient and projected once."""
+    def sum_pure(self, pairs: Iterable[tuple[Sequence, Sequence]]) -> tuple:
+        """The class of sum x (x) y over the pairs (x, y), summed in the
+        ambient and projected once."""
         f, n, w = self.left_factor.field, self.right_factor.dim, {}
         for x, y in pairs:
             ys = [(j, b) for j, b in enumerate(y) if b]
@@ -247,15 +258,21 @@ class TensorProduct:
                     f.sparse_addmul(w, [(i * n + j, b) for j, b in ys], a)
         return self._class_of(w)
 
-    def pure(self, x: Sequence, y: Sequence) -> list:
-        """Coordinates of the class of the pure tensor x (x) y."""
+    def pure(self, x: Sequence, y: Sequence) -> tuple:
+        """The class of the pure tensor x (x) y."""
         return self.sum_pure([(x, y)])
 
     def free_pairs(self) -> list[tuple[int, int]]:
         """(left index, right index) of the pure tensor representing each
-        quotient basis class, in order; maps defined on pure tensors are
-        assembled column by column from these pairs."""
+        quotient basis class, in order."""
         return [divmod(c, self.right_factor.dim) for c in self.free_cols]
+
+    def map_out(self, rows: int, column: Callable[[int, int], tuple]) -> Matrix:
+        """The map out of this quotient into a space of dimension rows whose
+        column at the basis class e_u (x) e_v is the pair vector
+        column(u, v)."""
+        return Matrix.from_cols(self.left_factor.field, rows,
+                                [column(u, v) for u, v in self.free_pairs()])
 
     def first_leg(self, op: Matrix) -> Matrix:
         """op (x) id on this tensor product."""
@@ -280,7 +297,6 @@ def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
     """
     dst = dst or src
     f, dn = src.left_factor.field, dst.right_factor.dim
-    index = {c: k for k, c in enumerate(dst.free_cols)}
     sparse = [(c, op_l.transpose().pairs, op_r.transpose().pairs)
               for c, op_l, op_r in terms if c]
     cols = []
@@ -291,9 +307,8 @@ def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
                 base = r * dn
                 f.sparse_addmul(w, [(base + k, b) for k, b in rcols[v]],
                                 f.mul(c, a))
-        cols.append(tuple(sorted((index[j], x) for j, x
-                                 in dst.relations._reduce(w).items())))
-    return Matrix(f, len(cols), len(dst.free_cols), tuple(cols)).transpose()
+        cols.append(dst._class_of(w))
+    return Matrix.from_cols(f, len(dst.free_cols), cols)
 
 
 def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
@@ -446,8 +461,8 @@ def _maps_from_unit(m: Bimodule, n: Bimodule) -> Optional[tuple]:
             # the map of v has n_acts[j] v as its column j
             images = [(Matrix(f, len(ker), n.dim, ker) @ op.transpose()).pairs
                       for op in n_acts]
-            return tuple(Matrix(f, m.dim, n.dim, tuple(img[r] for img in images))
-                         .transpose().vec() for r in range(len(ker)))
+            return tuple(Matrix.from_cols(f, n.dim, [img[r] for img in images])
+                         .vec() for r in range(len(ker)))
     return None
 
 
@@ -538,8 +553,8 @@ def summand_witness(m: Bimodule, n: Bimodule,
     k, nb = len(gens), back_space.dim
     target = tuple((i * k + x, f.one) for x, i in enumerate(gens))
     # gb @ at_gens[a] holds the columns of gb @ fa at gens
-    at_gens = [Matrix(f, k, n.dim, tuple(fa.transpose().pairs[i] for i in gens))
-               .transpose() for fa in into_space.basis]
+    at_gens = [Matrix.from_cols(f, n.dim, [cols[i] for i in gens])
+               for cols in (fa.transpose().pairs for fa in into_space.basis)]
     residual, echelon, kept = dict(target), {}, []
     # by diagonals b - a = r mod nb: A4 over 1 needs 133 composites, not 19,141
     for r, a in product(range(nb), range(len(at_gens))):

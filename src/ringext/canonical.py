@@ -45,7 +45,7 @@ from .bimodule import (
     tensor_legs,
     tensor_over,
 )
-from .linalg import Matrix, Subspace, lin_comb, rank, unit_vec
+from .linalg import Matrix, Subspace, dense, lin_comb, rank, sparse, unit_vec
 
 
 class InternalInconsistency(RuntimeError):
@@ -68,8 +68,8 @@ def coordinates_in(space, x, what: str) -> list:
 
 def coordinate_matrix(space, items: Sequence, what: str) -> Matrix:
     """The coordinates of each item in space, as columns."""
-    return Matrix.from_cols(
-        space.field, [coordinates_in(space, x, what) for x in items], space.dim)
+    return Matrix.from_cols(space.field, space.dim, [
+        sparse(coordinates_in(space, x, what)) for x in items])
 
 
 def restrict_to(space: Subspace, op: Matrix, what: str) -> Matrix:
@@ -154,7 +154,7 @@ class CanonicalSpaces:
         self.a_basis = [unit_vec(self.field, a.dim, i) for i in range(a.dim)]
         self.casimir_space = invariants_subspace(
             self.q.module, [self.a_basis[i] for i in a.generators()])
-        self.mu_matrix = self._q_to_total(lambda i, j: a.mult[i][j])
+        self.mu_matrix = self.q.map_out(a.dim, lambda i, j: sparse(a.mult[i][j]))
 
     # -- hom spaces and tensor products, each built once --------------------
 
@@ -189,19 +189,13 @@ class CanonicalSpaces:
         return coordinates_in(self.endo_space, mat, what)
 
     def pure(self, x: Sequence, y: Sequence) -> list:
-        """Q-coordinates of the class of x (x) y."""
-        return self.q.pure(x, y)
+        """Q-coordinates of the class of x (x) y, dense: an element of T
+        or of a certificate."""
+        return dense(self.field, self.dim_q, self.q.pure(x, y))
 
     def one_tensor_one(self) -> list:
         a = self.ext.total
         return self.pure(a.unit, a.unit)
-
-    def _q_to_total(self, pure) -> Matrix:
-        """The linear map Q -> A sending the basis tensor e_i (x) e_j to
-        the vector pure(i, j), on quotient coordinates."""
-        return Matrix.from_cols(
-            self.field, [pure(i, j) for i, j in self.q.free_pairs()],
-            self.ext.total.dim)
 
     def dims(self) -> dict:
         return {
@@ -311,9 +305,8 @@ class CanonicalRings(CanonicalSpaces):
                                 self.t_acting_on(x, m.left_action),
                                 label=f"T|{x.module.label}")
         acts = [op.transpose().pairs for op in m.left_action]
-        cols = tuple(acts[i][mu] for i, mu in x.free_pairs())
-        collapse = Matrix(self.field, len(cols), m.dim, cols).transpose()
-        return InducedModule(x, as_left_t, collapse)
+        return InducedModule(x, as_left_t,
+                             x.map_out(m.dim, lambda i, mu: acts[i][mu]))
 
     def t_acting_on(self, x: TensorProduct, second: Sequence[Matrix]
                     ) -> list[Matrix]:
@@ -375,10 +368,9 @@ class CanonicalRings(CanonicalSpaces):
     def verify_ring_axioms(self) -> None:
         """Re-derive the structural identities the construction promises.
 
-        Raises InternalInconsistency on any failure.  The endomorphism
-        description of the tensor square is checked only on small inputs,
-        since it solves a quadratically bigger system than anything else
-        here.
+        Raises InternalInconsistency on any failure.  The last check, the
+        endomorphism description of the tensor square, solves for the maps
+        Q -> A in dim A * dim Q unknowns and runs on every input.
         """
         a, b = self.ext.total, self.ext.base
         R, T, S = self.centralizer, self.tensor_ring, self.endo_ring
@@ -452,9 +444,7 @@ class CanonicalRings(CanonicalSpaces):
         # multiplication maps the tensor square onto A
         check(rank(self.mu_matrix) == a.dim,
               "multiplication map is not onto")
-
-        if a.dim * self.dim_q <= 160:
-            self._verify_endo_description_of_q()
+        self._verify_endo_description_of_q()
 
     def _verify_endo_description_of_q(self) -> None:
         """The A-A-maps from the tensor square to A are exactly the maps
@@ -484,8 +474,8 @@ class CanonicalRings(CanonicalSpaces):
         """The map from the tensor square to A placing r between the legs."""
         a = self.ext.total
         f = self.field
-        return self._q_to_total(lambda i, j: a.multiply(
-            a.multiply(unit_vec(f, a.dim, i), r), unit_vec(f, a.dim, j)))
+        return self.q.map_out(a.dim, lambda i, j: sparse(a.multiply(
+            a.multiply(unit_vec(f, a.dim, i), r), unit_vec(f, a.dim, j))))
 
 
 def build_canonical_rings(ext: Extension) -> CanonicalRings:

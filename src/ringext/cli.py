@@ -111,7 +111,7 @@ def cmd_equivalence(args) -> int:
     doc = report_header(parsed, f"equivalence {name}")
     doc["dims"] = cr.dims()
     doc["equivalences"] = {
-        name: module_block(cr, cls, m)[0],
+        name: module_block(cr, cls, m),
         "base_change_of_total": _iso_block(
             pi_A_iso(cr, left_quasibase=cls.left_quasibase)),
     }

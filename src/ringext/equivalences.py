@@ -20,9 +20,10 @@ Missing certificates and failed checks produce reports, never
 exceptions; an exception means either bad input or an internal bug.
 
 All constructors share one engine: bimodule.intertwines for every
-linearity and naturality square, the leg operators and sums of pure
-tensors of TensorProduct, _on_hom for operators induced on map spaces,
-_certify_inverse for certified inverses, and _comparison for the
+linearity and naturality square; the leg operators, the pair-valued
+classes of pure tensors and map_out of TensorProduct, which assembles
+every map out of a tensor product; _on_hom for operators induced on map
+spaces, _certify_inverse for certified inverses, and _comparison for the
 naturality squares, status, route and result.  Linearity over a ring is
 checked on its generators: both sides are representations, so the ring
 elements a map intertwines form a subalgebra.  Each map is built once per
@@ -58,7 +59,7 @@ from .bimodule import (
     tensor_over,
 )
 from .canonical import (CanonicalRings, InternalInconsistency, content_key,
-                        coordinate_matrix, ring_on)
+                        coordinate_matrix, coordinates_in, ring_on)
 from .certify import (
     D2Certificate,
     SeparabilityCertificate,
@@ -67,7 +68,7 @@ from .certify import (
     verify_separability,
     verify_split,
 )
-from .linalg import Matrix, invert, unit_vec, vec_sum
+from .linalg import Matrix, invert, sparse, unit_vec, vec_sum
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,11 @@ Square = Callable[[Matrix], tuple[Matrix, Matrix]]
 def _hom_coords(hs: MapSpace, maps: Iterable[Matrix]) -> Matrix:
     """Columns of coordinates of maps that must lie in hs."""
     return coordinate_matrix(hs, list(maps), "a structural map")
+
+
+def _hom_column(hs: MapSpace, mat: Matrix) -> tuple:
+    """The coordinates of a map that must lie in hs, as a pair vector."""
+    return sparse(coordinates_in(hs, mat, "a structural map"))
 
 
 def _on_hom(hs: MapSpace, fn: Callable[[Matrix], Matrix]) -> Matrix:
@@ -187,8 +193,7 @@ def _comparison(name: str, fwd: Matrix, domain: str, codomain: str,
 def _gather(transposed: Sequence[Matrix], mu: int) -> Matrix:
     """The matrix whose k-th column is row mu of transposed[k]."""
     t = transposed[0]
-    return Matrix(t.field, len(transposed), t.cols,
-                  tuple(op.pairs[mu] for op in transposed)).transpose()
+    return Matrix.from_cols(t.field, t.cols, [op.pairs[mu] for op in transposed])
 
 
 def _leg_ops(cr: CanonicalRings, act: Callable[[Sequence], Matrix],
@@ -220,11 +225,10 @@ def _collapse(m: Bimodule, outer: TensorProduct, inner: TensorProduct,
     def op_cols(u: int, s: int) -> tuple:
         return m.left_operator(element(u, s)).transpose().pairs
 
-    cols = []
-    for u, v in outer.free_pairs():
+    def column(u: int, v: int) -> tuple:
         s, mu = inner_pairs[v]
-        cols.append(op_cols(u, s)[mu])
-    return Matrix(m.field, len(cols), m.dim, tuple(cols)).transpose()
+        return op_cols(u, s)[mu]
+    return outer.map_out(m.dim, column)
 
 
 def _gamma(cr: CanonicalRings, m: Bimodule
@@ -241,8 +245,8 @@ def _gamma(cr: CanonicalRings, m: Bimodule
     # the section xi -> 1 (x) xi from the induced module into g
     runit = list(cr.centralizer.unit)
     dx = x.module.dim
-    psi = Matrix.from_cols(
-        f, [g.pure(runit, unit_vec(f, dx, v)) for v in range(dx)], g.module.dim)
+    psi = Matrix.from_cols(f, g.module.dim, [g.pure(runit, unit_vec(f, dx, v))
+                                             for v in range(dx)])
     return x, g, gamma, gamma @ psi == ind.collapse
 
 
@@ -254,10 +258,9 @@ def _through_legs(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
     element whose row k is t_k.v.
     """
     ops = [op.transpose().pairs for op in _leg_ops(cr, m.left_operator, tensor)]
-    return Matrix.from_cols(
-        cr.field, [x.project(Matrix(cr.field, len(ops), m.dim,
-                                    tuple(op[mu] for op in ops)))
-                   for mu in range(m.dim)], x.module.dim)
+    return Matrix.from_cols(cr.field, x.module.dim, [
+        x.project(Matrix(cr.field, len(ops), m.dim, tuple(op[mu] for op in ops)))
+        for mu in range(m.dim)])
 
 
 def _t_as_right_r(cr: CanonicalRings) -> Bimodule:
@@ -280,8 +283,7 @@ def _pi_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
     module, column per quotient class of y."""
     legs = cache(lambda ti: _through_legs(
         cr, m, x, cr.tensor_space.rows[ti]).transpose().pairs)
-    cols = tuple(legs(ti)[mu] for ti, mu in y.free_pairs())
-    return Matrix(cr.field, len(cols), x.module.dim, cols).transpose()
+    return y.map_out(x.module.dim, lambda ti, mu: legs(ti)[mu])
 
 
 def _pi(cr: CanonicalRings, m: Bimodule
@@ -298,10 +300,8 @@ def _quasibase_to_y(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
                     y: TensorProduct, pairs) -> Matrix:
     """a (x) v -> sum_p t_p (x) beta_p(a).v, the certified inverse of pi."""
     pre = [(cr.t_coords(p.tensor), p.endo) for p in pairs]
-    return Matrix.from_cols(cr.field, [
-        y.sum_pure((tco, m.left_operator(endo.col(i)).col(mu))
-                   for tco, endo in pre)
-        for i, mu in x.free_pairs()], y.module.dim)
+    return x.map_out(y.module.dim, lambda i, mu: y.sum_pure(
+        (tco, m.left_operator(endo.col(i)).col(mu)) for tco, endo in pre))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +341,8 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
     if separability is not None:
         runit = list(cr.centralizer.unit)
         legs = _through_legs(cr, m, x, separability.element)
-        back = Matrix.from_cols(f, [g.pure(runit, col) for col in legs.columns()],
-                                g.module.dim)
+        back = Matrix.from_cols(f, g.module.dim, [g.pure(runit, col)
+                                                  for col in legs.columns()])
         checks["separability_inverse"] = _certify_inverse(
             gamma, back,
             "a verified separability element must invert the action map")
@@ -412,8 +412,6 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
     T (x)_R m and with the space of centralizer-linear maps from the endo
     ring to m.  With a left quasibase both comparison maps are certified
     isomorphisms; without one, each report carries the failing ingredient.
-    Also decides finite generation + projectivity of the tensor ring as a
-    right centralizer module and of the endo ring as a left one.
     """
     _require_module(m, "left", cr.ext.total)
     _check_left_quasibase(cr, left_quasibase, "induction comparison")
@@ -429,15 +427,18 @@ def functor_iso_checks(cr: CanonicalRings, m: Bimodule,
                             "bijective; reporting the collapse direction")
     coinduction = _coinduction_comparison(cr, m, cr.induced(m).tensor,
                                           left_quasibase)
-    t_fgp = dual_basis_witness(cr.tensor_bimodule_cent, cr.centralizer,
-                               "right", cr.hom)
-    s_fgp = dual_basis_witness(cr.endo_bimodule_cent, cr.centralizer,
-                               "left", cr.hom)
+    return {"induction": induction, "coinduction": coinduction}
+
+
+def centralizer_projectivity(cr: CanonicalRings) -> dict:
+    """Whether the tensor ring is finitely generated projective as a right
+    centralizer module and the endo ring as a left one; neither depends on
+    a module, so a report asks once."""
     return {
-        "induction": induction,
-        "coinduction": coinduction,
-        "tensor_ring_fg_projective_over_centralizer": t_fgp is not None,
-        "endo_ring_fg_projective_over_centralizer": s_fgp is not None,
+        "tensor_ring_fg_projective_over_centralizer": dual_basis_witness(
+            cr.tensor_bimodule_cent, cr.centralizer, "right", cr.hom) is not None,
+        "endo_ring_fg_projective_over_centralizer": dual_basis_witness(
+            cr.endo_bimodule_cent, cr.centralizer, "left", cr.hom) is not None,
     }
 
 
@@ -507,8 +508,8 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     def values_at(i: int) -> list[Matrix]:
         return [m.left_operator(sb.col(i)).transpose() for sb in s_basis]
 
-    fwd = _hom_coords(homsp, [_gather(values_at(i), mu)
-                              for i, mu in x.free_pairs()])
+    fwd = x.map_out(homsp.dim, lambda i, mu: _hom_column(
+        homsp, _gather(values_at(i), mu)))
     base = [(x.module.left_operator(b), m.left_operator(b))
             for b in (ext.iota.col(i) for i in ext.base.generators())]
     s = cr.endo_ring
@@ -527,10 +528,9 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     if left_quasibase is not None:
         pre = [(cr.s_coords(p.endo), _through_legs(cr, m, x, p.tensor))
                for p in left_quasibase.pairs]
-        back = Matrix.from_cols(f, [
-            vec_sum(f, x.module.dim,
-                    (legs.apply(h.apply(sco)) for sco, legs in pre))
-            for h in homsp.basis], x.module.dim)
+        back = Matrix.from_cols(f, x.module.dim, [sparse(vec_sum(
+            f, x.module.dim, (legs.apply(h.apply(sco)) for sco, legs in pre)))
+            for h in homsp.basis])
         checks["quasibase_inverse"] = _certify_inverse(
             fwd, back, "a verified left quasibase must invert the "
             "coinduction comparison map")
@@ -597,16 +597,16 @@ def _chi(cr: CanonicalRings, m: Bimodule,
         values_of = cache(lambda b: [
             m.right_operator(cr.endo_space.basis[b].col(k)).transpose()
             for k in range(a.dim)])
-        fwd = _hom_coords(hs, [_gather(values_of(b), mu)
-                               for mu, b in dom.free_pairs()])
+        fwd = dom.map_out(hs.dim, lambda mu, b: _hom_column(
+            hs, _gather(values_of(b), mu)))
         if left_quasibase is None:
             return hs, h_mod, dom, fwd, None
         pre = [(_leg_ops(cr, m.right_operator, p.tensor), cr.s_coords(p.endo))
                for p in left_quasibase.pairs]
         # F(t_p1).t_p2 is sum_k F(e_k).t_pk, and F(e_k) is h.col(k)
-        back = Matrix.from_cols(f, [dom.sum_pure(
+        back = Matrix.from_cols(f, dom.module.dim, [dom.sum_pure(
             (vec_sum(f, m.dim, (op.apply(h.col(k)) for k, op in enumerate(ops))),
-             sco) for ops, sco in pre) for h in hs.basis], dom.module.dim)
+             sco) for ops, sco in pre) for h in hs.basis])
         _certify_inverse(fwd, back, "a verified left quasibase must invert chi")
         return hs, h_mod, dom, fwd, back
 
@@ -647,10 +647,8 @@ def _counit(cr: CanonicalRings, hs: MapSpace, h_mod: Bimodule, label: str
     dom = cr.tensor(h_mod, cr.cent_module_endo,
                     label=f"Hom(A,{label})(x)S[R]")
     rows = cr.centralizer_space.rows
-    fwd = Matrix.from_cols(
-        cr.field, [hs.basis[b].apply(rows[u]) for b, u in dom.free_pairs()],
-        hs.target.dim)
-    return dom, fwd
+    return dom, dom.map_out(hs.target.dim, lambda b, u: sparse(
+        hs.basis[b].apply(rows[u])))
 
 
 def rho_M(cr: CanonicalRings, m: Bimodule,
@@ -671,14 +669,13 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
     # composite route through chi
     nested = cr.tensor(chi_dom.module, cr.cent_module_endo)
     big = tensor_map(nested, dom, chi_fwd, Matrix.identity(f, cr.centralizer.dim))
-    rows = cr.centralizer_space.rows
-    chi_pairs = chi_dom.free_pairs()
-    direct_cols = []
-    for p, u in nested.free_pairs():
+    rows, chi_pairs = cr.centralizer_space.rows, chi_dom.free_pairs()
+
+    def direct_column(p: int, u: int) -> tuple:
         mu, b = chi_pairs[p]
         av = cr.endo_space.basis[b].apply(rows[u])
-        direct_cols.append(m.right_operator(av).transpose().pairs[mu])
-    direct = Matrix(f, len(direct_cols), m.dim, tuple(direct_cols)).transpose()
+        return m.right_operator(av).transpose().pairs[mu]
+    direct = nested.map_out(m.dim, direct_column)
     checks: dict = {"agrees_with_composite": fwd @ big == direct}
     direct_inv = invert(direct)
     if direct_inv is None:
@@ -731,8 +728,8 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
                for k in range(a.dim)]
         coords = _hom_coords(hs, [_gather(ops, mu) for mu in range(n.dim)])
         runit = list(cr.centralizer.unit)
-        back = Matrix.from_cols(
-            f, [dom.pure(co, runit) for co in coords.columns()], dom.module.dim)
+        back = Matrix.from_cols(f, dom.module.dim, [dom.pure(co, runit)
+                                                    for co in coords.columns()])
         checks["expectation_inverse"] = _certify_inverse(
             fwd, back,
             "a verified conditional expectation must invert the counit")
@@ -767,9 +764,7 @@ def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule, hom: Callable,
     tp = tensor(hom_mod, m_mod,
                 label=f"Hom({m.label},{n.label})(x)End[{m.label}]")
     hs_cols = [h.transpose().pairs for h in hs.basis]
-    cols = tuple(hs_cols[b][mu] for b, mu in tp.free_pairs())
-    forward = Matrix(c.field, len(cols), n1.dim, cols).transpose()
-    return hs, tp, forward
+    return hs, tp, tp.map_out(n1.dim, lambda b, mu: hs_cols[b][mu])
 
 
 def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule,
@@ -813,9 +808,9 @@ def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,
             "not a summand system over the ring: every map must be linear "
             "over it and sum p_i . j_i the identity")
     pcoords = [hom.coordinates(p) for p in projections]
-    back = Matrix.from_cols(c.field, [
+    back = Matrix.from_cols(c.field, tensor.module.dim, [
         tensor.sum_pure((co, j.col(mu)) for co, j in zip(pcoords, injections))
-        for mu in range(n1.dim)], tensor.module.dim)
+        for mu in range(n1.dim)])
     checks = {"summand_inverse": _certify_inverse(
         fwd, back, "a validated summand system must invert the evaluation")}
     return VerifiedIso(

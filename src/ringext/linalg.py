@@ -9,12 +9,13 @@ A Field instance owns the arithmetic; values belonging to different
 fields are never mixed, and matrices and subspaces remember their field.
 
 Linear systems use one sparse format, the pair vector: a tuple of
-(index, nonzero value) pairs in ascending index order.  Matrix rows,
-kernel vectors, solutions, span_decide generators and targets and vec
-are pair vectors, so elimination touches only nonzero entries and no
-vector is copied dense between two systems.  Dense lists hold only data
-born dense and used as algebra elements or coordinates (structure
-constants, apply, col, Subspace.rows and coordinates, certificates).
+(index, nonzero value) pairs in ascending index order.  Matrix rows and
+columns, kernel vectors, solutions, span_decide generators and targets,
+vec and the classes of a tensor product are pair vectors, so elimination
+touches only nonzero entries and no vector is copied dense between two
+systems.  Dense lists appear only as algebra elements and certificates
+(structure constants, apply, col, Subspace.rows and coordinates); sparse
+turns one into a pair vector where it meets a matrix.
 Subspaces keep an RREF basis, so equal subspaces have equal data.  An
 RREF is unique, so its rows, pivots, kernel basis and the particular
 solution with free variables zero do not depend on the order in which
@@ -269,7 +270,7 @@ def sparse(v: Sequence) -> tuple:
     return tuple((j, x) for j, x in enumerate(v) if x)
 
 
-def _dense(field: Field, n: int, pairs: Iterable) -> list:
+def dense(field: Field, n: int, pairs: Iterable) -> list:
     """The length-n vector with the given (index, value) entries."""
     out = [field.zero] * n
     for j, x in pairs:
@@ -315,11 +316,11 @@ class Matrix:
         return cls(field, n, n, tuple(((i, field.one),) for i in range(n)))
 
     @classmethod
-    def from_cols(cls, field: Field, cols: Sequence[Sequence],
-                  rows: int = 0) -> "Matrix":
-        """Dense columns side by side; rows counts rows when cols is empty."""
-        m = len(cols[0]) if cols else rows
-        return cls(field, len(cols), m, tuple(map(sparse, cols))).transpose()
+    def from_cols(cls, field: Field, rows: int,
+                  cols: Sequence[tuple]) -> "Matrix":
+        """The rows x len(cols) matrix whose column j is the pair vector
+        cols[j]."""
+        return cls(field, len(cols), rows, tuple(cols)).transpose()
 
     @property
     def data(self) -> list[list]:
@@ -327,7 +328,7 @@ class Matrix:
         return [self.row(i) for i in range(self.rows)]
 
     def row(self, i: int) -> list:
-        return _dense(self.field, self.cols, self.pairs[i])
+        return dense(self.field, self.cols, self.pairs[i])
 
     def col(self, j: int) -> list:
         return [dict(row).get(j, self.field.zero) for row in self.pairs]
@@ -547,7 +548,7 @@ def span_decide(field: Field, dim: int, generators: Sequence[tuple],
         return None if target else []
     x = solve(Matrix(field, len(generators), dim, tuple(generators)).transpose(),
               target)
-    return None if x is None else _dense(field, len(generators), x)
+    return None if x is None else dense(field, len(generators), x)
 
 
 def span_decide_pairs(field: Field, dim: int, lefts: Sequence, rights: Sequence,
@@ -640,7 +641,7 @@ class Subspace:
         for c, row in zip(coords, self.basis.pairs):
             if c:
                 f.sparse_addmul(acc, row, c)
-        return _dense(f, self.ambient_dim, acc.items())
+        return dense(f, self.ambient_dim, acc.items())
 
     def coordinates(self, v: Sequence) -> Optional[list]:
         """Coefficients of v over the RREF basis, or None if v is outside."""

@@ -21,9 +21,9 @@ from . import __version__, certify, serialize
 from .bimodule import right_regular_module
 from .canonical import CanonicalRings, CanonicalSpaces, build_canonical_rings
 from .certify import Classification, classify
-from .equivalences import (VerifiedIso, chi_M, evaluation_map,
-                           functor_iso_checks, gamma_M, pi_A_iso, rho_M,
-                           split_counit)
+from .equivalences import (VerifiedIso, centralizer_projectivity, chi_M,
+                           evaluation_map, functor_iso_checks, gamma_M,
+                           pi_A_iso, rho_M, split_counit)
 from .normality import (a_invariant_contraction, centralizer_normality_suite,
                         default_ideal_sample, double_centralizer,
                         hopf_normality, per_closure, prebraided_check)
@@ -102,15 +102,14 @@ def classification_block(cr: CanonicalRings, cls: Classification) -> dict:
     return block
 
 
-def module_block(cr: CanonicalRings, cls: Classification, m) -> tuple:
-    """The equivalence entry of one module, and its functor_iso_checks.
+def module_block(cr: CanonicalRings, cls: Classification, m) -> dict:
+    """The equivalence entry of one module.
 
     A left module over the total algebra gets the triangle, gamma and the
     induction and coinduction comparisons; a right one gets chi and rho.
-    The second value is None when m is not a left module.
     """
     lqb = cls.left_quasibase
-    entry, fi = {}, None
+    entry = {}
     if m.left_algebra is cr.ext.total:
         gamma = gamma_M(cr, m, separability=cls.separability_element,
                         left_quasibase=lqb)
@@ -122,29 +121,25 @@ def module_block(cr: CanonicalRings, cls: Classification, m) -> tuple:
     if m.right_algebra is cr.ext.total:
         entry["chi"] = _iso_block(chi_M(cr, m, left_quasibase=lqb))
         entry["rho"] = _iso_block(rho_M(cr, m, left_quasibase=lqb))
-    return entry, fi
+    return entry
 
 
 def equivalence_block(cr: CanonicalRings, cls: Classification,
                       modules) -> dict:
     lqb = cls.left_quasibase
-    regular, fi = module_block(cr, cls, cr.a_reg)
     a_right = right_regular_module(cr.ext.total)
     out = {
-        "regular": regular,
+        "regular": module_block(cr, cls, cr.a_reg),
         "base_change_of_total": _iso_block(pi_A_iso(cr, left_quasibase=lqb)),
         "split_counit_on_base": _iso_block(
             split_counit(cr, cr.b_reg, split=cls.conditional_expectation)),
         "evaluation_regular": _iso_block(
             evaluation_map(cr.ext.total, a_right, a_right, rings=cr)),
-        "tensor_ring_fg_projective_over_centralizer":
-            fi["tensor_ring_fg_projective_over_centralizer"],
-        "endo_ring_fg_projective_over_centralizer":
-            fi["endo_ring_fg_projective_over_centralizer"],
+        **centralizer_projectivity(cr),
     }
 
     for m in modules:
-        out[m.label] = module_block(cr, cls, m)[0]
+        out[m.label] = module_block(cr, cls, m)
     return out
 
 

@@ -10,7 +10,7 @@ from typing import Optional
 
 from ringext.algebra import FDAlgebra
 from ringext.bimodule import Bimodule, BimoduleError, left_module, right_module
-from ringext.linalg import Field, Matrix, PrimeField, Subspace, unit_vec
+from ringext.linalg import Field, Matrix, PrimeField, Subspace, sparse, unit_vec
 
 
 def random_scalar(field: Field, rng: random.Random):
@@ -33,8 +33,8 @@ def submodule_as_module(parent: Bimodule, sub: Subspace,
             if coords is None:
                 raise BimoduleError(
                     f"subspace of {parent.label} is not action-stable")
-            cols.append(coords)
-        return Matrix.from_cols(parent.field, cols, sub.dim)
+            cols.append(sparse(coords))
+        return Matrix.from_cols(parent.field, sub.dim, cols)
 
     return Bimodule(parent.left_algebra, parent.right_algebra, sub.dim,
                     [induce(op) for op in parent.left_action],

@@ -338,8 +338,9 @@ def reference_tensor_legs(src, terms, dst=None):
                 for k, b in rcols[v]:
                     w[base + k] = f.add(w[base + k], f.mul(ca, b))
         reduced = residual(dst.relations, w)
-        cols.append([reduced[c] for c in dst.free_cols])
-    return Matrix.from_cols(f, cols, len(dst.free_cols))
+        cols.append(tuple((k, reduced[c]) for k, c in enumerate(dst.free_cols)
+                          if reduced[c]))
+    return Matrix.from_cols(f, len(dst.free_cols), cols)
 
 
 def reference_d2_quasibase(cr, side, reverse_order=False):

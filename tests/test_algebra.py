@@ -8,7 +8,7 @@ from ringext.algebra import (AlgebraError, Extension, FDAlgebra, GroupData,
                              diagonal_algebra, group_algebra, matrix_algebra,
                              self_extension, subalgebra_extension,
                              trivial_algebra)
-from ringext.linalg import GF, QQ, Matrix, invert, unit_vec
+from ringext.linalg import GF, QQ, Matrix, invert, sparse, unit_vec
 
 from tests.helpers import center, is_commutative, scale
 from tests.oracles import reference_validation_fault
@@ -181,7 +181,7 @@ def test_extension_requires_exactly_one_description():
 def test_extension_validation_rejects_nonunital_map():
     a = group_algebra(QQ, cyclic(2))
     b = trivial_algebra(QQ)
-    iota = Matrix.from_cols(QQ, [unit_vec(QQ, 2, 1)])
+    iota = Matrix.from_cols(QQ, 2, [sparse(unit_vec(QQ, 2, 1))])
     with pytest.raises(AlgebraError, match="unit"):
         Extension(b, a, iota)
 

@@ -18,7 +18,7 @@ from ringext.bimodule import (Bimodule, BimoduleError, centralizer_subspace,
                               right_module,
                               right_regular_module, summand_witness,
                               tensor_legs, tensor_map, tensor_over)
-from ringext.linalg import GF, QQ, Matrix, unit_vec, vec_sum
+from ringext.linalg import GF, QQ, Matrix, dense, sparse, unit_vec, vec_sum
 from ringext.serialize import parse_input
 from tests.conftest import CORPUS_NAMES, corpus_doc
 from tests.helpers import center, dense_matrix, dense_vector, scale
@@ -236,8 +236,8 @@ def test_tensor_product_methods(field, data):
     xs = data.draw(_vectors(field, m.dim, k))
     ys = data.draw(_vectors(field, n.dim, k))
     pairs = list(zip(xs, ys))
-    assert tp.sum_pure(pairs) == vec_sum(
-        field, tp.module.dim, [tp.pure(x, y) for x, y in pairs]), label
+    assert tp.sum_pure(pairs) == sparse(vec_sum(field, tp.module.dim, [
+        dense(field, tp.module.dim, tp.pure(x, y)) for x, y in pairs])), label
     [x] = data.draw(_vectors(field, m.left_algebra.dim, 1))
     [y] = data.draw(_vectors(field, n.right_algebra.dim, 1))
     op_m, op_n = m.left_operator(x), n.right_operator(y)
@@ -247,7 +247,7 @@ def test_tensor_product_methods(field, data):
     assert tp.second_leg(op_n) == tensor_legs(
         tp, [(one, Matrix.identity(field, m.dim), op_n)]), label
     [coords] = data.draw(_vectors(field, tp.module.dim, 1))
-    assert tp.project(tp.lift(coords)) == coords, label
+    assert tp.project(tp.lift(coords)) == sparse(coords), label
 
 
 def _zero_quotient(field):
@@ -482,7 +482,7 @@ def test_pure_tensor_bilinear(data):
     x1, x2, y = pick(), pick(), pick()
     s = QQ.of(data.draw(rat))
     xs = [QQ.add(u, QQ.mul(s, v)) for u, v in zip(x1, x2)]
-    lhs = t.pure(xs, y)
-    r1, r2 = t.pure(x1, y), t.pure(x2, y)
+    lhs = dense(QQ, t.module.dim, t.pure(xs, y))
+    r1, r2 = (dense(QQ, t.module.dim, t.pure(x, y)) for x in (x1, x2))
     rhs = [QQ.add(u, QQ.mul(s, v)) for u, v in zip(r1, r2)]
     assert lhs == rhs

@@ -7,10 +7,13 @@ agreement here is two implementations confirming one another.
 
 import pytest
 
-from ringext.canonical import InternalInconsistency, build_canonical_rings
+from ringext.canonical import (CanonicalRings, InternalInconsistency,
+                               build_canonical_rings)
 from ringext.linalg import QQ, Matrix, unit_vec
+from ringext.serialize import parse_input
 
 from tests import oracles
+from tests.groups import D4_FLIP, group_case
 from tests.helpers import scale
 
 # name -> (tensor_square, centralizer, endo_ring, tensor_ring, casimir)
@@ -151,3 +154,15 @@ def test_mu_multiplies(built):
     f = cr.field
     x, y = unit_vec(f, 6, 2), unit_vec(f, 6, 4)
     assert cr.mu_matrix.apply(cr.pure(x, y)) == a.multiply(x, y)
+
+
+def test_endo_description_of_q_checked_on_large_inputs(monkeypatch):
+    """build_canonical_rings checks the maps Q -> A against R also on D4
+    over a non-central C2, where dim A * dim Q = 8 * 32 = 256."""
+    checked = []
+    check = CanonicalRings._verify_endo_description_of_q
+    monkeypatch.setattr(CanonicalRings, "_verify_endo_description_of_q",
+                        lambda cr: checked.append(cr) or check(cr))
+    cr = build_canonical_rings(parse_input(group_case(*D4_FLIP, "Q")).ext)
+    assert (cr.ext.total.dim, cr.dim_q) == (8, 32)
+    assert checked == [cr]

@@ -9,10 +9,10 @@ from ringext.bimodule import (BimoduleError, forget_left, forget_right,
                               hom_space, intertwines, restrict_right,
                               right_regular_module)
 from ringext.certify import verify_d2, verify_separability, verify_split
-from ringext.equivalences import (_comparison, chi_M, dress_inverse,
-                                  evaluation_map, functor_iso_checks, gamma_M,
-                                  pi_A_iso, rho_M, split_counit,
-                                  triangle_check)
+from ringext.equivalences import (_comparison, centralizer_projectivity,
+                                  chi_M, dress_inverse, evaluation_map,
+                                  functor_iso_checks, gamma_M, pi_A_iso,
+                                  rho_M, split_counit, triangle_check)
 from ringext.linalg import Matrix
 
 from tests.conftest import CORPUS_NAMES, LEFT_D2, SEPARABLE
@@ -83,8 +83,9 @@ def test_functor_isos_verified_under_quasibase(built):
     _assert_verified_with_inverse(fi["induction"], endos)
     _assert_verified_with_inverse(fi["coinduction"], endos)
     assert fi["induction"].route == "left-quasibase"
-    assert fi["tensor_ring_fg_projective_over_centralizer"]
-    assert fi["endo_ring_fg_projective_over_centralizer"]
+    fgp = centralizer_projectivity(b.cr)
+    assert fgp["tensor_ring_fg_projective_over_centralizer"]
+    assert fgp["endo_ring_fg_projective_over_centralizer"]
 
 
 def test_pi_a_verified_under_quasibase(built):

@@ -11,7 +11,7 @@ from ringext.bimodule import (Bimodule, forget_left, hom_space,
                               right_regular_module)
 from ringext.canonical import build_canonical_rings
 from ringext.certify import classify
-from ringext.equivalences import functor_iso_checks
+from ringext.equivalences import centralizer_projectivity
 from ringext.linalg import GF, QQ, Matrix
 from ringext.serialize import parse_input
 
@@ -37,8 +37,9 @@ def test_group_cases_are_the_named_subgroups():
 
 
 def recorded_searches(doc, monkeypatch):
-    """Every (m, n) that classify, module_facts and functor_iso_checks
-    hand to summand_witness, with the answer it gave."""
+    """Every (m, n) that classify, module_facts and
+    centralizer_projectivity hand to summand_witness, with the answer it
+    gave."""
     cr = build_canonical_rings(parse_input(doc).ext)
     calls = []
 
@@ -50,8 +51,8 @@ def recorded_searches(doc, monkeypatch):
     search = bimodule.summand_witness
     monkeypatch.setattr(bimodule, "summand_witness", recording)
     monkeypatch.setattr(certify, "summand_witness", recording)
-    cls = classify(cr)
-    functor_iso_checks(cr, cr.a_reg, left_quasibase=cls.left_quasibase)
+    classify(cr)
+    centralizer_projectivity(cr)
     monkeypatch.undo()
     return cr, calls
 

@@ -1,0 +1,107 @@
+"""The classes and maps out of a TensorProduct against a dense oracle, on
+every tensor product that a full analysis builds, over Q and over F_p.
+
+A class is a pair vector of quotient coordinates, in ascending order and
+without zeros; the oracle reduces a dense ambient vector by the relation
+basis (tests.helpers.residual) and reads it at the free columns.
+"""
+
+from functools import cache
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ringext.canonical import build_canonical_rings
+from ringext.linalg import PrimeField
+from ringext.report import analysis_report
+from ringext.serialize import parse_input
+
+from tests.conftest import corpus_doc
+from tests.helpers import dense_matrix, residual
+
+NAMES = ["qc2_q", "qq8_qi", "m2q_t2", "f7s3_f7t"]
+
+
+@cache
+def analysed_tensors(name: str) -> list:
+    """Every tensor product in the memo of the rings of one analysis."""
+    parsed = parse_input(corpus_doc(name))
+    cr = build_canonical_rings(parsed.ext)
+    analysis_report(parsed, rings=cr)
+    return [tp for _, _, tp in cr._tensors.values()]
+
+
+def scalars(field):
+    if isinstance(field, PrimeField):
+        return st.integers(0, field.p - 1)
+    return st.fractions(-2, 2, max_denominator=3).map(field.of)
+
+
+def dense_vectors(field, n):
+    return st.lists(scalars(field), min_size=n, max_size=n)
+
+
+def oracle_class(tp, ambient: list) -> tuple:
+    """The class of a dense ambient vector, read off its dense residual."""
+    reduced = residual(tp.relations, ambient)
+    return tuple((k, reduced[c]) for k, c in enumerate(tp.free_cols)
+                 if reduced[c])
+
+
+def assert_pair_vector(v: tuple, dim: int) -> None:
+    indices = [k for k, _ in v]
+    assert indices == sorted(set(indices)) and all(0 <= k < dim for k in indices)
+    assert all(x for _, x in v)
+
+
+def test_analyses_build_tensor_products_over_q_and_fp():
+    fields = {tp.relations.field for name in NAMES
+              for tp in analysed_tensors(name)}
+    assert any(isinstance(f, PrimeField) for f in fields)
+    assert any(not isinstance(f, PrimeField) for f in fields)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@given(data=st.data())
+def test_sum_pure_and_project_give_the_dense_class(name, data):
+    tp = data.draw(st.sampled_from(analysed_tensors(name)))
+    f = tp.relations.field
+    dm, dn, dq = tp.left_factor.dim, tp.right_factor.dim, tp.module.dim
+    pairs = data.draw(st.lists(st.tuples(dense_vectors(f, dm),
+                                         dense_vectors(f, dn)), max_size=3))
+    ambient = [f.zero] * (dm * dn)
+    for x, y in pairs:
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                ambient[i * dn + j] = f.add(ambient[i * dn + j], f.mul(a, b))
+    got = tp.sum_pure(pairs)
+    assert_pair_vector(got, dq)
+    assert got == oracle_class(tp, ambient)
+
+    entries = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, dm - 1), st.integers(0, dn - 1)),
+        scalars(f), max_size=6))
+    rows = [[entries.get((i, j), f.zero) for j in range(dn)] for i in range(dm)]
+    got = tp.project(dense_matrix(f, rows, dn))
+    assert_pair_vector(got, dq)
+    assert got == oracle_class(tp, [x for row in rows for x in row])
+
+
+@pytest.mark.parametrize("name", NAMES)
+@given(data=st.data())
+def test_map_out_sets_each_column_at_its_class(name, data):
+    tp = data.draw(st.sampled_from(analysed_tensors(name)))
+    f = tp.relations.field
+    rows = data.draw(st.integers(0, 4))
+    nonzero = scalars(f).filter(bool)
+    classes = [divmod(c, tp.right_factor.dim) for c in tp.free_cols]
+    columns = {uv: tuple(sorted(data.draw(st.dictionaries(
+        st.integers(0, max(rows - 1, 0)), nonzero, max_size=rows)).items()))
+        for uv in classes}
+    want = [[f.zero] * len(classes) for _ in range(rows)]
+    for k, uv in enumerate(classes):
+        for j, x in columns[uv]:
+            want[j][k] = x
+    got = tp.map_out(rows, lambda u, v: columns[(u, v)])
+    assert got == dense_matrix(f, want, len(classes))
