@@ -14,8 +14,13 @@ exact linear problem whose solution doubles as a certificate:
 Every verifier is substitution only: it re-checks the defining identity
 of the certificate against A, B, the embedding and the tensor square
 with its canonical subspaces (a CanonicalSpaces, no ring structure) and
-never trusts the search that produced it.  A search records what it
-verified on its CanonicalRings, for later consumers of the same content.  The depth-two verdicts are
+never trusts the search that produced it.  Substitution acts on the
+certificate's vectors: an element x of A acts on a tensor v as the sum of
+the images of v under the basis actions where x is nonzero (apply_comb),
+and a quasibase tensor's images are computed when first read and shared
+by every free point, so no operator of x is formed.  A search records
+what it verified on its CanonicalRings, for later consumers of the same
+content.  The depth-two verdicts are
 cross-checked against an independent characterization (the tensor
 square splitting off a finite power of the algebra as a one-sided
 bimodule); those two answers agreeing is a theorem, so a mismatch
@@ -43,6 +48,7 @@ from .canonical import (CanonicalRings, CanonicalSpaces, InternalInconsistency,
                         coordinate_matrix)
 from .linalg import (
     Matrix,
+    apply_comb,
     lin_comb,
     rank,
     span_decide,
@@ -101,8 +107,9 @@ class D2Certificate:
 
 def _is_invariant(m: Bimodule, elements: Sequence[Sequence], v: Sequence) -> bool:
     """x.v = v.x in m for every listed element x of its (one) algebra."""
-    return all(m.left_operator(x).apply(v) == m.right_operator(x).apply(v)
-               for x in elements)
+    f, n = m.field, m.dim
+    return all(apply_comb(f, n, x, m.left_action, v)
+               == apply_comb(f, n, x, m.right_action, v) for x in elements)
 
 
 def verify_separability(cr: CanonicalSpaces, cert: SeparabilityCertificate) -> bool:
@@ -130,13 +137,15 @@ def verify_hsep(cr: CanonicalSpaces, cert: HSepCertificate) -> bool:
         if not _is_invariant(cr.a_reg, cr.ext.iota.columns(), pair.multiplier):
             return False
     return vec_sum(cr.field, cr.dim_q, (
-        cr.q.module.right_operator(pair.multiplier).apply(pair.casimir)
+        apply_comb(cr.field, cr.dim_q, pair.multiplier,
+                   cr.q.module.right_action, pair.casimir)
         for pair in cert.pairs)) == cr.one_tensor_one()
 
 
 def _d2_side(cr: CanonicalSpaces, side: str) -> tuple:
     """One side's quasibase identity x (x) y = sum_p act(value(endo_p, x, y))
-    applied to tensor_p, as (act, value, free points).
+    applied to tensor_p, as (actions, value, free points), where act(z) is
+    the combination of the basis actions with the coordinates of z.
 
     Left: x (x) y = sum t_p . endo_p(x) y, the right outer action on Q.
     Right: x (x) y = sum x endo_p(y) . t_p, the left outer action.  The
@@ -145,11 +154,11 @@ def _d2_side(cr: CanonicalSpaces, side: str) -> tuple:
     """
     a = cr.ext.total
     if side == "left":
-        return (cr.q.module.right_operator,
+        return (cr.q.module.right_action,
                 lambda endo, x, y: a.multiply(endo.apply(x), y),
                 [(e, a.unit) for e in cr.a_basis])
     if side == "right":
-        return (cr.q.module.left_operator,
+        return (cr.q.module.left_action,
                 lambda endo, x, y: a.multiply(x, endo.apply(y)),
                 [(a.unit, e) for e in cr.a_basis])
     raise ValueError("side must be 'left' or 'right'")
@@ -162,12 +171,15 @@ def verify_d2(cr: CanonicalSpaces, cert: D2Certificate) -> bool:
             return False
         if not is_bimodule_map(cr.restricted, cr.restricted, pair.endo):
             return False
-    act, value, free = _d2_side(cr, cert.side)
+    actions, value, free = _d2_side(cr, cert.side)
+    f, n = cr.field, cr.dim_q
+    # each tensor's images under the basis actions, computed when first read
+    images = [{} for _ in cert.pairs]
 
     def holds(x: Sequence, y: Sequence) -> bool:
-        return vec_sum(cr.field, cr.dim_q, (
-            act(value(pair.endo, x, y)).apply(pair.tensor)
-            for pair in cert.pairs)) == cr.pure(x, y)
+        return vec_sum(f, n, (
+            apply_comb(f, n, value(pair.endo, x, y), actions, pair.tensor, seen)
+            for pair, seen in zip(cert.pairs, images))) == cr.pure(x, y)
 
     # the free points imply the identity: it is linear in the free leg,
     # and acting by y on the other side of x (x) 1 gives x (x) y on the
@@ -219,7 +231,8 @@ def find_hsep_system(cr: CanonicalRings) -> Optional[HSepCertificate]:
     cent = cr.centralizer_space
     found = span_decide_pairs(
         cr.field, cr.dim_q, cr.casimir_space.rows, cent.rows,
-        lambda c, r: sparse(cr.q.module.right_operator(r).apply(c)),
+        lambda c, r: sparse(apply_comb(cr.field, cr.dim_q, r,
+                                       cr.q.module.right_action, c)),
         sparse(cr.one_tensor_one()))
     if found is None:
         return None
@@ -243,12 +256,12 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
     downstream checks use that to show their results do not depend on
     the particular quasibase.
     """
-    act, _, free = _d2_side(cr, side)
+    actions, _, free = _d2_side(cr, side)
     f, n, basis = cr.field, cr.ext.total.dim, cr.tensor_space.basis
     step = -1 if reverse_order else 1
     tensors, endos = cr.tensor_space.rows[::step], cr.endo_space.basis[::step]
     # row i of basis @ act(e_k)^T is act(e_k).t_i, row k of M_{t_i}
-    images = [(basis @ act(e).transpose()).pairs for e in cr.a_basis]
+    images = [(basis @ op.transpose()).pairs for op in actions]
     orbits = [Matrix(f, n, cr.dim_q, tuple(img[i] for img in images))
               for i in range(basis.rows)]
     # at the k-th free point value(s, x, y) is s.e_k, so the summand at

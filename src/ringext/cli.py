@@ -7,8 +7,8 @@ subgroup tests), verify (re-check a JSON report emitted by analyze or
 by certify --json).
 Exit codes: 0 the run completed and the report holds the verdicts, 1 the
 command line or the input was rejected (for verify: the report is
-malformed or a certificate fails), 2 an internal invariant failed, which
-is a bug trap rather than a data verdict.
+malformed or a certificate fails) or the run ran out of memory, 2 an
+internal invariant failed, which is a bug trap rather than a data verdict.
 """
 
 import argparse
@@ -220,6 +220,12 @@ def main(argv: Optional[list] = None) -> int:
     except InternalInconsistency as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return EXIT_INTERNAL
+    except MemoryError:
+        # a backstop: where no address-space limit is set, the operating
+        # system may end the process before Python sees a MemoryError
+        sys.stderr.write(f"input error: {args.command} ran out of memory; "
+                         f"the input is too large for this machine\n")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ an int when the value is whole and otherwise a rational in lowest terms
 (gmpy2.mpq when importable, fractions.Fraction otherwise), over F_p an
 int in the range [0, p).  Most structure constants are small integers,
 so keeping whole values as ints lets their arithmetic run as int code.
+QQ.of decodes a string of the input schema's grammar, an integer or
+"p/q", through int alone, building a rational from two ints only when
+the value is not whole; other strings go to the rational constructor.
 A Field instance owns the arithmetic; values belonging to different
 fields are never mixed, and matrices and subspaces remember their field.
 
@@ -15,7 +18,9 @@ vec and the classes of a tensor product are pair vectors, so elimination
 touches only nonzero entries and no vector is copied dense between two
 systems.  Dense lists appear only as algebra elements and certificates
 (structure constants, apply, col, Subspace.rows and coordinates); sparse
-turns one into a pair vector where it meets a matrix.
+turns one into a pair vector where it meets a matrix.  apply_comb applies
+a combination of matrices to one vector from the images of that vector
+alone, so substituting into a certificate forms no operator.
 Subspaces keep an RREF basis, so equal subspaces have equal data.  An
 RREF is unique, so its rows, pivots, kernel basis and the particular
 solution with free variables zero do not depend on the order in which
@@ -84,9 +89,25 @@ class RationalField:
         self.one = 1
 
     def of(self, value):
-        """Coerce an int, numerator/denominator string, or rational."""
+        """Coerce an int, numerator/denominator string, or rational.
+
+        A string of the input schema's grammar, -?[0-9]+ or -?[0-9]+/[0-9]+
+        with a nonzero denominator, is decoded as ints; every other string
+        goes to the rational constructor, which gives it its value or its
+        error."""
         if type(value) is int:
             return value
+        if type(value) is str:
+            num, slash, den = value.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if digits.isascii() and digits.isdigit() and (not slash or (
+                    den.isascii() and den.isdigit() and den.strip("0"))):
+                try:
+                    n, d = int(num), int(den or 1)
+                except ValueError:   # past the int digit limit
+                    pass
+                else:
+                    return n // d if n % d == 0 else _rational(n, d)
         if isinstance(value, bool) or isinstance(value, float):
             raise LinalgError(f"refusing inexact scalar {value!r} over Q")
         try:
@@ -420,6 +441,22 @@ def lin_comb(field: Field, rows: int, cols: int, coeffs: Sequence,
             addmul(acc, row, c)
     return Matrix(field, rows, cols,
                   tuple(tuple(sorted(acc.items())) for acc in accs))
+
+
+def apply_comb(field: Field, n: int, coeffs: Sequence, mats: Sequence[Matrix],
+               v: Sequence, images: Optional[dict] = None) -> list:
+    """lin_comb(field, n, _, coeffs, mats).apply(v) without forming the
+    sum: mats[k].apply(v) at each nonzero coeffs[k] only, combined.
+    images, when given, keeps each mats[k].apply(v) by k for the next
+    call on the same v and mats."""
+    images = {} if images is None else images
+    out = [field.zero] * n
+    for k, c in enumerate(coeffs):
+        if c:
+            if k not in images:
+                images[k] = mats[k].apply(v)
+            field.row_addmul(out, images[k], c)
+    return out
 
 
 # ---------------------------------------------------------------------------

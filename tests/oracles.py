@@ -12,7 +12,10 @@ dense tensor-leg loop and the per-tensor quasibase system that
 tensor_legs and find_d2_quasibase replaced, the full summand search
 that summand_witness replaced, the closure loops that spin replaced, the
 dense multiply loops of FDAlgebra.validate and the basis-wide linearity
-checks of the comparison maps.
+checks of the comparison maps.  So are the certificate verifiers and the
+H-separability search that formed an operator for each algebra element
+before applying it to one vector, and the Fraction decoding of scalar
+strings.
 """
 
 import json
@@ -349,8 +352,12 @@ def reference_d2_quasibase(cr, side, reverse_order=False):
     from ringext.certify import D2Certificate, QuasibasePair, _d2_side
     from ringext.linalg import lin_comb, span_decide_pairs
 
-    act, value, free = _d2_side(cr, side)
+    actions, value, free = _d2_side(cr, side)
     n = cr.ext.total.dim
+
+    def act(x):
+        return lin_comb(cr.field, cr.dim_q, cr.dim_q, x, actions)
+
     step = -1 if reverse_order else 1
     tensors, endos = cr.tensor_space.rows[::step], cr.endo_space.basis[::step]
     found = span_decide_pairs(
@@ -445,3 +452,85 @@ def reference_generators(a):
     each "on generators" check of the library basis-wide, as the
     linearity checks of the comparison maps were."""
     return list(range(a.dim))
+
+
+# ---------------------------------------------------------------------------
+# the operator-building certificate checks and the Fraction scalar decoding,
+# kept as references for substitution on vectors and int decoding
+
+def _operator_invariant(m, elements, v):
+    """x.v = v.x for every listed x, through the operators of x."""
+    return all(m.left_operator(x).apply(v) == m.right_operator(x).apply(v)
+               for x in elements)
+
+
+def reference_verify_separability(cr, cert):
+    if not _operator_invariant(cr.q.module, cr.a_basis, cert.element):
+        return False
+    return cr.mu_matrix.apply(cert.element) == cr.ext.total.unit
+
+
+def reference_verify_hsep(cr, cert):
+    from ringext.linalg import vec_sum
+
+    for pair in cert.pairs:
+        if not _operator_invariant(cr.q.module, cr.a_basis, pair.casimir):
+            return False
+        if not _operator_invariant(cr.a_reg, cr.ext.iota.columns(),
+                                   pair.multiplier):
+            return False
+    return vec_sum(cr.field, cr.dim_q, (
+        cr.q.module.right_operator(pair.multiplier).apply(pair.casimir)
+        for pair in cert.pairs)) == cr.one_tensor_one()
+
+
+def reference_verify_d2(cr, cert):
+    """verify_d2 with act(value) formed as an operator at each free point."""
+    from ringext.bimodule import is_bimodule_map
+    from ringext.certify import _d2_side
+    from ringext.linalg import lin_comb, vec_sum
+
+    iotas = cr.ext.iota.columns()
+    for pair in cert.pairs:
+        if not _operator_invariant(cr.q.module, iotas, pair.tensor):
+            return False
+        if not is_bimodule_map(cr.restricted, cr.restricted, pair.endo):
+            return False
+    actions, value, free = _d2_side(cr, cert.side)
+    n = cr.dim_q
+    return all(vec_sum(cr.field, n, (
+        lin_comb(cr.field, n, n, value(pair.endo, x, y), actions)
+        .apply(pair.tensor) for pair in cert.pairs)) == cr.pure(x, y)
+        for x, y in free)
+
+
+def reference_find_hsep_system(cr):
+    """find_hsep_system with each generator an operator applied to a
+    Casimir basis vector, unverified."""
+    from ringext.certify import HSepCertificate, HSepPair
+    from ringext.linalg import sparse, span_decide_pairs
+
+    cent = cr.centralizer_space
+    found = span_decide_pairs(
+        cr.field, cr.dim_q, cr.casimir_space.rows, cent.rows,
+        lambda c, r: sparse(cr.q.module.right_operator(r).apply(c)),
+        sparse(cr.one_tensor_one()))
+    if found is None:
+        return None
+    return HSepCertificate([HSepPair(list(cr.casimir_space.rows[i]),
+                                     cent.element(c)) for i, c in found])
+
+
+def reference_rational_scalar(text):
+    """QQ.of on a string by Fraction alone: its value, an int when whole
+    and otherwise the library's rational type; a string Fraction refuses
+    raises LinalgError with Fraction's reason."""
+    from ringext.linalg import LinalgError, _rational
+
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise LinalgError(f"bad rational scalar {text!r}: {exc}") from None
+    if q.denominator == 1:
+        return q.numerator
+    return _rational(q.numerator, q.denominator)

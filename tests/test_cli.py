@@ -521,6 +521,25 @@ def test_verify_malformed_report_is_exit_one(tmp_path, capsys,
                                                      False)
 
 
+# -- out of memory ----------------------------------------------------------------
+
+@pytest.mark.parametrize("command, target", [("analyze", "analysis_report"),
+                                             ("verify", "verify_report")])
+def test_memory_error_is_exit_one(capsys, monkeypatch, command, target):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"ringext.cli.{target}", exhausted)
+    path = (input_path("qc2_q") if command == "analyze"
+            else os.path.join(CORPUS, "expected", "qc2_q.json"))
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 1
+    assert err == (f"input error: {command} ran out of memory; "
+                   "the input is too large for this machine\n")
+    assert out == ""
+    assert "Traceback" not in err
+
+
 # -- installed entry point --------------------------------------------------------
 
 def test_console_script_entry_point():

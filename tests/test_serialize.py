@@ -1,12 +1,16 @@
 """Exact JSON round-trips and rejection of inexact or malformed input."""
 
+import json
+import os
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ringext.certify import verify_d2, verify_hsep, verify_separability, \
     verify_split
-from ringext.linalg import GF, QQ
+from ringext.linalg import GF, QQ, LinalgError
 from ringext.serialize import (InputError, algebra_json, d2_from_json,
                                d2_json, extension_json, field_json,
                                hsep_from_json, hsep_json, input_json,
@@ -15,7 +19,8 @@ from ringext.serialize import (InputError, algebra_json, d2_from_json,
                                scalar_json, separability_from_json,
                                separability_json, split_from_json, split_json)
 
-from tests.conftest import CORPUS_NAMES, corpus_doc
+from tests.conftest import CORPUS_NAMES, SCHEMAS, corpus_doc
+from tests.oracles import reference_rational_scalar
 
 
 # -- scalars ------------------------------------------------------------------
@@ -67,6 +72,64 @@ def test_bad_rational_string():
 def test_prime_field_wants_integers():
     with pytest.raises(InputError):
         parse_scalar(GF(5), "3", "$.x")
+
+
+def _schema_scalar_pattern() -> str:
+    with open(os.path.join(SCHEMAS, "input.schema.json"),
+              encoding="utf-8") as fh:
+        scalar = json.load(fh)["definitions"]["scalar"]["oneOf"]
+    return next(s["pattern"] for s in scalar if s["type"] == "string")
+
+
+SCALAR_PATTERN = re.compile(_schema_scalar_pattern())
+DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=24)
+
+
+@given(st.builds(lambda sign, num, den: sign + num + (den and "/" + den),
+                 st.sampled_from(["", "-"]), DIGITS,
+                 st.one_of(st.just(""), DIGITS, st.sampled_from(["0", "00"]))))
+@example("-0")
+@example("0/5")
+@example("-0/5")
+@example("6/4")
+@example("-0006/0004")
+@example("12/4")
+@example("3/0")
+@example("-0/000")
+@example("1" * 5000)
+@example("1/" + "1" * 5000)
+def test_schema_scalar_strings_decode_as_fraction_did(text):
+    """Every string of the schema's scalar grammar gives parse_scalar the
+    value and type Fraction gave, or the same refusal."""
+    assert SCALAR_PATTERN.search(text), text
+    try:
+        want = reference_rational_scalar(text)
+    except LinalgError as exc:
+        with pytest.raises(InputError) as got:
+            parse_scalar(QQ, text, "$.x")
+        assert (got.value.location, got.value.reason) == ("$.x", str(exc))
+        return
+    got = parse_scalar(QQ, text, "$")
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("text", [
+    " 3 ", "+3", "3.0", "-2.50", "1e3", "1_000", "\u0663", "3\n", " -1/2",
+    "+6/4", "3/-4", "1/2/3", "", "-", "/", "3/", "0x10", "nan", "1/0.5",
+    "++1"])
+def test_strings_outside_the_grammar_decode_as_before(text):
+    """QQ.of still hands a string outside the schema's grammar to Fraction:
+    the same value and type, or the same error."""
+    assert not SCALAR_PATTERN.search(text)
+    try:
+        want = reference_rational_scalar(text)
+    except LinalgError as exc:
+        with pytest.raises(LinalgError) as got:
+            QQ.of(text)
+        assert str(got.value) == str(exc)
+        return
+    got = QQ.of(text)
+    assert got == want and type(got) is type(want)
 
 
 @given(st.fractions(max_denominator=40))
