@@ -450,13 +450,17 @@ def apply_comb(field: Field, n: int, coeffs: Sequence, mats: Sequence[Matrix],
     images, when given, keeps each mats[k].apply(v) by k for the next
     call on the same v and mats."""
     images = {} if images is None else images
-    out = [field.zero] * n
+    out = None
     for k, c in enumerate(coeffs):
         if c:
             if k not in images:
                 images[k] = mats[k].apply(v)
-            field.row_addmul(out, images[k], c)
-    return out
+            if out is None:   # the first term is copied, scaled unless c is 1
+                out = (list(images[k]) if c == 1 else
+                       [field.mul(c, x) for x in images[k]])
+            else:
+                field.row_addmul(out, images[k], c)
+    return [field.zero] * n if out is None else out
 
 
 # ---------------------------------------------------------------------------

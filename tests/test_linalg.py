@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ringext.linalg import (GF, MODULUS_BOUND, QQ, LinalgError, Matrix,
-                            PrimeField, Subspace, echelon_insert, invert,
+                            PrimeField, Subspace, apply_comb, echelon_insert,
+                            invert,
                             kernel, lin_comb,
                             rank, rref, solve, span_decide,
                             span_decide_pairs, unit_vec, vec_sum, zero_vec)
@@ -323,6 +324,28 @@ def f5_matrix(rows, cols):
         st.lists(st.integers(0, 4), min_size=cols, max_size=cols),
         min_size=rows, max_size=rows,
     ).map(lambda data: dense_matrix(F5, data, cols))
+
+
+@given(st.sampled_from([(QQ, qq_matrix, rat.map(QQ.of)),
+                        (F5, f5_matrix, st.integers(0, 4))]), st.data())
+def test_apply_comb_is_the_combined_operator_applied(case, data):
+    """apply_comb equals forming the combination and applying it, in the
+    same format, and a shared image cache gives the same answers again
+    without being changed by them."""
+    field, matrix, scalar = case
+    mats = data.draw(st.lists(matrix(3, 3), min_size=1, max_size=4))
+    v = data.draw(st.lists(scalar, min_size=3, max_size=3))
+    combos = data.draw(st.lists(st.lists(scalar, min_size=len(mats),
+                                         max_size=len(mats)),
+                                min_size=1, max_size=4))
+    images: dict = {}
+    for _ in range(2):
+        for coeffs in combos:
+            want = lin_comb(field, 3, 3, coeffs, mats).apply(v)
+            assert apply_comb(field, 3, coeffs, mats, v) == want
+            assert apply_comb(field, 3, coeffs, mats, v, images) == want
+            assert all(images[k] == m.apply(v) for k, m in enumerate(mats)
+                       if k in images)
 
 
 @given(qq_matrix(3, 4))

@@ -80,9 +80,24 @@ def hsep_cases(f, cert):
                                              HSepPair(p.casimir, v)))
 
 
+def _mixed(cert, k: int) -> D2Certificate:
+    """The same sum of tensor (x) endo over the pairs, written with pairs
+    k and k + 1 as (t, s + s'), (t' - t, s'): another valid quasibase,
+    whose endomorphisms give values with more nonzero entries."""
+    (t, s), (t2, s2) = ((p.tensor, p.endo) for p in cert.pairs[k:k + 2])
+    f = s.field
+    pairs = cert.pairs[:k] + [
+        QuasibasePair(t, s + s2),
+        QuasibasePair([f.sub(x, y) for x, y in zip(t2, t)], s2),
+    ] + cert.pairs[k + 2:]
+    return D2Certificate(cert.side, pairs, cert.reverse_order)
+
+
 def d2_cases(f, cert):
     for side in ("left", "right"):   # the other side's label is a fault
         yield D2Certificate(side, cert.pairs, cert.reverse_order)
+    for k in range(len(cert.pairs) - 1):
+        yield _mixed(cert, k)
     for k, p in enumerate(cert.pairs):
         for v in _moved_vectors(f, p.tensor):
             yield D2Certificate(cert.side, _with_pair(
