@@ -29,7 +29,8 @@ generating set and stops once it reaches the identity.
 
 hom_space and tensor_over build anew on every call; their results,
 MapSpace and TensorProduct, are frozen so that a memo (the one on
-CanonicalRings) can hand one result to several callers.
+CanonicalSpaces) can hand one result to several callers, whose modules
+may carry other labels.
 """
 
 from __future__ import annotations
@@ -117,11 +118,6 @@ class Bimodule:
     def right_operator(self, x: Sequence) -> Matrix:
         """Matrix of v -> v.x for x in the right algebra."""
         return lin_comb(self.field, self.dim, self.dim, x, self.right_action)
-
-    def with_label(self, label: str) -> "Bimodule":
-        """The same bimodule, sharing its action matrices, under label."""
-        return Bimodule(self.left_algebra, self.right_algebra, self.dim,
-                        self.left_action, self.right_action, label=label)
 
     def __repr__(self) -> str:
         return (f"Bimodule({self.label}: {self.left_algebra.name}-"
@@ -311,8 +307,7 @@ def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
     return Matrix.from_cols(f, len(dst.free_cols), cols)
 
 
-def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
-                ) -> TensorProduct:
+def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
     """The balanced tensor product over C = m.right_algebra = n.left_algebra.
 
     The result is an (m.left_algebra, n.right_algebra)-bimodule.  The
@@ -320,7 +315,8 @@ def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
     n.left(c) X - X m.right(c)^T at the coefficient matrix X, so the
     relations span the intertwining system over the generators of C
     (x.(cd) (x) y - x (x) (cd).y is the relation at c on (x, d.y) plus
-    the one at d on (x.c, y)).
+    the one at d on (x.c, y)).  The module's label joins both factors'
+    for display; a memo hands the result to callers of any label.
     """
     c = m.right_algebra
     if c != n.left_algebra:
@@ -338,12 +334,7 @@ def tensor_over(m: Bimodule, n: Bimodule, label: Optional[str] = None
         m.left_algebra, n.right_algebra, len(free),
         [tp.first_leg(op) for op in m.left_action],
         [tp.second_leg(op) for op in n.right_action],
-        label=tensor_label(m, n, label)))
-
-
-def tensor_label(m: Bimodule, n: Bimodule, label: Optional[str] = None) -> str:
-    """The label tensor_over gives m (x) n: label, else both factors'."""
-    return label or f"{m.label}(x){n.label}"
+        label=f"{m.label}(x){n.label}"))
 
 
 def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,

@@ -25,8 +25,8 @@ as a property of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .algebra import Extension, FDAlgebra, trivial_algebra
 from .bimodule import (
@@ -41,7 +41,6 @@ from .bimodule import (
     regular_bimodule,
     restrict_left,
     restrict_right,
-    tensor_label,
     tensor_legs,
     tensor_over,
 )
@@ -86,23 +85,6 @@ def ring_on(space, product, one, name: str) -> FDAlgebra:
     return FDAlgebra(space.field, space.dim, mult, unit, name=name)
 
 
-def _memoized(table: dict, m: Bimodule, n: Bimodule, build: Callable,
-              rebind: Callable, key: tuple = ()):
-    """build() on the first (m, n) of a content under key, rebind(its
-    result) on every later one.
-
-    What a hom space or tensor product depends on in a module is the
-    identity of both acting algebras, the dimension and the action
-    matrices.  Each entry holds its m and n, which keeps those identities
-    theirs while the entry lives.
-    """
-    key += (_content(m), _content(n))
-    if key in table:
-        return rebind(table[key][2])
-    table[key] = (m, n, build())
-    return table[key][2]
-
-
 def content_key(x):
     """A hashable copy of what a certificate holds: its class name and
     fields, lists as tuples and matrices as shape and pairs.  A certificate
@@ -124,14 +106,14 @@ def _content(m: Bimodule) -> tuple:
 class CanonicalSpaces:
     """Q = A (x)_B A, its multiplication map to A, and the spaces of R, T,
     S and the Casimir tensors, with no ring structure: all that the
-    certificate verifiers and dims() read.  hom and tensor build each hom
-    space and tensor product asked for once, kept as long as the spaces.
+    certificate verifiers and dims() read.  once builds each result asked
+    for once per kind and module content, kept as long as the spaces;
+    hom and tensor go through it.
     """
 
     def __init__(self, ext: Extension) -> None:
         self.ext = ext
-        self._homs: dict = {}
-        self._tensors: dict = {}
+        self._memo: dict = {}
         self.field = ext.field
         a = ext.total
 
@@ -143,7 +125,7 @@ class CanonicalSpaces:
 
         # Q = A (x)_B A with its outer A-A-structure
         self.q = self.tensor(restrict_right(self.a_reg, ext),
-                             restrict_left(self.a_reg, ext), label="Q")
+                             restrict_left(self.a_reg, ext))
         self.dim_q = self.q.module.dim
 
         # R centralizes the embedded base, T holds the base-central tensors,
@@ -156,22 +138,29 @@ class CanonicalSpaces:
             self.q.module, [self.a_basis[i] for i in a.generators()])
         self.mu_matrix = self.q.map_out(a.dim, lambda i, j: sparse(a.mult[i][j]))
 
-    # -- hom spaces and tensor products, each built once --------------------
+    # -- results built once per module content ------------------------------
+
+    def once(self, key: tuple, build: Callable, *modules: Bimodule):
+        """build() on the first call with key and modules of these contents,
+        the stored result on every later one.
+
+        What a result depends on in a module is the identity of both acting
+        algebras, the dimension and the action matrices; labels are not
+        read.  Each entry holds its modules, which keeps those identities
+        theirs while the entry lives.
+        """
+        key += tuple(map(_content, modules))
+        if key not in self._memo:
+            self._memo[key] = (modules, build())
+        return self._memo[key][1]
 
     def hom(self, m: Bimodule, n: Bimodule) -> MapSpace:
-        """hom_space(m, n); a repeat comes back around the caller's modules."""
-        return _memoized(self._homs, m, n, lambda: hom_space(m, n),
-                         lambda hs: replace(hs, source=m, target=n))
+        """hom_space(m, n), built once per content of m and n."""
+        return self.once(("hom",), lambda: hom_space(m, n), m, n)
 
-    def tensor(self, m: Bimodule, n: Bimodule, label: Optional[str] = None
-               ) -> TensorProduct:
-        """tensor_over(m, n, label); a repeat comes back with the caller's
-        factors and label."""
-        label = tensor_label(m, n, label)
-        return _memoized(
-            self._tensors, m, n, lambda: tensor_over(m, n, label),
-            lambda tp: replace(tp, module=tp.module.with_label(label),
-                               left_factor=m, right_factor=n))
+    def tensor(self, m: Bimodule, n: Bimodule) -> TensorProduct:
+        """tensor_over(m, n), built once per content of m and n."""
+        return self.once(("tensor",), lambda: tensor_over(m, n), m, n)
 
     # -- coordinate helpers -------------------------------------------------
 
@@ -226,8 +215,6 @@ class CanonicalRings(CanonicalSpaces):
 
     def __init__(self, ext: Extension) -> None:
         super().__init__(ext)
-        self._verified: set = set()
-        self._maps: dict = {}
         a, f = ext.total, self.field
         R, T, S = self.centralizer_space, self.tensor_space, self.endo_space
 
@@ -275,35 +262,19 @@ class CanonicalRings(CanonicalSpaces):
     # -- builders -----------------------------------------------------------
 
     def induced(self, m: Bimodule) -> InducedModule:
-        """A (x)_B m, built once per content of m; a repeat comes back
-        under the labels of the caller's m."""
-        def relabel(ind: InducedModule) -> InducedModule:
-            x = ind.tensor.module.with_label(f"A(x)B[{m.label}]")
-            return replace(ind, tensor=replace(ind.tensor, module=x),
-                           as_left_t=ind.as_left_t.with_label(f"T|{x.label}"))
-        return self.once(("induced",), m, lambda: self._build_induced(m),
-                         relabel)
+        """A (x)_B m, built once per content of m."""
+        return self.once(("induced",), lambda: self._build_induced(m), m)
 
     def certified(self, verify: Callable, cert) -> bool:
-        """verify(self, cert), run once per content of a passing cert."""
-        key = content_key(cert)
-        if key not in self._verified and verify(self, cert):
-            self._verified.add(key)
-        return key in self._verified
-
-    def once(self, key: tuple, m: Bimodule, build: Callable,
-             rebind: Callable = lambda built: built):
-        """build() on the first call with key and a module of m's content,
-        rebind(its result) on every later one."""
-        return _memoized(self._maps, m, m, build, rebind, key)
+        """verify(self, cert), run once per content of cert."""
+        return self.once(("certified", content_key(cert)),
+                         lambda: verify(self, cert))
 
     def _build_induced(self, m: Bimodule) -> InducedModule:
         x = self.tensor(restrict_right(self.a_reg, self.ext),
-                        restrict_left(forget_right(m), self.ext),
-                        label=f"A(x)B[{m.label}]")
+                        restrict_left(forget_right(m), self.ext))
         as_left_t = left_module(self.tensor_ring, x.module.dim,
-                                self.t_acting_on(x, m.left_action),
-                                label=f"T|{x.module.label}")
+                                self.t_acting_on(x, m.left_action))
         acts = [op.transpose().pairs for op in m.left_action]
         return InducedModule(x, as_left_t,
                              x.map_out(m.dim, lambda i, mu: acts[i][mu]))

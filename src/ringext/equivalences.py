@@ -27,11 +27,13 @@ spaces, _certify_inverse for certified inverses, and _comparison for the
 naturality squares, status, route and result.  Linearity over a ring is
 checked on its generators: both sides are representations, so the ring
 elements a map intertwines form a subalgebra.  Each map is built once per
-CanonicalRings (CanonicalRings.once, keyed by module and certificate
-content): pi for gamma and the induction comparison, which pi_A_iso is on
-the regular module, and chi with its inverse for chi_M and rho_M.  A
-supplied certificate is substituted once per content
-(CanonicalRings.certified), usually already by the search in classify.
+CanonicalRings (CanonicalSpaces.once, keyed by module and certificate
+content, never by label): pi for gamma and the induction comparison,
+which pi_A_iso is on the regular module, and chi with its inverse for
+chi_M and rho_M.  Each public builder formats the domain and codomain it
+reports from its own module's label.  A supplied certificate is
+substituted once per content (CanonicalRings.certified), usually already
+by the search in classify.
 """
 
 from __future__ import annotations
@@ -238,8 +240,7 @@ def _gamma(cr: CanonicalRings, m: Bimodule
     f, a = cr.field, cr.ext.total
     ind = cr.induced(m)
     x = ind.tensor
-    g = cr.tensor(cr.cent_module_tensor, forget_right(ind.as_left_t),
-                  label=f"R(x)T[{x.module.label}]")
+    g = cr.tensor(cr.cent_module_tensor, forget_right(ind.as_left_t))
     gamma = _collapse(m, g, x, lambda u, i: a.multiply(
         unit_vec(f, a.dim, i), cr.centralizer_space.rows[u]))
     # the section xi -> 1 (x) xi from the induced module into g
@@ -274,7 +275,7 @@ def _t_as_right_r(cr: CanonicalRings) -> Bimodule:
 
 def _m_as_left_r(cr: CanonicalRings, m: Bimodule) -> Bimodule:
     acts = [m.left_operator(row) for row in cr.centralizer_space.rows]
-    return left_module(cr.centralizer, m.dim, acts, label=f"R|{m.label}")
+    return left_module(cr.centralizer, m.dim, acts)
 
 
 def _pi_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
@@ -291,9 +292,8 @@ def _pi(cr: CanonicalRings, m: Bimodule
     """x = A (x)_B m, y = T (x)_R m and pi: y -> x, built once per content
     of m for gamma and the induction comparison."""
     x = cr.induced(m).tensor
-    y = cr.tensor(_t_as_right_r(cr), _m_as_left_r(cr, m),
-                  label=f"T(x)R[{m.label}]")
-    return x, y, cr.once(("pi",), m, lambda: _pi_matrix(cr, m, x, y))
+    y = cr.tensor(_t_as_right_r(cr), _m_as_left_r(cr, m))
+    return x, y, cr.once(("pi",), lambda: _pi_matrix(cr, m, x, y), m)
 
 
 def _quasibase_to_y(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
@@ -350,8 +350,7 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
 
     if left_quasibase is not None:
         _, y, pi = _pi(cr, m)
-        w = cr.tensor(cr.cent_module_tensor, forget_right(y.module),
-                      label=f"R(x)T[{y.module.label}]")
+        w = cr.tensor(cr.cent_module_tensor, forget_right(y.module))
         # the unconditional collapse r (x) (t (x) v) -> (r.t).v, where r.t
         # is the right tensor-ring action on the centralizer (a sandwich)
         delta = _collapse(m, w, y, lambda u, ti: cr.r_lift(
@@ -372,8 +371,8 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
             back, route = through, "left-quasibase-collapse"
 
     m1 = forget_right(m)
-    return _comparison("gamma", gamma, g.module.label, m.label, checks,
-                       cr.hom(m1, m1),
+    return _comparison("gamma", gamma, f"R(x)T[A(x)B[{m.label}]]", m.label,
+                       checks, cr.hom(m1, m1),
                        lambda e: (g.second_leg(x.second_leg(e)), e),
                        back, route)
 
@@ -446,7 +445,8 @@ def _induction_comparison(cr: CanonicalRings, m: Bimodule,
                           left_quasibase: Optional[D2Certificate],
                           name: str) -> VerifiedIso:
     """The always-constructible collapse pi from T (x)_R m to A (x)_B m,
-    built once per m and quasibase and reported under name.
+    built once per content of m and quasibase and reported under name and
+    m's label.
 
     A left quasibase, already verified by the caller, certifies its
     inverse.
@@ -478,15 +478,15 @@ def _induction_comparison(cr: CanonicalRings, m: Bimodule,
                 "induced-module comparison map")
 
         m1 = forget_right(m)
-        return _comparison(name, pi, y.module.label, x.module.label, checks,
-                           cr.hom(m1, m1),
+        return _comparison("", pi, "", "", checks, cr.hom(m1, m1),
                            lambda e: (y.second_leg(e), x.second_leg(e)),
                            back, "left-quasibase",
                            "" if left_quasibase is not None else _NO_QUASIBASE)
 
-    iso = cr.once(("induction", m.label, content_key(left_quasibase)), m,
-                  build)
-    return replace(iso, name=name, checks=dict(iso.checks))
+    # one verdict serves every module of m's content
+    iso = cr.once(("induction", content_key(left_quasibase)), build, m)
+    return replace(iso, name=name, domain=f"T(x)R[{m.label}]",
+                   codomain=f"A(x)B[{m.label}]", checks=dict(iso.checks))
 
 
 def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
@@ -501,7 +501,7 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     f, ext = cr.field, cr.ext
     s_basis = cr.endo_space.basis
     s_left_r = left_module(cr.centralizer, cr.endo_ring.dim,
-                           cr.endo_bimodule_cent.left_action, label="R|S")
+                           cr.endo_bimodule_cent.left_action)
     homsp = cr.hom(s_left_r, _m_as_left_r(cr, m))
 
     @cache
@@ -536,7 +536,7 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
             "coinduction comparison map")
 
     m1 = forget_right(m)
-    return _comparison("coinduction", fwd, x.module.label,
+    return _comparison("coinduction", fwd, f"A(x)B[{m.label}]",
                        f"HomR(S,{m.label})", checks, cr.hom(m1, m1),
                        lambda e: (x.second_leg(e),
                                   _on_hom(homsp, lambda h: e @ h)),
@@ -548,12 +548,11 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
 # hom-side maps for right modules
 
 def _precomposition_module(hs: MapSpace, ring: FDAlgebra,
-                           endos: Sequence[Matrix], label: str) -> Bimodule:
+                           endos: Sequence[Matrix]) -> Bimodule:
     """hs as a right module over a ring of endomorphisms of its source,
     the basis element endos[j] acting by precomposition."""
     return right_module(ring, hs.dim,
-                        [_on_hom(hs, lambda h: h @ e) for e in endos],
-                        label=label)
+                        [_on_hom(hs, lambda h: h @ e) for e in endos])
 
 
 def _hom_from_total(cr: CanonicalRings, target: Bimodule
@@ -562,8 +561,7 @@ def _hom_from_total(cr: CanonicalRings, target: Bimodule
     module over the base, as a right module over the endo ring through
     argument precomposition."""
     hs = cr.hom(forget_left(restrict_right(cr.a_reg, cr.ext)), target)
-    return hs, _precomposition_module(hs, cr.endo_ring, cr.endo_space.basis,
-                                      f"Hom(A,{target.label})")
+    return hs, _precomposition_module(hs, cr.endo_ring, cr.endo_space.basis)
 
 
 def _endo_as_r_s(cr: CanonicalRings) -> Bimodule:
@@ -578,7 +576,7 @@ def _endo_as_r_s(cr: CanonicalRings) -> Bimodule:
 def _chi(cr: CanonicalRings, m: Bimodule,
          left_quasibase: Optional[D2Certificate]) -> tuple:
     """(hs, h_mod, dom, chi, inverse) for a right module m, built once per
-    m and quasibase for chi_M and rho_M.
+    content of m and quasibase for chi_M and rho_M.
 
     hs holds the base-linear maps from the total algebra to m, h_mod is hs
     as a right endo-ring module, dom is m (x)_R S and chi(v (x) alpha) =
@@ -591,9 +589,8 @@ def _chi(cr: CanonicalRings, m: Bimodule,
         hs, h_mod = _hom_from_total(cr, restrict_right(forget_left(m), cr.ext))
         m_right_r = right_module(
             cr.centralizer, m.dim,
-            [m.right_operator(row) for row in cr.centralizer_space.rows],
-            label=f"{m.label}|R")
-        dom = cr.tensor(m_right_r, _endo_as_r_s(cr), label=f"{m.label}(x)R[S]")
+            [m.right_operator(row) for row in cr.centralizer_space.rows])
+        dom = cr.tensor(m_right_r, _endo_as_r_s(cr))
         values_of = cache(lambda b: [
             m.right_operator(cr.endo_space.basis[b].col(k)).transpose()
             for k in range(a.dim)])
@@ -610,7 +607,7 @@ def _chi(cr: CanonicalRings, m: Bimodule,
         _certify_inverse(fwd, back, "a verified left quasibase must invert chi")
         return hs, h_mod, dom, fwd, back
 
-    return cr.once(("chi", m.label, content_key(left_quasibase)), m, build)
+    return cr.once(("chi", content_key(left_quasibase)), build, m)
 
 
 def chi_M(cr: CanonicalRings, m: Bimodule,
@@ -632,7 +629,7 @@ def chi_M(cr: CanonicalRings, m: Bimodule,
         checks["quasibase_inverse"] = True
 
     m1 = forget_left(m)
-    return _comparison("chi", fwd, dom.module.label, f"Hom(A,{m.label})",
+    return _comparison("chi", fwd, f"{m.label}(x)R[S]", f"Hom(A,{m.label})",
                        checks, cr.hom(m1, m1),
                        lambda e: (dom.first_leg(e),
                                   _on_hom(hs, lambda h: e @ h)),
@@ -640,12 +637,11 @@ def chi_M(cr: CanonicalRings, m: Bimodule,
                        "" if left_quasibase is not None else _NO_QUASIBASE)
 
 
-def _counit(cr: CanonicalRings, hs: MapSpace, h_mod: Bimodule, label: str
+def _counit(cr: CanonicalRings, hs: MapSpace, h_mod: Bimodule
             ) -> tuple[TensorProduct, Matrix]:
     """Evaluation at centralizer points, Hom_B(A, target) (x)_S R -> target,
     for hs and h_mod as _hom_from_total builds them."""
-    dom = cr.tensor(h_mod, cr.cent_module_endo,
-                    label=f"Hom(A,{label})(x)S[R]")
+    dom = cr.tensor(h_mod, cr.cent_module_endo)
     rows = cr.centralizer_space.rows
     return dom, dom.map_out(hs.target.dim, lambda b, u: sparse(
         hs.basis[b].apply(rows[u])))
@@ -664,7 +660,7 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
     _check_left_quasibase(cr, left_quasibase, "chi certification")
     f, m1 = cr.field, forget_left(m)
     hs, h_mod, chi_dom, chi_fwd, chi_back = _chi(cr, m, left_quasibase)
-    dom, fwd = _counit(cr, hs, h_mod, m.label)
+    dom, fwd = _counit(cr, hs, h_mod)
 
     # composite route through chi
     nested = cr.tensor(chi_dom.module, cr.cent_module_endo)
@@ -688,8 +684,8 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
         checks["composite_inverse"] = _certify_inverse(
             fwd, back, "composite route must invert the evaluation")
 
-    return _comparison("rho", fwd, dom.module.label, m.label, checks,
-                       cr.hom(m1, m1), _postcompose_square(hs, dom),
+    return _comparison("rho", fwd, f"Hom(A,{m.label})(x)S[R]", m.label,
+                       checks, cr.hom(m1, m1), _postcompose_square(hs, dom),
                        back, "composite-through-chi",
                        "" if left_quasibase is not None else _NO_QUASIBASE)
 
@@ -710,7 +706,7 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
     f, a, b = cr.field, cr.ext.total, cr.ext.base
     n_one = forget_left(n)
     hs, h_mod = _hom_from_total(cr, n_one)
-    dom, fwd = _counit(cr, hs, h_mod, n.label)
+    dom, fwd = _counit(cr, hs, h_mod)
 
     # right base action on the domain: precompose with left multiplication
     lefts, rights = n.generator_actions()
@@ -735,7 +731,7 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
             "a verified conditional expectation must invert the counit")
 
     return _comparison(
-        "split_counit", fwd, dom.module.label, n.label, checks,
+        "split_counit", fwd, f"Hom(A,{n.label})(x)S[R]", n.label, checks,
         cr.hom(n_one, n_one), _postcompose_square(hs, dom), back,
         "conditional-expectation", "" if split is not None else
         "no conditional expectation supplied; formula inverse not certified")
@@ -757,12 +753,10 @@ def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule, hom: Callable,
     end_alg = ring_on(end_space, lambda i, j: basis[i] @ basis[j],
                       Matrix.identity(c.field, m1.dim), f"End({m.label})")
     hs = hom(m1, n1)
-    hom_mod = _precomposition_module(hs, end_alg, end_space.basis,
-                                     f"Hom({m.label},{n.label})")
+    hom_mod = _precomposition_module(hs, end_alg, end_space.basis)
     m_mod = Bimodule(end_alg, c, m1.dim, list(end_space.basis),
-                     m1.right_action, label=m.label)
-    tp = tensor(hom_mod, m_mod,
-                label=f"Hom({m.label},{n.label})(x)End[{m.label}]")
+                     m1.right_action)
+    tp = tensor(hom_mod, m_mod)
     hs_cols = [h.transpose().pairs for h in hs.basis]
     return hs, tp, tp.map_out(n1.dim, lambda b, mu: hs_cols[b][mu])
 
@@ -783,7 +777,8 @@ def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule,
     n1 = forget_left(n)
     checks: dict = {"ring_linear": intertwines(fwd, zip(
         tp.module.generator_actions()[1], n1.generator_actions()[1]))}
-    return _comparison("evaluation", fwd, tp.module.label, n.label,
+    return _comparison("evaluation", fwd,
+                       f"Hom({m.label},{n.label})(x)End[{m.label}]", n.label,
                        checks, build_hom(n1, n1), _postcompose_square(hs, tp))
 
 
@@ -814,6 +809,7 @@ def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,
     checks = {"summand_inverse": _certify_inverse(
         fwd, back, "a validated summand system must invert the evaluation")}
     return VerifiedIso(
-        name="evaluation", domain=tensor.module.label, codomain=n.label,
+        name="evaluation", codomain=n.label,
+        domain=f"Hom({m.label},{n.label})(x)End[{m.label}]",
         domain_dim=fwd.cols, codomain_dim=fwd.rows, status="verified",
         route="summand-system", forward=fwd, backward=back, checks=checks)

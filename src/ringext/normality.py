@@ -167,8 +167,9 @@ def centralizer_normality_suite(cr: CanonicalRings,
                     for j, entry in zip(ideals, per_closure(ideals, contract))]
     report["ideal_contractions"] = contractions
 
-    invariants = [{"module": m.label, "invariants_dim": inv.dim, **_balance(m, inv)}
-                  for m, inv in ((cr.a_reg, cent_sub), (cr.q.module, cr.tensor_space))]
+    invariants = [{"module": label, "invariants_dim": inv.dim, **_balance(m, inv)}
+                  for label, m, inv in ((cr.a_reg.label, cr.a_reg, cent_sub),
+                                        ("Q", cr.q.module, cr.tensor_space))]
     report["bimodule_invariants"] = invariants
     report["all_equal"] = (report["centralizer"]["equal"]
                            and all(c["equal"] for c in contractions)

@@ -25,6 +25,13 @@ from .certify import (D2Certificate, HSepCertificate, HSepPair,
 from .normality import Ideal, ideal_closure
 from .schema import schema
 
+# the keys an equivalences block holds beside its module blocks, which no
+# module label may take
+RESERVED_LABELS = ("regular", "base_change_of_total", "split_counit_on_base",
+                   "evaluation_regular",
+                   "tensor_ring_fg_projective_over_centralizer",
+                   "endo_ring_fg_projective_over_centralizer")
+
 
 class InputError(ValueError):
     """Malformed or semantically invalid input; location is a JSON path."""
@@ -226,8 +233,10 @@ def build_input(doc: dict) -> ParsedInput:
     labels = [m.label for m in modules]
     if len(set(labels)) != len(labels):
         raise InputError("module labels must be distinct", "$.modules")
-    if "regular" in labels:
-        raise InputError("module label \"regular\" is reserved", "$.modules")
+    for label in labels:
+        if label in RESERVED_LABELS:
+            raise InputError(f"module label \"{label}\" is reserved",
+                             "$.modules")
     ideals = [ideal_closure(a, [
         parse_vector(f, g, a.dim, f"$.ideals[{k}].generators[{i}]")
         for i, g in enumerate(j["generators"])], j.get("label", f"(user{k})"))

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from ringext.cli import main
+from ringext.serialize import RESERVED_LABELS
 
 from tests.conftest import CORPUS, corpus_doc, expected_doc
 
@@ -253,6 +254,27 @@ def test_unknown_module_label_is_input_error(capsys):
                            "--module", "missing")
     assert code == 1
     assert "missing" in err
+
+
+@pytest.mark.parametrize("label", RESERVED_LABELS)
+def test_reserved_module_label_is_input_error(tmp_path, capsys, label):
+    """No module may take a key of the equivalences block as its label,
+    in an input or in a report's input echo."""
+    doc = corpus_doc("qc2_q")
+    doc["modules"][0]["label"] = label
+    path = write_doc(tmp_path, doc)
+    message = f'module label "{label}" is reserved'
+    for argv in (["analyze", path], ["equivalence", path, "--module", label]):
+        assert run_cli(capsys, *argv) == (
+            1, "", f"input error at $.modules: {message}\n")
+
+    report = expected_doc("qc2_q")
+    report["input"]["modules"][0]["label"] = label
+    code, out, err = run_cli(capsys, "verify", write_doc(tmp_path, report))
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
 
 
 # -- certify -------------------------------------------------------------------

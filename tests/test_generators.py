@@ -140,11 +140,12 @@ def full_basis_tensor_relations(m, n):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_memo_spaces_match_the_full_basis_reference(built, name):
     cr = built(name).cr
-    homs, tensors = list(cr._homs.values()), list(cr._tensors.values())
-    assert homs and tensors
-    for m, n, hs in homs:
+    entries = {kind: [e for key, e in cr._memo.items() if key[0] == kind]
+               for kind in ("hom", "tensor")}
+    assert entries["hom"] and entries["tensor"]
+    for (m, n), hs in entries["hom"]:
         assert hs.span == full_basis_hom_span(m, n), (m, n)
-    for m, n, tp in tensors:
+    for (m, n), tp in entries["tensor"]:
         assert tp.relations == full_basis_tensor_relations(m, n), (m, n)
 
 

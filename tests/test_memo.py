@@ -1,15 +1,17 @@
-"""The hom-space and tensor-product memo of CanonicalRings: it is scoped
-to one set of rings, exact, keeps each caller's labels and shares only
-frozen results."""
+"""The memo of CanonicalRings: it is scoped to one set of rings, exact,
+shares one result among modules of one content whatever their labels,
+and shares only frozen results."""
 
 import dataclasses
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from ringext import bimodule, canonical, certify, equivalences, normality
 from ringext.algebra import FDAlgebra
+from ringext.bimodule import Bimodule, BimoduleError
 from ringext.canonical import build_canonical_rings, content_key
 from ringext.certify import classify
 from ringext.report import (_iso_block, analysis_report, equivalence_block,
@@ -17,6 +19,9 @@ from ringext.report import (_iso_block, analysis_report, equivalence_block,
 from ringext.serialize import parse_input
 
 from tests.conftest import CORPUS_NAMES, corpus_doc, expected_doc
+from tests.test_equivalences import (_CONSTRUCTORS, _QUASIBASE_TAKERS,
+                                     _altered_expectation, _altered_quasibase,
+                                     _altered_separability)
 
 
 def _counting(monkeypatch, name: str) -> list:
@@ -43,6 +48,12 @@ def _content(m) -> tuple:
     """A module by dimension and action matrices only."""
     return (m.dim, tuple(tuple(map(tuple, a.data))
                          for a in m.left_action + m.right_action))
+
+
+def _twin(m) -> Bimodule:
+    """m's algebras and action matrices under another label."""
+    return Bimodule(m.left_algebra, m.right_algebra, m.dim, m.left_action,
+                    m.right_action, label="twin")
 
 
 def test_no_state_carries_over_between_analyses(monkeypatch):
@@ -82,17 +93,15 @@ def test_a_shared_result_keeps_each_callers_label():
         json.dumps(want["regular"]).replace("kG", "twin"))
 
 
-def test_memo_hit_comes_back_with_the_callers_modules():
+def test_memo_hit_is_shared_by_a_twin_module(monkeypatch):
     cr = build_canonical_rings(parse_input(corpus_doc("qc2_q")).ext)
-    first = cr.tensor(cr.a_reg, cr.a_reg, label="one")
-    twin = cr.a_reg.with_label("twin")
-    again = cr.tensor(twin, cr.a_reg)
-    assert again.relations is first.relations
-    assert (first.module.label, again.module.label) == ("one", "twin(x)kG")
-    assert again.left_factor is twin
-    hs, hs_twin = cr.hom(cr.a_reg, cr.a_reg), cr.hom(twin, twin)
-    assert hs_twin.basis is hs.basis
-    assert (hs_twin.source, hs_twin.target) == (twin, twin)
+    first, hs = cr.tensor(cr.a_reg, cr.a_reg), cr.hom(cr.a_reg, cr.a_reg)
+    tensors = _counting(monkeypatch, "tensor_over")
+    homs = _counting(monkeypatch, "hom_space")
+    twin = _twin(cr.a_reg)
+    assert cr.tensor(twin, cr.a_reg).relations is first.relations
+    assert cr.hom(twin, twin).basis is hs.basis
+    assert tensors == homs == []
 
 
 def test_memo_tells_apart_modules_over_different_algebras(monkeypatch):
@@ -155,16 +164,16 @@ def test_each_induced_module_is_built_once(monkeypatch):
     assert _without_stamp(doc) == _without_stamp(expected_doc("qc2_q"))
 
 
-def test_induced_memo_hit_comes_back_with_the_callers_labels():
+def test_induced_memo_hit_is_shared_by_a_twin_module(monkeypatch):
     cr = build_canonical_rings(parse_input(corpus_doc("qc2_q")).ext)
     first = cr.induced(cr.a_reg)
-    again = cr.induced(cr.a_reg.with_label("twin"))
+    builds = []
+    monkeypatch.setattr(canonical.CanonicalRings, "_build_induced",
+                        lambda cr, m: builds.append(m))
+    again = cr.induced(_twin(cr.a_reg))
     assert again.collapse is first.collapse
     assert again.tensor.relations is first.tensor.relations
-    assert (first.tensor.module.label, again.tensor.module.label) == (
-        "A(x)B[kG]", "A(x)B[twin]")
-    assert again.as_left_t.label == "T|A(x)B[twin]"
-    assert cr.induced(cr.a_reg).tensor.module.label == "A(x)B[kG]"
+    assert builds == []
 
 
 def test_one_analysis_verifies_each_certificate_once(monkeypatch):
@@ -189,6 +198,33 @@ def test_one_analysis_verifies_each_certificate_once(monkeypatch):
         "SplitCertificate"]
     assert max(seen.values()) == 1
     assert _without_stamp(doc) == _without_stamp(expected_doc("qq8_qi"))
+
+
+@pytest.mark.parametrize("constructors, fault", [
+    (_QUASIBASE_TAKERS, _altered_quasibase),
+    (("gamma_M",), _altered_separability),
+    (("split_counit",), _altered_expectation),
+], ids=["quasibase", "separability", "expectation"])
+def test_a_failing_certificate_is_substituted_once(monkeypatch, constructors,
+                                                   fault):
+    """A certificate that fails substitution is substituted once per
+    content, and every constructor given it raises on every call."""
+    cr = build_canonical_rings(parse_input(corpus_doc("qc2_q")).ext)
+    kwargs = fault(SimpleNamespace(cr=cr, cls=classify(cr)))
+    seen = Counter()
+    for name in ("verify_separability", "verify_split", "verify_d2"):
+        verify = getattr(equivalences, name)
+
+        def counted(cr, cert, verify=verify):
+            seen[content_key(cert)] += 1
+            return verify(cr, cert)
+
+        monkeypatch.setattr(equivalences, name, counted)
+    for _ in range(2):
+        for name in constructors:
+            with pytest.raises(BimoduleError):
+                _CONSTRUCTORS[name](cr, **kwargs)
+    assert list(seen.values()) == [1]
 
 
 def test_each_comparison_map_is_built_once(monkeypatch):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from ringext.certify import verify_d2, verify_hsep, verify_separability, \
     verify_split
 from ringext.linalg import GF, QQ, LinalgError
-from ringext.serialize import (InputError, algebra_json, d2_from_json,
+from ringext.serialize import (RESERVED_LABELS, InputError, algebra_json,
+                               d2_from_json,
                                d2_json, extension_json, field_json,
                                hsep_from_json, hsep_json, input_json,
                                module_json, parse_algebra, parse_extension,
@@ -19,7 +20,7 @@ from ringext.serialize import (InputError, algebra_json, d2_from_json,
                                scalar_json, separability_from_json,
                                separability_json, split_from_json, split_json)
 
-from tests.conftest import CORPUS_NAMES, SCHEMAS, corpus_doc
+from tests.conftest import CORPUS_NAMES, SCHEMAS, corpus_doc, expected_doc
 from tests.oracles import reference_rational_scalar
 
 
@@ -182,6 +183,14 @@ def test_reserved_module_label_rejected():
                        "left_action": [[["1"]], [["1"]]]}]
     with pytest.raises(InputError, match="regular"):
         parse_input(doc)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_equivalence_keys_beside_the_modules_are_the_reserved_labels(name):
+    doc = expected_doc(name)
+    labels = {m["label"] for m in doc["input"].get("modules", [])}
+    assert sorted(doc["equivalences"].keys() - labels) == sorted(
+        RESERVED_LABELS)
 
 
 def test_duplicate_module_labels_rejected():

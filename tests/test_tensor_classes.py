@@ -29,7 +29,7 @@ def analysed_tensors(name: str) -> list:
     parsed = parse_input(corpus_doc(name))
     cr = build_canonical_rings(parsed.ext)
     analysis_report(parsed, rings=cr)
-    return [tp for _, _, tp in cr._tensors.values()]
+    return [tp for key, (_, tp) in cr._memo.items() if key[0] == "tensor"]
 
 
 def scalars(field):
