@@ -18,6 +18,7 @@ without re-deriving it from the multiplication.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -25,7 +26,6 @@ from .linalg import (
     Matrix,
     Subspace,
     lin_comb,
-    span_decide,
     sparse,
     spin,
     unit_vec,
@@ -385,25 +385,30 @@ def subalgebra_extension(total: FDAlgebra, basis: Optional[Sequence[Sequence]] =
             raise AlgebraError("subalgebra basis vector has wrong length")
     k, n = len(vecs), total.dim
     gens = tuple(sparse(v) for v in vecs)
-    stacked = Matrix(f, k, n, gens)
-    if Subspace.row_space(stacked).dim != k:
+    # [V | I_k] in RREF: each row writes its V part over the basis in its
+    # I_k part, and the basis is independent iff no pivot lies in I_k
+    aug = Subspace.row_space(Matrix(f, k, n + k, tuple(
+        g + ((n + i, f.one),) for i, g in enumerate(gens))))
+    if any(c >= n for c in aug.pivots):
         raise AlgebraError("subalgebra basis is linearly dependent")
-    unit_coords = span_decide(f, n, gens, sparse(total.unit))
+
+    def coords(v: Sequence) -> Optional[list]:
+        """v over the basis, or None if it is outside the span: reducing
+        (v | 0) leaves (residual | -coordinates)."""
+        w = aug._reduce(dict(sparse(v)))
+        return None if any(j < n for j in w) else [
+            f.neg(w.get(n + i, f.zero)) for i in range(k)]
+
+    unit_coords = coords(total.unit)
     if unit_coords is None:
         raise AlgebraError("subalgebra does not contain the unit")
-    mult = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            prod = total.multiply(vecs[i], vecs[j])
-            coords = span_decide(f, n, gens, sparse(prod))
-            if coords is None:
-                raise AlgebraError(
-                    f"not closed under multiplication at basis pair ({i},{j})")
-            row.append(coords)
-        mult.append(row)
+    mult = [[coords(total.multiply(x, y)) for y in vecs] for x in vecs]
+    for i, j in product(range(k), repeat=2):
+        if mult[i][j] is None:
+            raise AlgebraError(
+                f"not closed under multiplication at basis pair ({i},{j})")
     base = FDAlgebra(f, k, mult, unit_coords, name="B")
-    return Extension(base, total, stacked.transpose(), name=name)
+    return Extension(base, total, Matrix.from_cols(f, n, gens), name=name)
 
 
 def self_extension(total: FDAlgebra, name: str = "A/A") -> Extension:

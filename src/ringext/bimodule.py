@@ -20,7 +20,7 @@ the class of one pure tensor e_u (x) e_v of basis elements.
 Every linear system and operator here is written from the nonzero
 entries of its ingredients (hom constraints and balancing relations row
 by row, operator sums in place, tensor-leg images one pure tensor at a
-time, reduced in place by the relations), with one block per generator
+time, summed from the class table), with one block per generator
 of an acting algebra (FDAlgebra.generators), not per basis element;
 tensor_map checks every relation row.  Spans grow from generators
 (linalg.spin): a hom out of a module regular on one side is solved for
@@ -45,6 +45,7 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
+    comb_pairs,
     echelon_insert,
     echelon_reduce,
     kernel,
@@ -207,13 +208,14 @@ class TensorProduct:
     its coefficients on the pure tensors e_i (x) e_j.  relations holds the
     balancing relations in RREF over the row-major entries of that matrix;
     the quotient basis consists of the classes of the unit vectors at its
-    non-pivot columns, free_cols, so projection is pivot elimination
-    followed by reading off those coordinates, lifting places coordinates
-    at those columns, and every basis class is one pure tensor of basis
-    elements.  A class is a pair vector of quotient coordinates, and
-    map_out builds a map out of the quotient from its column at each of
-    those pure tensors, so no caller knows their order.  Frozen, so that
-    one instance can be shared.
+    non-pivot columns, free_cols, so lifting places coordinates at those
+    columns and every basis class is one pure tensor of basis elements.
+    The class table, built on first use, holds the class of every ambient
+    unit vector, and projection sums it at an element's nonzero entries.
+    A class is a pair vector of quotient coordinates, and map_out builds a
+    map out of the quotient from its column at each of those pure
+    tensors, so no caller knows their order.  Frozen, so that one instance
+    can be shared.
     """
     module: Bimodule
     relations: Subspace
@@ -223,19 +225,22 @@ class TensorProduct:
 
     def project(self, ambient: Matrix) -> tuple:
         """The class of an ambient element, as a pair vector."""
-        return self._class_of(dict(ambient.vec()))
+        return self._class_of(ambient.vec())
 
-    def _class_of(self, w: dict) -> tuple:
-        """project on the nonzero entries, by row-major index, of an
-        ambient element; w is reduced in place, so it vanishes at every
-        pivot and each entry left is a quotient coordinate."""
-        index = self._free_index
-        return tuple(sorted((index[c], x)
-                            for c, x in self.relations._reduce(w).items()))
+    def _class_of(self, entries: Iterable) -> tuple:
+        """project on the (row-major index, value) entries of an element."""
+        return tuple(sorted(comb_pairs(self.left_factor.field, self._classes,
+                                       entries).items()))
 
     @cached_property
-    def _free_index(self) -> dict:
-        return {c: k for k, c in enumerate(self.free_cols)}
+    def _classes(self) -> list:
+        """The class table, by row-major index: a free column is its own
+        basis class, and a pivot column is minus the rest of its RREF row."""
+        f, index = self.left_factor.field, {c: k for k, c in enumerate(self.free_cols)}
+        rows = self.relations._row_at
+        return [((index[c], f.one),) if c in index else tuple(
+            (index[j], f.neg(x)) for j, x in rows[c].items() if j != c)
+            for c in range(self.left_factor.dim * self.right_factor.dim)]
 
     def lift(self, coords: Sequence) -> Matrix:
         """The canonical ambient representative of a class."""
@@ -252,7 +257,7 @@ class TensorProduct:
             for i, a in enumerate(x):
                 if a:
                     f.sparse_addmul(w, [(i * n + j, b) for j, b in ys], a)
-        return self._class_of(w)
+        return self._class_of(w.items())
 
     def pure(self, x: Sequence, y: Sequence) -> tuple:
         """The class of the pure tensor x (x) y."""
@@ -287,23 +292,23 @@ def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
     to dst (default src); the caller vouches that it respects relations.
 
     Each quotient basis class of src is a pure tensor e_u (x) e_v, whose
-    image sum c * op_l.col(u) (x) op_r.col(v) is accumulated from nonzeros
-    and reduced by dst's relations; that residual vanishes at every pivot,
-    so its entries are the coordinates of the image class in dst.
+    image sum c * op_l.col(u) (x) op_r.col(v) is summed from the classes
+    of dst's ambient basis tensors at its nonzeros.
     """
     dst = dst or src
-    f, dn = src.left_factor.field, dst.right_factor.dim
-    sparse = [(c, op_l.transpose().pairs, op_r.transpose().pairs)
-              for c, op_l, op_r in terms if c]
+    f, dn, classes = src.left_factor.field, dst.right_factor.dim, dst._classes
+    addmul, mul = f.sparse_addmul, f.mul
+    legs = [(c, op_l.transpose().pairs, op_r.transpose().pairs)
+            for c, op_l, op_r in terms if c]
     cols = []
     for u, v in src.free_pairs():
-        w: dict = {}
-        for c, lcols, rcols in sparse:
+        acc: dict = {}
+        for c, lcols, rcols in legs:
             for r, a in lcols[u]:
-                base = r * dn
-                f.sparse_addmul(w, [(base + k, b) for k, b in rcols[v]],
-                                f.mul(c, a))
-        cols.append(dst._class_of(w))
+                ca, base = mul(c, a), r * dn
+                for k, b in rcols[v]:
+                    addmul(acc, classes[base + k], mul(ca, b))
+        cols.append(tuple(sorted(acc.items())))
     return Matrix.from_cols(f, len(dst.free_cols), cols)
 
 

@@ -740,22 +740,26 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
 # ---------------------------------------------------------------------------
 # generic evaluation over an endomorphism ring
 
-def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule, hom: Callable,
-                     tensor: Callable
+def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule,
+                     rings: Optional[CanonicalRings]
                      ) -> tuple[MapSpace, TensorProduct, Matrix]:
-    """Hom(m, n), its tensor with m over End(m), and the evaluation, built
-    by hom and tensor."""
+    """Hom(m, n), its tensor with m over End(m), and the evaluation.  Given
+    the canonical rings, each is built once per module content: End(m) and
+    the precomposition module too, so the tensor's key repeats."""
+    hom, tensor, once = (hom_space, tensor_over, lambda _, build, *ms: build()) \
+        if rings is None else (rings.hom, rings.tensor, rings.once)
     m1, n1 = forget_left(m), forget_left(n)
     if m1.right_algebra != c or n1.right_algebra != c:
         raise BimoduleError("evaluation needs two right modules over one ring")
     end_space = hom(m1, m1)
     basis = end_space.basis
-    end_alg = ring_on(end_space, lambda i, j: basis[i] @ basis[j],
-                      Matrix.identity(c.field, m1.dim), f"End({m.label})")
+    end_alg = once(("End",), lambda: ring_on(
+        end_space, lambda i, j: basis[i] @ basis[j],
+        Matrix.identity(c.field, m1.dim), "End"), m1)
     hs = hom(m1, n1)
-    hom_mod = _precomposition_module(hs, end_alg, end_space.basis)
-    m_mod = Bimodule(end_alg, c, m1.dim, list(end_space.basis),
-                     m1.right_action)
+    hom_mod = once(("precomposition",), lambda: _precomposition_module(
+        hs, end_alg, basis), m1, n1)
+    m_mod = Bimodule(end_alg, c, m1.dim, list(basis), m1.right_action)
     tp = tensor(hom_mod, m_mod)
     hs_cols = [h.transpose().pairs for h in hs.basis]
     return hs, tp, tp.map_out(n1.dim, lambda b, mu: hs_cols[b][mu])
@@ -771,15 +775,13 @@ def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule,
     summand system.  Given the canonical rings of an extension, the hom
     spaces and tensor products come from rings.hom and rings.tensor.
     """
-    build_hom, build_tensor = (rings.hom, rings.tensor) if rings is not None \
-        else (hom_space, tensor_over)
-    hs, tp, fwd = _evaluation_data(c, m, n, build_hom, build_tensor)
-    n1 = forget_left(n)
+    hs, tp, fwd = _evaluation_data(c, m, n, rings)
+    n1, hom = forget_left(n), hom_space if rings is None else rings.hom
     checks: dict = {"ring_linear": intertwines(fwd, zip(
         tp.module.generator_actions()[1], n1.generator_actions()[1]))}
     return _comparison("evaluation", fwd,
                        f"Hom({m.label},{n.label})(x)End[{m.label}]", n.label,
-                       checks, build_hom(n1, n1), _postcompose_square(hs, tp))
+                       checks, hom(n1, n1), _postcompose_square(hs, tp))
 
 
 def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,
@@ -795,7 +797,7 @@ def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,
     """
     if len(projections) != len(injections):
         raise BimoduleError("projections and injections must pair up")
-    hom, tensor, fwd = _evaluation_data(c, m, n, hom_space, tensor_over)
+    hom, tensor, fwd = _evaluation_data(c, m, n, None)
     n1 = forget_left(n)
     if not SummandWitness(n1, forget_left(m),
                           list(zip(injections, projections))).verify():

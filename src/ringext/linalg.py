@@ -20,7 +20,11 @@ systems.  Dense lists appear only as algebra elements and certificates
 (structure constants, apply, col, Subspace.rows and coordinates); sparse
 turns one into a pair vector where it meets a matrix.  apply_comb applies
 a combination of matrices to one vector from the images of that vector
-alone, so substituting into a certificate forms no operator.
+alone, so substituting into a certificate forms no operator.  A matrix
+keeps its transpose once built, with no reference back, and apply, spin,
+col and columns read those cached columns: an image is the sum of the
+columns at a vector's nonzero entries (comb_pairs), with no dot product.
+Matrix.identity is one shared instance per field and size.
 Subspaces keep an RREF basis, so equal subspaces have equal data.  An
 RREF is unique, so its rows, pivots, kernel basis and the particular
 solution with free variables zero do not depend on the order in which
@@ -29,7 +33,7 @@ elimination visits the rows.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 try:
@@ -147,15 +151,6 @@ class RationalField:
                 v = dst[i] + c * s
                 dst[i] = v if type(v) is int else _int_if_whole(v)
 
-    def dot(self, pairs: Iterable, v: Sequence):
-        """sum x * v[j] over the (j, x) pairs of a sparse row."""
-        acc = 0
-        for j, x in pairs:
-            b = v[j]
-            if b:
-                acc += x * b
-        return acc if type(acc) is int else _int_if_whole(acc)
-
     def sparse_addmul(self, dst: dict, pairs: Iterable, c) -> None:
         """dst += c * src for a nonzero c: dst holds a row's nonzero entries
         as a dict, src its (index, nonzero value) pairs; zeros leave dst."""
@@ -228,9 +223,6 @@ class PrimeField:
             if s:
                 dst[i] = (dst[i] + c * s) % p
 
-    def dot(self, pairs: Iterable, v: Sequence):
-        return sum(x * v[j] for j, x in pairs) % self.p
-
     def sparse_addmul(self, dst: dict, pairs: Iterable, c) -> None:
         p = self.p
         for j, s in pairs:
@@ -299,21 +291,32 @@ def dense(field: Field, n: int, pairs: Iterable) -> list:
     return out
 
 
+def comb_pairs(field: Field, vectors: Sequence[tuple], coeffs: Iterable) -> dict:
+    """sum x * vectors[j] over the (j, x) pairs of coeffs, zeros skipped,
+    as a dict of its nonzeros by index."""
+    acc: dict = {}
+    for j, x in coeffs:
+        if x:
+            field.sparse_addmul(acc, vectors[j], x)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
 class Matrix:
     """A matrix over one exact field, held as immutable sparse rows:
     pairs[i] holds the (column, value) pairs of the nonzero entries of row
-    i in ascending column order and is all a matrix stores, so equal
-    matrices have equal pairs.  No method changes a matrix; zero-row and
-    zero-column matrices are legal."""
+    i in ascending column order, so equal matrices have equal pairs; _t
+    caches the transpose.  No method changes a matrix's entries;
+    zero-row and zero-column matrices are legal."""
 
-    __slots__ = ("field", "rows", "cols", "pairs")
+    __slots__ = ("field", "rows", "cols", "pairs", "_t")
 
     def __init__(self, field: Field, rows: int, cols: int, pairs: tuple) -> None:
         """Pair rows as stored, unchecked; from_pairs checks its input."""
         self.field, self.rows, self.cols, self.pairs = field, rows, cols, pairs
+        self._t = None
 
     @classmethod
     def from_pairs(cls, field: Field, rows: int, cols: int,
@@ -332,9 +335,11 @@ class Matrix:
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls(field, rows, cols, ((),) * rows)
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, n, n, tuple(((i, field.one),) for i in range(n)))
+    @staticmethod
+    @cache
+    def identity(field: Field, n: int) -> "Matrix":
+        """The n x n identity, one shared instance per field and size."""
+        return Matrix(field, n, n, tuple(((i, field.one),) for i in range(n)))
 
     @classmethod
     def from_cols(cls, field: Field, rows: int,
@@ -352,17 +357,18 @@ class Matrix:
         return dense(self.field, self.cols, self.pairs[i])
 
     def col(self, j: int) -> list:
-        return [dict(row).get(j, self.field.zero) for row in self.pairs]
+        return self.transpose().row(j)
 
     def columns(self) -> list[list]:
         return self.transpose().data
 
     def apply(self, v: Sequence) -> list:
-        """Matrix-vector product (v as a column)."""
+        """Matrix-vector product (v as a column): the columns at the
+        nonzero entries of v, scaled and summed."""
         if len(v) != self.cols:
             raise LinalgError("matrix/vector size mismatch")
-        dot = self.field.dot
-        return [dot(row, v) for row in self.pairs]
+        return dense(self.field, self.rows, comb_pairs(
+            self.field, self.transpose().pairs, enumerate(v)).items())
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -395,11 +401,14 @@ class Matrix:
                         (self, other))
 
     def transpose(self) -> "Matrix":
-        cols: list[list] = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.pairs):
-            for j, x in row:
-                cols[j].append((i, x))
-        return Matrix(self.field, self.cols, self.rows, tuple(map(tuple, cols)))
+        if self._t is None:
+            cols: list[list] = [[] for _ in range(self.cols)]
+            for i, row in enumerate(self.pairs):
+                for j, x in row:
+                    cols[j].append((i, x))
+            self._t = Matrix(self.field, self.cols, self.rows,
+                             tuple(map(tuple, cols)))
+        return self._t
 
     def vec(self) -> tuple:
         """Row-major flattening, as the (index, value) pairs of its nonzeros."""
@@ -514,11 +523,10 @@ def spin(field: Field, dim: int, vectors: Iterable, operators: Sequence[Matrix],
     the operators, grown into echelon (default empty) in place: only a vector
     that enlarges the span has its images queued, so closed spans stay so."""
     echelon = {} if echelon is None else echelon
-    transposes, queue = [op.transpose() for op in operators], list(vectors)
-    for v in queue:  # grows while it is read: the images of v as rows
+    columns, queue = [op.transpose().pairs for op in operators], list(vectors)
+    for v in queue:  # grows while it is read: the images of v, from columns
         if echelon_insert(field, echelon, dict(v)):
-            row = Matrix(field, 1, dim, (v,))
-            queue.extend((row @ t).pairs[0] for t in transposes)
+            queue.extend(comb_pairs(field, cols, v).items() for cols in columns)
     return Subspace.from_echelon(field, dim, echelon)
 
 

@@ -8,7 +8,8 @@ from ringext.algebra import (AlgebraError, Extension, FDAlgebra, GroupData,
                              diagonal_algebra, group_algebra, matrix_algebra,
                              self_extension, subalgebra_extension,
                              trivial_algebra)
-from ringext.linalg import GF, QQ, Matrix, invert, sparse, unit_vec
+from ringext.linalg import (GF, QQ, Matrix, invert, span_decide, sparse,
+                            unit_vec)
 
 from tests.helpers import center, is_commutative, scale
 from tests.oracles import reference_validation_fault
@@ -168,6 +169,47 @@ def test_basis_extension_rejects_nonclosed_span():
            [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]]
     with pytest.raises(AlgebraError):
         subalgebra_extension(a, basis=bad)
+
+
+def test_basis_extension_names_each_fault():
+    a = matrix_algebra(QQ, 2)
+    rows = lambda *rs: [[QQ.of(x) for x in r] for r in rs]
+    with pytest.raises(AlgebraError, match="^subalgebra basis is linearly dependent$"):
+        subalgebra_extension(a, basis=rows([1, 0, 0, 1], [0, 1, 0, 0], [2, 3, 0, 2]))
+    # span{e11, e12} is closed under products but misses e11 + e22
+    with pytest.raises(AlgebraError, match="^subalgebra does not contain the unit$"):
+        subalgebra_extension(a, basis=rows([1, 0, 0, 0], [0, 1, 0, 0]))
+    # e12 e21 = e11 and e21 e12 = e22 fall outside: (1,2) comes first
+    with pytest.raises(AlgebraError, match=r"^not closed under multiplication "
+                       r"at basis pair \(1,2\)$"):
+        subalgebra_extension(a, basis=rows([1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]))
+
+
+def reference_structure(total, vecs):
+    """The unit's and the products' coordinates, one span_decide each."""
+    f, gens = total.field, [sparse(v) for v in vecs]
+    coords = lambda v: span_decide(f, total.dim, gens, sparse(v))
+    return coords(total.unit), [[coords(total.multiply(x, y)) for y in vecs]
+                                for x in vecs]
+
+
+@given(st.sampled_from([QQ, GF(5)]), st.data())
+def test_basis_extension_matches_one_span_decide_per_product(field, data):
+    """The upper triangular matrices in M2 over a random basis of them."""
+    a = matrix_algebra(field, 2)
+    scalar = (st.fractions(-3, 3, max_denominator=3) if field == QQ
+              else st.integers(0, 4)).map(field.of)
+    # a triangular change of basis with a nonzero diagonal, rows permuted
+    p = [[data.draw(scalar) if j > i else field.zero for j in range(3)]
+         for i in range(3)]
+    for i in range(3):
+        p[i][i] = data.draw(scalar.filter(bool))
+    t2 = [unit_vec(field, 4, i) for i in (0, 1, 3)]
+    vecs = [[sum((field.mul(c, v[j]) for c, v in zip(row, t2)), field.zero)
+             for j in range(4)] for row in data.draw(st.permutations(p))]
+    vecs = [[field.of(x) for x in v] for v in vecs]
+    base = subalgebra_extension(a, basis=vecs).base
+    assert (base.unit, base.mult) == reference_structure(a, vecs)
 
 
 def test_extension_requires_exactly_one_description():

@@ -164,6 +164,23 @@ def test_each_induced_module_is_built_once(monkeypatch):
     assert _without_stamp(doc) == _without_stamp(expected_doc("qc2_q"))
 
 
+def test_repeated_evaluation_maps_hit_the_memo(monkeypatch):
+    """End(m) and the precomposition module are built once per content, so
+    the tensor product of a repeated evaluation map is keyed alike."""
+    cr = build_canonical_rings(parse_input(corpus_doc("qq8_qi")).ext)
+    a = cr.ext.total
+    calls = _counting(monkeypatch, "tensor_over")
+    blocks, sizes = [], []
+    for _ in range(3):
+        a_right = bimodule.right_regular_module(a)
+        blocks.append(_iso_block(equivalences.evaluation_map(
+            a, a_right, a_right, rings=cr)))
+        sizes.append(len(cr._memo))
+    assert len(calls) == 1
+    assert blocks[0] == blocks[1] == blocks[2]
+    assert sizes[0] == sizes[1] == sizes[2]
+
+
 def test_induced_memo_hit_is_shared_by_a_twin_module(monkeypatch):
     cr = build_canonical_rings(parse_input(corpus_doc("qc2_q")).ext)
     first = cr.induced(cr.a_reg)

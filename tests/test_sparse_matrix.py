@@ -20,16 +20,18 @@ from tests.helpers import dense_matrix, scale
 from tests.oracle_linalg import as_pairs
 
 F5 = GF(5)
-FIELDS = {"Q": (QQ, oracle_linalg.FracOps()), "F5": (F5, oracle_linalg.ModOps(5))}
+FIELDS = {"Q": (QQ, oracle_linalg.FracOps()), "F5": (F5, oracle_linalg.ModOps(5)),
+          "F2": (GF(2), oracle_linalg.ModOps(2))}
 
 big = st.integers(-10**30, 10**30)
 q_entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
                     st.builds(Fraction, big, st.integers(1, 10**30)))
-f5_entry = st.one_of(st.just(0), st.integers(0, 4))
 
 
 def entries(name):
-    return q_entry if name == "Q" else f5_entry
+    if name == "Q":
+        return q_entry
+    return st.one_of(st.just(0), st.integers(0, FIELDS[name][1].p - 1))
 
 
 @st.composite
@@ -54,7 +56,12 @@ def lib(name, data, cols):
 
 
 def reduce_(name, x):
-    return x % 5 if name == "F5" else x
+    return x if name == "Q" else x % FIELDS[name][1].p
+
+
+def ref_apply(name, a, v):
+    """The dense product of the rows a with the column v."""
+    return [reduce_(name, sum(x * v[j] for j, x in enumerate(row))) for row in a]
 
 
 def ref_matmul(name, a, b, k):
@@ -90,10 +97,10 @@ def ref_invert(ops, a, n):
 
 def assert_canonical(name, rows):
     for x in (x for row in rows for x in row):
-        if name == "F5":
-            assert type(x) is int and 0 <= x < 5
-        else:
+        if name == "Q":
             assert type(x) is int or x.denominator != 1
+        else:
+            assert type(x) is int and 0 <= x < FIELDS[name][1].p
 
 
 @given(st.sampled_from(["Q", "F5"]), st.data())
@@ -112,8 +119,7 @@ def test_arithmetic_matches_dense_lists(name, data):
 
     outputs = {
         "matmul": ((A @ B).data, ref_matmul(name, a, b, k)),
-        "apply": ([A.apply(lv)], [[reduce_(name, sum(
-            x * v[j] for j, x in enumerate(row))) for row in a]]),
+        "apply": ([A.apply(lv)], [ref_apply(name, a, v)]),
         "lin_comb": (lin_comb(field, m, n, [field.of(c1), field.of(c2)],
                               [A, A2]).data,
                      ref_comb(name, [c1, c2], [a, a2])),
