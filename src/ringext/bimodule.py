@@ -27,6 +27,14 @@ tensor_map checks every relation row.  Spans grow from generators
 its value at the unit, and summand_witness writes maps only at a
 generating set and stops once it reaches the identity.
 
+Over a group algebra the regular, restricted and tensor-square actions
+are permutation matrices, and then a hom, balancing or invariance system
+says only "constant on an orbit" of the indices the permutations link.
+hom_space, tensor_over and invariants_subspace read such a system's RREF
+off those orbits (union-find) when every generator action in it is a
+permutation matrix, and eliminate every other system; an RREF is unique,
+so both paths give the same result.
+
 hom_space and tensor_over build anew on every call; their results,
 MapSpace and TensorProduct, are frozen so that a memo (the one on
 CanonicalSpaces) can hand one result to several callers, whose modules
@@ -320,17 +328,38 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
     n.left(c) X - X m.right(c)^T at the coefficient matrix X, so the
     relations span the intertwining system over the generators of C
     (x.(cd) (x) y - x (x) (cd).y is the relation at c on (x, d.y) plus
-    the one at d on (x.c, y)).  The module's label joins both factors'
-    for display; a memo hands the result to callers of any label.
+    the one at d on (x.c, y)).  When those generators act on both factors
+    by permutation matrices, each relation is a difference of two pure
+    tensors of basis elements, so the relations span the vectors summing
+    to zero on each class of linked pure tensors: the RREF keeps the
+    largest column of a class free and has the row e_c - e_max for every
+    other member c, read off without elimination.  The module's label
+    joins both factors' for display; a memo hands the result to callers
+    of any label.
     """
     c = m.right_algebra
     if c != n.left_algebra:
         raise BimoduleError(
             f"tensor factors disagree on the middle algebra: "
             f"{c.name} vs {n.left_algebra.name}")
-    relations = Subspace.row_space(_intertwining_system(
-        m.field, [(n.left_action[b], m.right_action[b].transpose())
-                  for b in c.generators()], n.dim, m.dim))
+    f, dn, gens = m.field, n.dim, c.generators()
+    tables = _permutation_tables([m.right_action[b] for b in gens]
+                                 + [n.left_action[b] for b in gens])
+    if tables is None:
+        relations = Subspace.row_space(_intertwining_system(
+            f, [(n.left_action[b], m.right_action[b].transpose())
+                for b in gens], dn, m.dim))
+    else:
+        # e_a (x) e_t(b) = e_s(a).c (x) e_t(b) ~ e_s(a) (x) c.e_t(b)
+        # = e_s(a) (x) e_b
+        rows = sorted(((k, f.one), (cls[-1], f.neg(f.one)))
+                      for cls in _orbits(m.dim * dn, (
+                          (a * dn + t[b], s[a] * dn + b)
+                          for s, t in zip(tables, tables[len(gens):])
+                          for a in range(m.dim) for b in range(dn)))
+                      for k in cls[:-1])
+        relations = Subspace(Matrix(f, len(rows), m.dim * dn, tuple(rows)),
+                             [row[0][0] for row in rows])
     pivots = set(relations.pivots)
     free = tuple(col for col in range(m.dim * n.dim) if col not in pivots)
     # the outer actions move one leg each; they only read the presentation
@@ -419,23 +448,79 @@ def _intertwining_system(field: Field, actions: Iterable[tuple[Matrix, Matrix]],
     return Matrix(field, len(rows), dn * dm, tuple(rows))
 
 
+def _permutation_tables(mats: Sequence[Matrix]) -> Optional[list]:
+    """The table t of each matrix, (mat v)[i] = v[t[i]], when every one is
+    a permutation matrix (one entry, equal to 1, in each row and column);
+    None otherwise."""
+    tables = []
+    for mat in mats:
+        t = [row[0][0] for row in mat.pairs
+             if len(row) == 1 and row[0][1] == 1]
+        if not len(set(t)) == mat.rows == mat.cols:
+            return None
+        tables.append(t)
+    return tables
+
+
+def _orbits(n: int, links: Iterable[tuple[int, int]]) -> list[list]:
+    """The classes of 0..n-1 under the equivalence generated by the linked
+    pairs, each ascending, in the order of their least members; union-find
+    with every root the least member of its class."""
+    root = list(range(n))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for a, b in links:
+        a, b = sorted((find(a), find(b)))
+        root[b] = a
+    classes: dict = {}
+    for a in range(n):
+        classes.setdefault(find(a), []).append(a)
+    return list(classes.values())
+
+
+def _indicators(f: Field, n: int, classes: list[list]) -> Subspace:
+    """The span of the indicator vectors of classes listed as _orbits lists
+    them, which are already its RREF: each leads at its least member."""
+    return Subspace(Matrix(f, len(classes), n, tuple(
+        tuple((k, f.one) for k in cls) for cls in classes)),
+        [cls[0] for cls in classes])
+
+
 def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
     """All linear maps m -> n commuting with both algebras' generators.
 
     If m's left action is the regular one, phi(x) = x.v for v = phi(1),
     and phi commutes with a right generator g iff w.v = v.g for w = 1.g,
     as phi(x.g) = phi(x.w) = x.w.v; so only v is unknown (mirrored on the
-    right).  Either path ends in the RREF of the maps, which is unique.
+    right).  Before that, if every generator acts on m and on n by a
+    permutation matrix, a map's matrix X must be constant on the orbits
+    of its index pairs (i, j) under (i, j) -> (t(i), s(j)), for the
+    permutations s on m and t on n of each generator, and the indicators
+    of those orbits, ordered by least index, are the RREF.  Every path
+    ends in the RREF of the maps, which is unique.
     """
     if m.left_algebra != n.left_algebra or m.right_algebra != n.right_algebra:
         raise BimoduleError("hom needs matching acting algebras on both sides")
     f, dm, dn = m.field, m.dim, n.dim
-    maps = _maps_from_unit(m, n)
-    if maps is None:
-        (ml, mr), (nl, nr) = m.generator_actions(), n.generator_actions()
-        maps = tuple(kernel(_intertwining_system(
-            f, [*zip(ml, nl), *zip(mr, nr)], dm, dn)))
-    span = Subspace.row_space(Matrix(f, len(maps), dn * dm, maps))
+    (ml, mr), (nl, nr) = m.generator_actions(), n.generator_actions()
+    tables = _permutation_tables(ml + mr + nl + nr)
+    if tables is not None:
+        # X[t(i), s(j)] = X[i, j] for the tables s of m's and t of n's actions
+        span = _indicators(f, dn * dm, _orbits(dn * dm, (
+            (i * dm + j, t[i] * dm + s[j])
+            for s, t in zip(tables, tables[len(ml) + len(mr):])
+            for i in range(dn) for j in range(dm))))
+    else:
+        maps = _maps_from_unit(m, n)
+        if maps is None:
+            maps = tuple(kernel(_intertwining_system(
+                f, [*zip(ml, nl), *zip(mr, nr)], dm, dn)))
+        span = Subspace.row_space(Matrix(f, len(maps), dn * dm, maps))
     # keep the basis aligned with the echelon rows so coordinates match
     return MapSpace(m, n, tuple(Matrix.from_vec(f, dn, dm, r)
                                 for r in span.basis.pairs), span)
@@ -466,17 +551,25 @@ def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
     """Vectors v with x.v = v.x for every listed element of both algebras.
 
     Elements are coordinate vectors in the acting algebra, which must be
-    the same on both sides for the condition to typecheck.
+    the same on both sides for the condition to typecheck.  When every
+    x acts on both sides by a permutation matrix, x.v = v.x links the
+    entries of v that the two permutations move to one position, and the
+    indicators of the linked classes, ordered by least index, are the
+    RREF; otherwise the system is eliminated.
     """
     if len(m.left_action) != len(m.right_action):
         raise BimoduleError("invariants need one algebra acting on both sides")
     f = m.field
-    rows = []
-    for x in elements:
-        diff = lin_comb(f, m.dim, m.dim, list(x) + [f.neg(c) for c in x],
-                        m.left_action + m.right_action)
-        rows.extend(row for row in diff.pairs if row)
-    ker = kernel(Matrix(f, len(rows), m.dim, tuple(rows)))
+    ops = [(m.left_operator(x), m.right_operator(x)) for x in elements]
+    tables = _permutation_tables([op for pair in ops for op in pair])
+    if tables is not None:
+        # (x.v)[p] = v[l(p)] and (v.x)[p] = v[r(p)] for the tables l and r of x
+        return _indicators(f, m.dim, _orbits(m.dim, (
+            (l[p], r[p]) for l, r in zip(tables[::2], tables[1::2])
+            for p in range(m.dim))))
+    rows = tuple(row for left, right in ops for row in (left - right).pairs
+                 if row)
+    ker = kernel(Matrix(f, len(rows), m.dim, rows))
     return Subspace.row_space(Matrix(f, len(ker), m.dim, tuple(ker)))
 
 

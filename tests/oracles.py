@@ -174,6 +174,25 @@ def endo_ring_dim(a: RawAlgebra) -> int:
     return len(nullspace(a.ops, rows, n * n))
 
 
+def _subgroup_data(doc: dict) -> tuple:
+    """The Cayley table (index 0 is the identity), the subgroup's indices
+    and the table of inverses of a subgroup input."""
+    cay = doc["algebra"]["group"]["cayley"]
+    return cay, doc["subalgebra"]["subgroup"], [row.index(0) for row in cay]
+
+
+def _orbit_count(points, orbit) -> int:
+    """The number of orbits of a group action on points, where orbit(p)
+    is the whole orbit of p."""
+    seen: set = set()
+    count = 0
+    for p in points:
+        if p not in seen:
+            count += 1
+            seen.update(orbit(p))
+    return count
+
+
 def subgroup_endo_orbit_count(doc: dict) -> int:
     """dim End_B(kG)_B for B = kH, H <= G, with no linear algebra.
 
@@ -182,22 +201,38 @@ def subgroup_endo_orbit_count(doc: dict) -> int:
     constant on H x H orbits of G x G under (h, k).(x, y) =
     (h x k^-1, h y k^-1), over any field.  Counts those orbits straight
     from the Cayley table (index 0 is the identity) and `subgroup`."""
-    cay = doc["algebra"]["group"]["cayley"]
+    cay, sub, inv = _subgroup_data(doc)
     n = len(cay)
-    sub = doc["subalgebra"]["subgroup"]
-    inv = [row.index(0) for row in cay]
-    seen = set()
-    orbits = 0
-    for x in range(n):
-        for y in range(n):
-            if (x, y) in seen:
-                continue
-            orbits += 1
-            for h in sub:
-                for k in sub:
-                    ki = inv[k]
-                    seen.add((cay[cay[h][x]][ki], cay[cay[h][y]][ki]))
-    return orbits
+    return _orbit_count(
+        ((x, y) for x in range(n) for y in range(n)),
+        lambda p: {(cay[cay[h][p[0]]][inv[k]], cay[cay[h][p[1]]][inv[k]])
+                   for h in sub for k in sub})
+
+
+def subgroup_centralizer_orbit_count(doc: dict) -> int:
+    """dim R, the centralizer of kH in kG, with no linear algebra: x in kG
+    commutes with h iff h x h^-1 = x, so R holds the functions on G
+    constant on the orbits of H acting by conjugation, over any field."""
+    cay, sub, inv = _subgroup_data(doc)
+    return _orbit_count(range(len(cay)),
+                        lambda x: {cay[cay[h][x]][inv[h]] for h in sub})
+
+
+def subgroup_tensor_orbit_count(doc: dict) -> int:
+    """dim T, the H-central tensors of kG (x)_kH kG, with no linear algebra.
+
+    The tensor square is the permutation module on G x_H G, the pairs
+    (x, y) up to (x k, y) ~ (x, k y) for k in H, and h.t = t.h reads
+    t = h t h^-1, with h.(x, y).h^-1 = (h x, y h^-1); so T holds the
+    functions constant on the H-orbits of G x_H G, over any field.  The
+    two actions commute, so those orbits are the orbits of H x H on G x G
+    under (h, k).(x, y) = (h x k, k^-1 y h^-1), counted here."""
+    cay, sub, inv = _subgroup_data(doc)
+    n = len(cay)
+    return _orbit_count(
+        ((x, y) for x in range(n) for y in range(n)),
+        lambda p: {(cay[cay[h][p[0]]][k], cay[cay[inv[k]][p[1]]][inv[h]])
+                   for h in sub for k in sub})
 
 
 def _quotient_maps(a: RawAlgebra):

@@ -9,6 +9,7 @@ import json
 
 from ringext.bimodule import dual_basis_witness, forget_left, forget_right, \
     summand_witness, right_regular_module
+from ringext.canonical import CanonicalSpaces
 from ringext.certify import (D2Certificate, QuasibasePair, d2_summand_witness,
                              hsep_summand_witness, module_facts, verify_d2,
                              verify_hsep, verify_separability, verify_split)
@@ -24,6 +25,7 @@ from ringext.serialize import parse_input
 from tests import oracles
 from tests.conftest import (CORPUS_NAMES, EXPECTED_FLAGS, LEFT_D2, RIGHT_D2,
                             SEPARABLE, corpus_doc, expected_doc)
+from tests.groups import GROUP_CASES, case_doc
 from tests.modules import random_cyclic_module
 from tests.test_equivalences import end_dim
 from tests.test_normality import Q8_SUBGROUPS, S3_SUBGROUPS, quaternion
@@ -272,6 +274,24 @@ def test_criterion_8_endo_ring_dimension_as_stated(built):
     for name, want in (("b_eq_a", 2), ("f7s3_f7t", 10), ("qq8_qi", 12)):
         got = oracles.subgroup_endo_orbit_count(oracles.load_doc(name))
         assert got == built(name).cr.dims()["endo_ring"] == want, name
+
+
+def test_criterion_8_orbit_counts_give_r_t_and_s(built):
+    # kG over kH is a permutation bimodule, so R, T and S are invariants of
+    # permutation modules and each dimension is a number of orbits
+    docs = {name: (oracles.load_doc(name), built(name).cr.dims())
+            for name in CORPUS_NAMES
+            if "subgroup" in oracles.load_doc(name)["subalgebra"]}
+    for name in GROUP_CASES:
+        doc = case_doc(name)
+        docs[name] = doc, CanonicalSpaces(parse_input(doc).ext).dims()
+    assert len(docs) == 4 + len(GROUP_CASES)
+    for name, (doc, dims) in docs.items():
+        got = dims["centralizer"], dims["tensor_ring"], dims["endo_ring"]
+        assert got == (
+            oracles.subgroup_centralizer_orbit_count(doc),
+            oracles.subgroup_tensor_orbit_count(doc),
+            oracles.subgroup_endo_orbit_count(doc)), name
 
 
 # -- criterion 9: determinism -----------------------------------------------------------
