@@ -11,20 +11,28 @@ abstract coordinates).
 
 A balanced tensor product m (x)_C n is a TensorProduct: the ambient
 m.dim * n.dim space modulo the balancing relations (x.c (x) y -
-x (x) c.y).  It alone knows how the quotient is presented and in which
-order its basis classes come: project, pure and sum_pure give classes as
-pair vectors of quotient coordinates, the columns of a map into it, and
-map_out assembles a map out of it from its column at each basis class,
-the class of one pure tensor e_u (x) e_v of basis elements.
+x (x) c.y), or, when a factor records a vector generating it over C
+(R as a right T-module and as a left S-module record 1_R), the other
+factor modulo the annihilator's images: g.C (x)_C n = n/Jn for
+J = {c : g.c = 0}.  It alone knows how the quotient is presented and in
+which order its basis classes come: project, pure and sum_pure give
+classes as pair vectors of quotient coordinates, the columns of a map
+into it, and map_out assembles a map out of it from its values at the
+pure tensors e_u (x) e_v of basis elements, summed over the pure tensor
+x (x) y each basis class is the class of.  The presentations have
+different quotient bases, but every report reads a product through
+these methods only, so none changes.
 
 Every linear system and operator here is written from the nonzero
 entries of its ingredients (hom constraints and balancing relations row
 by row, operator sums in place, tensor-leg images one pure tensor at a
 time, summed from the class table), with one block per generator
 of an acting algebra (FDAlgebra.generators), not per basis element;
-tensor_map checks every relation row.  Spans grow from generators
-(linalg.spin): a hom out of a module regular on one side is solved for
-its value at the unit, and summand_witness writes maps only at a
+tensor_map checks every relation of the presentation, and
+is_bimodule_map every generator's action.  Spans grow from generators
+(linalg.spin): a hom out of a module generated by one vector g on one
+side (the unit of a regular side, or a recorded generator) is solved
+for its value at g, and summand_witness writes maps only at a
 generating set and stops once it reaches the identity.
 
 Over a group algebra the regular, restricted and tensor-square actions
@@ -54,11 +62,14 @@ from .linalg import (
     Matrix,
     Subspace,
     comb_pairs,
+    dense,
     echelon_insert,
     echelon_reduce,
     kernel,
     lin_comb,
+    rref,
     span_decide,
+    sparse,
     spin,
 )
 
@@ -67,18 +78,36 @@ class BimoduleError(ValueError):
     """Actions that fail the representation laws or closure assumptions."""
 
 
+class InternalInconsistency(RuntimeError):
+    """A mathematical invariant of the construction failed.
+
+    This always indicates a bug in the library (or memory corruption),
+    never a property of the analyzed extension, and maps to a dedicated
+    process exit code in the command line interface.
+    """
+
+
 class Bimodule:
-    """A (left_algebra, right_algebra)-bimodule given by action matrices."""
+    """A (left_algebra, right_algebra)-bimodule given by action matrices.
+
+    generator, when recorded, is (side, g): the pair vector g generates
+    the module over the algebra acting on that side, so the module is
+    g.C or C.g for that algebra C.  tensor_over and hom_space present
+    and solve through it; a g that fails to generate is an
+    InternalInconsistency where it is read.
+    """
 
     def __init__(self, left_algebra: FDAlgebra, right_algebra: FDAlgebra,
                  dim: int, left_action: Sequence[Matrix],
-                 right_action: Sequence[Matrix], label: str = "M") -> None:
+                 right_action: Sequence[Matrix], label: str = "M",
+                 generator: Optional[tuple] = None) -> None:
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.dim = dim
         self.left_action = list(left_action)
         self.right_action = list(right_action)
         self.label = label
+        self.generator = generator
         self.field = left_algebra.field
 
     def validate(self) -> None:
@@ -209,27 +238,36 @@ def forget_right(m: Bimodule) -> Bimodule:
 
 @dataclass(frozen=True)
 class TensorProduct:
-    """m (x)_C n presented as the ambient m.dim * n.dim space modulo the
-    balancing relations, together with its outer actions.
+    """m (x)_C n presented as a quotient of a coefficient space, together
+    with its outer actions.
 
     An ambient element is the left_factor.dim x right_factor.dim matrix of
-    its coefficients on the pure tensors e_i (x) e_j.  relations holds the
-    balancing relations in RREF over the row-major entries of that matrix;
-    the quotient basis consists of the classes of the unit vectors at its
-    non-pivot columns, free_cols, so lifting places coordinates at those
-    columns and every basis class is one pure tensor of basis elements.
-    The class table, built on first use, holds the class of every ambient
-    unit vector, and projection sums it at an element's nonzero entries.
-    A class is a pair vector of quotient coordinates, and map_out builds a
-    map out of the quotient from its column at each of those pure
-    tensors, so no caller knows their order.  Frozen, so that one instance
-    can be shared.
+    its coefficients on the pure tensors e_u (x) e_v.  With no cyclic
+    factor, the presentation is the ambient space itself, modulo the
+    balancing relations held in RREF over the row-major entries.  With
+    one, cyclic is (side, g, lifts), and the quotient is presented over
+    the other factor.  On the left, m = g.C, so m (x)_C n = n/Jn for the
+    annihilator J = {c : g.c = 0}, and lifts[u] is an element t_u of C
+    with g.t_u = e_u, so that e_u (x) e_v = g (x) t_u.e_v; on the right,
+    n = C.g, it is m/mJ, mirrored.  relations holds the presentation's
+    relations in RREF, and the quotient basis consists of the classes of
+    its unit vectors at the non-pivot columns, free_cols.
+    basis_tensors describes each basis class as a pure tensor x (x) y of
+    pair vectors: e_u (x) e_v in the ambient case, g (x) e_v or e_u (x) g
+    with a cyclic factor.  map_out, tensor_legs and tensor_map read only
+    that description and the class table, which holds the class of every
+    ambient pure tensor e_u (x) e_v, and so work on either presentation
+    by bilinearity; projection sums the table at an element's nonzero
+    entries.  A class is a pair vector of quotient coordinates, so no
+    caller knows which presentation or basis order it has.  Frozen, so
+    that one instance can be shared.
     """
     module: Bimodule
     relations: Subspace
     free_cols: tuple
     left_factor: Bimodule
     right_factor: Bimodule
+    cyclic: Optional[tuple] = None
 
     def project(self, ambient: Matrix) -> tuple:
         """The class of an ambient element, as a pair vector."""
@@ -242,16 +280,53 @@ class TensorProduct:
 
     @cached_property
     def _classes(self) -> list:
-        """The class table, by row-major index: a free column is its own
-        basis class, and a pivot column is minus the rest of its RREF row."""
-        f, index = self.left_factor.field, {c: k for k, c in enumerate(self.free_cols)}
+        """The class table, by row-major index of e_u (x) e_v.  In the
+        presentation a free column is its own basis class and a pivot
+        column is minus the rest of its RREF row; with a cyclic factor,
+        e_u (x) e_v is first moved onto the other factor through a lift."""
+        f, m, n = self.left_factor.field, self.left_factor, self.right_factor
+        index = {c: k for k, c in enumerate(self.free_cols)}
         rows = self.relations._row_at
-        return [((index[c], f.one),) if c in index else tuple(
+        base = [((index[c], f.one),) if c in index else tuple(
             (index[j], f.neg(x)) for j, x in rows[c].items() if j != c)
-            for c in range(self.left_factor.dim * self.right_factor.dim)]
+            for c in range(self.relations.ambient_dim)]
+        if self.cyclic is None:
+            return base
+        side, _, lifts = self.cyclic
+        left = side == "left"
+        moved = [_operator(n.left_action if left else m.right_action,
+                           t).transpose().pairs for t in lifts]
+        # e_u (x) e_v = g.t_u (x) e_v ~ g (x) t_u.e_v, or e_u.t_v (x) g
+        return [tuple(sorted(comb_pairs(f, base, moved[u][v] if left
+                                        else moved[v][u]).items()))
+                for u in range(m.dim) for v in range(n.dim)]
+
+    @cached_property
+    def basis_tensors(self) -> tuple:
+        """The pure tensor (x, y) of pair vectors that each quotient basis
+        class is the class of, in order."""
+        one, dn = self.left_factor.field.one, self.right_factor.dim
+        if self.cyclic is None:
+            return tuple((((c // dn, one),), ((c % dn, one),))
+                         for c in self.free_cols)
+        side, g, _ = self.cyclic
+        return tuple((g, e) if side == "left" else (e, g)
+                     for e in (((c, one),) for c in self.free_cols))
+
+    def _relation_tensors(self) -> list[Matrix]:
+        """The presentation's relations as ambient elements: each RREF row,
+        or g (x) row and row (x) g with a cyclic factor."""
+        f, dm, dn = self.left_factor.field, self.left_factor.dim, self.right_factor.dim
+        rows = self.relations.basis.pairs
+        if self.cyclic is not None:
+            side, g = self.cyclic[:2]
+            rows = [tuple((u * dn + v, f.mul(a, b)) for u, a in x for v, b in y)
+                    for x, y in ((g, r) if side == "left" else (r, g) for r in rows)]
+        return [Matrix.from_vec(f, dm, dn, row) for row in rows]
 
     def lift(self, coords: Sequence) -> Matrix:
-        """The canonical ambient representative of a class."""
+        """The canonical ambient representative of a class of an ambient
+        presentation, such as the tensor square's."""
         return Matrix.from_vec(
             self.left_factor.field, self.left_factor.dim, self.right_factor.dim,
             tuple((c, x) for c, x in zip(self.free_cols, coords) if x))
@@ -271,17 +346,22 @@ class TensorProduct:
         """The class of the pure tensor x (x) y."""
         return self.sum_pure([(x, y)])
 
-    def free_pairs(self) -> list[tuple[int, int]]:
-        """(left index, right index) of the pure tensor representing each
-        quotient basis class, in order."""
-        return [divmod(c, self.right_factor.dim) for c in self.free_cols]
-
     def map_out(self, rows: int, column: Callable[[int, int], tuple]) -> Matrix:
         """The map out of this quotient into a space of dimension rows whose
-        column at the basis class e_u (x) e_v is the pair vector
-        column(u, v)."""
-        return Matrix.from_cols(self.left_factor.field, rows,
-                                [column(u, v) for u, v in self.free_pairs()])
+        value at e_u (x) e_v is the pair vector column(u, v): at a basis
+        class x (x) y it is the sum of x_u y_v column(u, v)."""
+        f = self.left_factor.field
+        cols = []
+        for x, y in self.basis_tensors:
+            if len(x) == len(y) == 1 and x[0][1] == y[0][1] == f.one:
+                cols.append(column(x[0][0], y[0][0]))
+                continue
+            acc: dict = {}
+            for u, a in x:
+                for v, b in y:
+                    f.sparse_addmul(acc, column(u, v), f.mul(a, b))
+            cols.append(tuple(sorted(acc.items())))
+        return Matrix.from_cols(f, rows, cols)
 
     def first_leg(self, op: Matrix) -> Matrix:
         """op (x) id on this tensor product."""
@@ -294,14 +374,29 @@ class TensorProduct:
             op.field, self.left_factor.dim), op)])
 
 
+def _operator(acts: Sequence[Matrix], t: Iterable) -> Matrix:
+    """sum t_i acts[i] over the (i, t_i) entries of t: the action of an
+    element given by its coordinates."""
+    f, n = acts[0].field, acts[0].rows
+    return lin_comb(f, n, n, dense(f, len(acts), t), acts)
+
+
+def _image(f: Field, cols: Sequence[tuple], x: tuple) -> tuple:
+    """The image of the pair vector x under the operator with columns
+    cols: a column itself at a unit vector."""
+    if len(x) == 1 and x[0][1] == f.one:
+        return cols[x[0][0]]
+    return tuple(sorted(comb_pairs(f, cols, x).items()))
+
+
 def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
                 dst: Optional[TensorProduct] = None) -> Matrix:
     """The map sum c * (op_l (x) op_r) over terms (c, op_l, op_r), from src
     to dst (default src); the caller vouches that it respects relations.
 
-    Each quotient basis class of src is a pure tensor e_u (x) e_v, whose
-    image sum c * op_l.col(u) (x) op_r.col(v) is summed from the classes
-    of dst's ambient basis tensors at its nonzeros.
+    Each quotient basis class of src is a pure tensor x (x) y, whose
+    image sum c * op_l x (x) op_r y is summed from the classes of dst's
+    ambient pure tensors at its nonzeros.
     """
     dst = dst or src
     f, dn, classes = src.left_factor.field, dst.right_factor.dim, dst._classes
@@ -309,22 +404,71 @@ def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
     legs = [(c, op_l.transpose().pairs, op_r.transpose().pairs)
             for c, op_l, op_r in terms if c]
     cols = []
-    for u, v in src.free_pairs():
+    for x, y in src.basis_tensors:
         acc: dict = {}
         for c, lcols, rcols in legs:
-            for r, a in lcols[u]:
+            ry = _image(f, rcols, y)
+            for r, a in _image(f, lcols, x):
                 ca, base = mul(c, a), r * dn
-                for k, b in rcols[v]:
+                for k, b in ry:
                     addmul(acc, classes[base + k], mul(ca, b))
         cols.append(tuple(sorted(acc.items())))
     return Matrix.from_cols(f, len(dst.free_cols), cols)
 
 
+def _lifts(acts: Sequence[Matrix], g: tuple) -> tuple[list, list]:
+    """(lifts, annihilator) for a pair vector g generating a module over an
+    algebra acting by acts, one matrix per basis element: lifts[u] is an
+    element t with t acting on g giving e_u, and the annihilator a basis
+    of the t acting on g as 0.  Both come from one elimination of the rows
+    (e_i acting on g | e_i).  A g that fails to generate the module is an
+    InternalInconsistency: recorded generators are theorems."""
+    f, dim, k = acts[0].field, acts[0].rows, len(acts)
+    red, pivots = rref(Matrix(f, k, dim + k, tuple(
+        _image(f, op.transpose().pairs, g) + ((dim + i, f.one),)
+        for i, op in enumerate(acts))))
+    if pivots[:dim] != list(range(dim)):
+        raise InternalInconsistency(
+            "a recorded generator does not generate its module")
+    found = [tuple((j - dim, x) for j, x in row if j >= dim)
+             for row in red.pairs[:len(pivots)]]
+    return found[:dim], found[dim:]
+
+
+def _cyclic_presentation(m: Bimodule, n: Bimodule) -> Optional[tuple]:
+    """(relations, cyclic) presenting m (x)_C n over one factor, when the
+    other records a generator over C: m = g.C gives n/Jn, spanned by the
+    images of n under the annihilator J of g, and n = C.g gives m/mJ;
+    None when neither does."""
+    # C acts on the left factor from the right and on the right one from
+    # the left
+    for side, cyc, acts, other, other_acts in (
+            ("left", m, m.right_action, n, n.left_action),
+            ("right", n, n.left_action, m, m.right_action)):
+        if cyc.generator is not None and cyc.generator[0] != side:
+            g = cyc.generator[1]
+            lifts, ann = _lifts(acts, g)
+            rows = tuple(col for j in ann for col in _operator(
+                other_acts, j).transpose().pairs if col)
+            return (Subspace.row_space(Matrix(m.field, len(rows), other.dim, rows)),
+                    (side, g, lifts))
+    return None
+
+
 def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
     """The balanced tensor product over C = m.right_algebra = n.left_algebra.
 
-    The result is an (m.left_algebra, n.right_algebra)-bimodule.  The
-    relation x.c (x) y - x (x) c.y is the hom constraint
+    The result is an (m.left_algebra, n.right_algebra)-bimodule.  When a
+    factor records a generator over C, the product is presented over the
+    other factor: m = g.C is C/J as a right module for the annihilator J
+    of g, so m (x)_C n = n/Jn with g (x) e_v at the free columns v, and
+    e_u (x) e_v is the class of t_u.e_v for the lift t_u of e_u (all
+    lifts come from one elimination); n = C.g is mirrored.  That basis
+    differs from the ambient presentation's, but every class, leg and
+    map out of the product is read through TensorProduct, so no report
+    changes.
+
+    Otherwise the relation x.c (x) y - x (x) c.y is the hom constraint
     n.left(c) X - X m.right(c)^T at the coefficient matrix X, so the
     relations span the intertwining system over the generators of C
     (x.(cd) (x) y - x (x) (cd).y is the relation at c on (x, d.y) plus
@@ -343,13 +487,14 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
             f"tensor factors disagree on the middle algebra: "
             f"{c.name} vs {n.left_algebra.name}")
     f, dn, gens = m.field, n.dim, c.generators()
-    tables = _permutation_tables([m.right_action[b] for b in gens]
-                                 + [n.left_action[b] for b in gens])
-    if tables is None:
+    relations, cyclic = _cyclic_presentation(m, n) or (None, None)
+    tables = None if cyclic else _permutation_tables(
+        [m.right_action[b] for b in gens] + [n.left_action[b] for b in gens])
+    if cyclic is None and tables is None:
         relations = Subspace.row_space(_intertwining_system(
             f, [(n.left_action[b], m.right_action[b].transpose())
                 for b in gens], dn, m.dim))
-    else:
+    elif cyclic is None:
         # e_a (x) e_t(b) = e_s(a).c (x) e_t(b) ~ e_s(a) (x) c.e_t(b)
         # = e_s(a) (x) e_b
         rows = sorted(((k, f.one), (cls[-1], f.neg(f.one)))
@@ -361,9 +506,9 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
         relations = Subspace(Matrix(f, len(rows), m.dim * dn, tuple(rows)),
                              [row[0][0] for row in rows])
     pivots = set(relations.pivots)
-    free = tuple(col for col in range(m.dim * n.dim) if col not in pivots)
+    free = tuple(col for col in range(relations.ambient_dim) if col not in pivots)
     # the outer actions move one leg each; they only read the presentation
-    tp = TensorProduct(None, relations, free, m, n)
+    tp = TensorProduct(None, relations, free, m, n, cyclic)
     return replace(tp, module=Bimodule(
         m.left_algebra, n.right_algebra, len(free),
         [tp.first_leg(op) for op in m.left_action],
@@ -374,15 +519,13 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
 def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
                f_right: Matrix) -> Matrix:
     """The map f_left (x) f_right between two presented tensor products,
-    checked well defined: it sends every source relation into dst's."""
-    f = src.left_factor.field
-    dm, dn = src.left_factor.dim, src.right_factor.dim
+    checked well defined: it sends every relation of src's presentation
+    to the class 0 in dst."""
     frt = f_right.transpose()
-    for row in src.relations.basis.pairs:
-        ambient = (f_left @ Matrix.from_vec(f, dm, dn, row) @ frt).vec()
-        if dst.relations._reduce(dict(ambient)):
+    for rel in src._relation_tensors():
+        if dst.project(f_left @ rel @ frt):
             raise BimoduleError("tensor map does not respect the relations")
-    return tensor_legs(src, [(f.one, f_left, f_right)], dst)
+    return tensor_legs(src, [(src.left_factor.field.one, f_left, f_right)], dst)
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +637,16 @@ def _indicators(f: Field, n: int, classes: list[list]) -> Subspace:
 def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
     """All linear maps m -> n commuting with both algebras' generators.
 
-    If m's left action is the regular one, phi(x) = x.v for v = phi(1),
-    and phi commutes with a right generator g iff w.v = v.g for w = 1.g,
-    as phi(x.g) = phi(x.w) = x.w.v; so only v is unknown (mirrored on the
-    right).  Before that, if every generator acts on m and on n by a
-    permutation matrix, a map's matrix X must be constant on the orbits
-    of its index pairs (i, j) under (i, j) -> (t(i), s(j)), for the
-    permutations s on m and t on n of each generator, and the indicators
-    of those orbits, ordered by least index, are the RREF.  Every path
-    ends in the RREF of the maps, which is unique.
+    If every generator acts on m and on n by a permutation matrix, a
+    map's matrix X must be constant on the orbits of its index pairs
+    (i, j) under (i, j) -> (t(i), s(j)), for the permutations s on m and
+    t on n of each generator, and the indicators of those orbits, ordered
+    by least index, are the RREF.  Otherwise, when a vector g generates m
+    on one side (a recorded generator, such as 1_R in R as a right T- or
+    left S-module, or the unit of a regular side), a map is fixed by
+    v = phi(g), and only v is unknown: dim n unknowns instead of
+    dim m * dim n (_maps_from_generator).  Every path ends in the RREF of
+    the maps, which is unique, so the path taken changes no result.
     """
     if m.left_algebra != n.left_algebra or m.right_algebra != n.right_algebra:
         raise BimoduleError("hom needs matching acting algebras on both sides")
@@ -516,7 +660,7 @@ def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
             for s, t in zip(tables, tables[len(ml) + len(mr):])
             for i in range(dn) for j in range(dm))))
     else:
-        maps = _maps_from_unit(m, n)
+        maps = _maps_from_generator(m, n)
         if maps is None:
             maps = tuple(kernel(_intertwining_system(
                 f, [*zip(ml, nl), *zip(mr, nr)], dm, dn)))
@@ -526,24 +670,51 @@ def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
                                 for r in span.basis.pairs), span)
 
 
-def _maps_from_unit(m: Bimodule, n: Bimodule) -> Optional[tuple]:
-    """The vecs of a basis of the maps m -> n, solved for their value v at
-    the unit, when m's left or right action is its algebra's regular one."""
-    f, la, ra = m.field, m.left_algebra, m.right_algebra
+def _maps_from_generator(m: Bimodule, n: Bimodule) -> Optional[tuple]:
+    """The vecs of a basis of the maps m -> n, solved for their value
+    v = phi(g) at a vector g generating m on one side: m's recorded
+    generator, else the unit of a side on which m is its algebra's regular
+    module; None when there is neither.
+
+    phi(t.g) = t.v is well defined exactly when the annihilator J of g
+    kills v, and it is then the map with column t_u.v at e_u for the lift
+    t_u of e_u.  It commutes with a generator h of the other side when
+    t.v = v.h for the lift t of g.h, because phi(g.h) = phi(t.g).  Both
+    systems are mirrored for g generating on the right; for the unit of a
+    regular side J = 0 and every lift is a basis vector.
+    """
+    found = m.generator or _regular_unit(m)
+    if found is None:
+        return None
+    side, g = found
+    f = m.field
     (ml, mr), (nl, nr) = m.generator_actions(), n.generator_actions()
-    for alg, reg, acts, n_acts, m_other, n_other in (
-            (la, la.basis_left_mult, m.left_action, n.left_action, mr, nr),
-            (ra, ra.basis_right_mult, m.right_action, n.right_action, ml, nl)):
+    acts, n_acts, m_other, n_other = (
+        (m.left_action, n.left_action, mr, nr) if side == "left"
+        else (m.right_action, n.right_action, ml, nl))
+    lifts, ann = _lifts(acts, g)
+    blocks = [_operator(n_acts, j) for j in ann] + [
+        _operator(n_acts, comb_pairs(f, lifts, _image(
+            f, mg.transpose().pairs, g)).items()) - ng
+        for mg, ng in zip(m_other, n_other)]
+    rows = tuple(row for block in blocks for row in block.pairs if row)
+    ker = tuple(kernel(Matrix(f, len(rows), n.dim, rows)))
+    # row r of images[i] is e_i acting on the r-th solution v
+    images = [(Matrix(f, len(ker), n.dim, ker) @ op.transpose()).pairs
+              for op in n_acts]
+    return tuple(Matrix.from_cols(f, n.dim, [
+        _image(f, [img[r] for img in images], t) for t in lifts]).vec()
+        for r in range(len(ker)))
+
+
+def _regular_unit(m: Bimodule) -> Optional[tuple]:
+    """(side, unit) for a side on which m is its algebra's regular module,
+    else None."""
+    la, ra = m.left_algebra, m.right_algebra
+    for side, alg, reg, acts in (("left", la, la.basis_left_mult, m.left_action),
+                                 ("right", ra, ra.basis_right_mult, m.right_action)):
         if m.dim == alg.dim and all(op == reg(i) for i, op in enumerate(acts)):
-            rows = tuple(row for mg, ng in zip(m_other, n_other) for row in lin_comb(
-                f, n.dim, n.dim, mg.apply(alg.unit) + [f.neg(f.one)],
-                n_acts + [ng]).pairs if row)
-            ker = tuple(kernel(Matrix(f, len(rows), n.dim, rows)))
-            # the map of v has n_acts[j] v as its column j
-            images = [(Matrix(f, len(ker), n.dim, ker) @ op.transpose()).pairs
-                      for op in n_acts]
-            return tuple(Matrix.from_cols(f, n.dim, [img[r] for img in images])
-                         .vec() for r in range(len(ker)))
+            return side, sparse(alg.unit)
     return None
 
 
@@ -615,10 +786,12 @@ def intertwines(fwd: Matrix, pairs: Iterable[tuple[Matrix, Matrix]]) -> bool:
 
 
 def is_bimodule_map(src: Bimodule, dst: Bimodule, mat: Matrix) -> bool:
-    """mat has the shape of a map src -> dst and commutes with both actions."""
+    """mat has the shape of a map src -> dst and commutes with the actions
+    of both algebras' generators: both modules are representations, so
+    the elements it commutes with form a subalgebra, all of it."""
+    (sl, sr), (dl, dr) = src.generator_actions(), dst.generator_actions()
     return (mat.rows == dst.dim and mat.cols == src.dim
-            and intertwines(mat, zip(src.left_action, dst.left_action))
-            and intertwines(mat, zip(src.right_action, dst.right_action)))
+            and intertwines(mat, zip(sl, dl)) and intertwines(mat, zip(sr, dr)))
 
 
 def summand_witness(m: Bimodule, n: Bimodule,

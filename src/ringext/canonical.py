@@ -13,7 +13,12 @@ together with the evaluation counits from T and S back to R, the ring maps
 from R into S by left and right multiplication, the Casimir subspace of
 fully A-central tensors, and the bimodule structures tying everything
 together (T and S as R-R-bimodules, R as a right T-module and a left
-S-module, Q as a left T-module).  CanonicalSpaces builds only Q, the
+S-module, Q as a left T-module).  R is cyclic on both sides, generated by
+1_R: for r in R, r (x) 1 lies in T and sandwiches 1_R to r, and
+lambda_r lies in S with lambda_r(1) = r.  Both module structures record
+1_R, so tensor products with them are presented as quotients of the
+other factor and maps out of them are solved for their value at 1_R
+(bimodule.tensor_over and hom_space).  CanonicalSpaces builds only Q, the
 spaces underlying R, T and S and the Casimir subspace, which is all a
 certificate verifier reads; CanonicalRings adds the rest.
 
@@ -31,6 +36,7 @@ from typing import Callable, Sequence
 from .algebra import Extension, FDAlgebra, trivial_algebra
 from .bimodule import (
     Bimodule,
+    InternalInconsistency,
     MapSpace,
     TensorProduct,
     centralizer_subspace,
@@ -45,15 +51,6 @@ from .bimodule import (
     tensor_over,
 )
 from .linalg import Matrix, Subspace, dense, lin_comb, rank, sparse, unit_vec
-
-
-class InternalInconsistency(RuntimeError):
-    """A mathematical invariant of the construction failed.
-
-    This always indicates a bug in the library (or memory corruption),
-    never a property of the analyzed extension, and maps to a dedicated
-    process exit code in the command line interface.
-    """
 
 
 def coordinates_in(space, x, what: str) -> list:
@@ -159,8 +156,11 @@ class CanonicalSpaces:
         return self.once(("hom",), lambda: hom_space(m, n), m, n)
 
     def tensor(self, m: Bimodule, n: Bimodule) -> TensorProduct:
-        """tensor_over(m, n), built once per content of m and n."""
-        return self.once(("tensor",), lambda: tensor_over(m, n), m, n)
+        """tensor_over(m, n), built once per content and recorded
+        generators of m and n: a generator changes the presentation, and
+        so the quotient basis, though not the hom spaces."""
+        return self.once(("tensor", m.generator, n.generator),
+                         lambda: tensor_over(m, n), m, n)
 
     # -- coordinate helpers -------------------------------------------------
 
@@ -252,11 +252,13 @@ class CanonicalRings(CanonicalSpaces):
             self.q.module.right_action, label="Q|T-A")
         self.tensor_bimodule_cent = self._build_t_over_r()
         self.cent_module_tensor = self._build_r_right_t()
-        # R as a left S-module by evaluating endomorphisms
+        # R as a left S-module by evaluating endomorphisms, generated by 1_R:
+        # lambda_r lies in S and lambda_r(1) = r
         self.cent_module_endo = Bimodule(
             self.endo_ring, trivial_algebra(f), R.dim,
             [restrict_to(R, mat, "endomorphism value on a centralizer element")
-             for mat in S.basis], [Matrix.identity(f, R.dim)], label="R|S")
+             for mat in S.basis], [Matrix.identity(f, R.dim)], label="R|S",
+            generator=("left", sparse(self.centralizer.unit)))
         self.endo_bimodule_cent = self._build_s_over_r()
 
     # -- builders -----------------------------------------------------------
@@ -305,7 +307,9 @@ class CanonicalRings(CanonicalSpaces):
 
     def _build_r_right_t(self) -> Bimodule:
         """R as a right T-module: an invariant tensor sandwiches a
-        centralizer element between its two legs."""
+        centralizer element between its two legs.  1_R generates it, as
+        r (x) 1 lies in T (r commutes with B) and sandwiches 1 to r, so
+        the module records 1_R as its generator over T."""
         a = self.ext.total
         f = self.field
         rights = []
@@ -319,7 +323,8 @@ class CanonicalRings(CanonicalSpaces):
         return Bimodule(trivial_algebra(f), self.tensor_ring,
                         self.centralizer.dim,
                         [Matrix.identity(f, self.centralizer.dim)],
-                        rights, label="R|T")
+                        rights, label="R|T",
+                        generator=("right", sparse(self.centralizer.unit)))
 
     def _build_s_over_r(self) -> Bimodule:
         """S as an R-R-bimodule by post-multiplying values on either side."""

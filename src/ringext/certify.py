@@ -18,7 +18,11 @@ never trusts the search that produced it.  Substitution acts on the
 certificate's vectors: an element x of A acts on a tensor v as the sum of
 the images of v under the basis actions where x is nonzero (apply_comb),
 and a quasibase tensor's images are computed when first read and shared
-by every free point, so no operator of x is formed.  A search records
+by every free point, so no operator of x is formed.  Invariance under A
+or B and B-B-linearity are checked on generators only: the input checks
+make A associative and unital and the embedding unital and
+multiplicative, so A|B and the tensor square are representations, and
+what commutes with the generators commutes with their algebra.  A search records
 what it verified on its CanonicalRings, for later consumers of the same
 content.  The depth-two verdicts are
 cross-checked against an independent characterization (the tensor
@@ -106,14 +110,27 @@ class D2Certificate:
 # verifiers (substitution only)
 
 def _is_invariant(m: Bimodule, elements: Sequence[Sequence], v: Sequence) -> bool:
-    """x.v = v.x in m for every listed element x of its (one) algebra."""
+    """x.v = v.x in m for every listed element x of its (one) algebra.
+
+    Callers list generators only: m's actions are a representation and an
+    anti-representation that commute, so the x with x.v = v.x form a
+    subalgebra, and generators of a subalgebra suffice."""
     f, n = m.field, m.dim
     return all(apply_comb(f, n, x, m.left_action, v)
                == apply_comb(f, n, x, m.right_action, v) for x in elements)
 
 
+def _a_generators(cr: CanonicalSpaces) -> list:
+    return [cr.a_basis[i] for i in cr.ext.total.generators()]
+
+
+def _b_generators(cr: CanonicalSpaces) -> list:
+    """The embedded generators of B, which generate its image in A."""
+    return [cr.ext.iota.col(i) for i in cr.ext.base.generators()]
+
+
 def verify_separability(cr: CanonicalSpaces, cert: SeparabilityCertificate) -> bool:
-    if not _is_invariant(cr.q.module, cr.a_basis, cert.element):
+    if not _is_invariant(cr.q.module, _a_generators(cr), cert.element):
         return False
     value = cr.mu_matrix.apply(cert.element)
     return value == cr.ext.total.unit
@@ -132,9 +149,9 @@ def verify_split(cr: CanonicalSpaces, cert: SplitCertificate) -> bool:
 
 def verify_hsep(cr: CanonicalSpaces, cert: HSepCertificate) -> bool:
     for pair in cert.pairs:
-        if not _is_invariant(cr.q.module, cr.a_basis, pair.casimir):
+        if not _is_invariant(cr.q.module, _a_generators(cr), pair.casimir):
             return False
-        if not _is_invariant(cr.a_reg, cr.ext.iota.columns(), pair.multiplier):
+        if not _is_invariant(cr.a_reg, _b_generators(cr), pair.multiplier):
             return False
     return vec_sum(cr.field, cr.dim_q, (
         apply_comb(cr.field, cr.dim_q, pair.multiplier,
@@ -165,7 +182,7 @@ def _d2_side(cr: CanonicalSpaces, side: str) -> tuple:
 
 
 def verify_d2(cr: CanonicalSpaces, cert: D2Certificate) -> bool:
-    iotas = cr.ext.iota.columns()
+    iotas = _b_generators(cr)
     for pair in cert.pairs:
         if not _is_invariant(cr.q.module, iotas, pair.tensor):
             return False

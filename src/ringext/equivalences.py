@@ -218,19 +218,18 @@ def _collapse(m: Bimodule, outer: TensorProduct, inner: TensorProduct,
               element: Callable[[int, int], Sequence]) -> Matrix:
     """r (x) (s (x) v) -> element(r, s).v, column per quotient class.
 
-    outer is R (x) inner, and each class of inner is the pure tensor
-    s (x) v of basis elements; r and s are basis indices.
+    outer is R (x) inner, r and s are basis indices, and for each r the
+    map out of inner is assembled by inner.map_out.
     """
-    inner_pairs = inner.free_pairs()
-
     @cache
     def op_cols(u: int, s: int) -> tuple:
         return m.left_operator(element(u, s)).transpose().pairs
 
-    def column(u: int, v: int) -> tuple:
-        s, mu = inner_pairs[v]
-        return op_cols(u, s)[mu]
-    return outer.map_out(m.dim, column)
+    @cache
+    def at(u: int) -> tuple:
+        return inner.map_out(m.dim, lambda s, mu: op_cols(u, s)[mu]
+                             ).transpose().pairs
+    return outer.map_out(m.dim, lambda u, v: at(u)[v])
 
 
 def _gamma(cr: CanonicalRings, m: Bimodule
@@ -665,13 +664,17 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
     # composite route through chi
     nested = cr.tensor(chi_dom.module, cr.cent_module_endo)
     big = tensor_map(nested, dom, chi_fwd, Matrix.identity(f, cr.centralizer.dim))
-    rows, chi_pairs = cr.centralizer_space.rows, chi_dom.free_pairs()
+    rows = cr.centralizer_space.rows
 
-    def direct_column(p: int, u: int) -> tuple:
-        mu, b = chi_pairs[p]
+    @cache
+    def value_cols(b: int, u: int) -> tuple:
         av = cr.endo_space.basis[b].apply(rows[u])
-        return m.right_operator(av).transpose().pairs[mu]
-    direct = nested.map_out(m.dim, direct_column)
+        return m.right_operator(av).transpose().pairs
+
+    # (v (x) alpha) (x) r -> v.alpha(r), for each r a map out of chi_dom
+    at = cache(lambda u: chi_dom.map_out(
+        m.dim, lambda mu, b: value_cols(b, u)[mu]).transpose().pairs)
+    direct = nested.map_out(m.dim, lambda p, u: at(u)[p])
     checks: dict = {"agrees_with_composite": fwd @ big == direct}
     direct_inv = invert(direct)
     if direct_inv is None:

@@ -675,9 +675,20 @@ class Subspace:
         in place; the result vanishes at every pivot."""
         return echelon_reduce(self.field, self._row_at, w)
 
+    @cached_property
+    def _position(self) -> dict:
+        """The index of each pivot column among the pivots."""
+        return {c: k for k, c in enumerate(self.pivots)}
+
     def _coordinates(self, w: dict) -> Optional[list]:
-        """coordinates of the vector with nonzeros w, reduced in place."""
-        coords = [w.get(pc, self.field.zero) for pc in self.pivots]
+        """coordinates of the vector with nonzeros w, reduced in place: the
+        basis rows vanish at each other's pivots, so they are w's entries
+        at the pivots, read from w's nonzeros through the pivot positions."""
+        coords, position = [self.field.zero] * len(self.pivots), self._position
+        for c, x in w.items():
+            k = position.get(c)
+            if k is not None:
+                coords[k] = x
         return None if self._reduce(w) else coords
 
     def contains(self, v: Sequence) -> bool:

@@ -21,6 +21,7 @@ strings.
 import json
 import os
 from fractions import Fraction
+from itertools import product
 
 from tests.oracle_linalg import FracOps, ModOps, as_pairs, nullspace, rank, rref
 
@@ -358,7 +359,9 @@ def reference_tensor_relations(m, n):
 
 def reference_tensor_legs(src, terms, dst=None):
     """sum c * (op_l (x) op_r) from src to dst, one dense ambient vector
-    per source quotient basis class, projected and set side by side."""
+    per source quotient basis class x (x) y, projected by reduction by
+    dst's relations, which must present the ambient, and set side by
+    side."""
     from ringext.linalg import Matrix
     from tests.helpers import residual
 
@@ -368,17 +371,77 @@ def reference_tensor_legs(src, terms, dst=None):
     sparse = [(c, op_l.transpose().pairs, op_r.transpose().pairs)
               for c, op_l, op_r in terms if c]
     cols = []
-    for u, v in src.free_pairs():
+    for x, y in src.basis_tensors:
         w = [f.zero] * (dm * dn)
         for c, lcols, rcols in sparse:
-            for r, a in lcols[u]:
-                ca, base = f.mul(c, a), r * dn
-                for k, b in rcols[v]:
-                    w[base + k] = f.add(w[base + k], f.mul(ca, b))
+            for (u, xu), (v, yv) in product(x, y):
+                for r, a in lcols[u]:
+                    ca, base = f.mul(f.mul(c, f.mul(xu, yv)), a), r * dn
+                    for k, b in rcols[v]:
+                        w[base + k] = f.add(w[base + k], f.mul(ca, b))
         reduced = residual(dst.relations, w)
         cols.append(tuple((k, reduced[c]) for k, c in enumerate(dst.free_cols)
                           if reduced[c]))
     return Matrix.from_cols(f, len(dst.free_cols), cols)
+
+
+def reference_presentation(tp):
+    """For a tensor product with a factor recording a generator g over the
+    middle algebra C (m = g.C or n = C.g): (side, moved, relations), with
+    side the cyclic factor's, moved(u, v) the dense vector t_u.e_v of n
+    (e_u.t_v of m on the right) that e_u (x) e_v is moved to, for a lift
+    t solved on its own by span_decide, and relations the span of the
+    images of the other factor under the kernel of c -> c acting on g.
+    None when neither factor records one."""
+    from ringext.linalg import Matrix, Subspace, kernel, lin_comb, span_decide
+
+    m, n = tp.left_factor, tp.right_factor
+    if m.generator is not None and m.generator[0] == "right":
+        side, cyc, acts, other, other_acts = "left", m, m.right_action, n, n.left_action
+    elif n.generator is not None and n.generator[0] == "left":
+        side, cyc, acts, other, other_acts = "right", n, n.left_action, m, m.right_action
+    else:
+        return None
+    f, k = m.field, len(acts)
+    g = [f.zero] * cyc.dim
+    for j, x in cyc.generator[1]:
+        g[j] = x
+    images = [tuple((j, x) for j, x in enumerate(op.apply(g)) if x)
+              for op in acts]
+    lifts = [span_decide(f, cyc.dim, images, ((u, f.one),))
+             for u in range(cyc.dim)]
+    assert all(t is not None for t in lifts), "the recorded vector generates"
+    ann = kernel(Matrix(f, k, cyc.dim, tuple(images)).transpose())
+    relations = Subspace.from_vectors(f, other.dim, [
+        col for j in ann for col in lin_comb(
+            f, other.dim, other.dim, [dict(j).get(i, f.zero) for i in range(k)],
+            other_acts).columns()])
+
+    def moved(u: int, v: int) -> list:
+        t, w = (lifts[u], v) if side == "left" else (lifts[v], u)
+        return lin_comb(f, other.dim, other.dim, t, other_acts).col(w)
+    return side, moved, relations
+
+
+def reference_class(space, ambient):
+    """The class of a dense vector modulo space, as a pair vector of its
+    dense residual at the non-pivot columns."""
+    from tests.helpers import residual
+
+    reduced = residual(space, ambient)
+    pivots = set(space.pivots)
+    free = [c for c in range(space.ambient_dim) if c not in pivots]
+    return tuple((k, reduced[c]) for k, c in enumerate(free) if reduced[c])
+
+
+def reference_is_bimodule_map(src, dst, mat):
+    """mat has the shape of a map src -> dst and commutes with the action
+    of every basis element of both algebras."""
+    from ringext.bimodule import intertwines
+
+    return (mat.rows == dst.dim and mat.cols == src.dim
+            and intertwines(mat, zip(src.left_action, dst.left_action))
+            and intertwines(mat, zip(src.right_action, dst.right_action)))
 
 
 def reference_d2_quasibase(cr, side, reverse_order=False):
@@ -521,7 +584,6 @@ def reference_verify_hsep(cr, cert):
 
 def reference_verify_d2(cr, cert):
     """verify_d2 with act(value) formed as an operator at each free point."""
-    from ringext.bimodule import is_bimodule_map
     from ringext.certify import _d2_side
     from ringext.linalg import lin_comb, vec_sum
 
@@ -529,7 +591,8 @@ def reference_verify_d2(cr, cert):
     for pair in cert.pairs:
         if not _operator_invariant(cr.q.module, iotas, pair.tensor):
             return False
-        if not is_bimodule_map(cr.restricted, cr.restricted, pair.endo):
+        if not reference_is_bimodule_map(cr.restricted, cr.restricted,
+                                         pair.endo):
             return False
     actions, value, free = _d2_side(cr, cert.side)
     n = cr.dim_q

@@ -18,19 +18,23 @@ import pytest
 
 from ringext import bimodule
 from ringext.algebra import AlgebraError, FDAlgebra, trivial_algebra
-from ringext.bimodule import (Bimodule, BimoduleError, TensorProduct,
-                              _intertwining_system, _permutation_tables,
-                              hom_space, left_module, right_module,
-                              tensor_over)
+from ringext.bimodule import (Bimodule, BimoduleError, InternalInconsistency,
+                              TensorProduct, _intertwining_system,
+                              _permutation_tables, hom_space,
+                              is_bimodule_map, left_module,
+                              left_regular_module, right_module,
+                              right_regular_module, tensor_over)
 from ringext.canonical import build_canonical_rings
-from ringext.certify import classify
-from ringext.linalg import GF, QQ, Matrix, Subspace, kernel, unit_vec
+from ringext.report import analysis_report
+from ringext.linalg import (GF, QQ, Matrix, Subspace, dense, kernel, rank,
+                            sparse, unit_vec)
 from ringext.serialize import parse_input
 
 from tests.conftest import CORPUS_NAMES, corpus_doc
 from tests.groups import GROUP_CASES, Q8_C4, S3_C2, case_doc, group_case
-from tests.helpers import dense_matrix, residual
-from tests.oracles import reference_tensor_legs
+from tests.helpers import dense_matrix
+from tests.oracles import (reference_class, reference_is_bimodule_map,
+                           reference_presentation, reference_tensor_legs)
 
 
 def _algebras(cr):
@@ -127,6 +131,41 @@ def test_bimodule_fault_off_the_generators_is_caught(built, name):
         assert checked >= 4
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_bimodule_maps_checked_on_generators_match_the_full_basis(built, name):
+    """is_bimodule_map reads the generators' actions only, and agrees with
+    the check over every basis element on every hom space of an analysis:
+    on each basis map, and on it with one entry moved."""
+    cr = built(name).cr
+    checked = set()
+    homs = [entry for key, entry in cr._memo.items() if key[0] == "hom"]
+    for (m, n), hs in homs:
+        for mat in hs.basis:
+            for cand in (mat, _bump(mat, 0, 0)):
+                verdict = is_bimodule_map(m, n, cand)
+                assert verdict is reference_is_bimodule_map(m, n, cand)
+                checked.add(verdict)
+    assert checked == {True, False}
+
+
+def test_a_map_failing_at_one_generator_is_refused(built):
+    """Right multiplication by i on Q[Q8], as a bimodule over itself,
+    commutes with every generator but j: it is refused."""
+    cr = built("qq8_qi").cr
+    a, m = cr.ext.total, cr.a_reg
+    *others, last = a.generators()
+    lefts, rights = m.generator_actions()
+    system = _intertwining_system(
+        m.field, [(op, op) for op in lefts + rights[:-1]], m.dim, m.dim)
+    failing = [mat for mat in (Matrix.from_vec(m.field, m.dim, m.dim, v)
+                               for v in kernel(system))
+               if mat @ m.right_action[last] != m.right_action[last] @ mat]
+    assert others and failing
+    for mat in failing:
+        assert not is_bimodule_map(m, m, mat)
+        assert not reference_is_bimodule_map(m, m, mat)
+
+
 # -- the systems over every basis element, as a reference -------------------
 
 def full_basis_hom_span(m, n):
@@ -159,25 +198,42 @@ def full_basis_invariants(m, elements):
 
 
 def assert_tensor_matches_reference(tp, m, n):
-    """tp against m (x) n presented by the full-basis relations: the same
-    relations and free columns, the class of each ambient unit vector read
-    off its dense residual, and the outer actions by the dense leg loop."""
+    """tp against m (x) n presented by the full-basis relations, through
+    the isomorphism Phi: [e_u (x) e_v] -> [t_u.e_v] (mirrored on the right)
+    when a factor records a generator, else the identity.  Phi is
+    bijective, the class of each ambient unit vector is Phi of the one
+    read off its dense residual, the outer actions are Phi-conjugates of
+    the dense leg loop's, and map_out inverts Phi.  Without a generator tp
+    has the reference's relations and free columns."""
     f, size = m.field, m.dim * n.dim
     relations = full_basis_tensor_relations(m, n)
     pivots = set(relations.pivots)
     free = tuple(c for c in range(size) if c not in pivots)
-    assert tp.relations == relations and tp.free_cols == free, (m, n)
-    for c in range(size):
-        reduced = residual(relations, [f.one if k == c else f.zero
-                                       for k in range(size)])
-        assert tp._classes[c] == tuple(
-            (k, reduced[fc]) for k, fc in enumerate(free) if reduced[fc])
+    presented = reference_presentation(tp)
+    if presented is None:
+        assert tp.relations == relations and tp.free_cols == free, (m, n)
+        phi = Matrix.identity(f, len(free))
+    else:
+        _, moved, space = presented
+        assert tp.relations == space, (m, n)
+        phi = Matrix.from_cols(f, tp.module.dim, [
+            reference_class(space, moved(*divmod(c, n.dim))) for c in free])
+        assert rank(phi) == len(free) == tp.module.dim, (m, n)
+    ref_classes = [reference_class(relations, [f.one if k == c else f.zero
+                                               for k in range(size)])
+                   for c in range(size)]
+    assert tp._classes == [sparse(phi.apply(dense(f, len(free), cls)))
+                           for cls in ref_classes]
     ref = TensorProduct(None, relations, free, m, n)
     eye_m, eye_n = Matrix.identity(f, m.dim), Matrix.identity(f, n.dim)
-    assert tp.module.left_action == [reference_tensor_legs(
-        ref, [(f.one, op, eye_n)]) for op in m.left_action]
-    assert tp.module.right_action == [reference_tensor_legs(
-        ref, [(f.one, eye_m, op)]) for op in n.right_action]
+    assert [op @ phi for op in tp.module.left_action] == [
+        phi @ reference_tensor_legs(ref, [(f.one, op, eye_n)])
+        for op in m.left_action]
+    assert [op @ phi for op in tp.module.right_action] == [
+        phi @ reference_tensor_legs(ref, [(f.one, eye_m, op)])
+        for op in n.right_action]
+    assert tp.map_out(len(free), lambda u, v: ref_classes[u * n.dim + v]) \
+        @ phi == Matrix.identity(f, len(free))
 
 
 # the six GROUP_CASES, and S3 over a transposition and Q8 over <i> in
@@ -189,32 +245,35 @@ GROUP_INPUTS = {**{name: case_doc(name) for name in GROUP_CASES},
 
 
 @cache
-def analysed_group(name):
-    """The rings of a group input after classify, and the names of the
-    functions that read a system off orbits while they were built."""
+def analysed(name):
+    """The rings of a corpus or group input after a full analysis, and
+    the names of the functions that read a system off orbits while they
+    were built."""
     ran, orbits = set(), bimodule._orbits
 
     def spy(n, links):
         ran.add(sys._getframe(1).f_code.co_name)
         return orbits(n, links)
 
+    doc = GROUP_INPUTS[name] if name in GROUP_INPUTS else corpus_doc(name)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bimodule, "_orbits", spy)
-        cr = build_canonical_rings(parse_input(GROUP_INPUTS[name]).ext)
-        classify(cr)
+        parsed = parse_input(doc)
+        cr = build_canonical_rings(parsed.ext)
+        analysis_report(parsed, rings=cr)
     return cr, ran
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + sorted(GROUP_INPUTS))
-def test_memo_spaces_match_the_full_basis_reference(built, name):
+def test_memo_spaces_match_the_full_basis_reference(name):
+    cr, ran = analysed(name)
     if name in GROUP_INPUTS:
-        cr, ran = analysed_group(name)
         assert ran == {"hom_space", "tensor_over", "invariants_subspace"}
-    else:
-        cr = built(name).cr
     entries = {kind: [e for key, e in cr._memo.items() if key[0] == kind]
                for kind in ("hom", "tensor")}
-    assert entries["hom"] and entries["tensor"]
+    # products presented over each side
+    assert {tp.cyclic[0] for _, tp in entries["tensor"] if tp.cyclic} \
+        == {"left", "right"}
     for (m, n), hs in entries["hom"]:
         assert hs.span == full_basis_hom_span(m, n), (m, n)
     for (m, n), tp in entries["tensor"]:
@@ -224,6 +283,24 @@ def test_memo_spaces_match_the_full_basis_reference(built, name):
     assert cr.centralizer_space == full_basis_invariants(cr.a_reg, base)
     assert cr.tensor_space == full_basis_invariants(cr.q.module, base)
     assert cr.casimir_space == full_basis_invariants(cr.q.module, cr.a_basis)
+
+
+def test_a_recorded_vector_that_does_not_generate_raises(built):
+    """R as a right T-module or as a left S-module recording the zero
+    vector, which generates nothing when R is not zero, is refused by the
+    tensor and the hom engine alike."""
+    cr = built("qq8_qi").cr
+    assert cr.centralizer.dim > 0
+    for side, m in (("right", cr.cent_module_tensor),
+                    ("left", cr.cent_module_endo)):
+        bad = Bimodule(m.left_algebra, m.right_algebra, m.dim, m.left_action,
+                       m.right_action, generator=(side, ()))
+        with pytest.raises(InternalInconsistency, match="does not generate"):
+            hom_space(bad, bad)
+        other = (left_regular_module(cr.tensor_ring) if side == "right"
+                 else right_regular_module(cr.endo_ring))
+        with pytest.raises(InternalInconsistency, match="does not generate"):
+            tensor_over(bad, other) if side == "right" else tensor_over(other, bad)
 
 
 # -- which systems are read off orbits ------------------------------------

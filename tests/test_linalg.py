@@ -296,6 +296,29 @@ def test_subspace_membership_and_coordinates():
     assert s.coordinates(vec(QQ, [1, 0, 0])) is None
 
 
+@given(st.sampled_from([QQ, F5]), st.data())
+def test_coordinates_match_the_dense_reference(field, data):
+    """Coordinates read off a vector's nonzeros at the pivots agree with
+    the dense reference: the vector at each pivot when its residual
+    vanishes, else None; vectors inside the span, with fewer nonzeros
+    than pivots and more, and outside it."""
+    n = data.draw(st.integers(1, 7))
+    entry = st.integers(-2, 2).map(field.of)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              max_size=n))
+    s = Subspace.from_vectors(field, n, rows)
+    coords = data.draw(st.lists(entry, min_size=s.dim, max_size=s.dim))
+    sparse_entries = data.draw(st.dictionaries(st.integers(0, n - 1), entry,
+                                               max_size=2))
+    vectors = [s.element(coords), dense_vector(field, n, sparse_entries.items()),
+               data.draw(st.lists(entry, min_size=n, max_size=n))]
+    vectors += [unit_vec(field, n, c) for c in s.pivots[:1]]
+    for v in vectors:
+        want = None if any(residual(s, v)) else [v[c] for c in s.pivots]
+        assert s.coordinates(v) == want, (v, s.basis)
+    assert s.coordinates(vectors[0]) == coords
+
+
 def test_subspace_lattice_ops():
     e0, e1, e2 = (unit_vec(QQ, 3, i) for i in range(3))
     u = Subspace.from_vectors(QQ, 3, [e0, e1])

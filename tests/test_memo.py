@@ -104,6 +104,27 @@ def test_memo_hit_is_shared_by_a_twin_module(monkeypatch):
     assert tensors == homs == []
 
 
+def test_a_recorded_generator_keys_its_own_tensor_product(monkeypatch):
+    """R as a right T-module with its recorded generator 1_R and without
+    one gives two tensor products with T, presented over T and in the
+    ambient, of one dimension; the maps out of both are one memo entry,
+    as a generator changes no hom space."""
+    cr = build_canonical_rings(parse_input(corpus_doc("qq8_qi")).ext)
+    r_t, t = cr.cent_module_tensor, cr.tensor_ring
+    plain = _twin(r_t)
+    assert r_t.generator is not None and plain.generator is None
+    tensors = _counting(monkeypatch, "tensor_over")
+    homs = _counting(monkeypatch, "hom_space")
+    presented = cr.tensor(r_t, bimodule.left_regular_module(t))
+    ambient = cr.tensor(plain, bimodule.left_regular_module(t))
+    assert len(tensors) == 2
+    assert presented.cyclic[0] == "left" and ambient.cyclic is None
+    assert presented.module.dim == ambient.module.dim == r_t.dim
+    t_t = bimodule.right_regular_module(t)
+    assert cr.hom(r_t, t_t) is cr.hom(plain, t_t)
+    assert len(homs) == 1
+
+
 def test_memo_tells_apart_modules_over_different_algebras(monkeypatch):
     """Equal action matrices over two equal but distinct algebras are two
     keys: each call reaches the engine, and each space keeps its own."""

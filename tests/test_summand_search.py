@@ -12,7 +12,7 @@ from ringext.bimodule import (Bimodule, forget_left, hom_space,
 from ringext.canonical import build_canonical_rings
 from ringext.certify import classify
 from ringext.equivalences import centralizer_projectivity
-from ringext.linalg import GF, QQ, Matrix
+from ringext.linalg import GF, QQ, Matrix, sparse
 from ringext.serialize import parse_input
 
 from tests.conftest import CORPUS_NAMES, corpus_doc
@@ -117,7 +117,7 @@ def regular_sources(cr):
 
 
 def assert_matches_reference(m, n, regular=True):
-    assert (bimodule._maps_from_unit(m, n) is not None) == regular
+    assert (bimodule._maps_from_generator(m, n) is not None) == regular
     got = hom_space(m, n)
     assert list(got.span.basis.pairs) == reference_hom_basis(m, n)
     assert [mat.vec() for mat in got.basis] == list(got.span.basis.pairs)
@@ -126,6 +126,20 @@ def assert_matches_reference(m, n, regular=True):
 @pytest.mark.parametrize("name", ["b_eq_a", "qc2_q", "qs3_qa3", "m2q_t2"])
 def test_regular_source_hom_matches_generic_q(name, built):
     for m, n in regular_sources(built(name).cr):
+        assert_matches_reference(m, n)
+
+
+@pytest.mark.parametrize("name", ["qc2_q", "qq8_qi", "qs3_qa3", "m2q_t2",
+                                  "f7s3_f7t"])
+def test_source_generated_by_one_r_matches_generic(name, built):
+    """Maps out of R as a right T-module and as a left S-module, each
+    generated by 1_R, solved for their value there."""
+    cr = built(name).cr
+    r_t, s_r = cr.cent_module_tensor, cr.cent_module_endo
+    t_t, s_s = right_regular_module(cr.tensor_ring), left_regular_module(cr.endo_ring)
+    for m, side, n in ((r_t, "right", t_t), (r_t, "right", r_t),
+                       (s_r, "left", s_s), (s_r, "left", s_r)):
+        assert m.generator == (side, sparse(cr.centralizer.unit))
         assert_matches_reference(m, n)
 
 

@@ -3,10 +3,14 @@ every tensor product that a full analysis builds, over Q and over F_p.
 
 A class is a pair vector of quotient coordinates, in ascending order and
 without zeros; the oracle reduces a dense ambient vector by the relation
-basis (tests.helpers.residual) and reads it at the free columns.
+basis (tests.helpers.residual) and reads it at the free columns.  A
+product with a factor recording a generator is presented over the other
+factor, so there the oracle first moves each e_u (x) e_v to that factor
+through a lift it solves on its own (oracles.reference_presentation).
 """
 
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -18,7 +22,8 @@ from ringext.report import analysis_report
 from ringext.serialize import parse_input
 
 from tests.conftest import corpus_doc
-from tests.helpers import dense_matrix, residual
+from tests.helpers import dense_matrix
+from tests.oracles import reference_class, reference_presentation
 
 NAMES = ["qc2_q", "qq8_qi", "m2q_t2", "f7s3_f7t"]
 
@@ -42,11 +47,25 @@ def dense_vectors(field, n):
     return st.lists(scalars(field), min_size=n, max_size=n)
 
 
+_PRESENTATIONS: dict = {}
+
+
 def oracle_class(tp, ambient: list) -> tuple:
-    """The class of a dense ambient vector, read off its dense residual."""
-    reduced = residual(tp.relations, ambient)
-    return tuple((k, reduced[c]) for k, c in enumerate(tp.free_cols)
-                 if reduced[c])
+    """The class of a dense ambient vector, read off its dense residual;
+    in a product presented over one factor, after moving each
+    e_u (x) e_v to that factor through a lift of its own."""
+    if id(tp) not in _PRESENTATIONS:
+        _PRESENTATIONS[id(tp)] = reference_presentation(tp)
+    presented = _PRESENTATIONS[id(tp)]
+    if presented is None:
+        return reference_class(tp.relations, ambient)
+    _, moved, space = presented
+    f, dn = tp.relations.field, tp.right_factor.dim
+    w = [f.zero] * space.ambient_dim
+    for c, a in enumerate(ambient):
+        if a:
+            w = [f.add(x, f.mul(a, y)) for x, y in zip(w, moved(*divmod(c, dn)))]
+    return reference_class(space, w)
 
 
 def assert_pair_vector(v: tuple, dim: int) -> None:
@@ -95,13 +114,20 @@ def test_map_out_sets_each_column_at_its_class(name, data):
     f = tp.relations.field
     rows = data.draw(st.integers(0, 4))
     nonzero = scalars(f).filter(bool)
-    classes = [divmod(c, tp.right_factor.dim) for c in tp.free_cols]
-    columns = {uv: tuple(sorted(data.draw(st.dictionaries(
+    # each basis class is a pure tensor x (x) y, e_u (x) e_v at a free
+    # column unless a factor records a generator
+    basis = tp.basis_tensors
+    assert len(basis) == tp.module.dim
+    if reference_presentation(tp) is None:
+        assert basis == tuple((((u, f.one),), ((v, f.one),)) for u, v in (
+            divmod(c, tp.right_factor.dim) for c in tp.free_cols))
+    columns = {(u, v): tuple(sorted(data.draw(st.dictionaries(
         st.integers(0, max(rows - 1, 0)), nonzero, max_size=rows)).items()))
-        for uv in classes}
-    want = [[f.zero] * len(classes) for _ in range(rows)]
-    for k, uv in enumerate(classes):
-        for j, x in columns[uv]:
-            want[j][k] = x
+        for x, y in basis for u, _ in x for v, _ in y}
+    want = [[f.zero] * len(basis) for _ in range(rows)]
+    for k, (x, y) in enumerate(basis):
+        for (u, a), (v, b) in product(x, y):
+            for j, c in columns[(u, v)]:
+                want[j][k] = f.add(want[j][k], f.mul(f.mul(a, b), c))
     got = tp.map_out(rows, lambda u, v: columns[(u, v)])
-    assert got == dense_matrix(f, want, len(classes))
+    assert got == dense_matrix(f, want, len(basis))
