@@ -28,12 +28,13 @@ entries of its ingredients (hom constraints and balancing relations row
 by row, operator sums in place, tensor-leg images one pure tensor at a
 time, summed from the class table), with one block per generator
 of an acting algebra (FDAlgebra.generators), not per basis element;
-tensor_map checks every relation of the presentation, and
-is_bimodule_map every generator's action.  Spans grow from generators
-(linalg.spin): a hom out of a module generated by one vector g on one
-side (the unit of a regular side, or a recorded generator) is solved
-for its value at g, and summand_witness writes maps only at a
-generating set and stops once it reaches the identity.
+tensor_map checks every relation of the presentation (and, with a
+cyclic factor, that both legs commute with the middle algebra's
+generators), and is_bimodule_map every generator's action.  Spans grow
+from generators (linalg.spin): a hom out of a module generated by one
+vector g on one side (the unit of a regular side, or a recorded
+generator) is solved for its value at g, and summand_witness writes
+maps only at a generating set and stops once it reaches the identity.
 
 Over a group algebra the regular, restricted and tensor-square actions
 are permutation matrices, and then a hom, balancing or invariance system
@@ -353,9 +354,6 @@ class TensorProduct:
         f = self.left_factor.field
         cols = []
         for x, y in self.basis_tensors:
-            if len(x) == len(y) == 1 and x[0][1] == y[0][1] == f.one:
-                cols.append(column(x[0][0], y[0][0]))
-                continue
             acc: dict = {}
             for u, a in x:
                 for v, b in y:
@@ -383,7 +381,8 @@ def _operator(acts: Sequence[Matrix], t: Iterable) -> Matrix:
 
 def _image(f: Field, cols: Sequence[tuple], x: tuple) -> tuple:
     """The image of the pair vector x under the operator with columns
-    cols: a column itself at a unit vector."""
+    cols: a column itself at a unit vector, which most legs of pure
+    tensors are, without building the general sum's dict."""
     if len(x) == 1 and x[0][1] == f.one:
         return cols[x[0][0]]
     return tuple(sorted(comb_pairs(f, cols, x).items()))
@@ -520,7 +519,21 @@ def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
                f_right: Matrix) -> Matrix:
     """The map f_left (x) f_right between two presented tensor products,
     checked well defined: it sends every relation of src's presentation
-    to the class 0 in dst."""
+    to the class 0 in dst.  With a cyclic factor those relations are
+    g (x) Jn or mJ (x) g only, and the map is assembled from the basis
+    classes g (x) e_v or e_u (x) g, which is f_left (x) f_right only for
+    legs linear over the middle algebra C; so both legs are then also
+    checked to commute with C's generators."""
+    if src.cyclic is not None:
+        gens = src.left_factor.right_algebra.generators()
+        sm, sn, dm, dn = (src.left_factor, src.right_factor,
+                          dst.left_factor, dst.right_factor)
+        if not (intertwines(f_left, ((sm.right_action[c], dm.right_action[c])
+                                     for c in gens))
+                and intertwines(f_right, ((sn.left_action[c], dn.left_action[c])
+                                          for c in gens))):
+            raise BimoduleError(
+                "tensor map legs are not linear over the middle algebra")
     frt = f_right.transpose()
     for rel in src._relation_tensors():
         if dst.project(f_left @ rel @ frt):
@@ -681,7 +694,8 @@ def _maps_from_generator(m: Bimodule, n: Bimodule) -> Optional[tuple]:
     t_u of e_u.  It commutes with a generator h of the other side when
     t.v = v.h for the lift t of g.h, because phi(g.h) = phi(t.g).  Both
     systems are mirrored for g generating on the right; for the unit of a
-    regular side J = 0 and every lift is a basis vector.
+    regular side J = 0 and every lift is a basis vector, so those are
+    written down rather than eliminated.
     """
     found = m.generator or _regular_unit(m)
     if found is None:
@@ -692,7 +706,8 @@ def _maps_from_generator(m: Bimodule, n: Bimodule) -> Optional[tuple]:
     acts, n_acts, m_other, n_other = (
         (m.left_action, n.left_action, mr, nr) if side == "left"
         else (m.right_action, n.right_action, ml, nl))
-    lifts, ann = _lifts(acts, g)
+    lifts, ann = _lifts(acts, g) if m.generator else (
+        [((u, f.one),) for u in range(m.dim)], [])
     blocks = [_operator(n_acts, j) for j in ann] + [
         _operator(n_acts, comb_pairs(f, lifts, _image(
             f, mg.transpose().pairs, g)).items()) - ng

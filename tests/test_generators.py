@@ -23,11 +23,11 @@ from ringext.bimodule import (Bimodule, BimoduleError, InternalInconsistency,
                               _permutation_tables, hom_space,
                               is_bimodule_map, left_module,
                               left_regular_module, right_module,
-                              right_regular_module, tensor_over)
+                              right_regular_module, tensor_map, tensor_over)
 from ringext.canonical import build_canonical_rings
 from ringext.report import analysis_report
-from ringext.linalg import (GF, QQ, Matrix, Subspace, dense, kernel, rank,
-                            sparse, unit_vec)
+from ringext.linalg import (GF, QQ, Matrix, Subspace, dense, kernel,
+                            lin_comb, rank, sparse, unit_vec)
 from ringext.serialize import parse_input
 
 from tests.conftest import CORPUS_NAMES, corpus_doc
@@ -166,6 +166,60 @@ def test_a_map_failing_at_one_generator_is_refused(built):
         assert not reference_is_bimodule_map(m, m, mat)
 
 
+def _balanced_off_the_last_generator(tp, leg):
+    """Maps x on one leg of tp, the other leg the identity, that commute
+    with every generator of the middle algebra but the last, not with
+    the last, and still send every relation of tp's presentation to the
+    class 0."""
+    m, n = tp.left_factor, tp.right_factor
+    acts = m.right_action if leg == "left" else n.left_action
+    f, dim = m.field, acts[0].rows
+    *others, last = m.right_algebra.generators()
+    assert others
+    ker = [Matrix.from_vec(f, dim, dim, v) for v in kernel(_intertwining_system(
+        f, [(acts[c], acts[c]) for c in others], dim, dim))]
+    rels, width = tp._relation_tensors(), len(tp.free_cols)
+
+    def images(x):
+        """The classes of x applied to each relation, stacked."""
+        return tuple((k * width + i, c) for k, rel in enumerate(rels)
+                     for i, c in tp.project(x @ rel if leg == "left"
+                                            else rel @ x.transpose()))
+
+    sol = kernel(Matrix.from_cols(f, len(rels) * width,
+                                  [images(x) for x in ker]))
+    maps = [lin_comb(f, dim, dim, dense(f, len(ker), c), ker) for c in sol]
+    return [x for x in maps if x @ acts[last] != acts[last] @ x]
+
+
+def test_a_tensor_map_leg_failing_at_one_generator_is_refused(built):
+    """R_T (x)_T T is presented over T and S_S (x)_S _SR over S_S, so
+    their relations are g (x) Jn and mJ' (x) g only.  A leg that commutes
+    with every generator of the middle algebra but one can send all of
+    those to 0 and still not make f_left (x) f_right well defined on the
+    product; tensor_map refuses it, on the non-cyclic leg of both and on
+    the cyclic leg _SR, and keeps the identity."""
+    cr = built("qc2_q").cr
+    f = cr.field
+    cases = [(tensor_over(cr.cent_module_tensor,
+                          left_regular_module(cr.tensor_ring)), ("right",)),
+             (tensor_over(right_regular_module(cr.endo_ring),
+                          cr.cent_module_endo), ("left", "right"))]
+    for tp, legs in cases:
+        assert tp.cyclic
+        eye_l = Matrix.identity(f, tp.left_factor.dim)
+        eye_r = Matrix.identity(f, tp.right_factor.dim)
+        assert tensor_map(tp, tp, eye_l, eye_r) == \
+            Matrix.identity(f, tp.module.dim)
+        for leg in legs:
+            failing = _balanced_off_the_last_generator(tp, leg)
+            assert failing
+            for x in failing:
+                with pytest.raises(BimoduleError, match="not linear over"):
+                    tensor_map(tp, tp, *((x, eye_r) if leg == "left"
+                                         else (eye_l, x)))
+
+
 # -- the systems over every basis element, as a reference -------------------
 
 def full_basis_hom_span(m, n):
@@ -271,6 +325,7 @@ def test_memo_spaces_match_the_full_basis_reference(name):
         assert ran == {"hom_space", "tensor_over", "invariants_subspace"}
     entries = {kind: [e for key, e in cr._memo.items() if key[0] == kind]
                for kind in ("hom", "tensor")}
+    assert entries["hom"] and entries["tensor"]
     # products presented over each side
     assert {tp.cyclic[0] for _, tp in entries["tensor"] if tp.cyclic} \
         == {"left", "right"}
