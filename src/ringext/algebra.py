@@ -337,9 +337,6 @@ class Extension:
             idx.append(nz[0])
         return idx
 
-    def embed(self, b: Sequence) -> list:
-        return self.iota.apply(b)
-
     def image(self) -> Subspace:
         """The image of B inside A as a subspace."""
         if self._image is None:

@@ -28,9 +28,8 @@ entries of its ingredients (hom constraints and balancing relations row
 by row, operator sums in place, tensor-leg images one pure tensor at a
 time, summed from the class table), with one block per generator
 of an acting algebra (FDAlgebra.generators), not per basis element;
-tensor_map checks every relation of the presentation (and, with a
-cyclic factor, that both legs commute with the middle algebra's
-generators), and is_bimodule_map every generator's action.  Spans grow
+tensor_map checks that both legs commute with the middle algebra's
+generators, and is_bimodule_map every generator's action.  Spans grow
 from generators (linalg.spin): a hom out of a module generated by one
 vector g on one side (the unit of a regular side, or a recorded
 generator) is solved for its value at g, and summand_witness writes
@@ -251,8 +250,9 @@ class TensorProduct:
     annihilator J = {c : g.c = 0}, and lifts[u] is an element t_u of C
     with g.t_u = e_u, so that e_u (x) e_v = g (x) t_u.e_v; on the right,
     n = C.g, it is m/mJ, mirrored.  relations holds the presentation's
-    relations in RREF, and the quotient basis consists of the classes of
-    its unit vectors at the non-pivot columns, free_cols.
+    relations in RREF, read only to build the class table, and the
+    quotient basis consists of the classes of its unit vectors at the
+    non-pivot columns, free_cols.
     basis_tensors describes each basis class as a pure tensor x (x) y of
     pair vectors: e_u (x) e_v in the ambient case, g (x) e_v or e_u (x) g
     with a cyclic factor.  map_out, tensor_legs and tensor_map read only
@@ -313,17 +313,6 @@ class TensorProduct:
         side, g, _ = self.cyclic
         return tuple((g, e) if side == "left" else (e, g)
                      for e in (((c, one),) for c in self.free_cols))
-
-    def _relation_tensors(self) -> list[Matrix]:
-        """The presentation's relations as ambient elements: each RREF row,
-        or g (x) row and row (x) g with a cyclic factor."""
-        f, dm, dn = self.left_factor.field, self.left_factor.dim, self.right_factor.dim
-        rows = self.relations.basis.pairs
-        if self.cyclic is not None:
-            side, g = self.cyclic[:2]
-            rows = [tuple((u * dn + v, f.mul(a, b)) for u, a in x for v, b in y)
-                    for x, y in ((g, r) if side == "left" else (r, g) for r in rows)]
-        return [Matrix.from_vec(f, dm, dn, row) for row in rows]
 
     def lift(self, coords: Sequence) -> Matrix:
         """The canonical ambient representative of a class of an ambient
@@ -517,27 +506,24 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
 
 def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
                f_right: Matrix) -> Matrix:
-    """The map f_left (x) f_right between two presented tensor products,
-    checked well defined: it sends every relation of src's presentation
-    to the class 0 in dst.  With a cyclic factor those relations are
-    g (x) Jn or mJ (x) g only, and the map is assembled from the basis
-    classes g (x) e_v or e_u (x) g, which is f_left (x) f_right only for
-    legs linear over the middle algebra C; so both legs are then also
-    checked to commute with C's generators."""
-    if src.cyclic is not None:
-        gens = src.left_factor.right_algebra.generators()
-        sm, sn, dm, dn = (src.left_factor, src.right_factor,
-                          dst.left_factor, dst.right_factor)
-        if not (intertwines(f_left, ((sm.right_action[c], dm.right_action[c])
-                                     for c in gens))
-                and intertwines(f_right, ((sn.left_action[c], dn.left_action[c])
-                                          for c in gens))):
-            raise BimoduleError(
-                "tensor map legs are not linear over the middle algebra")
-    frt = f_right.transpose()
-    for rel in src._relation_tensors():
-        if dst.project(f_left @ rel @ frt):
-            raise BimoduleError("tensor map does not respect the relations")
+    """The map f_left (x) f_right between two tensor products over one
+    middle algebra C, checked well defined by one rule on every
+    presentation: both legs commute with C's generators, so with all of
+    C.  Then the relation x.c (x) y - x (x) c.y maps to the relation
+    f(x).c (x) f(y) - f(x) (x) c.f(y) of dst, and with a cyclic factor
+    g (x) j.e_v maps to f(g).j (x) f(e_v) = f(g.j) (x) f(e_v) = 0 (and
+    mirrored), so every relation of src's presentation maps to class 0,
+    and the map assembled from src's basis classes is f_left (x) f_right.
+    """
+    gens = src.left_factor.right_algebra.generators()
+    sm, sn, dm, dn = (src.left_factor, src.right_factor,
+                      dst.left_factor, dst.right_factor)
+    if not (intertwines(f_left, ((sm.right_action[c], dm.right_action[c])
+                                 for c in gens))
+            and intertwines(f_right, ((sn.left_action[c], dn.left_action[c])
+                                      for c in gens))):
+        raise BimoduleError(
+            "tensor map legs are not linear over the middle algebra")
     return tensor_legs(src, [(src.left_factor.field.one, f_left, f_right)], dst)
 
 
@@ -569,9 +555,6 @@ class MapSpace:
 
     def coordinates(self, mat: Matrix) -> Optional[list]:
         return self.span._coordinates(dict(mat.vec()))
-
-    def contains(self, mat: Matrix) -> bool:
-        return not self.span._reduce(dict(mat.vec()))
 
     def element(self, coords: Sequence) -> Matrix:
         return lin_comb(self.field, self.target.dim, self.source.dim,
@@ -810,16 +793,16 @@ def is_bimodule_map(src: Bimodule, dst: Bimodule, mat: Matrix) -> bool:
 
 
 def summand_witness(m: Bimodule, n: Bimodule,
-                    hom: Optional[Callable[[Bimodule, Bimodule], MapSpace]]
-                    = None) -> Optional[SummandWitness]:
+                    hom: Callable[[Bimodule, Bimodule], MapSpace]
+                    ) -> Optional[SummandWitness]:
     """Decide whether m is a direct summand of a finite power of n: is
     id_m a combination of composites back_b @ into_a over the hom spaces
-    hom builds (default hom_space)?  A bimodule map is fixed by its values
-    on a set generating m, so composites are written only there.  They
-    enter an echelon one at a time until the residual of id_m vanishes;
-    the kept ones are then solved for.  Returns a verified witness or None.
+    hom builds (hom_space, or a memo of it such as CanonicalRings.hom)?
+    A bimodule map is fixed by its values on a set generating m, so
+    composites are written only there.  They enter an echelon one at a
+    time until the residual of id_m vanishes; the kept ones are then
+    solved for.  Returns a verified witness or None.
     """
-    hom = hom or hom_space
     into_space, back_space = hom(m, n), hom(n, m)
     f, dm = m.field, m.dim
     acts, gens, echelon = sum(m.generator_actions(), []), [], {}
@@ -856,7 +839,7 @@ def summand_witness(m: Bimodule, n: Bimodule,
 
 
 def dual_basis_witness(m: Bimodule, algebra: FDAlgebra, side: str,
-                       hom: Optional[Callable] = None
+                       hom: Callable[[Bimodule, Bimodule], MapSpace]
                        ) -> Optional[SummandWitness]:
     """Finitely generated projectivity of m as a one-sided module over
     algebra: m, its other action forgotten, as a summand of a finite power

@@ -11,11 +11,11 @@ over one ring.
 Everything here works on concrete finite-dimensional modules.  Each
 constructor builds the forward matrix of the structural map, decides
 bijectivity by exact rank, and, when a certificate (separability
-element, conditional expectation, quasibase, summand system) is
-supplied, constructs the predicted inverse formula and verifies both
-composites.  A naturality square is linear in the module map, so it is
-checked exactly on a basis of the endomorphism space of the module the
-functors are applied to, which proves it for every endomorphism.
+element, conditional expectation, quasibase) is supplied, constructs
+the predicted inverse formula and verifies both composites.  A
+naturality square is linear in the module map, so it is checked exactly
+on a basis of the endomorphism space of the module the functors are
+applied to, which proves it for every endomorphism.
 Missing certificates and failed checks produce reports, never
 exceptions; an exception means either bad input or an internal bug.
 
@@ -29,8 +29,9 @@ checked on its generators: both sides are representations, so the ring
 elements a map intertwines form a subalgebra.  Each map is built once per
 CanonicalRings (CanonicalSpaces.once, keyed by module and certificate
 content, never by label): pi for gamma and the induction comparison,
-which pi_A_iso is on the regular module, and chi with its inverse for
-chi_M and rho_M.  Each public builder formats the domain and codomain it
+which pi_A_iso is on the regular module, chi with its inverse for chi_M
+and rho_M, and End(m) with its precomposition module for
+evaluation_map.  Each public builder formats the domain and codomain it
 reports from its own module's label.  A supplied certificate is
 substituted once per content (CanonicalRings.certified), usually already
 by the search in classify.
@@ -40,28 +41,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import FDAlgebra
 from .bimodule import (
     Bimodule,
     BimoduleError,
     MapSpace,
-    SummandWitness,
     TensorProduct,
     dual_basis_witness,
     forget_left,
     forget_right,
-    hom_space,
     intertwines,
     left_module,
     restrict_right,
     right_module,
     tensor_map,
-    tensor_over,
 )
 from .canonical import (CanonicalRings, InternalInconsistency, content_key,
-                        coordinate_matrix, coordinates_in, ring_on)
+                        coordinates_in, ring_on)
 from .certify import (
     D2Certificate,
     SeparabilityCertificate,
@@ -118,11 +116,6 @@ _NO_QUASIBASE = "no left quasibase supplied; formula inverse not certified"
 Square = Callable[[Matrix], tuple[Matrix, Matrix]]
 
 
-def _hom_coords(hs: MapSpace, maps: Iterable[Matrix]) -> Matrix:
-    """Columns of coordinates of maps that must lie in hs."""
-    return coordinate_matrix(hs, list(maps), "a structural map")
-
-
 def _hom_column(hs: MapSpace, mat: Matrix) -> tuple:
     """The coordinates of a map that must lie in hs, as a pair vector."""
     return sparse(coordinates_in(hs, mat, "a structural map"))
@@ -130,7 +123,8 @@ def _hom_column(hs: MapSpace, mat: Matrix) -> tuple:
 
 def _on_hom(hs: MapSpace, fn: Callable[[Matrix], Matrix]) -> Matrix:
     """The operator h -> fn(h) induced on hs, in its coordinates."""
-    return _hom_coords(hs, [fn(h) for h in hs.basis])
+    return Matrix.from_cols(hs.field, hs.dim,
+                            [_hom_column(hs, fn(h)) for h in hs.basis])
 
 
 def _certify_inverse(fwd: Matrix, back: Matrix, failure: str) -> bool:
@@ -725,10 +719,10 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
     if split is not None:
         ops = [n.right_operator(split.expectation.col(k)).transpose()
                for k in range(a.dim)]
-        coords = _hom_coords(hs, [_gather(ops, mu) for mu in range(n.dim)])
         runit = list(cr.centralizer.unit)
-        back = Matrix.from_cols(f, dom.module.dim, [dom.pure(co, runit)
-                                                    for co in coords.columns()])
+        back = Matrix.from_cols(f, dom.module.dim, [dom.pure(coordinates_in(
+            hs, _gather(ops, mu), "a structural map"), runit)
+            for mu in range(n.dim)])
         checks["expectation_inverse"] = _certify_inverse(
             fwd, back,
             "a verified conditional expectation must invert the counit")
@@ -743,78 +737,34 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
 # ---------------------------------------------------------------------------
 # generic evaluation over an endomorphism ring
 
-def _evaluation_data(c: FDAlgebra, m: Bimodule, n: Bimodule,
-                     rings: Optional[CanonicalRings]
-                     ) -> tuple[MapSpace, TensorProduct, Matrix]:
-    """Hom(m, n), its tensor with m over End(m), and the evaluation.  Given
-    the canonical rings, each is built once per module content: End(m) and
-    the precomposition module too, so the tensor's key repeats."""
-    hom, tensor, once = (hom_space, tensor_over, lambda _, build, *ms: build()) \
-        if rings is None else (rings.hom, rings.tensor, rings.once)
-    m1, n1 = forget_left(m), forget_left(n)
-    if m1.right_algebra != c or n1.right_algebra != c:
-        raise BimoduleError("evaluation needs two right modules over one ring")
-    end_space = hom(m1, m1)
-    basis = end_space.basis
-    end_alg = once(("End",), lambda: ring_on(
-        end_space, lambda i, j: basis[i] @ basis[j],
-        Matrix.identity(c.field, m1.dim), "End"), m1)
-    hs = hom(m1, n1)
-    hom_mod = once(("precomposition",), lambda: _precomposition_module(
-        hs, end_alg, basis), m1, n1)
-    m_mod = Bimodule(end_alg, c, m1.dim, list(basis), m1.right_action)
-    tp = tensor(hom_mod, m_mod)
-    hs_cols = [h.transpose().pairs for h in hs.basis]
-    return hs, tp, tp.map_out(n1.dim, lambda b, mu: hs_cols[b][mu])
+def evaluation_map(cr: CanonicalRings, m: Bimodule, n: Bimodule
+                   ) -> VerifiedIso:
+    """Hom(m, n) (x)_End(m) m -> n for right modules over one algebra C.
 
-
-def evaluation_map(c: FDAlgebra, m: Bimodule, n: Bimodule,
-                   rings: Optional[CanonicalRings] = None) -> VerifiedIso:
-    """Hom(m, n) (x)_End(m) m -> n for right modules over any algebra.
-
-    The evaluation is right linear over c; bijectivity is decided by
-    exact rank.  It is an isomorphism exactly when n is a summand of a
-    finite power of m, which dress_inverse certifies from an explicit
-    summand system.  Given the canonical rings of an extension, the hom
-    spaces and tensor products come from rings.hom and rings.tensor.
+    The evaluation is right linear over C; bijectivity is decided by
+    exact rank, and it is an isomorphism exactly when n is a summand of a
+    finite power of m.  The hom spaces and the tensor product come from
+    cr.hom and cr.tensor, and End(m) and Hom(m, n) as a right End(m)
+    module are built once per module content, so the tensor's key
+    repeats.
     """
-    hs, tp, fwd = _evaluation_data(c, m, n, rings)
-    n1, hom = forget_left(n), hom_space if rings is None else rings.hom
+    m1, n1 = forget_left(m), forget_left(n)
+    if m1.right_algebra != n1.right_algebra:
+        raise BimoduleError("evaluation needs two right modules over one ring")
+    end_space = cr.hom(m1, m1)
+    basis = end_space.basis
+    end_alg = cr.once(("End",), lambda: ring_on(
+        end_space, lambda i, j: basis[i] @ basis[j],
+        Matrix.identity(cr.field, m1.dim), "End"), m1)
+    hs = cr.hom(m1, n1)
+    hom_mod = cr.once(("precomposition",), lambda: _precomposition_module(
+        hs, end_alg, basis), m1, n1)
+    tp = cr.tensor(hom_mod, Bimodule(end_alg, m1.right_algebra, m1.dim,
+                                     list(basis), m1.right_action))
+    hs_cols = [h.transpose().pairs for h in hs.basis]
+    fwd = tp.map_out(n1.dim, lambda b, mu: hs_cols[b][mu])
     checks: dict = {"ring_linear": intertwines(fwd, zip(
         tp.module.generator_actions()[1], n1.generator_actions()[1]))}
     return _comparison("evaluation", fwd,
                        f"Hom({m.label},{n.label})(x)End[{m.label}]", n.label,
-                       checks, hom(n1, n1), _postcompose_square(hs, tp))
-
-
-def dress_inverse(c: FDAlgebra, m: Bimodule, n: Bimodule,
-                  projections: Sequence[Matrix],
-                  injections: Sequence[Matrix]) -> VerifiedIso:
-    """Certify the evaluation map from a summand system.
-
-    projections p_i: m -> n and injections j_i: n -> m must be linear
-    over c with sum p_i . j_i the identity of n; then
-    v -> sum_i p_i (x) j_i(v) inverts the evaluation.  Supplied maps that
-    fail validation raise; a valid system that fails to invert is an
-    internal bug.
-    """
-    if len(projections) != len(injections):
-        raise BimoduleError("projections and injections must pair up")
-    hom, tensor, fwd = _evaluation_data(c, m, n, None)
-    n1 = forget_left(n)
-    if not SummandWitness(n1, forget_left(m),
-                          list(zip(injections, projections))).verify():
-        raise BimoduleError(
-            "not a summand system over the ring: every map must be linear "
-            "over it and sum p_i . j_i the identity")
-    pcoords = [hom.coordinates(p) for p in projections]
-    back = Matrix.from_cols(c.field, tensor.module.dim, [
-        tensor.sum_pure((co, j.col(mu)) for co, j in zip(pcoords, injections))
-        for mu in range(n1.dim)])
-    checks = {"summand_inverse": _certify_inverse(
-        fwd, back, "a validated summand system must invert the evaluation")}
-    return VerifiedIso(
-        name="evaluation", codomain=n.label,
-        domain=f"Hom({m.label},{n.label})(x)End[{m.label}]",
-        domain_dim=fwd.cols, codomain_dim=fwd.rows, status="verified",
-        route="summand-system", forward=fwd, backward=back, checks=checks)
+                       checks, cr.hom(n1, n1), _postcompose_square(hs, tp))

@@ -662,10 +662,6 @@ class Subspace:
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
         return cls(Matrix.zeros(field, 0, ambient_dim), [])
 
-    @classmethod
-    def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(Matrix.identity(field, ambient_dim), list(range(ambient_dim)))
-
     @property
     def dim(self) -> int:
         return len(self.pivots)

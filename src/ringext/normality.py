@@ -135,14 +135,15 @@ def per_closure(ideals: Sequence[Ideal], fn) -> list:
 
 
 def centralizer_normality_suite(cr: CanonicalRings,
-                                ideals: Optional[Sequence[Ideal]] = None) -> dict:
+                                ideals: Sequence[Ideal]) -> dict:
     """Normality facts about the centralizer of the base.
 
     Three layers, all reported as exact span comparisons:
       * the centralizer itself: algebra times centralizer versus
         centralizer times algebra inside the total algebra;
-      * each sampled ideal, contracted to the centralizer, compared the
-        same way;
+      * each ideal of the sample (report.normality_block passes
+        default_ideal_sample and the input's ideals), contracted to the
+        centralizer, compared the same way;
       * the invariant part of the regular bimodule and of the tensor
         square over the base (the rings R and T), with both inclusion
         directions reported so a one-sided quasibase can certify its
@@ -150,8 +151,6 @@ def centralizer_normality_suite(cr: CanonicalRings,
     """
     a = cr.ext.total
     cent_sub = cr.centralizer_space
-    if ideals is None:
-        ideals = default_ideal_sample(a, extra_generators=cent_sub.rows)
     report = {"centralizer": _balance(cr.a_reg, cent_sub)}
     report["centralizer"]["dim"] = cent_sub.dim
 
@@ -181,39 +180,6 @@ def centralizer_normality_suite(cr: CanonicalRings,
 # group algebras: three independent routes to subgroup normality
 
 
-@dataclass
-class HopfPairData:
-    """A group algebra with the span of a subgroup's algebra inside it.
-
-    k_plus is the kernel of the counit restricted to the subgroup span,
-    spanned by differences h - 1; construction checks it really equals
-    the intersection of the global augmentation ideal with the span.
-    """
-
-    group: GroupData
-    subgroup: list[int]
-    algebra: FDAlgebra
-    span: Subspace
-    k_plus: Subspace
-    h_plus: Subspace
-
-
-def hopf_pair(group: GroupData, subgroup: Sequence[int], field: Field) -> HopfPairData:
-    idx = list(subgroup)
-    group.check_subgroup(idx)
-    kg = group_algebra(field, group)
-    n = group.order
-    span = Subspace.from_vectors(field, n, [unit_vec(field, n, i) for i in idx])
-    k_plus = Subspace.from_vectors(field, n, _minus_identity(field, n, idx))
-    h_plus = Subspace.from_vectors(field, n,
-                                   _minus_identity(field, n, range(n)))
-    if k_plus != h_plus.intersect(span):
-        raise InternalInconsistency(
-            "counit kernel of the subgroup span disagrees with the "
-            "contracted augmentation ideal")
-    return HopfPairData(group, idx, kg, span, k_plus, h_plus)
-
-
 def hopf_normality(group: GroupData, subgroup: Sequence[int], field: Field) -> dict:
     """Three independent normality verdicts for a subgroup span.
 
@@ -221,25 +187,33 @@ def hopf_normality(group: GroupData, subgroup: Sequence[int], field: Field) -> d
     conjugation_hopf_normal conjugates the subgroup span by every
     generator of the algebra through its multiplication operators and
     checks stability; augmentation_test compares the left and right ideals
-    generated by the counit kernel of the span.  The three booleans
-    agree for every pair; a disagreement would falsify the equivalence
-    the checks encode.
+    generated by k_plus, the counit kernel of the span, spanned by the
+    differences h - 1, which must equal the intersection of the global
+    augmentation ideal with the span.  The three booleans agree for every
+    pair; a disagreement would falsify the equivalence the checks encode.
     """
-    pair = hopf_pair(group, subgroup, field)
-    hset = set(pair.subgroup)
+    idx = list(subgroup)
+    group.check_subgroup(idx)
+    kg, n = group_algebra(field, group), group.order
+    span = Subspace.from_vectors(field, n, [unit_vec(field, n, i) for i in idx])
+    k_plus = Subspace.from_vectors(field, n, _minus_identity(field, n, idx))
+    h_plus = Subspace.from_vectors(field, n, _minus_identity(field, n, range(n)))
+    if k_plus != h_plus.intersect(span):
+        raise InternalInconsistency(
+            "counit kernel of the subgroup span disagrees with the "
+            "contracted augmentation ideal")
+    hset = set(idx)
     table_normal = all(group.conjugate(g, h) in hset
-                       for g in range(group.order) for h in pair.subgroup)
-
-    kg = pair.algebra
-    conj_stable = all(pair.span.contains(
+                       for g in range(n) for h in idx)
+    conj_stable = all(span.contains(
         (kg.basis_left_mult(g) @ kg.basis_right_mult(group.inverse[g]))
-        .apply(unit_vec(field, group.order, h)))
-        for g in kg.generators() for h in pair.subgroup)
+        .apply(unit_vec(field, n, h)))
+        for g in kg.generators() for h in idx)
 
     return {
         "subgroup_normal": table_normal,
         "conjugation_hopf_normal": conj_stable,
-        "augmentation_test": _balance(regular_bimodule(kg), pair.k_plus)["equal"],
+        "augmentation_test": _balance(regular_bimodule(kg), k_plus)["equal"],
     }
 
 

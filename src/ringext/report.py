@@ -133,8 +133,7 @@ def equivalence_block(cr: CanonicalRings, cls: Classification,
         "base_change_of_total": _iso_block(pi_A_iso(cr, left_quasibase=lqb)),
         "split_counit_on_base": _iso_block(
             split_counit(cr, cr.b_reg, split=cls.conditional_expectation)),
-        "evaluation_regular": _iso_block(
-            evaluation_map(cr.ext.total, a_right, a_right, rings=cr)),
+        "evaluation_regular": _iso_block(evaluation_map(cr, a_right, a_right)),
         **centralizer_projectivity(cr),
     }
 

@@ -330,7 +330,7 @@ def reference_hom_basis(m, n):
         diff = kron(an, eye_m) - kron(eye_n, am.transpose())
         rows.extend(diff.data)
     if not rows:
-        return list(Subspace.full(f, dn * dm).basis.pairs)
+        return list(Matrix.identity(f, dn * dm).pairs)
     ker = kernel(dense_matrix(f, rows))
     return list(Subspace.row_space(Matrix(f, len(ker), dn * dm,
                                           tuple(ker))).basis.pairs)

@@ -8,7 +8,7 @@ The corpus lives in corpus/*.json with stored reports in corpus/expected/.
 import json
 
 from ringext.bimodule import dual_basis_witness, forget_left, forget_right, \
-    summand_witness, right_regular_module
+    hom_space, summand_witness, right_regular_module
 from ringext.canonical import CanonicalSpaces
 from ringext.certify import (D2Certificate, QuasibasePair, d2_summand_witness,
                              hsep_summand_witness, module_facts, verify_d2,
@@ -16,8 +16,7 @@ from ringext.certify import (D2Certificate, QuasibasePair, d2_summand_witness,
 from ringext.equivalences import (chi_M, functor_iso_checks, gamma_M,
                                   pi_A_iso, rho_M, triangle_check)
 from ringext.linalg import QQ, Matrix
-from ringext.normality import (centralizer_normality_suite,
-                               double_centralizer, hopf_normality,
+from ringext.normality import (double_centralizer, hopf_normality,
                                prebraided_check)
 from ringext.report import analysis_report, report_json
 from ringext.serialize import parse_input
@@ -28,7 +27,8 @@ from tests.conftest import (CORPUS_NAMES, EXPECTED_FLAGS, LEFT_D2, RIGHT_D2,
 from tests.groups import GROUP_CASES, case_doc
 from tests.modules import random_cyclic_module
 from tests.test_equivalences import end_dim
-from tests.test_normality import Q8_SUBGROUPS, S3_SUBGROUPS, quaternion
+from tests.test_normality import (Q8_SUBGROUPS, S3_SUBGROUPS, default_suite,
+                                  quaternion)
 from tests.test_algebra import sym3
 
 
@@ -176,9 +176,10 @@ def test_criterion_5_progenerator_tracks_hseparability(built):
     # matrix algebra over its center: projective and a generator
     m2 = built("m2q_q")
     assert dual_basis_witness(m2.cr.cent_module_tensor, m2.cr.tensor_ring,
-                              "right") is not None
+                              "right", hom_space) is not None
     t_reg = right_regular_module(m2.cr.tensor_ring)
-    assert summand_witness(t_reg, m2.cr.cent_module_tensor) is not None
+    assert summand_witness(t_reg, m2.cr.cent_module_tensor,
+                           hom_space) is not None
 
     # group pair: projective but not a generator, matching the verdict
     qs3 = built("qs3_qa3")
@@ -209,7 +210,7 @@ def test_criterion_6_normality(built):
         assert out["subgroup_normal"] == out["conjugation_hopf_normal"] \
             == out["augmentation_test"] == normal, label
 
-    suite = centralizer_normality_suite(built("qs3_qa3").cr)
+    suite = default_suite(built("qs3_qa3").cr)
     assert suite["all_equal"]
 
     assert double_centralizer(built("qq8_qi").cr)["strict"]

@@ -137,7 +137,7 @@ def test_subgroup_extension_reorders_identity():
     assert ext.base.dim == 3
     assert ext.base.group is not None
     # identity must come first regardless of listed order
-    assert ext.embed(unit_vec(QQ, 3, 0)) == a.unit
+    assert ext.iota.apply(unit_vec(QQ, 3, 0)) == a.unit
     assert ext.image().dim == 3
 
 
@@ -155,7 +155,7 @@ def test_basis_extension_builds_structure_constants():
     assert ext.base.dim == 3
     for i in range(3):
         for j in range(3):
-            lhs = ext.embed(ext.base.mult[i][j])
+            lhs = ext.iota.apply(ext.base.mult[i][j])
             rhs = a.multiply(rows[i], rows[j])
             assert lhs == rhs
 
@@ -232,7 +232,7 @@ def test_self_extension():
     a = group_algebra(QQ, cyclic(4))
     ext = self_extension(a)
     assert ext.base.dim == a.dim
-    assert ext.embed(unit_vec(QQ, 4, 2)) == unit_vec(QQ, 4, 2)
+    assert ext.iota.apply(unit_vec(QQ, 4, 2)) == unit_vec(QQ, 4, 2)
 
 
 # -- properties -------------------------------------------------------------

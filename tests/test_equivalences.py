@@ -10,13 +10,13 @@ from ringext.bimodule import (BimoduleError, forget_left, forget_right,
                               right_regular_module)
 from ringext.certify import verify_d2, verify_separability, verify_split
 from ringext.equivalences import (_comparison, centralizer_projectivity,
-                                  chi_M, dress_inverse, evaluation_map,
+                                  chi_M, evaluation_map,
                                   functor_iso_checks, gamma_M, pi_A_iso,
                                   rho_M, split_counit, triangle_check)
 from ringext.linalg import Matrix
 
 from tests.conftest import CORPUS_NAMES, LEFT_D2, SEPARABLE
-from tests.helpers import dense_matrix, scale
+from tests.helpers import dense_matrix
 from tests.modules import random_cyclic_module
 
 
@@ -162,7 +162,7 @@ def test_evaluation_regular_module(built):
     cr = built("qs3_qa3").cr
     a = cr.ext.total
     reg = right_regular_module(a)
-    iso = evaluation_map(a, reg, reg)
+    iso = evaluation_map(cr, reg, reg)
     assert iso.status == "bijective"
     assert iso.checks["ring_linear"]
     assert iso.checks["naturality"]
@@ -190,7 +190,7 @@ def test_naturality_checked_on_a_basis_of_every_endomorphism_space(built,
         (rho_M(cr, cr.a_reg, left_quasibase=lqb), a_right),
         (split_counit(cr, cr.b_reg, split=cls.conditional_expectation),
          forget_left(cr.b_reg)),
-        (evaluation_map(cr.ext.total, reg, reg, rings=cr), reg),
+        (evaluation_map(cr, reg, reg), reg),
     ]
     for iso, m in comparisons:
         assert iso.naturality_samples == end_dim(cr, m), (name, iso.name)
@@ -212,41 +212,6 @@ def test_naturality_fails_when_one_basis_endomorphism_does_not_commute(built):
     iso = _comparison("probe", fwd, "A", "A", {}, endos, lambda e: (e, e))
     assert iso.naturality_samples == 2
     assert iso.checks["naturality"] is False
-
-
-def test_dress_inverse_certifies_evaluation(built):
-    cr = built("qc2_q").cr
-    a = cr.ext.total
-    reg = right_regular_module(a)
-    eye = Matrix.identity(cr.field, a.dim)
-    iso = dress_inverse(a, reg, reg, [eye], [eye])
-    assert iso.status == "verified"
-    assert iso.route == "summand-system"
-    f = cr.field
-    assert iso.forward @ iso.backward == Matrix.identity(f, iso.codomain_dim)
-
-
-@pytest.mark.parametrize("case", ["off_identity", "projection_not_linear"])
-def test_dress_inverse_rejects_an_invalid_summand_system(built, case):
-    cr = built("qc2_q").cr
-    a = cr.ext.total
-    reg = right_regular_module(a)
-    f = cr.field
-    eye = Matrix.identity(f, a.dim)
-    if case == "off_identity":
-        projections, injections = [scale(eye, f.of(2))], [eye]
-    else:
-        # coordinate projections against identity injections compose to
-        # the identity, but they do not commute with right multiplication
-        # by the group element
-        units = [dense_matrix(f, [[f.one if r == c == k else f.zero
-                                   for c in range(a.dim)]
-                                  for r in range(a.dim)])
-                 for k in range(a.dim)]
-        assert any(hom_space(reg, reg).coordinates(u) is None for u in units)
-        projections, injections = units, [eye] * a.dim
-    with pytest.raises(BimoduleError):
-        dress_inverse(a, reg, reg, projections, injections)
 
 
 # -- sweeping certificates across the corpus ----------------------------------

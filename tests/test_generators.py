@@ -16,7 +16,7 @@ from functools import cache
 
 import pytest
 
-from ringext import bimodule
+from ringext import bimodule, equivalences
 from ringext.algebra import AlgebraError, FDAlgebra, trivial_algebra
 from ringext.bimodule import (Bimodule, BimoduleError, InternalInconsistency,
                               TensorProduct, _intertwining_system,
@@ -166,6 +166,19 @@ def test_a_map_failing_at_one_generator_is_refused(built):
         assert not reference_is_bimodule_map(m, m, mat)
 
 
+def presentation_relations(tp):
+    """The relations of tp's presentation as ambient elements, a reference
+    for tensor_map's leg check: each RREF row, or g (x) row and row (x) g
+    with a cyclic factor."""
+    f, dm, dn = tp.left_factor.field, tp.left_factor.dim, tp.right_factor.dim
+    rows = tp.relations.basis.pairs
+    if tp.cyclic is not None:
+        side, g = tp.cyclic[:2]
+        rows = [tuple((u * dn + v, f.mul(a, b)) for u, a in x for v, b in y)
+                for x, y in ((g, r) if side == "left" else (r, g) for r in rows)]
+    return [Matrix.from_vec(f, dm, dn, row) for row in rows]
+
+
 def _balanced_off_the_last_generator(tp, leg):
     """Maps x on one leg of tp, the other leg the identity, that commute
     with every generator of the middle algebra but the last, not with
@@ -178,7 +191,7 @@ def _balanced_off_the_last_generator(tp, leg):
     assert others
     ker = [Matrix.from_vec(f, dim, dim, v) for v in kernel(_intertwining_system(
         f, [(acts[c], acts[c]) for c in others], dim, dim))]
-    rels, width = tp._relation_tensors(), len(tp.free_cols)
+    rels, width = presentation_relations(tp), len(tp.free_cols)
 
     def images(x):
         """The classes of x applied to each relation, stacked."""
@@ -218,6 +231,29 @@ def test_a_tensor_map_leg_failing_at_one_generator_is_refused(built):
                 with pytest.raises(BimoduleError, match="not linear over"):
                     tensor_map(tp, tp, *((x, eye_r) if leg == "left"
                                          else (eye_l, x)))
+
+
+def test_every_tensor_map_of_an_analysis_sends_each_relation_to_zero(
+        monkeypatch):
+    """tensor_map checks only that both legs are linear over the middle
+    algebra.  Every call an analysis of the corpus and of GROUP_CASES
+    makes also passes the relation-by-relation reference: each relation
+    of the source's presentation maps to the class 0 of the target."""
+    calls = []
+    original = equivalences.tensor_map
+
+    def recording(src, dst, f_left, f_right):
+        calls.append((src, dst, f_left, f_right))
+        return original(src, dst, f_left, f_right)
+
+    monkeypatch.setattr(equivalences, "tensor_map", recording)
+    for doc in [*map(corpus_doc, CORPUS_NAMES), *map(case_doc, GROUP_CASES)]:
+        analysis_report(parse_input(doc))
+    assert calls and any(src.cyclic for src, *_ in calls)
+    for src, dst, f_left, f_right in calls:
+        frt = f_right.transpose()
+        assert all(not dst.project(f_left @ rel @ frt)
+                   for rel in presentation_relations(src))
 
 
 # -- the systems over every basis element, as a reference -------------------

@@ -195,7 +195,7 @@ def test_repeated_evaluation_maps_hit_the_memo(monkeypatch):
     for _ in range(3):
         a_right = bimodule.right_regular_module(a)
         blocks.append(_iso_block(equivalences.evaluation_map(
-            a, a_right, a_right, rings=cr)))
+            cr, a_right, a_right)))
         sizes.append(len(cr._memo))
     assert len(calls) == 1
     assert blocks[0] == blocks[1] == blocks[2]

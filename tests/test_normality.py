@@ -5,18 +5,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ringext import normality
-from ringext.algebra import group_algebra, matrix_algebra, subalgebra_extension
+from ringext.algebra import (AlgebraError, group_algebra, matrix_algebra,
+                             subalgebra_extension)
 from ringext.bimodule import BimoduleError, regular_bimodule
 from ringext.certify import find_d2_quasibase
 from ringext.linalg import GF, QQ, Subspace, unit_vec
 from ringext.normality import (centralizer_normality_suite,
                                default_ideal_sample, double_centralizer,
-                               hopf_normality, hopf_pair, ideal_closure,
+                               hopf_normality, ideal_closure,
                                prebraided_check)
 
 from tests.conftest import RIGHT_D2, expected_doc
 from tests.oracles import reference_ideal_closure, reference_translate_span
 from tests.test_algebra import cyclic, sym3
+
+
+def default_suite(cr) -> dict:
+    """The centralizer suite on the sample report.normality_block starts
+    from: default_ideal_sample with the centralizer's basis added."""
+    return centralizer_normality_suite(cr, default_ideal_sample(
+        cr.ext.total, extra_generators=cr.centralizer_space.rows))
 
 
 def quaternion():
@@ -90,8 +98,8 @@ def test_hopf_normality_modular_characteristic():
 
 
 def test_hopf_pair_rejects_nonsubgroup():
-    with pytest.raises(Exception):
-        hopf_pair(sym3(), [0, 1, 2], QQ)
+    with pytest.raises(AlgebraError):
+        hopf_normality(sym3(), [0, 1, 2], QQ)
 
 
 # -- ideals ---------------------------------------------------------------------
@@ -178,7 +186,7 @@ def test_suite_contracts_once_per_distinct_closure(built, monkeypatch):
 # -- the centralizer suite --------------------------------------------------------
 
 def test_suite_balanced_for_normal_subgroup(built):
-    out = centralizer_normality_suite(built("qs3_qa3").cr)
+    out = default_suite(built("qs3_qa3").cr)
     assert out["centralizer"]["equal"]
     assert out["all_equal"]
     for entry in out["ideal_contractions"]:
@@ -188,14 +196,14 @@ def test_suite_balanced_for_normal_subgroup(built):
 
 
 def test_suite_unbalanced_for_nonnormal_subgroup(built):
-    out = centralizer_normality_suite(built("f7s3_f7t").cr)
+    out = default_suite(built("f7s3_f7t").cr)
     assert not out["all_equal"]
 
 
 def test_suite_index_two_subgroups_always_balanced(built):
     # index-2 subgroups are normal; the suite must come back fully equal
     for name in ("qq8_qi", "qc2_q"):
-        out = centralizer_normality_suite(built(name).cr)
+        out = default_suite(built(name).cr)
         assert out["all_equal"], name
 
 
@@ -283,5 +291,5 @@ def test_scenario_normal_subgroup_gives_balanced_extension(subgroup):
     from ringext.canonical import CanonicalRings
     cr = CanonicalRings(ext)
     hopf = hopf_normality(g, subgroup, QQ)
-    suite = centralizer_normality_suite(cr)
+    suite = default_suite(cr)
     assert hopf["subgroup_normal"] == suite["all_equal"] == True  # noqa: E712

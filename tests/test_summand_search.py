@@ -82,7 +82,7 @@ def test_search_stops_before_the_last_composite(monkeypatch):
     m = forget_left(restrict_right(cr.a_reg, cr.ext))
     n = right_regular_module(cr.ext.base)
     monkeypatch.setattr(bimodule, "echelon_insert", counting)
-    wit = bimodule.summand_witness(m, n)
+    wit = bimodule.summand_witness(m, n, hom_space)
     assert wit is not None and wit.verify()
     assert len(inserted) < hom_space(m, n).dim * hom_space(n, m).dim
 
@@ -95,7 +95,8 @@ def test_failed_witness_still_raises(monkeypatch):
     monkeypatch.setattr(bimodule.SummandWitness, "verify", lambda self: False)
     a = group_algebra(QQ, trivial_group())
     with pytest.raises(bimodule.BimoduleError, match="own verification"):
-        bimodule.summand_witness(left_regular_module(a), left_regular_module(a))
+        bimodule.summand_witness(left_regular_module(a), left_regular_module(a),
+                                 hom_space)
 
 
 # -- hom out of a regular module -------------------------------------------------
