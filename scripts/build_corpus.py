@@ -12,14 +12,15 @@ import os
 import sys
 from itertools import permutations
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from ringext.linalg import GF, QQ
-from ringext.algebra import (GroupData, diagonal_algebra, group_algebra,
-                             matrix_algebra)
+from ringext.algebra import GroupData, group_algebra
 from ringext.serialize import algebra_json
+from tests.helpers import diagonal_algebra, matrix_algebra
 
-OUT = os.path.join(os.path.dirname(__file__), "..", "corpus")
+OUT = os.path.join(ROOT, "corpus")
 
 
 def cyclic_group(n: int) -> GroupData:

@@ -27,8 +27,8 @@ from .linalg import (
     Subspace,
     lin_comb,
     sparse,
-    spin,
     unit_vec,
+    word_generators,
     zero_vec,
 )
 
@@ -177,29 +177,12 @@ class FDAlgebra:
         return out
 
     def generators(self) -> list[int]:
-        """Basis indices whose words span the algebra, cached: e_i is taken
-        when outside the span of the words so far, then each generator
-        that the others produce is dropped."""
+        """Basis indices whose words span the algebra (linalg.word_generators),
+        cached."""
         if self._generators is None:
-            gens, span, n = [], self._word_span([]), self.dim
-            for i in range(n):
-                if not span.contains(unit_vec(self.field, n, i)):
-                    gens.append(i)
-                    span = self._word_span(gens, span)
-            for g in list(gens):
-                if self._word_span([h for h in gens if h != g]).dim == n:
-                    gens.remove(g)
-            self._generators = gens
+            self._generators = word_generators(
+                self.field, self.dim, sparse(self.unit), self.basis_right_mult)
         return self._generators
-
-    def _word_span(self, gens: Sequence[int],
-                   start: Optional[Subspace] = None) -> Subspace:
-        """The least space holding start (default: the unit) closed under
-        right multiplication by each generator: the span of the words in
-        gens in one bracketing, with no associativity assumed."""
-        return spin(self.field, self.dim,
-                    start.basis.pairs if start else [sparse(self.unit)],
-                    [self.basis_right_mult(g) for g in gens])
 
     def _ensure_regular(self) -> None:
         if self._left_regular is not None:
@@ -257,30 +240,6 @@ def trivial_algebra(field: Field) -> FDAlgebra:
         _trivial_cache[field] = FDAlgebra(
             field, 1, [[[field.one]]], [field.one], name="k", _validated=True)
     return _trivial_cache[field]
-
-
-def matrix_algebra(field: Field, n: int, name: Optional[str] = None) -> FDAlgebra:
-    """Full matrix algebra M_n(k), basis E_rs at index r*n + s."""
-    dim = n * n
-    mult = [[zero_vec(field, dim) for _ in range(dim)] for _ in range(dim)]
-    for r in range(n):
-        for s in range(n):
-            for t in range(n):
-                for u in range(n):
-                    if s == t:
-                        mult[r * n + s][t * n + u] = unit_vec(field, dim, r * n + u)
-    unit = zero_vec(field, dim)
-    for r in range(n):
-        unit[r * n + r] = field.one
-    return FDAlgebra(field, dim, mult, unit, name=name or f"M{n}", _validated=True)
-
-
-def diagonal_algebra(field: Field, n: int, name: Optional[str] = None) -> FDAlgebra:
-    """The split product k x ... x k (n factors) with componentwise product."""
-    mult = [[unit_vec(field, n, i) if i == j else zero_vec(field, n)
-             for j in range(n)] for i in range(n)]
-    return FDAlgebra(field, n, mult, [field.one] * n,
-                     name=name or f"k^{n}", _validated=True)
 
 
 class Extension:

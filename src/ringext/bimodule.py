@@ -52,7 +52,7 @@ may carry other labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -71,6 +71,7 @@ from .linalg import (
     span_decide,
     sparse,
     spin,
+    word_generators,
 )
 
 
@@ -559,6 +560,20 @@ class MapSpace:
     def element(self, coords: Sequence) -> Matrix:
         return lin_comb(self.field, self.target.dim, self.source.dim,
                         coords, self.basis)
+
+    @cached_property
+    def generators(self) -> list[int]:
+        """For an endomorphism space: basis indices whose composites span
+        it, the product of basis maps h and g being h @ g
+        (linalg.word_generators), found once per instance."""
+        f, n = self.field, self.dim
+
+        @cache
+        def right_mult(g: int) -> Matrix:
+            return Matrix.from_cols(f, n, [sparse(self.coordinates(
+                h @ self.basis[g])) for h in self.basis])
+        return word_generators(f, n, sparse(self.coordinates(
+            Matrix.identity(f, self.source.dim))), right_mult)
 
     def __repr__(self) -> str:
         return f"MapSpace({self.source.label} -> {self.target.label}, dim={self.dim})"

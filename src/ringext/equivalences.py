@@ -13,9 +13,12 @@ constructor builds the forward matrix of the structural map, decides
 bijectivity by exact rank, and, when a certificate (separability
 element, conditional expectation, quasibase) is supplied, constructs
 the predicted inverse formula and verifies both composites.  A
-naturality square is linear in the module map, so it is checked exactly
-on a basis of the endomorphism space of the module the functors are
-applied to, which proves it for every endomorphism.
+naturality square is linear in the module map, sends the identity to the
+identity and respects composition, so the endomorphisms whose squares
+commute form a unital subalgebra: it is checked exactly on composition
+generators of the endomorphism space of the module the functors are
+applied to (MapSpace.generators, found once per End space), which proves
+it for every endomorphism.
 Missing certificates and failed checks produce reports, never
 exceptions; an exception means either bad input or an internal bug.
 
@@ -88,9 +91,10 @@ class VerifiedIso:
 
     checks holds named boolean side conditions (linearity over the various
     rings, triangle identities, composite agreements).  naturality_samples
-    is the dimension of the endomorphism space whose basis maps had their
-    naturality squares checked; checks["naturality"] holds when all of
-    them commute, and then every endomorphism's square commutes.
+    is the dimension of the endomorphism space proved natural; its
+    squares are checked at the space's composition generators, and
+    checks["naturality"] holds when all of them commute, and then every
+    endomorphism's square commutes.
     """
 
     name: str
@@ -160,16 +164,21 @@ def _comparison(name: str, fwd: Matrix, domain: str, codomain: str,
                 checks: dict, endos: MapSpace, square: Square,
                 back: Optional[Matrix] = None, route: str = "",
                 detail: str = "") -> VerifiedIso:
-    """Check naturality on the basis of endos and choose status and route.
+    """Check naturality on the generators of endos and choose status and
+    route.
 
     square(e) gives the operators an endomorphism e induces on the domain
-    and on the codomain; both are linear in e, so commuting on a basis of
-    endos proves naturality for all of it.  back is an inverse already
-    passed through _certify_inverse, and route names its certificate.
-    Without one, bijectivity is decided by exact rank and the stored
-    inverse comes from elimination.
+    and on the codomain.  Both are linear in e, send the identity to the
+    identity and respect composition, so the e whose square commutes form
+    a unital subalgebra, and commuting at the composition generators of
+    endos (MapSpace.generators, found once per End space) proves
+    naturality for all of it.  back is an inverse already passed through
+    _certify_inverse, and route names its certificate.  Without one,
+    bijectivity is decided by exact rank and the stored inverse comes
+    from elimination.
     """
-    checks["naturality"] = intertwines(fwd, map(square, endos.basis))
+    checks["naturality"] = intertwines(
+        fwd, (square(endos.basis[g]) for g in endos.generators))
     if back is not None:
         status = "verified"
     else:

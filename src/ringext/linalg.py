@@ -521,13 +521,42 @@ def spin(field: Field, dim: int, vectors: Iterable, operators: Sequence[Matrix],
          echelon: Optional[dict] = None) -> "Subspace":
     """The least subspace of F^dim holding the pair vectors and closed under
     the operators, grown into echelon (default empty) in place: only a vector
-    that enlarges the span has its images queued, so closed spans stay so."""
+    that enlarges the span has its images queued, so closed spans stay so,
+    and the whole of F^dim stops the growth."""
     echelon = {} if echelon is None else echelon
     columns, queue = [op.transpose().pairs for op in operators], list(vectors)
     for v in queue:  # grows while it is read: the images of v, from columns
         if echelon_insert(field, echelon, dict(v)):
+            if len(echelon) == dim:
+                break
             queue.extend(comb_pairs(field, cols, v).items() for cols in columns)
     return Subspace.from_echelon(field, dim, echelon)
+
+
+def word_generators(field: Field, dim: int, one: tuple,
+                    right_mult: Callable[[int], Matrix]) -> list[int]:
+    """Basis indices whose words span F^dim, for a product on F^dim with
+    unit one (a pair vector) and right_mult(i) the matrix of right
+    multiplication by basis vector i.  e_i is taken when outside the span
+    of the words so far, then each generator that the others produce is
+    dropped.  Words grow from one by right multiplication (spin), in one
+    bracketing, so no associativity is assumed."""
+    gens, echelon = [], {}
+    spin(field, dim, [one], [], echelon)
+    for i in range(dim):
+        if echelon_reduce(field, echelon, {i: field.one}):
+            gens.append(i)
+            # the words so far are closed under the earlier generators, so
+            # only their images under e_i can enlarge them
+            cols = right_mult(i).transpose().pairs
+            spin(field, dim, [comb_pairs(field, cols, row.items()).items()
+                              for row in echelon.values()],
+                 [right_mult(g) for g in gens], echelon)
+    for g in list(gens):
+        if spin(field, dim, [one], [right_mult(h) for h in gens if h != g]
+                ).dim == dim:
+            gens.remove(g)
+    return gens
 
 
 def rank(mat: Matrix) -> int:

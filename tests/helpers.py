@@ -1,7 +1,12 @@
-"""Operations only the tests use, kept out of the library."""
+"""Operations the library does not use, kept out of it: the tests call
+them, and scripts/build_corpus.py builds two corpus algebras with
+matrix_algebra and diagonal_algebra."""
+
+from typing import Optional
 
 from ringext.algebra import FDAlgebra
-from ringext.linalg import LinalgError, Matrix, Subspace, kernel, lin_comb
+from ringext.linalg import (Field, LinalgError, Matrix, Subspace, kernel,
+                            lin_comb, unit_vec, zero_vec)
 
 
 def dense_matrix(field, rows, cols=None) -> Matrix:
@@ -47,3 +52,24 @@ def dense_vector(field, n: int, pairs) -> list:
     for j, x in pairs:
         out[j] = x
     return out
+
+
+def matrix_algebra(field: Field, n: int, name: Optional[str] = None) -> FDAlgebra:
+    """Full matrix algebra M_n(k), basis E_rs at index r*n + s."""
+    dim = n * n
+    mult = [[zero_vec(field, dim) for _ in range(dim)] for _ in range(dim)]
+    for r in range(n):
+        for s in range(n):
+            for u in range(n):
+                mult[r * n + s][s * n + u] = unit_vec(field, dim, r * n + u)
+    unit = zero_vec(field, dim)
+    for r in range(n):
+        unit[r * n + r] = field.one
+    return FDAlgebra(field, dim, mult, unit, name=name or f"M{n}")
+
+
+def diagonal_algebra(field: Field, n: int, name: Optional[str] = None) -> FDAlgebra:
+    """The split product k x ... x k (n factors) with componentwise product."""
+    mult = [[unit_vec(field, n, i) if i == j else zero_vec(field, n)
+             for j in range(n)] for i in range(n)]
+    return FDAlgebra(field, n, mult, [field.one] * n, name=name or f"k^{n}")

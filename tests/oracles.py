@@ -23,7 +23,7 @@ import os
 from fractions import Fraction
 from itertools import product
 
-from tests.oracle_linalg import FracOps, ModOps, as_pairs, nullspace, rank, rref
+from tests.oracle_linalg import FracOps, ModOps, as_pairs, nullspace, rref
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringext.algebra import (AlgebraError, Extension, FDAlgebra, GroupData,
-                             diagonal_algebra, group_algebra, matrix_algebra,
-                             self_extension, subalgebra_extension,
-                             trivial_algebra)
+                             group_algebra, self_extension,
+                             subalgebra_extension, trivial_algebra)
 from ringext.linalg import (GF, QQ, Matrix, invert, span_decide, sparse,
                             unit_vec)
 
-from tests.helpers import center, is_commutative, scale
+from tests.helpers import (center, diagonal_algebra, is_commutative,
+                           matrix_algebra, scale)
 from tests.oracles import reference_validation_fault
 
 

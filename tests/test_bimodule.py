@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ringext.algebra import (diagonal_algebra, group_algebra, matrix_algebra,
-                             self_extension, subalgebra_extension,
-                             trivial_algebra)
+from ringext.algebra import (group_algebra, self_extension,
+                             subalgebra_extension, trivial_algebra)
 from ringext.bimodule import (Bimodule, BimoduleError, centralizer_subspace,
                               dual_basis_witness, forget_left,
                               forget_right, hom_space, intertwines,
@@ -21,7 +20,8 @@ from ringext.bimodule import (Bimodule, BimoduleError, centralizer_subspace,
 from ringext.linalg import GF, QQ, Matrix, dense, sparse, unit_vec, vec_sum
 from ringext.serialize import parse_input
 from tests.conftest import CORPUS_NAMES, corpus_doc
-from tests.helpers import center, dense_matrix, dense_vector, scale
+from tests.helpers import (center, dense_matrix, dense_vector,
+                           diagonal_algebra, matrix_algebra, scale)
 from tests.modules import random_cyclic_module, random_scalar
 from tests.oracles import (reference_hom_basis, reference_tensor_legs,
                            reference_tensor_relations)

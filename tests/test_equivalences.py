@@ -5,23 +5,28 @@ from dataclasses import replace
 
 import pytest
 
+from ringext import equivalences
 from ringext.bimodule import (BimoduleError, forget_left, forget_right,
-                              hom_space, intertwines, restrict_right,
-                              right_regular_module)
+                              hom_space, intertwines, right_regular_module)
 from ringext.certify import verify_d2, verify_separability, verify_split
 from ringext.equivalences import (_comparison, centralizer_projectivity,
                                   chi_M, evaluation_map,
                                   functor_iso_checks, gamma_M, pi_A_iso,
                                   rho_M, split_counit, triangle_check)
-from ringext.linalg import Matrix
+from ringext.linalg import Matrix, PrimeField
+from ringext.report import analysis_report
+from ringext.serialize import parse_input
 
-from tests.conftest import CORPUS_NAMES, LEFT_D2, SEPARABLE
+from tests.conftest import CORPUS_NAMES, LEFT_D2, SEPARABLE, corpus_doc
+from tests.groups import GROUP_CASES, case_doc
 from tests.helpers import dense_matrix
 from tests.modules import random_cyclic_module
+from tests.oracle_linalg import FracOps, ModOps, rank
 
 
 def end_dim(cr, m) -> int:
-    """The dimension of End(m), on whose basis naturality is checked."""
+    """The dimension of End(m), the space whose squares are proved to
+    commute."""
     return cr.hom(m, m).dim
 
 
@@ -169,7 +174,7 @@ def test_evaluation_regular_module(built):
     assert iso.naturality_samples == hom_space(reg, reg).dim == a.dim
 
 
-# -- naturality on a basis of the endomorphisms --------------------------------
+# -- naturality on composition generators of the endomorphisms ---------------
 
 @pytest.mark.parametrize("name", ["qc2_q", "qq8_qi"])
 def test_naturality_checked_on_a_basis_of_every_endomorphism_space(built,
@@ -212,6 +217,129 @@ def test_naturality_fails_when_one_basis_endomorphism_does_not_commute(built):
     iso = _comparison("probe", fwd, "A", "A", {}, endos, lambda e: (e, e))
     assert iso.naturality_samples == 2
     assert iso.checks["naturality"] is False
+
+
+@pytest.fixture(scope="module")
+def analysed_comparisons():
+    """Every _comparison call an analysis of the corpus and of GROUP_CASES
+    makes, as (input name, fwd, endos, square, the VerifiedIso)."""
+    calls, original = [], equivalences._comparison
+
+    def recording(name, fwd, domain, codomain, checks, endos, square,
+                  *rest, **kwargs):
+        iso = original(name, fwd, domain, codomain, checks, endos, square,
+                       *rest, **kwargs)
+        calls.append((label, fwd, endos, square, iso))
+        return iso
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equivalences, "_comparison", recording)
+        for label, doc in [*((n, corpus_doc(n)) for n in CORPUS_NAMES),
+                           *((n, case_doc(n)) for n in GROUP_CASES)]:
+            analysis_report(parse_input(doc))
+    return calls
+
+
+def _flat(ops, mat: Matrix) -> list:
+    return [ops.of(x) for row in mat.data for x in row]
+
+
+def _word_rank(endos) -> int:
+    """The rank of the words in endos.generators under composition, grown
+    from the identity by the reference elimination: a word dependent on
+    earlier ones has its images dependent on theirs, so only independent
+    words are extended."""
+    f = endos.field
+    ops = ModOps(f.p) if isinstance(f, PrimeField) else FracOps()
+    gens = [endos.basis[g] for g in endos.generators]
+    words = frontier = [Matrix.identity(f, endos.source.dim)]
+    while frontier:
+        grown = []
+        for w in frontier:
+            for g in gens:
+                x = w @ g
+                if rank(ops, [_flat(ops, y) for y in words + [x]]) > len(words):
+                    words = words + [x]
+                    grown.append(x)
+        frontier = grown
+    return rank(ops, [_flat(ops, y) for y in words])
+
+
+def _distinct_end_spaces(calls) -> list:
+    return list({id(endos): endos for _, _, endos, _, _ in calls}.values())
+
+
+def test_end_generators_span_every_end_space_by_composition(
+        analysed_comparisons):
+    spaces = _distinct_end_spaces(analysed_comparisons)
+    assert any(endos.dim > 2 for endos in spaces)
+    for endos in spaces:
+        gens = endos.generators
+        assert gens == sorted(set(gens)) and len(gens) < max(endos.dim, 1)
+        assert _word_rank(endos) == endos.dim, endos
+
+
+def test_end_generators_are_found_once_per_end_space(analysed_comparisons):
+    # several comparisons of one report share an End space, and its
+    # generators are cached on the one memoized MapSpace
+    calls = analysed_comparisons
+    assert len(_distinct_end_spaces(calls)) < len(calls)
+    for _, _, endos, _, _ in calls:
+        assert "generators" in vars(endos)
+
+
+def test_every_comparison_square_sends_the_identity_to_the_identity(
+        analysed_comparisons):
+    for label, fwd, endos, square, iso in analysed_comparisons:
+        f = fwd.field
+        on_domain, on_codomain = square(Matrix.identity(f, endos.source.dim))
+        assert on_domain == Matrix.identity(f, fwd.cols), (label, iso.name)
+        assert on_codomain == Matrix.identity(f, fwd.rows), (label, iso.name)
+
+
+def test_generator_check_and_whole_basis_check_agree(analysed_comparisons):
+    for label, fwd, endos, square, iso in analysed_comparisons:
+        whole_basis = intertwines(fwd, map(square, endos.basis))
+        assert whole_basis == iso.checks["naturality"], (label, iso.name)
+        assert iso.naturality_samples == endos.dim
+
+
+def _diagonal_entries(pairs: tuple, k: int):
+    """x when a row or column is x at position k alone (0 when empty),
+    None otherwise."""
+    if not pairs:
+        return 0
+    return pairs[0][1] if len(pairs) == 1 and pairs[0][0] == k else None
+
+
+def test_a_forward_map_failing_at_few_basis_maps_is_refused(
+        analysed_comparisons):
+    """fwd + E_ij is natural at e exactly when E_ij D = C E_ij for the
+    square (D, C) of e, that is when row j of D and column i of C are the
+    same multiple of e_j and e_i.  For each comparison of the corpus with
+    an End space past the identity, the unit perturbation that fails at
+    the fewest basis maps (at least one) is refused."""
+    refused = 0
+    for label, fwd, endos, square, iso in analysed_comparisons:
+        if label not in CORPUS_NAMES or endos.dim < 2:
+            continue
+        f, squares = fwd.field, list(map(square, endos.basis))
+        rows = [[_diagonal_entries(d.pairs[j], j) for j in range(fwd.cols)]
+                for d, _ in squares]
+        cols = [[_diagonal_entries(c.transpose().pairs[i], i)
+                 for i in range(fwd.rows)] for _, c in squares]
+        failures = {(i, j): sum(r[j] is None or r[j] != c[i]
+                                for r, c in zip(rows, cols))
+                    for i in range(fwd.rows) for j in range(fwd.cols)}
+        i, j = min((ij for ij, n in failures.items() if n),
+                   key=failures.get)
+        bumped = fwd + Matrix(f, fwd.rows, fwd.cols, tuple(
+            ((j, f.one),) if r == i else () for r in range(fwd.rows)))
+        assert not intertwines(bumped, squares)
+        probe = _comparison("probe", bumped, "", "", {}, endos, square)
+        assert probe.checks["naturality"] is False, (label, iso.name)
+        refused += 1
+    assert refused
 
 
 # -- sweeping certificates across the corpus ----------------------------------

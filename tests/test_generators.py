@@ -69,6 +69,44 @@ def test_generators_span_every_corpus_algebra(built, name):
             assert _word_dim(a, [h for h in gens if h != g]) < a.dim, (name, label)
 
 
+def _right_word_span(a, gens):
+    """The span of the unit and its right products by the generators, by
+    a.multiply and a fresh Subspace at every step."""
+    f, n = a.field, a.dim
+    vecs = [a.unit]
+    span = Subspace.from_vectors(f, n, vecs)
+    for w in vecs:
+        for g in gens:
+            p = a.multiply(w, unit_vec(f, n, g))
+            if not span.contains(p):
+                vecs.append(p)
+                span = Subspace.from_vectors(f, n, vecs)
+    return span
+
+
+def _greedy_generators(a):
+    """The pick FDAlgebra.generators documents, each word span recomputed
+    from nothing: e_i is taken when outside the span of the words so far,
+    then each generator that the others produce is dropped."""
+    f, n = a.field, a.dim
+    gens = []
+    for i in range(n):
+        if not _right_word_span(a, gens).contains(unit_vec(f, n, i)):
+            gens.append(i)
+    for g in list(gens):
+        if _right_word_span(a, [h for h in gens if h != g]).dim == n:
+            gens.remove(g)
+    return gens
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, *GROUP_CASES])
+def test_generators_are_the_greedy_pick(built, name):
+    cr = (built(name).cr if name in CORPUS_NAMES
+          else build_canonical_rings(parse_input(case_doc(name)).ext))
+    for label, a in _algebras(cr):
+        assert a.generators() == _greedy_generators(a), (name, label)
+
+
 def test_generator_counts():
     q8 = parse_input(corpus_doc("qq8_qi")).ext.total
     assert q8.dim == 8 and len(q8.generators()) == 2

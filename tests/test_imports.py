@@ -1,12 +1,16 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a module of the library, the tests or the scripts imports is
+used in that module; no library module samples at random."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ringext"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "ringext").glob("*.py")
+                 if p.name != "__init__.py")
+CHECKED = MODULES + sorted((ROOT / "tests").glob("*.py")) + \
+    sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> set:
@@ -44,7 +48,9 @@ def _used(tree: ast.Module) -> set:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+# library modules keep their bare file names as ids
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name if p in MODULES
+                         else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(_imported(tree) - _used(tree))

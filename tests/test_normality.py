@@ -5,17 +5,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ringext import normality
-from ringext.algebra import (AlgebraError, group_algebra, matrix_algebra,
-                             subalgebra_extension)
+from ringext.algebra import AlgebraError, group_algebra, subalgebra_extension
 from ringext.bimodule import BimoduleError, regular_bimodule
 from ringext.certify import find_d2_quasibase
-from ringext.linalg import GF, QQ, Subspace, unit_vec
+from ringext.linalg import GF, QQ, Subspace
 from ringext.normality import (centralizer_normality_suite,
                                default_ideal_sample, double_centralizer,
                                hopf_normality, ideal_closure,
                                prebraided_check)
 
 from tests.conftest import RIGHT_D2, expected_doc
+from tests.helpers import matrix_algebra
 from tests.oracles import reference_ideal_closure, reference_translate_span
 from tests.test_algebra import cyclic, sym3
 
