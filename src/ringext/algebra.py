@@ -117,7 +117,8 @@ class FDAlgebra:
 
     def __init__(self, field: Field, dim: int, mult: Sequence[Sequence[Sequence]],
                  unit: Sequence, group: Optional[GroupData] = None,
-                 name: str = "A", _validated: bool = False) -> None:
+                 name: str = "A", _validated: bool = False,
+                 generators: Optional[list[int]] = None) -> None:
         self.field = field
         self.dim = dim
         self.mult = [[list(v) for v in row] for row in mult]
@@ -126,7 +127,8 @@ class FDAlgebra:
         self.name = name
         self._left_regular: Optional[list[Matrix]] = None
         self._right_regular: Optional[list[Matrix]] = None
-        self._generators: Optional[list[int]] = None
+        # generators, when the caller knows them, spare the search
+        self._generators = generators
         if not _validated:
             self.validate()
 

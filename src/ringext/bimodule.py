@@ -1,57 +1,44 @@
 """Bimodules over pairs of finite-dimensional algebras.
 
 A bimodule stores one action matrix per basis element of each acting
-algebra.  Left actions are representations, right actions are
-anti-representations (the matrix of acting by x*y is R_y R_x), and the
-two sides commute.  One-sided modules use the one-dimensional trivial
-algebra on the silent side, so a single hom/tensor engine covers left
-modules, right modules, and genuine bimodules, including modules over
-rings that were themselves computed (those are plain FDAlgebra values in
-abstract coordinates).
+algebra: left actions are representations, right actions
+anti-representations (acting by x*y is R_y R_x), and the two sides
+commute.  One-sided modules use the trivial algebra on the silent side,
+so one hom/tensor engine covers left, right and genuine bimodules.  An
+action list may be an OnRead, built operator by operator on first read
+(tensor_over's outer actions are); lin_comb reads only the matrices at
+nonzero coefficients.
 
-A balanced tensor product m (x)_C n is a TensorProduct: the ambient
-m.dim * n.dim space modulo the balancing relations (x.c (x) y -
-x (x) c.y), or, when a factor records a vector generating it over C
-(R as a right T-module and as a left S-module record 1_R), the other
-factor modulo the annihilator's images: g.C (x)_C n = n/Jn for
-J = {c : g.c = 0}.  It alone knows how the quotient is presented and in
-which order its basis classes come: project, pure and sum_pure give
-classes as pair vectors of quotient coordinates, the columns of a map
-into it, and map_out assembles a map out of it from its values at the
-pure tensors e_u (x) e_v of basis elements, summed over the pure tensor
-x (x) y each basis class is the class of.  The presentations have
-different quotient bases, but every report reads a product through
-these methods only, so none changes.
+tensor_over and hom_space share one presentation of a module m generated
+by vectors X over the algebra C acting on one side (its recorded
+Bimodule.generating_set; the regular constructors record the unit):
+C^X maps onto m with kernel K, and _lifts finds in one elimination a
+lift over X of every basis vector and a basis of K, of which only
+generators of K as a one-sided submodule write rows.
+- m (x)_C n is a TensorProduct: the ambient m.dim * n.dim space modulo
+  the balancing relations, or, over a recorded X, n^X modulo the rows
+  sum_x x (x) k_x.e_v for k in K (mirrored for X generating n), over
+  the recorded set giving the smaller ambient.  Its methods alone know
+  the presentation, and every report reads a product through them.
+- A map out of m is fixed by its values v_x at X: hom_space solves for
+  |X| * dim n unknowns under sum_x k_x.v_x = 0 for k in K and linearity
+  over the other side's generators at each x, for m's recorded X or unit
+  vectors picked by spin.
 
-Every linear system and operator here is written from the nonzero
-entries of its ingredients (hom constraints and balancing relations row
-by row, operator sums in place, tensor-leg images one pure tensor at a
-time, summed from the class table), with one block per generator
-of an acting algebra (FDAlgebra.generators), not per basis element;
-tensor_map checks that both legs commute with the middle algebra's
-generators, and is_bimodule_map every generator's action.  Spans grow
-from generators (linalg.spin): a hom out of a module generated by one
-vector g on one side (the unit of a regular side, or a recorded
-generator) is solved for its value at g, and summand_witness writes
-maps only at a generating set and stops once it reaches the identity.
-
-Over a group algebra the regular, restricted and tensor-square actions
-are permutation matrices, and then a hom, balancing or invariance system
-says only "constant on an orbit" of the indices the permutations link.
-hom_space, tensor_over and invariants_subspace read such a system's RREF
-off those orbits (union-find) when every generator action in it is a
-permutation matrix, and eliminate every other system; an RREF is unique,
-so both paths give the same result.
-
-hom_space and tensor_over build anew on every call; their results,
-MapSpace and TensorProduct, are frozen so that a memo (the one on
-CanonicalSpaces) can hand one result to several callers, whose modules
-may carry other labels.
+Every system is written from the nonzero entries of its ingredients,
+with one block per generator of an acting algebra, not per basis
+element.  When every generator in a hom, balancing or invariance system
+acts by a permutation matrix, as over a group algebra, the system says
+only "constant on an orbit", and its RREF is read off the orbits
+(union-find).  An RREF is unique, so no path changes a result.
+MapSpace and TensorProduct are frozen, so that a memo (CanonicalSpaces's)
+can hand one result to callers whose modules carry other labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
@@ -88,27 +75,43 @@ class InternalInconsistency(RuntimeError):
     """
 
 
+class OnRead(SequenceABC):
+    """The operators build(0), ..., build(n - 1), each built on its first
+    read and kept; iterating builds them all."""
+
+    def __init__(self, n: int, build: Callable[[int], Matrix]) -> None:
+        self._build, self._ops = build, [None] * n
+
+    def __len__(self) -> int:
+        return len(self._ops)
+
+    def __getitem__(self, i: int) -> Matrix:
+        op = self._ops[i]
+        if op is None:
+            op = self._ops[i] = self._build(i)
+        return op
+
+
 class Bimodule:
     """A (left_algebra, right_algebra)-bimodule given by action matrices.
-
-    generator, when recorded, is (side, g): the pair vector g generates
-    the module over the algebra acting on that side, so the module is
-    g.C or C.g for that algebra C.  tensor_over and hom_space present
-    and solve through it; a g that fails to generate is an
-    InternalInconsistency where it is read.
-    """
+    generating_set, when recorded, is (side, xs): the pair vectors xs
+    generate it over the algebra acting on side, and tensor_over and
+    hom_space present and solve over them (an InternalInconsistency
+    where read if they do not generate)."""
 
     def __init__(self, left_algebra: FDAlgebra, right_algebra: FDAlgebra,
                  dim: int, left_action: Sequence[Matrix],
                  right_action: Sequence[Matrix], label: str = "M",
-                 generator: Optional[tuple] = None) -> None:
+                 generating_set: Optional[tuple] = None) -> None:
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.dim = dim
-        self.left_action = list(left_action)
-        self.right_action = list(right_action)
+        self.left_action = (left_action if type(left_action) is OnRead
+                            else list(left_action))
+        self.right_action = (right_action if type(right_action) is OnRead
+                             else list(right_action))
         self.label = label
-        self.generator = generator
+        self.generating_set = generating_set
         self.field = left_algebra.field
 
     def validate(self) -> None:
@@ -118,7 +121,7 @@ class Bimodule:
             raise BimoduleError("acting algebras over different fields")
         if len(self.left_action) != la.dim or len(self.right_action) != ra.dim:
             raise BimoduleError("one action matrix per acting basis element")
-        for mat in self.left_action + self.right_action:
+        for mat in [*self.left_action, *self.right_action]:
             if mat.rows != n or mat.cols != n:
                 raise BimoduleError("action matrix has wrong shape")
         eye = Matrix.identity(self.field, n)
@@ -163,75 +166,101 @@ class Bimodule:
                 f"{self.right_algebra.name}, dim={self.dim})")
 
 
+def _spanning(f: Field, dim: int, acts: Sequence[Matrix]) -> tuple:
+    """Unit vectors generating F^dim under the operators acts: e_i is taken,
+    in index order, when outside what the earlier ones span under acts
+    (spin)."""
+    xs, echelon = [], {}
+    for i in range(dim):
+        if len(echelon) == dim:
+            break
+        if echelon_reduce(f, echelon, {i: f.one}):
+            xs.append(((i, f.one),))
+            spin(f, dim, [xs[-1]], acts, echelon)
+    return tuple(xs)
+
+
+def generated(m: Bimodule, side: str, xs: Optional[tuple] = None) -> Bimodule:
+    """m recording xs, by default unit vectors picked greedily by
+    _spanning, as its generating set over the algebra acting on side."""
+    if xs is None:
+        xs = _spanning(m.field, m.dim, m.generator_actions()[side == "right"])
+    return Bimodule(m.left_algebra, m.right_algebra, m.dim, m.left_action,
+                    m.right_action, m.label, (side, xs))
+
+
+def _kept(m: Bimodule, side: str) -> Optional[tuple]:
+    """m's generating set if it is over the algebra acting on side."""
+    return m.generating_set if (m.generating_set or ("",))[0] == side else None
+
+
 # ---------------------------------------------------------------------------
 # basic constructors
 
 def regular_bimodule(a: FDAlgebra, label: Optional[str] = None) -> Bimodule:
-    """The algebra as a bimodule over itself."""
+    """The algebra as a bimodule over itself, generated by 1 on the left."""
     a._ensure_regular()
     return Bimodule(a, a, a.dim,
                     [a.basis_left_mult(i) for i in range(a.dim)],
                     [a.basis_right_mult(i) for i in range(a.dim)],
-                    label=label or a.name)
+                    label or a.name, ("left", (sparse(a.unit),)))
 
 
 def left_module(a: FDAlgebra, dim: int, action: Sequence[Matrix],
-                label: str = "M") -> Bimodule:
-    triv = trivial_algebra(a.field)
-    return Bimodule(a, triv, dim, action,
-                    [Matrix.identity(a.field, dim)], label=label)
+                label: str = "M", generating_set: Optional[tuple] = None
+                ) -> Bimodule:
+    return Bimodule(a, trivial_algebra(a.field), dim, action,
+                    [Matrix.identity(a.field, dim)], label, generating_set)
 
 
 def right_module(a: FDAlgebra, dim: int, action: Sequence[Matrix],
-                 label: str = "M") -> Bimodule:
-    triv = trivial_algebra(a.field)
-    return Bimodule(triv, a, dim, [Matrix.identity(a.field, dim)],
-                    action, label=label)
+                 label: str = "M", generating_set: Optional[tuple] = None
+                 ) -> Bimodule:
+    return Bimodule(trivial_algebra(a.field), a, dim,
+                    [Matrix.identity(a.field, dim)], action, label,
+                    generating_set)
 
 
 def left_regular_module(a: FDAlgebra, label: Optional[str] = None) -> Bimodule:
     a._ensure_regular()
     return left_module(a, a.dim, [a.basis_left_mult(i) for i in range(a.dim)],
-                       label=label or a.name)
+                       label or a.name, ("left", (sparse(a.unit),)))
 
 
 def right_regular_module(a: FDAlgebra, label: Optional[str] = None) -> Bimodule:
     a._ensure_regular()
     return right_module(a, a.dim, [a.basis_right_mult(i) for i in range(a.dim)],
-                        label=label or a.name)
+                        label or a.name, ("right", (sparse(a.unit),)))
 
 
 def restrict_left(m: Bimodule, embedding, label: Optional[str] = None) -> Bimodule:
     """Pull the left action back along an algebra embedding into m.left_algebra."""
     if embedding.total != m.left_algebra:
         raise BimoduleError("embedding target is not the left acting algebra")
-    acts = [m.left_operator(embedding.iota.col(i))
-            for i in range(embedding.base.dim)]
-    return Bimodule(embedding.base, m.right_algebra, m.dim, acts,
-                    m.right_action, label=label or m.label)
+    iota = embedding.iota
+    return Bimodule(embedding.base, m.right_algebra, m.dim, OnRead(
+        iota.cols, lambda i: m.left_operator(iota.col(i))),
+        m.right_action, label or m.label, _kept(m, "right"))
 
 
 def restrict_right(m: Bimodule, embedding, label: Optional[str] = None) -> Bimodule:
     if embedding.total != m.right_algebra:
         raise BimoduleError("embedding target is not the right acting algebra")
-    acts = [m.right_operator(embedding.iota.col(i))
-            for i in range(embedding.base.dim)]
+    iota = embedding.iota
     return Bimodule(m.left_algebra, embedding.base, m.dim, m.left_action,
-                    acts, label=label or m.label)
+                    OnRead(iota.cols, lambda i: m.right_operator(iota.col(i))),
+                    label or m.label, _kept(m, "left"))
 
 
 def forget_left(m: Bimodule) -> Bimodule:
     """Keep only the right action (left becomes the trivial algebra)."""
-    triv = trivial_algebra(m.field)
-    return Bimodule(triv, m.right_algebra, m.dim,
-                    [Matrix.identity(m.field, m.dim)], m.right_action,
-                    label=m.label)
+    return right_module(m.right_algebra, m.dim, m.right_action, m.label,
+                        _kept(m, "right"))
 
 
 def forget_right(m: Bimodule) -> Bimodule:
-    triv = trivial_algebra(m.field)
-    return Bimodule(m.left_algebra, triv, m.dim, m.left_action,
-                    [Matrix.identity(m.field, m.dim)], label=m.label)
+    return left_module(m.left_algebra, m.dim, m.left_action, m.label,
+                       _kept(m, "left"))
 
 
 # ---------------------------------------------------------------------------
@@ -239,37 +268,26 @@ def forget_right(m: Bimodule) -> Bimodule:
 
 @dataclass(frozen=True)
 class TensorProduct:
-    """m (x)_C n presented as a quotient of a coefficient space, together
-    with its outer actions.
+    """m (x)_C n as a quotient of a coefficient space, with its outer
+    actions; an ambient element is the left_factor.dim x right_factor.dim
+    matrix of its coefficients on the e_u (x) e_v.
 
-    An ambient element is the left_factor.dim x right_factor.dim matrix of
-    its coefficients on the pure tensors e_u (x) e_v.  With no cyclic
-    factor, the presentation is the ambient space itself, modulo the
-    balancing relations held in RREF over the row-major entries.  With
-    one, cyclic is (side, g, lifts), and the quotient is presented over
-    the other factor.  On the left, m = g.C, so m (x)_C n = n/Jn for the
-    annihilator J = {c : g.c = 0}, and lifts[u] is an element t_u of C
-    with g.t_u = e_u, so that e_u (x) e_v = g (x) t_u.e_v; on the right,
-    n = C.g, it is m/mJ, mirrored.  relations holds the presentation's
-    relations in RREF, read only to build the class table, and the
-    quotient basis consists of the classes of its unit vectors at the
-    non-pivot columns, free_cols.
-    basis_tensors describes each basis class as a pure tensor x (x) y of
-    pair vectors: e_u (x) e_v in the ambient case, g (x) e_v or e_u (x) g
-    with a cyclic factor.  map_out, tensor_legs and tensor_map read only
-    that description and the class table, which holds the class of every
-    ambient pure tensor e_u (x) e_v, and so work on either presentation
-    by bilinearity; projection sums the table at an element's nonzero
-    entries.  A class is a pair vector of quotient coordinates, so no
-    caller knows which presentation or basis order it has.  Frozen, so
-    that one instance can be shared.
+    The coefficient space is the ambient one, or with presented = (side,
+    xs, lifts), xs generating the factor on side over C, the other
+    factor's |xs|-th power at column (x-index) * dim + v; lifts[u] is t_u
+    in C^X with sum_x x.t_u,x = e_u (mirrored on the right).  relations
+    holds the relations in RREF, read only for the class table.  The
+    quotient basis is the classes at the non-pivot columns, free_cols,
+    each that of the pure tensor basis_tensors lists; map_out,
+    tensor_legs and tensor_map read only those and the class table.
     """
     module: Bimodule
     relations: Subspace
     free_cols: tuple
     left_factor: Bimodule
     right_factor: Bimodule
-    cyclic: Optional[tuple] = None
+    presented: Optional[tuple] = None
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     def project(self, ambient: Matrix) -> tuple:
         """The class of an ambient element, as a pair vector."""
@@ -280,40 +298,45 @@ class TensorProduct:
         return tuple(sorted(comb_pairs(self.left_factor.field, self._classes,
                                        entries).items()))
 
-    @cached_property
+    @property
     def _classes(self) -> list:
-        """The class table, by row-major index of e_u (x) e_v.  In the
-        presentation a free column is its own basis class and a pivot
-        column is minus the rest of its RREF row; with a cyclic factor,
-        e_u (x) e_v is first moved onto the other factor through a lift."""
+        """The class table, by row-major index of e_u (x) e_v, kept in
+        tables, which the copies replace makes share.  A free column is
+        its own basis class and a pivot column minus the rest of its RREF
+        row; with a presented factor, e_u (x) e_v = sum_x x (x) t_u,x.e_v
+        is first moved onto the other factor through its lift."""
+        if "classes" in self.tables:
+            return self.tables["classes"]
         f, m, n = self.left_factor.field, self.left_factor, self.right_factor
         index = {c: k for k, c in enumerate(self.free_cols)}
         rows = self.relations._row_at
-        base = [((index[c], f.one),) if c in index else tuple(
+        table = [((index[c], f.one),) if c in index else tuple(
             (index[j], f.neg(x)) for j, x in rows[c].items() if j != c)
             for c in range(self.relations.ambient_dim)]
-        if self.cyclic is None:
-            return base
-        side, _, lifts = self.cyclic
-        left = side == "left"
-        moved = [_operator(n.left_action if left else m.right_action,
-                           t).transpose().pairs for t in lifts]
-        # e_u (x) e_v = g.t_u (x) e_v ~ g (x) t_u.e_v, or e_u.t_v (x) g
-        return [tuple(sorted(comb_pairs(f, base, moved[u][v] if left
-                                        else moved[v][u]).items()))
-                for u in range(m.dim) for v in range(n.dim)]
+        if self.presented is not None:
+            left, lifts = self.presented[0] == "left", self.presented[2]
+            moved = [_stacked(f, n.left_action if left else m.right_action, t,
+                              m.right_algebra.dim, n.dim if left else m.dim,
+                              True) for t in lifts]
+            table = [tuple(sorted(comb_pairs(f, table, moved[u][v] if left
+                                             else moved[v][u]).items()))
+                     for u in range(m.dim) for v in range(n.dim)]
+        self.tables["classes"] = table
+        return table
 
     @cached_property
     def basis_tensors(self) -> tuple:
         """The pure tensor (x, y) of pair vectors that each quotient basis
         class is the class of, in order."""
         one, dn = self.left_factor.field.one, self.right_factor.dim
-        if self.cyclic is None:
+        if self.presented is None:
             return tuple((((c // dn, one),), ((c % dn, one),))
                          for c in self.free_cols)
-        side, g, _ = self.cyclic
-        return tuple((g, e) if side == "left" else (e, g)
-                     for e in (((c, one),) for c in self.free_cols))
+        side, xs, _ = self.presented
+        dim = dn if side == "left" else self.left_factor.dim
+        units = (divmod(c, dim) for c in self.free_cols)
+        return tuple((xs[i], ((v, one),)) if side == "left"
+                     else (((v, one),), xs[i]) for i, v in units)
 
     def lift(self, coords: Sequence) -> Matrix:
         """The canonical ambient representative of a class of an ambient
@@ -362,13 +385,6 @@ class TensorProduct:
             op.field, self.left_factor.dim), op)])
 
 
-def _operator(acts: Sequence[Matrix], t: Iterable) -> Matrix:
-    """sum t_i acts[i] over the (i, t_i) entries of t: the action of an
-    element given by its coordinates."""
-    f, n = acts[0].field, acts[0].rows
-    return lin_comb(f, n, n, dense(f, len(acts), t), acts)
-
-
 def _image(f: Field, cols: Sequence[tuple], x: tuple) -> tuple:
     """The image of the pair vector x under the operator with columns
     cols: a column itself at a unit vector, which most legs of pure
@@ -381,12 +397,9 @@ def _image(f: Field, cols: Sequence[tuple], x: tuple) -> tuple:
 def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
                 dst: Optional[TensorProduct] = None) -> Matrix:
     """The map sum c * (op_l (x) op_r) over terms (c, op_l, op_r), from src
-    to dst (default src); the caller vouches that it respects relations.
-
-    Each quotient basis class of src is a pure tensor x (x) y, whose
-    image sum c * op_l x (x) op_r y is summed from the classes of dst's
-    ambient pure tensors at its nonzeros.
-    """
+    to dst (default src), which the caller vouches respects relations:
+    at each basis class x (x) y of src, sum c * op_l x (x) op_r y summed
+    from dst's class table at its nonzeros."""
     dst = dst or src
     f, dn, classes = src.left_factor.field, dst.right_factor.dim, dst._classes
     addmul, mul = f.sparse_addmul, f.mul
@@ -405,85 +418,111 @@ def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
     return Matrix.from_cols(f, len(dst.free_cols), cols)
 
 
-def _lifts(acts: Sequence[Matrix], g: tuple) -> tuple[list, list]:
-    """(lifts, annihilator) for a pair vector g generating a module over an
-    algebra acting by acts, one matrix per basis element: lifts[u] is an
-    element t with t acting on g giving e_u, and the annihilator a basis
-    of the t acting on g as 0.  Both come from one elimination of the rows
-    (e_i acting on g | e_i).  A g that fails to generate the module is an
-    InternalInconsistency: recorded generators are theorems."""
-    f, dim, k = acts[0].field, acts[0].rows, len(acts)
-    red, pivots = rref(Matrix(f, k, dim + k, tuple(
-        _image(f, op.transpose().pairs, g) + ((dim + i, f.one),)
-        for i, op in enumerate(acts))))
+def _lifts(alg: FDAlgebra, side: str, acts: Sequence[Matrix], xs: tuple,
+           dim: int) -> tuple[list, list]:
+    """(lifts, relations) for xs generating a module of dimension dim over
+    alg acting on side by acts: t in alg^X, a pair vector at (x-index) *
+    alg.dim + (basis index), maps to sum_x t_x.x; lifts[u] maps to e_u,
+    and relations generate the kernel K as a one-sided submodule, picked
+    greedily by spin under alg's generators acting blockwise from a basis
+    of K.  One elimination of the rows (e_i.x | e_(x,i)) gives both.  An
+    xs failing to generate is an InternalInconsistency (a theorem)."""
+    f, dc, nx = alg.field, alg.dim, len(xs)
+    red, pivots = rref(Matrix(f, nx * dc, dim + nx * dc, tuple(
+        _image(f, acts[i].transpose().pairs, x) + ((dim + k * dc + i, f.one),)
+        for k, x in enumerate(xs) for i in range(dc))))
     if pivots[:dim] != list(range(dim)):
         raise InternalInconsistency(
-            "a recorded generator does not generate its module")
-    found = [tuple((j - dim, x) for j, x in row if j >= dim)
+            "a recorded generating set does not generate its module")
+    # an RREF row is 0 at every other pivot, so a lift's row holds one m
+    # entry, its pivot, and a relation's none
+    found = [tuple((j - dim, x) for j, x in row[row[0][0] < dim:])
              for row in red.pairs[:len(pivots)]]
-    return found[:dim], found[dim:]
+    mult = alg.basis_left_mult if side == "left" else alg.basis_right_mult
+    blockwise = [mult(g) if nx == 1 else Matrix(f, nx * dc, nx * dc, tuple(
+        tuple((k * dc + j, x) for j, x in row)
+        for k in range(nx) for row in mult(g).pairs))
+        for g in (alg.generators() if len(found) > dim else ())]
+    relations, echelon = [], {}
+    for k in found[dim:]:
+        if len(echelon) < len(found) - dim and echelon_reduce(f, echelon, dict(k)):
+            relations.append(k)
+            spin(f, nx * dc, [k], blockwise, echelon)
+    return found[:dim], relations
 
 
-def _cyclic_presentation(m: Bimodule, n: Bimodule) -> Optional[tuple]:
-    """(relations, cyclic) presenting m (x)_C n over one factor, when the
-    other records a generator over C: m = g.C gives n/Jn, spanned by the
-    images of n under the annihilator J of g, and n = C.g gives m/mJ;
-    None when neither does."""
-    # C acts on the left factor from the right and on the right one from
-    # the left
-    for side, cyc, acts, other, other_acts in (
-            ("left", m, m.right_action, n, n.left_action),
-            ("right", n, n.left_action, m, m.right_action)):
-        if cyc.generator is not None and cyc.generator[0] != side:
-            g = cyc.generator[1]
-            lifts, ann = _lifts(acts, g)
-            rows = tuple(col for j in ann for col in _operator(
-                other_acts, j).transpose().pairs if col)
-            return (Subspace.row_space(Matrix(m.field, len(rows), other.dim, rows)),
-                    (side, g, lifts))
-    return None
+def _stacked(f: Field, acts: Sequence[Matrix], t: tuple, dc: int, dim: int,
+             by_cols: bool) -> list:
+    """For t in C^X (as in _lifts) and acts the actions of C's basis on a
+    module of dimension dim: for each v < dim, the vector of F^(|X| dim)
+    whose block x is column v (by_cols) or row v of t_x's operator."""
+    parts: dict = {}
+    for j, a in t:
+        parts.setdefault(j // dc, []).append((j % dc, a))
+    lines = []
+    for k, tk in parts.items():
+        # a lone unit coefficient, as most lifts have, is an action itself
+        op = (acts[tk[0][0]] if len(tk) == 1 and tk[0][1] == f.one
+              else lin_comb(f, dim, dim, dense(f, dc, tk), acts))
+        lines.append((k * dim, (op.transpose() if by_cols else op).pairs))
+    if len(lines) == 1 and not lines[0][0]:   # one block, at x-index 0
+        return lines[0][1]
+    return [tuple((base + w, a) for base, vecs in lines for w, a in vecs[v])
+            for v in range(dim)]
+
+
+def presenting_sets(m: Bimodule, n: Bimodule) -> tuple:
+    """The generating sets tensor_over may present m (x)_C n over."""
+    return _kept(m, "right"), _kept(n, "left")
+
+
+def _presentation(m: Bimodule, n: Bimodule) -> Optional[tuple]:
+    """(relations, presented) for m (x)_C n over a recorded generating set
+    over C, m's or n's, whichever gives the smaller ambient (see
+    TensorProduct); None when neither records one."""
+    c = m.right_algebra
+    found = [(len(gs[1]) * other.dim, side, gs[1], own, other)
+             for side, gs, own, other in zip(("left", "right"),
+                                             presenting_sets(m, n), (m, n), (n, m))
+             if gs is not None]
+    if not found:
+        return None
+    size, side, xs, own, other = min(found, key=lambda t: t[0])
+    # C acts on the left factor from the right, on the right one from the left
+    lifts, kernel_gens = _lifts(c, "right" if side == "left" else "left",
+                                own.right_action if side == "left"
+                                else own.left_action, xs, own.dim)
+    rows = tuple(v for k in kernel_gens for v in _stacked(
+        m.field, other.left_action if side == "left" else other.right_action,
+        k, c.dim, other.dim, True) if v)
+    return (Subspace.row_space(Matrix(m.field, len(rows), size, rows)),
+            (side, xs, lifts))
 
 
 def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
-    """The balanced tensor product over C = m.right_algebra = n.left_algebra.
-
-    The result is an (m.left_algebra, n.right_algebra)-bimodule.  When a
-    factor records a generator over C, the product is presented over the
-    other factor: m = g.C is C/J as a right module for the annihilator J
-    of g, so m (x)_C n = n/Jn with g (x) e_v at the free columns v, and
-    e_u (x) e_v is the class of t_u.e_v for the lift t_u of e_u (all
-    lifts come from one elimination); n = C.g is mirrored.  That basis
-    differs from the ambient presentation's, but every class, leg and
-    map out of the product is read through TensorProduct, so no report
-    changes.
-
-    Otherwise the relation x.c (x) y - x (x) c.y is the hom constraint
-    n.left(c) X - X m.right(c)^T at the coefficient matrix X, so the
-    relations span the intertwining system over the generators of C
-    (x.(cd) (x) y - x (x) (cd).y is the relation at c on (x, d.y) plus
-    the one at d on (x.c, y)).  When those generators act on both factors
-    by permutation matrices, each relation is a difference of two pure
-    tensors of basis elements, so the relations span the vectors summing
-    to zero on each class of linked pure tensors: the RREF keeps the
-    largest column of a class free and has the row e_c - e_max for every
-    other member c, read off without elimination.  The module's label
-    joins both factors' for display; a memo hands the result to callers
-    of any label.
-    """
+    """The balanced tensor product over C = m.right_algebra = n.left_algebra,
+    with outer actions built on first read, presented over a recorded
+    generating set over C when a factor has one (_presentation).
+    Otherwise the relations x.c (x) y - x (x) c.y at the generators c of
+    C span them all (at cd it is the one at c on (x, d.y) plus the one at
+    d on (x.c, y)): the intertwining system n.left(c) X - X m.right(c)^T.
+    When the generators act by permutation matrices, its RREF keeps the
+    largest column of each class of linked pure tensors free and has
+    e_c - e_max for every other member c."""
     c = m.right_algebra
     if c != n.left_algebra:
         raise BimoduleError(
             f"tensor factors disagree on the middle algebra: "
             f"{c.name} vs {n.left_algebra.name}")
     f, dn, gens = m.field, n.dim, c.generators()
-    relations, cyclic = _cyclic_presentation(m, n) or (None, None)
-    tables = None if cyclic else _permutation_tables(
+    relations, presented = _presentation(m, n) or (None, None)
+    tables = None if presented else _permutation_tables(
         [m.right_action[b] for b in gens] + [n.left_action[b] for b in gens])
-    if cyclic is None and tables is None:
+    if presented is None and tables is None:
         relations = Subspace.row_space(_intertwining_system(
             f, [(n.left_action[b], m.right_action[b].transpose())
                 for b in gens], dn, m.dim))
-    elif cyclic is None:
+    elif presented is None:
         # e_a (x) e_t(b) = e_s(a).c (x) e_t(b) ~ e_s(a) (x) c.e_t(b)
         # = e_s(a) (x) e_b
         rows = sorted(((k, f.one), (cls[-1], f.neg(f.one)))
@@ -496,25 +535,22 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
                              [row[0][0] for row in rows])
     pivots = set(relations.pivots)
     free = tuple(col for col in range(relations.ambient_dim) if col not in pivots)
-    # the outer actions move one leg each; they only read the presentation
-    tp = TensorProduct(None, relations, free, m, n, cyclic)
-    return replace(tp, module=Bimodule(
+    # the outer actions read the class table core shares with the result
+    core = TensorProduct(None, relations, free, m, n, presented)
+    return replace(core, module=Bimodule(
         m.left_algebra, n.right_algebra, len(free),
-        [tp.first_leg(op) for op in m.left_action],
-        [tp.second_leg(op) for op in n.right_action],
+        OnRead(len(m.left_action), lambda i: core.first_leg(m.left_action[i])),
+        OnRead(len(n.right_action), lambda i: core.second_leg(n.right_action[i])),
         label=f"{m.label}(x){n.label}"))
 
 
 def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
                f_right: Matrix) -> Matrix:
     """The map f_left (x) f_right between two tensor products over one
-    middle algebra C, checked well defined by one rule on every
-    presentation: both legs commute with C's generators, so with all of
-    C.  Then the relation x.c (x) y - x (x) c.y maps to the relation
-    f(x).c (x) f(y) - f(x) (x) c.f(y) of dst, and with a cyclic factor
-    g (x) j.e_v maps to f(g).j (x) f(e_v) = f(g.j) (x) f(e_v) = 0 (and
-    mirrored), so every relation of src's presentation maps to class 0,
-    and the map assembled from src's basis classes is f_left (x) f_right.
+    middle algebra C, well defined when both legs commute with C's
+    generators, so with all of C: then each balancing relation, and each
+    relation sum_x x (x) k_x.e_v of a presented factor, whose image is
+    f(sum_x x.k_x) (x) f(e_v) = 0 (mirrored), maps to class 0 in dst.
     """
     gens = src.left_factor.right_algebra.generators()
     sm, sn, dm, dn = (src.left_factor, src.right_factor,
@@ -533,14 +569,10 @@ def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
 
 @dataclass(frozen=True, eq=False)
 class MapSpace:
-    """A basis of the space of bimodule maps source -> target, with
-    coordinates.
-
-    Maps are target.dim x source.dim matrices.  The vectorized basis is
-    the echelon basis of span, so coordinates of a member are a pivot
-    readoff.  Frozen with a tuple basis, so that one instance can be
-    shared.
-    """
+    """A basis of the bimodule maps source -> target, target.dim x
+    source.dim matrices whose vecs are the echelon basis of span, so
+    coordinates are a pivot readoff.  Frozen, so that one instance can be
+    shared."""
     source: Bimodule
     target: Bimodule
     basis: tuple
@@ -647,18 +679,12 @@ def _indicators(f: Field, n: int, classes: list[list]) -> Subspace:
 
 def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
     """All linear maps m -> n commuting with both algebras' generators.
-
-    If every generator acts on m and on n by a permutation matrix, a
-    map's matrix X must be constant on the orbits of its index pairs
-    (i, j) under (i, j) -> (t(i), s(j)), for the permutations s on m and
-    t on n of each generator, and the indicators of those orbits, ordered
-    by least index, are the RREF.  Otherwise, when a vector g generates m
-    on one side (a recorded generator, such as 1_R in R as a right T- or
-    left S-module, or the unit of a regular side), a map is fixed by
-    v = phi(g), and only v is unknown: dim n unknowns instead of
-    dim m * dim n (_maps_from_generator).  Every path ends in the RREF of
-    the maps, which is unique, so the path taken changes no result.
-    """
+    When every generator acts on m and on n by a permutation matrix, a
+    map's matrix X is constant on the orbits of its index pairs under
+    (i, j) -> (t(i), s(j)) for the permutations s on m and t on n, and
+    the orbits' indicators are the RREF.  Otherwise the maps are solved
+    for their values at m's recorded generating set, else at unit
+    vectors picked by spin on the side needing fewer (_maps_over)."""
     if m.left_algebra != n.left_algebra or m.right_algebra != n.right_algebra:
         raise BimoduleError("hom needs matching acting algebras on both sides")
     f, dm, dn = m.field, m.dim, n.dim
@@ -671,75 +697,63 @@ def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
             for s, t in zip(tables, tables[len(ml) + len(mr):])
             for i in range(dn) for j in range(dm))))
     else:
-        maps = _maps_from_generator(m, n)
-        if maps is None:
-            maps = tuple(kernel(_intertwining_system(
-                f, [*zip(ml, nl), *zip(mr, nr)], dm, dn)))
+        found = m.generating_set
+        for side, acts in (("left", ml), ("right", mr)):
+            # a trivial side needs every vector; one vector is the fewest
+            if acts and not m.generating_set and (not found or len(found[1]) > 1):
+                xs = _spanning(f, dm, acts)
+                found = found if found and len(found[1]) <= len(xs) else (side, xs)
+        maps = _maps_over(m, n, *(found or ("left", _spanning(f, dm, ml))))
         span = Subspace.row_space(Matrix(f, len(maps), dn * dm, maps))
     # keep the basis aligned with the echelon rows so coordinates match
     return MapSpace(m, n, tuple(Matrix.from_vec(f, dn, dm, r)
                                 for r in span.basis.pairs), span)
 
 
-def _maps_from_generator(m: Bimodule, n: Bimodule) -> Optional[tuple]:
-    """The vecs of a basis of the maps m -> n, solved for their value
-    v = phi(g) at a vector g generating m on one side: m's recorded
-    generator, else the unit of a side on which m is its algebra's regular
-    module; None when there is neither.
-
-    phi(t.g) = t.v is well defined exactly when the annihilator J of g
-    kills v, and it is then the map with column t_u.v at e_u for the lift
-    t_u of e_u.  It commutes with a generator h of the other side when
-    t.v = v.h for the lift t of g.h, because phi(g.h) = phi(t.g).  Both
-    systems are mirrored for g generating on the right; for the unit of a
-    regular side J = 0 and every lift is a basis vector, so those are
-    written down rather than eliminated.
-    """
-    found = m.generator or _regular_unit(m)
-    if found is None:
-        return None
-    side, g = found
-    f = m.field
+def _maps_over(m: Bimodule, n: Bimodule, side: str, xs: tuple) -> tuple:
+    """The vecs of a basis of the maps m -> n, solved for their values v_x
+    at xs generating m over C acting on side: phi(sum_x t_x.x) =
+    sum_x t_x.v_x is well defined when sum_x k_x.v_x = 0 for the
+    generators k of K (_lifts), and commutes with a generator h of the
+    other side when phi(x.h) = v_x.h at each x (mirrored on the right)."""
+    f, dn, nx = m.field, n.dim, len(xs)
+    left = side == "left"
+    alg = m.left_algebra if left else m.right_algebra
     (ml, mr), (nl, nr) = m.generator_actions(), n.generator_actions()
     acts, n_acts, m_other, n_other = (
-        (m.left_action, n.left_action, mr, nr) if side == "left"
+        (m.left_action, n.left_action, mr, nr) if left
         else (m.right_action, n.right_action, ml, nl))
-    lifts, ann = _lifts(acts, g) if m.generator else (
-        [((u, f.one),) for u in range(m.dim)], [])
-    blocks = [_operator(n_acts, j) for j in ann] + [
-        _operator(n_acts, comb_pairs(f, lifts, _image(
-            f, mg.transpose().pairs, g)).items()) - ng
-        for mg, ng in zip(m_other, n_other)]
-    rows = tuple(row for block in blocks for row in block.pairs if row)
-    ker = tuple(kernel(Matrix(f, len(rows), n.dim, rows)))
-    # row r of images[i] is e_i acting on the r-th solution v
-    images = [(Matrix(f, len(ker), n.dim, ker) @ op.transpose()).pairs
-              for op in n_acts]
-    return tuple(Matrix.from_cols(f, n.dim, [
-        _image(f, [img[r] for img in images], t) for t in lifts]).vec()
-        for r in range(len(ker)))
-
-
-def _regular_unit(m: Bimodule) -> Optional[tuple]:
-    """(side, unit) for a side on which m is its algebra's regular module,
-    else None."""
-    la, ra = m.left_algebra, m.right_algebra
-    for side, alg, reg, acts in (("left", la, la.basis_left_mult, m.left_action),
-                                 ("right", ra, ra.basis_right_mult, m.right_action)):
-        if m.dim == alg.dim and all(op == reg(i) for i, op in enumerate(acts)):
-            return side, sparse(alg.unit)
-    return None
+    lifts, relations = _lifts(alg, side, acts, xs, m.dim)
+    rows = [r for k in relations
+            for r in _stacked(f, n_acts, k, alg.dim, dn, False)]
+    minus_one = f.neg(f.one)
+    for i, x in enumerate(xs):
+        for mg, ng in zip(m_other, n_other):
+            t = sorted(comb_pairs(f, lifts, _image(
+                f, mg.transpose().pairs, x)).items())
+            for row, own in zip(_stacked(f, n_acts, t, alg.dim, dn, False),
+                                ng.pairs):
+                acc = dict(row)
+                f.sparse_addmul(acc, ((i * dn + w, a) for w, a in own),
+                                minus_one)
+                rows.append(tuple(sorted(acc.items())))
+    rows = tuple(row for row in rows if row)
+    ker = tuple(kernel(Matrix(f, len(rows), nx * dn, rows)))
+    # column r of values[u] is phi(e_u) = sum_x t_u,x.v_x for solution r
+    sols = Matrix(f, len(ker), nx * dn, ker).transpose()
+    values = [(Matrix(f, dn, nx * dn, tuple(_stacked(
+        f, n_acts, t, alg.dim, dn, False))) @ sols).transpose().pairs
+        for t in lifts]
+    return tuple(Matrix.from_cols(f, dn, [at[r] for at in values]).vec()
+                 for r in range(len(ker)))
 
 
 def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
-    """Vectors v with x.v = v.x for every listed element of both algebras.
-
-    Elements are coordinate vectors in the acting algebra, which must be
-    the same on both sides for the condition to typecheck.  When every
-    x acts on both sides by a permutation matrix, x.v = v.x links the
-    entries of v that the two permutations move to one position, and the
-    indicators of the linked classes, ordered by least index, are the
-    RREF; otherwise the system is eliminated.
+    """Vectors v with x.v = v.x for every listed element of the algebra
+    acting on both sides.  When every x acts on both sides by a
+    permutation matrix, x.v = v.x links the entries that the two
+    permutations move to one position, and the indicators of the linked
+    classes are the RREF; otherwise the system is eliminated.
     """
     if len(m.left_action) != len(m.right_action):
         raise BimoduleError("invariants need one algebra acting on both sides")
@@ -770,26 +784,22 @@ def centralizer_subspace(m: Bimodule, embedding) -> Subspace:
 
 @dataclass
 class SummandWitness:
-    """Maps exhibiting the source inside a finite power of the target.
-
-    pairs is a list of (into, back) bimodule maps with sum(back @ into)
-    equal to the identity of the source; stacking the into components and
-    lining up the back components splits the source off target^k.
-    """
+    """Maps exhibiting the source inside a finite power of the target:
+    pairs of bimodule maps (into, back) with sum(back @ into) the
+    identity of the source."""
     source: Bimodule
     target: Bimodule
     pairs: list[tuple[Matrix, Matrix]]
 
     def verify(self) -> bool:
-        f = self.source.field
-        acc = Matrix.zeros(f, self.source.dim, self.source.dim)
+        f, dim = self.source.field, self.source.dim
+        acc = Matrix.zeros(f, dim, dim)
         for into, back in self.pairs:
-            if not is_bimodule_map(self.source, self.target, into):
-                return False
-            if not is_bimodule_map(self.target, self.source, back):
+            if not (is_bimodule_map(self.source, self.target, into)
+                    and is_bimodule_map(self.target, self.source, back)):
                 return False
             acc = acc + (back @ into)
-        return acc == Matrix.identity(f, self.source.dim)
+        return acc == Matrix.identity(f, dim)
 
 
 def intertwines(fwd: Matrix, pairs: Iterable[tuple[Matrix, Matrix]]) -> bool:
@@ -812,19 +822,14 @@ def summand_witness(m: Bimodule, n: Bimodule,
                     ) -> Optional[SummandWitness]:
     """Decide whether m is a direct summand of a finite power of n: is
     id_m a combination of composites back_b @ into_a over the hom spaces
-    hom builds (hom_space, or a memo of it such as CanonicalRings.hom)?
-    A bimodule map is fixed by its values on a set generating m, so
-    composites are written only there.  They enter an echelon one at a
-    time until the residual of id_m vanishes; the kept ones are then
-    solved for.  Returns a verified witness or None.
+    hom builds (hom_space or a memo of it)?  The composites are written
+    at a set generating m only and enter an echelon one at a time until
+    the residual of id_m vanishes; the kept ones are then solved for.
+    Returns a verified witness or None.
     """
     into_space, back_space = hom(m, n), hom(n, m)
     f, dm = m.field, m.dim
-    acts, gens, echelon = sum(m.generator_actions(), []), [], {}
-    for i in range(dm):
-        if echelon_reduce(f, echelon, {i: f.one}):
-            gens.append(i)
-            spin(f, dm, [((i, f.one),)], acts, echelon)
+    gens = [x[0][0] for x in _spanning(f, dm, sum(m.generator_actions(), []))]
     k, nb = len(gens), back_space.dim
     target = tuple((i * k + x, f.one) for x, i in enumerate(gens))
     # gb @ at_gens[a] holds the columns of gb @ fa at gens
@@ -857,17 +862,11 @@ def dual_basis_witness(m: Bimodule, algebra: FDAlgebra, side: str,
                        hom: Callable[[Bimodule, Bimodule], MapSpace]
                        ) -> Optional[SummandWitness]:
     """Finitely generated projectivity of m as a one-sided module over
-    algebra: m, its other action forgotten, as a summand of a finite power
-    of the regular module, decided by summand_witness with hom.
-
-    The pairs (into_i, back_i) give a dual basis x_i = back_i(1), f_i =
-    into_i: sum x_i . f_i(t) = t for a right module, f_i(t) . x_i = t for
-    a left one, because each back_i is linear over the algebra.
-    """
-    if side == "right":
-        return summand_witness(forget_left(m), right_regular_module(algebra),
-                               hom)
-    if side == "left":
-        return summand_witness(forget_right(m), left_regular_module(algebra),
-                               hom)
-    raise BimoduleError("side must be 'left' or 'right'")
+    algebra (summand_witness against the regular module): the pairs
+    (into_i, back_i) give a dual basis x_i = back_i(1), f_i = into_i,
+    sum x_i . f_i(t) = t for a right module, f_i(t) . x_i = t for a left."""
+    if side not in ("left", "right"):
+        raise BimoduleError("side must be 'left' or 'right'")
+    return (summand_witness(forget_left(m), right_regular_module(algebra), hom)
+            if side == "right" else
+            summand_witness(forget_right(m), left_regular_module(algebra), hom))

@@ -16,11 +16,13 @@ together (T and S as R-R-bimodules, R as a right T-module and a left
 S-module, Q as a left T-module).  R is cyclic on both sides, generated by
 1_R: for r in R, r (x) 1 lies in T and sandwiches 1_R to r, and
 lambda_r lies in S with lambda_r(1) = r.  Both module structures record
-1_R, so tensor products with them are presented as quotients of the
-other factor and maps out of them are solved for their value at 1_R
-(bimodule.tensor_over and hom_space).  CanonicalSpaces builds only Q, the
-spaces underlying R, T and S and the Casimir subspace, which is all a
-certificate verifier reads; CanonicalRings adds the rest.
+{1_R} as their generating set, so tensor products with them are
+presented as quotients of the other factor and maps out of them are
+solved for their value at 1_R (bimodule.tensor_over and hom_space).
+Q records none and keeps its ambient presentation, in whose coordinates
+certificates and the canonical subspaces live.  CanonicalSpaces builds
+only Q, the spaces underlying R, T and S and the Casimir subspace, which
+is all a certificate verifier reads; CanonicalRings adds the rest.
 
 Every closure property used here (products of invariants stay invariant,
 counits land in R, and so on) is a theorem given a valid extension, so a
@@ -31,7 +33,7 @@ as a property of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import Extension, FDAlgebra, trivial_algebra
 from .bimodule import (
@@ -44,6 +46,7 @@ from .bimodule import (
     hom_space,
     invariants_subspace,
     left_module,
+    presenting_sets,
     regular_bimodule,
     restrict_left,
     restrict_right,
@@ -73,13 +76,16 @@ def restrict_to(space: Subspace, op: Matrix, what: str) -> Matrix:
     return coordinate_matrix(space, [op.apply(row) for row in space.rows], what)
 
 
-def ring_on(space, product, one, name: str) -> FDAlgebra:
+def ring_on(space, product, one, name: str,
+            generators: Optional[list] = None) -> FDAlgebra:
     """The algebra on a product-closed space: product(i, j) is the product
-    of basis elements i and j, and one the unit, both in the ambient."""
+    of basis elements i and j, and one the unit, both in the ambient;
+    generators, when known, are its generators (FDAlgebra.generators)."""
     mult = [[coordinates_in(space, product(i, j), f"product in {name}")
              for j in range(space.dim)] for i in range(space.dim)]
     unit = coordinates_in(space, one, f"unit of {name}")
-    return FDAlgebra(space.field, space.dim, mult, unit, name=name)
+    return FDAlgebra(space.field, space.dim, mult, unit, name=name,
+                     generators=generators)
 
 
 def content_key(x):
@@ -96,8 +102,14 @@ def content_key(x):
 
 
 def _content(m: Bimodule) -> tuple:
-    return (id(m.left_algebra), id(m.right_algebra), m.dim,
-            tuple(a.pairs for a in m.left_action + m.right_action))
+    """m by its algebras' identities, its dimension and its generators'
+    actions: every module here is a representation on each side, so the
+    generators' actions determine every action, and no operator built on
+    first read is built for a key."""
+    la, ra = m.left_algebra, m.right_algebra
+    return (id(la), id(ra), m.dim,
+            tuple(m.left_action[i].pairs for i in la.generators()),
+            tuple(m.right_action[i].pairs for i in ra.generators()))
 
 
 class CanonicalSpaces:
@@ -142,9 +154,10 @@ class CanonicalSpaces:
         the stored result on every later one.
 
         What a result depends on in a module is the identity of both acting
-        algebras, the dimension and the action matrices; labels are not
-        read.  Each entry holds its modules, which keeps those identities
-        theirs while the entry lives.
+        algebras, the dimension and the action matrices, which the
+        generators' actions determine (_content); labels are not read.
+        Each entry holds its modules, which keeps those identities theirs
+        while the entry lives.
         """
         key += tuple(map(_content, modules))
         if key not in self._memo:
@@ -156,10 +169,11 @@ class CanonicalSpaces:
         return self.once(("hom",), lambda: hom_space(m, n), m, n)
 
     def tensor(self, m: Bimodule, n: Bimodule) -> TensorProduct:
-        """tensor_over(m, n), built once per content and recorded
-        generators of m and n: a generator changes the presentation, and
-        so the quotient basis, though not the hom spaces."""
-        return self.once(("tensor", m.generator, n.generator),
+        """tensor_over(m, n), built once per content of m and n and the
+        generating sets it may present over (presenting_sets): those
+        change the presentation, and so the quotient basis, though not the
+        hom spaces."""
+        return self.once(("tensor", *presenting_sets(m, n)),
                          lambda: tensor_over(m, n), m, n)
 
     # -- coordinate helpers -------------------------------------------------
@@ -258,7 +272,7 @@ class CanonicalRings(CanonicalSpaces):
             self.endo_ring, trivial_algebra(f), R.dim,
             [restrict_to(R, mat, "endomorphism value on a centralizer element")
              for mat in S.basis], [Matrix.identity(f, R.dim)], label="R|S",
-            generator=("left", sparse(self.centralizer.unit)))
+            generating_set=("left", (sparse(self.centralizer.unit),)))
         self.endo_bimodule_cent = self._build_s_over_r()
 
     # -- builders -----------------------------------------------------------
@@ -309,7 +323,7 @@ class CanonicalRings(CanonicalSpaces):
         """R as a right T-module: an invariant tensor sandwiches a
         centralizer element between its two legs.  1_R generates it, as
         r (x) 1 lies in T (r commutes with B) and sandwiches 1 to r, so
-        the module records 1_R as its generator over T."""
+        the module records {1_R} as its generating set over T."""
         a = self.ext.total
         f = self.field
         rights = []
@@ -324,7 +338,8 @@ class CanonicalRings(CanonicalSpaces):
                         self.centralizer.dim,
                         [Matrix.identity(f, self.centralizer.dim)],
                         rights, label="R|T",
-                        generator=("right", sparse(self.centralizer.unit)))
+                        generating_set=("right",
+                                        (sparse(self.centralizer.unit),)))
 
     def _build_s_over_r(self) -> Bimodule:
         """S as an R-R-bimodule by post-multiplying values on either side."""

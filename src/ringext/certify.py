@@ -38,6 +38,7 @@ from typing import Optional, Sequence
 
 from .bimodule import (
     Bimodule,
+    OnRead,
     SummandWitness,
     dual_basis_witness,
     forget_left,
@@ -337,14 +338,15 @@ def endo_ring_probe(cr: CanonicalRings, right_projective: bool
     a = cr.ext.total
     right_a = forget_left(restrict_right(cr.a_reg, cr.ext))
     endos = cr.hom(right_a, right_a)
-    lefts = [coordinate_matrix(endos, [a.basis_left_mult(i) @ mat
-                                       for mat in endos.basis],
-                               "left translate of a one-sided endomorphism")
-             for i in range(a.dim)]
-    rights = [coordinate_matrix(endos, [mat @ a.left_mult_matrix(b)
-                                        for mat in endos.basis],
-                                "precomposite of a one-sided endomorphism")
-              for b in cr.ext.iota.columns()]
+    # each action is built on its first read, from what holds no
+    # reference back to cr, whose memo keeps e_bimod
+    iota = cr.ext.iota
+    lefts = OnRead(a.dim, lambda i: coordinate_matrix(
+        endos, [a.basis_left_mult(i) @ mat for mat in endos.basis],
+        "left translate of a one-sided endomorphism"))
+    rights = OnRead(iota.cols, lambda j: coordinate_matrix(
+        endos, [mat @ a.left_mult_matrix(iota.col(j)) for mat in endos.basis],
+        "precomposite of a one-sided endomorphism"))
     e_bimod = Bimodule(a, cr.ext.base, endos.dim, lefts, rights, label="End(A|B)")
     a_ab = restrict_right(cr.a_reg, cr.ext)
     return summand_witness(e_bimod, a_ab, cr.hom) is not None

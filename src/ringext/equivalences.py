@@ -34,10 +34,14 @@ CanonicalRings (CanonicalSpaces.once, keyed by module and certificate
 content, never by label): pi for gamma and the induction comparison,
 which pi_A_iso is on the regular module, chi with its inverse for chi_M
 and rho_M, and End(m) with its precomposition module for
-evaluation_map.  Each public builder formats the domain and codomain it
-reports from its own module's label.  A supplied certificate is
-substituted once per content (CanonicalRings.certified), usually already
-by the search in classify.
+evaluation_map; End(m) takes the composition generators its MapSpace
+found.  The modules that the products and hom spaces over R, S or End(m)
+are built from record a generating set where they are built
+(bimodule.generated), so those are presented over it, and operators that
+only some callers read are built on first read.  Each public builder
+formats the domain and codomain it reports from its own module's label.
+A supplied certificate is substituted once per content
+(CanonicalRings.certified), usually already by the search in classify.
 """
 
 from __future__ import annotations
@@ -51,10 +55,12 @@ from .bimodule import (
     Bimodule,
     BimoduleError,
     MapSpace,
+    OnRead,
     TensorProduct,
     dual_basis_witness,
     forget_left,
     forget_right,
+    generated,
     intertwines,
     left_module,
     restrict_right,
@@ -268,16 +274,21 @@ def _through_legs(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
 
 def _t_as_right_r(cr: CanonicalRings) -> Bimodule:
     """The tensor ring as a left module over itself and a right module
-    over the centralizer (through its embedding as two-sided tensors)."""
+    over the centralizer (through its embedding as two-sided tensors),
+    recording a generating set over the centralizer; built once."""
     t = cr.tensor_ring
-    lefts = [t.basis_left_mult(i) for i in range(t.dim)]
-    return Bimodule(t, cr.centralizer, t.dim, lefts,
-                    cr.tensor_bimodule_cent.right_action, label="T")
+    return cr.once(("T as T-R",), lambda: generated(Bimodule(
+        t, cr.centralizer, t.dim, [t.basis_left_mult(i) for i in range(t.dim)],
+        cr.tensor_bimodule_cent.right_action, label="T"), "right"))
 
 
 def _m_as_left_r(cr: CanonicalRings, m: Bimodule) -> Bimodule:
-    acts = [m.left_operator(row) for row in cr.centralizer_space.rows]
-    return left_module(cr.centralizer, m.dim, acts)
+    """m as a left centralizer module, recording a generating set; built
+    once per content of m."""
+    rows = cr.centralizer_space.rows
+    return cr.once(("m as R",), lambda: generated(left_module(
+        cr.centralizer, m.dim, OnRead(
+            len(rows), lambda i: m.left_operator(rows[i]))), "left"), m)
 
 
 def _pi_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
@@ -502,8 +513,9 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     """
     f, ext = cr.field, cr.ext
     s_basis = cr.endo_space.basis
-    s_left_r = left_module(cr.centralizer, cr.endo_ring.dim,
-                           cr.endo_bimodule_cent.left_action)
+    s_left_r = cr.once(("S as R",), lambda: generated(left_module(
+        cr.centralizer, cr.endo_ring.dim, cr.endo_bimodule_cent.left_action),
+        "left"))
     homsp = cr.hom(s_left_r, _m_as_left_r(cr, m))
 
     @cache
@@ -552,9 +564,10 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
 def _precomposition_module(hs: MapSpace, ring: FDAlgebra,
                            endos: Sequence[Matrix]) -> Bimodule:
     """hs as a right module over a ring of endomorphisms of its source,
-    the basis element endos[j] acting by precomposition."""
-    return right_module(ring, hs.dim,
-                        [_on_hom(hs, lambda h: h @ e) for e in endos])
+    the basis element endos[j] acting by precomposition (built on first
+    read), recording a generating set."""
+    return generated(right_module(ring, hs.dim, OnRead(
+        len(endos), lambda j: _on_hom(hs, lambda h: h @ endos[j]))), "right")
 
 
 def _hom_from_total(cr: CanonicalRings, target: Bimodule
@@ -568,11 +581,11 @@ def _hom_from_total(cr: CanonicalRings, target: Bimodule
 
 def _endo_as_r_s(cr: CanonicalRings) -> Bimodule:
     """The endo ring as a left centralizer module and right module over
-    itself."""
+    itself, recording a generating set over the centralizer; built once."""
     s = cr.endo_ring
-    rights = [s.basis_right_mult(j) for j in range(s.dim)]
-    return Bimodule(cr.centralizer, s, s.dim,
-                    cr.endo_bimodule_cent.left_action, rights, label="S")
+    return cr.once(("S as R-S",), lambda: generated(Bimodule(
+        cr.centralizer, s, s.dim, cr.endo_bimodule_cent.left_action,
+        [s.basis_right_mult(j) for j in range(s.dim)], label="S"), "left"))
 
 
 def _chi(cr: CanonicalRings, m: Bimodule,
@@ -589,9 +602,9 @@ def _chi(cr: CanonicalRings, m: Bimodule,
 
     def build() -> tuple:
         hs, h_mod = _hom_from_total(cr, restrict_right(forget_left(m), cr.ext))
-        m_right_r = right_module(
-            cr.centralizer, m.dim,
-            [m.right_operator(row) for row in cr.centralizer_space.rows])
+        rows = cr.centralizer_space.rows
+        m_right_r = generated(right_module(cr.centralizer, m.dim, OnRead(
+            len(rows), lambda i: m.right_operator(rows[i]))), "right")
         dom = cr.tensor(m_right_r, _endo_as_r_s(cr))
         values_of = cache(lambda b: [
             m.right_operator(cr.endo_space.basis[b].col(k)).transpose()
@@ -762,14 +775,15 @@ def evaluation_map(cr: CanonicalRings, m: Bimodule, n: Bimodule
         raise BimoduleError("evaluation needs two right modules over one ring")
     end_space = cr.hom(m1, m1)
     basis = end_space.basis
+    # the composition generators the naturality squares use
     end_alg = cr.once(("End",), lambda: ring_on(
         end_space, lambda i, j: basis[i] @ basis[j],
-        Matrix.identity(cr.field, m1.dim), "End"), m1)
+        Matrix.identity(cr.field, m1.dim), "End", end_space.generators), m1)
     hs = cr.hom(m1, n1)
     hom_mod = cr.once(("precomposition",), lambda: _precomposition_module(
         hs, end_alg, basis), m1, n1)
-    tp = cr.tensor(hom_mod, Bimodule(end_alg, m1.right_algebra, m1.dim,
-                                     list(basis), m1.right_action))
+    tp = cr.tensor(hom_mod, generated(Bimodule(
+        end_alg, m1.right_algebra, m1.dim, list(basis), m1.right_action), "left"))
     hs_cols = [h.transpose().pairs for h in hs.basis]
     fwd = tp.map_out(n1.dim, lambda b, mu: hs_cols[b][mu])
     checks: dict = {"ring_linear": intertwines(fwd, zip(

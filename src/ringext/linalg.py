@@ -439,8 +439,10 @@ class Matrix:
 
 def lin_comb(field: Field, rows: int, cols: int, coeffs: Sequence,
              mats: Sequence[Matrix]) -> Matrix:
-    """sum_k coeffs[k] * mats[k], accumulated row by row into one matrix."""
-    terms = [(c, mat) for c, mat in zip(coeffs, mats) if c]
+    """sum_k coeffs[k] * mats[k], accumulated row by row into one matrix;
+    only the mats at nonzero coeffs are read, so operators built on first
+    read (bimodule.OnRead) are built only there."""
+    terms = [(c, mats[k]) for k, c in enumerate(coeffs) if c]
     if len(terms) == 1 and terms[0][0] == 1:   # immutable, so shared
         return terms[0][1]
     addmul = field.sparse_addmul
@@ -518,19 +520,21 @@ def echelon_reduce(f: Field, echelon: dict, acc: dict) -> dict:
 
 
 def spin(field: Field, dim: int, vectors: Iterable, operators: Sequence[Matrix],
-         echelon: Optional[dict] = None) -> "Subspace":
+         echelon: Optional[dict] = None) -> Optional["Subspace"]:
     """The least subspace of F^dim holding the pair vectors and closed under
-    the operators, grown into echelon (default empty) in place: only a vector
-    that enlarges the span has its images queued, so closed spans stay so,
-    and the whole of F^dim stops the growth."""
-    echelon = {} if echelon is None else echelon
+    the operators: only a vector that enlarges the span has its images
+    queued, so closed spans stay so, and the whole of F^dim stops the
+    growth.  Given an echelon_insert dict, it is grown in place and nothing
+    is returned; otherwise the span is returned as a Subspace."""
+    own = echelon is None
+    echelon = {} if own else echelon
     columns, queue = [op.transpose().pairs for op in operators], list(vectors)
     for v in queue:  # grows while it is read: the images of v, from columns
         if echelon_insert(field, echelon, dict(v)):
             if len(echelon) == dim:
                 break
             queue.extend(comb_pairs(field, cols, v).items() for cols in columns)
-    return Subspace.from_echelon(field, dim, echelon)
+    return Subspace.from_echelon(field, dim, echelon) if own else None
 
 
 def word_generators(field: Field, dim: int, one: tuple,

@@ -373,5 +373,5 @@ def _iso_line(name: str, block: dict) -> str:
     route = f" via {block['route']}" if block.get("route") else ""
     return (f"{name}: {block['status']}{route} "
             f"({block['domain_dim']} -> {block['codomain_dim']}, "
-            f"naturality checked on {block['naturality_samples']} basis "
-            "endomorphisms)")
+            "naturality checked at the generators of End, dim "
+            f"{block['naturality_samples']})")

@@ -5,6 +5,7 @@ matrix_algebra and diagonal_algebra."""
 from typing import Optional
 
 from ringext.algebra import FDAlgebra
+from ringext.bimodule import Bimodule
 from ringext.linalg import (Field, LinalgError, Matrix, Subspace, kernel,
                             lin_comb, unit_vec, zero_vec)
 
@@ -73,3 +74,10 @@ def diagonal_algebra(field: Field, n: int, name: Optional[str] = None) -> FDAlge
     mult = [[unit_vec(field, n, i) if i == j else zero_vec(field, n)
              for j in range(n)] for i in range(n)]
     return FDAlgebra(field, n, mult, [field.one] * n, name=name or f"k^{n}")
+
+
+def unrecorded(m: Bimodule) -> Bimodule:
+    """m without its recorded generating set, so that a tensor product
+    with it as a factor keeps the ambient presentation."""
+    return Bimodule(m.left_algebra, m.right_algebra, m.dim, m.left_action,
+                    m.right_action, label=m.label)

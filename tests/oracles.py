@@ -325,8 +325,8 @@ def reference_hom_basis(m, n):
     dm, dn = m.dim, n.dim
     eye_m, eye_n = Matrix.identity(f, dm), Matrix.identity(f, dn)
     rows = []
-    for am, an in zip(m.left_action + m.right_action,
-                      n.left_action + n.right_action):
+    for am, an in zip([*m.left_action, *m.right_action],
+                      [*n.left_action, *n.right_action]):
         diff = kron(an, eye_m) - kron(eye_n, am.transpose())
         rows.extend(diff.data)
     if not rows:
@@ -386,40 +386,53 @@ def reference_tensor_legs(src, terms, dst=None):
 
 
 def reference_presentation(tp):
-    """For a tensor product with a factor recording a generator g over the
-    middle algebra C (m = g.C or n = C.g): (side, moved, relations), with
-    side the cyclic factor's, moved(u, v) the dense vector t_u.e_v of n
-    (e_u.t_v of m on the right) that e_u (x) e_v is moved to, for a lift
-    t solved on its own by span_decide, and relations the span of the
-    images of the other factor under the kernel of c -> c acting on g.
-    None when neither factor records one."""
-    from ringext.linalg import Matrix, Subspace, kernel, lin_comb, span_decide
+    """For a tensor product with a factor recording a generating set X over
+    the middle algebra C (m = sum x.C or n = sum C.y), the one with the
+    smaller ambient |X| * (dim of the other factor), the left one on a
+    tie: (side, moved, relations), with side the presented factor's,
+    moved(u, v) the dense vector of the other factor's X-th power that
+    e_u (x) e_v is moved to (block x holding t_u,x.e_v, or e_u.t_v,x on
+    the right), for a lift t solved on its own by span_decide, and
+    relations the span of the images of every basis element of the
+    other factor under every element of the kernel K of C^X -> the
+    presented factor (all of K, not generators of it).  None when
+    neither factor records one."""
+    from ringext.linalg import (Matrix, Subspace, dense, kernel, lin_comb,
+                                span_decide)
 
     m, n = tp.left_factor, tp.right_factor
-    if m.generator is not None and m.generator[0] == "right":
-        side, cyc, acts, other, other_acts = "left", m, m.right_action, n, n.left_action
-    elif n.generator is not None and n.generator[0] == "left":
-        side, cyc, acts, other, other_acts = "right", n, n.left_action, m, m.right_action
-    else:
+    found = []
+    if m.generating_set is not None and m.generating_set[0] == "right":
+        xs = m.generating_set[1]
+        found.append((len(xs) * n.dim, "left", m, xs, m.right_action, n,
+                      n.left_action))
+    if n.generating_set is not None and n.generating_set[0] == "left":
+        xs = n.generating_set[1]
+        found.append((len(xs) * m.dim, "right", n, xs, n.left_action, m,
+                      m.right_action))
+    if not found:
         return None
-    f, k = m.field, len(acts)
-    g = [f.zero] * cyc.dim
-    for j, x in cyc.generator[1]:
-        g[j] = x
-    images = [tuple((j, x) for j, x in enumerate(op.apply(g)) if x)
-              for op in acts]
+    _, side, cyc, xs, acts, other, other_acts = min(found, key=lambda c: c[0])
+    f, k, nx, od = m.field, len(acts), len(xs), other.dim
+    images = [tuple((j, x) for j, x in enumerate(op.apply(dense(
+        f, cyc.dim, g))) if x) for g in xs for op in acts]
     lifts = [span_decide(f, cyc.dim, images, ((u, f.one),))
              for u in range(cyc.dim)]
-    assert all(t is not None for t in lifts), "the recorded vector generates"
-    ann = kernel(Matrix(f, k, cyc.dim, tuple(images)).transpose())
-    relations = Subspace.from_vectors(f, other.dim, [
-        col for j in ann for col in lin_comb(
-            f, other.dim, other.dim, [dict(j).get(i, f.zero) for i in range(k)],
-            other_acts).columns()])
+    assert all(t is not None for t in lifts), "the recorded set generates"
+    ann = [dense(f, nx * k, j) for j in kernel(
+        Matrix(f, nx * k, cyc.dim, tuple(images)).transpose())]
+
+    def spread(t: list, v: int) -> list:
+        """Block x holds t_x acting on e_v of the other factor."""
+        return [y for i in range(nx) for y in lin_comb(
+            f, od, od, t[i * k:(i + 1) * k], other_acts).col(v)]
+
+    relations = Subspace.from_vectors(f, nx * od, [
+        spread(j, v) for j in ann for v in range(od)])
 
     def moved(u: int, v: int) -> list:
         t, w = (lifts[u], v) if side == "left" else (lifts[v], u)
-        return lin_comb(f, other.dim, other.dim, t, other_acts).col(w)
+        return spread(t, w)
     return side, moved, relations
 
 

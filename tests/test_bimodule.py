@@ -21,7 +21,7 @@ from ringext.linalg import GF, QQ, Matrix, dense, sparse, unit_vec, vec_sum
 from ringext.serialize import parse_input
 from tests.conftest import CORPUS_NAMES, corpus_doc
 from tests.helpers import (center, dense_matrix, dense_vector,
-                           diagonal_algebra, matrix_algebra, scale)
+                           diagonal_algebra, matrix_algebra, scale, unrecorded)
 from tests.modules import random_cyclic_module, random_scalar
 from tests.oracles import (reference_hom_basis, reference_tensor_legs,
                            reference_tensor_relations)
@@ -160,7 +160,8 @@ def test_tensor_map_checks_every_relation():
     among the relations but the ninth, e_2 (x) e_3.  g is not k^4-linear,
     and the leg check refuses it on this ambient source too."""
     d = diagonal_algebra(QQ, 4)
-    t = tensor_over(right_regular_module(d), left_regular_module(d))
+    t = tensor_over(unrecorded(right_regular_module(d)),
+                    unrecorded(left_regular_module(d)))
     ident = Matrix.identity(QQ, 4)
     g = ident + Matrix.from_pairs(QQ, 4, 4, [(), (), [(3, 1)], ()])
     broken = [i for i, row in enumerate(t.relations.basis.pairs) if not
@@ -177,7 +178,9 @@ def test_tensor_map_checks_every_relation():
 def tensor_cases(field):
     """(label, m, n) pairs over a shared middle algebra: tensor squares
     over a subalgebra, regular and one-sided factors, and random cyclic
-    modules, over a group algebra and a matrix algebra."""
+    modules, over a group algebra and a matrix algebra, each factor
+    without a recorded generating set, so that the dense references here,
+    which read the ambient presentation, apply."""
     a = group_algebra(field, sym3())
     ext = subalgebra_extension(a, subgroup=[0, 3, 4])
     reg = regular_bimodule(a)
@@ -187,7 +190,7 @@ def tensor_cases(field):
     t2 = subalgebra_extension(m2, basis=[unit_vec(field, 4, i)
                                          for i in (0, 1, 3)])
     m2_reg = regular_bimodule(m2)
-    return [
+    return [(label, unrecorded(m), unrecorded(n)) for label, m, n in [
         ("square_over_subgroup", restrict_right(reg, ext),
          restrict_left(reg, ext)),
         ("over_total", reg, reg),
@@ -200,7 +203,7 @@ def tensor_cases(field):
         ("cyclic_against_regular", cyc_r, forget_right(reg)),
         ("matrix_cyclic", random_cyclic_module(m2, "right", 2, seed=11),
          forget_right(m2_reg)),
-    ]
+    ]]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)

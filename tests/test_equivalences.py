@@ -1,13 +1,15 @@
 """Structural isomorphisms between module categories, with certificates."""
 
+import sys
 from copy import deepcopy
 from dataclasses import replace
 
 import pytest
 
-from ringext import equivalences
+from ringext import algebra, bimodule, equivalences
 from ringext.bimodule import (BimoduleError, forget_left, forget_right,
                               hom_space, intertwines, right_regular_module)
+from ringext.canonical import build_canonical_rings
 from ringext.certify import verify_d2, verify_separability, verify_split
 from ringext.equivalences import (_comparison, centralizer_projectivity,
                                   chi_M, evaluation_map,
@@ -446,3 +448,32 @@ def test_constructors_reject_unverified_certificates(built, constructor, fault):
     b = built("qc2_q")
     with pytest.raises(BimoduleError):
         _CONSTRUCTORS[constructor](b.cr, **fault(b))
+
+
+def test_end_generators_are_searched_once_per_end_space(monkeypatch):
+    """evaluation_map builds End(m) with the composition generators its
+    MapSpace found: over a qq8_qi analysis no End algebra searches its own,
+    no End space is searched twice, and each End algebra's generators are
+    its space's."""
+    searched = []
+    for module in (algebra, bimodule):
+        original = module.word_generators
+
+        def recording(*args, original=original):
+            owner = sys._getframe(1).f_locals.get("self")
+            searched.append((type(owner).__name__, getattr(owner, "name", ""),
+                             id(owner)))
+            return original(*args)
+
+        monkeypatch.setattr(module, "word_generators", recording)
+    parsed = parse_input(corpus_doc("qq8_qi"))
+    cr = build_canonical_rings(parsed.ext)
+    analysis_report(parsed, rings=cr)
+    ends = [entry for key, entry in cr._memo.items() if key[0] == "End"]
+    assert ends
+    for (m1,), end_alg in ends:
+        assert end_alg.generators() == cr.hom(m1, m1).generators
+    spaces = [owner for kind, _, owner in searched if kind == "MapSpace"]
+    assert spaces and len(spaces) == len(set(spaces))
+    assert not [name for kind, name, _ in searched
+                if kind == "FDAlgebra" and name == "End"]

@@ -20,7 +20,7 @@ from ringext import bimodule, equivalences
 from ringext.algebra import AlgebraError, FDAlgebra, trivial_algebra
 from ringext.bimodule import (Bimodule, BimoduleError, InternalInconsistency,
                               TensorProduct, _intertwining_system,
-                              _permutation_tables, hom_space,
+                              _permutation_tables, generated, hom_space,
                               is_bimodule_map, left_module,
                               left_regular_module, right_module,
                               right_regular_module, tensor_map, tensor_over)
@@ -31,10 +31,12 @@ from ringext.linalg import (GF, QQ, Matrix, Subspace, dense, kernel,
 from ringext.serialize import parse_input
 
 from tests.conftest import CORPUS_NAMES, corpus_doc
-from tests.groups import GROUP_CASES, Q8_C4, S3_C2, case_doc, group_case
-from tests.helpers import dense_matrix
-from tests.oracles import (reference_class, reference_is_bimodule_map,
-                           reference_presentation, reference_tensor_legs)
+from tests.groups import (GROUP_CASES, Q8_C4, S3_C2, alternating4, case_doc,
+                          group_case, group_doc, subgroup)
+from tests.helpers import dense_matrix, unrecorded
+from tests.oracles import (reference_class, reference_hom_basis,
+                           reference_is_bimodule_map, reference_presentation,
+                           reference_tensor_legs, reference_tensor_relations)
 
 
 def _algebras(cr):
@@ -206,14 +208,24 @@ def test_a_map_failing_at_one_generator_is_refused(built):
 
 def presentation_relations(tp):
     """The relations of tp's presentation as ambient elements, a reference
-    for tensor_map's leg check: each RREF row, or g (x) row and row (x) g
-    with a cyclic factor."""
+    for tensor_map's leg check: each RREF row, or with a presented factor
+    generated by X, sum_x x (x) row_x (row_x (x) x on the right), row_x
+    the row's block at x."""
     f, dm, dn = tp.left_factor.field, tp.left_factor.dim, tp.right_factor.dim
     rows = tp.relations.basis.pairs
-    if tp.cyclic is not None:
-        side, g = tp.cyclic[:2]
-        rows = [tuple((u * dn + v, f.mul(a, b)) for u, a in x for v, b in y)
-                for x, y in ((g, r) if side == "left" else (r, g) for r in rows)]
+    if tp.presented is not None:
+        side, xs = tp.presented[:2]
+        dim = dn if side == "left" else dm
+        pure = []
+        for row in rows:
+            acc: dict = {}
+            for c, a in row:
+                i, w = divmod(c, dim)
+                f.sparse_addmul(acc, [
+                    (u * dn + w if side == "left" else w * dn + u, b)
+                    for u, b in xs[i]], a)
+            pure.append(tuple(sorted(acc.items())))
+        rows = pure
     return [Matrix.from_vec(f, dm, dn, row) for row in rows]
 
 
@@ -244,20 +256,21 @@ def _balanced_off_the_last_generator(tp, leg):
 
 
 def test_a_tensor_map_leg_failing_at_one_generator_is_refused(built):
-    """R_T (x)_T T is presented over T and S_S (x)_S _SR over S_S, so
-    their relations are g (x) Jn and mJ' (x) g only.  A leg that commutes
-    with every generator of the middle algebra but one can send all of
-    those to 0 and still not make f_left (x) f_right well defined on the
-    product; tensor_map refuses it, on the non-cyclic leg of both and on
-    the cyclic leg _SR, and keeps the identity."""
+    """R_T (x)_T T is presented over T and S_S (x)_S _SR over S_S (the
+    regular factors recording no generating set), so their relations are
+    g (x) Jn and mJ' (x) g only.  A leg that commutes with every generator
+    of the middle algebra but one can send all of those to 0 and still
+    not make f_left (x) f_right well defined on the product; tensor_map
+    refuses it, on the unpresented leg of both and on the presented leg
+    _SR, and keeps the identity."""
     cr = built("qc2_q").cr
     f = cr.field
-    cases = [(tensor_over(cr.cent_module_tensor,
-                          left_regular_module(cr.tensor_ring)), ("right",)),
-             (tensor_over(right_regular_module(cr.endo_ring),
+    cases = [(tensor_over(cr.cent_module_tensor, unrecorded(
+        left_regular_module(cr.tensor_ring))), ("right",)),
+             (tensor_over(unrecorded(right_regular_module(cr.endo_ring)),
                           cr.cent_module_endo), ("left", "right"))]
     for tp, legs in cases:
-        assert tp.cyclic
+        assert tp.presented
         eye_l = Matrix.identity(f, tp.left_factor.dim)
         eye_r = Matrix.identity(f, tp.right_factor.dim)
         assert tensor_map(tp, tp, eye_l, eye_r) == \
@@ -287,7 +300,7 @@ def test_every_tensor_map_of_an_analysis_sends_each_relation_to_zero(
     monkeypatch.setattr(equivalences, "tensor_map", recording)
     for doc in [*map(corpus_doc, CORPUS_NAMES), *map(case_doc, GROUP_CASES)]:
         analysis_report(parse_input(doc))
-    assert calls and any(src.cyclic for src, *_ in calls)
+    assert calls and any(src.presented for src, *_ in calls)
     for src, dst, f_left, f_right in calls:
         frt = f_right.transpose()
         assert all(not dst.project(f_left @ rel @ frt)
@@ -300,8 +313,8 @@ def full_basis_hom_span(m, n):
     """The span of the bimodule maps m -> n, one intertwining block per
     basis element of each acting algebra."""
     system = _intertwining_system(
-        m.field, zip(m.left_action + m.right_action,
-                     n.left_action + n.right_action), m.dim, n.dim)
+        m.field, zip([*m.left_action, *m.right_action],
+                     [*n.left_action, *n.right_action]), m.dim, n.dim)
     ker = kernel(system)
     return Subspace.row_space(Matrix(m.field, len(ker), m.dim * n.dim,
                                      tuple(ker)))
@@ -327,12 +340,13 @@ def full_basis_invariants(m, elements):
 
 def assert_tensor_matches_reference(tp, m, n):
     """tp against m (x) n presented by the full-basis relations, through
-    the isomorphism Phi: [e_u (x) e_v] -> [t_u.e_v] (mirrored on the right)
-    when a factor records a generator, else the identity.  Phi is
-    bijective, the class of each ambient unit vector is Phi of the one
-    read off its dense residual, the outer actions are Phi-conjugates of
-    the dense leg loop's, and map_out inverts Phi.  Without a generator tp
-    has the reference's relations and free columns."""
+    the isomorphism Phi: [e_u (x) e_v] -> [(t_u,x.e_v)_x] (mirrored on
+    the right) when a factor records a generating set X, else the
+    identity.  Phi is bijective, the class of each ambient unit vector is
+    Phi of the one read off its dense residual, the outer actions are
+    Phi-conjugates of the dense leg loop's, and map_out inverts Phi.
+    Without a generating set tp has the reference's relations and free
+    columns."""
     f, size = m.field, m.dim * n.dim
     relations = full_basis_tensor_relations(m, n)
     pivots = set(relations.pivots)
@@ -401,7 +415,7 @@ def test_memo_spaces_match_the_full_basis_reference(name):
                for kind in ("hom", "tensor")}
     assert entries["hom"] and entries["tensor"]
     # products presented over each side
-    assert {tp.cyclic[0] for _, tp in entries["tensor"] if tp.cyclic} \
+    assert {tp.presented[0] for _, tp in entries["tensor"] if tp.presented} \
         == {"left", "right"}
     for (m, n), hs in entries["hom"]:
         assert hs.span == full_basis_hom_span(m, n), (m, n)
@@ -414,6 +428,69 @@ def test_memo_spaces_match_the_full_basis_reference(name):
     assert cr.casimir_space == full_basis_invariants(cr.q.module, cr.a_basis)
 
 
+# -- products and hom spaces over generating sets of several vectors ---------
+
+def _a4_over_c2():
+    """A4 over a double transposition over F_3, as in test_a4_theorems."""
+    cayley, elements = alternating4()
+    return group_doc(cayley, subgroup(cayley, [elements.index((1, 0, 3, 2))]),
+                     {"Fp": 3})
+
+
+@cache
+def rings_of(name):
+    doc = _a4_over_c2() if name == "a4_c2_f3" else corpus_doc(name)
+    return build_canonical_rings(parse_input(doc).ext)
+
+
+def over_the_centralizer(cr):
+    """T as a right R-module, A and S as left R-modules, each recording a
+    generating set over R as the comparison maps build them: the factors
+    of T (x)_R A and the modules of Hom_R(S, A)."""
+    s_r = generated(left_module(cr.centralizer, cr.endo_ring.dim,
+                                cr.endo_bimodule_cent.left_action), "left")
+    return (equivalences._t_as_right_r(cr),
+            equivalences._m_as_left_r(cr, cr.a_reg), s_r)
+
+
+@pytest.mark.parametrize("name", ["qq8_qi", "qs3_qa3", "a4_c2_f3"])
+def test_presentations_over_several_generators_match_the_kronecker_reference(
+        name):
+    """T (x)_R A is presented over a generating set of two or more vectors,
+    and Hom_R(S, A) solved at one: both agree with the Kronecker systems
+    over every basis element of R, the product through Phi.  On the
+    corpus inputs those systems are also checked against the dense ones
+    of tests.oracles, which take seconds at A4's size."""
+    cr = rings_of(name)
+    t_r, a_r, s_r = over_the_centralizer(cr)
+    tp = tensor_over(t_r, a_r)
+    assert tp.presented is not None and len(tp.presented[1]) >= 2
+    assert_tensor_matches_reference(tp, t_r, a_r)
+    side, xs = s_r.generating_set
+    assert side == "left" and len(xs) >= 2
+    got = hom_space(s_r, a_r)
+    assert got.dim > 0 and got.span == full_basis_hom_span(s_r, a_r)
+    if name != "a4_c2_f3":
+        assert full_basis_tensor_relations(t_r, a_r) == \
+            reference_tensor_relations(t_r, a_r)
+        assert list(got.span.basis.pairs) == reference_hom_basis(s_r, a_r)
+
+
+def test_a_generating_set_short_of_a_vector_raises():
+    """The generating sets of T over R and of S over R with their last
+    vector dropped generate proper submodules: the tensor and the hom
+    engine refuse them."""
+    cr = rings_of("qq8_qi")
+    t_r, a_r, s_r = over_the_centralizer(cr)
+    for m, side in ((t_r, "right"), (s_r, "left")):
+        short = generated(m, side, m.generating_set[1][:-1])
+        with pytest.raises(InternalInconsistency, match="does not generate"):
+            hom_space(short, short)
+    with pytest.raises(InternalInconsistency, match="does not generate"):
+        tensor_over(generated(t_r, "right", t_r.generating_set[1][:-1]),
+                    unrecorded(a_r))
+
+
 def test_a_recorded_vector_that_does_not_generate_raises(built):
     """R as a right T-module or as a left S-module recording the zero
     vector, which generates nothing when R is not zero, is refused by the
@@ -423,7 +500,7 @@ def test_a_recorded_vector_that_does_not_generate_raises(built):
     for side, m in (("right", cr.cent_module_tensor),
                     ("left", cr.cent_module_endo)):
         bad = Bimodule(m.left_algebra, m.right_algebra, m.dim, m.left_action,
-                       m.right_action, generator=(side, ()))
+                       m.right_action, generating_set=(side, ()))
         with pytest.raises(InternalInconsistency, match="does not generate"):
             hom_space(bad, bad)
         other = (left_regular_module(cr.tensor_ring) if side == "right"

@@ -47,7 +47,7 @@ def _without_stamp(doc: dict) -> str:
 def _content(m) -> tuple:
     """A module by dimension and action matrices only."""
     return (m.dim, tuple(tuple(map(tuple, a.data))
-                         for a in m.left_action + m.right_action))
+                         for a in [*m.left_action, *m.right_action]))
 
 
 def _twin(m) -> Bimodule:
@@ -105,24 +105,47 @@ def test_memo_hit_is_shared_by_a_twin_module(monkeypatch):
 
 
 def test_a_recorded_generator_keys_its_own_tensor_product(monkeypatch):
-    """R as a right T-module with its recorded generator 1_R and without
-    one gives two tensor products with T, presented over T and in the
-    ambient, of one dimension; the maps out of both are one memo entry,
-    as a generator changes no hom space."""
+    """R as a right T-module with its recorded generating set {1_R} and
+    without one gives two tensor products with T (recording none), presented
+    over T and in the ambient, of one dimension; the maps out of both are
+    one memo entry, as a generating set changes no hom space."""
     cr = build_canonical_rings(parse_input(corpus_doc("qq8_qi")).ext)
     r_t, t = cr.cent_module_tensor, cr.tensor_ring
     plain = _twin(r_t)
-    assert r_t.generator is not None and plain.generator is None
+    assert r_t.generating_set is not None and plain.generating_set is None
+    t_t = _twin(bimodule.left_regular_module(t))
     tensors = _counting(monkeypatch, "tensor_over")
     homs = _counting(monkeypatch, "hom_space")
-    presented = cr.tensor(r_t, bimodule.left_regular_module(t))
-    ambient = cr.tensor(plain, bimodule.left_regular_module(t))
+    presented = cr.tensor(r_t, t_t)
+    ambient = cr.tensor(plain, t_t)
     assert len(tensors) == 2
-    assert presented.cyclic[0] == "left" and ambient.cyclic is None
+    assert presented.presented[0] == "left" and ambient.presented is None
     assert presented.module.dim == ambient.module.dim == r_t.dim
     t_t = bimodule.right_regular_module(t)
     assert cr.hom(r_t, t_t) is cr.hom(plain, t_t)
     assert len(homs) == 1
+
+
+def test_memo_keys_tell_apart_modules_differing_at_one_generator(monkeypatch):
+    """The memo keys a module on its generators' actions only.  Two
+    modules that differ in one generator's action are two keys, and each
+    call reaches the engine; an on-demand action list is not built for
+    the key."""
+    cr = build_canonical_rings(parse_input(corpus_doc("qq8_qi")).ext)
+    a = cr.ext.total
+    m = bimodule.left_regular_module(a)
+    g = a.generators()[-1]
+    lefts = list(m.left_action)
+    lefts[g] = m.left_action[g] @ m.left_action[g]
+    bent = Bimodule(a, m.right_algebra, m.dim, lefts, m.right_action)
+    homs = _counting(monkeypatch, "hom_space")
+    first, second = cr.hom(m, m), cr.hom(bent, m)
+    assert len(homs) == 2 and first is not second
+    built = []
+    lazy = Bimodule(a, m.right_algebra, m.dim, bimodule.OnRead(
+        a.dim, lambda i: built.append(i) or m.left_action[i]), m.right_action)
+    assert cr.hom(lazy, m) is first and len(homs) == 2
+    assert sorted(built) == a.generators()
 
 
 def test_memo_tells_apart_modules_over_different_algebras(monkeypatch):

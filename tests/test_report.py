@@ -9,7 +9,7 @@ import pytest
 
 from ringext.canonical import CanonicalRings, CanonicalSpaces
 from ringext.cli import main
-from ringext.report import certificate_kinds, verify_report
+from ringext.report import certificate_kinds, render_text, verify_report
 
 from tests.conftest import CORPUS, CORPUS_NAMES, expected_doc
 
@@ -221,3 +221,22 @@ def test_verify_rejects_a_bad_certify_document(tmp_path, capsys,
     assert "report verifies" not in out.out
     if schema_rejects:
         assert not report_validator.is_valid(doc)
+
+
+def test_text_names_the_naturality_check_it_runs():
+    """Each comparison line of a text report says that naturality was
+    checked at the generators of End and gives End's dimension, which is
+    the number the report records; no line claims a check on every basis
+    endomorphism."""
+    doc = expected_doc("qq8_qi")
+    text = render_text(doc)
+    lines = [line for line in text.splitlines() if "naturality" in line]
+    blocks = [doc["equivalences"]["base_change_of_total"],
+              doc["equivalences"]["evaluation_regular"]]
+    assert lines and "basis endomorphisms" not in text
+    assert all(line.endswith(")") and "naturality checked at the generators "
+               "of End, dim " in line for line in lines)
+    for block in blocks:
+        assert any(line.endswith(f"generators of End, dim "
+                                 f"{block['naturality_samples']})")
+                   for line in lines)

@@ -12,7 +12,7 @@ from ringext.bimodule import (Bimodule, forget_left, hom_space,
 from ringext.canonical import build_canonical_rings
 from ringext.certify import classify
 from ringext.equivalences import centralizer_projectivity
-from ringext.linalg import GF, QQ, Matrix, sparse
+from ringext.linalg import GF, QQ, Matrix, Subspace, sparse
 from ringext.serialize import parse_input
 
 from tests.conftest import CORPUS_NAMES, corpus_doc
@@ -118,10 +118,21 @@ def regular_sources(cr):
 
 
 def assert_matches_reference(m, n, regular=True):
-    assert (bimodule._maps_from_generator(m, n) is not None) == regular
+    """hom_space(m, n) against the Kronecker reference; a source that is
+    regular or generated by one vector records it as its generating set,
+    and the maps solved for their value there, whichever path hom_space
+    takes, span the same space."""
+    assert (m.generating_set is not None) == regular
     got = hom_space(m, n)
-    assert list(got.span.basis.pairs) == reference_hom_basis(m, n)
+    want = reference_hom_basis(m, n)
+    assert list(got.span.basis.pairs) == want
     assert [mat.vec() for mat in got.basis] == list(got.span.basis.pairs)
+    if regular:
+        side, xs = m.generating_set
+        assert len(xs) == 1
+        maps = bimodule._maps_over(m, n, side, xs)
+        assert list(Subspace.row_space(Matrix(
+            m.field, len(maps), m.dim * n.dim, maps)).basis.pairs) == want
 
 
 @pytest.mark.parametrize("name", ["b_eq_a", "qc2_q", "qs3_qa3", "m2q_t2"])
@@ -140,7 +151,7 @@ def test_source_generated_by_one_r_matches_generic(name, built):
     t_t, s_s = right_regular_module(cr.tensor_ring), left_regular_module(cr.endo_ring)
     for m, side, n in ((r_t, "right", t_t), (r_t, "right", r_t),
                        (s_r, "left", s_s), (s_r, "left", s_r)):
-        assert m.generator == (side, sparse(cr.centralizer.unit))
+        assert m.generating_set == (side, (sparse(cr.centralizer.unit),))
         assert_matches_reference(m, n)
 
 
