@@ -8,16 +8,17 @@
 A case is k[G] over k[H] for a permutation group G (A4, S4 or A5, as the
 even or all permutations of its points, identity first) and the
 subgroup H its generators span, over Q or F_p; its name is
-GROUP_SUB_FIELD.  For each case the script starts a child process that
-caps its own address space with RLIMIT_AS (--cap-gib), imports ringext
-from the src/ of --tree (default: this checkout), and runs parse_input,
-analysis_report, report_json and verify_report.  The child prints one
-JSON line, which is passed on: analyze seconds (parse, analysis and
-JSON), whether the report verified, the child's ru_maxrss in MB, and
-the SHA-256 of the report without its generated_at line, so that two
-trees' reports can be compared.  A child still running after --timeout
-seconds is killed and its line says so, and so does one that ran out of
-memory or failed.  Cases run one after another, never in parallel.
+GROUP_SUB_FIELD.  The input document is built with tests/groups.py.  For
+each case the script starts a child process that caps its own address
+space at CAP_GIB with RLIMIT_AS, imports ringext from the src/ of --tree
+(default: this checkout), and runs parse_input, analysis_report,
+report_json and verify_report.  The child prints one JSON line, which is
+passed on: analyze seconds (parse, analysis and JSON), whether the
+report verified, the child's ru_maxrss in MB, and the SHA-256 of the
+report without its generated_at line, so that two trees' reports can be
+compared.  A child still running after TIMEOUT_S seconds is killed and
+its line says so, and so does one that ran out of memory or failed.
+Cases run one after another, never in parallel.
 """
 
 import argparse
@@ -32,6 +33,12 @@ import time
 from itertools import permutations
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+from tests.groups import _parity, compose, group_doc, subgroup, table
+
+CAP_GIB = 2
+TIMEOUT_S = 900
 STAMP = re.compile(r'^  "generated_at": .*\n', re.M)
 
 # group -> number of points and whether only even permutations count
@@ -54,36 +61,21 @@ EXTENSIONS = {
 FIELDS = {"q": "Q", "f3": {"Fp": 3}, "f5": {"Fp": 5}, "f7": {"Fp": 7}}
 
 
-def _odd(p: tuple) -> int:
-    return sum(p[i] > p[j] for i in range(len(p))
-               for j in range(i + 1, len(p))) % 2
-
-
 def case_doc(name: str) -> dict:
     """The input document of a case named GROUP_SUB_FIELD."""
     ext, _, field = name.rpartition("_")
     group, gens = EXTENSIONS[ext]
     points, even = GROUPS[group]
     elements = [p for p in sorted(permutations(range(points)))
-                if not (even and _odd(p))]
-    index = {p: i for i, p in enumerate(elements)}
-    cayley = [[index[tuple(s[i] for i in t)] for t in elements]
-              for s in elements]
-    sub, seen = [0], {0}
-    for x in sub:   # grows while it is read
-        for g in gens:
-            y = cayley[x][index[g]]
-            if y not in seen:
-                seen.add(y)
-                sub.append(y)
-    return {"field": FIELDS[field],
-            "algebra": {"group": {"order": len(cayley), "cayley": cayley}},
-            "subalgebra": {"subgroup": sorted(sub)}}
+                if not (even and _parity(p))]
+    cayley = table(elements, compose)
+    return group_doc(cayley, subgroup(cayley, map(elements.index, gens)),
+                     FIELDS[field])
 
 
-def child(name: str, tree: str, cap_gib: float) -> dict:
+def child(name: str, tree: str) -> dict:
     """Run one case in this process under the address-space cap."""
-    cap = int(cap_gib * 2 ** 30)
+    cap = CAP_GIB * 2 ** 30
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     sys.path.insert(0, os.path.join(tree, "src"))
     from ringext.report import analysis_report, report_json, verify_report
@@ -99,7 +91,7 @@ def child(name: str, tree: str, cap_gib: float) -> dict:
         row["digest"] = hashlib.sha256(
             STAMP.sub("", text).encode()).hexdigest()[:16]
     except MemoryError:
-        row["error"] = f"out of memory under {cap_gib} GiB"
+        row["error"] = f"out of memory under {CAP_GIB} GiB"
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     row["rss_mb"] = round(rss / 1024, 1)
     return row
@@ -111,8 +103,6 @@ def main(argv=None) -> int:
     ap.add_argument("cases", nargs="*", metavar="CASE")
     ap.add_argument("--list", action="store_true", help="print case names")
     ap.add_argument("--tree", default=ROOT, help="checkout whose src/ runs")
-    ap.add_argument("--cap-gib", type=float, default=2.0)
-    ap.add_argument("--timeout", type=float, default=900.0)
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.list:
@@ -122,18 +112,17 @@ def main(argv=None) -> int:
     if unknown or not args.cases:
         ap.error(f"unknown cases {unknown}" if unknown else "name a case")
     if args.child:
-        print(json.dumps(child(args.cases[0], args.tree, args.cap_gib)))
+        print(json.dumps(child(args.cases[0], args.tree)))
         return 0
     failed = 0
     for name in args.cases:
         cmd = [sys.executable, os.path.abspath(__file__), "--child",
-               "--tree", os.path.abspath(args.tree),
-               "--cap-gib", str(args.cap_gib), name]
+               "--tree", os.path.abspath(args.tree), name]
         try:
             done = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=args.timeout)
+                                  timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            row = {"case": name, "error": f"killed after {args.timeout} s"}
+            row = {"case": name, "error": f"killed after {TIMEOUT_S} s"}
         else:
             lines = done.stdout.strip().splitlines()
             row = json.loads(lines[-1]) if done.returncode == 0 and lines \

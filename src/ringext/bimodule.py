@@ -397,9 +397,12 @@ def _image(f: Field, cols: Sequence[tuple], x: tuple) -> tuple:
 def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
                 dst: Optional[TensorProduct] = None) -> Matrix:
     """The map sum c * (op_l (x) op_r) over terms (c, op_l, op_r), from src
-    to dst (default src), which the caller vouches respects relations:
-    at each basis class x (x) y of src, sum c * op_l x (x) op_r y summed
-    from dst's class table at its nonzeros."""
+    to dst (default src); the caller vouches that it respects relations.
+
+    Each quotient basis class of src is a pure tensor x (x) y, whose
+    image sum c * op_l x (x) op_r y is summed from the classes of dst's
+    ambient pure tensors at its nonzeros.
+    """
     dst = dst or src
     f, dn, classes = src.left_factor.field, dst.right_factor.dim, dst._classes
     addmul, mul = f.sparse_addmul, f.mul
@@ -439,7 +442,7 @@ def _lifts(alg: FDAlgebra, side: str, acts: Sequence[Matrix], xs: tuple,
     found = [tuple((j - dim, x) for j, x in row[row[0][0] < dim:])
              for row in red.pairs[:len(pivots)]]
     mult = alg.basis_left_mult if side == "left" else alg.basis_right_mult
-    blockwise = [mult(g) if nx == 1 else Matrix(f, nx * dc, nx * dc, tuple(
+    blockwise = [Matrix(f, nx * dc, nx * dc, tuple(
         tuple((k * dc + j, x) for j, x in row)
         for k in range(nx) for row in mult(g).pairs))
         for g in (alg.generators() if len(found) > dim else ())]
@@ -461,12 +464,8 @@ def _stacked(f: Field, acts: Sequence[Matrix], t: tuple, dc: int, dim: int,
         parts.setdefault(j // dc, []).append((j % dc, a))
     lines = []
     for k, tk in parts.items():
-        # a lone unit coefficient, as most lifts have, is an action itself
-        op = (acts[tk[0][0]] if len(tk) == 1 and tk[0][1] == f.one
-              else lin_comb(f, dim, dim, dense(f, dc, tk), acts))
+        op = lin_comb(f, dim, dim, dense(f, dc, tk), acts)
         lines.append((k * dim, (op.transpose() if by_cols else op).pairs))
-    if len(lines) == 1 and not lines[0][0]:   # one block, at x-index 0
-        return lines[0][1]
     return [tuple((base + w, a) for base, vecs in lines for w, a in vecs[v])
             for v in range(dim)]
 
@@ -569,10 +568,14 @@ def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
 
 @dataclass(frozen=True, eq=False)
 class MapSpace:
-    """A basis of the bimodule maps source -> target, target.dim x
-    source.dim matrices whose vecs are the echelon basis of span, so
-    coordinates are a pivot readoff.  Frozen, so that one instance can be
-    shared."""
+    """A basis of the space of bimodule maps source -> target, with
+    coordinates.
+
+    Maps are target.dim x source.dim matrices.  The vectorized basis is
+    the echelon basis of span, so coordinates of a member are a pivot
+    readoff.  Frozen with a tuple basis, so that one instance can be
+    shared.
+    """
     source: Bimodule
     target: Bimodule
     basis: tuple
@@ -749,11 +752,14 @@ def _maps_over(m: Bimodule, n: Bimodule, side: str, xs: tuple) -> tuple:
 
 
 def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
-    """Vectors v with x.v = v.x for every listed element of the algebra
-    acting on both sides.  When every x acts on both sides by a
-    permutation matrix, x.v = v.x links the entries that the two
-    permutations move to one position, and the indicators of the linked
-    classes are the RREF; otherwise the system is eliminated.
+    """Vectors v with x.v = v.x for every listed element of both algebras.
+
+    Elements are coordinate vectors in the acting algebra, which must be
+    the same on both sides for the condition to typecheck.  When every
+    x acts on both sides by a permutation matrix, x.v = v.x links the
+    entries of v that the two permutations move to one position, and the
+    indicators of the linked classes, ordered by least index, are the
+    RREF; otherwise the system is eliminated.
     """
     if len(m.left_action) != len(m.right_action):
         raise BimoduleError("invariants need one algebra acting on both sides")
@@ -784,22 +790,26 @@ def centralizer_subspace(m: Bimodule, embedding) -> Subspace:
 
 @dataclass
 class SummandWitness:
-    """Maps exhibiting the source inside a finite power of the target:
-    pairs of bimodule maps (into, back) with sum(back @ into) the
-    identity of the source."""
+    """Maps exhibiting the source inside a finite power of the target.
+
+    pairs is a list of (into, back) bimodule maps with sum(back @ into)
+    equal to the identity of the source; stacking the into components and
+    lining up the back components splits the source off target^k.
+    """
     source: Bimodule
     target: Bimodule
     pairs: list[tuple[Matrix, Matrix]]
 
     def verify(self) -> bool:
-        f, dim = self.source.field, self.source.dim
-        acc = Matrix.zeros(f, dim, dim)
+        f = self.source.field
+        acc = Matrix.zeros(f, self.source.dim, self.source.dim)
         for into, back in self.pairs:
-            if not (is_bimodule_map(self.source, self.target, into)
-                    and is_bimodule_map(self.target, self.source, back)):
+            if not is_bimodule_map(self.source, self.target, into):
+                return False
+            if not is_bimodule_map(self.target, self.source, back):
                 return False
             acc = acc + (back @ into)
-        return acc == Matrix.identity(f, dim)
+        return acc == Matrix.identity(f, self.source.dim)
 
 
 def intertwines(fwd: Matrix, pairs: Iterable[tuple[Matrix, Matrix]]) -> bool:
@@ -822,10 +832,11 @@ def summand_witness(m: Bimodule, n: Bimodule,
                     ) -> Optional[SummandWitness]:
     """Decide whether m is a direct summand of a finite power of n: is
     id_m a combination of composites back_b @ into_a over the hom spaces
-    hom builds (hom_space or a memo of it)?  The composites are written
-    at a set generating m only and enter an echelon one at a time until
-    the residual of id_m vanishes; the kept ones are then solved for.
-    Returns a verified witness or None.
+    hom builds (hom_space, or a memo of it such as CanonicalRings.hom)?
+    A bimodule map is fixed by its values on a set generating m, so
+    composites are written only there.  They enter an echelon one at a
+    time until the residual of id_m vanishes; the kept ones are then
+    solved for.  Returns a verified witness or None.
     """
     into_space, back_space = hom(m, n), hom(n, m)
     f, dm = m.field, m.dim
@@ -862,11 +873,17 @@ def dual_basis_witness(m: Bimodule, algebra: FDAlgebra, side: str,
                        hom: Callable[[Bimodule, Bimodule], MapSpace]
                        ) -> Optional[SummandWitness]:
     """Finitely generated projectivity of m as a one-sided module over
-    algebra (summand_witness against the regular module): the pairs
-    (into_i, back_i) give a dual basis x_i = back_i(1), f_i = into_i,
-    sum x_i . f_i(t) = t for a right module, f_i(t) . x_i = t for a left."""
-    if side not in ("left", "right"):
-        raise BimoduleError("side must be 'left' or 'right'")
-    return (summand_witness(forget_left(m), right_regular_module(algebra), hom)
-            if side == "right" else
-            summand_witness(forget_right(m), left_regular_module(algebra), hom))
+    algebra: m, its other action forgotten, as a summand of a finite power
+    of the regular module, decided by summand_witness with hom.
+
+    The pairs (into_i, back_i) give a dual basis x_i = back_i(1), f_i =
+    into_i: sum x_i . f_i(t) = t for a right module, f_i(t) . x_i = t for
+    a left one, because each back_i is linear over the algebra.
+    """
+    if side == "right":
+        return summand_witness(forget_left(m), right_regular_module(algebra),
+                               hom)
+    if side == "left":
+        return summand_witness(forget_right(m), left_regular_module(algebra),
+                               hom)
+    raise BimoduleError("side must be 'left' or 'right'")

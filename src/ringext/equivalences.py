@@ -513,9 +513,8 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     """
     f, ext = cr.field, cr.ext
     s_basis = cr.endo_space.basis
-    s_left_r = cr.once(("S as R",), lambda: generated(left_module(
-        cr.centralizer, cr.endo_ring.dim, cr.endo_bimodule_cent.left_action),
-        "left"))
+    s_left_r = left_module(cr.centralizer, cr.endo_ring.dim,
+                           cr.endo_bimodule_cent.left_action)
     homsp = cr.hom(s_left_r, _m_as_left_r(cr, m))
 
     @cache
