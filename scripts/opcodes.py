@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Count the Python opcodes that one analysis and one verification run.
+
+    python3 scripts/opcodes.py PARENT_TREE > parent.json
+    python3 scripts/opcodes.py . > change.json
+    cmp parent.json change.json
+
+Imports ringext from TREE's own src/ and takes its inputs from TREE:
+every input in corpus/, and every small-many case of seeds 1 to 3 as
+bench/workloads.py generates them.  Each input is parsed once.  After
+one warm-up pass over all of them, as the benchmark's later passes
+follow its first, one more pass counts, for each input, the opcodes of
+its analyze operation (analysis_report and report_json, as bench/run.py
+times it) and of verify_report on that report, through sys.settrace.
+The counts do not depend on the machine's speed, so two trees can be
+compared where wall times drift.  Writes one sorted JSON object to
+stdout: the counts per input and their totals per group.  String hashing
+is fixed (PYTHONHASHSEED=0), so that iteration orders, and with them
+the counts, repeat from run to run.
+"""
+
+import json
+import os
+import sys
+
+SEEDS = (1, 2, 3)
+
+
+def counted(fn, *args) -> tuple:
+    """(the number of opcodes fn(*args) executes, its result)."""
+    n = 0
+
+    def trace(frame, event, arg):
+        nonlocal n
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            n += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(None)
+    return n, result
+
+
+def inputs(tree: str) -> list:
+    """(group, key, document) for every input the counts cover."""
+    corpus = os.path.join(tree, "corpus")
+    out = []
+    for entry in sorted(f for f in os.listdir(corpus) if f.endswith(".json")):
+        with open(os.path.join(corpus, entry), encoding="utf-8") as fh:
+            out.append(("corpus", f"corpus/{entry[:-len('.json')]}",
+                        json.load(fh)))
+    import workloads
+    for seed in SEEDS:
+        out += [("small-many", f"small-many/{seed}/{case.name}", case.doc)
+                for case in workloads.cases("small-many", seed, tree)]
+    return out
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        sys.stderr.write("usage: opcodes.py TREE\n")
+        return 1
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, *sys.argv],
+                  {**os.environ, "PYTHONHASHSEED": "0"})
+    tree = os.path.abspath(sys.argv[1])
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
+    import ringext
+
+    cases = [(group, key, ringext.parse_input(doc))
+             for group, key, doc in inputs(tree)]
+
+    def analyze(parsed):
+        return ringext.report_json(ringext.analysis_report(parsed))
+
+    for _, _, parsed in cases:   # the warm-up pass
+        ringext.verify_report(json.loads(analyze(parsed)))
+    counts, totals = {}, {}
+    for group, key, parsed in cases:
+        n_analyze, text = counted(analyze, parsed)
+        n_verify, (ok, msgs) = counted(ringext.verify_report, json.loads(text))
+        if not ok:
+            sys.stderr.write(f"{key}: the report does not verify: {msgs}\n")
+            return 1
+        counts[key] = {"analyze": n_analyze, "verify": n_verify}
+        total = totals.setdefault(f"total/{group}", {"analyze": 0, "verify": 0})
+        total["analyze"] += n_analyze
+        total["verify"] += n_verify
+    json.dump({**counts, **totals}, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

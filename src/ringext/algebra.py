@@ -284,6 +284,10 @@ class Extension:
     def field(self) -> Field:
         return self.base.field
 
+    def base_generators(self) -> list:
+        """The images in A of B's generators, which generate B's image."""
+        return [self.iota.col(i) for i in self.base.generators()]
+
     def subgroup(self) -> Optional[list[int]]:
         """The group elements the base basis maps to, in base order, or
         None unless the total algebra is a group algebra and every base

@@ -15,10 +15,9 @@ Bimodule.generating_set; the regular constructors record the unit):
 C^X maps onto m with kernel K, and _lifts finds in one elimination a
 lift over X of every basis vector and a basis of K, of which only
 generators of K as a one-sided submodule write rows.
-- m (x)_C n is a TensorProduct: the ambient m.dim * n.dim space modulo
-  the balancing relations, or, over a recorded X, n^X modulo the rows
-  sum_x x (x) k_x.e_v for k in K (mirrored for X generating n), over
-  the recorded set giving the smaller ambient.  Its methods alone know
+- m (x)_C n is a TensorProduct: n^X modulo the rows sum_x x (x) k_x.e_v
+  for k in K (mirrored for X generating n), over the recorded set giving
+  the smaller ambient, else over m's unit basis.  Its methods alone know
   the presentation, and every report reads a product through them.
 - A map out of m is fixed by its values v_x at X: hom_space solves for
   |X| * dim n unknowns under sum_x k_x.v_x = 0 for k in K and linearity
@@ -272,13 +271,14 @@ class TensorProduct:
     actions; an ambient element is the left_factor.dim x right_factor.dim
     matrix of its coefficients on the e_u (x) e_v.
 
-    The coefficient space is the ambient one, or with presented = (side,
-    xs, lifts), xs generating the factor on side over C, the other
-    factor's |xs|-th power at column (x-index) * dim + v; lifts[u] is t_u
-    in C^X with sum_x x.t_u,x = e_u (mirrored on the right).  relations
-    holds the relations in RREF, read only for the class table.  The
-    quotient basis is the classes at the non-pivot columns, free_cols,
-    each that of the pure tensor basis_tensors lists; map_out,
+    The coefficient space is the ambient one when read off orbits, or
+    with presented = (side, xs, lifts), xs generating the factor on side
+    over C, the other factor's |xs|-th power at column (x-index) * dim +
+    v, the ambient one again over the left factor's unit basis; lifts[u]
+    is t_u in C^X with sum_x x.t_u,x = e_u (mirrored on the right).
+    relations holds the relations in RREF, read only for the class
+    table.  The quotient basis is the classes at the non-pivot columns,
+    free_cols, each that of the pure tensor basis_tensors lists; map_out,
     tensor_legs and tensor_map read only those and the class table.
     """
     module: Bimodule
@@ -339,8 +339,8 @@ class TensorProduct:
                      else (((v, one),), xs[i]) for i, v in units)
 
     def lift(self, coords: Sequence) -> Matrix:
-        """The canonical ambient representative of a class of an ambient
-        presentation, such as the tensor square's."""
+        """The canonical ambient representative of a class of a product
+        in ambient coordinates, such as the tensor square's."""
         return Matrix.from_vec(
             self.left_factor.field, self.left_factor.dim, self.right_factor.dim,
             tuple((c, x) for c, x in zip(self.free_cols, coords) if x))
@@ -471,21 +471,19 @@ def _stacked(f: Field, acts: Sequence[Matrix], t: tuple, dc: int, dim: int,
 
 
 def presenting_sets(m: Bimodule, n: Bimodule) -> tuple:
-    """The generating sets tensor_over may present m (x)_C n over."""
+    """m's and n's recorded generating sets over C, None where absent."""
     return _kept(m, "right"), _kept(n, "left")
 
 
-def _presentation(m: Bimodule, n: Bimodule) -> Optional[tuple]:
-    """(relations, presented) for m (x)_C n over a recorded generating set
-    over C, m's or n's, whichever gives the smaller ambient (see
-    TensorProduct); None when neither records one."""
+def _presentation(m: Bimodule, n: Bimodule, sets: tuple) -> tuple:
+    """(relations, presented) for m (x)_C n over a generating set over C
+    in sets, m's or n's (None where a factor gives none), whichever gives
+    the smaller ambient (see TensorProduct)."""
     c = m.right_algebra
     found = [(len(gs[1]) * other.dim, side, gs[1], own, other)
-             for side, gs, own, other in zip(("left", "right"),
-                                             presenting_sets(m, n), (m, n), (n, m))
+             for side, gs, own, other in zip(("left", "right"), sets,
+                                             (m, n), (n, m))
              if gs is not None]
-    if not found:
-        return None
     size, side, xs, own, other = min(found, key=lambda t: t[0])
     # C acts on the left factor from the right, on the right one from the left
     lifts, kernel_gens = _lifts(c, "right" if side == "left" else "left",
@@ -500,28 +498,27 @@ def _presentation(m: Bimodule, n: Bimodule) -> Optional[tuple]:
 
 def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
     """The balanced tensor product over C = m.right_algebra = n.left_algebra,
-    with outer actions built on first read, presented over a recorded
-    generating set over C when a factor has one (_presentation).
-    Otherwise the relations x.c (x) y - x (x) c.y at the generators c of
+    with outer actions built on first read.  When no factor records a
+    generating set over C and C's generators act on both by permutation
+    matrices, the relations x.c (x) y - x (x) c.y at the generators c of
     C span them all (at cd it is the one at c on (x, d.y) plus the one at
-    d on (x.c, y)): the intertwining system n.left(c) X - X m.right(c)^T.
-    When the generators act by permutation matrices, its RREF keeps the
-    largest column of each class of linked pure tensors free and has
-    e_c - e_max for every other member c."""
+    d on (x.c, y)), and their RREF keeps the largest column of each class
+    of linked pure tensors free and has e_c - e_max for every other
+    member c.  Otherwise the product is presented over a recorded
+    generating set, else over m's unit basis (_presentation)."""
     c = m.right_algebra
     if c != n.left_algebra:
         raise BimoduleError(
             f"tensor factors disagree on the middle algebra: "
             f"{c.name} vs {n.left_algebra.name}")
     f, dn, gens = m.field, n.dim, c.generators()
-    relations, presented = _presentation(m, n) or (None, None)
-    tables = None if presented else _permutation_tables(
+    sets = presenting_sets(m, n)
+    tables = None if any(sets) else _permutation_tables(
         [m.right_action[b] for b in gens] + [n.left_action[b] for b in gens])
-    if presented is None and tables is None:
-        relations = Subspace.row_space(_intertwining_system(
-            f, [(n.left_action[b], m.right_action[b].transpose())
-                for b in gens], dn, m.dim))
-    elif presented is None:
+    if tables is None:
+        relations, presented = _presentation(m, n, sets if any(sets) else (
+            ("right", tuple(((u, f.one),) for u in range(m.dim))), None))
+    else:
         # e_a (x) e_t(b) = e_s(a).c (x) e_t(b) ~ e_s(a) (x) c.e_t(b)
         # = e_s(a) (x) e_b
         rows = sorted(((k, f.one), (cls[-1], f.neg(f.one)))
@@ -530,8 +527,9 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
                           for s, t in zip(tables, tables[len(gens):])
                           for a in range(m.dim) for b in range(dn)))
                       for k in cls[:-1])
-        relations = Subspace(Matrix(f, len(rows), m.dim * dn, tuple(rows)),
-                             [row[0][0] for row in rows])
+        relations, presented = Subspace(
+            Matrix(f, len(rows), m.dim * dn, tuple(rows)),
+            [row[0][0] for row in rows]), None
     pivots = set(relations.pivots)
     free = tuple(col for col in range(relations.ambient_dim) if col not in pivots)
     # the outer actions read the class table core shares with the result
@@ -547,9 +545,9 @@ def tensor_map(src: TensorProduct, dst: TensorProduct, f_left: Matrix,
                f_right: Matrix) -> Matrix:
     """The map f_left (x) f_right between two tensor products over one
     middle algebra C, well defined when both legs commute with C's
-    generators, so with all of C: then each balancing relation, and each
-    relation sum_x x (x) k_x.e_v of a presented factor, whose image is
-    f(sum_x x.k_x) (x) f(e_v) = 0 (mirrored), maps to class 0 in dst.
+    generators, so with all of C: then a relation x.c (x) y - x (x) c.y
+    maps to one, and a relation sum_x x (x) k_x.e_v over a generating set
+    to f(sum_x x.k_x) (x) f(e_v) = 0 (mirrored), class 0 in dst.
     """
     gens = src.left_factor.right_algebra.generators()
     sm, sn, dm, dn = (src.left_factor, src.right_factor,
@@ -612,29 +610,6 @@ class MapSpace:
 
     def __repr__(self) -> str:
         return f"MapSpace({self.source.label} -> {self.target.label}, dim={self.dim})"
-
-
-def _intertwining_system(field: Field, actions: Iterable[tuple[Matrix, Matrix]],
-                         dm: int, dn: int) -> Matrix:
-    """The nonzero rows of an.X - X.am = 0 over the pairs (am, an) in
-    actions, in the row-major entries of the dn x dm matrix X.
-
-    Row (i, j) holds an[i][k] at column k*dm + j and -am[l][j] at column
-    i*dm + l; rows that vanish, as they do for trivial actions, are dropped.
-    """
-    minus_one = field.neg(field.one)
-    rows = []
-    for am, an in actions:
-        am_cols = am.transpose().pairs
-        for i, an_row in enumerate(an.pairs):
-            base = i * dm
-            for j, am_col in enumerate(am_cols):
-                row = {k * dm + j: x for k, x in an_row}
-                field.sparse_addmul(row, ((base + l, x) for l, x in am_col),
-                                    minus_one)
-                if row:
-                    rows.append(tuple(sorted(row.items())))
-    return Matrix(field, len(rows), dn * dm, tuple(rows))
 
 
 def _permutation_tables(mats: Sequence[Matrix]) -> Optional[list]:
@@ -781,8 +756,7 @@ def centralizer_subspace(m: Bimodule, embedding) -> Subspace:
     """Vectors commuting with the embedded base algebra on both sides."""
     if m.left_algebra != embedding.total or m.right_algebra != embedding.total:
         raise BimoduleError("centralizer needs the embedded algebra acting on both sides")
-    return invariants_subspace(
-        m, [embedding.iota.col(i) for i in embedding.base.generators()])
+    return invariants_subspace(m, embedding.base_generators())
 
 
 # ---------------------------------------------------------------------------

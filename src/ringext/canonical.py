@@ -19,10 +19,11 @@ lambda_r lies in S with lambda_r(1) = r.  Both module structures record
 {1_R} as their generating set, so tensor products with them are
 presented as quotients of the other factor and maps out of them are
 solved for their value at 1_R (bimodule.tensor_over and hom_space).
-Q records none and keeps its ambient presentation, in whose coordinates
-certificates and the canonical subspaces live.  CanonicalSpaces builds
-only Q, the spaces underlying R, T and S and the Casimir subspace, which
-is all a certificate verifier reads; CanonicalRings adds the rest.
+Q records none, so it is read off orbits or presented over A's unit
+basis, both in ambient coordinates, in which certificates and the
+canonical subspaces live.  CanonicalSpaces builds only Q, the spaces
+underlying R, T and S and the Casimir subspace, which is all a
+certificate verifier reads; CanonicalRings adds the rest.
 
 Every closure property used here (products of invariants stay invariant,
 counits land in R, and so on) is a theorem given a valid extension, so a
@@ -363,7 +364,7 @@ class CanonicalRings(CanonicalSpaces):
         endomorphism description of the tensor square, solves for the maps
         Q -> A in dim A * dim Q unknowns and runs on every input.
         """
-        a, b = self.ext.total, self.ext.base
+        a = self.ext.total
         R, T, S = self.centralizer, self.tensor_ring, self.endo_ring
 
         def check(cond: bool, msg: str) -> None:
@@ -372,8 +373,7 @@ class CanonicalRings(CanonicalSpaces):
 
         # R's defining membership; each law here is checked on generators
         for row in self.centralizer_space.rows:
-            for i in b.generators():
-                bi = self.ext.iota.col(i)
+            for bi in self.ext.base_generators():
                 check(a.multiply(bi, row) == a.multiply(row, bi),
                       "centralizer element does not commute with the base")
 

@@ -125,11 +125,6 @@ def _a_generators(cr: CanonicalSpaces) -> list:
     return [cr.a_basis[i] for i in cr.ext.total.generators()]
 
 
-def _b_generators(cr: CanonicalSpaces) -> list:
-    """The embedded generators of B, which generate its image in A."""
-    return [cr.ext.iota.col(i) for i in cr.ext.base.generators()]
-
-
 def verify_separability(cr: CanonicalSpaces, cert: SeparabilityCertificate) -> bool:
     if not _is_invariant(cr.q.module, _a_generators(cr), cert.element):
         return False
@@ -152,7 +147,7 @@ def verify_hsep(cr: CanonicalSpaces, cert: HSepCertificate) -> bool:
     for pair in cert.pairs:
         if not _is_invariant(cr.q.module, _a_generators(cr), pair.casimir):
             return False
-        if not _is_invariant(cr.a_reg, _b_generators(cr), pair.multiplier):
+        if not _is_invariant(cr.a_reg, cr.ext.base_generators(), pair.multiplier):
             return False
     return vec_sum(cr.field, cr.dim_q, (
         apply_comb(cr.field, cr.dim_q, pair.multiplier,
@@ -183,7 +178,7 @@ def _d2_side(cr: CanonicalSpaces, side: str) -> tuple:
 
 
 def verify_d2(cr: CanonicalSpaces, cert: D2Certificate) -> bool:
-    iotas = _b_generators(cr)
+    iotas = cr.ext.base_generators()
     for pair in cert.pairs:
         if not _is_invariant(cr.q.module, iotas, pair.tensor):
             return False
@@ -316,11 +311,9 @@ def hsep_summand_witness(cr: CanonicalRings) -> Optional[SummandWitness]:
 
 def base_module_projectivity(cr: CanonicalRings) -> dict:
     """Finitely generated projectivity of A over B on each side."""
-    right = dual_basis_witness(
-        restrict_right(cr.a_reg, cr.ext), cr.ext.base, "right", cr.hom)
-    left = dual_basis_witness(
-        restrict_left(cr.a_reg, cr.ext), cr.ext.base, "left", cr.hom)
-    return {"left": left, "right": right}
+    return {side: dual_basis_witness(
+        (restrict_left if side == "left" else restrict_right)(cr.a_reg, cr.ext),
+        cr.ext.base, side, cr.hom) for side in ("left", "right")}
 
 
 def endo_ring_probe(cr: CanonicalRings, right_projective: bool
@@ -462,13 +455,10 @@ def _check_hsep_induced_quasibases(cr: CanonicalRings, hsep: HSepCertificate
     pair each Casimir element with right (resp. left) multiplication by
     its centralizer multiplier.  Both must verify by substitution."""
     a = cr.ext.total
-    left_pairs = [QuasibasePair(p.casimir, a.right_mult_matrix(p.multiplier))
-                  for p in hsep.pairs]
-    right_pairs = [QuasibasePair(p.casimir, a.left_mult_matrix(p.multiplier))
-                   for p in hsep.pairs]
-    if not verify_d2(cr, D2Certificate("left", left_pairs)):
-        raise InternalInconsistency(
-            "H-separability system does not induce a left quasibase")
-    if not verify_d2(cr, D2Certificate("right", right_pairs)):
-        raise InternalInconsistency(
-            "H-separability system does not induce a right quasibase")
+    for side, mult in (("left", a.right_mult_matrix),
+                       ("right", a.left_mult_matrix)):
+        pairs = [QuasibasePair(p.casimir, mult(p.multiplier))
+                 for p in hsep.pairs]
+        if not verify_d2(cr, D2Certificate(side, pairs)):
+            raise InternalInconsistency(
+                f"H-separability system does not induce a {side} quasibase")

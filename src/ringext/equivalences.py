@@ -224,21 +224,29 @@ def _require_module(m: Bimodule, side: str, ring: FDAlgebra) -> None:
 # induced module machinery
 
 def _collapse(m: Bimodule, outer: TensorProduct, inner: TensorProduct,
-              element: Callable[[int, int], Sequence]) -> Matrix:
-    """r (x) (s (x) v) -> element(r, s).v, column per quotient class.
+              element: Callable[[int, int], Sequence],
+              side: str = "left") -> Matrix:
+    """r (x) (s (x) v) -> element(r, s).v, column per quotient class, or
+    on the right (v (x) s) (x) r -> v.element(r, s).
 
-    outer is R (x) inner, r and s are basis indices, and for each r the
-    map out of inner is assembled by inner.map_out.
+    outer is R (x) inner (inner (x) R on the right), r and s are basis
+    indices, and for each r the map out of inner is assembled by
+    inner.map_out.
     """
+    left = side == "left"
+    act = m.left_operator if left else m.right_operator
+    # a column function, its arguments swapped on the right
+    ordered = (lambda col: col) if left else (lambda col: lambda i, j: col(j, i))
+
     @cache
     def op_cols(u: int, s: int) -> tuple:
-        return m.left_operator(element(u, s)).transpose().pairs
+        return act(element(u, s)).transpose().pairs
 
     @cache
     def at(u: int) -> tuple:
-        return inner.map_out(m.dim, lambda s, mu: op_cols(u, s)[mu]
+        return inner.map_out(m.dim, ordered(lambda s, mu: op_cols(u, s)[mu])
                              ).transpose().pairs
-    return outer.map_out(m.dim, lambda u, v: at(u)[v])
+    return outer.map_out(m.dim, ordered(lambda u, v: at(u)[v]))
 
 
 def _gamma(cr: CanonicalRings, m: Bimodule
@@ -467,7 +475,6 @@ def _induction_comparison(cr: CanonicalRings, m: Bimodule,
     def build() -> VerifiedIso:
         a, ext = cr.ext.total, cr.ext
         x, y, pi = _pi(cr, m)
-        iotas = [ext.iota.col(i) for i in ext.base.generators()]
         checks: dict = {
             "tensor_ring_linear": intertwines(pi, zip(
                 y.module.generator_actions()[0],
@@ -476,7 +483,7 @@ def _induction_comparison(cr: CanonicalRings, m: Bimodule,
             # by the outer action on the induced side
             "base_linear": intertwines(pi, (
                 (y.second_leg(m.left_operator(b)), x.module.left_operator(b))
-                for b in iotas)),
+                for b in ext.base_generators())),
         }
         if m.right_algebra == a:
             checks["right_linear"] = intertwines(pi, (
@@ -524,7 +531,7 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     fwd = x.map_out(homsp.dim, lambda i, mu: _hom_column(
         homsp, _gather(values_at(i), mu)))
     base = [(x.module.left_operator(b), m.left_operator(b))
-            for b in (ext.iota.col(i) for i in ext.base.generators())]
+            for b in ext.base_generators()]
     s = cr.endo_ring
     checks: dict = {
         "base_linear": intertwines(fwd, (
@@ -679,17 +686,10 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
     # composite route through chi
     nested = cr.tensor(chi_dom.module, cr.cent_module_endo)
     big = tensor_map(nested, dom, chi_fwd, Matrix.identity(f, cr.centralizer.dim))
-    rows = cr.centralizer_space.rows
-
-    @cache
-    def value_cols(b: int, u: int) -> tuple:
-        av = cr.endo_space.basis[b].apply(rows[u])
-        return m.right_operator(av).transpose().pairs
-
-    # (v (x) alpha) (x) r -> v.alpha(r), for each r a map out of chi_dom
-    at = cache(lambda u: chi_dom.map_out(
-        m.dim, lambda mu, b: value_cols(b, u)[mu]).transpose().pairs)
-    direct = nested.map_out(m.dim, lambda p, u: at(u)[p])
+    rows, endos = cr.centralizer_space.rows, cr.endo_space.basis
+    # (v (x) alpha) (x) r -> v.alpha(r)
+    direct = _collapse(m, nested, chi_dom,
+                       lambda u, b: endos[b].apply(rows[u]), "right")
     checks: dict = {"agrees_with_composite": fwd @ big == direct}
     direct_inv = invert(direct)
     if direct_inv is None:
@@ -728,7 +728,7 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
 
     # right base action on the domain: precompose with left multiplication
     lefts, rights = n.generator_actions()
-    lmats = [a.left_mult_matrix(cr.ext.iota.col(i)) for i in b.generators()]
+    lmats = [a.left_mult_matrix(x) for x in cr.ext.base_generators()]
     checks: dict = {"base_linear": intertwines(fwd, (
         (dom.first_leg(_on_hom(hs, lambda h: h @ lm)), op)
         for lm, op in zip(lmats, rights)))}

@@ -78,6 +78,7 @@ def diagonal_algebra(field: Field, n: int, name: Optional[str] = None) -> FDAlge
 
 def unrecorded(m: Bimodule) -> Bimodule:
     """m without its recorded generating set, so that a tensor product
-    with it as a factor keeps the ambient presentation."""
+    with it as a factor is presented over the other factor's set, or,
+    with neither recording one, in ambient coordinates."""
     return Bimodule(m.left_algebra, m.right_algebra, m.dim, m.left_action,
                     m.right_action, label=m.label)

@@ -8,20 +8,24 @@ numbers frozen into the tests came from here.
 At the end, the dense Kronecker formulation of hom constraints that the
 library once solved is kept on library matrices, as the reference that
 hom_space's direct constraint rows are compared against, and so are the
-dense tensor-leg loop and the per-tensor quasibase system that
-tensor_legs and find_d2_quasibase replaced, the full summand search
-that summand_witness replaced, the closure loops that spin replaced, the
-dense multiply loops of FDAlgebra.validate and the basis-wide linearity
-checks of the comparison maps.  So are the certificate verifiers and the
-H-separability search that formed an operator for each algebra element
-before applying it to one vector, and the Fraction decoding of scalar
-strings.
+sparse balancing system that tensor_over eliminated for products over no
+generating set, the dense tensor-leg loop and the per-tensor quasibase
+system that tensor_legs and find_d2_quasibase replaced, the full summand
+search that summand_witness replaced, the closure loops that spin
+replaced, the dense multiply loops of FDAlgebra.validate and the
+basis-wide linearity checks of the comparison maps.  So are the
+certificate verifiers and the H-separability search that formed an
+operator for each algebra element before applying it to one vector, and
+the Fraction decoding of scalar strings.
 """
+
+from __future__ import annotations
 
 import json
 import os
 from fractions import Fraction
 from itertools import product
+from typing import Iterable
 
 from tests.oracle_linalg import FracOps, ModOps, as_pairs, nullspace, rref
 
@@ -351,6 +355,35 @@ def reference_tensor_relations(m, n):
         diff = kron(rc.transpose(), eye_n) - kron(eye_m, lc.transpose())
         rows.extend(diff.data)
     return Subspace.from_vectors(f, m.dim * n.dim, rows)
+
+
+# ---------------------------------------------------------------------------
+# the sparse balancing system that tensor_over once eliminated for products
+# presented over no generating set, kept as the ambient reference
+
+def _intertwining_system(field: Field, actions: Iterable[tuple[Matrix, Matrix]],
+                         dm: int, dn: int) -> Matrix:
+    """The nonzero rows of an.X - X.am = 0 over the pairs (am, an) in
+    actions, in the row-major entries of the dn x dm matrix X.
+
+    Row (i, j) holds an[i][k] at column k*dm + j and -am[l][j] at column
+    i*dm + l; rows that vanish, as they do for trivial actions, are dropped.
+    """
+    from ringext.linalg import Field, Matrix
+
+    minus_one = field.neg(field.one)
+    rows = []
+    for am, an in actions:
+        am_cols = am.transpose().pairs
+        for i, an_row in enumerate(an.pairs):
+            base = i * dm
+            for j, am_col in enumerate(am_cols):
+                row = {k * dm + j: x for k, x in an_row}
+                field.sparse_addmul(row, ((base + l, x) for l, x in am_col),
+                                    minus_one)
+                if row:
+                    rows.append(tuple(sorted(row.items())))
+    return Matrix(field, len(rows), dn * dm, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -10,20 +10,22 @@ systems of permutation matrices are.
 """
 
 import importlib.util
+import json
 import os
+import re
 import sys
 from functools import cache
 
 import pytest
 
-from ringext import bimodule, equivalences
+from ringext import bimodule, canonical, equivalences
 from ringext.algebra import AlgebraError, FDAlgebra, trivial_algebra
 from ringext.bimodule import (Bimodule, BimoduleError, InternalInconsistency,
-                              TensorProduct, _intertwining_system,
-                              _permutation_tables, generated, hom_space,
-                              is_bimodule_map, left_module,
-                              left_regular_module, right_module,
-                              right_regular_module, tensor_map, tensor_over)
+                              TensorProduct, _permutation_tables, generated,
+                              hom_space, is_bimodule_map, left_module,
+                              left_regular_module, presenting_sets,
+                              right_module, right_regular_module, tensor_map,
+                              tensor_over)
 from ringext.canonical import build_canonical_rings
 from ringext.report import analysis_report
 from ringext.linalg import (GF, QQ, Matrix, Subspace, dense, kernel,
@@ -34,9 +36,10 @@ from tests.conftest import CORPUS_NAMES, corpus_doc
 from tests.groups import (GROUP_CASES, Q8_C4, S3_C2, alternating4, case_doc,
                           group_case, group_doc, subgroup)
 from tests.helpers import dense_matrix, unrecorded
-from tests.oracles import (reference_class, reference_hom_basis,
-                           reference_is_bimodule_map, reference_presentation,
-                           reference_tensor_legs, reference_tensor_relations)
+from tests.oracles import (_intertwining_system, reference_class,
+                           reference_hom_basis, reference_is_bimodule_map,
+                           reference_presentation, reference_tensor_legs,
+                           reference_tensor_relations)
 
 
 def _algebras(cr):
@@ -426,6 +429,57 @@ def test_memo_spaces_match_the_full_basis_reference(name):
     assert cr.centralizer_space == full_basis_invariants(cr.a_reg, base)
     assert cr.tensor_space == full_basis_invariants(cr.q.module, base)
     assert cr.casimir_space == full_basis_invariants(cr.q.module, cr.a_basis)
+
+
+def _m2_over_t2(field):
+    """The corpus's M2 over its upper triangular subalgebra, over field;
+    its structure constants are all 0 or 1."""
+    doc = {**corpus_doc("m2q_t2"), "field": field}
+    return doc if field == "Q" else json.loads(
+        re.sub(r'"(-?\d+)"', r"\1", json.dumps(doc)))
+
+
+@pytest.mark.parametrize("field", ["Q", {"Fp": 3}], ids=["q", "f3"])
+def test_products_over_no_generating_set_keep_the_ambient_presentation(
+        monkeypatch, field):
+    """Every product an analysis of M2 over T2 builds whose factors record
+    no generating set over C, and on which C's generators are not all
+    permutation matrices, is presented over the left factor's unit basis:
+    its coefficient space is the ambient m (x) n in row-major order, and
+    its relations, free columns and class table are those of the ambient
+    balancing system, one intertwining block per generator of C, with each
+    class read off a dense residual."""
+    built = []
+    original = canonical.tensor_over
+
+    def recording(m, n):
+        built.append((m, n, original(m, n)))
+        return built[-1][2]
+
+    monkeypatch.setattr(canonical, "tensor_over", recording)
+    analysis_report(parse_input(_m2_over_t2(field)))
+
+    def over_no_set(m, n):
+        gens = m.right_algebra.generators()
+        return presenting_sets(m, n) == (None, None) and _permutation_tables(
+            [m.right_action[c] for c in gens]
+            + [n.left_action[c] for c in gens]) is None
+
+    ambient = [(m, n, tp) for m, n, tp in built if over_no_set(m, n)]
+    assert ambient
+    for m, n, tp in ambient:
+        f, size, gens = m.field, m.dim * n.dim, m.right_algebra.generators()
+        assert tp.presented[:2] == (
+            "left", tuple(((u, f.one),) for u in range(m.dim))), (m, n)
+        relations = Subspace.row_space(_intertwining_system(
+            f, [(n.left_action[c], m.right_action[c].transpose())
+                for c in gens], n.dim, m.dim))
+        pivots = set(relations.pivots)
+        assert tp.relations == relations, (m, n)
+        assert tp.free_cols == tuple(c for c in range(size)
+                                     if c not in pivots), (m, n)
+        assert tp._classes == [reference_class(relations, dense(f, size, (
+            (c, f.one),))) for c in range(size)], (m, n)
 
 
 # -- products and hom spaces over generating sets of several vectors ---------

@@ -107,8 +107,8 @@ def test_memo_hit_is_shared_by_a_twin_module(monkeypatch):
 def test_a_recorded_generator_keys_its_own_tensor_product(monkeypatch):
     """R as a right T-module with its recorded generating set {1_R} and
     without one gives two tensor products with T (recording none), presented
-    over T and in the ambient, of one dimension; the maps out of both are
-    one memo entry, as a generating set changes no hom space."""
+    over {1_R} and over R's unit basis, of one dimension; the maps out of
+    both are one memo entry, as a generating set changes no hom space."""
     cr = build_canonical_rings(parse_input(corpus_doc("qq8_qi")).ext)
     r_t, t = cr.cent_module_tensor, cr.tensor_ring
     plain = _twin(r_t)
@@ -119,7 +119,8 @@ def test_a_recorded_generator_keys_its_own_tensor_product(monkeypatch):
     presented = cr.tensor(r_t, t_t)
     ambient = cr.tensor(plain, t_t)
     assert len(tensors) == 2
-    assert presented.presented[0] == "left" and ambient.presented is None
+    assert presented.presented[0] == "left"
+    assert len(ambient.presented[1]) == r_t.dim
     assert presented.module.dim == ambient.module.dim == r_t.dim
     t_t = bimodule.right_regular_module(t)
     assert cr.hom(r_t, t_t) is cr.hom(plain, t_t)
