@@ -6,12 +6,13 @@
     cmp parent.json change.json
 
 Imports ringext from TREE's own src/ and takes its inputs from TREE:
-every input in corpus/, and every small-many case of seeds 1 to 3 as
-bench/workloads.py generates them.  Each input is parsed once.  After
-one warm-up pass over all of them, as the benchmark's later passes
-follow its first, one more pass counts, for each input, the opcodes of
-its analyze operation (analysis_report and report_json, as bench/run.py
-times it) and of verify_report on that report, through sys.settrace.
+every input in corpus/, and every fp-groups and small-many case of
+seeds 1 to 3 as bench/workloads.py generates them.  Each input is
+parsed once.  After one warm-up pass over all of them, as the
+benchmark's later passes follow its first, one more pass counts, for
+each input, the opcodes of its analyze operation (analysis_report and
+report_json, as bench/run.py times it) and of verify_report on that
+report, through sys.settrace.
 The counts do not depend on the machine's speed, so two trees can be
 compared where wall times drift.  Writes one sorted JSON object to
 stdout: the counts per input and their totals per group.  String hashing
@@ -54,9 +55,10 @@ def inputs(tree: str) -> list:
             out.append(("corpus", f"corpus/{entry[:-len('.json')]}",
                         json.load(fh)))
     import workloads
-    for seed in SEEDS:
-        out += [("small-many", f"small-many/{seed}/{case.name}", case.doc)
-                for case in workloads.cases("small-many", seed, tree)]
+    for group in ("fp-groups", "small-many"):
+        for seed in SEEDS:
+            out += [(group, f"{group}/{seed}/{case.name}", case.doc)
+                    for case in workloads.cases(group, seed, tree)]
     return out
 
 

@@ -3,15 +3,15 @@
 A bimodule stores one action matrix per basis element of each acting
 algebra: left actions are representations, right actions
 anti-representations (acting by x*y is R_y R_x), and the two sides
-commute.  One-sided modules use the trivial algebra on the silent side,
-so one hom/tensor engine covers left, right and genuine bimodules.  An
-action list may be an OnRead, built operator by operator on first read
-(tensor_over's outer actions are); lin_comb reads only the matrices at
-nonzero coefficients.
+commute.  One-sided modules (one_sided, regular_module, keep_side) use
+the trivial algebra on the silent side, so one hom/tensor engine covers
+left, right and genuine bimodules.  An action list may be an OnRead,
+built operator by operator on first read (tensor_over's outer actions
+are); lin_comb reads only the matrices at nonzero coefficients.
 
 tensor_over and hom_space share one presentation of a module m generated
 by vectors X over the algebra C acting on one side (its recorded
-Bimodule.generating_set; the regular constructors record the unit):
+Bimodule.generating_set; regular_bimodule and regular_module record 1):
 C^X maps onto m with kernel K, and _lifts finds in one elimination a
 lift over X of every basis vector and a basis of K, of which only
 generators of K as a one-sided submodule write rows.
@@ -205,61 +205,52 @@ def regular_bimodule(a: FDAlgebra, label: Optional[str] = None) -> Bimodule:
                     label or a.name, ("left", (sparse(a.unit),)))
 
 
-def left_module(a: FDAlgebra, dim: int, action: Sequence[Matrix],
-                label: str = "M", generating_set: Optional[tuple] = None
-                ) -> Bimodule:
-    return Bimodule(a, trivial_algebra(a.field), dim, action,
-                    [Matrix.identity(a.field, dim)], label, generating_set)
-
-
-def right_module(a: FDAlgebra, dim: int, action: Sequence[Matrix],
-                 label: str = "M", generating_set: Optional[tuple] = None
-                 ) -> Bimodule:
-    return Bimodule(trivial_algebra(a.field), a, dim,
-                    [Matrix.identity(a.field, dim)], action, label,
+def one_sided(a: FDAlgebra, side: str, dim: int, action: Sequence[Matrix],
+              label: str = "M", generating_set: Optional[tuple] = None
+              ) -> Bimodule:
+    """The module of dimension dim on which a acts on side by action, the
+    trivial algebra acting on the other side."""
+    identity = [Matrix.identity(a.field, dim)]
+    if side == "left":
+        return Bimodule(a, trivial_algebra(a.field), dim, action, identity,
+                        label, generating_set)
+    return Bimodule(trivial_algebra(a.field), a, dim, identity, action, label,
                     generating_set)
 
 
-def left_regular_module(a: FDAlgebra, label: Optional[str] = None) -> Bimodule:
+def regular_module(a: FDAlgebra, side: str, label: Optional[str] = None
+                   ) -> Bimodule:
+    """The algebra as a module over itself on side, generated by 1."""
     a._ensure_regular()
-    return left_module(a, a.dim, [a.basis_left_mult(i) for i in range(a.dim)],
-                       label or a.name, ("left", (sparse(a.unit),)))
+    mult = a.basis_left_mult if side == "left" else a.basis_right_mult
+    return one_sided(a, side, a.dim, [mult(i) for i in range(a.dim)],
+                     label or a.name, (side, (sparse(a.unit),)))
 
 
-def right_regular_module(a: FDAlgebra, label: Optional[str] = None) -> Bimodule:
-    a._ensure_regular()
-    return right_module(a, a.dim, [a.basis_right_mult(i) for i in range(a.dim)],
-                        label or a.name, ("right", (sparse(a.unit),)))
-
-
-def restrict_left(m: Bimodule, embedding, label: Optional[str] = None) -> Bimodule:
-    """Pull the left action back along an algebra embedding into m.left_algebra."""
-    if embedding.total != m.left_algebra:
-        raise BimoduleError("embedding target is not the left acting algebra")
-    iota = embedding.iota
-    return Bimodule(embedding.base, m.right_algebra, m.dim, OnRead(
-        iota.cols, lambda i: m.left_operator(iota.col(i))),
-        m.right_action, label or m.label, _kept(m, "right"))
-
-
-def restrict_right(m: Bimodule, embedding, label: Optional[str] = None) -> Bimodule:
-    if embedding.total != m.right_algebra:
-        raise BimoduleError("embedding target is not the right acting algebra")
-    iota = embedding.iota
+def restrict(m: Bimodule, embedding, side: str,
+             label: Optional[str] = None) -> Bimodule:
+    """Pull the action on side back along an algebra embedding into the
+    algebra acting there, keeping a generating set over the other side."""
+    if embedding.total != (m.left_algebra if side == "left" else m.right_algebra):
+        raise BimoduleError(f"embedding target is not the {side} acting algebra")
+    iota, label = embedding.iota, label or m.label
+    if side == "left":
+        return Bimodule(embedding.base, m.right_algebra, m.dim, OnRead(
+            iota.cols, lambda i: m.left_operator(iota.col(i))),
+            m.right_action, label, _kept(m, "right"))
     return Bimodule(m.left_algebra, embedding.base, m.dim, m.left_action,
                     OnRead(iota.cols, lambda i: m.right_operator(iota.col(i))),
-                    label or m.label, _kept(m, "left"))
+                    label, _kept(m, "left"))
 
 
-def forget_left(m: Bimodule) -> Bimodule:
-    """Keep only the right action (left becomes the trivial algebra)."""
-    return right_module(m.right_algebra, m.dim, m.right_action, m.label,
-                        _kept(m, "right"))
-
-
-def forget_right(m: Bimodule) -> Bimodule:
-    return left_module(m.left_algebra, m.dim, m.left_action, m.label,
-                       _kept(m, "left"))
+def keep_side(m: Bimodule, side: str) -> Bimodule:
+    """Keep only the action on side (the other becomes the trivial
+    algebra) and a generating set over that side."""
+    if side == "left":
+        return one_sided(m.left_algebra, side, m.dim, m.left_action, m.label,
+                         _kept(m, side))
+    return one_sided(m.right_algebra, side, m.dim, m.right_action, m.label,
+                     _kept(m, side))
 
 
 # ---------------------------------------------------------------------------
@@ -854,10 +845,7 @@ def dual_basis_witness(m: Bimodule, algebra: FDAlgebra, side: str,
     into_i: sum x_i . f_i(t) = t for a right module, f_i(t) . x_i = t for
     a left one, because each back_i is linear over the algebra.
     """
-    if side == "right":
-        return summand_witness(forget_left(m), right_regular_module(algebra),
-                               hom)
-    if side == "left":
-        return summand_witness(forget_right(m), left_regular_module(algebra),
-                               hom)
-    raise BimoduleError("side must be 'left' or 'right'")
+    if side not in ("left", "right"):
+        raise BimoduleError("side must be 'left' or 'right'")
+    return summand_witness(keep_side(m, side), regular_module(algebra, side),
+                           hom)

@@ -43,14 +43,13 @@ from .bimodule import (
     MapSpace,
     TensorProduct,
     centralizer_subspace,
-    forget_right,
     hom_space,
     invariants_subspace,
-    left_module,
+    keep_side,
+    one_sided,
     presenting_sets,
     regular_bimodule,
-    restrict_left,
-    restrict_right,
+    restrict,
     tensor_legs,
     tensor_over,
 )
@@ -130,12 +129,12 @@ class CanonicalSpaces:
         self.a_reg = regular_bimodule(a)
         self.b_reg = regular_bimodule(ext.base)
         # A as a B-B-bimodule, the hom source and target for S
-        self.restricted = restrict_right(restrict_left(self.a_reg, ext), ext,
-                                         label=f"{a.name}|B")
+        self.restricted = restrict(restrict(self.a_reg, ext, "left"), ext,
+                                   "right", label=f"{a.name}|B")
 
         # Q = A (x)_B A with its outer A-A-structure
-        self.q = self.tensor(restrict_right(self.a_reg, ext),
-                             restrict_left(self.a_reg, ext))
+        self.q = self.tensor(restrict(self.a_reg, ext, "right"),
+                             restrict(self.a_reg, ext, "left"))
         self.dim_q = self.q.module.dim
 
         # R centralizes the embedded base, T holds the base-central tensors,
@@ -288,10 +287,10 @@ class CanonicalRings(CanonicalSpaces):
                          lambda: verify(self, cert))
 
     def _build_induced(self, m: Bimodule) -> InducedModule:
-        x = self.tensor(restrict_right(self.a_reg, self.ext),
-                        restrict_left(forget_right(m), self.ext))
-        as_left_t = left_module(self.tensor_ring, x.module.dim,
-                                self.t_acting_on(x, m.left_action))
+        x = self.tensor(restrict(self.a_reg, self.ext, "right"),
+                        restrict(keep_side(m, "left"), self.ext, "left"))
+        as_left_t = one_sided(self.tensor_ring, "left", x.module.dim,
+                              self.t_acting_on(x, m.left_action))
         acts = [op.transpose().pairs for op in m.left_action]
         return InducedModule(x, as_left_t,
                              x.map_out(m.dim, lambda i, mu: acts[i][mu]))
@@ -361,8 +360,8 @@ class CanonicalRings(CanonicalSpaces):
         """Re-derive the structural identities the construction promises.
 
         Raises InternalInconsistency on any failure.  The last check, the
-        endomorphism description of the tensor square, solves for the maps
-        Q -> A in dim A * dim Q unknowns and runs on every input.
+        endomorphism description of Q, reads the maps Q -> A off orbits or
+        solves at unit vectors generating Q (hom_space), on every input.
         """
         a = self.ext.total
         R, T, S = self.centralizer, self.tensor_ring, self.endo_ring

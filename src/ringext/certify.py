@@ -41,12 +41,10 @@ from .bimodule import (
     OnRead,
     SummandWitness,
     dual_basis_witness,
-    forget_left,
     is_bimodule_map,
-    left_regular_module,
-    restrict_left,
-    restrict_right,
-    right_regular_module,
+    keep_side,
+    regular_module,
+    restrict,
     summand_witness,
 )
 from .canonical import (CanonicalRings, CanonicalSpaces, InternalInconsistency,
@@ -298,9 +296,8 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
 def d2_summand_witness(cr: CanonicalRings, side: str) -> Optional[SummandWitness]:
     """The tensor square as a summand of a finite power of the algebra,
     with the outer action forgotten down to B on the stated side."""
-    restrict = restrict_left if side == "left" else restrict_right
-    return summand_witness(restrict(cr.q.module, cr.ext),
-                           restrict(cr.a_reg, cr.ext), cr.hom)
+    return summand_witness(restrict(cr.q.module, cr.ext, side),
+                           restrict(cr.a_reg, cr.ext, side), cr.hom)
 
 
 def hsep_summand_witness(cr: CanonicalRings) -> Optional[SummandWitness]:
@@ -311,9 +308,9 @@ def hsep_summand_witness(cr: CanonicalRings) -> Optional[SummandWitness]:
 
 def base_module_projectivity(cr: CanonicalRings) -> dict:
     """Finitely generated projectivity of A over B on each side."""
-    return {side: dual_basis_witness(
-        (restrict_left if side == "left" else restrict_right)(cr.a_reg, cr.ext),
-        cr.ext.base, side, cr.hom) for side in ("left", "right")}
+    return {side: dual_basis_witness(restrict(cr.a_reg, cr.ext, side),
+                                     cr.ext.base, side, cr.hom)
+            for side in ("left", "right")}
 
 
 def endo_ring_probe(cr: CanonicalRings, right_projective: bool
@@ -329,7 +326,7 @@ def endo_ring_probe(cr: CanonicalRings, right_projective: bool
     if not right_projective:
         return None
     a = cr.ext.total
-    right_a = forget_left(restrict_right(cr.a_reg, cr.ext))
+    right_a = keep_side(restrict(cr.a_reg, cr.ext, "right"), "right")
     endos = cr.hom(right_a, right_a)
     # each action is built on its first read, from what holds no
     # reference back to cr, whose memo keeps e_bimod
@@ -341,7 +338,7 @@ def endo_ring_probe(cr: CanonicalRings, right_projective: bool
         endos, [mat @ a.left_mult_matrix(iota.col(j)) for mat in endos.basis],
         "precomposite of a one-sided endomorphism"))
     e_bimod = Bimodule(a, cr.ext.base, endos.dim, lefts, rights, label="End(A|B)")
-    a_ab = restrict_right(cr.a_reg, cr.ext)
+    a_ab = restrict(cr.a_reg, cr.ext, "right")
     return summand_witness(e_bimod, a_ab, cr.hom) is not None
 
 
@@ -358,10 +355,10 @@ def module_facts(cr: CanonicalRings) -> dict:
 
     return {
         "cent_over_tensor_ring": facts(
-            cr.cent_module_tensor, right_regular_module(cr.tensor_ring),
+            cr.cent_module_tensor, regular_module(cr.tensor_ring, "right"),
             cr.tensor_counit),
         "cent_over_endo_ring": facts(
-            cr.cent_module_endo, left_regular_module(cr.endo_ring),
+            cr.cent_module_endo, regular_module(cr.endo_ring, "left"),
             cr.endo_counit),
     }
 

@@ -58,13 +58,11 @@ from .bimodule import (
     OnRead,
     TensorProduct,
     dual_basis_witness,
-    forget_left,
-    forget_right,
     generated,
     intertwines,
-    left_module,
-    restrict_right,
-    right_module,
+    keep_side,
+    one_sided,
+    restrict,
     tensor_map,
 )
 from .canonical import (CanonicalRings, InternalInconsistency, content_key,
@@ -256,7 +254,7 @@ def _gamma(cr: CanonicalRings, m: Bimodule
     f, a = cr.field, cr.ext.total
     ind = cr.induced(m)
     x = ind.tensor
-    g = cr.tensor(cr.cent_module_tensor, forget_right(ind.as_left_t))
+    g = cr.tensor(cr.cent_module_tensor, keep_side(ind.as_left_t, "left"))
     gamma = _collapse(m, g, x, lambda u, i: a.multiply(
         unit_vec(f, a.dim, i), cr.centralizer_space.rows[u]))
     # the section xi -> 1 (x) xi from the induced module into g
@@ -290,13 +288,14 @@ def _t_as_right_r(cr: CanonicalRings) -> Bimodule:
         cr.tensor_bimodule_cent.right_action, label="T"), "right"))
 
 
-def _m_as_left_r(cr: CanonicalRings, m: Bimodule) -> Bimodule:
-    """m as a left centralizer module, recording a generating set; built
-    once per content of m."""
+def _m_over_r(cr: CanonicalRings, m: Bimodule, side: str) -> Bimodule:
+    """m as a centralizer module on side, through m's action there,
+    recording a generating set; built once per content of m and side."""
     rows = cr.centralizer_space.rows
-    return cr.once(("m as R",), lambda: generated(left_module(
-        cr.centralizer, m.dim, OnRead(
-            len(rows), lambda i: m.left_operator(rows[i]))), "left"), m)
+    operator = m.left_operator if side == "left" else m.right_operator
+    return cr.once(("m as R", side), lambda: generated(one_sided(
+        cr.centralizer, side, m.dim, OnRead(
+            len(rows), lambda i: operator(rows[i]))), side), m)
 
 
 def _pi_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
@@ -313,7 +312,7 @@ def _pi(cr: CanonicalRings, m: Bimodule
     """x = A (x)_B m, y = T (x)_R m and pi: y -> x, built once per content
     of m for gamma and the induction comparison."""
     x = cr.induced(m).tensor
-    y = cr.tensor(_t_as_right_r(cr), _m_as_left_r(cr, m))
+    y = cr.tensor(_t_as_right_r(cr), _m_over_r(cr, m, "left"))
     return x, y, cr.once(("pi",), lambda: _pi_matrix(cr, m, x, y), m)
 
 
@@ -371,7 +370,7 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
 
     if left_quasibase is not None:
         _, y, pi = _pi(cr, m)
-        w = cr.tensor(cr.cent_module_tensor, forget_right(y.module))
+        w = cr.tensor(cr.cent_module_tensor, keep_side(y.module, "left"))
         # the unconditional collapse r (x) (t (x) v) -> (r.t).v, where r.t
         # is the right tensor-ring action on the centralizer (a sandwich)
         delta = _collapse(m, w, y, lambda u, ti: cr.r_lift(
@@ -391,7 +390,7 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
         if back is None:
             back, route = through, "left-quasibase-collapse"
 
-    m1 = forget_right(m)
+    m1 = keep_side(m, "left")
     return _comparison("gamma", gamma, f"R(x)T[A(x)B[{m.label}]]", m.label,
                        checks, cr.hom(m1, m1),
                        lambda e: (g.second_leg(x.second_leg(e)), e),
@@ -497,7 +496,7 @@ def _induction_comparison(cr: CanonicalRings, m: Bimodule,
                 pi, back, "a verified left quasibase must invert the "
                 "induced-module comparison map")
 
-        m1 = forget_right(m)
+        m1 = keep_side(m, "left")
         return _comparison("", pi, "", "", checks, cr.hom(m1, m1),
                            lambda e: (y.second_leg(e), x.second_leg(e)),
                            back, "left-quasibase",
@@ -520,9 +519,9 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     """
     f, ext = cr.field, cr.ext
     s_basis = cr.endo_space.basis
-    s_left_r = left_module(cr.centralizer, cr.endo_ring.dim,
-                           cr.endo_bimodule_cent.left_action)
-    homsp = cr.hom(s_left_r, _m_as_left_r(cr, m))
+    s_left_r = one_sided(cr.centralizer, "left", cr.endo_ring.dim,
+                         cr.endo_bimodule_cent.left_action)
+    homsp = cr.hom(s_left_r, _m_over_r(cr, m, "left"))
 
     @cache
     def values_at(i: int) -> list[Matrix]:
@@ -555,7 +554,7 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
             fwd, back, "a verified left quasibase must invert the "
             "coinduction comparison map")
 
-    m1 = forget_right(m)
+    m1 = keep_side(m, "left")
     return _comparison("coinduction", fwd, f"A(x)B[{m.label}]",
                        f"HomR(S,{m.label})", checks, cr.hom(m1, m1),
                        lambda e: (x.second_leg(e),
@@ -572,7 +571,7 @@ def _precomposition_module(hs: MapSpace, ring: FDAlgebra,
     """hs as a right module over a ring of endomorphisms of its source,
     the basis element endos[j] acting by precomposition (built on first
     read), recording a generating set."""
-    return generated(right_module(ring, hs.dim, OnRead(
+    return generated(one_sided(ring, "right", hs.dim, OnRead(
         len(endos), lambda j: _on_hom(hs, lambda h: h @ endos[j]))), "right")
 
 
@@ -581,7 +580,7 @@ def _hom_from_total(cr: CanonicalRings, target: Bimodule
     """Base-linear maps from the right-restricted total algebra to a right
     module over the base, as a right module over the endo ring through
     argument precomposition."""
-    hs = cr.hom(forget_left(restrict_right(cr.a_reg, cr.ext)), target)
+    hs = cr.hom(keep_side(restrict(cr.a_reg, cr.ext, "right"), "right"), target)
     return hs, _precomposition_module(hs, cr.endo_ring, cr.endo_space.basis)
 
 
@@ -607,11 +606,9 @@ def _chi(cr: CanonicalRings, m: Bimodule,
     f, a = cr.field, cr.ext.total
 
     def build() -> tuple:
-        hs, h_mod = _hom_from_total(cr, restrict_right(forget_left(m), cr.ext))
-        rows = cr.centralizer_space.rows
-        m_right_r = generated(right_module(cr.centralizer, m.dim, OnRead(
-            len(rows), lambda i: m.right_operator(rows[i]))), "right")
-        dom = cr.tensor(m_right_r, _endo_as_r_s(cr))
+        hs, h_mod = _hom_from_total(
+            cr, restrict(keep_side(m, "right"), cr.ext, "right"))
+        dom = cr.tensor(_m_over_r(cr, m, "right"), _endo_as_r_s(cr))
         values_of = cache(lambda b: [
             m.right_operator(cr.endo_space.basis[b].col(k)).transpose()
             for k in range(a.dim)])
@@ -649,7 +646,7 @@ def chi_M(cr: CanonicalRings, m: Bimodule,
     if back is not None:
         checks["quasibase_inverse"] = True
 
-    m1 = forget_left(m)
+    m1 = keep_side(m, "right")
     return _comparison("chi", fwd, f"{m.label}(x)R[S]", f"Hom(A,{m.label})",
                        checks, cr.hom(m1, m1),
                        lambda e: (dom.first_leg(e),
@@ -679,7 +676,7 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
     """
     _require_module(m, "right", cr.ext.total)
     _check_left_quasibase(cr, left_quasibase, "chi certification")
-    f, m1 = cr.field, forget_left(m)
+    f, m1 = cr.field, keep_side(m, "right")
     hs, h_mod, chi_dom, chi_fwd, chi_back = _chi(cr, m, left_quasibase)
     dom, fwd = _counit(cr, hs, h_mod)
 
@@ -722,7 +719,7 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
         raise BimoduleError(
             "conditional expectation certificate failed verification")
     f, a, b = cr.field, cr.ext.total, cr.ext.base
-    n_one = forget_left(n)
+    n_one = keep_side(n, "right")
     hs, h_mod = _hom_from_total(cr, n_one)
     dom, fwd = _counit(cr, hs, h_mod)
 
@@ -769,7 +766,7 @@ def evaluation_map(cr: CanonicalRings, m: Bimodule, n: Bimodule
     module are built once per module content, so the tensor's key
     repeats.
     """
-    m1, n1 = forget_left(m), forget_left(n)
+    m1, n1 = keep_side(m, "right"), keep_side(n, "right")
     if m1.right_algebra != n1.right_algebra:
         raise BimoduleError("evaluation needs two right modules over one ring")
     end_space = cr.hom(m1, m1)

@@ -119,14 +119,6 @@ class RationalField:
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise LinalgError(f"bad rational scalar {value!r}: {exc}") from None
 
-    def add(self, a, b):
-        v = a + b
-        return v if type(v) is int else _int_if_whole(v)
-
-    def sub(self, a, b):
-        v = a - b
-        return v if type(v) is int else _int_if_whole(v)
-
     def mul(self, a, b):
         v = a * b
         return v if type(v) is int else _int_if_whole(v)
@@ -196,12 +188,6 @@ class PrimeField:
         if not isinstance(value, int):
             raise LinalgError(f"bad {self.name} scalar {value!r}")
         return value % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__, certify, serialize
-from .bimodule import right_regular_module
+from .bimodule import regular_module
 from .canonical import CanonicalRings, CanonicalSpaces, build_canonical_rings
 from .certify import Classification, classify
 from .equivalences import (VerifiedIso, centralizer_projectivity, chi_M,
@@ -127,7 +127,7 @@ def module_block(cr: CanonicalRings, cls: Classification, m) -> dict:
 def equivalence_block(cr: CanonicalRings, cls: Classification,
                       modules) -> dict:
     lqb = cls.left_quasibase
-    a_right = right_regular_module(cr.ext.total)
+    a_right = regular_module(cr.ext.total, "right")
     out = {
         "regular": module_block(cr, cls, cr.a_reg),
         "base_change_of_total": _iso_block(pi_A_iso(cr, left_quasibase=lqb)),

@@ -19,7 +19,7 @@ from .linalg import GF, QQ, Field, LinalgError, Matrix, PrimeField
 from .algebra import (AlgebraError, Extension, FDAlgebra, GroupData,
                       group_algebra, self_extension, subalgebra_extension,
                       trivial_algebra)
-from .bimodule import Bimodule, BimoduleError, left_module, right_module
+from .bimodule import Bimodule, BimoduleError, one_sided
 from .certify import (D2Certificate, HSepCertificate, HSepPair,
                       QuasibasePair, SeparabilityCertificate, SplitCertificate)
 from .normality import Ideal, ideal_closure
@@ -172,9 +172,9 @@ def parse_module(a: FDAlgebra, spec: dict, loc: str) -> Bimodule:
     if left is not None and right is not None:
         m = Bimodule(a, a, dim, left, right, label=label)
     elif left is not None:
-        m = left_module(a, dim, left, label=label)
+        m = one_sided(a, "left", dim, left, label=label)
     else:
-        m = right_module(a, dim, right, label=label)
+        m = one_sided(a, "right", dim, right, label=label)
     try:
         m.validate()
     except BimoduleError as exc:

@@ -32,7 +32,7 @@ def residual(space: Subspace, v) -> list:
     entries at the pivots as its coordinates."""
     f = space.field
     proj = space.element([v[pc] for pc in space.pivots])
-    return [f.sub(x, y) for x, y in zip(v, proj)]
+    return [f.of(x - y) for x, y in zip(v, proj)]
 
 
 def center(a: FDAlgebra) -> Subspace:

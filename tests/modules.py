@@ -9,7 +9,7 @@ import random
 from typing import Optional
 
 from ringext.algebra import FDAlgebra
-from ringext.bimodule import Bimodule, BimoduleError, left_module, right_module
+from ringext.bimodule import Bimodule, BimoduleError, one_sided
 from ringext.linalg import Field, Matrix, PrimeField, Subspace, sparse, unit_vec
 
 
@@ -51,13 +51,9 @@ def free_module(a: FDAlgebra, side: str, rank: int) -> Bimodule:
             [(b * a.dim + j, x) for j, x in row]
             for b in range(rank) for row in op.pairs])
 
-    if side == "left":
-        return left_module(a, dim, [blocks(a.basis_left_mult(i))
-                                    for i in range(a.dim)],
-                           label=f"{a.name}^{rank}")
-    return right_module(a, dim, [blocks(a.basis_right_mult(i))
-                                 for i in range(a.dim)],
-                        label=f"{a.name}^{rank}")
+    mult = a.basis_left_mult if side == "left" else a.basis_right_mult
+    return one_sided(a, side, dim, [blocks(mult(i)) for i in range(a.dim)],
+                     label=f"{a.name}^{rank}")
 
 
 def random_cyclic_module(a: FDAlgebra, side: str, ambient_rank: int,

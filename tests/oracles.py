@@ -312,8 +312,8 @@ def kron(a, b):
             c = a.data[i][k]
             for j in range(b.rows):
                 for l, s in enumerate(b.data[j]):
-                    out[i * b.rows + j][k * b.cols + l] = f.add(
-                        out[i * b.rows + j][k * b.cols + l], f.mul(c, s))
+                    out[i * b.rows + j][k * b.cols + l] = f.of(
+                        out[i * b.rows + j][k * b.cols + l] + f.mul(c, s))
     return dense_matrix(f, out, a.cols * b.cols)
 
 
@@ -411,7 +411,7 @@ def reference_tensor_legs(src, terms, dst=None):
                 for r, a in lcols[u]:
                     ca, base = f.mul(f.mul(c, f.mul(xu, yv)), a), r * dn
                     for k, b in rcols[v]:
-                        w[base + k] = f.add(w[base + k], f.mul(ca, b))
+                        w[base + k] = f.of(w[base + k] + f.mul(ca, b))
         reduced = residual(dst.relations, w)
         cols.append(tuple((k, reduced[c]) for k, c in enumerate(dst.free_cols)
                           if reduced[c]))

@@ -7,8 +7,8 @@ The corpus lives in corpus/*.json with stored reports in corpus/expected/.
 
 import json
 
-from ringext.bimodule import dual_basis_witness, forget_left, forget_right, \
-    hom_space, summand_witness, right_regular_module
+from ringext.bimodule import dual_basis_witness, hom_space, keep_side, \
+    regular_module, summand_witness
 from ringext.canonical import CanonicalSpaces
 from ringext.certify import (D2Certificate, QuasibasePair, d2_summand_witness,
                              hsep_summand_witness, module_facts, verify_d2,
@@ -146,15 +146,15 @@ def test_criterion_4_equivalence_suite(built):
                 Matrix.identity(f, iso.codomain_dim)
             assert iso.backward @ iso.forward == \
                 Matrix.identity(f, iso.domain_dim)
-            assert iso.naturality_samples == end_dim(b.cr, forget_right(m))
+            assert iso.naturality_samples == end_dim(b.cr, keep_side(m, "left"))
             assert iso.checks["naturality"]
 
     # the comparison maps on every left depth-two extension
     for name in LEFT_D2:
         b = built(name)
         lqb = b.cls.left_quasibase
-        a_left = end_dim(b.cr, forget_right(b.cr.a_reg))
-        a_right = end_dim(b.cr, forget_left(b.cr.a_reg))
+        a_left = end_dim(b.cr, keep_side(b.cr.a_reg, "left"))
+        a_right = end_dim(b.cr, keep_side(b.cr.a_reg, "right"))
         fi = functor_iso_checks(b.cr, b.cr.a_reg, left_quasibase=lqb)
         for key in ("induction", "coinduction"):
             assert fi[key].status == "verified", (name, key)
@@ -177,7 +177,7 @@ def test_criterion_5_progenerator_tracks_hseparability(built):
     m2 = built("m2q_q")
     assert dual_basis_witness(m2.cr.cent_module_tensor, m2.cr.tensor_ring,
                               "right", hom_space) is not None
-    t_reg = right_regular_module(m2.cr.tensor_ring)
+    t_reg = regular_module(m2.cr.tensor_ring, "right")
     assert summand_witness(t_reg, m2.cr.cent_module_tensor,
                            hom_space) is not None
 

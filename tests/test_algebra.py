@@ -253,7 +253,7 @@ def test_mult_matrix_linearity(data):
     pick = lambda: [QQ.of(data.draw(rat)) for _ in range(4)]
     x, y = pick(), pick()
     s = data.draw(rat)
-    scaled = [QQ.add(a_, QQ.mul(QQ.of(s), b_)) for a_, b_ in zip(x, y)]
+    scaled = [QQ.of(a_ + QQ.mul(QQ.of(s), b_)) for a_, b_ in zip(x, y)]
     lhs = a.left_mult_matrix(scaled)
     rhs = a.left_mult_matrix(x) + scale(a.left_mult_matrix(y), QQ.of(s))
     assert lhs == rhs
@@ -304,10 +304,10 @@ def test_validation_matches_the_dense_loops(data):
         if kind == "table":
             v = mult[data.draw(index)][data.draw(index)]
             k = data.draw(index)
-            v[k] = field.add(v[k], field.one)
+            v[k] = field.of(v[k] + field.one)
         elif kind == "unit":
             k = data.draw(index)
-            unit[k] = field.add(unit[k], field.one)
+            unit[k] = field.of(unit[k] + field.one)
     want = reference_validation_fault(field, n, mult, unit)
     assert validation_fault(field, n, mult, unit) == want
     if kind == "valid":

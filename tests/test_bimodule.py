@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from ringext.algebra import (group_algebra, self_extension,
                              subalgebra_extension, trivial_algebra)
 from ringext.bimodule import (Bimodule, BimoduleError, centralizer_subspace,
-                              dual_basis_witness, forget_left,
-                              forget_right, hom_space, intertwines,
-                              invariants_subspace, left_module, left_regular_module,
-                              regular_bimodule, restrict_left, restrict_right,
-                              right_module,
-                              right_regular_module, summand_witness,
-                              tensor_legs, tensor_map, tensor_over)
+                              dual_basis_witness, generated, hom_space,
+                              intertwines, invariants_subspace, keep_side,
+                              one_sided, regular_bimodule, regular_module,
+                              restrict, summand_witness, tensor_legs,
+                              tensor_map, tensor_over)
 from ringext.linalg import GF, QQ, Matrix, dense, sparse, unit_vec, vec_sum
 from ringext.serialize import parse_input
 from tests.conftest import CORPUS_NAMES, corpus_doc
@@ -82,7 +80,7 @@ def test_bimodule_validation_rejects_nonmodule():
 def test_restriction_along_embedding():
     ext = s3_over_a3()
     m = regular_bimodule(ext.total)
-    res = restrict_left(restrict_right(m, ext), ext)
+    res = restrict(restrict(m, ext, "right"), ext, "left")
     assert res.left_algebra == ext.base
     assert res.dim == 6
     x = unit_vec(QQ, 3, 1)
@@ -92,7 +90,7 @@ def test_restriction_along_embedding():
 def test_forget_and_direct_sum():
     a = group_algebra(QQ, cyclic(3))
     m = regular_bimodule(a)
-    lm = forget_right(m)
+    lm = keep_side(m, "left")
     assert lm.right_algebra is trivial_algebra(QQ)
     s = direct_sum(m, m)
     assert s.dim == 6
@@ -100,6 +98,69 @@ def test_forget_and_direct_sum():
     top = act_left(s, unit_vec(QQ, 3, 1), v)
     assert top[:3] == [QQ.zero] * 3
     assert top[3:] == act_left(m, unit_vec(QQ, 3, 1), unit_vec(QQ, 3, 1))
+
+
+def _sided_extension(case):
+    """M2 over Q with its upper triangular T2 (non-commutative, so the two
+    sides differ) or S3 over F_5 with A3."""
+    if case == "m2q_t2":
+        return subalgebra_extension(matrix_algebra(QQ, 2), basis=[
+            unit_vec(QQ, 4, i) for i in (0, 1, 3)])
+    return subalgebra_extension(group_algebra(GF(5), sym3()),
+                                subgroup=[0, 3, 4])
+
+
+def _assert_same_module(m, want):
+    assert m.left_algebra is want.left_algebra
+    assert m.right_algebra is want.right_algebra
+    assert m.dim == want.dim and m.label == want.label
+    assert list(m.left_action) == list(want.left_action)
+    assert list(m.right_action) == list(want.right_action)
+    assert m.generating_set == want.generating_set
+
+
+@pytest.mark.parametrize("case", ["m2q_t2", "s3_f5"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_sided_constructors_equal_the_bimodules_they_stand_for(side, case):
+    """one_sided, regular_module, restrict and keep_side each equal the
+    explicit Bimodule they stand for; restrict keeps a generating set over
+    the untouched side and drops one over the changed side, keep_side
+    the reverse, and a wrong embedding target is refused by side."""
+    ext = _sided_extension(case)
+    a, b, iota = ext.total, ext.base, ext.iota
+    f, k, left = a.field, trivial_algebra(a.field), side == "left"
+    other = "right" if left else "left"
+    eye = [Matrix.identity(f, a.dim)]
+    mults = [(a.basis_left_mult if left else a.basis_right_mult)(i)
+             for i in range(a.dim)]
+    unit = (side, (sparse(a.unit),))
+
+    def sided(acting, action, label, gs):
+        return (Bimodule(acting, k, a.dim, action, eye, label, gs) if left
+                else Bimodule(k, acting, a.dim, eye, action, label, gs))
+
+    _assert_same_module(one_sided(a, side, a.dim, mults, "N", unit),
+                        sided(a, mults, "N", unit))
+    _assert_same_module(regular_module(a, side), sided(a, mults, a.name, unit))
+    _assert_same_module(regular_module(a, side, label="R"),
+                        sided(a, mults, "R", unit))
+
+    reg = regular_bimodule(a)
+    pulled = [(reg.left_operator if left else reg.right_operator)(iota.col(i))
+              for i in range(iota.cols)]
+    for gs_side in (side, other):
+        m = generated(reg, gs_side)
+        over_other = m.generating_set if gs_side == other else None
+        over_side = m.generating_set if gs_side == side else None
+        want = (Bimodule(b, a, a.dim, pulled, m.right_action, "A|B", over_other)
+                if left else
+                Bimodule(a, b, a.dim, m.left_action, pulled, "A|B", over_other))
+        _assert_same_module(restrict(m, ext, side, label="A|B"), want)
+        _assert_same_module(keep_side(m, side), sided(
+            a, m.left_action if left else m.right_action, m.label, over_side))
+
+    with pytest.raises(BimoduleError, match=f"not the {side} acting algebra"):
+        restrict(regular_bimodule(b), ext, side)
 
 
 # -- tensor products ---------------------------------------------------------
@@ -119,8 +180,8 @@ def test_tensor_over_total_algebra_collapses():
 def test_tensor_over_base_dimension():
     ext = s3_over_a3()
     m = regular_bimodule(ext.total)
-    mid = restrict_right(m, ext)
-    nid = restrict_left(m, ext)
+    mid = restrict(m, ext, "right")
+    nid = restrict(m, ext, "left")
     t = tensor_over(mid, nid)
     # |S3| * |S3| / |A3| = 12
     assert t.module.dim == 12
@@ -128,8 +189,8 @@ def test_tensor_over_base_dimension():
 
 def test_tensor_over_scalars_is_full_outer_product():
     a = matrix_algebra(QQ, 2)
-    m = forget_right(regular_bimodule(a))
-    n = forget_left(regular_bimodule(a))
+    m = keep_side(regular_bimodule(a), "left")
+    n = keep_side(regular_bimodule(a), "right")
     t = tensor_over(m, n)
     assert t.module.dim == 16
 
@@ -137,8 +198,8 @@ def test_tensor_over_scalars_is_full_outer_product():
 def test_tensor_balancing_relation():
     ext = s3_over_a3()
     a = ext.total
-    m = restrict_right(regular_bimodule(a), ext)
-    n = restrict_left(regular_bimodule(a), ext)
+    m = restrict(regular_bimodule(a), ext, "right")
+    n = restrict(regular_bimodule(a), ext, "left")
     t = tensor_over(m, n)
     b = ext.iota.apply(unit_vec(QQ, 3, 1))
     x, y = unit_vec(QQ, 6, 2), unit_vec(QQ, 6, 5)
@@ -160,8 +221,8 @@ def test_tensor_map_checks_every_relation():
     among the relations but the ninth, e_2 (x) e_3.  g is not k^4-linear,
     and the leg check refuses it on this ambient source too."""
     d = diagonal_algebra(QQ, 4)
-    t = tensor_over(unrecorded(right_regular_module(d)),
-                    unrecorded(left_regular_module(d)))
+    t = tensor_over(unrecorded(regular_module(d, "right")),
+                    unrecorded(regular_module(d, "left")))
     ident = Matrix.identity(QQ, 4)
     g = ident + Matrix.from_pairs(QQ, 4, 4, [(), (), [(3, 1)], ()])
     broken = [i for i, row in enumerate(t.relations.basis.pairs) if not
@@ -191,18 +252,18 @@ def tensor_cases(field):
                                          for i in (0, 1, 3)])
     m2_reg = regular_bimodule(m2)
     return [(label, unrecorded(m), unrecorded(n)) for label, m, n in [
-        ("square_over_subgroup", restrict_right(reg, ext),
-         restrict_left(reg, ext)),
+        ("square_over_subgroup", restrict(reg, ext, "right"),
+         restrict(reg, ext, "left")),
         ("over_total", reg, reg),
-        ("over_scalars", forget_right(reg), forget_left(reg)),
-        ("matrix_square_over_t2", restrict_right(m2_reg, t2),
-         restrict_left(m2_reg, t2)),
+        ("over_scalars", keep_side(reg, "left"), keep_side(reg, "right")),
+        ("matrix_square_over_t2", restrict(m2_reg, t2, "right"),
+         restrict(m2_reg, t2, "left")),
         ("cyclic", cyc_r, cyc_l),
-        ("cyclic_over_subgroup", restrict_right(cyc_r, ext),
-         restrict_left(cyc_l, ext)),
-        ("cyclic_against_regular", cyc_r, forget_right(reg)),
+        ("cyclic_over_subgroup", restrict(cyc_r, ext, "right"),
+         restrict(cyc_l, ext, "left")),
+        ("cyclic_against_regular", cyc_r, keep_side(reg, "left")),
         ("matrix_cyclic", random_cyclic_module(m2, "right", 2, seed=11),
-         forget_right(m2_reg)),
+         keep_side(m2_reg, "left")),
     ]]
 
 
@@ -217,7 +278,7 @@ def test_tensor_relations_match_dense_reference(field):
 def test_tensor_square_relations_match_dense_reference(name):
     ext = parse_input(corpus_doc(name)).ext
     reg = regular_bimodule(ext.total)
-    m, n = restrict_right(reg, ext), restrict_left(reg, ext)
+    m, n = restrict(reg, ext, "right"), restrict(reg, ext, "left")
     assert tensor_over(m, n).relations == reference_tensor_relations(m, n)
 
 
@@ -261,7 +322,8 @@ def _zero_quotient(field):
     pure tensor is a relation, so the quotient is zero."""
     d = diagonal_algebra(field, 2)
     one, zero = Matrix.identity(field, 1), Matrix.zeros(field, 1, 1)
-    m, n = right_module(d, 1, [one, zero]), left_module(d, 1, [zero, one])
+    m = one_sided(d, "right", 1, [one, zero])
+    n = one_sided(d, "left", 1, [zero, one])
     m.validate()
     n.validate()
     return tensor_over(m, n)
@@ -364,7 +426,7 @@ def hom_cases(field):
     a = group_algebra(field, sym3())
     ext = subalgebra_extension(a, subgroup=[0, 3, 4])
     reg = regular_bimodule(a)
-    res = restrict_right(restrict_left(reg, ext), ext)
+    res = restrict(restrict(reg, ext, "left"), ext, "right")
     cyc_l = random_cyclic_module(a, "left", 2, seed=3)
     cyc_r = random_cyclic_module(a, "right", 2, seed=5)
     m2 = matrix_algebra(field, 2)
@@ -375,17 +437,17 @@ def hom_cases(field):
         ("regular", reg, reg),
         ("restricted", res, res),
         ("restricted_to_base", res, regular_bimodule(ext.base)),
-        ("left_regular_to_cyclic", left_regular_module(a), cyc_l),
-        ("cyclic_to_left_regular", cyc_l, left_regular_module(a)),
+        ("left_regular_to_cyclic", regular_module(a, "left"), cyc_l),
+        ("cyclic_to_left_regular", cyc_l, regular_module(a, "left")),
         ("cyclic_left", cyc_l, random_cyclic_module(a, "left", 1, seed=7)),
-        ("cyclic_right", cyc_r, right_regular_module(a)),
-        ("one_sided_base", forget_left(restrict_right(reg, ext)),
-         right_regular_module(ext.base)),
+        ("cyclic_right", cyc_r, regular_module(a, "right")),
+        ("one_sided_base", keep_side(restrict(reg, ext, "right"), "right"),
+         regular_module(ext.base, "right")),
         ("matrix_regular", m2_reg, m2_reg),
-        ("matrix_restricted", restrict_left(m2_reg, t2),
-         restrict_left(m2_reg, t2)),
+        ("matrix_restricted", restrict(m2_reg, t2, "left"),
+         restrict(m2_reg, t2, "left")),
         ("matrix_cyclic", random_cyclic_module(m2, "right", 2, seed=11),
-         right_regular_module(m2)),
+         regular_module(m2, "right")),
     ]
 
 
@@ -418,7 +480,7 @@ def test_centralizer_subspace_matches_invariants():
 
 def test_summand_witness_of_row_module_in_regular():
     a = matrix_algebra(QQ, 2)
-    reg = right_regular_module(a)
+    reg = regular_module(a, "right")
     # right module of length-2 row vectors under matrix multiplication
     acts = [dense_matrix(QQ, [[QQ.of(x) for x in r] for r in rows])
             for rows in ([[1, 0], [0, 0]], [[0, 0], [1, 0]],
@@ -445,7 +507,7 @@ def test_summand_witness_negative():
 
 def test_dual_basis_witness_regular_module():
     a = group_algebra(QQ, sym3())
-    m = right_regular_module(a)
+    m = regular_module(a, "right")
     w = dual_basis_witness(m, a, "right", hom_space)
     assert w is not None and w.verify()
 
@@ -488,8 +550,8 @@ def test_pure_tensor_bilinear(data):
     pick = lambda: [QQ.of(data.draw(rat)) for _ in range(3)]
     x1, x2, y = pick(), pick(), pick()
     s = QQ.of(data.draw(rat))
-    xs = [QQ.add(u, QQ.mul(s, v)) for u, v in zip(x1, x2)]
+    xs = [QQ.of(u + QQ.mul(s, v)) for u, v in zip(x1, x2)]
     lhs = dense(QQ, t.module.dim, t.pure(xs, y))
     r1, r2 = (dense(QQ, t.module.dim, t.pure(x, y)) for x in (x1, x2))
-    rhs = [QQ.add(u, QQ.mul(s, v)) for u, v in zip(r1, r2)]
+    rhs = [QQ.of(u + QQ.mul(s, v)) for u, v in zip(r1, r2)]
     assert lhs == rhs

@@ -7,8 +7,8 @@ from dataclasses import replace
 import pytest
 
 from ringext import algebra, bimodule, equivalences
-from ringext.bimodule import (BimoduleError, forget_left, forget_right,
-                              hom_space, intertwines, right_regular_module)
+from ringext.bimodule import (BimoduleError, hom_space, intertwines,
+                              keep_side, regular_module)
 from ringext.canonical import build_canonical_rings
 from ringext.certify import verify_d2, verify_separability, verify_split
 from ringext.equivalences import (_comparison, centralizer_projectivity,
@@ -46,7 +46,7 @@ def _assert_verified_with_inverse(iso, endos: int):
 def test_gamma_separability_route(built):
     b = built("qc2_q")
     iso = gamma_M(b.cr, b.cr.a_reg, separability=b.cls.separability_element)
-    _assert_verified_with_inverse(iso, end_dim(b.cr, forget_right(b.cr.a_reg)))
+    _assert_verified_with_inverse(iso, end_dim(b.cr, keep_side(b.cr.a_reg, "left")))
     assert iso.route == "separability-element"
     assert iso.checks["separability_inverse"]
 
@@ -55,7 +55,7 @@ def test_gamma_quasibase_route_without_separability(built):
     # char 2 kills separability but the quasibase collapse still certifies
     b = built("f2c2_f2")
     iso = gamma_M(b.cr, b.cr.a_reg, left_quasibase=b.cls.left_quasibase)
-    _assert_verified_with_inverse(iso, end_dim(b.cr, forget_right(b.cr.a_reg)))
+    _assert_verified_with_inverse(iso, end_dim(b.cr, keep_side(b.cr.a_reg, "left")))
     assert iso.route == "left-quasibase-collapse"
     assert iso.checks["factors_through_collapse"]
 
@@ -71,7 +71,7 @@ def test_gamma_on_random_cyclic_module(built):
     b = built("qs3_qa3")
     m = random_cyclic_module(b.cr.ext.total, "left", 2, seed=17)
     iso = gamma_M(b.cr, m, separability=b.cls.separability_element)
-    _assert_verified_with_inverse(iso, end_dim(b.cr, forget_right(m)))
+    _assert_verified_with_inverse(iso, end_dim(b.cr, keep_side(m, "left")))
 
 
 def test_triangle_identity_needs_no_hypotheses(built):
@@ -86,7 +86,7 @@ def test_functor_isos_verified_under_quasibase(built):
     b = built("qc2_q")
     fi = functor_iso_checks(b.cr, b.cr.a_reg,
                             left_quasibase=b.cls.left_quasibase)
-    endos = end_dim(b.cr, forget_right(b.cr.a_reg))
+    endos = end_dim(b.cr, keep_side(b.cr.a_reg, "left"))
     _assert_verified_with_inverse(fi["induction"], endos)
     _assert_verified_with_inverse(fi["coinduction"], endos)
     assert fi["induction"].route == "left-quasibase"
@@ -98,7 +98,7 @@ def test_functor_isos_verified_under_quasibase(built):
 def test_pi_a_verified_under_quasibase(built):
     b = built("qs3_qa3")
     iso = pi_A_iso(b.cr, left_quasibase=b.cls.left_quasibase)
-    _assert_verified_with_inverse(iso, end_dim(b.cr, forget_right(b.cr.a_reg)))
+    _assert_verified_with_inverse(iso, end_dim(b.cr, keep_side(b.cr.a_reg, "left")))
 
 
 def test_comparisons_fail_without_depth_two(built):
@@ -119,7 +119,7 @@ def test_comparisons_fail_without_depth_two(built):
 
 def test_chi_and_rho_verified(built):
     b = built("qc2_q")
-    endos = end_dim(b.cr, forget_left(b.cr.a_reg))
+    endos = end_dim(b.cr, keep_side(b.cr.a_reg, "right"))
     chi = chi_M(b.cr, b.cr.a_reg, left_quasibase=b.cls.left_quasibase)
     _assert_verified_with_inverse(chi, endos)
     assert chi.route == "left-quasibase"
@@ -139,7 +139,7 @@ def test_rho_bijective_without_certificate(built):
 def test_chi_rho_on_user_style_right_module(built):
     b = built("m2q_q")
     m = random_cyclic_module(b.cr.ext.total, "right", 2, seed=23)
-    endos = end_dim(b.cr, forget_left(m))
+    endos = end_dim(b.cr, keep_side(m, "right"))
     chi = chi_M(b.cr, m, left_quasibase=b.cls.left_quasibase)
     _assert_verified_with_inverse(chi, endos)
     rho = rho_M(b.cr, m, left_quasibase=b.cls.left_quasibase)
@@ -149,7 +149,7 @@ def test_chi_rho_on_user_style_right_module(built):
 def test_split_counit_route(built):
     b = built("qc2_q")
     iso = split_counit(b.cr, b.cr.b_reg, split=b.cls.conditional_expectation)
-    _assert_verified_with_inverse(iso, end_dim(b.cr, forget_left(b.cr.b_reg)))
+    _assert_verified_with_inverse(iso, end_dim(b.cr, keep_side(b.cr.b_reg, "right")))
     assert iso.route == "conditional-expectation"
 
 
@@ -168,7 +168,7 @@ def test_split_counit_every_split_extension(built):
 def test_evaluation_regular_module(built):
     cr = built("qs3_qa3").cr
     a = cr.ext.total
-    reg = right_regular_module(a)
+    reg = regular_module(a, "right")
     iso = evaluation_map(cr, reg, reg)
     assert iso.status == "bijective"
     assert iso.checks["ring_linear"]
@@ -184,8 +184,8 @@ def test_naturality_checked_on_a_basis_of_every_endomorphism_space(built,
     b = built(name)
     cr, cls = b.cr, b.cls
     lqb = cls.left_quasibase
-    a_left, a_right = forget_right(cr.a_reg), forget_left(cr.a_reg)
-    reg = right_regular_module(cr.ext.total)
+    a_left, a_right = keep_side(cr.a_reg, "left"), keep_side(cr.a_reg, "right")
+    reg = regular_module(cr.ext.total, "right")
     fi = functor_iso_checks(cr, cr.a_reg, left_quasibase=lqb)
     comparisons = [
         (gamma_M(cr, cr.a_reg, separability=cls.separability_element,
@@ -196,7 +196,7 @@ def test_naturality_checked_on_a_basis_of_every_endomorphism_space(built,
         (chi_M(cr, cr.a_reg, left_quasibase=lqb), a_right),
         (rho_M(cr, cr.a_reg, left_quasibase=lqb), a_right),
         (split_counit(cr, cr.b_reg, split=cls.conditional_expectation),
-         forget_left(cr.b_reg)),
+         keep_side(cr.b_reg, "right")),
         (evaluation_map(cr, reg, reg), reg),
     ]
     for iso, m in comparisons:
@@ -207,7 +207,7 @@ def test_naturality_checked_on_a_basis_of_every_endomorphism_space(built,
 def test_naturality_fails_when_one_basis_endomorphism_does_not_commute(built):
     cr = built("qc2_q").cr
     f = cr.field
-    reg = right_regular_module(cr.ext.total)
+    reg = regular_module(cr.ext.total, "right")
     endos = cr.hom(reg, reg)
     assert endos.dim == 2
     # a coordinate projection commutes with the identity of the group
@@ -373,7 +373,7 @@ def _right_quasibase(b):
 def _altered_quasibase(b):
     qb, f = b.cls.left_quasibase, b.cr.field
     first = qb.pairs[0]
-    tensor = [f.add(first.tensor[0], f.one)] + list(first.tensor[1:])
+    tensor = [f.of(first.tensor[0] + f.one)] + list(first.tensor[1:])
     bad = replace(qb, pairs=[replace(first, tensor=tensor)] + qb.pairs[1:])
     assert not verify_d2(b.cr, bad)
     return {"left_quasibase": bad}
@@ -381,7 +381,7 @@ def _altered_quasibase(b):
 
 def _altered_separability(b):
     cert, f = b.cls.separability_element, b.cr.field
-    element = [f.add(cert.element[0], f.one)] + list(cert.element[1:])
+    element = [f.of(cert.element[0] + f.one)] + list(cert.element[1:])
     bad = replace(cert, element=element)
     assert not verify_separability(b.cr, bad)
     return {"separability": bad}
@@ -391,7 +391,7 @@ def _altered_expectation(b):
     cert, f = b.cls.conditional_expectation, b.cr.field
     e = cert.expectation
     data = [row[:] for row in e.data]
-    data[0][0] = f.add(data[0][0], f.one)
+    data[0][0] = f.of(data[0][0] + f.one)
     bad = replace(cert, expectation=dense_matrix(f, data, e.cols))
     assert not verify_split(b.cr, bad)
     return {"split": bad}
@@ -408,7 +408,7 @@ def _verified_then_mutated_quasibase(b):
 def _verified_then_mutated_separability(b):
     cert, f = deepcopy(b.cls.separability_element), b.cr.field
     gamma_M(b.cr, b.cr.a_reg, separability=cert)
-    cert.element[0] = f.add(cert.element[0], f.one)
+    cert.element[0] = f.of(cert.element[0] + f.one)
     assert not verify_separability(b.cr, cert)
     return {"separability": cert}
 

@@ -22,9 +22,8 @@ from ringext import bimodule, canonical, equivalences
 from ringext.algebra import AlgebraError, FDAlgebra, trivial_algebra
 from ringext.bimodule import (Bimodule, BimoduleError, InternalInconsistency,
                               TensorProduct, _permutation_tables, generated,
-                              hom_space, is_bimodule_map, left_module,
-                              left_regular_module, presenting_sets,
-                              right_module, right_regular_module, tensor_map,
+                              hom_space, is_bimodule_map, one_sided,
+                              presenting_sets, regular_module, tensor_map,
                               tensor_over)
 from ringext.canonical import build_canonical_rings
 from ringext.report import analysis_report
@@ -134,7 +133,7 @@ def test_algebra_fault_off_the_generators_is_caught(built, name):
         f = a.field
         for i, j in _off_generator_pairs(a)[:4]:
             bad = [[list(v) for v in row] for row in a.mult]
-            bad[i][j][j] = f.add(bad[i][j][j], f.one)
+            bad[i][j][j] = f.of(bad[i][j][j] + f.one)
             with pytest.raises(AlgebraError, match="not associative"):
                 FDAlgebra(f, a.dim, bad, a.unit)
             checked += 1
@@ -150,7 +149,7 @@ def _modules(cr):
 
 def _bump(mat, r, c):
     data = [row[:] for row in mat.data]
-    data[r][c] = mat.field.add(data[r][c], mat.field.one)
+    data[r][c] = mat.field.of(data[r][c] + mat.field.one)
     return dense_matrix(mat.field, data, mat.cols)
 
 
@@ -269,8 +268,8 @@ def test_a_tensor_map_leg_failing_at_one_generator_is_refused(built):
     cr = built("qc2_q").cr
     f = cr.field
     cases = [(tensor_over(cr.cent_module_tensor, unrecorded(
-        left_regular_module(cr.tensor_ring))), ("right",)),
-             (tensor_over(unrecorded(right_regular_module(cr.endo_ring)),
+        regular_module(cr.tensor_ring, "left"))), ("right",)),
+             (tensor_over(unrecorded(regular_module(cr.endo_ring, "right")),
                           cr.cent_module_endo), ("left", "right"))]
     for tp, legs in cases:
         assert tp.presented
@@ -501,10 +500,10 @@ def over_the_centralizer(cr):
     """T as a right R-module, A and S as left R-modules, each recording a
     generating set over R as the comparison maps build them: the factors
     of T (x)_R A and the modules of Hom_R(S, A)."""
-    s_r = generated(left_module(cr.centralizer, cr.endo_ring.dim,
-                                cr.endo_bimodule_cent.left_action), "left")
+    s_r = generated(one_sided(cr.centralizer, "left", cr.endo_ring.dim,
+                              cr.endo_bimodule_cent.left_action), "left")
     return (equivalences._t_as_right_r(cr),
-            equivalences._m_as_left_r(cr, cr.a_reg), s_r)
+            equivalences._m_over_r(cr, cr.a_reg, "left"), s_r)
 
 
 @pytest.mark.parametrize("name", ["qq8_qi", "qs3_qa3", "a4_c2_f3"])
@@ -557,8 +556,8 @@ def test_a_recorded_vector_that_does_not_generate_raises(built):
                        m.right_action, generating_set=(side, ()))
         with pytest.raises(InternalInconsistency, match="does not generate"):
             hom_space(bad, bad)
-        other = (left_regular_module(cr.tensor_ring) if side == "right"
-                 else right_regular_module(cr.endo_ring))
+        other = (regular_module(cr.tensor_ring, "left") if side == "right"
+                 else regular_module(cr.endo_ring, "right"))
         with pytest.raises(InternalInconsistency, match="does not generate"):
             tensor_over(bad, other) if side == "right" else tensor_over(other, bad)
 
@@ -595,7 +594,7 @@ def test_non_permutation_systems_are_eliminated(case, monkeypatch):
     f, square, rows = NON_PERMUTATIONS[case]
     a = FDAlgebra(f, 2, [[[1, 0], [0, 1]], [[0, 1], square]], [1, 0])
     act = [Matrix.identity(f, 2), dense_matrix(f, rows)]
-    left, right = left_module(a, 2, act), right_module(a, 2, act)
+    left, right = one_sided(a, "left", 2, act), one_sided(a, "right", 2, act)
     left.validate()
     right.validate()
 

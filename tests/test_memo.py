@@ -113,7 +113,7 @@ def test_a_recorded_generator_keys_its_own_tensor_product(monkeypatch):
     r_t, t = cr.cent_module_tensor, cr.tensor_ring
     plain = _twin(r_t)
     assert r_t.generating_set is not None and plain.generating_set is None
-    t_t = _twin(bimodule.left_regular_module(t))
+    t_t = _twin(bimodule.regular_module(t, "left"))
     tensors = _counting(monkeypatch, "tensor_over")
     homs = _counting(monkeypatch, "hom_space")
     presented = cr.tensor(r_t, t_t)
@@ -122,7 +122,7 @@ def test_a_recorded_generator_keys_its_own_tensor_product(monkeypatch):
     assert presented.presented[0] == "left"
     assert len(ambient.presented[1]) == r_t.dim
     assert presented.module.dim == ambient.module.dim == r_t.dim
-    t_t = bimodule.right_regular_module(t)
+    t_t = bimodule.regular_module(t, "right")
     assert cr.hom(r_t, t_t) is cr.hom(plain, t_t)
     assert len(homs) == 1
 
@@ -134,7 +134,7 @@ def test_memo_keys_tell_apart_modules_differing_at_one_generator(monkeypatch):
     the key."""
     cr = build_canonical_rings(parse_input(corpus_doc("qq8_qi")).ext)
     a = cr.ext.total
-    m = bimodule.left_regular_module(a)
+    m = bimodule.regular_module(a, "left")
     g = a.generators()[-1]
     lefts = list(m.left_action)
     lefts[g] = m.left_action[g] @ m.left_action[g]
@@ -155,8 +155,8 @@ def test_memo_tells_apart_modules_over_different_algebras(monkeypatch):
     cr = build_canonical_rings(parse_input(corpus_doc("qc2_q")).ext)
     a = cr.ext.total
     twin = FDAlgebra(a.field, a.dim, a.mult, a.unit, name="twin")
-    over_a = bimodule.right_regular_module(a)
-    over_twin = bimodule.right_regular_module(twin)
+    over_a = bimodule.regular_module(a, "right")
+    over_twin = bimodule.regular_module(twin, "right")
     calls = _counting(monkeypatch, "hom_space")
     assert cr.hom(over_a, over_a).source.right_algebra is a
     assert cr.hom(over_twin, over_twin).source.right_algebra is twin
@@ -217,7 +217,7 @@ def test_repeated_evaluation_maps_hit_the_memo(monkeypatch):
     calls = _counting(monkeypatch, "tensor_over")
     blocks, sizes = [], []
     for _ in range(3):
-        a_right = bimodule.right_regular_module(a)
+        a_right = bimodule.regular_module(a, "right")
         blocks.append(_iso_block(equivalences.evaluation_map(
             cr, a_right, a_right)))
         sizes.append(len(cr._memo))

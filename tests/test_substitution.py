@@ -43,7 +43,7 @@ def _positions(n: int) -> list:
 
 def _moved_vectors(f, v: list) -> list:
     """v with one entry moved by one, at its first, middle and last index."""
-    return [v[:i] + [f.add(v[i], f.one)] + v[i + 1:] for i in _positions(len(v))]
+    return [v[:i] + [f.of(v[i] + f.one)] + v[i + 1:] for i in _positions(len(v))]
 
 
 def _moved_matrices(mat) -> list:
@@ -54,7 +54,7 @@ def _moved_matrices(mat) -> list:
     out = []
     for i in _positions(min(mat.rows, mat.cols)):
         moved = [r[:] for r in rows]
-        moved[i][i] = f.add(moved[i][i], f.one)
+        moved[i][i] = f.of(moved[i][i] + f.one)
         out.append(dense_matrix(f, moved, mat.cols))
     return out
 
@@ -88,7 +88,7 @@ def _mixed(cert, k: int) -> D2Certificate:
     f = s.field
     pairs = cert.pairs[:k] + [
         QuasibasePair(t, s + s2),
-        QuasibasePair([f.sub(x, y) for x, y in zip(t2, t)], s2),
+        QuasibasePair([f.of(x - y) for x, y in zip(t2, t)], s2),
     ] + cert.pairs[k + 2:]
     return D2Certificate(cert.side, pairs, cert.reverse_order)
 

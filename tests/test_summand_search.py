@@ -6,9 +6,8 @@ import pytest
 from ringext import bimodule, certify, linalg
 from ringext.algebra import (GroupData, group_algebra, subalgebra_extension,
                              trivial_algebra)
-from ringext.bimodule import (Bimodule, forget_left, hom_space,
-                              left_regular_module, restrict_right,
-                              right_regular_module)
+from ringext.bimodule import (Bimodule, hom_space, keep_side, regular_module,
+                              restrict)
 from ringext.canonical import build_canonical_rings
 from ringext.certify import classify
 from ringext.equivalences import centralizer_projectivity
@@ -79,8 +78,8 @@ def test_search_stops_before_the_last_composite(monkeypatch):
         inserted.append(args)
         return linalg.echelon_insert(*args)
 
-    m = forget_left(restrict_right(cr.a_reg, cr.ext))
-    n = right_regular_module(cr.ext.base)
+    m = keep_side(restrict(cr.a_reg, cr.ext, "right"), "right")
+    n = regular_module(cr.ext.base, "right")
     monkeypatch.setattr(bimodule, "echelon_insert", counting)
     wit = bimodule.summand_witness(m, n, hom_space)
     assert wit is not None and wit.verify()
@@ -95,8 +94,8 @@ def test_failed_witness_still_raises(monkeypatch):
     monkeypatch.setattr(bimodule.SummandWitness, "verify", lambda self: False)
     a = group_algebra(QQ, trivial_group())
     with pytest.raises(bimodule.BimoduleError, match="own verification"):
-        bimodule.summand_witness(left_regular_module(a), left_regular_module(a),
-                                 hom_space)
+        bimodule.summand_witness(regular_module(a, "left"),
+                                 regular_module(a, "left"), hom_space)
 
 
 # -- hom out of a regular module -------------------------------------------------
@@ -105,16 +104,16 @@ def regular_sources(cr):
     """(source, target) pairs whose source is regular on one side: A as an
     A-B-bimodule, B_B, T_T and R_R, each into a module it maps to."""
     a, b = cr.ext.total, cr.ext.base
-    a_ab = restrict_right(cr.a_reg, cr.ext)
-    q_ab = restrict_right(cr.q.module, cr.ext)
-    b_b = right_regular_module(b)
-    a_b = forget_left(a_ab)
-    t_t = right_regular_module(cr.tensor_ring)
-    r_r = right_regular_module(cr.centralizer)
+    a_ab = restrict(cr.a_reg, cr.ext, "right")
+    q_ab = restrict(cr.q.module, cr.ext, "right")
+    b_b = regular_module(b, "right")
+    a_b = keep_side(a_ab, "right")
+    t_t = regular_module(cr.tensor_ring, "right")
+    r_r = regular_module(cr.centralizer, "right")
     return [(a_ab, q_ab), (a_ab, a_ab), (b_b, a_b), (b_b, b_b),
             (t_t, cr.cent_module_tensor), (t_t, t_t),
-            (r_r, forget_left(cr.tensor_bimodule_cent)), (r_r, r_r),
-            (left_regular_module(a), left_regular_module(a))]
+            (r_r, keep_side(cr.tensor_bimodule_cent, "right")), (r_r, r_r),
+            (regular_module(a, "left"), regular_module(a, "left"))]
 
 
 def assert_matches_reference(m, n, regular=True):
@@ -148,7 +147,8 @@ def test_source_generated_by_one_r_matches_generic(name, built):
     generated by 1_R, solved for their value there."""
     cr = built(name).cr
     r_t, s_r = cr.cent_module_tensor, cr.cent_module_endo
-    t_t, s_s = right_regular_module(cr.tensor_ring), left_regular_module(cr.endo_ring)
+    t_t = regular_module(cr.tensor_ring, "right")
+    s_s = regular_module(cr.endo_ring, "left")
     for m, side, n in ((r_t, "right", t_t), (r_t, "right", r_t),
                        (s_r, "left", s_s), (s_r, "left", s_r)):
         assert m.generating_set == (side, (sparse(cr.centralizer.unit),))
@@ -165,7 +165,7 @@ def test_regular_source_hom_matches_generic_f5(case):
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_regular_source_hom_one_dimensional_algebra(field):
     k = trivial_algebra(field)
-    for m in (left_regular_module(k), right_regular_module(k)):
+    for m in (regular_module(k, "left"), regular_module(k, "right")):
         assert_matches_reference(m, m)
     a = group_algebra(field, trivial_group())
     ext = subalgebra_extension(a, subgroup=[0])
@@ -178,7 +178,7 @@ def test_regular_source_hom_one_dimensional_algebra(field):
 def test_permuted_regular_action_takes_the_generic_path(field):
     cayley, _ = symmetric3()
     a = group_algebra(field, GroupData(6, cayley))
-    reg = left_regular_module(a)
+    reg = regular_module(a, "left")
     # conjugate the regular action by a 3-cycle of basis vectors
     swap = Matrix.from_pairs(field, 6, 6, [[((1, 2, 0)[i] if i < 3 else i,
                                              field.one)] for i in range(6)])

@@ -64,7 +64,7 @@ def oracle_class(tp, ambient: list) -> tuple:
     w = [f.zero] * space.ambient_dim
     for c, a in enumerate(ambient):
         if a:
-            w = [f.add(x, f.mul(a, y)) for x, y in zip(w, moved(*divmod(c, dn)))]
+            w = [f.of(x + f.mul(a, y)) for x, y in zip(w, moved(*divmod(c, dn)))]
     return reference_class(space, w)
 
 
@@ -93,7 +93,7 @@ def test_sum_pure_and_project_give_the_dense_class(name, data):
     for x, y in pairs:
         for i, a in enumerate(x):
             for j, b in enumerate(y):
-                ambient[i * dn + j] = f.add(ambient[i * dn + j], f.mul(a, b))
+                ambient[i * dn + j] = f.of(ambient[i * dn + j] + f.mul(a, b))
     got = tp.sum_pure(pairs)
     assert_pair_vector(got, dq)
     assert got == oracle_class(tp, ambient)
@@ -128,6 +128,6 @@ def test_map_out_sets_each_column_at_its_class(name, data):
     for k, (x, y) in enumerate(basis):
         for (u, a), (v, b) in product(x, y):
             for j, c in columns[(u, v)]:
-                want[j][k] = f.add(want[j][k], f.mul(f.mul(a, b), c))
+                want[j][k] = f.of(want[j][k] + f.mul(f.mul(a, b), c))
     got = tp.map_out(rows, lambda u, v: columns[(u, v)])
     assert got == dense_matrix(f, want, len(basis))
