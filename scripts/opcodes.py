@@ -4,6 +4,7 @@
     python3 scripts/opcodes.py PARENT_TREE > parent.json
     python3 scripts/opcodes.py . > change.json
     cmp parent.json change.json
+    python3 scripts/opcodes.py . --functions 20 > functions.json
 
 Imports ringext from TREE's own src/ and takes its inputs from TREE:
 every input in corpus/, and every fp-groups and small-many case of
@@ -15,20 +16,26 @@ report_json, as bench/run.py times it) and of verify_report on that
 report, through sys.settrace.
 The counts do not depend on the machine's speed, so two trees can be
 compared where wall times drift.  Writes one sorted JSON object to
-stdout: the counts per input and their totals per group.  String hashing
-is fixed (PYTHONHASHSEED=0), so that iteration orders, and with them
-the counts, repeat from run to run.
+stdout: the counts per input and their totals per group.  With
+--functions N it also holds, under functions/GROUP, the N functions
+with the most self opcodes (those executed in their own frames) over
+the group's counted analyze and verify operations, as [name, count]
+pairs, most first; a name is FILE:QUALNAME with FILE relative to TREE.
+String hashing is fixed (PYTHONHASHSEED=0), so that iteration orders,
+and with them the counts, repeat from run to run.
 """
 
 import json
 import os
 import sys
+from collections import Counter
 
 SEEDS = (1, 2, 3)
 
 
-def counted(fn, *args) -> tuple:
-    """(the number of opcodes fn(*args) executes, its result)."""
+def counted(fn, *args, by_code=None) -> tuple:
+    """(the number of opcodes fn(*args) executes, its result); by_code,
+    when given, also counts them by the code object executing them."""
     n = 0
 
     def trace(frame, event, arg):
@@ -36,6 +43,8 @@ def counted(fn, *args) -> tuple:
         frame.f_trace_opcodes = True
         if event == "opcode":
             n += 1
+            if by_code is not None:
+                by_code[frame.f_code] += 1
         return trace
 
     sys.settrace(trace)
@@ -62,14 +71,26 @@ def inputs(tree: str) -> list:
     return out
 
 
+def name(code, tree: str) -> str:
+    """FILE:QUALNAME of a code object, FILE relative to tree when in it."""
+    path = os.path.relpath(code.co_filename, tree)
+    if path.startswith(".."):
+        path = os.path.basename(code.co_filename)
+    return f"{path}:{getattr(code, 'co_qualname', code.co_name)}"
+
+
 def main() -> int:
-    if len(sys.argv) != 2:
-        sys.stderr.write("usage: opcodes.py TREE\n")
+    args = sys.argv[1:]
+    top = None
+    if len(args) == 3 and args[1] == "--functions" and args[2].isdigit():
+        top = int(args[2])
+    elif len(args) != 1:
+        sys.stderr.write("usage: opcodes.py TREE [--functions N]\n")
         return 1
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv],
                   {**os.environ, "PYTHONHASHSEED": "0"})
-    tree = os.path.abspath(sys.argv[1])
+    tree = os.path.abspath(args[0])
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
     import ringext
 
@@ -81,10 +102,12 @@ def main() -> int:
 
     for _, _, parsed in cases:   # the warm-up pass
         ringext.verify_report(json.loads(analyze(parsed)))
-    counts, totals = {}, {}
+    counts, totals, by_group = {}, {}, {}
     for group, key, parsed in cases:
-        n_analyze, text = counted(analyze, parsed)
-        n_verify, (ok, msgs) = counted(ringext.verify_report, json.loads(text))
+        by_code = None if top is None else by_group.setdefault(group, Counter())
+        n_analyze, text = counted(analyze, parsed, by_code=by_code)
+        n_verify, (ok, msgs) = counted(ringext.verify_report, json.loads(text),
+                                       by_code=by_code)
         if not ok:
             sys.stderr.write(f"{key}: the report does not verify: {msgs}\n")
             return 1
@@ -92,7 +115,15 @@ def main() -> int:
         total = totals.setdefault(f"total/{group}", {"analyze": 0, "verify": 0})
         total["analyze"] += n_analyze
         total["verify"] += n_verify
-    json.dump({**counts, **totals}, sys.stdout, indent=1, sort_keys=True)
+    functions = {}
+    for group, by_code in by_group.items():
+        named = Counter()
+        for code, n in by_code.items():
+            named[name(code, tree)] += n
+        functions[f"functions/{group}"] = sorted(
+            named.items(), key=lambda t: (-t[1], t[0]))[:top]
+    json.dump({**counts, **totals, **functions}, sys.stdout, indent=1,
+              sort_keys=True)
     sys.stdout.write("\n")
     return 0
 

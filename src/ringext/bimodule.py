@@ -47,7 +47,6 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
-    comb_pairs,
     dense,
     echelon_insert,
     echelon_reduce,
@@ -112,6 +111,7 @@ class Bimodule:
         self.label = label
         self.generating_set = generating_set
         self.field = left_algebra.field
+        self._memo_key = None
 
     def validate(self) -> None:
         """Check both action laws and that the two sides commute."""
@@ -151,6 +151,22 @@ class Bimodule:
         """The action matrices of the left and of the right generators."""
         return ([self.left_action[i] for i in self.left_algebra.generators()],
                 [self.right_action[i] for i in self.right_algebra.generators()])
+
+    @property
+    def memo_key(self) -> tuple:
+        """The module by its algebras' identities, its dimension and its
+        generators' actions, the key of a memo such as CanonicalSpaces.once:
+        every module here is a representation on each side, so the
+        generators' actions determine every action, and no operator built
+        on first read is built for it.  Kept from its first read, as no
+        module's algebras or actions are reassigned."""
+        if self._memo_key is None:
+            la, ra = self.left_algebra, self.right_algebra
+            self._memo_key = (
+                id(la), id(ra), self.dim,
+                tuple(self.left_action[i].pairs for i in la.generators()),
+                tuple(self.right_action[i].pairs for i in ra.generators()))
+        return self._memo_key
 
     def left_operator(self, x: Sequence) -> Matrix:
         """Matrix of v -> x.v for x in the left algebra."""
@@ -286,16 +302,16 @@ class TensorProduct:
 
     def _class_of(self, entries: Iterable) -> tuple:
         """project on the (row-major index, value) entries of an element."""
-        return tuple(sorted(comb_pairs(self.left_factor.field, self._classes,
-                                       entries).items()))
+        return self.left_factor.field.comb(self._classes, entries)
 
-    @property
+    @cached_property
     def _classes(self) -> list:
-        """The class table, by row-major index of e_u (x) e_v, kept in
-        tables, which the copies replace makes share.  A free column is
-        its own basis class and a pivot column minus the rest of its RREF
-        row; with a presented factor, e_u (x) e_v = sum_x x (x) t_u,x.e_v
-        is first moved onto the other factor through its lift."""
+        """The class table, by row-major index of e_u (x) e_v, kept by each
+        instance and in tables, which the copies replace makes share, so
+        no instance refers to another.  A free column is its own basis
+        class and a pivot column minus the rest of its RREF row; with a
+        presented factor, e_u (x) e_v = sum_x x (x) t_u,x.e_v is first
+        moved onto the other factor through its lift."""
         if "classes" in self.tables:
             return self.tables["classes"]
         f, m, n = self.left_factor.field, self.left_factor, self.right_factor
@@ -309,8 +325,7 @@ class TensorProduct:
             moved = [_stacked(f, n.left_action if left else m.right_action, t,
                               m.right_algebra.dim, n.dim if left else m.dim,
                               True) for t in lifts]
-            table = [tuple(sorted(comb_pairs(f, table, moved[u][v] if left
-                                             else moved[v][u]).items()))
+            table = [f.comb(table, moved[u][v] if left else moved[v][u])
                      for u in range(m.dim) for v in range(n.dim)]
         self.tables["classes"] = table
         return table
@@ -382,7 +397,7 @@ def _image(f: Field, cols: Sequence[tuple], x: tuple) -> tuple:
     tensors are, without building the general sum's dict."""
     if len(x) == 1 and x[0][1] == f.one:
         return cols[x[0][0]]
-    return tuple(sorted(comb_pairs(f, cols, x).items()))
+    return f.comb(cols, x)
 
 
 def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
@@ -396,19 +411,19 @@ def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
     """
     dst = dst or src
     f, dn, classes = src.left_factor.field, dst.right_factor.dim, dst._classes
-    addmul, mul = f.sparse_addmul, f.mul
+    mul = f.mul
     legs = [(c, op_l.transpose().pairs, op_r.transpose().pairs)
             for c, op_l, op_r in terms if c]
     cols = []
     for x, y in src.basis_tensors:
-        acc: dict = {}
+        at = []   # (ambient index, coefficient) of the image's pure tensors
         for c, lcols, rcols in legs:
             ry = _image(f, rcols, y)
             for r, a in _image(f, lcols, x):
                 ca, base = mul(c, a), r * dn
                 for k, b in ry:
-                    addmul(acc, classes[base + k], mul(ca, b))
-        cols.append(tuple(sorted(acc.items())))
+                    at.append((base + k, mul(ca, b)))
+        cols.append(f.comb(classes, at))
     return Matrix.from_cols(f, len(dst.free_cols), cols)
 
 
@@ -698,8 +713,7 @@ def _maps_over(m: Bimodule, n: Bimodule, side: str, xs: tuple) -> tuple:
     minus_one = f.neg(f.one)
     for i, x in enumerate(xs):
         for mg, ng in zip(m_other, n_other):
-            t = sorted(comb_pairs(f, lifts, _image(
-                f, mg.transpose().pairs, x)).items())
+            t = f.comb(lifts, _image(f, mg.transpose().pairs, x))
             for row, own in zip(_stacked(f, n_acts, t, alg.dim, dn, False),
                                 ng.pairs):
                 acc = dict(row)

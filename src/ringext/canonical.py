@@ -101,17 +101,6 @@ def content_key(x):
     return x
 
 
-def _content(m: Bimodule) -> tuple:
-    """m by its algebras' identities, its dimension and its generators'
-    actions: every module here is a representation on each side, so the
-    generators' actions determine every action, and no operator built on
-    first read is built for a key."""
-    la, ra = m.left_algebra, m.right_algebra
-    return (id(la), id(ra), m.dim,
-            tuple(m.left_action[i].pairs for i in la.generators()),
-            tuple(m.right_action[i].pairs for i in ra.generators()))
-
-
 class CanonicalSpaces:
     """Q = A (x)_B A, its multiplication map to A, and the spaces of R, T,
     S and the Casimir tensors, with no ring structure: all that the
@@ -155,11 +144,11 @@ class CanonicalSpaces:
 
         What a result depends on in a module is the identity of both acting
         algebras, the dimension and the action matrices, which the
-        generators' actions determine (_content); labels are not read.
-        Each entry holds its modules, which keeps those identities theirs
-        while the entry lives.
+        generators' actions determine (Bimodule.memo_key, kept on the
+        module); labels are not read.  Each entry holds its modules, which
+        keeps those identities theirs while the entry lives.
         """
-        key += tuple(map(_content, modules))
+        key += tuple(m.memo_key for m in modules)
         if key not in self._memo:
             self._memo[key] = (modules, build())
         return self._memo[key][1]

@@ -20,11 +20,17 @@ systems.  Dense lists appear only as algebra elements and certificates
 (structure constants, apply, col, Subspace.rows and coordinates); sparse
 turns one into a pair vector where it meets a matrix.  apply_comb applies
 a combination of matrices to one vector from the images of that vector
-alone, so substituting into a certificate forms no operator.  A matrix
-keeps its transpose once built, with no reference back, and apply, spin,
-col and columns read those cached columns: an image is the sum of the
-columns at a vector's nonzero entries (comb_pairs), with no dot product.
-Matrix.identity is one shared instance per field and size.
+alone, so substituting into a certificate forms no operator.  Each
+field has one fused accumulation kernel, comb, which sums a combination
+of pair vectors in one call with the field's arithmetic inlined: rows of
+lin_comb and multi-entry rows of a product, images and tensor class
+tables go through it.  A product passes empty rows through and reads a
+one-entry row as one row of the other matrix, scaled unless its entry
+is 1.  A matrix keeps its transpose once built, with no reference back
+(from_cols keeps the columns it was given), and apply, spin, col and
+columns read those cached columns: an image is the sum of the columns
+at a vector's nonzero entries, with no dot product.  Matrix.identity is
+one shared instance per field and size.
 Subspaces keep an RREF basis, so equal subspaces have equal data.  An
 RREF is unique, so its rows, pivots, kernel basis and the particular
 solution with free variables zero do not depend on the order in which
@@ -153,6 +159,23 @@ class RationalField:
             else:
                 del dst[j]
 
+    def comb(self, vectors: Sequence[tuple], coeffs: Iterable) -> tuple:
+        """sum x * vectors[j] over the (j, x) pairs of coeffs, zeros
+        skipped, as a pair vector; an index j may repeat.  The one
+        accumulation kernel of every sparse product: one call per
+        combination, with sparse_addmul's arithmetic inlined."""
+        acc: dict = {}
+        get = acc.get
+        for j, x in coeffs:
+            if x:
+                for k, s in vectors[j]:
+                    v = get(k, 0) + x * s
+                    if v:
+                        acc[k] = v if type(v) is int else _int_if_whole(v)
+                    else:
+                        del acc[k]
+        return tuple(sorted(acc.items()))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
 
@@ -218,6 +241,19 @@ class PrimeField:
             else:
                 del dst[j]
 
+    def comb(self, vectors: Sequence[tuple], coeffs: Iterable) -> tuple:
+        p, acc = self.p, {}
+        get = acc.get
+        for j, x in coeffs:
+            if x:
+                for k, s in vectors[j]:
+                    v = (get(k, 0) + x * s) % p
+                    if v:
+                        acc[k] = v
+                    else:
+                        del acc[k]
+        return tuple(sorted(acc.items()))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -266,7 +302,7 @@ def vec_sum(field: Field, n: int, vectors: Iterable[Sequence]) -> list:
 
 def sparse(v: Sequence) -> tuple:
     """The (index, value) pairs of the nonzero entries of a dense vector."""
-    return tuple((j, x) for j, x in enumerate(v) if x)
+    return tuple([(j, x) for j, x in enumerate(v) if x])
 
 
 def dense(field: Field, n: int, pairs: Iterable) -> list:
@@ -277,14 +313,10 @@ def dense(field: Field, n: int, pairs: Iterable) -> list:
     return out
 
 
-def comb_pairs(field: Field, vectors: Sequence[tuple], coeffs: Iterable) -> dict:
-    """sum x * vectors[j] over the (j, x) pairs of coeffs, zeros skipped,
-    as a dict of its nonzeros by index."""
-    acc: dict = {}
-    for j, x in coeffs:
-        if x:
-            field.sparse_addmul(acc, vectors[j], x)
-    return acc
+def _scaled(field: Field, c, v: tuple) -> tuple:
+    """c * v for a nonzero c and a pair vector v."""
+    mul = field.mul
+    return tuple([(j, mul(c, x)) for j, x in v])
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +363,11 @@ class Matrix:
     def from_cols(cls, field: Field, rows: int,
                   cols: Sequence[tuple]) -> "Matrix":
         """The rows x len(cols) matrix whose column j is the pair vector
-        cols[j]."""
-        return cls(field, len(cols), rows, tuple(cols)).transpose()
+        cols[j]; cols stays as its transpose, which refers to nothing."""
+        given = cls(field, len(cols), rows, tuple(cols))
+        out = given.transpose()
+        given._t, out._t = None, given
+        return out
 
     @property
     def data(self) -> list[list]:
@@ -353,26 +388,29 @@ class Matrix:
         nonzero entries of v, scaled and summed."""
         if len(v) != self.cols:
             raise LinalgError("matrix/vector size mismatch")
-        return dense(self.field, self.rows, comb_pairs(
-            self.field, self.transpose().pairs, enumerate(v)).items())
+        return dense(self.field, self.rows, self.field.comb(
+            self.transpose().pairs, enumerate(v)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
+        """Each row combines other's rows at its entries; an empty row stays
+        empty, a one-entry row is other's row, scaled unless the entry is 1."""
+        f = self.field
+        if f is not other.field and f != other.field:
             raise LinalgError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise LinalgError(f"shape mismatch {self.rows}x{self.cols} @ "
                               f"{other.rows}x{other.cols}")
-        addmul, opairs = self.field.sparse_addmul, other.pairs
+        comb, opairs = f.comb, other.pairs
         out = []
         for row in self.pairs:
-            if len(row) == 1 and row[0][1] == 1:   # as in a permutation matrix
-                out.append(opairs[row[0][0]])
-                continue
-            acc: dict = {}
-            for k, a in row:
-                addmul(acc, opairs[k], a)
-            out.append(tuple(sorted(acc.items())))
-        return Matrix(self.field, self.rows, other.cols, tuple(out))
+            if not row:
+                out.append(row)
+            elif len(row) == 1:
+                k, a = row[0]
+                out.append(opairs[k] if a == 1 else _scaled(f, a, opairs[k]))
+            else:
+                out.append(comb(opairs, row))
+        return Matrix(f, self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._plus(other, self.field.one)
@@ -399,8 +437,8 @@ class Matrix:
     def vec(self) -> tuple:
         """Row-major flattening, as the (index, value) pairs of its nonzeros."""
         n = self.cols
-        return tuple((i * n + j, x) for i, row in enumerate(self.pairs)
-                     for j, x in row)
+        return tuple([(i * n + j, x) for i, row in enumerate(self.pairs)
+                      for j, x in row])
 
     @classmethod
     def from_vec(cls, field: Field, rows: int, cols: int, flat: Sequence) -> "Matrix":
@@ -425,19 +463,20 @@ class Matrix:
 
 def lin_comb(field: Field, rows: int, cols: int, coeffs: Sequence,
              mats: Sequence[Matrix]) -> Matrix:
-    """sum_k coeffs[k] * mats[k], accumulated row by row into one matrix;
-    only the mats at nonzero coeffs are read, so operators built on first
-    read (bimodule.OnRead) are built only there."""
+    """sum_k coeffs[k] * mats[k], one field.comb per row; only the mats at
+    nonzero coeffs are read, so operators built on first read
+    (bimodule.OnRead) are built only there.  A single term is scaled, or
+    shared when its coefficient is 1, as matrices are immutable."""
     terms = [(c, mats[k]) for k, c in enumerate(coeffs) if c]
-    if len(terms) == 1 and terms[0][0] == 1:   # immutable, so shared
-        return terms[0][1]
-    addmul = field.sparse_addmul
-    accs: list[dict] = [{} for _ in range(rows)]
-    for c, mat in terms:
-        for acc, row in zip(accs, mat.pairs):
-            addmul(acc, row, c)
-    return Matrix(field, rows, cols,
-                  tuple(tuple(sorted(acc.items())) for acc in accs))
+    if not terms:
+        return Matrix.zeros(field, rows, cols)
+    if len(terms) == 1:
+        c, mat = terms[0]
+        return mat if c == 1 else Matrix(field, rows, cols, tuple(
+            [_scaled(field, c, row) for row in mat.pairs]))
+    comb, cs = field.comb, list(enumerate(c for c, _ in terms))
+    return Matrix(field, rows, cols, tuple(
+        [comb(parts, cs) for parts in zip(*[mat.pairs for _, mat in terms])]))
 
 
 def apply_comb(field: Field, n: int, coeffs: Sequence, mats: Sequence[Matrix],
@@ -519,7 +558,7 @@ def spin(field: Field, dim: int, vectors: Iterable, operators: Sequence[Matrix],
         if echelon_insert(field, echelon, dict(v)):
             if len(echelon) == dim:
                 break
-            queue.extend(comb_pairs(field, cols, v).items() for cols in columns)
+            queue.extend(field.comb(cols, v) for cols in columns)
     return Subspace.from_echelon(field, dim, echelon) if own else None
 
 
@@ -539,7 +578,7 @@ def word_generators(field: Field, dim: int, one: tuple,
             # the words so far are closed under the earlier generators, so
             # only their images under e_i can enlarge them
             cols = right_mult(i).transpose().pairs
-            spin(field, dim, [comb_pairs(field, cols, row.items()).items()
+            spin(field, dim, [field.comb(cols, row.items())
                               for row in echelon.values()],
                  [right_mult(g) for g in gens], echelon)
     for g in list(gens):
@@ -711,12 +750,8 @@ class Subspace:
 
     def element(self, coords: Sequence) -> list:
         """The vector with the given coefficients over the RREF basis."""
-        f = self.field
-        acc: dict = {}
-        for c, row in zip(coords, self.basis.pairs):
-            if c:
-                f.sparse_addmul(acc, row, c)
-        return dense(f, self.ambient_dim, acc.items())
+        return dense(self.field, self.ambient_dim, self.field.comb(
+            self.basis.pairs, zip(range(self.dim), coords)))
 
     def coordinates(self, v: Sequence) -> Optional[list]:
         """Coefficients of v over the RREF basis, or None if v is outside."""

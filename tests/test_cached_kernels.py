@@ -1,8 +1,10 @@
 """The kernels that read cached columns, against references that do not.
 
-A Matrix builds its transpose once and keeps it; apply and spin sum the
+A Matrix builds its transpose once and keeps it, and a from_cols result
+keeps the columns it was given as its transpose; apply and spin sum the
 cached columns at a vector's nonzero entries; Matrix.identity is shared;
-a TensorProduct keeps the class of every ambient basis tensor.  Each is
+a TensorProduct keeps the class of every ambient basis tensor, in one
+table its outer actions share, with no reference cycle.  Each is
 checked against the dense reference rows of tests/test_sparse_matrix.py,
 the relations' own reduction, or the closure by plain translates.
 """
@@ -14,11 +16,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ringext.bimodule import regular_bimodule, restrict, tensor_over
 from ringext.canonical import CanonicalSpaces
 from ringext.linalg import GF, QQ, Matrix, Subspace, spin
 from ringext.serialize import parse_input
 
-from tests.conftest import CORPUS_NAMES
+from tests.conftest import CORPUS_NAMES, corpus_doc
 from tests.groups import case_doc
 from tests.oracles import reference_translate_span
 from tests.test_sparse_matrix import (FIELDS, assert_canonical, dense_rows,
@@ -38,6 +41,31 @@ def test_transpose_is_built_once_and_matches_the_reference(name, data):
     assert [A.col(j) for j in range(n)] == A.columns() == ref_transpose(a, n)
     # the transpose keeps no reference back: its own transpose is new
     assert t.transpose() == A and t.transpose() is not A
+
+
+@given(st.sampled_from(NAMES), st.data())
+def test_from_cols_keeps_its_columns_as_its_transpose(name, data):
+    """The transpose of a from_cols result is the column form it was
+    given, equal to a transpose computed afresh, and refers to nothing."""
+    field = FIELDS[name][0]
+    m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    a = data.draw(dense_rows(name, n, m))   # the n columns, each of length m
+    cols = [tuple((i, field.of(x)) for i, x in enumerate(col) if x)
+            for col in a]
+    gc.collect()
+    gc.disable()
+    try:
+        b = Matrix.from_cols(field, m, cols)
+        t = b.transpose()
+        assert t.pairs == tuple(cols)
+        assert all(x is y for x, y in zip(t.pairs, cols))
+        assert t == Matrix(field, m, n, b.pairs).transpose()
+        assert b.data == ref_transpose(a, m)
+        assert t.transpose() == b and t.transpose() is not b
+        del b, t
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def nonzero(name):
@@ -87,6 +115,28 @@ def test_cached_kernels_leave_no_reference_cycle():
             spin(field, 3, [((0, field.one),)], [b @ a])
             Matrix.identity(field, 7).transpose()
             del a, b
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ["m2q_t2", "qq8_qi", "s3_c2_f3"])
+def test_a_class_table_is_shared_and_forms_no_cycle(name):
+    """A product and its outer actions read one class table, cached on
+    each instance, and dropping the product frees it all at once."""
+    doc = case_doc(name) if name == "s3_c2_f3" else corpus_doc(name)
+    ext = parse_input(doc).ext
+    a = regular_bimodule(ext.total)
+    left, right = restrict(a, ext, "right"), restrict(a, ext, "left")
+    gc.collect()
+    gc.disable()
+    try:
+        q = tensor_over(left, right)
+        table = q._classes
+        assert q._classes is table is q.tables["classes"]
+        q.module.left_action[0], q.module.right_action[0]
+        assert q.tables["classes"] is table
+        del q, table
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -5,6 +5,9 @@ Every operation of Matrix is recomputed here on dense rows of Fractions
 two must agree entry for entry; whole rationals must come back as ints.
 The drawn shapes include empty ones, and some matrices get rows that are
 combinations of earlier rows, so those rows vanish during elimination.
+Other drawn matrices have empty and one-entry rows, the rows a product
+passes through or reads as one row of the other factor, and Field.comb
+gets terms that cancel.
 """
 
 from fractions import Fraction
@@ -246,3 +249,77 @@ def test_sparse_constructor_checks_shape_and_columns():
             Matrix.from_pairs(QQ, rows, 3, pairs)
     with pytest.raises(LinalgError):
         dense_matrix(QQ, [[1, 2], [3]])
+
+
+# one-entry rows and single-term coefficients other than 0 and 1: 3/2 and
+# -2 over Q, 2 to 4 over F_5, with 1 among them so the unscaled read runs
+unit_or_not = {"Q": st.sampled_from([Fraction(3, 2), Fraction(-2), Fraction(1)]),
+               "F5": st.sampled_from([2, 3, 4, 1])}
+
+
+@st.composite
+def shaped_rows(draw, name, rows, cols):
+    """rows x cols entries whose rows are each empty, one entry drawn from
+    unit_or_not, or drawn entry by entry as in dense_rows."""
+    ops = FIELDS[name][1]
+    data = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["empty", "one", "dense"]) if cols
+                    else st.just("empty"))
+        row = [ops.zero] * cols
+        if kind == "one":
+            row[draw(st.integers(0, cols - 1))] = ops.of(draw(unit_or_not[name]))
+        elif kind == "dense":
+            row = [ops.of(draw(entries(name))) for _ in range(cols)]
+        data.append(row)
+    return data
+
+
+@given(st.sampled_from(["Q", "F5"]), st.data())
+def test_empty_and_one_entry_rows_match_dense_lists(name, data):
+    """The product's empty-row and one-entry-row reads, scaled or not, and
+    lin_comb's single-term scaling, against the dense references."""
+    draw = data.draw
+    field, ops = FIELDS[name]
+    m, n, k = (draw(st.integers(0, 4)) for _ in range(3))
+    a = draw(shaped_rows(name, m, n))
+    b = draw(dense_rows(name, n, k))
+    A, B = lib(name, a, n), lib(name, b, k)
+    got = A @ B
+    assert got.data == ref_matmul(name, a, b, k)
+    assert_canonical(name, got.data)
+    for i, row in enumerate(A.pairs):
+        if not row:
+            assert got.pairs[i] == ()
+        elif len(row) == 1 and row[0][1] == 1:
+            assert got.pairs[i] is B.pairs[row[0][0]]
+    c = ops.of(draw(unit_or_not[name]))
+    other = lib(name, draw(dense_rows(name, m, n)), n)
+    comb = lin_comb(field, m, n, [field.zero, field.of(c), field.zero],
+                    [other, A, other])
+    assert comb.data == ref_comb(name, [c], [a])
+    assert_canonical(name, comb.data)
+    assert (comb is A) == (c == 1)
+
+
+@given(st.sampled_from(["Q", "F5"]), st.data())
+def test_comb_cancels_terms_to_the_dense_sum(name, data):
+    """Field.comb over pair vectors where a vector returns with minus its
+    coefficient, so its entries cancel, and with repeated indices."""
+    draw = data.draw
+    field, ops = FIELDS[name]
+    n = draw(st.integers(1, 5))
+    vecs = draw(dense_rows(name, draw(st.integers(1, 3)), n))
+    cs = [ops.of(draw(entries(name))) for _ in vecs]
+    pick = draw(st.integers(0, len(vecs) - 1))
+    c = ops.of(draw(unit_or_not[name]))
+    # the picked vector once more with c, then with -c: those two cancel
+    terms = list(enumerate(cs)) + [(pick, c), (pick, ops.of(-c))]
+    want = [reduce_(name, sum((x * vecs[j][i] for j, x in terms), ops.zero))
+            for i in range(n)]
+    pairs = [as_pairs([field.of(x) for x in v]) for v in vecs]
+    got = field.comb(pairs, [(j, field.of(x)) for j, x in terms])
+    assert got == as_pairs([field.of(x) for x in want])
+    assert_canonical(name, [[x for _, x in got]])
+    assert field.comb(pairs, [(pick, field.of(c)),
+                              (pick, field.of(ops.of(-c)))]) == ()
