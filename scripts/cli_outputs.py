@@ -14,6 +14,10 @@ byte:
     python scripts/cli_outputs.py PARENT_TREE > parent.json
     python scripts/cli_outputs.py . > change.json
     cmp parent.json change.json
+
+It exits 1, after writing every output, when a command line exits with
+a code other than 0 or 1 (2 is an internal error) or writes "Traceback"
+to stderr, and names those lines on stderr; CI runs it on every push.
 """
 
 import contextlib
@@ -65,7 +69,11 @@ def main() -> int:
                                    "stderr": err.getvalue(), "exit": code}
     json.dump(outputs, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
-    return 0
+    broken = sorted(line for line, out in outputs.items()
+                    if out["exit"] not in (0, 1) or "Traceback" in out["stderr"])
+    for line in broken:
+        sys.stderr.write(f"exit {outputs[line]['exit']}: {line}\n")
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

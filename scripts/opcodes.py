@@ -23,6 +23,20 @@ the group's counted analyze and verify operations, as [name, count]
 pairs, most first; a name is FILE:QUALNAME with FILE relative to TREE.
 String hashing is fixed (PYTHONHASHSEED=0), so that iteration orders,
 and with them the counts, repeat from run to run.
+
+Opcode counts miss the work done inside C calls: building a dict or a
+tuple, sorting, and raising an exception count as one opcode or none,
+whatever they cost.  Two measured cases, on fp-groups in six
+alternating pairs of bench/run.py --seconds 5 (seeds 1 to 6):
+- Field.comb passing a one-term combination through instead of building
+  a dict, sorting it and making a tuple: analyze opcodes +0.6%, about
+  flat, while analyze_s fell by a median 2.0%, in 5 of 6 pairs.
+- Matrix.from_cols building its rows on first read through a
+  __getattr__ fallback on the pairs slot: analyze opcodes -1.0%, while
+  analyze_s rose by a median 4.0% (-0.2% to +7.1%), slower in 5 of 6
+  pairs, as each fallback first raises an AttributeError.
+So a kernel change is judged by paired bench/run.py runs; the counts
+show where work moved.
 """
 
 import json

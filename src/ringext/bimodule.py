@@ -28,8 +28,9 @@ Every system is written from the nonzero entries of its ingredients,
 with one block per generator of an acting algebra, not per basis
 element.  When every generator in a hom, balancing or invariance system
 acts by a permutation matrix, as over a group algebra, the system says
-only "constant on an orbit", and its RREF is read off the orbits
-(union-find).  An RREF is unique, so no path changes a result.
+only "constant on an orbit", and its RREF is read off the orbits, which
+_orbits closes under one permutation list per generator.  An RREF is
+unique, so no path changes a result.
 MapSpace and TensorProduct are frozen, so that a memo (CanonicalSpaces's)
 can hand one result to callers whose modules carry other labels.
 """
@@ -391,15 +392,6 @@ class TensorProduct:
             op.field, self.left_factor.dim), op)])
 
 
-def _image(f: Field, cols: Sequence[tuple], x: tuple) -> tuple:
-    """The image of the pair vector x under the operator with columns
-    cols: a column itself at a unit vector, which most legs of pure
-    tensors are, without building the general sum's dict."""
-    if len(x) == 1 and x[0][1] == f.one:
-        return cols[x[0][0]]
-    return f.comb(cols, x)
-
-
 def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
                 dst: Optional[TensorProduct] = None) -> Matrix:
     """The map sum c * (op_l (x) op_r) over terms (c, op_l, op_r), from src
@@ -418,8 +410,8 @@ def tensor_legs(src: TensorProduct, terms: Sequence[tuple],
     for x, y in src.basis_tensors:
         at = []   # (ambient index, coefficient) of the image's pure tensors
         for c, lcols, rcols in legs:
-            ry = _image(f, rcols, y)
-            for r, a in _image(f, lcols, x):
+            ry = f.comb(rcols, y)
+            for r, a in f.comb(lcols, x):
                 ca, base = mul(c, a), r * dn
                 for k, b in ry:
                     at.append((base + k, mul(ca, b)))
@@ -438,7 +430,7 @@ def _lifts(alg: FDAlgebra, side: str, acts: Sequence[Matrix], xs: tuple,
     xs failing to generate is an InternalInconsistency (a theorem)."""
     f, dc, nx = alg.field, alg.dim, len(xs)
     red, pivots = rref(Matrix(f, nx * dc, dim + nx * dc, tuple(
-        _image(f, acts[i].transpose().pairs, x) + ((dim + k * dc + i, f.one),)
+        f.comb(acts[i].transpose().pairs, x) + ((dim + k * dc + i, f.one),)
         for k, x in enumerate(xs) for i in range(dc))))
     if pivots[:dim] != list(range(dim)):
         raise InternalInconsistency(
@@ -509,8 +501,9 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
     matrices, the relations x.c (x) y - x (x) c.y at the generators c of
     C span them all (at cd it is the one at c on (x, d.y) plus the one at
     d on (x.c, y)), and their RREF keeps the largest column of each class
-    of linked pure tensors free and has e_c - e_max for every other
-    member c.  Otherwise the product is presented over a recorded
+    of linked pure tensors (an orbit under one permutation list of the
+    row-major indices per generator) free and has e_c - e_max for every
+    other member c.  Otherwise the product is presented over a recorded
     generating set, else over m's unit basis (_presentation)."""
     c = m.right_algebra
     if c != n.left_algebra:
@@ -526,12 +519,13 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorProduct:
             ("right", tuple(((u, f.one),) for u in range(m.dim))), None))
     else:
         # e_a (x) e_t(b) = e_s(a).c (x) e_t(b) ~ e_s(a) (x) c.e_t(b)
-        # = e_s(a) (x) e_b
+        # = e_s(a) (x) e_b links x * dn + b to s^-1(x) * dn + t(b), in
+        # row-major indices: one permutation per generator c (s^-1 sorts s)
         rows = sorted(((k, f.one), (cls[-1], f.neg(f.one)))
-                      for cls in _orbits(m.dim * dn, (
-                          (a * dn + t[b], s[a] * dn + b)
-                          for s, t in zip(tables, tables[len(gens):])
-                          for a in range(m.dim) for b in range(dn)))
+                      for cls in _orbits(m.dim * dn, [
+                          [sx * dn + tb for sx in sorted(range(m.dim), key=s.__getitem__)
+                           for tb in t]
+                          for s, t in zip(tables, tables[len(gens):])])
                       for k in cls[:-1])
         relations, presented = Subspace(
             Matrix(f, len(rows), m.dim * dn, tuple(rows)),
@@ -577,8 +571,8 @@ class MapSpace:
 
     Maps are target.dim x source.dim matrices.  The vectorized basis is
     the echelon basis of span, so coordinates of a member are a pivot
-    readoff.  Frozen with a tuple basis, so that one instance can be
-    shared.
+    readoff, a pair vector.  Frozen with a tuple basis, so that one
+    instance can be shared.
     """
     source: Bimodule
     target: Bimodule
@@ -593,8 +587,12 @@ class MapSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, mat: Matrix) -> Optional[list]:
-        return self.span._coordinates(dict(mat.vec()))
+    def coordinates(self, mat: Matrix) -> Optional[tuple]:
+        """mat's coordinates as a pair vector, or None outside the space,
+        from the dict of its entries by row-major index that span reduces."""
+        n = mat.cols
+        return self.span._coordinates({i * n + j: x for i, row in enumerate(
+            mat.pairs) for j, x in row})
 
     def element(self, coords: Sequence) -> Matrix:
         return lin_comb(self.field, self.target.dim, self.source.dim,
@@ -609,10 +607,10 @@ class MapSpace:
 
         @cache
         def right_mult(g: int) -> Matrix:
-            return Matrix.from_cols(f, n, [sparse(self.coordinates(
-                h @ self.basis[g])) for h in self.basis])
-        return word_generators(f, n, sparse(self.coordinates(
-            Matrix.identity(f, self.source.dim))), right_mult)
+            return Matrix.from_cols(f, n, [self.coordinates(h @ self.basis[g])
+                                           for h in self.basis])
+        return word_generators(f, n, self.coordinates(
+            Matrix.identity(f, self.source.dim)), right_mult)
 
     def __repr__(self) -> str:
         return f"MapSpace({self.source.label} -> {self.target.label}, dim={self.dim})"
@@ -632,25 +630,25 @@ def _permutation_tables(mats: Sequence[Matrix]) -> Optional[list]:
     return tables
 
 
-def _orbits(n: int, links: Iterable[tuple[int, int]]) -> list[list]:
-    """The classes of 0..n-1 under the equivalence generated by the linked
-    pairs, each ascending, in the order of their least members; union-find
-    with every root the least member of its class."""
-    root = list(range(n))
-
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    for a, b in links:
-        a, b = sorted((find(a), find(b)))
-        root[b] = a
-    classes: dict = {}
+def _orbits(n: int, perms: Sequence[Sequence[int]]) -> list[list]:
+    """The classes of 0..n-1 under the equivalence linking i to perm[i]
+    for each permutation list perm in perms, ascending, in the order of
+    their least members: orbits, closed under the perms alone, as a finite
+    permutation's inverse is one of its powers; a bytearray marks seen."""
+    seen, classes = bytearray(n), []
     for a in range(n):
-        classes.setdefault(find(a), []).append(a)
-    return list(classes.values())
+        if not seen[a]:
+            seen[a] = 1
+            cls = [a]
+            for i in cls:   # grows while it is read
+                for perm in perms:
+                    b = perm[i]
+                    if not seen[b]:
+                        seen[b] = 1
+                        cls.append(b)
+            cls.sort()
+            classes.append(cls)
+    return classes
 
 
 def _indicators(f: Field, n: int, classes: list[list]) -> Subspace:
@@ -665,10 +663,11 @@ def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
     """All linear maps m -> n commuting with both algebras' generators.
     When every generator acts on m and on n by a permutation matrix, a
     map's matrix X is constant on the orbits of its index pairs under
-    (i, j) -> (t(i), s(j)) for the permutations s on m and t on n, and
-    the orbits' indicators are the RREF.  Otherwise the maps are solved
-    for their values at m's recorded generating set, else at unit
-    vectors picked by spin on the side needing fewer (_maps_over)."""
+    (i, j) -> (t(i), s(j)) for the permutations s on m and t on n, one
+    list over the row-major indices per generator, and the orbits'
+    indicators are the RREF.  Otherwise the maps are solved for their
+    values at m's recorded generating set, else at unit vectors picked
+    by spin on the side needing fewer (_maps_over)."""
     if m.left_algebra != n.left_algebra or m.right_algebra != n.right_algebra:
         raise BimoduleError("hom needs matching acting algebras on both sides")
     f, dm, dn = m.field, m.dim, n.dim
@@ -676,10 +675,9 @@ def hom_space(m: Bimodule, n: Bimodule) -> MapSpace:
     tables = _permutation_tables(ml + mr + nl + nr)
     if tables is not None:
         # X[t(i), s(j)] = X[i, j] for the tables s of m's and t of n's actions
-        span = _indicators(f, dn * dm, _orbits(dn * dm, (
-            (i * dm + j, t[i] * dm + s[j])
-            for s, t in zip(tables, tables[len(ml) + len(mr):])
-            for i in range(dn) for j in range(dm))))
+        span = _indicators(f, dn * dm, _orbits(dn * dm, [
+            [ti * dm + sj for ti in t for sj in s]
+            for s, t in zip(tables, tables[len(ml) + len(mr):])]))
     else:
         found = m.generating_set
         for side, acts in (("left", ml), ("right", mr)):
@@ -713,7 +711,7 @@ def _maps_over(m: Bimodule, n: Bimodule, side: str, xs: tuple) -> tuple:
     minus_one = f.neg(f.one)
     for i, x in enumerate(xs):
         for mg, ng in zip(m_other, n_other):
-            t = f.comb(lifts, _image(f, mg.transpose().pairs, x))
+            t = f.comb(lifts, f.comb(mg.transpose().pairs, x))
             for row, own in zip(_stacked(f, n_acts, t, alg.dim, dn, False),
                                 ng.pairs):
                 acc = dict(row)
@@ -737,9 +735,10 @@ def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
     Elements are coordinate vectors in the acting algebra, which must be
     the same on both sides for the condition to typecheck.  When every
     x acts on both sides by a permutation matrix, x.v = v.x links the
-    entries of v that the two permutations move to one position, and the
-    indicators of the linked classes, ordered by least index, are the
-    RREF; otherwise the system is eliminated.
+    entries of v that the two permutations move to one position, l(p) to
+    r(p), one permutation list per x, and the indicators of the linked
+    classes (_orbits), ordered by least index, are the RREF; otherwise
+    the system is eliminated.
     """
     if len(m.left_action) != len(m.right_action):
         raise BimoduleError("invariants need one algebra acting on both sides")
@@ -748,9 +747,10 @@ def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
     tables = _permutation_tables([op for pair in ops for op in pair])
     if tables is not None:
         # (x.v)[p] = v[l(p)] and (v.x)[p] = v[r(p)] for the tables l and r of x
-        return _indicators(f, m.dim, _orbits(m.dim, (
-            (l[p], r[p]) for l, r in zip(tables[::2], tables[1::2])
-            for p in range(m.dim))))
+        # as a permutation, l(p) -> r(p), with l^-1 sorting l
+        return _indicators(f, m.dim, _orbits(m.dim, [
+            [r[p] for p in sorted(range(m.dim), key=l.__getitem__)]
+            for l, r in zip(tables[::2], tables[1::2])]))
     rows = tuple(row for left, right in ops for row in (left - right).pairs
                  if row)
     ker = kernel(Matrix(f, len(rows), m.dim, rows))

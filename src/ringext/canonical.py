@@ -56,34 +56,37 @@ from .bimodule import (
 from .linalg import Matrix, Subspace, dense, lin_comb, rank, sparse, unit_vec
 
 
-def coordinates_in(space, x, what: str) -> list:
-    """Coordinates of x in a Subspace (x a vector) or a MapSpace (x a
-    matrix); x lying outside space is an InternalInconsistency."""
+def coordinates_in(space, x, what: str, as_list: bool = False):
+    """Coordinates of x in a Subspace (x a pair vector) or a MapSpace (x a
+    matrix), as a pair vector, or a dense list to form an algebra element
+    (as_list); x lying outside space is an InternalInconsistency."""
     coords = space.coordinates(x)
     if coords is None:
         raise InternalInconsistency(f"{what} lies outside {space!r}")
-    return coords
+    return dense(space.field, space.dim, coords) if as_list else coords
 
 
 def coordinate_matrix(space, items: Sequence, what: str) -> Matrix:
     """The coordinates of each item in space, as columns."""
     return Matrix.from_cols(space.field, space.dim, [
-        sparse(coordinates_in(space, x, what)) for x in items])
+        coordinates_in(space, x, what) for x in items])
 
 
 def restrict_to(space: Subspace, op: Matrix, what: str) -> Matrix:
     """An operator preserving space, in the coordinates of space."""
-    return coordinate_matrix(space, [op.apply(row) for row in space.rows], what)
+    cols, comb = op.transpose().pairs, space.field.comb
+    return coordinate_matrix(space, [comb(cols, row) for row in space.basis.pairs],
+                             what)
 
 
 def ring_on(space, product, one, name: str,
             generators: Optional[list] = None) -> FDAlgebra:
     """The algebra on a product-closed space: product(i, j) is the product
-    of basis elements i and j, and one the unit, both in the ambient;
-    generators, when known, are its generators (FDAlgebra.generators)."""
-    mult = [[coordinates_in(space, product(i, j), f"product in {name}")
+    of basis elements i and j and one the unit, as space.coordinates reads
+    them; generators, when known, are its generators (FDAlgebra.generators)."""
+    mult = [[coordinates_in(space, product(i, j), f"product in {name}", True)
              for j in range(space.dim)] for i in range(space.dim)]
-    unit = coordinates_in(space, one, f"unit of {name}")
+    unit = coordinates_in(space, one, f"unit of {name}", True)
     return FDAlgebra(space.field, space.dim, mult, unit, name=name,
                      generators=generators)
 
@@ -172,13 +175,13 @@ class CanonicalSpaces:
         return self.centralizer_space.element(coords)
 
     def r_coords(self, v: Sequence, what: str = "element") -> list:
-        return coordinates_in(self.centralizer_space, v, what)
+        return coordinates_in(self.centralizer_space, sparse(v), what, True)
 
     def t_coords(self, v: Sequence, what: str = "element") -> list:
-        return coordinates_in(self.tensor_space, v, what)
+        return coordinates_in(self.tensor_space, sparse(v), what, True)
 
     def s_coords(self, mat: Matrix, what: str = "map") -> list:
-        return coordinates_in(self.endo_space, mat, what)
+        return coordinates_in(self.endo_space, mat, what, True)
 
     def pure(self, x: Sequence, y: Sequence) -> list:
         """Q-coordinates of the class of x (x) y, dense: an element of T
@@ -221,26 +224,29 @@ class CanonicalRings(CanonicalSpaces):
         a, f = ext.total, self.field
         R, T, S = self.centralizer_space, self.tensor_space, self.endo_space
 
+        one = sparse(a.unit)
         self.centralizer = ring_on(
-            R, lambda i, j: a.multiply(R.rows[i], R.rows[j]), a.unit, "R")
+            R, lambda i, j: sparse(a.multiply(R.rows[i], R.rows[j])), one, "R")
         # T multiplied through the tensor-square action
         self.t_action_on_q = self.t_acting_on(
             self.q, [a.basis_left_mult(j) for j in range(a.dim)])
         self.tensor_ring = ring_on(
-            T, lambda i, j: self.t_action_on_q[i].apply(T.rows[j]),
-            self.one_tensor_one(), "T")
+            T, lambda i, j: f.comb(self.t_action_on_q[i].transpose().pairs,
+                                   T.basis.pairs[j]),
+            self.q.pure(a.unit, a.unit), "T")
         # S under composition
         self.endo_ring = ring_on(S, lambda i, j: S.basis[i] @ S.basis[j],
                                  Matrix.identity(f, a.dim), "S")
-        self.casimir_in_tensor = Subspace.from_vectors(f, T.dim, [
-            self.t_coords(row, "Casimir element") for row in self.casimir_space.rows])
+        self.casimir_in_tensor = Subspace.row_space(coordinate_matrix(
+            T, self.casimir_space.basis.pairs, "Casimir element").transpose())
 
-        # evaluation maps
+        # evaluation maps, images of the basis pairs
+        mu_cols = self.mu_matrix.transpose().pairs
         self.tensor_counit = coordinate_matrix(
-            R, [self.mu_matrix.apply(row) for row in T.rows],
+            R, [f.comb(mu_cols, row) for row in T.basis.pairs],
             "image of an invariant tensor under multiplication")
         self.endo_counit = coordinate_matrix(
-            R, [mat.apply(a.unit) for mat in S.basis],
+            R, [f.comb(mat.transpose().pairs, one) for mat in S.basis],
             "value of an endomorphism at 1")
         self.lambda_map = coordinate_matrix(
             S, [a.left_mult_matrix(row) for row in R.rows],

@@ -126,7 +126,7 @@ Square = Callable[[Matrix], tuple[Matrix, Matrix]]
 
 def _hom_column(hs: MapSpace, mat: Matrix) -> tuple:
     """The coordinates of a map that must lie in hs, as a pair vector."""
-    return sparse(coordinates_in(hs, mat, "a structural map"))
+    return coordinates_in(hs, mat, "a structural map")
 
 
 def _on_hom(hs: MapSpace, fn: Callable[[Matrix], Matrix]) -> Matrix:
@@ -739,7 +739,7 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
                for k in range(a.dim)]
         runit = list(cr.centralizer.unit)
         back = Matrix.from_cols(f, dom.module.dim, [dom.pure(coordinates_in(
-            hs, _gather(ops, mu), "a structural map"), runit)
+            hs, _gather(ops, mu), "a structural map", True), runit)
             for mu in range(n.dim)])
         checks["expectation_inverse"] = _certify_inverse(
             fwd, back,

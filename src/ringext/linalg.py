@@ -14,23 +14,23 @@ fields are never mixed, and matrices and subspaces remember their field.
 Linear systems use one sparse format, the pair vector: a tuple of
 (index, nonzero value) pairs in ascending index order.  Matrix rows and
 columns, kernel vectors, solutions, span_decide generators and targets,
-vec and the classes of a tensor product are pair vectors, so elimination
-touches only nonzero entries and no vector is copied dense between two
-systems.  Dense lists appear only as algebra elements and certificates
-(structure constants, apply, col, Subspace.rows and coordinates); sparse
-turns one into a pair vector where it meets a matrix.  apply_comb applies
-a combination of matrices to one vector from the images of that vector
-alone, so substituting into a certificate forms no operator.  Each
-field has one fused accumulation kernel, comb, which sums a combination
-of pair vectors in one call with the field's arithmetic inlined: rows of
-lin_comb and multi-entry rows of a product, images and tensor class
-tables go through it.  A product passes empty rows through and reads a
-one-entry row as one row of the other matrix, scaled unless its entry
-is 1.  A matrix keeps its transpose once built, with no reference back
-(from_cols keeps the columns it was given), and apply, spin, col and
-columns read those cached columns: an image is the sum of the columns
-at a vector's nonzero entries, with no dot product.  Matrix.identity is
-one shared instance per field and size.
+vec, Subspace coordinates and the classes of a tensor product are pair
+vectors, so elimination touches only nonzero entries and no vector is
+copied dense between two systems.  Dense lists appear only as algebra
+elements and certificates (structure constants, apply, col,
+Subspace.rows); sparse turns one into a pair vector where it meets a
+matrix.  apply_comb applies a combination of matrices to one vector from
+the images of that vector alone, so substituting into a certificate
+forms no operator.  Each field has one fused accumulation kernel, comb,
+which sums a combination of pair vectors in one call with the field's
+arithmetic inlined (rows of lin_comb and of a product, images, tensor
+class tables); a one-term combination, or a one-entry row of a product,
+is the vector itself or its scaled copy, with no dict.  A matrix keeps
+its transpose once built, with no reference back (from_cols keeps the
+columns it was given), and apply, spin, col and columns read those
+cached columns: an image is the sum of the columns at a vector's nonzero
+entries, with no dot product.  Matrix.identity is one shared instance
+per field and size.
 Subspaces keep an RREF basis, so equal subspaces have equal data.  An
 RREF is unique, so its rows, pivots, kernel basis and the particular
 solution with free variables zero do not depend on the order in which
@@ -40,6 +40,7 @@ elimination visits the rows.
 from __future__ import annotations
 
 from functools import cache, cached_property
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 try:
@@ -163,10 +164,24 @@ class RationalField:
         """sum x * vectors[j] over the (j, x) pairs of coeffs, zeros
         skipped, as a pair vector; an index j may repeat.  The one
         accumulation kernel of every sparse product: one call per
-        combination, with sparse_addmul's arithmetic inlined."""
-        acc: dict = {}
+        combination, with sparse_addmul's arithmetic inlined.  The first
+        nonzero term is kept aside: alone, it is vectors[j] itself, scaled
+        unless x is 1; once a second arrives, it starts the dict."""
+        terms = iter(coeffs)
+        for j, c in terms:
+            if c:
+                break
+        else:
+            return ()
+        first = vectors[j] if c == 1 else _scaled(self, c, vectors[j])
+        for k, x in terms:
+            if x:
+                break
+        else:
+            return first
+        acc = dict(first)
         get = acc.get
-        for j, x in coeffs:
+        for j, x in chain(((k, x),), terms):
             if x:
                 for k, s in vectors[j]:
                     v = get(k, 0) + x * s
@@ -242,9 +257,21 @@ class PrimeField:
                 del dst[j]
 
     def comb(self, vectors: Sequence[tuple], coeffs: Iterable) -> tuple:
-        p, acc = self.p, {}
+        terms = iter(coeffs)
+        for j, c in terms:
+            if c:
+                break
+        else:
+            return ()
+        first = vectors[j] if c == 1 else _scaled(self, c, vectors[j])
+        for k, x in terms:
+            if x:
+                break
+        else:
+            return first
+        p, acc = self.p, dict(first)
         get = acc.get
-        for j, x in coeffs:
+        for j, x in chain(((k, x),), terms):
             if x:
                 for k, s in vectors[j]:
                     v = (get(k, 0) + x * s) % p
@@ -679,7 +706,8 @@ def span_decide_pairs(field: Field, dim: int, lefts: Sequence, rights: Sequence,
 class Subspace:
     """A subspace of F^n held as its RREF basis: basis, a Matrix with one
     row per basis vector, and rows, the same vectors as dense lists for
-    use as algebra elements, built on first use."""
+    use as algebra elements, built on first use.  coordinates maps pair
+    vectors to pair vectors, reducing each to test membership."""
 
     def __init__(self, basis: Matrix, pivots: list[int]) -> None:
         """The span of basis, an RREF with these pivots and no zero row."""
@@ -734,15 +762,14 @@ class Subspace:
         """The index of each pivot column among the pivots."""
         return {c: k for k, c in enumerate(self.pivots)}
 
-    def _coordinates(self, w: dict) -> Optional[list]:
-        """coordinates of the vector with nonzeros w, reduced in place: the
-        basis rows vanish at each other's pivots, so they are w's entries
-        at the pivots, read from w's nonzeros through the pivot positions."""
-        coords, position = [self.field.zero] * len(self.pivots), self._position
-        for c, x in w.items():
-            k = position.get(c)
-            if k is not None:
-                coords[k] = x
+    def _coordinates(self, w: dict) -> Optional[tuple]:
+        """coordinates of the vector with nonzeros w, keys ascending,
+        reduced in place: the basis rows vanish at each other's pivots, so
+        they are w's entries at the pivots, read from w's nonzeros through
+        the pivot positions, which ascend with the pivots."""
+        at = self._position.get
+        coords = tuple([(k, x) for c, x in w.items()
+                        if (k := at(c)) is not None])
         return None if self._reduce(w) else coords
 
     def contains(self, v: Sequence) -> bool:
@@ -753,9 +780,10 @@ class Subspace:
         return dense(self.field, self.ambient_dim, self.field.comb(
             self.basis.pairs, zip(range(self.dim), coords)))
 
-    def coordinates(self, v: Sequence) -> Optional[list]:
-        """Coefficients of v over the RREF basis, or None if v is outside."""
-        return self._coordinates(dict(sparse(v)))
+    def coordinates(self, v: tuple) -> Optional[tuple]:
+        """The coefficients of the pair vector v over the RREF basis, as a
+        pair vector, or None if v is outside."""
+        return self._coordinates(dict(v))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)

@@ -29,11 +29,11 @@ def submodule_as_module(parent: Bimodule, sub: Subspace,
     def induce(op: Matrix) -> Matrix:
         cols = []
         for row in sub.rows:
-            coords = sub.coordinates(op.apply(row))
+            coords = sub.coordinates(sparse(op.apply(row)))
             if coords is None:
                 raise BimoduleError(
                     f"subspace of {parent.label} is not action-stable")
-            cols.append(sparse(coords))
+            cols.append(coords)
         return Matrix.from_cols(parent.field, sub.dim, cols)
 
     return Bimodule(parent.left_algebra, parent.right_algebra, sub.dim,

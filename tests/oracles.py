@@ -16,7 +16,8 @@ replaced, the dense multiply loops of FDAlgebra.validate and the
 basis-wide linearity checks of the comparison maps.  So are the
 certificate verifiers and the H-separability search that formed an
 operator for each algebra element before applying it to one vector, and
-the Fraction decoding of scalar strings.
+the Fraction decoding of scalar strings, and the union-find over
+linked index pairs that orbit classes were once read off.
 """
 
 from __future__ import annotations
@@ -678,3 +679,24 @@ def reference_rational_scalar(text):
     if q.denominator == 1:
         return q.numerator
     return _rational(q.numerator, q.denominator)
+
+
+def reference_orbits(n, links):
+    """The classes of 0..n-1 under the equivalence generated by the linked
+    pairs, each ascending, in the order of their least members; union-find
+    with every root the least member of its class."""
+    root = list(range(n))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for a, b in links:
+        a, b = sorted((find(a), find(b)))
+        root[b] = a
+    classes = {}
+    for a in range(n):
+        classes.setdefault(find(a), []).append(a)
+    return list(classes.values())

@@ -4,9 +4,10 @@ import random
 from functools import cache
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ringext import bimodule
 from ringext.algebra import (group_algebra, self_extension,
                              subalgebra_extension, trivial_algebra)
 from ringext.bimodule import (Bimodule, BimoduleError, centralizer_subspace,
@@ -19,10 +20,11 @@ from ringext.linalg import GF, QQ, Matrix, dense, sparse, unit_vec, vec_sum
 from ringext.serialize import parse_input
 from tests.conftest import CORPUS_NAMES, corpus_doc
 from tests.helpers import (center, dense_matrix, dense_vector,
-                           diagonal_algebra, matrix_algebra, scale, unrecorded)
+                           diagonal_algebra, matrix_algebra, residual, scale,
+                           unrecorded)
 from tests.modules import random_cyclic_module, random_scalar
-from tests.oracles import (reference_hom_basis, reference_tensor_legs,
-                           reference_tensor_relations)
+from tests.oracles import (reference_hom_basis, reference_orbits,
+                           reference_tensor_legs, reference_tensor_relations)
 from tests.test_algebra import cyclic, sym3
 
 
@@ -415,9 +417,55 @@ def test_hom_space_coordinates_roundtrip():
     assert h.dim == 3
     coeffs = [QQ.of(v) for v in (2, -1, 5)]
     el = h.element(coeffs)
-    assert h.coordinates(el) == coeffs
+    assert h.coordinates(el) == sparse(coeffs)
     outsider = el + Matrix.from_pairs(QQ, 3, 3, [[(0, 1)], (), ()])
     assert h.coordinates(outsider) is None
+
+
+@cache
+def coordinate_spaces(field):
+    """Hom spaces read off orbits (C3 over itself) and solved (M2 as a left
+    module over itself)."""
+    c3 = regular_bimodule(group_algebra(field, cyclic(3)))
+    m2 = regular_module(matrix_algebra(field, 2), "left")
+    return hom_space(c3, c3), hom_space(m2, m2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@given(st.data())
+def test_map_coordinates_are_the_dense_reference_as_pairs(field, data):
+    """MapSpace coordinates are sparse() of the dense pivot readoff of the
+    vectorized map, for members and for drawn matrices, which are mostly
+    outside and then give None."""
+    entry = st.integers(-2, 2).map(field.of)
+    for h in coordinate_spaces(field):
+        n, d = h.target.dim, h.source.dim
+        inside = h.element(data.draw(st.lists(entry, min_size=h.dim,
+                                              max_size=h.dim)))
+        drawn = dense_matrix(field, data.draw(st.lists(
+            st.lists(entry, min_size=d, max_size=d), min_size=n, max_size=n)), d)
+        for mat in (inside, drawn, inside + drawn):
+            v = [x for row in mat.data for x in row]
+            want = (None if any(residual(h.span, v))
+                    else sparse([v[c] for c in h.span.pivots]))
+            assert h.coordinates(mat) == want
+        assert h.coordinates(inside) is not None
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), max_size=4),
+    st.booleans(), st.booleans())))
+@example((0, [], False, False))
+@example((1, [[0]], False, False))
+@example((5, [[1, 0, 2, 3, 4]], True, True))
+def test_orbits_match_the_union_find_reference(case):
+    """Orbits closed under permutation lists are the union-find classes of
+    the links i ~ perm[i], with identities and a repeated generator."""
+    n, perms, identity, repeat = case
+    perms = [list(p) for p in perms] + [list(range(n))] * identity
+    perms += perms[:1] * repeat
+    links = [(i, p[i]) for p in perms for i in range(n)]
+    assert bimodule._orbits(n, perms) == reference_orbits(n, links)
 
 
 def hom_cases(field):

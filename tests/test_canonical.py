@@ -8,7 +8,9 @@ agreement here is two implementations confirming one another.
 import pytest
 
 from ringext.canonical import (CanonicalRings, InternalInconsistency,
-                               build_canonical_rings)
+                               build_canonical_rings, coordinate_matrix,
+                               restrict_to)
+from ringext.equivalences import _hom_column
 from ringext.linalg import QQ, Matrix, unit_vec
 from ringext.serialize import parse_input
 
@@ -146,6 +148,26 @@ def test_coordinate_helpers_reject_outsiders(built):
     bad = unit_vec(QQ, 6, 1)  # a transposition does not centralize A3
     with pytest.raises(InternalInconsistency):
         cr2.r_coords(bad)
+
+
+def test_pair_coordinate_readers_reject_outsiders(built):
+    """coordinate_matrix, restrict_to and _hom_column reduce every item,
+    so one outside the space is an InternalInconsistency."""
+    cr = built("qs3_qa3").cr
+    a, R, S = cr.ext.total, cr.centralizer_space, cr.endo_space
+    # a transposition does not centralize A3, nor does it map R into R
+    swap = ((1, QQ.one),)
+    assert coordinate_matrix(R, R.basis.pairs, "a basis").data == \
+        Matrix.identity(QQ, R.dim).data
+    with pytest.raises(InternalInconsistency):
+        coordinate_matrix(R, [*R.basis.pairs, swap], "a transposition")
+    with pytest.raises(InternalInconsistency):
+        restrict_to(R, a.basis_left_mult(1), "a transposition's multiple")
+    # the matrix unit e_0 -> e_1 is no A3-A3-map
+    bump = Matrix.from_pairs(QQ, 6, 6, [(), [(0, QQ.one)], (), (), (), ()])
+    assert _hom_column(S, S.basis[0]) == ((0, QQ.one),)
+    with pytest.raises(InternalInconsistency):
+        _hom_column(S, S.basis[0] + bump)
 
 
 def test_mu_multiplies(built):

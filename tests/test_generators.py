@@ -395,9 +395,9 @@ def analysed(name):
     were built."""
     ran, orbits = set(), bimodule._orbits
 
-    def spy(n, links):
+    def spy(n, perms):
         ran.add(sys._getframe(1).f_code.co_name)
-        return orbits(n, links)
+        return orbits(n, perms)
 
     doc = GROUP_INPUTS[name] if name in GROUP_INPUTS else corpus_doc(name)
     with pytest.MonkeyPatch.context() as mp:
@@ -598,7 +598,7 @@ def test_non_permutation_systems_are_eliminated(case, monkeypatch):
     left.validate()
     right.validate()
 
-    def no_orbits(n, links):
+    def no_orbits(n, perms):
         raise AssertionError("a non-permutation system was read off orbits")
 
     monkeypatch.setattr(bimodule, "_orbits", no_orbits)

@@ -7,7 +7,8 @@ The drawn shapes include empty ones, and some matrices get rows that are
 combinations of earlier rows, so those rows vanish during elimination.
 Other drawn matrices have empty and one-entry rows, the rows a product
 passes through or reads as one row of the other factor, and Field.comb
-gets terms that cancel.
+gets terms that cancel and one-term combinations, which it passes
+through.
 """
 
 from fractions import Fraction
@@ -321,5 +322,32 @@ def test_comb_cancels_terms_to_the_dense_sum(name, data):
     got = field.comb(pairs, [(j, field.of(x)) for j, x in terms])
     assert got == as_pairs([field.of(x) for x in want])
     assert_canonical(name, [[x for _, x in got]])
+    assert field.comb(pairs, [(pick, field.of(c)),
+                              (pick, field.of(ops.of(-c)))]) == ()
+
+
+ONE_TERM = [("Q", Fraction(1)), ("Q", Fraction(3, 2)), ("Q", Fraction(2)),
+            ("F5", 1), ("F5", 4)]
+
+
+@pytest.mark.parametrize("name, c", ONE_TERM)
+@given(st.data())
+def test_one_term_comb_passes_the_vector_through(name, c, data):
+    """Field.comb with one nonzero coefficient, zeros before and after it,
+    is the very vector at 1 and the dense scaled reference otherwise; only
+    zeros, or two terms that cancel, give ()."""
+    draw = data.draw
+    field, ops = FIELDS[name]
+    n = draw(st.integers(1, 5))
+    vecs = draw(dense_rows(name, draw(st.integers(1, 3)), n))
+    pairs = [as_pairs([field.of(x) for x in v]) for v in vecs]
+    pick = draw(st.integers(0, len(vecs) - 1))
+    zeros = [(j, field.zero) for j in range(len(vecs))]
+    got = field.comb(pairs, zeros[:pick] + [(pick, field.of(c))] + zeros[pick:])
+    assert got == as_pairs([field.of(reduce_(name, ops.of(c) * x))
+                            for x in vecs[pick]])
+    assert_canonical(name, [[x for _, x in got]])
+    assert (got is pairs[pick]) == (c == 1) or not pairs[pick]
+    assert field.comb(pairs, zeros) == field.comb(pairs, []) == ()
     assert field.comb(pairs, [(pick, field.of(c)),
                               (pick, field.of(ops.of(-c)))]) == ()
