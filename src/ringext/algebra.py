@@ -1,8 +1,10 @@
 """Finite-dimensional associative unital algebras given by structure constants.
 
 An algebra is a field, a dimension n, a multiplication table sending each
-basis pair (i, j) to the coordinate vector of e_i * e_j, and the coordinate
-vector of the unit.  Everything downstream (bimodules, centralizers, tensor
+basis pair (i, j) to the coordinates of e_i * e_j, and the coordinates of
+the unit, all pair vectors (linalg), as is every element: a product is
+one comb over the table's entries at the products of the factors'
+nonzero coordinates.  Everything downstream (bimodules, centralizers, tensor
 rings) consumes this one representation, so computed rings are repackaged
 through the same class and inherit the whole toolkit.
 
@@ -18,19 +20,11 @@ without re-deriving it from the multiplication.
 
 from __future__ import annotations
 
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
 from typing import Optional, Sequence
 
-from .linalg import (
-    Field,
-    Matrix,
-    Subspace,
-    lin_comb,
-    sparse,
-    unit_vec,
-    word_generators,
-    zero_vec,
-)
+from .linalg import Field, Matrix, Subspace, lin_comb, word_generators
 
 
 class AlgebraError(ValueError):
@@ -113,16 +107,17 @@ class GroupData:
 
 
 class FDAlgebra:
-    """Associative unital algebra over an exact field, by structure constants."""
+    """Associative unital algebra over an exact field, by structure
+    constants: mult[i][j] and unit are pair vectors."""
 
-    def __init__(self, field: Field, dim: int, mult: Sequence[Sequence[Sequence]],
-                 unit: Sequence, group: Optional[GroupData] = None,
+    def __init__(self, field: Field, dim: int, mult: Sequence[Sequence[tuple]],
+                 unit: tuple, group: Optional[GroupData] = None,
                  name: str = "A", _validated: bool = False,
                  generators: Optional[list[int]] = None) -> None:
         self.field = field
         self.dim = dim
-        self.mult = [[list(v) for v in row] for row in mult]
-        self.unit = list(unit)
+        self.mult = [[tuple(v) for v in row] for row in mult]
+        self.unit = tuple(unit)
         self.group = group
         self.name = name
         self._left_regular: Optional[list[Matrix]] = None
@@ -136,12 +131,9 @@ class FDAlgebra:
         n, f = self.dim, self.field
         if len(self.mult) != n or any(len(row) != n for row in self.mult):
             raise AlgebraError(f"multiplication table is not {n}x{n}")
-        for row in self.mult:
-            for v in row:
-                if len(v) != n:
-                    raise AlgebraError("structure vector has wrong length")
-        if len(self.unit) != n:
-            raise AlgebraError("unit vector has wrong length")
+        if any(v and not 0 <= v[0][0] <= v[-1][0] < n
+               for v in chain(*self.mult, [self.unit])):
+            raise AlgebraError(f"structure vector has an index outside 0..{n - 1}")
         # column j of the matrix of v -> x v (v -> v x) is x e_j (e_j x)
         unit_l = self.left_mult_matrix(self.unit).transpose().pairs
         unit_r = self.right_mult_matrix(self.unit).transpose().pairs
@@ -164,44 +156,41 @@ class FDAlgebra:
                     raise AlgebraError(
                         f"not associative: (e{i} e{j}) e{k} != e{i} (e{j} e{k})")
 
-    def multiply(self, x: Sequence, y: Sequence) -> list:
-        f, n = self.field, self.dim
-        out = zero_vec(f, n)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.mult[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = f.mul(xi, yj)
-                f.row_addmul(out, row[j], c)
-        return out
+    def multiply(self, x: tuple, y: tuple) -> tuple:
+        """x y: one comb over the structure constants e_i e_j, flattened
+        row-major, at the products x_i y_j (unreduced, comb reduces)."""
+        n = self.dim
+        return self.field.comb(self._flat, [
+            (i * n + j, a * b) for i, a in x for j, b in y])
 
     def generators(self) -> list[int]:
         """Basis indices whose words span the algebra (linalg.word_generators),
         cached."""
         if self._generators is None:
             self._generators = word_generators(
-                self.field, self.dim, sparse(self.unit), self.basis_right_mult)
+                self.field, self.dim, self.unit, self.basis_right_mult)
         return self._generators
 
     def _ensure_regular(self) -> None:
         if self._left_regular is not None:
             return
-        f, n = self.field, self.dim
-        consts = [[sparse(v) for v in row] for row in self.mult]
+        f, n, consts = self.field, self.dim, self.mult
         # column j of left mult by e_i is e_i e_j
         self._left_regular = [Matrix.from_cols(f, n, consts[i]) for i in range(n)]
         self._right_regular = [Matrix.from_cols(f, n, [row[i] for row in consts])
                                for i in range(n)]
 
-    def left_mult_matrix(self, x: Sequence) -> Matrix:
+    @cached_property
+    def _flat(self) -> list:
+        """The structure constants in row-major order, e_i e_j at i n + j."""
+        return list(chain(*self.mult))
+
+    def left_mult_matrix(self, x: tuple) -> Matrix:
         """Matrix of v -> x v in the algebra basis."""
         self._ensure_regular()
         return lin_comb(self.field, self.dim, self.dim, x, self._left_regular)
 
-    def right_mult_matrix(self, x: Sequence) -> Matrix:
+    def right_mult_matrix(self, x: tuple) -> Matrix:
         """Matrix of v -> v x in the algebra basis."""
         self._ensure_regular()
         return lin_comb(self.field, self.dim, self.dim, x, self._right_regular)
@@ -226,10 +215,9 @@ class FDAlgebra:
 
 def group_algebra(field: Field, group: GroupData, name: str = "kG") -> FDAlgebra:
     """The group algebra k[G] with basis indexed by group elements."""
-    n = group.order
-    mult = [[unit_vec(field, n, group.cayley[i][j]) for j in range(n)]
-            for i in range(n)]
-    return FDAlgebra(field, n, mult, unit_vec(field, n, 0),
+    one = field.one
+    mult = [[((k, one),) for k in row] for row in group.cayley]
+    return FDAlgebra(field, group.order, mult, ((0, one),),
                      group=group, name=name, _validated=True)
 
 
@@ -240,7 +228,8 @@ def trivial_algebra(field: Field) -> FDAlgebra:
     """The base field as a one-dimensional algebra (used for one-sided modules)."""
     if field not in _trivial_cache:
         _trivial_cache[field] = FDAlgebra(
-            field, 1, [[[field.one]]], [field.one], name="k", _validated=True)
+            field, 1, [[((0, field.one),)]], ((0, field.one),), name="k",
+            _validated=True)
     return _trivial_cache[field]
 
 
@@ -266,10 +255,9 @@ class Extension:
         self._validate()
 
     def _validate(self) -> None:
-        f = self.base.field
         if self.iota.apply(self.base.unit) != self.total.unit:
             raise AlgebraError("embedding does not preserve the unit")
-        cols = self.iota.columns()
+        cols = self.iota.transpose().pairs
         if Subspace.row_space(self.iota.transpose()).dim != self.base.dim:
             raise AlgebraError("embedding is not injective")
         for i in self.base.generators():
@@ -284,7 +272,7 @@ class Extension:
     def field(self) -> Field:
         return self.base.field
 
-    def base_generators(self) -> list:
+    def base_generators(self) -> list[tuple]:
         """The images in A of B's generators, which generate B's image."""
         return [self.iota.col(i) for i in self.base.generators()]
 
@@ -295,11 +283,10 @@ class Extension:
         if self.total.group is None:
             return None
         idx = []
-        for col in self.iota.columns():
-            nz = [k for k, c in enumerate(col) if c]
-            if len(nz) != 1 or not self.field.is_one(col[nz[0]]):
+        for col in self.iota.transpose().pairs:
+            if len(col) != 1 or not self.field.is_one(col[0][1]):
                 return None
-            idx.append(nz[0])
+            idx.append(col[0][0])
         return idx
 
     def image(self) -> Subspace:
@@ -312,13 +299,14 @@ class Extension:
         return f"Extension({self.name}: dim {self.base.dim} -> {self.total.dim})"
 
 
-def subalgebra_extension(total: FDAlgebra, basis: Optional[Sequence[Sequence]] = None,
+def subalgebra_extension(total: FDAlgebra, basis: Optional[Sequence[tuple]] = None,
                          subgroup: Optional[Sequence[int]] = None,
                          name: str = "A/B") -> Extension:
     """Build the extension B -> A from a unital subalgebra of A.
 
-    Either a linear basis of the subalgebra (closure under multiplication
-    is verified, the offending product reported otherwise) or, for group
+    Either a linear basis of the subalgebra, as pair vectors (closure under
+    multiplication is verified, the offending product reported otherwise)
+    or, for group
     algebras, a list of group element indices forming a subgroup.
     """
     f = total.field
@@ -341,12 +329,10 @@ def subalgebra_extension(total: FDAlgebra, basis: Optional[Sequence[Sequence]] =
         iota = Matrix.from_cols(f, total.dim, [((e, f.one),) for e in elems])
         return Extension(base, total, iota, name=name)
 
-    vecs = [list(v) for v in basis]
-    for v in vecs:
-        if len(v) != total.dim:
-            raise AlgebraError("subalgebra basis vector has wrong length")
-    k, n = len(vecs), total.dim
-    gens = tuple(sparse(v) for v in vecs)
+    gens, n = tuple(map(tuple, basis)), total.dim
+    if any(v and v[-1][0] >= n for v in gens):
+        raise AlgebraError(f"subalgebra basis vector has an index outside 0..{n - 1}")
+    k = len(gens)
     # [V | I_k] in RREF: each row writes its V part over the basis in its
     # I_k part, and the basis is independent iff no pivot lies in I_k
     aug = Subspace.row_space(Matrix(f, k, n + k, tuple(
@@ -354,17 +340,17 @@ def subalgebra_extension(total: FDAlgebra, basis: Optional[Sequence[Sequence]] =
     if any(c >= n for c in aug.pivots):
         raise AlgebraError("subalgebra basis is linearly dependent")
 
-    def coords(v: Sequence) -> Optional[list]:
+    def coords(v: tuple) -> Optional[tuple]:
         """v over the basis, or None if it is outside the span: reducing
         (v | 0) leaves (residual | -coordinates)."""
-        w = aug._reduce(dict(sparse(v)))
-        return None if any(j < n for j in w) else [
-            f.neg(w.get(n + i, f.zero)) for i in range(k)]
+        w = aug._reduce(dict(v))
+        return None if any(j < n for j in w) else tuple(sorted(
+            (j - n, f.neg(x)) for j, x in w.items()))
 
     unit_coords = coords(total.unit)
     if unit_coords is None:
         raise AlgebraError("subalgebra does not contain the unit")
-    mult = [[coords(total.multiply(x, y)) for y in vecs] for x in vecs]
+    mult = [[coords(total.multiply(x, y)) for y in gens] for x in gens]
     for i, j in product(range(k), repeat=2):
         if mult[i][j] is None:
             raise AlgebraError(

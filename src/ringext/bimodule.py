@@ -7,7 +7,7 @@ commute.  One-sided modules (one_sided, regular_module, keep_side) use
 the trivial algebra on the silent side, so one hom/tensor engine covers
 left, right and genuine bimodules.  An action list may be an OnRead,
 built operator by operator on first read (tensor_over's outer actions
-are); lin_comb reads only the matrices at nonzero coefficients.
+are); lin_comb reads only the matrices at its coefficients' entries.
 
 tensor_over and hom_space share one presentation of a module m generated
 by vectors X over the algebra C acting on one side (its recorded
@@ -48,14 +48,12 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
-    dense,
     echelon_insert,
     echelon_reduce,
     kernel,
     lin_comb,
     rref,
     span_decide,
-    sparse,
     spin,
     word_generators,
 )
@@ -169,11 +167,11 @@ class Bimodule:
                 tuple(self.right_action[i].pairs for i in ra.generators()))
         return self._memo_key
 
-    def left_operator(self, x: Sequence) -> Matrix:
+    def left_operator(self, x: tuple) -> Matrix:
         """Matrix of v -> x.v for x in the left algebra."""
         return lin_comb(self.field, self.dim, self.dim, x, self.left_action)
 
-    def right_operator(self, x: Sequence) -> Matrix:
+    def right_operator(self, x: tuple) -> Matrix:
         """Matrix of v -> v.x for x in the right algebra."""
         return lin_comb(self.field, self.dim, self.dim, x, self.right_action)
 
@@ -219,7 +217,7 @@ def regular_bimodule(a: FDAlgebra, label: Optional[str] = None) -> Bimodule:
     return Bimodule(a, a, a.dim,
                     [a.basis_left_mult(i) for i in range(a.dim)],
                     [a.basis_right_mult(i) for i in range(a.dim)],
-                    label or a.name, ("left", (sparse(a.unit),)))
+                    label or a.name, ("left", (a.unit,)))
 
 
 def one_sided(a: FDAlgebra, side: str, dim: int, action: Sequence[Matrix],
@@ -241,7 +239,7 @@ def regular_module(a: FDAlgebra, side: str, label: Optional[str] = None
     a._ensure_regular()
     mult = a.basis_left_mult if side == "left" else a.basis_right_mult
     return one_sided(a, side, a.dim, [mult(i) for i in range(a.dim)],
-                     label or a.name, (side, (sparse(a.unit),)))
+                     label or a.name, (side, (a.unit,)))
 
 
 def restrict(m: Bimodule, embedding, side: str,
@@ -345,25 +343,25 @@ class TensorProduct:
         return tuple((xs[i], ((v, one),)) if side == "left"
                      else (((v, one),), xs[i]) for i, v in units)
 
-    def lift(self, coords: Sequence) -> Matrix:
-        """The canonical ambient representative of a class of a product
-        in ambient coordinates, such as the tensor square's."""
+    def lift(self, coords: tuple) -> Matrix:
+        """The canonical ambient representative of the class with the pair
+        vector coords, for a product in ambient coordinates, such as the
+        tensor square's."""
+        free = self.free_cols
         return Matrix.from_vec(
             self.left_factor.field, self.left_factor.dim, self.right_factor.dim,
-            tuple((c, x) for c, x in zip(self.free_cols, coords) if x))
+            tuple((free[c], x) for c, x in coords))
 
-    def sum_pure(self, pairs: Iterable[tuple[Sequence, Sequence]]) -> tuple:
-        """The class of sum x (x) y over the pairs (x, y), summed in the
-        ambient and projected once."""
+    def sum_pure(self, pairs: Iterable[tuple[tuple, tuple]]) -> tuple:
+        """The class of sum x (x) y over the pairs (x, y) of pair vectors,
+        summed in the ambient and projected once."""
         f, n, w = self.left_factor.field, self.right_factor.dim, {}
         for x, y in pairs:
-            ys = [(j, b) for j, b in enumerate(y) if b]
-            for i, a in enumerate(x):
-                if a:
-                    f.sparse_addmul(w, [(i * n + j, b) for j, b in ys], a)
+            for i, a in x:
+                f.sparse_addmul(w, [(i * n + j, b) for j, b in y], a)
         return self._class_of(w.items())
 
-    def pure(self, x: Sequence, y: Sequence) -> tuple:
+    def pure(self, x: tuple, y: tuple) -> tuple:
         """The class of the pure tensor x (x) y."""
         return self.sum_pure([(x, y)])
 
@@ -462,7 +460,7 @@ def _stacked(f: Field, acts: Sequence[Matrix], t: tuple, dc: int, dim: int,
         parts.setdefault(j // dc, []).append((j % dc, a))
     lines = []
     for k, tk in parts.items():
-        op = lin_comb(f, dim, dim, dense(f, dc, tk), acts)
+        op = lin_comb(f, dim, dim, tk, acts)
         lines.append((k * dim, (op.transpose() if by_cols else op).pairs))
     return [tuple((base + w, a) for base, vecs in lines for w, a in vecs[v])
             for v in range(dim)]
@@ -594,7 +592,7 @@ class MapSpace:
         return self.span._coordinates({i * n + j: x for i, row in enumerate(
             mat.pairs) for j, x in row})
 
-    def element(self, coords: Sequence) -> Matrix:
+    def element(self, coords: tuple) -> Matrix:
         return lin_comb(self.field, self.target.dim, self.source.dim,
                         coords, self.basis)
 
@@ -729,10 +727,10 @@ def _maps_over(m: Bimodule, n: Bimodule, side: str, xs: tuple) -> tuple:
                  for r in range(len(ker)))
 
 
-def invariants_subspace(m: Bimodule, elements: Sequence[Sequence]) -> Subspace:
+def invariants_subspace(m: Bimodule, elements: Sequence[tuple]) -> Subspace:
     """Vectors v with x.v = v.x for every listed element of both algebras.
 
-    Elements are coordinate vectors in the acting algebra, which must be
+    Elements are pair vectors in the acting algebra, which must be
     the same on both sides for the condition to typecheck.  When every
     x acts on both sides by a permutation matrix, x.v = v.x links the
     entries of v that the two permutations move to one position, l(p) to
@@ -836,13 +834,13 @@ def summand_witness(m: Bimodule, n: Bimodule,
                 break
     if residual:
         return None
-    coeffs = span_decide(f, k * dm, [v for _, _, v in kept], target)
     back_coeffs: dict = {}
-    for (a, b, _), c in zip(kept, coeffs):
-        back_coeffs.setdefault(a, [f.zero] * nb)[b] = c
+    for at, c in span_decide(f, k * dm, [v for _, _, v in kept], target):
+        a, b, _ = kept[at]
+        back_coeffs.setdefault(a, {})[b] = c
     witness = SummandWitness(m, n, [
-        (into_space.basis[a], back_space.element(c))
-        for a, c in back_coeffs.items() if any(c)])
+        (into_space.basis[a], back_space.element(tuple(sorted(c.items()))))
+        for a, c in back_coeffs.items()])
     if not witness.verify():
         raise BimoduleError("summand witness failed its own verification")
     return witness

@@ -25,6 +25,9 @@ canonical subspaces live.  CanonicalSpaces builds only Q, the spaces
 underlying R, T and S and the Casimir subspace, which is all a
 certificate verifier reads; CanonicalRings adds the rest.
 
+Elements of A, of R, T and S in their coordinates, and of Q are pair
+vectors (linalg), as are the coordinates every readoff returns.
+
 Every closure property used here (products of invariants stay invariant,
 counits land in R, and so on) is a theorem given a valid extension, so a
 failed coordinate readoff is reported as an InternalInconsistency, never
@@ -53,17 +56,17 @@ from .bimodule import (
     tensor_legs,
     tensor_over,
 )
-from .linalg import Matrix, Subspace, dense, lin_comb, rank, sparse, unit_vec
+from .linalg import Matrix, Subspace, lin_comb, rank
 
 
-def coordinates_in(space, x, what: str, as_list: bool = False):
+def coordinates_in(space, x, what: str) -> tuple:
     """Coordinates of x in a Subspace (x a pair vector) or a MapSpace (x a
-    matrix), as a pair vector, or a dense list to form an algebra element
-    (as_list); x lying outside space is an InternalInconsistency."""
+    matrix), as a pair vector; x lying outside space is an
+    InternalInconsistency."""
     coords = space.coordinates(x)
     if coords is None:
         raise InternalInconsistency(f"{what} lies outside {space!r}")
-    return dense(space.field, space.dim, coords) if as_list else coords
+    return coords
 
 
 def coordinate_matrix(space, items: Sequence, what: str) -> Matrix:
@@ -84,9 +87,9 @@ def ring_on(space, product, one, name: str,
     """The algebra on a product-closed space: product(i, j) is the product
     of basis elements i and j and one the unit, as space.coordinates reads
     them; generators, when known, are its generators (FDAlgebra.generators)."""
-    mult = [[coordinates_in(space, product(i, j), f"product in {name}", True)
+    mult = [[coordinates_in(space, product(i, j), f"product in {name}")
              for j in range(space.dim)] for i in range(space.dim)]
-    unit = coordinates_in(space, one, f"unit of {name}", True)
+    unit = coordinates_in(space, one, f"unit of {name}")
     return FDAlgebra(space.field, space.dim, mult, unit, name=name,
                      generators=generators)
 
@@ -134,10 +137,10 @@ class CanonicalSpaces:
         self.centralizer_space = centralizer_subspace(self.a_reg, ext)
         self.tensor_space = centralizer_subspace(self.q.module, ext)
         self.endo_space = self.hom(self.restricted, self.restricted)
-        self.a_basis = [unit_vec(self.field, a.dim, i) for i in range(a.dim)]
+        self.a_basis = [((i, self.field.one),) for i in range(a.dim)]
         self.casimir_space = invariants_subspace(
             self.q.module, [self.a_basis[i] for i in a.generators()])
-        self.mu_matrix = self.q.map_out(a.dim, lambda i, j: sparse(a.mult[i][j]))
+        self.mu_matrix = self.q.map_out(a.dim, lambda i, j: a.mult[i][j])
 
     # -- results built once per module content ------------------------------
 
@@ -170,27 +173,22 @@ class CanonicalSpaces:
 
     # -- coordinate helpers -------------------------------------------------
 
-    def r_lift(self, coords: Sequence) -> list:
+    def r_lift(self, coords: tuple) -> tuple:
         """Centralizer coordinates -> element of A."""
         return self.centralizer_space.element(coords)
 
-    def r_coords(self, v: Sequence, what: str = "element") -> list:
-        return coordinates_in(self.centralizer_space, sparse(v), what, True)
+    def r_coords(self, v: tuple, what: str = "element") -> tuple:
+        return coordinates_in(self.centralizer_space, v, what)
 
-    def t_coords(self, v: Sequence, what: str = "element") -> list:
-        return coordinates_in(self.tensor_space, sparse(v), what, True)
+    def t_coords(self, v: tuple, what: str = "element") -> tuple:
+        return coordinates_in(self.tensor_space, v, what)
 
-    def s_coords(self, mat: Matrix, what: str = "map") -> list:
-        return coordinates_in(self.endo_space, mat, what, True)
+    def s_coords(self, mat: Matrix, what: str = "map") -> tuple:
+        return coordinates_in(self.endo_space, mat, what)
 
-    def pure(self, x: Sequence, y: Sequence) -> list:
-        """Q-coordinates of the class of x (x) y, dense: an element of T
-        or of a certificate."""
-        return dense(self.field, self.dim_q, self.q.pure(x, y))
-
-    def one_tensor_one(self) -> list:
+    def one_tensor_one(self) -> tuple:
         a = self.ext.total
-        return self.pure(a.unit, a.unit)
+        return self.q.pure(a.unit, a.unit)
 
     def dims(self) -> dict:
         return {
@@ -223,17 +221,17 @@ class CanonicalRings(CanonicalSpaces):
         super().__init__(ext)
         a, f = ext.total, self.field
         R, T, S = self.centralizer_space, self.tensor_space, self.endo_space
+        rs = R.basis.pairs
 
-        one = sparse(a.unit)
         self.centralizer = ring_on(
-            R, lambda i, j: sparse(a.multiply(R.rows[i], R.rows[j])), one, "R")
+            R, lambda i, j: a.multiply(rs[i], rs[j]), a.unit, "R")
         # T multiplied through the tensor-square action
         self.t_action_on_q = self.t_acting_on(
             self.q, [a.basis_left_mult(j) for j in range(a.dim)])
         self.tensor_ring = ring_on(
             T, lambda i, j: f.comb(self.t_action_on_q[i].transpose().pairs,
                                    T.basis.pairs[j]),
-            self.q.pure(a.unit, a.unit), "T")
+            self.one_tensor_one(), "T")
         # S under composition
         self.endo_ring = ring_on(S, lambda i, j: S.basis[i] @ S.basis[j],
                                  Matrix.identity(f, a.dim), "S")
@@ -246,13 +244,13 @@ class CanonicalRings(CanonicalSpaces):
             R, [f.comb(mu_cols, row) for row in T.basis.pairs],
             "image of an invariant tensor under multiplication")
         self.endo_counit = coordinate_matrix(
-            R, [f.comb(mat.transpose().pairs, one) for mat in S.basis],
+            R, [mat.apply(a.unit) for mat in S.basis],
             "value of an endomorphism at 1")
         self.lambda_map = coordinate_matrix(
-            S, [a.left_mult_matrix(row) for row in R.rows],
+            S, [a.left_mult_matrix(row) for row in rs],
             "left multiplication by a centralizer element")
         self.rho_map = coordinate_matrix(
-            S, [a.right_mult_matrix(row) for row in R.rows],
+            S, [a.right_mult_matrix(row) for row in rs],
             "right multiplication by a centralizer element")
 
         # module structures
@@ -267,7 +265,7 @@ class CanonicalRings(CanonicalSpaces):
             self.endo_ring, trivial_algebra(f), R.dim,
             [restrict_to(R, mat, "endomorphism value on a centralizer element")
              for mat in S.basis], [Matrix.identity(f, R.dim)], label="R|S",
-            generating_set=("left", (sparse(self.centralizer.unit),)))
+            generating_set=("left", (self.centralizer.unit,)))
         self.endo_bimodule_cent = self._build_s_over_r()
 
     # -- builders -----------------------------------------------------------
@@ -299,14 +297,14 @@ class CanonicalRings(CanonicalSpaces):
         return [tensor_legs(x, [
             (c, a.basis_right_mult(k), second[l])
             for k, row in enumerate(tm.pairs) for l, c in row])
-            for tm in map(self.q.lift, self.tensor_space.rows)]
+            for tm in map(self.q.lift, self.tensor_space.basis.pairs)]
 
     def _build_t_over_r(self) -> Bimodule:
         """T as an R-R-bimodule: multiply the first leg on the left and the
         second leg on the right by centralizer elements."""
         a = self.ext.total
         what = "centralizer multiple of an invariant tensor"
-        rows = self.centralizer_space.rows
+        rows = self.centralizer_space.basis.pairs
         lefts = [restrict_to(self.tensor_space, self.q.first_leg(
             a.left_mult_matrix(r)), what) for r in rows]
         rights = [restrict_to(self.tensor_space, self.q.second_leg(
@@ -322,9 +320,9 @@ class CanonicalRings(CanonicalSpaces):
         a = self.ext.total
         f = self.field
         rights = []
-        for tm in map(self.q.lift, self.tensor_space.rows):
+        for tm in map(self.q.lift, self.tensor_space.basis.pairs):
             nz = [(i, j, c) for i, row in enumerate(tm.pairs) for j, c in row]
-            op = lin_comb(f, a.dim, a.dim, [c for _, _, c in nz],
+            op = lin_comb(f, a.dim, a.dim, tuple(enumerate(c for *_, c in nz)),
                           [a.basis_left_mult(i) @ a.basis_right_mult(j)
                            for i, j, _ in nz])
             rights.append(restrict_to(self.centralizer_space, op,
@@ -333,8 +331,7 @@ class CanonicalRings(CanonicalSpaces):
                         self.centralizer.dim,
                         [Matrix.identity(f, self.centralizer.dim)],
                         rights, label="R|T",
-                        generating_set=("right",
-                                        (sparse(self.centralizer.unit),)))
+                        generating_set=("right", (self.centralizer.unit,)))
 
     def _build_s_over_r(self) -> Bimodule:
         """S as an R-R-bimodule by post-multiplying values on either side."""
@@ -342,10 +339,10 @@ class CanonicalRings(CanonicalSpaces):
         S = self.endo_space
         lefts = [coordinate_matrix(S, [a.left_mult_matrix(row) @ b for b in S.basis],
                                    "left translate of an endomorphism")
-                 for row in self.centralizer_space.rows]
+                 for row in self.centralizer_space.basis.pairs]
         rights = [coordinate_matrix(S, [a.right_mult_matrix(row) @ b for b in S.basis],
                                     "right translate of an endomorphism")
-                  for row in self.centralizer_space.rows]
+                  for row in self.centralizer_space.basis.pairs]
         return Bimodule(self.centralizer, self.centralizer,
                         self.endo_ring.dim, lefts, rights, label="S|R-R")
 
@@ -366,7 +363,7 @@ class CanonicalRings(CanonicalSpaces):
                 raise InternalInconsistency(msg)
 
         # R's defining membership; each law here is checked on generators
-        for row in self.centralizer_space.rows:
+        for row in self.centralizer_space.basis.pairs:
             for bi in self.ext.base_generators():
                 check(a.multiply(bi, row) == a.multiply(row, bi),
                       "centralizer element does not commute with the base")
@@ -420,7 +417,7 @@ class CanonicalRings(CanonicalSpaces):
                       "left and right multiplications fail to commute")
 
         # Casimir elements sit inside T and absorb T from the left
-        for crow in self.casimir_in_tensor.rows:
+        for crow in self.casimir_in_tensor.basis.pairs:
             for i in T.generators():
                 check(self.casimir_in_tensor.contains(
                     T.basis_left_mult(i).apply(crow)),
@@ -447,7 +444,7 @@ class CanonicalRings(CanonicalSpaces):
             if back != mat:
                 raise InternalInconsistency(
                     "sandwich map does not reproduce the original map")
-        for row in self.centralizer_space.rows:
+        for row in self.centralizer_space.basis.pairs:
             mat = self._sandwich_map(row)
             coordinates_in(maps, mat, "sandwich map")
             val = mat.apply(one)
@@ -455,12 +452,11 @@ class CanonicalRings(CanonicalSpaces):
                 raise InternalInconsistency(
                     "sandwich map does not evaluate back to its element")
 
-    def _sandwich_map(self, r: Sequence) -> Matrix:
+    def _sandwich_map(self, r: tuple) -> Matrix:
         """The map from the tensor square to A placing r between the legs."""
-        a = self.ext.total
-        f = self.field
-        return self.q.map_out(a.dim, lambda i, j: sparse(a.multiply(
-            a.multiply(unit_vec(f, a.dim, i), r), unit_vec(f, a.dim, j))))
+        a, e = self.ext.total, self.a_basis
+        return self.q.map_out(a.dim, lambda i, j: a.multiply(
+            a.multiply(e[i], r), e[j]))
 
 
 def build_canonical_rings(ext: Extension) -> CanonicalRings:

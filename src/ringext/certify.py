@@ -14,11 +14,12 @@ exact linear problem whose solution doubles as a certificate:
 Every verifier is substitution only: it re-checks the defining identity
 of the certificate against A, B, the embedding and the tensor square
 with its canonical subspaces (a CanonicalSpaces, no ring structure) and
-never trusts the search that produced it.  Substitution acts on the
-certificate's vectors: an element x of A acts on a tensor v as the sum of
-the images of v under the basis actions where x is nonzero (apply_comb),
-and a quasibase tensor's images are computed when first read and shared
-by every free point, so no operator of x is formed.  Invariance under A
+never trusts the search that produced it.  A certificate's vectors are
+pair vectors (linalg), and substitution acts on them: an element x of A
+acts on a tensor v as the combination, by comb, of the images of v under
+the basis actions at the nonzero entries of x (_acted), and a quasibase
+tensor's images are computed when first read and shared by every free
+point, so no operator of x is formed.  Invariance under A
 or B and B-B-linearity are checked on generators only: the input checks
 make A associative and unital and the embedding unital and
 multiplicative, so A|B and the tensor square are representations, and
@@ -49,16 +50,7 @@ from .bimodule import (
 )
 from .canonical import (CanonicalRings, CanonicalSpaces, InternalInconsistency,
                         coordinate_matrix)
-from .linalg import (
-    Matrix,
-    apply_comb,
-    lin_comb,
-    rank,
-    span_decide,
-    span_decide_pairs,
-    sparse,
-    vec_sum,
-)
+from .linalg import Matrix, lin_comb, rank, span_decide, span_decide_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +59,7 @@ from .linalg import (
 @dataclass
 class SeparabilityCertificate:
     """A-central tensor with multiplication value 1."""
-    element: list  # tensor-square coordinates
+    element: tuple  # tensor-square coordinates
 
 
 @dataclass
@@ -78,8 +70,8 @@ class SplitCertificate:
 
 @dataclass
 class HSepPair:
-    casimir: list    # tensor-square coordinates, fully A-central
-    multiplier: list  # element of A lying in the centralizer
+    casimir: tuple    # tensor-square coordinates, fully A-central
+    multiplier: tuple  # element of A lying in the centralizer
 
 
 @dataclass
@@ -91,7 +83,7 @@ class HSepCertificate:
 
 @dataclass
 class QuasibasePair:
-    tensor: list   # tensor-square coordinates, base-central
+    tensor: tuple  # tensor-square coordinates, base-central
     endo: Matrix   # B-B-linear endomorphism of A
 
 
@@ -108,15 +100,30 @@ class D2Certificate:
 # ---------------------------------------------------------------------------
 # verifiers (substitution only)
 
-def _is_invariant(m: Bimodule, elements: Sequence[Sequence], v: Sequence) -> bool:
+def _acted(f, terms) -> tuple:
+    """The sum of x.v over the terms (ops, x, v, images), x acting through
+    the operators ops of the basis elements: one comb of the images of v
+    under ops[k] at the nonzero x_k, each kept in images by k for the next
+    call on the same v and ops."""
+    vectors, coeffs = [], []
+    for ops, x, v, images in terms:
+        for k, c in x:
+            if k not in images:
+                images[k] = ops[k].apply(v)
+            coeffs.append((len(vectors), c))
+            vectors.append(images[k])
+    return f.comb(vectors, coeffs)
+
+
+def _is_invariant(m: Bimodule, elements: Sequence[tuple], v: tuple) -> bool:
     """x.v = v.x in m for every listed element x of its (one) algebra.
 
     Callers list generators only: m's actions are a representation and an
     anti-representation that commute, so the x with x.v = v.x form a
     subalgebra, and generators of a subalgebra suffice."""
-    f, n = m.field, m.dim
-    return all(apply_comb(f, n, x, m.left_action, v)
-               == apply_comb(f, n, x, m.right_action, v) for x in elements)
+    return all(_acted(m.field, [(m.left_action, x, v, {})])
+               == _acted(m.field, [(m.right_action, x, v, {})])
+               for x in elements)
 
 
 def _a_generators(cr: CanonicalSpaces) -> list:
@@ -147,10 +154,9 @@ def verify_hsep(cr: CanonicalSpaces, cert: HSepCertificate) -> bool:
             return False
         if not _is_invariant(cr.a_reg, cr.ext.base_generators(), pair.multiplier):
             return False
-    return vec_sum(cr.field, cr.dim_q, (
-        apply_comb(cr.field, cr.dim_q, pair.multiplier,
-                   cr.q.module.right_action, pair.casimir)
-        for pair in cert.pairs)) == cr.one_tensor_one()
+    return _acted(cr.field, [
+        (cr.q.module.right_action, pair.multiplier, pair.casimir, {})
+        for pair in cert.pairs]) == cr.one_tensor_one()
 
 
 def _d2_side(cr: CanonicalSpaces, side: str) -> tuple:
@@ -183,14 +189,13 @@ def verify_d2(cr: CanonicalSpaces, cert: D2Certificate) -> bool:
         if not is_bimodule_map(cr.restricted, cr.restricted, pair.endo):
             return False
     actions, value, free = _d2_side(cr, cert.side)
-    f, n = cr.field, cr.dim_q
     # each tensor's images under the basis actions, computed when first read
     images = [{} for _ in cert.pairs]
 
-    def holds(x: Sequence, y: Sequence) -> bool:
-        return vec_sum(f, n, (
-            apply_comb(f, n, value(pair.endo, x, y), actions, pair.tensor, seen)
-            for pair, seen in zip(cert.pairs, images))) == cr.pure(x, y)
+    def holds(x: tuple, y: tuple) -> bool:
+        return _acted(cr.field, [
+            (actions, value(pair.endo, x, y), pair.tensor, seen)
+            for pair, seen in zip(cert.pairs, images)]) == cr.q.pure(x, y)
 
     # the free points imply the identity: it is linear in the free leg,
     # and acting by y on the other side of x (x) 1 gives x (x) y on the
@@ -215,7 +220,7 @@ def find_separability_element(cr: CanonicalRings
     a = cr.ext.total
     # row k of casimir basis @ mu^T is mu of the k-th Casimir basis tensor
     values = (cr.casimir_space.basis @ cr.mu_matrix.transpose()).pairs
-    coeffs = span_decide(cr.field, a.dim, values, sparse(a.unit))
+    coeffs = span_decide(cr.field, a.dim, values, a.unit)
     if coeffs is None:
         return None
     return _checked(cr, verify_separability, SeparabilityCertificate(
@@ -229,8 +234,8 @@ def find_conditional_expectation(cr: CanonicalRings) -> Optional[SplitCertificat
     maps = cr.hom(cr.restricted, cr.b_reg)
     if maps.dim == 0:
         return None
-    values = [sparse(mat.apply(cr.ext.total.unit)) for mat in maps.basis]
-    coeffs = span_decide(f, b.dim, values, sparse(b.unit))
+    values = [mat.apply(cr.ext.total.unit) for mat in maps.basis]
+    coeffs = span_decide(f, b.dim, values, b.unit)
     if coeffs is None:
         return None
     return _checked(cr, verify_split, SplitCertificate(maps.element(coeffs)),
@@ -239,17 +244,16 @@ def find_conditional_expectation(cr: CanonicalRings) -> Optional[SplitCertificat
 
 def find_hsep_system(cr: CanonicalRings) -> Optional[HSepCertificate]:
     """Express 1 (x) 1 through Casimir elements and centralizer multipliers."""
-    cent = cr.centralizer_space
+    cent, casimirs = cr.centralizer_space, cr.casimir_space.basis.pairs
     found = span_decide_pairs(
-        cr.field, cr.dim_q, cr.casimir_space.rows, cent.rows,
-        lambda c, r: sparse(apply_comb(cr.field, cr.dim_q, r,
-                                       cr.q.module.right_action, c)),
-        sparse(cr.one_tensor_one()))
+        cr.field, cr.dim_q, casimirs, cent.basis.pairs,
+        lambda c, r: _acted(cr.field, [(cr.q.module.right_action, r, c, {})]),
+        cr.one_tensor_one())
     if found is None:
         return None
     return _checked(cr, verify_hsep, HSepCertificate([
-        HSepPair(list(cr.casimir_space.rows[i]), cent.element(c))
-        for i, c in found]), "H-separability system")
+        HSepPair(casimirs[i], cent.element(c)) for i, c in found]),
+        "H-separability system")
 
 
 def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
@@ -270,21 +274,23 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
     actions, _, free = _d2_side(cr, side)
     f, n, basis = cr.field, cr.ext.total.dim, cr.tensor_space.basis
     step = -1 if reverse_order else 1
-    tensors, endos = cr.tensor_space.rows[::step], cr.endo_space.basis[::step]
+    tensors, endos = basis.pairs[::step], cr.endo_space.basis[::step]
     # row i of basis @ act(e_k)^T is act(e_k).t_i, row k of M_{t_i}
     images = [(basis @ op.transpose()).pairs for op in actions]
     orbits = [Matrix(f, n, cr.dim_q, tuple(img[i] for img in images))
               for i in range(basis.rows)]
     # at the k-th free point value(s, x, y) is s.e_k, so the summand at
-    # t is column k of M_t @ s, which is row k of s^T @ M_t^T
+    # t is column k of M_t @ s, which is row k of s^T @ M_t^T; the target
+    # is the pure tensors at the free points, stacked
     found = span_decide_pairs(
         f, n * cr.dim_q, orbits[::step], [s.transpose() for s in endos],
         lambda mt, st: (st @ mt).vec(),
-        sparse([c for x, y in free for c in cr.pure(x, y)]))
+        tuple((k * cr.dim_q + j, c) for k, (x, y) in enumerate(free)
+              for j, c in cr.q.pure(x, y)))
     if found is None:
         return None
     # found[::step] lists the pairs in ascending tensor-basis order
-    pairs = [QuasibasePair(list(tensors[i]), lin_comb(f, n, n, c, endos))
+    pairs = [QuasibasePair(tensors[i], lin_comb(f, n, n, c, endos))
              for i, c in found[::step]]
     return _checked(cr, verify_d2, D2Certificate(
         side, pairs, reverse_order=reverse_order), f"{side} quasibase")

@@ -8,7 +8,9 @@ by certify --json).
 Exit codes: 0 the run completed and the report holds the verdicts, 1 the
 command line or the input was rejected (for verify: the report is
 malformed or a certificate fails) or the run ran out of memory, 2 an
-internal invariant failed, which is a bug trap rather than a data verdict.
+internal invariant failed or any other exception escaped the run, which
+is a bug trap rather than a data verdict; it is reported in one line
+naming the subcommand and the exception, with no traceback.
 """
 
 import argparse
@@ -90,7 +92,7 @@ def cmd_certify(args) -> int:
     doc["dims"] = cr.dims()
     doc["certify"] = {
         "kind": kind.name, "verdict": found,
-        "certificate": kind.encode(cr.field, cert) if found else None,
+        "certificate": kind.encode(cr.field, cert, doc["dims"]) if found else None,
         "verified": True if found else None}
     return _emit(doc, args)
 
@@ -226,6 +228,10 @@ def main(argv: Optional[list] = None) -> int:
         sys.stderr.write(f"input error: {args.command} ran out of memory; "
                          f"the input is too large for this machine\n")
         return EXIT_INPUT
+    except Exception as exc:
+        sys.stderr.write(f"internal error in {args.command}: "
+                         f"{type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

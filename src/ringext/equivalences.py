@@ -75,7 +75,7 @@ from .certify import (
     verify_separability,
     verify_split,
 )
-from .linalg import Matrix, invert, sparse, unit_vec, vec_sum
+from .linalg import Matrix, invert
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +205,15 @@ def _gather(transposed: Sequence[Matrix], mu: int) -> Matrix:
     return Matrix.from_cols(t.field, t.cols, [op.pairs[mu] for op in transposed])
 
 
-def _leg_ops(cr: CanonicalRings, act: Callable[[Sequence], Matrix],
-             tensor: Sequence) -> list[Matrix]:
+def _leg_ops(cr: CanonicalRings, act: Callable[[tuple], Matrix],
+             tensor: tuple) -> list[Matrix]:
     """act(t_k) for t = sum_k e_k (x) t_k in the tensor square."""
-    lifted = cr.q.lift(tensor)
-    return [act(lifted.row(i)) for i in range(lifted.rows)]
+    return [act(row) for row in cr.q.lift(tensor).pairs]
+
+
+def _sum(f, vectors: list) -> tuple:
+    """The sum of the pair vectors, one comb."""
+    return f.comb(vectors, [(k, f.one) for k in range(len(vectors))])
 
 
 def _require_module(m: Bimodule, side: str, ring: FDAlgebra) -> None:
@@ -222,7 +226,7 @@ def _require_module(m: Bimodule, side: str, ring: FDAlgebra) -> None:
 # induced module machinery
 
 def _collapse(m: Bimodule, outer: TensorProduct, inner: TensorProduct,
-              element: Callable[[int, int], Sequence],
+              element: Callable[[int, int], tuple],
               side: str = "left") -> Matrix:
     """r (x) (s (x) v) -> element(r, s).v, column per quotient class, or
     on the right (v (x) s) (x) r -> v.element(r, s).
@@ -255,18 +259,18 @@ def _gamma(cr: CanonicalRings, m: Bimodule
     ind = cr.induced(m)
     x = ind.tensor
     g = cr.tensor(cr.cent_module_tensor, keep_side(ind.as_left_t, "left"))
-    gamma = _collapse(m, g, x, lambda u, i: a.multiply(
-        unit_vec(f, a.dim, i), cr.centralizer_space.rows[u]))
+    rows = cr.centralizer_space.basis.pairs
+    # e_i r is the combination of the e_i e_j at r's nonzero entries r_j
+    gamma = _collapse(m, g, x, lambda u, i: f.comb(a.mult[i], rows[u]))
     # the section xi -> 1 (x) xi from the induced module into g
-    runit = list(cr.centralizer.unit)
-    dx = x.module.dim
-    psi = Matrix.from_cols(f, g.module.dim, [g.pure(runit, unit_vec(f, dx, v))
-                                             for v in range(dx)])
+    runit = cr.centralizer.unit
+    psi = Matrix.from_cols(f, g.module.dim, [g.pure(runit, ((v, f.one),))
+                                             for v in range(x.module.dim)])
     return x, g, gamma, gamma @ psi == ind.collapse
 
 
 def _through_legs(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
-                  tensor: Sequence) -> Matrix:
+                  tensor: tuple) -> Matrix:
     """v -> t1 (x) t2.v from m into x = A (x)_B m for a tensor t.
 
     With t = sum_k e_k (x) t_k, the image of v is the class of the ambient
@@ -291,7 +295,7 @@ def _t_as_right_r(cr: CanonicalRings) -> Bimodule:
 def _m_over_r(cr: CanonicalRings, m: Bimodule, side: str) -> Bimodule:
     """m as a centralizer module on side, through m's action there,
     recording a generating set; built once per content of m and side."""
-    rows = cr.centralizer_space.rows
+    rows = cr.centralizer_space.basis.pairs
     operator = m.left_operator if side == "left" else m.right_operator
     return cr.once(("m as R", side), lambda: generated(one_sided(
         cr.centralizer, side, m.dim, OnRead(
@@ -303,7 +307,7 @@ def _pi_matrix(cr: CanonicalRings, m: Bimodule, x: TensorProduct,
     """pi(t (x) v) = t1 (x) t2.v from the tensor-ring side to the induced
     module, column per quotient class of y."""
     legs = cache(lambda ti: _through_legs(
-        cr, m, x, cr.tensor_space.rows[ti]).transpose().pairs)
+        cr, m, x, cr.tensor_space.basis.pairs[ti]).transpose().pairs)
     return y.map_out(x.module.dim, lambda ti, mu: legs(ti)[mu])
 
 
@@ -359,10 +363,9 @@ def gamma_M(cr: CanonicalRings, m: Bimodule,
 
     back, route = None, ""
     if separability is not None:
-        runit = list(cr.centralizer.unit)
         legs = _through_legs(cr, m, x, separability.element)
-        back = Matrix.from_cols(f, g.module.dim, [g.pure(runit, col)
-                                                  for col in legs.columns()])
+        back = Matrix.from_cols(f, g.module.dim, [
+            g.pure(cr.centralizer.unit, col) for col in legs.transpose().pairs])
         checks["separability_inverse"] = _certify_inverse(
             gamma, back,
             "a verified separability element must invert the action map")
@@ -547,9 +550,8 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     if left_quasibase is not None:
         pre = [(cr.s_coords(p.endo), _through_legs(cr, m, x, p.tensor))
                for p in left_quasibase.pairs]
-        back = Matrix.from_cols(f, x.module.dim, [sparse(vec_sum(
-            f, x.module.dim, (legs.apply(h.apply(sco)) for sco, legs in pre)))
-            for h in homsp.basis])
+        back = Matrix.from_cols(f, x.module.dim, [_sum(f, [
+            legs.apply(h.apply(sco)) for sco, legs in pre]) for h in homsp.basis])
         checks["quasibase_inverse"] = _certify_inverse(
             fwd, back, "a verified left quasibase must invert the "
             "coinduction comparison map")
@@ -620,8 +622,8 @@ def _chi(cr: CanonicalRings, m: Bimodule,
                for p in left_quasibase.pairs]
         # F(t_p1).t_p2 is sum_k F(e_k).t_pk, and F(e_k) is h.col(k)
         back = Matrix.from_cols(f, dom.module.dim, [dom.sum_pure(
-            (vec_sum(f, m.dim, (op.apply(h.col(k)) for k, op in enumerate(ops))),
-             sco) for ops, sco in pre) for h in hs.basis])
+            (_sum(f, [op.apply(h.col(k)) for k, op in enumerate(ops)]), sco)
+            for ops, sco in pre) for h in hs.basis])
         _certify_inverse(fwd, back, "a verified left quasibase must invert chi")
         return hs, h_mod, dom, fwd, back
 
@@ -660,9 +662,9 @@ def _counit(cr: CanonicalRings, hs: MapSpace, h_mod: Bimodule
     """Evaluation at centralizer points, Hom_B(A, target) (x)_S R -> target,
     for hs and h_mod as _hom_from_total builds them."""
     dom = cr.tensor(h_mod, cr.cent_module_endo)
-    rows = cr.centralizer_space.rows
-    return dom, dom.map_out(hs.target.dim, lambda b, u: sparse(
-        hs.basis[b].apply(rows[u])))
+    rows = cr.centralizer_space.basis.pairs
+    return dom, dom.map_out(hs.target.dim,
+                            lambda b, u: hs.basis[b].apply(rows[u]))
 
 
 def rho_M(cr: CanonicalRings, m: Bimodule,
@@ -683,7 +685,7 @@ def rho_M(cr: CanonicalRings, m: Bimodule,
     # composite route through chi
     nested = cr.tensor(chi_dom.module, cr.cent_module_endo)
     big = tensor_map(nested, dom, chi_fwd, Matrix.identity(f, cr.centralizer.dim))
-    rows, endos = cr.centralizer_space.rows, cr.endo_space.basis
+    rows, endos = cr.centralizer_space.basis.pairs, cr.endo_space.basis
     # (v (x) alpha) (x) r -> v.alpha(r)
     direct = _collapse(m, nested, chi_dom,
                        lambda u, b: endos[b].apply(rows[u]), "right")
@@ -737,9 +739,8 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
     if split is not None:
         ops = [n.right_operator(split.expectation.col(k)).transpose()
                for k in range(a.dim)]
-        runit = list(cr.centralizer.unit)
-        back = Matrix.from_cols(f, dom.module.dim, [dom.pure(coordinates_in(
-            hs, _gather(ops, mu), "a structural map", True), runit)
+        back = Matrix.from_cols(f, dom.module.dim, [dom.pure(
+            _hom_column(hs, _gather(ops, mu)), cr.centralizer.unit)
             for mu in range(n.dim)])
         checks["expectation_inverse"] = _certify_inverse(
             fwd, back,

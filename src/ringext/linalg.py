@@ -11,24 +11,23 @@ the value is not whole; other strings go to the rational constructor.
 A Field instance owns the arithmetic; values belonging to different
 fields are never mixed, and matrices and subspaces remember their field.
 
-Linear systems use one sparse format, the pair vector: a tuple of
-(index, nonzero value) pairs in ascending index order.  Matrix rows and
-columns, kernel vectors, solutions, span_decide generators and targets,
-vec, Subspace coordinates and the classes of a tensor product are pair
-vectors, so elimination touches only nonzero entries and no vector is
-copied dense between two systems.  Dense lists appear only as algebra
-elements and certificates (structure constants, apply, col,
-Subspace.rows); sparse turns one into a pair vector where it meets a
-matrix.  apply_comb applies a combination of matrices to one vector from
-the images of that vector alone, so substituting into a certificate
-forms no operator.  Each field has one fused accumulation kernel, comb,
-which sums a combination of pair vectors in one call with the field's
-arithmetic inlined (rows of lin_comb and of a product, images, tensor
-class tables); a one-term combination, or a one-entry row of a product,
-is the vector itself or its scaled copy, with no dict.  A matrix keeps
+Every vector is a pair vector: a tuple of (index, nonzero value) pairs
+in ascending index order.  Algebra elements, structure constants, matrix
+rows and columns, apply and col, kernel vectors, solutions, the
+coefficients of lin_comb and the results of span_decide, Subspace bases
+and coordinates, the classes of a tensor product and the vectors of
+certificates all take this one form, so elimination touches only
+nonzero entries and no vector is copied between two formats.  Dense
+lists appear only at the JSON edge (serialize, which reads them with
+sparse and pads vectors with dense) and in Matrix.data and row.  Each field has one fused
+accumulation kernel, comb, which sums a combination of pair vectors in
+one call with the field's arithmetic inlined (products of algebra
+elements, rows of lin_comb and of a product, images, tensor class
+tables); a one-term combination, or a one-entry row of a product, is
+the vector itself or its scaled copy, with no dict.  A matrix keeps
 its transpose once built, with no reference back (from_cols keeps the
-columns it was given), and apply, spin, col and columns read those
-cached columns: an image is the sum of the columns at a vector's nonzero
+columns it was given), and apply, spin and col read those cached
+columns: an image is the sum of the columns at a vector's nonzero
 entries, with no dot product.  Matrix.identity is one shared instance
 per field and size.
 Subspaces keep an RREF basis, so equal subspaces have equal data.  An
@@ -144,12 +143,6 @@ class RationalField:
 
     # Row kernels, the hot loops of every solver; all keep whole results
     # as ints.
-    def row_addmul(self, dst: list, src: list, c) -> None:
-        for i, s in enumerate(src):
-            if s:
-                v = dst[i] + c * s
-                dst[i] = v if type(v) is int else _int_if_whole(v)
-
     def sparse_addmul(self, dst: dict, pairs: Iterable, c) -> None:
         """dst += c * src for a nonzero c: dst holds a row's nonzero entries
         as a dict, src its (index, nonzero value) pairs; zeros leave dst."""
@@ -241,12 +234,6 @@ class PrimeField:
     def is_one(self, a) -> bool:
         return a == 1 % self.p
 
-    def row_addmul(self, dst: list, src: list, c) -> None:
-        p = self.p
-        for i, s in enumerate(src):
-            if s:
-                dst[i] = (dst[i] + c * s) % p
-
     def sparse_addmul(self, dst: dict, pairs: Iterable, c) -> None:
         p = self.p
         for j, s in pairs:
@@ -308,24 +295,6 @@ Field = RationalField | PrimeField
 
 # ---------------------------------------------------------------------------
 # vectors
-
-def zero_vec(field: Field, n: int) -> list:
-    return [field.zero] * n
-
-
-def unit_vec(field: Field, n: int, i: int) -> list:
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
-
-
-def vec_sum(field: Field, n: int, vectors: Iterable[Sequence]) -> list:
-    """The sum of vectors of length n, accumulated in place."""
-    out = [field.zero] * n
-    for v in vectors:
-        field.row_addmul(out, v, field.one)
-    return out
-
 
 def sparse(v: Sequence) -> tuple:
     """The (index, value) pairs of the nonzero entries of a dense vector."""
@@ -404,19 +373,15 @@ class Matrix:
     def row(self, i: int) -> list:
         return dense(self.field, self.cols, self.pairs[i])
 
-    def col(self, j: int) -> list:
-        return self.transpose().row(j)
+    def col(self, j: int) -> tuple:
+        return self.transpose().pairs[j]
 
-    def columns(self) -> list[list]:
-        return self.transpose().data
-
-    def apply(self, v: Sequence) -> list:
+    def apply(self, v: tuple) -> tuple:
         """Matrix-vector product (v as a column): the columns at the
         nonzero entries of v, scaled and summed."""
-        if len(v) != self.cols:
+        if v and v[-1][0] >= self.cols:
             raise LinalgError("matrix/vector size mismatch")
-        return dense(self.field, self.rows, self.field.comb(
-            self.transpose().pairs, enumerate(v)))
+        return self.field.comb(self.transpose().pairs, v)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Each row combines other's rows at its entries; an empty row stays
@@ -448,8 +413,8 @@ class Matrix:
     def _plus(self, other: "Matrix", c) -> "Matrix":
         if (self.field, self.rows, self.cols) != (other.field, other.rows, other.cols):
             raise LinalgError("matrix shape or field mismatch")
-        return lin_comb(self.field, self.rows, self.cols, (self.field.one, c),
-                        (self, other))
+        return lin_comb(self.field, self.rows, self.cols,
+                        ((0, self.field.one), (1, c)), (self, other))
 
     def transpose(self) -> "Matrix":
         if self._t is None:
@@ -488,13 +453,14 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
 
 
-def lin_comb(field: Field, rows: int, cols: int, coeffs: Sequence,
+def lin_comb(field: Field, rows: int, cols: int, coeffs: tuple,
              mats: Sequence[Matrix]) -> Matrix:
-    """sum_k coeffs[k] * mats[k], one field.comb per row; only the mats at
-    nonzero coeffs are read, so operators built on first read
-    (bimodule.OnRead) are built only there.  A single term is scaled, or
-    shared when its coefficient is 1, as matrices are immutable."""
-    terms = [(c, mats[k]) for k, c in enumerate(coeffs) if c]
+    """sum c * mats[k] over the (k, c) pairs of the pair vector coeffs, one
+    field.comb per row; only the mats at its entries are read, so
+    operators built on first read (bimodule.OnRead) are built only there.
+    A single term is scaled, or shared when its coefficient is 1, as
+    matrices are immutable."""
+    terms = [(c, mats[k]) for k, c in coeffs]
     if not terms:
         return Matrix.zeros(field, rows, cols)
     if len(terms) == 1:
@@ -504,26 +470,6 @@ def lin_comb(field: Field, rows: int, cols: int, coeffs: Sequence,
     comb, cs = field.comb, list(enumerate(c for c, _ in terms))
     return Matrix(field, rows, cols, tuple(
         [comb(parts, cs) for parts in zip(*[mat.pairs for _, mat in terms])]))
-
-
-def apply_comb(field: Field, n: int, coeffs: Sequence, mats: Sequence[Matrix],
-               v: Sequence, images: Optional[dict] = None) -> list:
-    """lin_comb(field, n, _, coeffs, mats).apply(v) without forming the
-    sum: mats[k].apply(v) at each nonzero coeffs[k] only, combined.
-    images, when given, keeps each mats[k].apply(v) by k for the next
-    call on the same v and mats."""
-    images = {} if images is None else images
-    out = None
-    for k, c in enumerate(coeffs):
-        if c:
-            if k not in images:
-                images[k] = mats[k].apply(v)
-            if out is None:   # the first term is copied, scaled unless c is 1
-                out = (list(images[k]) if c == 1 else
-                       [field.mul(c, x) for x in images[k]])
-            else:
-                field.row_addmul(out, images[k], c)
-    return [field.zero] * n if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -668,36 +614,37 @@ def solve(mat: Matrix, rhs: Sequence) -> Optional[tuple]:
 
 
 def span_decide(field: Field, dim: int, generators: Sequence[tuple],
-                target: tuple) -> Optional[list]:
-    """Coefficients expressing target in the span of generators, or None.
+                target: tuple) -> Optional[tuple]:
+    """Coefficients expressing target in the span of generators, as a pair
+    vector over the generator list, or None.
 
     generators and target are pair vectors in F^dim; the column system
-    is the generators stacked as rows, transposed once.  The dense
-    coefficients are the canonical solution of solve, so the answer
-    depends only on the generator list and the target.
+    is the generators stacked as rows, transposed once.  The coefficients
+    are the canonical solution of solve, so the answer depends only on
+    the generator list and the target.
     """
     if any(v and v[-1][0] >= dim for v in (*generators, target)):
         raise LinalgError("generator/target length mismatch")
     if not generators:
-        return None if target else []
-    x = solve(Matrix(field, len(generators), dim, tuple(generators)).transpose(),
-              target)
-    return None if x is None else dense(field, len(generators), x)
+        return None if target else ()
+    return solve(Matrix(field, len(generators), dim, tuple(generators))
+                 .transpose(), target)
 
 
 def span_decide_pairs(field: Field, dim: int, lefts: Sequence, rights: Sequence,
                       product: Callable[[object, object], tuple],
                       target: tuple) -> Optional[list]:
     """span_decide over the pair vectors product(lefts[i], rights[j]) in
-    row-major order, grouped by i: (i, [c_i0, c_i1, ...]) for each i whose
-    coefficients are not all zero, in ascending i, or None."""
+    row-major order, grouped by i: (i, the pair vector of the c_ij over j)
+    for each i with a nonzero c_ij, in ascending i, or None."""
     coeffs = span_decide(field, dim, [product(u, v) for u in lefts for v in rights],
                          target)
     if coeffs is None:
         return None
-    n = len(rights)
-    chunks = (coeffs[i * n:(i + 1) * n] for i in range(len(lefts)))
-    return [(i, c) for i, c in enumerate(chunks) if any(c)]
+    n, grouped = len(rights), {}
+    for k, c in coeffs:
+        grouped.setdefault(k // n, []).append((k % n, c))
+    return [(i, tuple(c)) for i, c in grouped.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +652,8 @@ def span_decide_pairs(field: Field, dim: int, lefts: Sequence, rights: Sequence,
 
 class Subspace:
     """A subspace of F^n held as its RREF basis: basis, a Matrix with one
-    row per basis vector, and rows, the same vectors as dense lists for
-    use as algebra elements, built on first use.  coordinates maps pair
-    vectors to pair vectors, reducing each to test membership."""
+    row per basis vector, whose pairs are the basis vectors.  coordinates
+    maps pair vectors to pair vectors, reducing each to test membership."""
 
     def __init__(self, basis: Matrix, pivots: list[int]) -> None:
         """The span of basis, an RREF with these pivots and no zero row."""
@@ -717,15 +663,11 @@ class Subspace:
         self.pivots = pivots
         self._row_at = {c: dict(row) for c, row in zip(pivots, basis.pairs)}
 
-    @cached_property
-    def rows(self) -> list[list]:
-        return self.basis.data
-
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int,
-                     vectors: Iterable[Sequence]) -> "Subspace":
-        """The span of dense vectors."""
-        vecs = tuple(map(sparse, vectors))
+                     vectors: Iterable[tuple]) -> "Subspace":
+        """The span of pair vectors."""
+        vecs = tuple(vectors)
         return cls.row_space(Matrix(field, len(vecs), ambient_dim, vecs))
 
     @classmethod
@@ -772,13 +714,13 @@ class Subspace:
                         if (k := at(c)) is not None])
         return None if self._reduce(w) else coords
 
-    def contains(self, v: Sequence) -> bool:
-        return not self._reduce(dict(sparse(v)))
+    def contains(self, v: tuple) -> bool:
+        return not self._reduce(dict(v))
 
-    def element(self, coords: Sequence) -> list:
-        """The vector with the given coefficients over the RREF basis."""
-        return dense(self.field, self.ambient_dim, self.field.comb(
-            self.basis.pairs, zip(range(self.dim), coords)))
+    def element(self, coords: tuple) -> tuple:
+        """The vector with the pair vector coords as its coefficients over
+        the RREF basis."""
+        return self.field.comb(self.basis.pairs, coords)
 
     def coordinates(self, v: tuple) -> Optional[tuple]:
         """The coefficients of the pair vector v over the RREF basis, as a

@@ -20,7 +20,7 @@ twisted rule that provably holds whenever the right quasibase exists.
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Field, Subspace, sparse, spin, unit_vec, vec_sum
+from .linalg import Field, Subspace, spin
 from .algebra import AlgebraError, Extension, FDAlgebra, GroupData, group_algebra
 from .bimodule import (Bimodule, BimoduleError, invariants_subspace,
                        regular_bimodule)
@@ -50,15 +50,15 @@ class Ideal:
         return self.closure.dim
 
 
-def ideal_closure(a: FDAlgebra, generators: Sequence[Sequence],
+def ideal_closure(a: FDAlgebra, generators: Sequence[tuple],
                   label: str = "J") -> Ideal:
-    """Two-sided ideal generated by the given elements of a: their spin
-    under left and right multiplication by the algebra generators."""
-    f = a.field
-    if any(len(g) != a.dim for g in generators):
-        raise AlgebraError("ideal generator has wrong length")
-    gens = [[f.of(c) for c in g] for g in generators]
-    return Ideal(a, gens, spin(f, a.dim, map(sparse, gens), sum(
+    """Two-sided ideal generated by the given elements of a, pair vectors:
+    their spin under left and right multiplication by the algebra
+    generators."""
+    if any(g and g[-1][0] >= a.dim for g in generators):
+        raise AlgebraError(f"ideal generator has an index outside 0..{a.dim - 1}")
+    gens = [tuple(g) for g in generators]
+    return Ideal(a, gens, spin(a.field, a.dim, gens, sum(
         regular_bimodule(a).generator_actions(), [])), label)
 
 
@@ -81,15 +81,9 @@ def _balance(m: Bimodule, sub: Subspace) -> dict:
     }
 
 
-def _minus_identity(field: Field, n: int, elements: Sequence[int]) -> list:
+def _minus_identity(field: Field, elements: Sequence[int]) -> list:
     """e_g - e_0 for each listed group element g other than the identity."""
-    out = []
-    for g in elements:
-        if g:
-            v = unit_vec(field, n, g)
-            v[0] = field.neg(field.one)
-            out.append(v)
-    return out
+    return [((0, field.neg(field.one)), (g, field.one)) for g in elements if g]
 
 
 def a_invariant_contraction(ext: Extension, j: Ideal) -> bool:
@@ -110,7 +104,7 @@ def a_invariant_contraction(ext: Extension, j: Ideal) -> bool:
 
 
 def default_ideal_sample(a: FDAlgebra,
-                         extra_generators: Optional[Sequence[Sequence]] = None) -> list:
+                         extra_generators: Optional[Sequence[tuple]] = None) -> list:
     """Standard spread of ideals: zero, unit, augmentation when the
     algebra is a group algebra, one ideal per basis element, plus one
     per caller-supplied generator."""
@@ -118,10 +112,10 @@ def default_ideal_sample(a: FDAlgebra,
     out = [Ideal(a, [], Subspace.zero(f, a.dim), "0"),
            ideal_closure(a, [a.unit], "(1)")]
     if a.group is not None and a.dim > 1:
-        out.append(ideal_closure(a, _minus_identity(f, a.dim, range(a.dim)),
+        out.append(ideal_closure(a, _minus_identity(f, range(a.dim)),
                                  "augmentation"))
     for i in range(a.dim):
-        out.append(ideal_closure(a, [unit_vec(f, a.dim, i)], f"(e{i})"))
+        out.append(ideal_closure(a, [((i, f.one),)], f"(e{i})"))
     for k, g in enumerate(extra_generators or []):
         out.append(ideal_closure(a, [g], f"(x{k})"))
     return out
@@ -195,9 +189,9 @@ def hopf_normality(group: GroupData, subgroup: Sequence[int], field: Field) -> d
     idx = list(subgroup)
     group.check_subgroup(idx)
     kg, n = group_algebra(field, group), group.order
-    span = Subspace.from_vectors(field, n, [unit_vec(field, n, i) for i in idx])
-    k_plus = Subspace.from_vectors(field, n, _minus_identity(field, n, idx))
-    h_plus = Subspace.from_vectors(field, n, _minus_identity(field, n, range(n)))
+    span = Subspace.from_vectors(field, n, [((i, field.one),) for i in idx])
+    k_plus = Subspace.from_vectors(field, n, _minus_identity(field, idx))
+    h_plus = Subspace.from_vectors(field, n, _minus_identity(field, range(n)))
     if k_plus != h_plus.intersect(span):
         raise InternalInconsistency(
             "counit kernel of the subgroup span disagrees with the "
@@ -207,7 +201,7 @@ def hopf_normality(group: GroupData, subgroup: Sequence[int], field: Field) -> d
                        for g in range(n) for h in idx)
     conj_stable = all(span.contains(
         (kg.basis_left_mult(g) @ kg.basis_right_mult(group.inverse[g]))
-        .apply(unit_vec(field, n, h)))
+        .apply(((h, field.one),)))
         for g in kg.generators() for h in idx)
 
     return {
@@ -230,7 +224,7 @@ def double_centralizer(cr: CanonicalRings) -> dict:
     in the base.
     """
     c = cr.centralizer_space
-    cc = invariants_subspace(cr.a_reg, c.rows)
+    cc = invariants_subspace(cr.a_reg, c.basis.pairs)
     image = cr.ext.image()
     if not image.is_contained_in(cc):
         raise InternalInconsistency(
@@ -260,22 +254,23 @@ def prebraided_check(cr: CanonicalRings, right_quasibase: D2Certificate) -> dict
     if not cr.certified(verify_d2, right_quasibase):
         raise BimoduleError("supplied right quasibase fails verification")
 
-    a = cr.ext.total
-    cent = cr.centralizer_space
+    a, f = cr.ext.total, cr.field
+    cent = cr.centralizer_space.basis.pairs
     sandwich_ops = [cr.cent_module_tensor.right_operator(cr.t_coords(p.tensor))
                     for p in right_quasibase.pairs]
+    ones = [(k, f.one) for k in range(len(sandwich_ops))]
 
     holds = True
     naive = True
-    for s in cent.rows:
+    for s in cent:
         s_co = cr.r_coords(s)
-        for r in cent.rows:
+        for r in cent:
             lhs = a.multiply(s, r)
             if lhs != a.multiply(r, s):
                 naive = False
-            acc = vec_sum(cr.field, a.dim, (
+            acc = f.comb([
                 a.multiply(p.endo.apply(r), cr.r_lift(op.apply(s_co)))
-                for p, op in zip(right_quasibase.pairs, sandwich_ops)))
+                for p, op in zip(right_quasibase.pairs, sandwich_ops)], ones)
             if lhs != acc:
                 holds = False
     return {"holds": holds, "naive_commutative": naive,

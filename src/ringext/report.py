@@ -43,7 +43,7 @@ class CertificateKind(NamedTuple):
     key: str
     search: Callable    # (cr) -> certificate or None
     verify: Callable    # (spaces, cert) -> bool
-    encode: Callable    # (f, cert) -> payload
+    encode: Callable    # (f, cert, dims) -> payload
     decode: Callable    # (f, payload, dims, loc) -> cert; raises InputError
 
 
@@ -91,12 +91,13 @@ def classification_block(cr: CanonicalRings, cls: Classification) -> dict:
     kinds = certificate_kinds()
     certs = {k.key: getattr(cls, k.key) for k in kinds}
     block = {k.flag: certs[k.key] is not None for k in kinds}
+    dims = cr.dims()
     block.update({
         "endo_ring_detection": cls.endo_d2,
         "base_projective": dict(cls.base_projective),
         "module_facts": cls.facts,
         "consistency_notes": list(cls.consistency_notes),
-        "certificates": {k.key: k.encode(cr.field, certs[k.key])
+        "certificates": {k.key: k.encode(cr.field, certs[k.key], dims)
                          for k in kinds if certs[k.key] is not None},
     })
     return block
@@ -145,7 +146,7 @@ def equivalence_block(cr: CanonicalRings, cls: Classification,
 def normality_block(cr: CanonicalRings, cls: Classification, ideals) -> dict:
     a = cr.ext.total
     sample = default_ideal_sample(
-        a, extra_generators=cr.centralizer_space.rows)
+        a, extra_generators=cr.centralizer_space.basis.pairs)
     sample.extend(ideals)
     suite = centralizer_normality_suite(cr, ideals=sample)
     base_contractions = [{"ideal": j.label, "balanced": balanced}
@@ -165,8 +166,8 @@ def normality_block(cr: CanonicalRings, cls: Classification, ideals) -> dict:
         "double_dim": dc["double_centralizer"].dim,
         "base_dim": cr.ext.base.dim,
         "strict": dc["strict"],
-        "double_basis": [vector_json(cr.field, r)
-                         for r in dc["double_centralizer"].rows],
+        "double_basis": [vector_json(cr.field, r, a.dim)
+                         for r in dc["double_centralizer"].basis.pairs],
     }
 
     if cls.right_quasibase is not None:

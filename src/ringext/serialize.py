@@ -1,5 +1,11 @@
 """JSON encodings for inputs, certificates, and exact scalars.
 
+This is the one module that knows dense lists: the JSON documents list
+every coordinate of a vector, and the library holds vectors as pair
+vectors (linalg).  parse_vector reads a dense list into a pair vector
+(sparse) once its length and scalars pass, and every encoder pads a
+vector back to the length its dimension gives (dense).
+
 Input documents describe a field, an algebra with an embedded
 subalgebra, and optionally extra modules, ideal generators, and a
 seed, which is echoed and has no effect; everything else the tool
@@ -13,9 +19,9 @@ primality, algebra and module axioms, subgroup and subalgebra closure.
 """
 
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
 
-from .linalg import GF, QQ, Field, LinalgError, Matrix, PrimeField
+from .linalg import (GF, QQ, Field, LinalgError, Matrix, PrimeField, dense,
+                     sparse)
 from .algebra import (AlgebraError, Extension, FDAlgebra, GroupData,
                       group_algebra, self_extension, subalgebra_extension,
                       trivial_algebra)
@@ -61,26 +67,28 @@ def scalar_json(f: Field, v):
     return int(v) if isinstance(f, PrimeField) else str(v)
 
 
-def parse_vector(f: Field, v: list, n: int, loc: str) -> list:
+def parse_vector(f: Field, v: list, n: int, loc: str) -> tuple:
+    """The pair vector of a dense list of n scalars."""
     if len(v) != n:
         raise InputError(f"expected length {n}, got {len(v)}", loc)
-    return [parse_scalar(f, c, f"{loc}[{i}]") for i, c in enumerate(v)]
+    return sparse([parse_scalar(f, c, f"{loc}[{i}]") for i, c in enumerate(v)])
 
 
-def vector_json(f: Field, v: Sequence) -> list:
-    return [scalar_json(f, c) for c in v]
+def vector_json(f: Field, v: tuple, n: int) -> list:
+    """The pair vector v as a dense list of length n."""
+    return [scalar_json(f, c) for c in dense(f, n, v)]
 
 
 def parse_matrix(f: Field, rows: list, nrows: int, ncols: int,
                  loc: str) -> Matrix:
     if len(rows) != nrows:
         raise InputError(f"expected {nrows} rows", loc)
-    data = [parse_vector(f, r, ncols, f"{loc}[{i}]") for i, r in enumerate(rows)]
-    return Matrix.from_pairs(f, nrows, ncols, map(enumerate, data))
+    return Matrix(f, nrows, ncols, tuple(
+        parse_vector(f, r, ncols, f"{loc}[{i}]") for i, r in enumerate(rows)))
 
 
 def matrix_json(mat: Matrix) -> list:
-    return [vector_json(mat.field, mat.row(i)) for i in range(mat.rows)]
+    return [vector_json(mat.field, row, mat.cols) for row in mat.pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +135,9 @@ def algebra_json(a: FDAlgebra) -> dict:
                           "cayley": [row[:] for row in a.group.cayley]},
                 "name": a.name}
     return {"dim": a.dim,
-            "mult": [[vector_json(a.field, v) for v in row] for row in a.mult],
-            "unit": vector_json(a.field, a.unit),
+            "mult": [[vector_json(a.field, v, a.dim) for v in row]
+                     for row in a.mult],
+            "unit": vector_json(a.field, a.unit, a.dim),
             "name": a.name}
 
 
@@ -151,7 +160,8 @@ def extension_json(ext: Extension) -> dict:
     idx = ext.subgroup()
     if idx is not None:
         return {"subgroup": idx}
-    return {"basis": [vector_json(ext.field, col) for col in ext.iota.columns()]}
+    return {"basis": [vector_json(ext.field, col, ext.total.dim)
+                      for col in ext.iota.transpose().pairs]}
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +203,9 @@ def module_json(m: Bimodule) -> dict:
 
 
 def ideal_json(j: Ideal) -> dict:
-    f = j.algebra.field
+    a = j.algebra
     return {"label": j.label,
-            "generators": [vector_json(f, g) for g in j.generators]}
+            "generators": [vector_json(a.field, g, a.dim) for g in j.generators]}
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +269,13 @@ def input_json(parsed: ParsedInput) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# certificates: the report schema has checked each payload's keys and types
+# certificates: the report schema has checked each payload's keys and types;
+# dims (CanonicalSpaces.dims) gives each vector's length both ways
 
 
-def separability_json(f: Field, cert: SeparabilityCertificate) -> dict:
-    return {"element": vector_json(f, cert.element)}
+def separability_json(f: Field, cert: SeparabilityCertificate,
+                      dims: dict) -> dict:
+    return {"element": vector_json(f, cert.element, dims["tensor_square"])}
 
 
 def separability_from_json(f: Field, payload: dict, dims: dict,
@@ -272,7 +284,7 @@ def separability_from_json(f: Field, payload: dict, dims: dict,
         f, payload["element"], dims["tensor_square"], f"{loc}.element"))
 
 
-def split_json(f: Field, cert: SplitCertificate) -> dict:
+def split_json(f: Field, cert: SplitCertificate, dims: dict) -> dict:
     return {"expectation": matrix_json(cert.expectation)}
 
 
@@ -283,10 +295,11 @@ def split_from_json(f: Field, payload: dict, dims: dict,
         f"{loc}.expectation"))
 
 
-def hsep_json(f: Field, cert: HSepCertificate) -> dict:
-    return {"pairs": [{"casimir": vector_json(f, p.casimir),
-                       "multiplier": vector_json(f, p.multiplier)}
-                      for p in cert.pairs]}
+def hsep_json(f: Field, cert: HSepCertificate, dims: dict) -> dict:
+    return {"pairs": [
+        {"casimir": vector_json(f, p.casimir, dims["tensor_square"]),
+         "multiplier": vector_json(f, p.multiplier, dims["algebra"])}
+        for p in cert.pairs]}
 
 
 def hsep_from_json(f: Field, payload: dict, dims: dict,
@@ -299,10 +312,10 @@ def hsep_from_json(f: Field, payload: dict, dims: dict,
         for i, p in enumerate(payload["pairs"])])
 
 
-def d2_json(f: Field, cert: D2Certificate) -> dict:
+def d2_json(f: Field, cert: D2Certificate, dims: dict) -> dict:
     return {"side": cert.side,
             "reverse_order": cert.reverse_order,
-            "pairs": [{"tensor": vector_json(f, p.tensor),
+            "pairs": [{"tensor": vector_json(f, p.tensor, dims["tensor_square"]),
                        "endo": matrix_json(p.endo)}
                       for p in cert.pairs]}
 

@@ -7,7 +7,7 @@ from typing import Optional
 from ringext.algebra import FDAlgebra
 from ringext.bimodule import Bimodule
 from ringext.linalg import (Field, LinalgError, Matrix, Subspace, kernel,
-                            lin_comb, unit_vec, zero_vec)
+                            lin_comb)
 
 
 def dense_matrix(field, rows, cols=None) -> Matrix:
@@ -23,7 +23,7 @@ def dense_matrix(field, rows, cols=None) -> Matrix:
 
 def scale(m: Matrix, c) -> Matrix:
     """c times m."""
-    return lin_comb(m.field, m.rows, m.cols, (c,), (m,))
+    return lin_comb(m.field, m.rows, m.cols, ((0, c),) if c else (), (m,))
 
 
 def residual(space: Subspace, v) -> list:
@@ -31,7 +31,8 @@ def residual(space: Subspace, v) -> list:
     basis rows vanish at each other's pivots, so the projection has v's
     entries at the pivots as its coordinates."""
     f = space.field
-    proj = space.element([v[pc] for pc in space.pivots])
+    proj = dense_vector(f, len(v), space.element(
+        tuple((k, v[pc]) for k, pc in enumerate(space.pivots) if v[pc])))
     return [f.of(x - y) for x, y in zip(v, proj)]
 
 
@@ -55,25 +56,29 @@ def dense_vector(field, n: int, pairs) -> list:
     return out
 
 
+def unit_vec(field: Field, i: int) -> tuple:
+    """The pair vector of the basis vector e_i."""
+    return ((i, field.one),)
+
+
 def matrix_algebra(field: Field, n: int, name: Optional[str] = None) -> FDAlgebra:
     """Full matrix algebra M_n(k), basis E_rs at index r*n + s."""
     dim = n * n
-    mult = [[zero_vec(field, dim) for _ in range(dim)] for _ in range(dim)]
+    mult = [[() for _ in range(dim)] for _ in range(dim)]
     for r in range(n):
         for s in range(n):
             for u in range(n):
-                mult[r * n + s][s * n + u] = unit_vec(field, dim, r * n + u)
-    unit = zero_vec(field, dim)
-    for r in range(n):
-        unit[r * n + r] = field.one
+                mult[r * n + s][s * n + u] = unit_vec(field, r * n + u)
+    unit = tuple((r * n + r, field.one) for r in range(n))
     return FDAlgebra(field, dim, mult, unit, name=name or f"M{n}")
 
 
 def diagonal_algebra(field: Field, n: int, name: Optional[str] = None) -> FDAlgebra:
     """The split product k x ... x k (n factors) with componentwise product."""
-    mult = [[unit_vec(field, n, i) if i == j else zero_vec(field, n)
-             for j in range(n)] for i in range(n)]
-    return FDAlgebra(field, n, mult, [field.one] * n, name=name or f"k^{n}")
+    mult = [[unit_vec(field, i) if i == j else () for j in range(n)]
+            for i in range(n)]
+    return FDAlgebra(field, n, mult, tuple((i, field.one) for i in range(n)),
+                     name=name or f"k^{n}")
 
 
 def unrecorded(m: Bimodule) -> Bimodule:

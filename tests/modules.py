@@ -10,7 +10,7 @@ from typing import Optional
 
 from ringext.algebra import FDAlgebra
 from ringext.bimodule import Bimodule, BimoduleError, one_sided
-from ringext.linalg import Field, Matrix, PrimeField, Subspace, sparse, unit_vec
+from ringext.linalg import Field, Matrix, PrimeField, Subspace, sparse
 
 
 def random_scalar(field: Field, rng: random.Random):
@@ -28,8 +28,8 @@ def submodule_as_module(parent: Bimodule, sub: Subspace,
 
     def induce(op: Matrix) -> Matrix:
         cols = []
-        for row in sub.rows:
-            coords = sub.coordinates(sparse(op.apply(row)))
+        for row in sub.basis.pairs:
+            coords = sub.coordinates(op.apply(row))
             if coords is None:
                 raise BimoduleError(
                     f"subspace of {parent.label} is not action-stable")
@@ -71,11 +71,11 @@ def random_cyclic_module(a: FDAlgebra, side: str, ambient_rank: int,
     ambient = a.dim * ambient_rank
     free = free_module(a, side, ambient_rank)
     for _ in range(32):
-        x = [random_scalar(f, rng) for _ in range(ambient)]
-        if any(x):
+        x = sparse([random_scalar(f, rng) for _ in range(ambient)])
+        if x:
             break
     else:
-        x = unit_vec(f, ambient, 0)
+        x = ((0, f.one),)
     acts = free.left_action if side == "left" else free.right_action
     gens = [acts[i].apply(x) for i in range(a.dim)]
     sub = Subspace.from_vectors(f, ambient, gens)

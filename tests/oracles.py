@@ -12,7 +12,8 @@ sparse balancing system that tensor_over eliminated for products over no
 generating set, the dense tensor-leg loop and the per-tensor quasibase
 system that tensor_legs and find_d2_quasibase replaced, the full summand
 search that summand_witness replaced, the closure loops that spin
-replaced, the dense multiply loops of FDAlgebra.validate and the
+replaced, the dense multiply loop of FDAlgebra.multiply and the dense
+multiply loops of FDAlgebra.validate and the
 basis-wide linearity checks of the comparison maps.  So are the
 certificate verifiers and the H-separability search that formed an
 operator for each algebra element before applying it to one vector, and
@@ -355,7 +356,7 @@ def reference_tensor_relations(m, n):
     for rc, lc in zip(m.right_action, n.left_action):
         diff = kron(rc.transpose(), eye_n) - kron(eye_m, lc.transpose())
         rows.extend(diff.data)
-    return Subspace.from_vectors(f, m.dim * n.dim, rows)
+    return Subspace.from_vectors(f, m.dim * n.dim, map(as_pairs, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +434,7 @@ def reference_presentation(tp):
     neither factor records one."""
     from ringext.linalg import (Matrix, Subspace, dense, kernel, lin_comb,
                                 span_decide)
+    from tests.helpers import dense_vector
 
     m, n = tp.left_factor, tp.right_factor
     found = []
@@ -448,21 +450,21 @@ def reference_presentation(tp):
         return None
     _, side, cyc, xs, acts, other, other_acts = min(found, key=lambda c: c[0])
     f, k, nx, od = m.field, len(acts), len(xs), other.dim
-    images = [tuple((j, x) for j, x in enumerate(op.apply(dense(
-        f, cyc.dim, g))) if x) for g in xs for op in acts]
+    images = [op.apply(g) for g in xs for op in acts]
     lifts = [span_decide(f, cyc.dim, images, ((u, f.one),))
              for u in range(cyc.dim)]
     assert all(t is not None for t in lifts), "the recorded set generates"
+    lifts = [dense(f, nx * k, t) for t in lifts]
     ann = [dense(f, nx * k, j) for j in kernel(
         Matrix(f, nx * k, cyc.dim, tuple(images)).transpose())]
 
     def spread(t: list, v: int) -> list:
         """Block x holds t_x acting on e_v of the other factor."""
-        return [y for i in range(nx) for y in lin_comb(
-            f, od, od, t[i * k:(i + 1) * k], other_acts).col(v)]
+        return [y for i in range(nx) for y in dense_vector(f, od, lin_comb(
+            f, od, od, as_pairs(t[i * k:(i + 1) * k]), other_acts).col(v))]
 
     relations = Subspace.from_vectors(f, nx * od, [
-        spread(j, v) for j in ann for v in range(od)])
+        as_pairs(spread(j, v)) for j in ann for v in range(od)])
 
     def moved(u: int, v: int) -> list:
         t, w = (lifts[u], v) if side == "left" else (lifts[v], u)
@@ -496,6 +498,7 @@ def reference_d2_quasibase(cr, side, reverse_order=False):
     act(value(s, x, y)) applied to t at each free point, per (t, s)."""
     from ringext.certify import D2Certificate, QuasibasePair, _d2_side
     from ringext.linalg import lin_comb, span_decide_pairs
+    from tests.helpers import dense_vector
 
     actions, value, free = _d2_side(cr, side)
     n = cr.ext.total.dim
@@ -503,17 +506,21 @@ def reference_d2_quasibase(cr, side, reverse_order=False):
     def act(x):
         return lin_comb(cr.field, cr.dim_q, cr.dim_q, x, actions)
 
-    step = -1 if reverse_order else 1
-    tensors, endos = cr.tensor_space.rows[::step], cr.endo_space.basis[::step]
+    step, dq = -1 if reverse_order else 1, cr.dim_q
+    tensors = cr.tensor_space.basis.pairs[::step]
+    endos = cr.endo_space.basis[::step]
+
+    def stacked(vector_at) -> tuple:
+        return as_pairs([c for x, y in free
+                         for c in dense_vector(cr.field, dq, vector_at(x, y))])
     found = span_decide_pairs(
-        cr.field, n * cr.dim_q, tensors, endos,
-        lambda t, s: as_pairs([c for x, y in free
-                               for c in act(value(s, x, y)).apply(t)]),
-        as_pairs([c for x, y in free for c in cr.pure(x, y)]))
+        cr.field, n * dq, tensors, endos,
+        lambda t, s: stacked(lambda x, y: act(value(s, x, y)).apply(t)),
+        stacked(cr.q.pure))
     if found is None:
         return None
     return D2Certificate(side, [
-        QuasibasePair(list(tensors[i]), lin_comb(cr.field, n, n, c, endos))
+        QuasibasePair(tensors[i], lin_comb(cr.field, n, n, c, endos))
         for i, c in found[::step]], reverse_order=reverse_order)
 
 
@@ -544,8 +551,8 @@ def reference_ideal_closure(a, generators):
 
     span = Subspace.from_vectors(a.field, a.dim, generators)
     while True:
-        vecs = [r[:] for r in span.rows]
-        for v in span.rows:
+        vecs = list(span.basis.pairs)
+        for v in span.basis.pairs:
             for i in range(a.dim):
                 vecs.append(a.basis_left_mult(i).apply(v))
                 vecs.append(a.basis_right_mult(i).apply(v))
@@ -564,8 +571,30 @@ def reference_translate_span(field, dim, ops, vectors):
 
 
 # ---------------------------------------------------------------------------
-# the dense algebra validation and the basis-wide linearity checks, kept as
-# references for the sparse validation and the generator checks
+# the dense multiply loop, the dense algebra validation and the basis-wide
+# linearity checks, kept as references for the pair multiply, the sparse
+# validation and the generator checks
+
+def reference_multiply(a, x, y):
+    """x y for dense x and y, as a dense list: for each pair of nonzero
+    entries x_i and y_j, the dense structure vector e_i e_j scaled by
+    x_i y_j and added in place."""
+    from tests.helpers import dense_vector
+
+    f, n = a.field, a.dim
+    out = [f.zero] * n
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            c = f.mul(xi, yj)
+            for k, s in enumerate(dense_vector(f, n, a.mult[i][j])):
+                if s:
+                    out[k] = f.of(out[k] + f.mul(c, s))
+    return out
+
 
 def reference_validation_fault(field, dim, mult, unit):
     """The message FDAlgebra.validate gives well-shaped structure constants,
@@ -573,20 +602,22 @@ def reference_validation_fault(field, dim, mult, unit):
     every basis element, then (e_i e_j) e_k against e_i (e_j e_k) for each
     generator i."""
     from ringext.algebra import FDAlgebra
-    from ringext.linalg import unit_vec
+    from tests.helpers import dense_vector
 
     a = FDAlgebra(field, dim, mult, unit, _validated=True)
-    e = [unit_vec(field, dim, j) for j in range(dim)]
+    e = [dense_vector(field, dim, ((j, field.one),)) for j in range(dim)]
+    table = [[dense_vector(field, dim, v) for v in row] for row in a.mult]
+    one = dense_vector(field, dim, a.unit)
     for j in range(dim):
-        if a.multiply(a.unit, e[j]) != e[j]:
+        if reference_multiply(a, one, e[j]) != e[j]:
             return f"unit fails on the left at basis {j}"
-        if a.multiply(e[j], a.unit) != e[j]:
+        if reference_multiply(a, e[j], one) != e[j]:
             return f"unit fails on the right at basis {j}"
     for i in a.generators():
         for j in range(dim):
             for k in range(dim):
-                if (a.multiply(a.mult[i][j], e[k])
-                        != a.multiply(e[i], a.mult[j][k])):
+                if (reference_multiply(a, table[i][j], e[k])
+                        != reference_multiply(a, e[i], table[j][k])):
                     return (f"not associative: (e{i} e{j}) e{k} != "
                             f"e{i} (e{j} e{k})")
     return None
@@ -615,16 +646,24 @@ def reference_verify_separability(cr, cert):
     return cr.mu_matrix.apply(cert.element) == cr.ext.total.unit
 
 
-def reference_verify_hsep(cr, cert):
-    from ringext.linalg import vec_sum
+def _dense_sum(f, n, vectors):
+    """The sum of pair vectors, accumulated in a dense list of length n and
+    returned as a pair vector."""
+    out = [f.zero] * n
+    for v in vectors:
+        for j, x in v:
+            out[j] = f.of(out[j] + x)
+    return as_pairs(out)
 
+
+def reference_verify_hsep(cr, cert):
     for pair in cert.pairs:
         if not _operator_invariant(cr.q.module, cr.a_basis, pair.casimir):
             return False
-        if not _operator_invariant(cr.a_reg, cr.ext.iota.columns(),
+        if not _operator_invariant(cr.a_reg, cr.ext.iota.transpose().pairs,
                                    pair.multiplier):
             return False
-    return vec_sum(cr.field, cr.dim_q, (
+    return _dense_sum(cr.field, cr.dim_q, (
         cr.q.module.right_operator(pair.multiplier).apply(pair.casimir)
         for pair in cert.pairs)) == cr.one_tensor_one()
 
@@ -632,9 +671,9 @@ def reference_verify_hsep(cr, cert):
 def reference_verify_d2(cr, cert):
     """verify_d2 with act(value) formed as an operator at each free point."""
     from ringext.certify import _d2_side
-    from ringext.linalg import lin_comb, vec_sum
+    from ringext.linalg import lin_comb
 
-    iotas = cr.ext.iota.columns()
+    iotas = cr.ext.iota.transpose().pairs
     for pair in cert.pairs:
         if not _operator_invariant(cr.q.module, iotas, pair.tensor):
             return False
@@ -643,9 +682,9 @@ def reference_verify_d2(cr, cert):
             return False
     actions, value, free = _d2_side(cr, cert.side)
     n = cr.dim_q
-    return all(vec_sum(cr.field, n, (
+    return all(_dense_sum(cr.field, n, (
         lin_comb(cr.field, n, n, value(pair.endo, x, y), actions)
-        .apply(pair.tensor) for pair in cert.pairs)) == cr.pure(x, y)
+        .apply(pair.tensor) for pair in cert.pairs)) == cr.q.pure(x, y)
         for x, y in free)
 
 
@@ -653,17 +692,17 @@ def reference_find_hsep_system(cr):
     """find_hsep_system with each generator an operator applied to a
     Casimir basis vector, unverified."""
     from ringext.certify import HSepCertificate, HSepPair
-    from ringext.linalg import sparse, span_decide_pairs
+    from ringext.linalg import span_decide_pairs
 
-    cent = cr.centralizer_space
+    cent, casimirs = cr.centralizer_space, cr.casimir_space.basis.pairs
     found = span_decide_pairs(
-        cr.field, cr.dim_q, cr.casimir_space.rows, cent.rows,
-        lambda c, r: sparse(cr.q.module.right_operator(r).apply(c)),
-        sparse(cr.one_tensor_one()))
+        cr.field, cr.dim_q, casimirs, cent.basis.pairs,
+        lambda c, r: cr.q.module.right_operator(r).apply(c),
+        cr.one_tensor_one())
     if found is None:
         return None
-    return HSepCertificate([HSepPair(list(cr.casimir_space.rows[i]),
-                                     cent.element(c)) for i, c in found])
+    return HSepCertificate([HSepPair(casimirs[i], cent.element(c))
+                            for i, c in found])
 
 
 def reference_rational_scalar(text):

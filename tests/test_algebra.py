@@ -1,5 +1,7 @@
 """Structure-constant algebras, groups, and embeddings."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +9,11 @@ from hypothesis import strategies as st
 from ringext.algebra import (AlgebraError, Extension, FDAlgebra, GroupData,
                              group_algebra, self_extension,
                              subalgebra_extension, trivial_algebra)
-from ringext.linalg import (GF, QQ, Matrix, invert, span_decide, sparse,
-                            unit_vec)
+from ringext.linalg import GF, QQ, Matrix, invert, span_decide, sparse
 
-from tests.helpers import (center, diagonal_algebra, is_commutative,
-                           matrix_algebra, scale)
-from tests.oracles import reference_validation_fault
+from tests.helpers import (center, dense_vector, diagonal_algebra,
+                           is_commutative, matrix_algebra, scale, unit_vec)
+from tests.oracles import reference_multiply, reference_validation_fault
 
 
 def cyclic(n):
@@ -65,9 +66,9 @@ def test_group_inverses_and_conjugation():
 
 def test_group_algebra_multiplication():
     a = group_algebra(QQ, cyclic(3))
-    e1 = unit_vec(QQ, 3, 1)
-    assert a.multiply(e1, e1) == unit_vec(QQ, 3, 2)
-    assert a.multiply(e1, unit_vec(QQ, 3, 2)) == a.unit
+    e1 = unit_vec(QQ, 1)
+    assert a.multiply(e1, e1) == unit_vec(QQ, 2)
+    assert a.multiply(e1, unit_vec(QQ, 2)) == a.unit
     assert is_commutative(a)
     assert a.group is not None
 
@@ -75,20 +76,20 @@ def test_group_algebra_multiplication():
 def test_matrix_algebra_relations():
     a = matrix_algebra(QQ, 2)
     assert a.dim == 4
-    e11, e12, e21, e22 = (unit_vec(QQ, 4, i) for i in range(4))
+    e11, e12, e21, e22 = (unit_vec(QQ, i) for i in range(4))
     assert a.multiply(e11, e12) == e12
     assert a.multiply(e12, e21) == e11
-    assert a.multiply(e12, e12) == [QQ.zero] * 4
-    assert a.unit == [QQ.one, QQ.zero, QQ.zero, QQ.one]
+    assert a.multiply(e12, e12) == ()
+    assert a.unit == ((0, QQ.one), (3, QQ.one))
     assert not is_commutative(a)
     assert center(a).dim == 1
 
 
 def test_diagonal_algebra():
     a = diagonal_algebra(QQ, 3)
-    e0 = unit_vec(QQ, 3, 0)
+    e0 = unit_vec(QQ, 0)
     assert a.multiply(e0, e0) == e0
-    assert a.multiply(e0, unit_vec(QQ, 3, 1)) == [QQ.zero] * 3
+    assert a.multiply(e0, unit_vec(QQ, 1)) == ()
     assert center(a).dim == 3
 
 
@@ -101,8 +102,8 @@ def test_trivial_algebra_is_cached_singleton():
 def test_algebra_validation_catches_nonassociative():
     # corrupt C3 table: e1*e2 set to e1 instead of e0
     a = group_algebra(QQ, cyclic(3))
-    bad = [[list(v) for v in row] for row in a.mult]
-    bad[1][2] = list(unit_vec(QQ, 3, 1))
+    bad = [list(row) for row in a.mult]
+    bad[1][2] = unit_vec(QQ, 1)
     with pytest.raises(AlgebraError, match="not associative"):
         FDAlgebra(QQ, 3, bad, a.unit)
 
@@ -110,13 +111,21 @@ def test_algebra_validation_catches_nonassociative():
 def test_algebra_validation_catches_bad_unit():
     a = matrix_algebra(QQ, 2)
     with pytest.raises(AlgebraError, match="unit"):
-        FDAlgebra(QQ, 4, a.mult, unit_vec(QQ, 4, 0))
+        FDAlgebra(QQ, 4, a.mult, unit_vec(QQ, 0))
+
+
+def test_algebra_validation_catches_an_index_outside_the_basis():
+    a = group_algebra(QQ, cyclic(3))
+    bad = [list(row) for row in a.mult]
+    bad[0][1] = unit_vec(QQ, 3)
+    with pytest.raises(AlgebraError, match=r"index outside 0\.\.2"):
+        FDAlgebra(QQ, 3, bad, a.unit)
 
 
 def test_mult_matrices_agree_with_multiply():
     a = group_algebra(GF(5), sym3())
-    x = [GF(5).of(v) for v in (1, 2, 0, 3, 0, 4)]
-    y = [GF(5).of(v) for v in (2, 0, 1, 0, 0, 1)]
+    x = sparse([GF(5).of(v) for v in (1, 2, 0, 3, 0, 4)])
+    y = sparse([GF(5).of(v) for v in (2, 0, 1, 0, 0, 1)])
     assert a.left_mult_matrix(x).apply(y) == a.multiply(x, y)
     assert a.right_mult_matrix(y).apply(x) == a.multiply(x, y)
     for i in range(6):
@@ -137,7 +146,7 @@ def test_subgroup_extension_reorders_identity():
     assert ext.base.dim == 3
     assert ext.base.group is not None
     # identity must come first regardless of listed order
-    assert ext.iota.apply(unit_vec(QQ, 3, 0)) == a.unit
+    assert ext.iota.apply(unit_vec(QQ, 0)) == a.unit
     assert ext.image().dim == 3
 
 
@@ -149,7 +158,7 @@ def test_subgroup_extension_rejects_nonclosed_subset():
 
 def test_basis_extension_builds_structure_constants():
     a = matrix_algebra(QQ, 2)
-    rows = [[QQ.of(x) for x in r] for r in
+    rows = [sparse([QQ.of(x) for x in r]) for r in
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]]
     ext = subalgebra_extension(a, basis=rows)
     assert ext.base.dim == 3
@@ -162,10 +171,10 @@ def test_basis_extension_builds_structure_constants():
 
 def test_basis_extension_rejects_nonclosed_span():
     a = matrix_algebra(QQ, 2)
-    rows = [[QQ.of(x) for x in r] for r in [[1, 0, 0, 1], [0, 1, 0, 0]]]
+    rows = [sparse([QQ.of(x) for x in r]) for r in [[1, 0, 0, 1], [0, 1, 0, 0]]]
     subalgebra_extension(a, basis=rows)
     # span{1, e12, e21} is not closed: e12 e21 = e11 falls outside
-    bad = [[QQ.of(x) for x in r] for r in
+    bad = [sparse([QQ.of(x) for x in r]) for r in
            [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]]
     with pytest.raises(AlgebraError):
         subalgebra_extension(a, basis=bad)
@@ -173,7 +182,7 @@ def test_basis_extension_rejects_nonclosed_span():
 
 def test_basis_extension_names_each_fault():
     a = matrix_algebra(QQ, 2)
-    rows = lambda *rs: [[QQ.of(x) for x in r] for r in rs]
+    rows = lambda *rs: [sparse([QQ.of(x) for x in r]) for r in rs]
     with pytest.raises(AlgebraError, match="^subalgebra basis is linearly dependent$"):
         subalgebra_extension(a, basis=rows([1, 0, 0, 1], [0, 1, 0, 0], [2, 3, 0, 2]))
     # span{e11, e12} is closed under products but misses e11 + e22
@@ -187,8 +196,7 @@ def test_basis_extension_names_each_fault():
 
 def reference_structure(total, vecs):
     """The unit's and the products' coordinates, one span_decide each."""
-    f, gens = total.field, [sparse(v) for v in vecs]
-    coords = lambda v: span_decide(f, total.dim, gens, sparse(v))
+    coords = lambda v: span_decide(total.field, total.dim, vecs, v)
     return coords(total.unit), [[coords(total.multiply(x, y)) for y in vecs]
                                 for x in vecs]
 
@@ -204,10 +212,10 @@ def test_basis_extension_matches_one_span_decide_per_product(field, data):
          for i in range(3)]
     for i in range(3):
         p[i][i] = data.draw(scalar.filter(bool))
-    t2 = [unit_vec(field, 4, i) for i in (0, 1, 3)]
+    t2 = [dense_vector(field, 4, unit_vec(field, i)) for i in (0, 1, 3)]
     vecs = [[sum((field.mul(c, v[j]) for c, v in zip(row, t2)), field.zero)
              for j in range(4)] for row in data.draw(st.permutations(p))]
-    vecs = [[field.of(x) for x in v] for v in vecs]
+    vecs = [sparse([field.of(x) for x in v]) for v in vecs]
     base = subalgebra_extension(a, basis=vecs).base
     assert (base.unit, base.mult) == reference_structure(a, vecs)
 
@@ -223,7 +231,7 @@ def test_extension_requires_exactly_one_description():
 def test_extension_validation_rejects_nonunital_map():
     a = group_algebra(QQ, cyclic(2))
     b = trivial_algebra(QQ)
-    iota = Matrix.from_cols(QQ, 2, [sparse(unit_vec(QQ, 2, 1))])
+    iota = Matrix.from_cols(QQ, 2, [unit_vec(QQ, 1)])
     with pytest.raises(AlgebraError, match="unit"):
         Extension(b, a, iota)
 
@@ -232,7 +240,7 @@ def test_self_extension():
     a = group_algebra(QQ, cyclic(4))
     ext = self_extension(a)
     assert ext.base.dim == a.dim
-    assert ext.iota.apply(unit_vec(QQ, 4, 2)) == unit_vec(QQ, 4, 2)
+    assert ext.iota.apply(unit_vec(QQ, 2)) == unit_vec(QQ, 2)
 
 
 # -- properties -------------------------------------------------------------
@@ -241,7 +249,7 @@ def test_self_extension():
 def test_group_algebra_associativity_random(n, data):
     a = group_algebra(GF(7), cyclic(n))
     f = a.field
-    pick = lambda: [f.of(data.draw(st.integers(0, 6))) for _ in range(n)]
+    pick = lambda: sparse([f.of(data.draw(st.integers(0, 6))) for _ in range(n)])
     x, y, z = pick(), pick(), pick()
     assert a.multiply(a.multiply(x, y), z) == a.multiply(x, a.multiply(y, z))
 
@@ -254,16 +262,50 @@ def test_mult_matrix_linearity(data):
     x, y = pick(), pick()
     s = data.draw(rat)
     scaled = [QQ.of(a_ + QQ.mul(QQ.of(s), b_)) for a_, b_ in zip(x, y)]
-    lhs = a.left_mult_matrix(scaled)
-    rhs = a.left_mult_matrix(x) + scale(a.left_mult_matrix(y), QQ.of(s))
+    lhs = a.left_mult_matrix(sparse(scaled))
+    rhs = a.left_mult_matrix(sparse(x)) + scale(a.left_mult_matrix(sparse(y)),
+                                                QQ.of(s))
     assert lhs == rhs
 
 
-# -- the sparse validation against the dense loops ----------------------------
+# -- the pair multiply and the sparse validation against the dense loops ------
+
+@cache
+def multiply_cases() -> list:
+    """The corpus algebras over their own fields and, for the group
+    algebras, over F_5, with M2 over Q and over F_5."""
+    from ringext.serialize import parse_algebra, parse_field
+    from tests.conftest import CORPUS_NAMES, corpus_doc
+
+    docs = [corpus_doc(name) for name in CORPUS_NAMES]
+    specs = [(parse_field(doc["field"]), doc["algebra"]) for doc in docs]
+    specs += [(GF(5), spec) for _, spec in specs if "group" in spec]
+    return ([parse_algebra(f, spec) for f, spec in specs]
+            + [matrix_algebra(QQ, 2), matrix_algebra(GF(5), 2)])
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_multiply_matches_the_dense_loop(data):
+    """The pair multiply, one comb over the structure constants, against
+    the dense loop it replaced, with zero and unit operands among the
+    draws."""
+    a = data.draw(st.sampled_from(multiply_cases()))
+    field = a.field
+    scalar = (st.fractions(-3, 3, max_denominator=3) if field == QQ
+              else st.integers(0, field.p - 1)).map(field.of)
+    element = st.one_of(
+        st.just([field.zero] * a.dim),
+        st.just(dense_vector(field, a.dim, a.unit)),
+        st.lists(scalar, min_size=a.dim, max_size=a.dim))
+    x, y = data.draw(element), data.draw(element)
+    assert a.multiply(sparse(x), sparse(y)) == sparse(
+        reference_multiply(a, x, y))
+
 
 def rebased(a: FDAlgebra, p: Matrix) -> tuple:
     """The structure constants and unit of a in the basis of p's columns."""
-    pinv, b = invert(p), p.columns()
+    pinv, b = invert(p), p.transpose().pairs
     return ([[pinv.apply(a.multiply(x, y)) for y in b] for x in b],
             pinv.apply(a.unit))
 
@@ -288,9 +330,9 @@ def test_validation_matches_the_dense_loops(data):
     kind = data.draw(st.sampled_from(["valid", "table", "unit", "random"]))
     if kind == "random":
         n = data.draw(st.integers(1, 3))
-        mult = [[[data.draw(small) for _ in range(n)] for _ in range(n)]
+        mult = [[sparse([data.draw(small) for _ in range(n)]) for _ in range(n)]
                 for _ in range(n)]
-        unit = [data.draw(small) for _ in range(n)]
+        unit = sparse([data.draw(small) for _ in range(n)])
     else:
         a = data.draw(st.sampled_from([
             group_algebra(field, cyclic(3)), group_algebra(field, sym3()),
@@ -301,13 +343,18 @@ def test_validation_matches_the_dense_loops(data):
             for i in range(n)])
         mult, unit = rebased(a, p)
         index = st.integers(0, n - 1)
+
+        def bumped(v: tuple) -> tuple:
+            """v plus one at a drawn index."""
+            w = dense_vector(field, n, v)
+            k = data.draw(index)
+            w[k] = field.of(w[k] + field.one)
+            return sparse(w)
         if kind == "table":
-            v = mult[data.draw(index)][data.draw(index)]
-            k = data.draw(index)
-            v[k] = field.of(v[k] + field.one)
+            i, j = data.draw(index), data.draw(index)
+            mult[i][j] = bumped(mult[i][j])
         elif kind == "unit":
-            k = data.draw(index)
-            unit[k] = field.of(unit[k] + field.one)
+            unit = bumped(unit)
     want = reference_validation_fault(field, n, mult, unit)
     assert validation_fault(field, n, mult, unit) == want
     if kind == "valid":

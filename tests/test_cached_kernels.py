@@ -23,6 +23,7 @@ from ringext.serialize import parse_input
 
 from tests.conftest import CORPUS_NAMES, corpus_doc
 from tests.groups import case_doc
+from tests.oracle_linalg import as_pairs
 from tests.oracles import reference_translate_span
 from tests.test_sparse_matrix import (FIELDS, assert_canonical, dense_rows,
                                       entries, lib, ref_apply, ref_transpose)
@@ -38,7 +39,8 @@ def test_transpose_is_built_once_and_matches_the_reference(name, data):
     t = A.transpose()
     assert A.transpose() is t
     assert t.data == ref_transpose(a, n)
-    assert [A.col(j) for j in range(n)] == A.columns() == ref_transpose(a, n)
+    assert [A.col(j) for j in range(n)] == [as_pairs(col)
+                                             for col in ref_transpose(a, n)]
     # the transpose keeps no reference back: its own transpose is new
     assert t.transpose() == A and t.transpose() is not A
 
@@ -86,11 +88,11 @@ def test_apply_matches_the_dense_rows(name, shape, data):
     v = [ops.zero] * n
     for j in support:
         v[j] = ops.of(data.draw(nonzero(name)))
-    A = lib(name, a, n)
-    got = A.apply([field.of(x) for x in v])
-    assert got == ref_apply(name, a, v)
-    assert_canonical(name, [got])
-    assert A.apply([field.of(x) for x in v]) == got
+    A, lv = lib(name, a, n), as_pairs([field.of(x) for x in v])
+    got = A.apply(lv)
+    assert got == as_pairs(ref_apply(name, a, v))
+    assert_canonical(name, [[x for _, x in got]])
+    assert A.apply(lv) == got
 
 
 def test_identity_is_shared_per_field_and_size():
@@ -110,8 +112,8 @@ def test_cached_kernels_leave_no_reference_cycle():
             b = Matrix.from_cols(field, 3, a.pairs)
             a.transpose().transpose()
             b.transpose()
-            a.apply([field.one, field.zero, field.of(2)])
-            b.apply([field.one, field.of(3)])
+            a.apply(((0, field.one), (2, field.of(2))))
+            b.apply(((0, field.one), (1, field.of(3))))
             spin(field, 3, [((0, field.one),)], [b @ a])
             Matrix.identity(field, 7).transpose()
             del a, b
@@ -165,8 +167,9 @@ def closure(field, dim, ops, vectors) -> Subspace:
     """The least span of the vectors closed under ops, by plain translates."""
     span = Subspace.from_vectors(field, dim, vectors)
     while True:
-        grown = Subspace.from_vectors(field, dim, span.rows + reference_translate_span(
-            field, dim, ops, span.rows).rows)
+        rows = span.basis.pairs
+        grown = Subspace.from_vectors(field, dim, rows + reference_translate_span(
+            field, dim, ops, rows).basis.pairs)
         if grown.dim == span.dim:
             return span
         span = grown
@@ -181,4 +184,4 @@ def test_spin_matches_the_closure_by_translates(name, data):
     vectors = [[field.of(data.draw(entries(name))) for _ in range(n)]
                for _ in range(data.draw(st.integers(0, 2)))]
     pairs = [tuple((j, x) for j, x in enumerate(v) if x) for v in vectors]
-    assert spin(field, n, pairs, ops) == closure(field, n, ops, vectors)
+    assert spin(field, n, pairs, ops) == closure(field, n, ops, pairs)

@@ -11,12 +11,12 @@ from ringext.canonical import (CanonicalRings, InternalInconsistency,
                                build_canonical_rings, coordinate_matrix,
                                restrict_to)
 from ringext.equivalences import _hom_column
-from ringext.linalg import QQ, Matrix, unit_vec
+from ringext.linalg import QQ, Matrix, sparse
 from ringext.serialize import parse_input
 
 from tests import oracles
 from tests.groups import D4_FLIP, group_case
-from tests.helpers import scale
+from tests.helpers import scale, unit_vec
 
 # name -> (tensor_square, centralizer, endo_ring, tensor_ring, casimir)
 FROZEN_DIMS = {
@@ -76,8 +76,8 @@ def test_centralizer_ring_multiplication(built):
     # products of lifted basis elements land back in the centralizer
     for i in range(r.dim):
         for j in range(r.dim):
-            prod = a.multiply(cr.r_lift(unit_vec(cr.field, r.dim, i)),
-                              cr.r_lift(unit_vec(cr.field, r.dim, j)))
+            prod = a.multiply(cr.r_lift(unit_vec(cr.field, i)),
+                              cr.r_lift(unit_vec(cr.field, j)))
             assert prod == cr.r_lift(r.mult[i][j])
     assert cr.r_lift(r.unit) == a.unit
 
@@ -92,9 +92,8 @@ def test_tensor_ring_acts_on_tensor_square(built):
             composed = cr.t_action_on_q[i] @ cr.t_action_on_q[j]
             prod_coords = t.mult[i][j]
             acc = Matrix.zeros(f, cr.dim_q, cr.dim_q)
-            for k, c in enumerate(prod_coords):
-                if c:
-                    acc = acc + scale(cr.t_action_on_q[k], c)
+            for k, c in prod_coords:
+                acc = acc + scale(cr.t_action_on_q[k], c)
             assert composed == acc
 
 
@@ -109,8 +108,8 @@ def test_endo_ring_composition(built):
     f = cr.field
     for i in range(s.dim):
         for j in range(s.dim):
-            lhs = cr.endo_space.element(unit_vec(f, s.dim, i)) @ \
-                cr.endo_space.element(unit_vec(f, s.dim, j))
+            lhs = cr.endo_space.element(unit_vec(f, i)) @ \
+                cr.endo_space.element(unit_vec(f, j))
             assert lhs == cr.endo_space.element(s.mult[i][j])
     assert cr.endo_space.element(s.unit) == Matrix.identity(
         f, cr.ext.total.dim)
@@ -121,9 +120,9 @@ def test_casimir_space_inside_tensor_ring(built):
     assert cr.casimir_space.is_contained_in(cr.tensor_space)
     # every Casimir tensor commutes with the full outer action
     a = cr.ext.total
-    for row in cr.casimir_space.rows:
+    for row in cr.casimir_space.basis.pairs:
         for i in range(a.dim):
-            x = unit_vec(cr.field, a.dim, i)
+            x = unit_vec(cr.field, i)
             lhs = cr.q.module.left_operator(x).apply(row)
             rhs = cr.q.module.right_operator(x).apply(row)
             assert lhs == rhs
@@ -132,20 +131,20 @@ def test_casimir_space_inside_tensor_ring(built):
 def test_coordinate_helpers_roundtrip(built):
     cr = built("qq8_qi").cr
     f = cr.field
-    v = cr.r_lift([f.of(k + 1) for k in range(cr.centralizer.dim)])
+    v = cr.r_lift(sparse([f.of(k + 1) for k in range(cr.centralizer.dim)]))
     assert cr.r_lift(cr.r_coords(v)) == v
     w = cr.tensor_space.element(
-        [f.of(k - 2) for k in range(cr.tensor_ring.dim)])
+        sparse([f.of(k - 2) for k in range(cr.tensor_ring.dim)]))
     assert cr.tensor_space.element(cr.t_coords(w)) == w
 
 
 def test_coordinate_helpers_reject_outsiders(built):
     cr = built("qc2_q").cr
     # the second group element is not central, so it is outside R
-    outsider = unit_vec(QQ, 2, 1)
+    outsider = unit_vec(QQ, 1)
     assert cr.centralizer_space.contains(outsider)  # C2 is commutative: inside
     cr2 = built("qs3_qa3").cr
-    bad = unit_vec(QQ, 6, 1)  # a transposition does not centralize A3
+    bad = unit_vec(QQ, 1)  # a transposition does not centralize A3
     with pytest.raises(InternalInconsistency):
         cr2.r_coords(bad)
 
@@ -174,8 +173,8 @@ def test_mu_multiplies(built):
     cr = built("qs3_qa3").cr
     a = cr.ext.total
     f = cr.field
-    x, y = unit_vec(f, 6, 2), unit_vec(f, 6, 4)
-    assert cr.mu_matrix.apply(cr.pure(x, y)) == a.multiply(x, y)
+    x, y = unit_vec(f, 2), unit_vec(f, 4)
+    assert cr.mu_matrix.apply(cr.q.pure(x, y)) == a.multiply(x, y)
 
 
 def test_endo_description_of_q_checked_on_large_inputs(monkeypatch):

@@ -13,11 +13,21 @@ from ringext.certify import (D2Certificate, HSepCertificate, HSepPair,
                              module_facts, verify_d2, verify_hsep,
                              verify_separability, verify_split)
 from ringext.algebra import trivial_algebra
-from ringext.linalg import Matrix, unit_vec, vec_sum
+from ringext.linalg import Matrix
 
 from tests.conftest import CORPUS_NAMES, EXPECTED_FLAGS
-from tests.helpers import dense_matrix, scale
+from tests.helpers import scale, unit_vec
 from tests.oracles import reference_d2_quasibase
+
+
+def times(f, c, v):
+    """c v for a pair vector v and a nonzero c."""
+    return tuple((j, f.mul(f.of(c), x)) for j, x in v)
+
+
+def plus(f, u, v):
+    """u + v for pair vectors."""
+    return f.comb([u, v], [(0, f.one), (1, f.one)])
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -59,10 +69,9 @@ def test_tampered_separability_element_rejected(built):
     b = built("qs3_qa3")
     cert = b.cls.separability_element
     f = b.cr.field
-    bad = SeparabilityCertificate([f.mul(f.of(2), x) for x in cert.element])
+    bad = SeparabilityCertificate(times(f, 2, cert.element))
     assert not verify_separability(b.cr, bad)
-    shifted = SeparabilityCertificate(
-        vec_sum(f, b.cr.dim_q, [cert.element, unit_vec(f, b.cr.dim_q, 0)]))
+    shifted = SeparabilityCertificate(plus(f, cert.element, unit_vec(f, 0)))
     assert not verify_separability(b.cr, shifted)
 
 
@@ -81,12 +90,12 @@ def test_tampered_hsep_system_rejected(built):
     cert = b.cls.hsep_system
     f = b.cr.field
     assert verify_hsep(b.cr, cert)
-    bad_pairs = [HSepPair(p.casimir, [f.mul(f.of(2), x) for x in p.multiplier])
+    bad_pairs = [HSepPair(p.casimir, times(f, 2, p.multiplier))
                  for p in cert.pairs]
     assert not verify_hsep(b.cr, HSepCertificate(bad_pairs))
     # a non-Casimir first leg must be rejected even if the sum works out
-    non_casimir = HSepPair(b.cr.pure(unit_vec(f, 4, 1),
-                                     unit_vec(f, 4, 2)),
+    non_casimir = HSepPair(b.cr.q.pure(unit_vec(f, 1),
+                                     unit_vec(f, 2)),
                            b.cr.ext.total.unit)
     assert not verify_hsep(b.cr, HSepCertificate([non_casimir]))
 
@@ -127,8 +136,8 @@ def test_expectation_must_be_base_bilinear(built):
     # add x -> x_s . 1 for a group element s outside the subgroup: still
     # a unital retraction, but no longer base-linear
     s = min(set(range(a.dim)) - set(cr.ext.subgroup()))
-    bump = dense_matrix(f, [unit_vec(f, a.dim, s)]
-                        + [[f.zero] * a.dim] * (base.dim - 1))
+    bump = Matrix.from_pairs(f, base.dim, a.dim,
+                             [unit_vec(f, s)] + [()] * (base.dim - 1))
     e = b.cls.conditional_expectation.expectation + bump
     assert e.apply(a.unit) == base.unit
     assert e @ cr.ext.iota == Matrix.identity(f, base.dim)
@@ -141,16 +150,16 @@ def test_hsep_pairs_need_casimirs_and_centralizer_multipliers(built):
     pairs = b.cls.hsep_system.pairs
     a = cr.ext.total
     # cancelling pairs leave the sum at 1 (x) 1
-    leg = cr.pure(unit_vec(f, 4, 1), unit_vec(f, 4, 2))
+    leg = cr.q.pure(unit_vec(f, 1), unit_vec(f, 2))
     assert not cr.casimir_space.contains(leg)
-    neg_unit = [f.neg(x) for x in a.unit]
+    neg_unit = times(f, -1, a.unit)
     assert not verify_hsep(cr, HSepCertificate(
         pairs + [HSepPair(leg, a.unit), HSepPair(leg, neg_unit)]))
-    z = unit_vec(f, 4, 1)
+    z = unit_vec(f, 1)
     assert not cr.centralizer_space.contains(z)
     p0 = pairs[0]
-    shifted = [HSepPair(p0.casimir, vec_sum(f, 4, [p0.multiplier, z])),
-               HSepPair(p0.casimir, [f.neg(x) for x in z])]
+    shifted = [HSepPair(p0.casimir, plus(f, p0.multiplier, z)),
+               HSepPair(p0.casimir, times(f, -1, z))]
     assert not verify_hsep(cr, HSepCertificate(shifted + pairs[1:]))
 
 
@@ -160,13 +169,12 @@ def test_quasibase_pairs_need_invariant_tensors_and_bimodule_endos(built):
     n = cr.ext.total.dim
     for qb in (b.cls.left_quasibase, b.cls.right_quasibase):
         # cancelling pairs leave the quasibase identity intact
-        leg = cr.pure(unit_vec(f, n, 1), unit_vec(f, n, 0))
+        leg = cr.q.pure(unit_vec(f, 1), unit_vec(f, 0))
         assert not cr.tensor_space.contains(leg)
         eye = Matrix.identity(f, n)
         assert not verify_d2(cr, D2Certificate(qb.side, qb.pairs + [
             QuasibasePair(leg, eye), QuasibasePair(leg, scale(eye, f.of(-1)))]))
-        bump = dense_matrix(f, [unit_vec(f, n, 1)]
-                            + [[f.zero] * n] * (n - 1))
+        bump = Matrix.from_pairs(f, n, n, [unit_vec(f, 1)] + [()] * (n - 1))
         assert cr.endo_space.coordinates(bump) is None
         t = cr.one_tensor_one()
         assert not verify_d2(cr, D2Certificate(qb.side, qb.pairs + [
@@ -193,7 +201,7 @@ def test_separability_element_is_symmetric_idempotent_source(built):
     f = cr.field
     assert cr.mu_matrix.apply(e) == cr.ext.total.unit
     for i in range(cr.ext.total.dim):
-        x = unit_vec(f, cr.ext.total.dim, i)
+        x = unit_vec(f, i)
         lhs = cr.q.module.left_operator(x).apply(e)
         rhs = cr.q.module.right_operator(x).apply(e)
         assert lhs == rhs

@@ -562,6 +562,22 @@ def test_memory_error_is_exit_one(capsys, monkeypatch, command, target):
     assert "Traceback" not in err
 
 
+# -- an exception no handler names ------------------------------------------------
+
+def test_unmapped_exception_is_exit_two(capsys, monkeypatch):
+    """A library bug outside the named exceptions ends in exit 2 and one
+    line naming the subcommand and the exception, with no traceback."""
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr("ringext.report.centralizer_normality_suite", broken)
+    code, out, err = run_cli(capsys, "analyze", input_path("qc2_q"), "--json")
+    assert code == 2
+    assert err == "internal error in analyze: ZeroDivisionError: planted\n"
+    assert out == ""
+    assert "Traceback" not in err
+
+
 # -- installed entry point --------------------------------------------------------
 
 def test_console_script_entry_point():

@@ -373,7 +373,7 @@ def _right_quasibase(b):
 def _altered_quasibase(b):
     qb, f = b.cls.left_quasibase, b.cr.field
     first = qb.pairs[0]
-    tensor = [f.of(first.tensor[0] + f.one)] + list(first.tensor[1:])
+    tensor = f.comb([first.tensor, ((0, f.one),)], [(0, f.one), (1, f.one)])
     bad = replace(qb, pairs=[replace(first, tensor=tensor)] + qb.pairs[1:])
     assert not verify_d2(b.cr, bad)
     return {"left_quasibase": bad}
@@ -381,7 +381,7 @@ def _altered_quasibase(b):
 
 def _altered_separability(b):
     cert, f = b.cls.separability_element, b.cr.field
-    element = [f.of(cert.element[0] + f.one)] + list(cert.element[1:])
+    element = f.comb([cert.element, ((0, f.one),)], [(0, f.one), (1, f.one)])
     bad = replace(cert, element=element)
     assert not verify_separability(b.cr, bad)
     return {"separability": bad}
@@ -408,7 +408,8 @@ def _verified_then_mutated_quasibase(b):
 def _verified_then_mutated_separability(b):
     cert, f = deepcopy(b.cls.separability_element), b.cr.field
     gamma_M(b.cr, b.cr.a_reg, separability=cert)
-    cert.element[0] = f.of(cert.element[0] + f.one)
+    cert.element = f.comb([cert.element, ((0, f.one),)],
+                          [(0, f.one), (1, f.one)])
     assert not verify_separability(b.cr, cert)
     return {"separability": cert}
 

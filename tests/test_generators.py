@@ -28,13 +28,13 @@ from ringext.bimodule import (Bimodule, BimoduleError, InternalInconsistency,
 from ringext.canonical import build_canonical_rings
 from ringext.report import analysis_report
 from ringext.linalg import (GF, QQ, Matrix, Subspace, dense, kernel,
-                            lin_comb, rank, sparse, unit_vec)
+                            lin_comb, rank, sparse)
 from ringext.serialize import parse_input
 
 from tests.conftest import CORPUS_NAMES, corpus_doc
 from tests.groups import (GROUP_CASES, Q8_C4, S3_C2, alternating4, case_doc,
                           group_case, group_doc, subgroup)
-from tests.helpers import dense_matrix, unrecorded
+from tests.helpers import dense_matrix, unit_vec, unrecorded
 from tests.oracles import (_intertwining_system, reference_class,
                            reference_hom_basis, reference_is_bimodule_map,
                            reference_presentation, reference_tensor_legs,
@@ -54,8 +54,8 @@ def _word_dim(a, gens):
     span = Subspace.from_vectors(f, n, vecs)
     for w in vecs:
         for g in gens:
-            for p in (a.multiply(w, unit_vec(f, n, g)),
-                      a.multiply(unit_vec(f, n, g), w)):
+            for p in (a.multiply(w, unit_vec(f, g)),
+                      a.multiply(unit_vec(f, g), w)):
                 if not span.contains(p):
                     vecs.append(p)
                     span = Subspace.from_vectors(f, n, vecs)
@@ -81,7 +81,7 @@ def _right_word_span(a, gens):
     span = Subspace.from_vectors(f, n, vecs)
     for w in vecs:
         for g in gens:
-            p = a.multiply(w, unit_vec(f, n, g))
+            p = a.multiply(w, unit_vec(f, g))
             if not span.contains(p):
                 vecs.append(p)
                 span = Subspace.from_vectors(f, n, vecs)
@@ -95,7 +95,7 @@ def _greedy_generators(a):
     f, n = a.field, a.dim
     gens = []
     for i in range(n):
-        if not _right_word_span(a, gens).contains(unit_vec(f, n, i)):
+        if not _right_word_span(a, gens).contains(unit_vec(f, i)):
             gens.append(i)
     for g in list(gens):
         if _right_word_span(a, [h for h in gens if h != g]).dim == n:
@@ -121,9 +121,9 @@ def test_generator_counts():
 def _off_generator_pairs(a):
     """Basis pairs (i, j) with e_i not a generator and neither e_i nor e_j
     carrying a unit coordinate, so a change at e_i e_j leaves 1.x = x.1 = x."""
-    gens = set(a.generators())
-    return [(i, j) for i in range(a.dim) if i not in gens and not a.unit[i]
-            for j in range(a.dim) if not a.unit[j]]
+    gens, units = set(a.generators()), {j for j, _ in a.unit}
+    return [(i, j) for i in range(a.dim) if i not in gens and i not in units
+            for j in range(a.dim) if j not in units]
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -132,8 +132,9 @@ def test_algebra_fault_off_the_generators_is_caught(built, name):
     for label, a in _algebras(built(name).cr):
         f = a.field
         for i, j in _off_generator_pairs(a)[:4]:
-            bad = [[list(v) for v in row] for row in a.mult]
-            bad[i][j][j] = f.of(bad[i][j][j] + f.one)
+            bad = [list(row) for row in a.mult]
+            bad[i][j] = f.comb([bad[i][j], ((j, f.one),)],
+                               [(0, f.one), (1, f.one)])
             with pytest.raises(AlgebraError, match="not associative"):
                 FDAlgebra(f, a.dim, bad, a.unit)
             checked += 1
@@ -158,8 +159,8 @@ def test_bimodule_fault_off_the_generators_is_caught(built, name):
     checked = 0
     for m in _modules(built(name).cr):
         for side, alg in (("left", m.left_algebra), ("right", m.right_algebra)):
-            gens = set(alg.generators())
-            off = [i for i in range(alg.dim) if i not in gens and not alg.unit[i]]
+            gens = set(alg.generators()) | {j for j, _ in alg.unit}
+            off = [i for i in range(alg.dim) if i not in gens]
             for i in off[:2]:
                 acts = {"left": list(m.left_action),
                         "right": list(m.right_action)}
@@ -253,7 +254,7 @@ def _balanced_off_the_last_generator(tp, leg):
 
     sol = kernel(Matrix.from_cols(f, len(rels) * width,
                                   [images(x) for x in ker]))
-    maps = [lin_comb(f, dim, dim, dense(f, len(ker), c), ker) for c in sol]
+    maps = [lin_comb(f, dim, dim, c, ker) for c in sol]
     return [x for x in maps if x @ acts[last] != acts[last] @ x]
 
 
@@ -366,8 +367,7 @@ def assert_tensor_matches_reference(tp, m, n):
     ref_classes = [reference_class(relations, [f.one if k == c else f.zero
                                                for k in range(size)])
                    for c in range(size)]
-    assert tp._classes == [sparse(phi.apply(dense(f, len(free), cls)))
-                           for cls in ref_classes]
+    assert tp._classes == [phi.apply(cls) for cls in ref_classes]
     ref = TensorProduct(None, relations, free, m, n)
     eye_m, eye_n = Matrix.identity(f, m.dim), Matrix.identity(f, n.dim)
     assert [op @ phi for op in tp.module.left_action] == [
@@ -592,7 +592,8 @@ def test_the_detector_takes_permutation_matrices_only(built):
 @pytest.mark.parametrize("case", sorted(NON_PERMUTATIONS))
 def test_non_permutation_systems_are_eliminated(case, monkeypatch):
     f, square, rows = NON_PERMUTATIONS[case]
-    a = FDAlgebra(f, 2, [[[1, 0], [0, 1]], [[0, 1], square]], [1, 0])
+    one, e1 = ((0, f.one),), ((1, f.one),)
+    a = FDAlgebra(f, 2, [[one, e1], [e1, sparse(square)]], one)
     act = [Matrix.identity(f, 2), dense_matrix(f, rows)]
     left, right = one_sided(a, "left", 2, act), one_sided(a, "right", 2, act)
     left.validate()

@@ -1,5 +1,6 @@
 """Every name a module of the library, the tests or the scripts imports is
-used in that module; no library module samples at random."""
+used in that module; no library module samples at random; only the JSON
+edge converts between dense lists and pair vectors."""
 
 import ast
 import pathlib
@@ -74,3 +75,11 @@ def test_no_random_sampling(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert "random" not in _modules_imported(tree), \
         f"{path.name} imports random"
+
+
+def test_only_the_json_edge_imports_the_dense_views():
+    """Every vector below the JSON edge is a pair vector, so of the library
+    modules only serialize imports dense or sparse (linalg defines them)."""
+    importers = sorted(p.name for p in MODULES if {"dense", "sparse"}
+                       & _imported(ast.parse(p.read_text(encoding="utf-8"))))
+    assert importers == ["serialize.py"]

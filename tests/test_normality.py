@@ -8,7 +8,7 @@ from ringext import normality
 from ringext.algebra import AlgebraError, group_algebra, subalgebra_extension
 from ringext.bimodule import BimoduleError, regular_bimodule
 from ringext.certify import find_d2_quasibase
-from ringext.linalg import GF, QQ, Subspace
+from ringext.linalg import GF, QQ, Subspace, sparse
 from ringext.normality import (centralizer_normality_suite,
                                default_ideal_sample, double_centralizer,
                                hopf_normality, ideal_closure,
@@ -24,7 +24,7 @@ def default_suite(cr) -> dict:
     """The centralizer suite on the sample report.normality_block starts
     from: default_ideal_sample with the centralizer's basis added."""
     return centralizer_normality_suite(cr, default_ideal_sample(
-        cr.ext.total, extra_generators=cr.centralizer_space.rows))
+        cr.ext.total, extra_generators=cr.centralizer_space.basis.pairs))
 
 
 def quaternion():
@@ -106,12 +106,12 @@ def test_hopf_pair_rejects_nonsubgroup():
 
 def test_ideal_closure_augmentation():
     a = group_algebra(QQ, cyclic(3))
-    g_minus_1 = [QQ.of(-1), QQ.one, QQ.zero]
+    g_minus_1 = ((0, QQ.of(-1)), (1, QQ.one))
     j = ideal_closure(a, [g_minus_1])
     assert j.dim == 2
     # closure is stable under multiplication from both sides
     for i in range(3):
-        for row in j.closure.rows:
+        for row in j.closure.basis.pairs:
             assert j.closure.contains(a.basis_left_mult(i).apply(row))
             assert j.closure.contains(a.basis_right_mult(i).apply(row))
 
@@ -141,7 +141,7 @@ ALGEBRAS = {(name, field): make(field)
 def algebra_and_vectors(draw):
     a = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS, key=repr)))]
     vector = st.lists(st.integers(-2, 2), min_size=a.dim, max_size=a.dim).map(
-        lambda v: [a.field.of(x) for x in v])
+        lambda v: sparse([a.field.of(x) for x in v]))
     return a, draw(st.lists(vector, min_size=1, max_size=3))
 
 
@@ -158,7 +158,7 @@ def test_generator_translates_match_basis_translates(case):
     spun = normality._translates(regular_bimodule(a), sub)
     for got, mult in zip(spun, (a.basis_left_mult, a.basis_right_mult)):
         assert got == reference_translate_span(
-            a.field, a.dim, [mult(i) for i in range(a.dim)], sub.rows)
+            a.field, a.dim, [mult(i) for i in range(a.dim)], sub.basis.pairs)
 
 
 def test_suite_contracts_once_per_distinct_closure(built, monkeypatch):
@@ -166,7 +166,7 @@ def test_suite_contracts_once_per_distinct_closure(built, monkeypatch):
     b = built("qq8_qi")
     cr = b.cr
     sample = default_ideal_sample(cr.ext.total,
-                                  extra_generators=cr.centralizer_space.rows)
+                                  extra_generators=cr.centralizer_space.basis.pairs)
     sample.extend(b.parsed.ideals)
     calls = []
     intersect = Subspace.intersect
@@ -210,7 +210,7 @@ def test_suite_index_two_subgroups_always_balanced(built):
 def test_suite_on_user_ideal(built):
     b = built("qs3_qa3")
     a = b.cr.ext.total
-    gen = [QQ.of(-1)] + [QQ.zero] * 4 + [QQ.one]  # transposition minus 1
+    gen = ((0, QQ.of(-1)), (5, QQ.one))  # transposition minus 1
     j = ideal_closure(a, [gen], label="user")
     out = centralizer_normality_suite(b.cr, ideals=[j])
     labels = [e["ideal"] for e in out["ideal_contractions"]]

@@ -76,8 +76,22 @@ def test_table_reproduces_golden_certificates(built, name):
         if cert is None:
             assert k.key not in cl["certificates"]
         else:
-            payload = json.loads(json.dumps(k.encode(cr.field, cert)))
+            payload = json.loads(json.dumps(k.encode(cr.field, cert,
+                                                     cr.dims())))
             assert payload == cl["certificates"][k.key], k.name
+
+
+@pytest.mark.parametrize("name, key", _golden_certificates())
+def test_golden_certificates_decode_and_encode_back(spaces, name, key):
+    """Each golden certificate payload, decoded into pair vectors and
+    encoded again at the lengths its dims give, is the same payload."""
+    doc = expected_doc(name)
+    kind = next(k for k in certificate_kinds() if k.key == key)
+    payload = doc["classification"]["certificates"][key]
+    cs = spaces(name)
+    cert = kind.decode(cs.field, payload, doc["dims"], "$")
+    assert json.loads(json.dumps(kind.encode(cs.field, cert, doc["dims"]))) \
+        == payload
 
 
 # -- verify_report -----------------------------------------------------------

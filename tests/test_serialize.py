@@ -278,20 +278,21 @@ def test_certificate_payloads_roundtrip_and_verify(built):
     dims = cr.dims()
 
     sep2 = separability_from_json(
-        f, separability_json(f, cls.separability_element), dims, "$")
+        f, separability_json(f, cls.separability_element, dims), dims, "$")
     assert verify_separability(cr, sep2)
 
-    spl2 = split_from_json(f, split_json(f, cls.conditional_expectation),
+    spl2 = split_from_json(f, split_json(f, cls.conditional_expectation, dims),
                            dims, "$")
     assert verify_split(cr, spl2)
 
-    d2 = d2_from_json(f, d2_json(f, cls.left_quasibase), dims, "$", "left")
+    d2 = d2_from_json(f, d2_json(f, cls.left_quasibase, dims), dims, "$",
+                      "left")
     assert d2.side == "left"
     assert verify_d2(cr, d2)
 
     hb = built("m2q_q")
-    h2 = hsep_from_json(hb.cr.field, hsep_json(hb.cr.field, hb.cls.hsep_system),
-                        hb.cr.dims(), "$")
+    h2 = hsep_from_json(hb.cr.field, hsep_json(hb.cr.field, hb.cls.hsep_system,
+                                               hb.cr.dims()), hb.cr.dims(), "$")
     assert verify_hsep(hb.cr, h2)
 
 

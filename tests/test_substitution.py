@@ -41,9 +41,11 @@ def _positions(n: int) -> list:
     return sorted({0, n // 2, n - 1}) if n else []
 
 
-def _moved_vectors(f, v: list) -> list:
-    """v with one entry moved by one, at its first, middle and last index."""
-    return [v[:i] + [f.of(v[i] + f.one)] + v[i + 1:] for i in _positions(len(v))]
+def _moved_vectors(f, v: tuple, n: int) -> list:
+    """The pair vector v of length n with one entry moved by one, at its
+    first, middle and last index."""
+    return [f.comb([v, ((i, f.one),)], [(0, f.one), (1, f.one)])
+            for i in _positions(n)]
 
 
 def _moved_matrices(mat) -> list:
@@ -63,19 +65,19 @@ def _with_pair(pairs: list, k: int, pair) -> list:
     return pairs[:k] + [pair] + pairs[k + 1:]
 
 
-def separability_cases(f, cert):
+def separability_cases(cr, cert):
     yield cert
-    for v in _moved_vectors(f, cert.element):
+    for v in _moved_vectors(cr.field, cert.element, cr.dim_q):
         yield SeparabilityCertificate(v)
 
 
-def hsep_cases(f, cert):
+def hsep_cases(cr, cert):
     yield cert
     for k, p in enumerate(cert.pairs):
-        for v in _moved_vectors(f, p.casimir):
+        for v in _moved_vectors(cr.field, p.casimir, cr.dim_q):
             yield HSepCertificate(_with_pair(cert.pairs, k,
                                              HSepPair(v, p.multiplier)))
-        for v in _moved_vectors(f, p.multiplier):
+        for v in _moved_vectors(cr.field, p.multiplier, cr.ext.total.dim):
             yield HSepCertificate(_with_pair(cert.pairs, k,
                                              HSepPair(p.casimir, v)))
 
@@ -88,18 +90,18 @@ def _mixed(cert, k: int) -> D2Certificate:
     f = s.field
     pairs = cert.pairs[:k] + [
         QuasibasePair(t, s + s2),
-        QuasibasePair([f.of(x - y) for x, y in zip(t2, t)], s2),
+        QuasibasePair(f.comb([t2, t], [(0, f.one), (1, f.neg(f.one))]), s2),
     ] + cert.pairs[k + 2:]
     return D2Certificate(cert.side, pairs, cert.reverse_order)
 
 
-def d2_cases(f, cert):
+def d2_cases(cr, cert):
     for side in ("left", "right"):   # the other side's label is a fault
         yield D2Certificate(side, cert.pairs, cert.reverse_order)
     for k in range(len(cert.pairs) - 1):
         yield _mixed(cert, k)
     for k, p in enumerate(cert.pairs):
-        for v in _moved_vectors(f, p.tensor):
+        for v in _moved_vectors(cr.field, p.tensor, cr.dim_q):
             yield D2Certificate(cert.side, _with_pair(
                 cert.pairs, k, QuasibasePair(v, p.endo)))
         for mat in _moved_matrices(p.endo):
@@ -110,18 +112,17 @@ def d2_cases(f, cert):
 @pytest.mark.parametrize("name", NAMES)
 def test_substitution_matches_the_operator_verifiers(analysed, name):
     cr, cls = analysed(name)
-    f = cr.field
     checks = []
     if cls.separability_element is not None:
         checks += [(verify_separability, reference_verify_separability, c)
-                   for c in separability_cases(f, cls.separability_element)]
+                   for c in separability_cases(cr, cls.separability_element)]
     if cls.hsep_system is not None:
         checks += [(verify_hsep, reference_verify_hsep, c)
-                   for c in hsep_cases(f, cls.hsep_system)]
+                   for c in hsep_cases(cr, cls.hsep_system)]
     for qb in (cls.left_quasibase, cls.right_quasibase):
         if qb is not None:
             checks += [(verify_d2, reference_verify_d2, c)
-                       for c in d2_cases(f, qb)]
+                       for c in d2_cases(cr, qb)]
     verdicts = []
     for verify, reference, cert in checks:
         verdict = verify(cr, cert)

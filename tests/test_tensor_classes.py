@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ringext.canonical import build_canonical_rings
-from ringext.linalg import PrimeField
+from ringext.linalg import PrimeField, sparse
 from ringext.report import analysis_report
 from ringext.serialize import parse_input
 
@@ -94,7 +94,7 @@ def test_sum_pure_and_project_give_the_dense_class(name, data):
         for i, a in enumerate(x):
             for j, b in enumerate(y):
                 ambient[i * dn + j] = f.of(ambient[i * dn + j] + f.mul(a, b))
-    got = tp.sum_pure(pairs)
+    got = tp.sum_pure([(sparse(x), sparse(y)) for x, y in pairs])
     assert_pair_vector(got, dq)
     assert got == oracle_class(tp, ambient)
 
