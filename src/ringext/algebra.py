@@ -21,7 +21,7 @@ without re-deriving it from the multiplication.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, pairwise, product
 from typing import Optional, Sequence
 
 from .linalg import Field, Matrix, Subspace, lin_comb, word_generators
@@ -131,9 +131,13 @@ class FDAlgebra:
         n, f = self.dim, self.field
         if len(self.mult) != n or any(len(row) != n for row in self.mult):
             raise AlgebraError(f"multiplication table is not {n}x{n}")
-        if any(v and not 0 <= v[0][0] <= v[-1][0] < n
-               for v in chain(*self.mult, [self.unit])):
-            raise AlgebraError(f"structure vector has an index outside 0..{n - 1}")
+        name = lambda k: f"e{k // n} e{k % n}" if k < n * n else "the unit"
+        for k, v in enumerate(chain(*self.mult, [self.unit])):
+            if not all(c for _, c in v) or len(v) > 1 and any(
+                    i >= j for (i, _), (j, _) in pairwise(v)):
+                raise AlgebraError(f"vector of {name(k)}: not ascending, or a zero")
+            if v and not 0 <= v[0][0] <= v[-1][0] < n:
+                raise AlgebraError(f"vector of {name(k)}: index outside 0..{n - 1}")
         # column j of the matrix of v -> x v (v -> v x) is x e_j (e_j x)
         unit_l = self.left_mult_matrix(self.unit).transpose().pairs
         unit_r = self.right_mult_matrix(self.unit).transpose().pairs

@@ -809,11 +809,11 @@ def summand_witness(m: Bimodule, n: Bimodule,
                     ) -> Optional[SummandWitness]:
     """Decide whether m is a direct summand of a finite power of n: is
     id_m a combination of composites back_b @ into_a over the hom spaces
-    hom builds (hom_space, or a memo of it such as CanonicalRings.hom)?
-    A bimodule map is fixed by its values on a set generating m, so
-    composites are written only there.  They enter an echelon one at a
-    time until the residual of id_m vanishes; the kept ones are then
-    solved for.  Returns a verified witness or None.
+    hom builds (hom_space or CanonicalSpaces.hom)?  A bimodule map is
+    fixed by its values on a set generating m, so composites are written
+    only there, entering an echelon one at a time until the residual of
+    id_m vanishes; the kept ones are then solved for.  Returns a verified
+    witness or None; CanonicalSpaces.summand runs it once per content.
     """
     into_space, back_space = hom(m, n), hom(n, m)
     f, dm = m.field, m.dim
@@ -847,11 +847,12 @@ def summand_witness(m: Bimodule, n: Bimodule,
 
 
 def dual_basis_witness(m: Bimodule, algebra: FDAlgebra, side: str,
-                       hom: Callable[[Bimodule, Bimodule], MapSpace]
+                       summand: Callable[[Bimodule, Bimodule], Optional[SummandWitness]]
                        ) -> Optional[SummandWitness]:
     """Finitely generated projectivity of m as a one-sided module over
     algebra: m, its other action forgotten, as a summand of a finite power
-    of the regular module, decided by summand_witness with hom.
+    of the regular module, decided by summand (summand_witness over a hom,
+    or its memo CanonicalSpaces.summand).
 
     The pairs (into_i, back_i) give a dual basis x_i = back_i(1), f_i =
     into_i: sum x_i . f_i(t) = t for a right module, f_i(t) . x_i = t for
@@ -859,5 +860,4 @@ def dual_basis_witness(m: Bimodule, algebra: FDAlgebra, side: str,
     """
     if side not in ("left", "right"):
         raise BimoduleError("side must be 'left' or 'right'")
-    return summand_witness(keep_side(m, side), regular_module(algebra, side),
-                           hom)
+    return summand(keep_side(m, side), regular_module(algebra, side))

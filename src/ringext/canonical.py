@@ -23,7 +23,10 @@ Q records none, so it is read off orbits or presented over A's unit
 basis, both in ambient coordinates, in which certificates and the
 canonical subspaces live.  CanonicalSpaces builds only Q, the spaces
 underlying R, T and S and the Casimir subspace, which is all a
-certificate verifier reads; CanonicalRings adds the rest.
+certificate verifier reads; CanonicalRings adds the rest.  Both memoize
+(once); summand witnesses are keyed by module content alone, so
+coinciding questions (B = A, B = k, both sides of a commutative case)
+are searched once.
 
 Elements of A, of R, T and S in their coordinates, and of Q are pair
 vectors (linalg), as are the coordinates every readoff returns.
@@ -44,6 +47,7 @@ from .bimodule import (
     Bimodule,
     InternalInconsistency,
     MapSpace,
+    SummandWitness,
     TensorProduct,
     centralizer_subspace,
     hom_space,
@@ -53,6 +57,7 @@ from .bimodule import (
     presenting_sets,
     regular_bimodule,
     restrict,
+    summand_witness,
     tensor_legs,
     tensor_over,
 )
@@ -112,7 +117,7 @@ class CanonicalSpaces:
     S and the Casimir tensors, with no ring structure: all that the
     certificate verifiers and dims() read.  once builds each result asked
     for once per kind and module content, kept as long as the spaces;
-    hom and tensor go through it.
+    hom, tensor and summand go through it.
     """
 
     def __init__(self, ext: Extension) -> None:
@@ -149,10 +154,12 @@ class CanonicalSpaces:
         the stored result on every later one.
 
         What a result depends on in a module is the identity of both acting
-        algebras, the dimension and the action matrices, which the
-        generators' actions determine (Bimodule.memo_key, kept on the
-        module); labels are not read.  Each entry holds its modules, which
-        keeps those identities theirs while the entry lives.
+        algebras (hom, tensor and induced results hold modules that later
+        code compares by algebra), the dimension and the action matrices,
+        which the generators' actions determine (Bimodule.memo_key, kept on
+        the module); labels are not read.  Each entry holds its modules,
+        keeping those identities theirs.  certified keys by a certificate's
+        content and summand by module content alone (plain matrices).
         """
         key += tuple(m.memo_key for m in modules)
         if key not in self._memo:
@@ -170,6 +177,14 @@ class CanonicalSpaces:
         hom spaces."""
         return self.once(("tensor", *presenting_sets(m, n)),
                          lambda: tensor_over(m, n), m, n)
+
+    def summand(self, m: Bimodule, n: Bimodule) -> Optional[SummandWitness]:
+        """summand_witness(m, n, self.hom), searched once per content of m
+        and n (memo_key less the algebras): the search and verify read only
+        the generators' actions and the hom bases, their intertwiners' RREF."""
+        found = self.once(("summand", m.memo_key[2:], n.memo_key[2:]),
+                          lambda: summand_witness(m, n, self.hom))
+        return found and SummandWitness(m, n, found.pairs)
 
     # -- coordinate helpers -------------------------------------------------
 

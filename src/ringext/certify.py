@@ -46,7 +46,6 @@ from .bimodule import (
     keep_side,
     regular_module,
     restrict,
-    summand_witness,
 )
 from .canonical import (CanonicalRings, CanonicalSpaces, InternalInconsistency,
                         coordinate_matrix)
@@ -302,20 +301,20 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
 def d2_summand_witness(cr: CanonicalRings, side: str) -> Optional[SummandWitness]:
     """The tensor square as a summand of a finite power of the algebra,
     with the outer action forgotten down to B on the stated side."""
-    return summand_witness(restrict(cr.q.module, cr.ext, side),
-                           restrict(cr.a_reg, cr.ext, side), cr.hom)
+    return cr.summand(restrict(cr.q.module, cr.ext, side),
+                      restrict(cr.a_reg, cr.ext, side))
 
 
 def hsep_summand_witness(cr: CanonicalRings) -> Optional[SummandWitness]:
     """The tensor square as a summand of a finite power of the algebra,
     with both outer actions kept."""
-    return summand_witness(cr.q.module, cr.a_reg, cr.hom)
+    return cr.summand(cr.q.module, cr.a_reg)
 
 
 def base_module_projectivity(cr: CanonicalRings) -> dict:
     """Finitely generated projectivity of A over B on each side."""
     return {side: dual_basis_witness(restrict(cr.a_reg, cr.ext, side),
-                                     cr.ext.base, side, cr.hom)
+                                     cr.ext.base, side, cr.summand)
             for side in ("left", "right")}
 
 
@@ -345,7 +344,7 @@ def endo_ring_probe(cr: CanonicalRings, right_projective: bool
         "precomposite of a one-sided endomorphism"))
     e_bimod = Bimodule(a, cr.ext.base, endos.dim, lefts, rights, label="End(A|B)")
     a_ab = restrict(cr.a_reg, cr.ext, "right")
-    return summand_witness(e_bimod, a_ab, cr.hom) is not None
+    return cr.summand(e_bimod, a_ab) is not None
 
 
 def module_facts(cr: CanonicalRings) -> dict:
@@ -355,8 +354,8 @@ def module_facts(cr: CanonicalRings) -> dict:
     summand questions between the module and the regular one."""
 
     def facts(r_mod: Bimodule, reg: Bimodule, counit: Matrix) -> dict:
-        return {"projective": summand_witness(r_mod, reg, cr.hom) is not None,
-                "generator": summand_witness(reg, r_mod, cr.hom) is not None,
+        return {"projective": cr.summand(r_mod, reg) is not None,
+                "generator": cr.summand(reg, r_mod) is not None,
                 "cyclic_via_unit": rank(counit) == cr.centralizer.dim}
 
     return {

@@ -10,7 +10,8 @@ command line or the input was rejected (for verify: the report is
 malformed or a certificate fails) or the run ran out of memory, 2 an
 internal invariant failed or any other exception escaped the run, which
 is a bug trap rather than a data verdict; it is reported in one line
-naming the subcommand and the exception, with no traceback.
+naming the subcommand, the stage (the innermost ringext function on the
+traceback, as module.function) and the exception, with no traceback.
 """
 
 import argparse
@@ -77,8 +78,7 @@ def _emit(doc: dict, args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    parsed = _parsed_input(args)
-    return _emit(analysis_report(parsed), args)
+    return _emit(analysis_report(_parsed_input(args)), args)
 
 
 def cmd_certify(args) -> int:
@@ -168,9 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebra extensions.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="path to a JSON input document")
+    def common(p):
+        p.add_argument("input", help="path to a JSON input document")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true",
                          help="emit the machine-readable JSON report")
@@ -209,6 +208,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _stage(exc: BaseException) -> str:
+    """" at module.function" of the innermost ringext frame on exc's traceback."""
+    stage, tb = "", exc.__traceback__
+    while tb is not None:
+        frame, tb = tb.tb_frame, tb.tb_next
+        # the spec names cli ringext.cli under python -m too, not __main__
+        module = getattr(frame.f_globals.get("__spec__"), "name", "")
+        if module.startswith("ringext."):
+            stage = f" at {module[len('ringext.'):]}.{frame.f_code.co_name}"
+    return stage
+
+
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -220,7 +231,8 @@ def main(argv: Optional[list] = None) -> int:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except InternalInconsistency as exc:
-        sys.stderr.write(f"internal inconsistency: {exc}\n")
+        sys.stderr.write(f"internal inconsistency in {args.command}"
+                         f"{_stage(exc)}: {exc}\n")
         return EXIT_INTERNAL
     except MemoryError:
         # a backstop: where no address-space limit is set, the operating
@@ -229,7 +241,7 @@ def main(argv: Optional[list] = None) -> int:
                          f"the input is too large for this machine\n")
         return EXIT_INPUT
     except Exception as exc:
-        sys.stderr.write(f"internal error in {args.command}: "
+        sys.stderr.write(f"internal error in {args.command}{_stage(exc)}: "
                          f"{type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
 

@@ -458,9 +458,9 @@ def centralizer_projectivity(cr: CanonicalRings) -> dict:
     a module, so a report asks once."""
     return {
         "tensor_ring_fg_projective_over_centralizer": dual_basis_witness(
-            cr.tensor_bimodule_cent, cr.centralizer, "right", cr.hom) is not None,
+            cr.tensor_bimodule_cent, cr.centralizer, "right", cr.summand) is not None,
         "endo_ring_fg_projective_over_centralizer": dual_basis_witness(
-            cr.endo_bimodule_cent, cr.centralizer, "left", cr.hom) is not None,
+            cr.endo_bimodule_cent, cr.centralizer, "left", cr.summand) is not None,
     }
 
 

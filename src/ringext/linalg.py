@@ -455,12 +455,12 @@ class Matrix:
 
 def lin_comb(field: Field, rows: int, cols: int, coeffs: tuple,
              mats: Sequence[Matrix]) -> Matrix:
-    """sum c * mats[k] over the (k, c) pairs of the pair vector coeffs, one
-    field.comb per row; only the mats at its entries are read, so
-    operators built on first read (bimodule.OnRead) are built only there.
-    A single term is scaled, or shared when its coefficient is 1, as
-    matrices are immutable."""
-    terms = [(c, mats[k]) for k, c in coeffs]
+    """sum c * mats[k] over the (k, c) pairs of the pair vector coeffs,
+    zeros skipped as in Field.comb, one field.comb per row; only the mats
+    at its nonzero entries are read, so operators built on first read
+    (bimodule.OnRead) are built only there.  A single term is scaled, or
+    shared when its coefficient is 1, as matrices are immutable."""
+    terms = [(c, mats[k]) for k, c in coeffs if c]
     if not terms:
         return Matrix.zeros(field, rows, cols)
     if len(terms) == 1:

@@ -23,7 +23,7 @@ def dense_matrix(field, rows, cols=None) -> Matrix:
 
 def scale(m: Matrix, c) -> Matrix:
     """c times m."""
-    return lin_comb(m.field, m.rows, m.cols, ((0, c),) if c else (), (m,))
+    return lin_comb(m.field, m.rows, m.cols, ((0, c),), (m,))
 
 
 def residual(space: Subspace, v) -> list:

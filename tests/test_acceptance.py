@@ -176,7 +176,7 @@ def test_criterion_5_progenerator_tracks_hseparability(built):
     # matrix algebra over its center: projective and a generator
     m2 = built("m2q_q")
     assert dual_basis_witness(m2.cr.cent_module_tensor, m2.cr.tensor_ring,
-                              "right", hom_space) is not None
+                              "right", m2.cr.summand) is not None
     t_reg = regular_module(m2.cr.tensor_ring, "right")
     assert summand_witness(t_reg, m2.cr.cent_module_tensor,
                            hom_space) is not None

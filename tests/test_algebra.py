@@ -122,6 +122,26 @@ def test_algebra_validation_catches_an_index_outside_the_basis():
         FDAlgebra(QQ, 3, bad, a.unit)
 
 
+@pytest.mark.parametrize("entry, vector, fault", [
+    ((1, 1), ((1, QQ.one), (0, QQ.one)), "vector of e1 e1: not ascending"),
+    ((1, 2), ((0, QQ.one), (0, QQ.one)), "vector of e1 e2: not ascending"),
+    ((2, 0), ((2, QQ.zero),), "vector of e2 e0: not ascending, or a zero"),
+    (None, ((0, QQ.one), (1, QQ.zero)), "vector of the unit: not ascending"),
+])
+def test_algebra_validation_refuses_a_malformed_structure_vector(entry, vector,
+                                                                 fault):
+    """A hand-built table whose structure or unit vector is out of order,
+    repeats an index or stores a zero is refused, naming the entry."""
+    a = group_algebra(QQ, cyclic(3))
+    mult, unit = [list(row) for row in a.mult], a.unit
+    if entry is None:
+        unit = vector
+    else:
+        mult[entry[0]][entry[1]] = vector
+    with pytest.raises(AlgebraError, match=fault):
+        FDAlgebra(QQ, 3, mult, unit)
+
+
 def test_mult_matrices_agree_with_multiply():
     a = group_algebra(GF(5), sym3())
     x = sparse([GF(5).of(v) for v in (1, 2, 0, 3, 0, 4)])

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from ringext.canonical import InternalInconsistency
 from ringext.cli import main
 from ringext.serialize import RESERVED_LABELS
 
@@ -566,14 +567,32 @@ def test_memory_error_is_exit_one(capsys, monkeypatch, command, target):
 
 def test_unmapped_exception_is_exit_two(capsys, monkeypatch):
     """A library bug outside the named exceptions ends in exit 2 and one
-    line naming the subcommand and the exception, with no traceback."""
+    line naming the subcommand, the stage (the innermost library function
+    on the traceback) and the exception, with no traceback."""
     def broken(*args, **kwargs):
         raise ZeroDivisionError("planted")
 
     monkeypatch.setattr("ringext.report.centralizer_normality_suite", broken)
     code, out, err = run_cli(capsys, "analyze", input_path("qc2_q"), "--json")
     assert code == 2
-    assert err == "internal error in analyze: ZeroDivisionError: planted\n"
+    assert err == ("internal error in analyze at report.normality_block: "
+                   "ZeroDivisionError: planted\n")
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_internal_inconsistency_names_its_stage(capsys, monkeypatch):
+    """A failed invariant ends in exit 2 and one line naming the
+    subcommand and the library function that raised it."""
+    def broken(*args, **kwargs):
+        raise InternalInconsistency("planted")
+
+    monkeypatch.setattr("ringext.certify.find_hsep_system", broken)
+    code, out, err = run_cli(capsys, "equivalence", input_path("qc2_q"),
+                             "--json")
+    assert code == 2
+    assert err == ("internal inconsistency in equivalence at certify.classify: "
+                   "planted\n")
     assert out == ""
     assert "Traceback" not in err
 

@@ -1,9 +1,13 @@
 """Every name a module of the library, the tests or the scripts imports is
 used in that module; no library module samples at random; only the JSON
-edge converts between dense lists and pair vectors."""
+edge converts between dense lists and pair vectors; import ringext loads
+a pinned set of outside modules."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -83,3 +87,29 @@ def test_only_the_json_edge_imports_the_dense_views():
     importers = sorted(p.name for p in MODULES if {"dense", "sparse"}
                        & _imported(ast.parse(p.read_text(encoding="utf-8"))))
     assert importers == ["serialize.py"]
+
+
+# the outside modules that the modules `import ringext` loads import (gmpy2
+# only if installed): a new one is import-time work that every run pays
+LOADED_IMPORTS = {"collections", "dataclasses", "datetime", "fractions",
+                  "functools", "gmpy2", "importlib", "itertools", "json",
+                  "math", "re", "reprlib", "typing"}
+
+
+def test_import_ringext_imports_a_pinned_set_of_modules():
+    """The library modules loaded by a fresh import ringext, cli not among
+    them, import exactly the pinned outside modules."""
+    src = ROOT / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import ringext, sys; print(*sorted(m for m in "
+         "sys.modules if m.startswith('ringext.')))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "ringext.cli" not in loaded
+    assert "ringext.canonical" in loaded
+    imported = set()
+    for name in ["__init__", *(m.split(".", 1)[1] for m in loaded)]:
+        path = src / "ringext" / f"{name}.py"
+        imported |= _modules_imported(ast.parse(path.read_text(encoding="utf-8")))
+    assert imported - {"__future__"} == LOADED_IMPORTS

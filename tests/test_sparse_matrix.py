@@ -304,6 +304,21 @@ def test_empty_and_one_entry_rows_match_dense_lists(name, data):
     assert (comb is A) == (c == 1)
 
 
+@pytest.mark.parametrize("name", ["Q", "F5"])
+def test_lin_comb_skips_a_zero_coefficient(name):
+    """((0, 0),) gives the zero matrix with empty rows, and a later comb
+    over its rows removes no entry it never stored."""
+    field = FIELDS[name][0]
+    swap = Matrix.from_pairs(field, 2, 2, [[(1, field.one)], [(0, field.one)]])
+    zero = lin_comb(field, 2, 2, ((0, field.zero),), [swap])
+    assert zero == Matrix.zeros(field, 2, 2) and zero.pairs == ((), ())
+    eye = Matrix.identity(field, 2)
+    assert lin_comb(field, 2, 2, ((0, field.one), (1, field.one)),
+                    [eye, zero]) == eye
+    assert field.comb([eye.pairs[0], zero.pairs[0]],
+                      [(0, field.one), (1, field.one)]) == eye.pairs[0]
+
+
 @given(st.sampled_from(["Q", "F5"]), st.data())
 def test_comb_cancels_terms_to_the_dense_sum(name, data):
     """Field.comb over pair vectors where a vector returns with minus its

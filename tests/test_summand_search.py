@@ -3,7 +3,7 @@ each against the full computation it replaced."""
 
 import pytest
 
-from ringext import bimodule, certify, linalg
+from ringext import bimodule, canonical, linalg
 from ringext.algebra import (GroupData, group_algebra, subalgebra_extension,
                              trivial_algebra)
 from ringext.bimodule import (Bimodule, hom_space, keep_side, regular_module,
@@ -16,7 +16,8 @@ from ringext.serialize import parse_input
 
 from tests.conftest import CORPUS_NAMES, corpus_doc
 from tests.groups import (D4_FLIP, GROUP_CASES, Q8_C4, S3_C2, case_doc,
-                          dihedral4, group_case, subgroup, symmetric3)
+                          dihedral4, group_case, group_doc, subgroup,
+                          symmetric3)
 from tests.oracles import reference_hom_basis, reference_summand_witness
 
 
@@ -35,37 +36,78 @@ def test_group_cases_are_the_named_subgroups():
     assert elements.index(D4_FLIP[1]) not in center
 
 
+C2 = [[0, 1], [1, 0]]
+C2_CASES = {f"c2_{sub}_{name}": group_doc(C2, elems, field)
+            for sub, elems in (("c2", [0, 1]), ("1", [0]))
+            for name, field in (("q", "Q"), ("f2", {"Fp": 2}))}
+SEARCH_CASES = CORPUS_NAMES + sorted(GROUP_CASES) + sorted(C2_CASES)
+
+
+def search_doc(name):
+    if name in C2_CASES:
+        return C2_CASES[name]
+    return case_doc(name) if name in GROUP_CASES else corpus_doc(name)
+
+
 def recorded_searches(doc, monkeypatch):
     """Every (m, n) that classify, module_facts and
-    centralizer_projectivity hand to summand_witness, with the answer it
-    gave."""
+    centralizer_projectivity ask CanonicalSpaces.summand, with the answer
+    it gave, and every (m, n) its engine, summand_witness, searched."""
     cr = build_canonical_rings(parse_input(doc).ext)
-    calls = []
+    asked, searched = [], []
+    ask, engine = canonical.CanonicalSpaces.summand, canonical.summand_witness
 
-    def recording(m, n, hom=None):
-        found = search(m, n, hom)
-        calls.append((m, n, found))
+    def asking(self, m, n):
+        found = ask(self, m, n)
+        asked.append((m, n, found))
         return found
 
-    search = bimodule.summand_witness
-    monkeypatch.setattr(bimodule, "summand_witness", recording)
-    monkeypatch.setattr(certify, "summand_witness", recording)
+    def searching(m, n, hom):
+        searched.append((m, n))
+        return engine(m, n, hom)
+
+    monkeypatch.setattr(canonical.CanonicalSpaces, "summand", asking)
+    monkeypatch.setattr(canonical, "summand_witness", searching)
     classify(cr)
     centralizer_projectivity(cr)
     monkeypatch.undo()
-    return cr, calls
+    return cr, asked, searched
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + sorted(GROUP_CASES))
 def test_summand_verdicts_match_the_full_search(name, monkeypatch):
-    doc = case_doc(name) if name in GROUP_CASES else corpus_doc(name)
-    cr, calls = recorded_searches(doc, monkeypatch)
+    cr, calls, _ = recorded_searches(search_doc(name), monkeypatch)
     assert len(calls) == 12
     for m, n, found in calls:
         reference = reference_summand_witness(m, n, cr.hom)
         assert (found is None) == (reference is None), (m, n)
         if found is not None:
             assert found.verify() and reference.verify()
+
+
+def _content(m):
+    """A module by dimension and its generators' action matrices, read
+    through the public accessors."""
+    return m.dim, tuple(tuple(tuple(map(tuple, a.data)) for a in side)
+                        for side in m.generator_actions())
+
+
+@pytest.mark.parametrize("name", SEARCH_CASES)
+def test_summand_memo_answers_as_a_fresh_search(name, monkeypatch):
+    """Each of the twelve questions gets the verdict of a fresh search
+    over uncached hom spaces, as a verified witness on the caller's own
+    modules, and the engine runs once per distinct pair of contents."""
+    _, asked, searched = recorded_searches(search_doc(name), monkeypatch)
+    assert len(asked) == 12
+    for m, n, found in asked:
+        fresh = bimodule.summand_witness(m, n, hom_space)
+        assert (found is None) == (fresh is None), (m, n)
+        if found is not None:
+            assert found.source is m and found.target is n
+            assert found.verify()
+    contents = [(_content(m), _content(n)) for m, n in searched]
+    assert len(set(contents)) == len(contents)
+    assert set(contents) == {(_content(m), _content(n)) for m, n, _ in asked}
 
 
 def test_search_stops_before_the_last_composite(monkeypatch):
