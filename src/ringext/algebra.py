@@ -20,7 +20,7 @@ without re-deriving it from the multiplication.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, pairwise, product
 from typing import Optional, Sequence
 
@@ -120,8 +120,6 @@ class FDAlgebra:
         self.unit = tuple(unit)
         self.group = group
         self.name = name
-        self._left_regular: Optional[list[Matrix]] = None
-        self._right_regular: Optional[list[Matrix]] = None
         # generators, when the caller knows them, spare the search
         self._generators = generators
         if not _validated:
@@ -175,14 +173,16 @@ class FDAlgebra:
                 self.field, self.dim, self.unit, self.basis_right_mult)
         return self._generators
 
-    def _ensure_regular(self) -> None:
-        if self._left_regular is not None:
-            return
-        f, n, consts = self.field, self.dim, self.mult
-        # column j of left mult by e_i is e_i e_j
-        self._left_regular = [Matrix.from_cols(f, n, consts[i]) for i in range(n)]
-        self._right_regular = [Matrix.from_cols(f, n, [row[i] for row in consts])
-                               for i in range(n)]
+    @cached_property
+    def _left_regular(self) -> list[Matrix]:
+        """Left multiplication by each e_i: column j is e_i e_j."""
+        return [Matrix.from_cols(self.field, self.dim, row) for row in self.mult]
+
+    @cached_property
+    def _right_regular(self) -> list[Matrix]:
+        """Right multiplication by each e_i: column j is e_j e_i."""
+        return [Matrix.from_cols(self.field, self.dim, col)
+                for col in zip(*self.mult)]
 
     @cached_property
     def _flat(self) -> list:
@@ -191,20 +191,16 @@ class FDAlgebra:
 
     def left_mult_matrix(self, x: tuple) -> Matrix:
         """Matrix of v -> x v in the algebra basis."""
-        self._ensure_regular()
         return lin_comb(self.field, self.dim, self.dim, x, self._left_regular)
 
     def right_mult_matrix(self, x: tuple) -> Matrix:
         """Matrix of v -> v x in the algebra basis."""
-        self._ensure_regular()
         return lin_comb(self.field, self.dim, self.dim, x, self._right_regular)
 
     def basis_left_mult(self, i: int) -> Matrix:
-        self._ensure_regular()
         return self._left_regular[i]
 
     def basis_right_mult(self, i: int) -> Matrix:
-        self._ensure_regular()
         return self._right_regular[i]
 
     def __eq__(self, other) -> bool:
@@ -225,16 +221,12 @@ def group_algebra(field: Field, group: GroupData, name: str = "kG") -> FDAlgebra
                      group=group, name=name, _validated=True)
 
 
-_trivial_cache: dict[Field, FDAlgebra] = {}
-
-
+@cache
 def trivial_algebra(field: Field) -> FDAlgebra:
-    """The base field as a one-dimensional algebra (used for one-sided modules)."""
-    if field not in _trivial_cache:
-        _trivial_cache[field] = FDAlgebra(
-            field, 1, [[((0, field.one),)]], ((0, field.one),), name="k",
-            _validated=True)
-    return _trivial_cache[field]
+    """The base field as a one-dimensional algebra (used for one-sided
+    modules), one instance per field."""
+    return FDAlgebra(field, 1, [[((0, field.one),)]], ((0, field.one),),
+                     name="k", _validated=True)
 
 
 class Extension:

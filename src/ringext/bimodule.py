@@ -110,7 +110,6 @@ class Bimodule:
         self.label = label
         self.generating_set = generating_set
         self.field = left_algebra.field
-        self._memo_key = None
 
     def validate(self) -> None:
         """Check both action laws and that the two sides commute."""
@@ -151,7 +150,7 @@ class Bimodule:
         return ([self.left_action[i] for i in self.left_algebra.generators()],
                 [self.right_action[i] for i in self.right_algebra.generators()])
 
-    @property
+    @cached_property
     def memo_key(self) -> tuple:
         """The module by its algebras' identities, its dimension and its
         generators' actions, the key of a memo such as CanonicalSpaces.once:
@@ -159,13 +158,10 @@ class Bimodule:
         generators' actions determine every action, and no operator built
         on first read is built for it.  Kept from its first read, as no
         module's algebras or actions are reassigned."""
-        if self._memo_key is None:
-            la, ra = self.left_algebra, self.right_algebra
-            self._memo_key = (
-                id(la), id(ra), self.dim,
+        la, ra = self.left_algebra, self.right_algebra
+        return (id(la), id(ra), self.dim,
                 tuple(self.left_action[i].pairs for i in la.generators()),
                 tuple(self.right_action[i].pairs for i in ra.generators()))
-        return self._memo_key
 
     def left_operator(self, x: tuple) -> Matrix:
         """Matrix of v -> x.v for x in the left algebra."""
@@ -213,7 +209,6 @@ def _kept(m: Bimodule, side: str) -> Optional[tuple]:
 
 def regular_bimodule(a: FDAlgebra, label: Optional[str] = None) -> Bimodule:
     """The algebra as a bimodule over itself, generated by 1 on the left."""
-    a._ensure_regular()
     return Bimodule(a, a, a.dim,
                     [a.basis_left_mult(i) for i in range(a.dim)],
                     [a.basis_right_mult(i) for i in range(a.dim)],
@@ -236,7 +231,6 @@ def one_sided(a: FDAlgebra, side: str, dim: int, action: Sequence[Matrix],
 def regular_module(a: FDAlgebra, side: str, label: Optional[str] = None
                    ) -> Bimodule:
     """The algebra as a module over itself on side, generated by 1."""
-    a._ensure_regular()
     mult = a.basis_left_mult if side == "left" else a.basis_right_mult
     return one_sided(a, side, a.dim, [mult(i) for i in range(a.dim)],
                      label or a.name, (side, (a.unit,)))

@@ -27,7 +27,7 @@ from .normality import hopf_normality
 from .report import (_iso_block, analysis_report, certificate_kinds,
                      module_block, normality_block, render_text, report_header,
                      report_json, verify_report)
-from .serialize import InputError, parse_input
+from .serialize import InputError, certificate_json, parse_input
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -92,7 +92,7 @@ def cmd_certify(args) -> int:
     doc["dims"] = cr.dims()
     doc["certify"] = {
         "kind": kind.name, "verdict": found,
-        "certificate": kind.encode(cr.field, cert, doc["dims"]) if found else None,
+        "certificate": certificate_json(cr.field, cert, doc["dims"]) if found else None,
         "verified": True if found else None}
     return _emit(doc, args)
 

@@ -66,7 +66,7 @@ from .bimodule import (
     tensor_map,
 )
 from .canonical import (CanonicalRings, InternalInconsistency, content_key,
-                        coordinates_in, ring_on)
+                        coordinate_matrix, coordinates_in, ring_on)
 from .certify import (
     D2Certificate,
     SeparabilityCertificate,
@@ -124,15 +124,9 @@ _NO_QUASIBASE = "no left quasibase supplied; formula inverse not certified"
 Square = Callable[[Matrix], tuple[Matrix, Matrix]]
 
 
-def _hom_column(hs: MapSpace, mat: Matrix) -> tuple:
-    """The coordinates of a map that must lie in hs, as a pair vector."""
-    return coordinates_in(hs, mat, "a structural map")
-
-
 def _on_hom(hs: MapSpace, fn: Callable[[Matrix], Matrix]) -> Matrix:
     """The operator h -> fn(h) induced on hs, in its coordinates."""
-    return Matrix.from_cols(hs.field, hs.dim,
-                            [_hom_column(hs, fn(h)) for h in hs.basis])
+    return coordinate_matrix(hs, [fn(h) for h in hs.basis], "a structural map")
 
 
 def _certify_inverse(fwd: Matrix, back: Matrix, failure: str) -> bool:
@@ -530,8 +524,8 @@ def _coinduction_comparison(cr: CanonicalRings, m: Bimodule,
     def values_at(i: int) -> list[Matrix]:
         return [m.left_operator(sb.col(i)).transpose() for sb in s_basis]
 
-    fwd = x.map_out(homsp.dim, lambda i, mu: _hom_column(
-        homsp, _gather(values_at(i), mu)))
+    fwd = x.map_out(homsp.dim, lambda i, mu: coordinates_in(
+        homsp, _gather(values_at(i), mu), "a structural map"))
     base = [(x.module.left_operator(b), m.left_operator(b))
             for b in ext.base_generators()]
     s = cr.endo_ring
@@ -614,8 +608,8 @@ def _chi(cr: CanonicalRings, m: Bimodule,
         values_of = cache(lambda b: [
             m.right_operator(cr.endo_space.basis[b].col(k)).transpose()
             for k in range(a.dim)])
-        fwd = dom.map_out(hs.dim, lambda mu, b: _hom_column(
-            hs, _gather(values_of(b), mu)))
+        fwd = dom.map_out(hs.dim, lambda mu, b: coordinates_in(
+            hs, _gather(values_of(b), mu), "a structural map"))
         if left_quasibase is None:
             return hs, h_mod, dom, fwd, None
         pre = [(_leg_ops(cr, m.right_operator, p.tensor), cr.s_coords(p.endo))
@@ -739,8 +733,8 @@ def split_counit(cr: CanonicalRings, n: Bimodule,
     if split is not None:
         ops = [n.right_operator(split.expectation.col(k)).transpose()
                for k in range(a.dim)]
-        back = Matrix.from_cols(f, dom.module.dim, [dom.pure(
-            _hom_column(hs, _gather(ops, mu)), cr.centralizer.unit)
+        back = Matrix.from_cols(f, dom.module.dim, [dom.pure(coordinates_in(
+            hs, _gather(ops, mu), "a structural map"), cr.centralizer.unit)
             for mu in range(n.dim)])
         checks["expectation_inverse"] = _certify_inverse(
             fwd, back,

@@ -280,14 +280,11 @@ class PrimeField:
 
 QQ = RationalField()
 
-_gf_cache: dict[int, PrimeField] = {}
 
-
+@cache
 def GF(p: int) -> PrimeField:
     """The prime field with p elements (instances are cached)."""
-    if p not in _gf_cache:
-        _gf_cache[p] = PrimeField(p)
-    return _gf_cache[p]
+    return PrimeField(p)
 
 
 Field = RationalField | PrimeField

@@ -7,9 +7,10 @@ sampled at random: two runs on the same input produce byte-identical
 JSON except for the generated_at stamp.  Reports can be re-verified
 later against the tensor square and its canonical subspaces alone (no
 rings, no ring axioms): one check against report.schema.json settles
-every key and type, then each certificate payload is decoded and
-substituted back into its defining equations, and the header, dims and
-verdict flags are compared with the input echo and the certificates.
+every key and type, then each certificate payload is decoded by the one
+certificate codec (serialize.certificate_from_json) and substituted back
+into its defining equations, and the header, dims and verdict flags are
+compared with the input echo and the certificates.
 """
 
 import json
@@ -28,22 +29,21 @@ from .normality import (a_invariant_contraction, centralizer_normality_suite,
                         default_ideal_sample, double_centralizer,
                         hopf_normality, per_closure, prebraided_check)
 from .schema import schema
-from .serialize import (InputError, ParsedInput, build_input, field_json,
-                        vector_json)
+from .serialize import (InputError, ParsedInput, build_input,
+                        certificate_json, field_json, vector_json)
 
 TOOL = {"name": "ringext", "version": __version__}
 
 
 class CertificateKind(NamedTuple):
     """One certificate kind: its certify name, its report flag, its key
-    (both in the report's certificates and on Classification), and its
-    search, verifier and JSON codec."""
+    (both in the report's certificates and on Classification), its search,
+    verifier and decoder (serialize.certificate_from_json of its class)."""
     name: str
     flag: str
     key: str
     search: Callable    # (cr) -> certificate or None
     verify: Callable    # (spaces, cert) -> bool
-    encode: Callable    # (f, cert, dims) -> payload
     decode: Callable    # (f, payload, dims, loc) -> cert; raises InputError
 
 
@@ -53,24 +53,24 @@ def certificate_kinds() -> tuple:
     Built on each call so that the functions are looked up afresh, and a
     caller that rebinds one of them (a tracer, say) is seen.
     """
-    c, s = certify, serialize
+    c, decode = certify, serialize.certificate_from_json
 
     def d2(side: str) -> CertificateKind:
         return CertificateKind(
             f"d2-{side}", f"{side}_depth_two", f"{side}_quasibase",
-            partial(c.find_d2_quasibase, side=side), c.verify_d2, s.d2_json,
-            partial(s.d2_from_json, side=side))
+            partial(c.find_d2_quasibase, side=side), c.verify_d2,
+            partial(decode, c.D2Certificate, side=side))
 
     return (
         CertificateKind("separable", "separable", "separability_element",
                         c.find_separability_element, c.verify_separability,
-                        s.separability_json, s.separability_from_json),
+                        partial(decode, c.SeparabilityCertificate)),
         CertificateKind("split", "split", "conditional_expectation",
                         c.find_conditional_expectation, c.verify_split,
-                        s.split_json, s.split_from_json),
+                        partial(decode, c.SplitCertificate)),
         CertificateKind("hsep", "hseparable", "hsep_system",
                         c.find_hsep_system, c.verify_hsep,
-                        s.hsep_json, s.hsep_from_json),
+                        partial(decode, c.HSepCertificate)),
         d2("left"),
         d2("right"),
     )
@@ -97,7 +97,7 @@ def classification_block(cr: CanonicalRings, cls: Classification) -> dict:
         "base_projective": dict(cls.base_projective),
         "module_facts": cls.facts,
         "consistency_notes": list(cls.consistency_notes),
-        "certificates": {k.key: k.encode(cr.field, certs[k.key], dims)
+        "certificates": {k.key: certificate_json(cr.field, certs[k.key], dims)
                          for k in kinds if certs[k.key] is not None},
     })
     return block

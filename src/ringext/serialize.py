@@ -12,13 +12,16 @@ seed, which is echoed and has no effect; everything else the tool
 computes.  Rational scalars travel as strings like "3/4" so nothing is
 rounded, prime-field scalars as plain integers with the modulus stated
 once in the field descriptor.  Every encoder has a matching decoder and
-each pair round-trips exactly.  Keys, types, the scalar grammar and the
-refusal of floats are input.schema.json's to check; the builders check
-only what a schema cannot state: vector lengths against dimensions,
-primality, algebra and module axioms, subgroup and subalgebra closure.
+each pair round-trips exactly; one pair, driven by a table of field
+shapes, serves all five certificate kinds.  Keys, types, the scalar
+grammar and the refusal of floats are input.schema.json's to check; the
+builders check only what a schema cannot state: vector lengths against
+dimensions, primality, algebra and module axioms, subgroup and
+subalgebra closure.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
+from typing import Optional
 
 from .linalg import (GF, QQ, Field, LinalgError, Matrix, PrimeField, dense,
                      sparse)
@@ -26,8 +29,7 @@ from .algebra import (AlgebraError, Extension, FDAlgebra, GroupData,
                       group_algebra, self_extension, subalgebra_extension,
                       trivial_algebra)
 from .bimodule import Bimodule, BimoduleError, one_sided
-from .certify import (D2Certificate, HSepCertificate, HSepPair,
-                      QuasibasePair, SeparabilityCertificate, SplitCertificate)
+from .certify import D2Certificate, HSepCertificate, HSepPair, QuasibasePair
 from .normality import Ideal, ideal_closure
 from .schema import schema
 
@@ -223,15 +225,18 @@ class ParsedInput:
 
 
 def parse_input(doc) -> ParsedInput:
-    """Check doc against input.schema.json, then build it."""
+    """Check doc against input.schema.json, then build it and its echo."""
     fault = schema("input.schema.json").first_fault(doc)
     if fault is not None:
         raise InputError(fault.reason, fault.location())
-    return build_input(doc)
+    parsed = build_input(doc)
+    parsed.echo = input_json(parsed)
+    return parsed
 
 
 def build_input(doc: dict) -> ParsedInput:
-    """Build an input document that input.schema.json admits."""
+    """Build an input document that input.schema.json admits, leaving the
+    echo, which only parse_input makes, empty."""
     f = parse_field(doc["field"])
     a = parse_algebra(f, doc["algebra"])
     if "subalgebra" in doc:
@@ -251,9 +256,7 @@ def build_input(doc: dict) -> ParsedInput:
         parse_vector(f, g, a.dim, f"$.ideals[{k}].generators[{i}]")
         for i, g in enumerate(j["generators"])], j.get("label", f"(user{k})"))
         for k, j in enumerate(doc.get("ideals", []))]
-    parsed = ParsedInput(f, ext, modules, ideals, doc.get("seed", 0))
-    parsed.echo = input_json(parsed)
-    return parsed
+    return ParsedInput(f, ext, modules, ideals, doc.get("seed", 0))
 
 
 def input_json(parsed: ParsedInput) -> dict:
@@ -269,68 +272,45 @@ def input_json(parsed: ParsedInput) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# certificates: the report schema has checked each payload's keys and types;
-# dims (CanonicalSpaces.dims) gives each vector's length both ways
+# certificates, whose keys and types the report schema has checked: SHAPES
+# gives the dims keys of each vector field's length and each matrix field's
+# rows and columns, pairs hold PAIRS instances, and the rest pass through.
+
+SHAPES = {"element": ("tensor_square",), "casimir": ("tensor_square",),
+          "tensor": ("tensor_square",), "multiplier": ("algebra",),
+          "expectation": ("subalgebra", "algebra"),
+          "endo": ("algebra", "algebra")}
+PAIRS = {HSepCertificate: HSepPair, D2Certificate: QuasibasePair}
 
 
-def separability_json(f: Field, cert: SeparabilityCertificate,
-                      dims: dict) -> dict:
-    return {"element": vector_json(f, cert.element, dims["tensor_square"])}
+def certificate_json(f: Field, cert, dims: dict) -> dict:
+    """The payload of a certificate, or of one of its pairs."""
+    out = {}
+    for name in (fld.name for fld in fields(cert)):
+        v, shape = getattr(cert, name), SHAPES.get(name)
+        if name == "pairs":
+            v = [certificate_json(f, p, dims) for p in v]
+        elif shape is not None:
+            v = (vector_json(f, v, dims[shape[0]]) if len(shape) == 1
+                 else matrix_json(v))
+        out[name] = v
+    return out
 
 
-def separability_from_json(f: Field, payload: dict, dims: dict,
-                           loc: str) -> SeparabilityCertificate:
-    return SeparabilityCertificate(parse_vector(
-        f, payload["element"], dims["tensor_square"], f"{loc}.element"))
-
-
-def split_json(f: Field, cert: SplitCertificate, dims: dict) -> dict:
-    return {"expectation": matrix_json(cert.expectation)}
-
-
-def split_from_json(f: Field, payload: dict, dims: dict,
-                    loc: str) -> SplitCertificate:
-    return SplitCertificate(parse_matrix(
-        f, payload["expectation"], dims["subalgebra"], dims["algebra"],
-        f"{loc}.expectation"))
-
-
-def hsep_json(f: Field, cert: HSepCertificate, dims: dict) -> dict:
-    return {"pairs": [
-        {"casimir": vector_json(f, p.casimir, dims["tensor_square"]),
-         "multiplier": vector_json(f, p.multiplier, dims["algebra"])}
-        for p in cert.pairs]}
-
-
-def hsep_from_json(f: Field, payload: dict, dims: dict,
-                   loc: str) -> HSepCertificate:
-    return HSepCertificate([
-        HSepPair(parse_vector(f, p["casimir"], dims["tensor_square"],
-                              f"{loc}.pairs[{i}].casimir"),
-                 parse_vector(f, p["multiplier"], dims["algebra"],
-                              f"{loc}.pairs[{i}].multiplier"))
-        for i, p in enumerate(payload["pairs"])])
-
-
-def d2_json(f: Field, cert: D2Certificate, dims: dict) -> dict:
-    return {"side": cert.side,
-            "reverse_order": cert.reverse_order,
-            "pairs": [{"tensor": vector_json(f, p.tensor, dims["tensor_square"]),
-                       "endo": matrix_json(p.endo)}
-                      for p in cert.pairs]}
-
-
-def d2_from_json(f: Field, payload: dict, dims: dict, loc: str,
-                 side: str) -> D2Certificate:
-    """Decode a quasibase that must be labeled for the given side."""
-    if payload["side"] != side:
-        raise InputError(f"a {side} quasibase wants side {side!r}",
-                         f"{loc}.side")
-    n = dims["algebra"]
-    return D2Certificate(side, [
-        QuasibasePair(parse_vector(f, p["tensor"], dims["tensor_square"],
-                                   f"{loc}.pairs[{i}].tensor"),
-                      parse_matrix(f, p["endo"], n, n,
-                                   f"{loc}.pairs[{i}].endo"))
-        for i, p in enumerate(payload["pairs"])],
-        payload.get("reverse_order", False))
+def certificate_from_json(cls: type, f: Field, payload: dict, dims: dict,
+                          loc: str, side: Optional[str] = None):
+    """The cls that payload encodes, its fields decoded in order so that a
+    fault is located at the first bad one; a quasibase must be on side."""
+    args = {}
+    for name in [x.name for x in fields(cls) if x.name in payload]:
+        v, shape, at = payload[name], SHAPES.get(name), f"{loc}.{name}"
+        if name == "side" and v != side:
+            raise InputError(f"a {side} quasibase wants side {side!r}", at)
+        if name == "pairs":
+            v = [certificate_from_json(PAIRS[cls], f, p, dims, f"{at}[{i}]")
+                 for i, p in enumerate(v)]
+        elif shape is not None:
+            v = (parse_vector(f, v, dims[shape[0]], at) if len(shape) == 1
+                 else parse_matrix(f, v, dims[shape[0]], dims[shape[1]], at))
+        args[name] = v
+    return cls(**args)

@@ -9,8 +9,7 @@ import pytest
 
 from ringext.canonical import (CanonicalRings, InternalInconsistency,
                                build_canonical_rings, coordinate_matrix,
-                               restrict_to)
-from ringext.equivalences import _hom_column
+                               coordinates_in, restrict_to)
 from ringext.linalg import QQ, Matrix, sparse
 from ringext.serialize import parse_input
 
@@ -150,8 +149,9 @@ def test_coordinate_helpers_reject_outsiders(built):
 
 
 def test_pair_coordinate_readers_reject_outsiders(built):
-    """coordinate_matrix, restrict_to and _hom_column reduce every item,
-    so one outside the space is an InternalInconsistency."""
+    """coordinate_matrix, restrict_to and coordinates_in on a MapSpace
+    reduce every item, so one outside the space is an
+    InternalInconsistency."""
     cr = built("qs3_qa3").cr
     a, R, S = cr.ext.total, cr.centralizer_space, cr.endo_space
     # a transposition does not centralize A3, nor does it map R into R
@@ -164,9 +164,9 @@ def test_pair_coordinate_readers_reject_outsiders(built):
         restrict_to(R, a.basis_left_mult(1), "a transposition's multiple")
     # the matrix unit e_0 -> e_1 is no A3-A3-map
     bump = Matrix.from_pairs(QQ, 6, 6, [(), [(0, QQ.one)], (), (), (), ()])
-    assert _hom_column(S, S.basis[0]) == ((0, QQ.one),)
+    assert coordinates_in(S, S.basis[0], "a map") == ((0, QQ.one),)
     with pytest.raises(InternalInconsistency):
-        _hom_column(S, S.basis[0] + bump)
+        coordinates_in(S, S.basis[0] + bump, "a bump")
 
 
 def test_mu_multiplies(built):

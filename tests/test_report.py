@@ -10,6 +10,7 @@ import pytest
 from ringext.canonical import CanonicalRings, CanonicalSpaces
 from ringext.cli import main
 from ringext.report import certificate_kinds, render_text, verify_report
+from ringext.serialize import certificate_json
 
 from tests.conftest import CORPUS, CORPUS_NAMES, expected_doc
 
@@ -76,8 +77,8 @@ def test_table_reproduces_golden_certificates(built, name):
         if cert is None:
             assert k.key not in cl["certificates"]
         else:
-            payload = json.loads(json.dumps(k.encode(cr.field, cert,
-                                                     cr.dims())))
+            payload = json.loads(json.dumps(certificate_json(cr.field, cert,
+                                                             cr.dims())))
             assert payload == cl["certificates"][k.key], k.name
 
 
@@ -90,8 +91,8 @@ def test_golden_certificates_decode_and_encode_back(spaces, name, key):
     payload = doc["classification"]["certificates"][key]
     cs = spaces(name)
     cert = kind.decode(cs.field, payload, doc["dims"], "$")
-    assert json.loads(json.dumps(kind.encode(cs.field, cert, doc["dims"]))) \
-        == payload
+    assert json.loads(json.dumps(certificate_json(cs.field, cert,
+                                                  doc["dims"]))) == payload
 
 
 # -- verify_report -----------------------------------------------------------
@@ -144,9 +145,10 @@ def test_changed_dimension_fails_verification(key):
 def test_wrong_side_quasibase_fails(key, side):
     doc = expected_doc("qc2_q")
     doc["classification"]["certificates"][key]["side"] = side
-    ok, msgs = verify_report(doc)
-    assert not ok
-    assert any(f"{key}.side" in m for m in msgs), msgs
+    want = "left" if side == "right" else "right"
+    assert verify_report(doc) == (False, [
+        f"certificate payload malformed: $.classification.certificates.{key}"
+        f".side: a {want} quasibase wants side '{want}'"])
 
 
 def test_false_flag_with_certificate_fails():
@@ -185,6 +187,9 @@ def test_certify_output_matches_schema(report_validator, certify_docs, built,
         payload = doc["certify"]["certificate"]
         if payload is not None:
             assert _verdict(built, spaces, name, k, payload) is True
+            f, dims = built(name).cr.field, doc["dims"]
+            assert certificate_json(f, k.decode(f, payload, dims, "$"),
+                                    dims) == payload, k.name
 
 
 def _bad_scalar(doc):

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ringext.certify import verify_d2, verify_hsep, verify_separability, \
-    verify_split
+from ringext.certify import (D2Certificate, HSepCertificate,
+                             SeparabilityCertificate, SplitCertificate,
+                             verify_d2, verify_hsep, verify_separability,
+                             verify_split)
 from ringext.linalg import GF, QQ, LinalgError
 from ringext.serialize import (RESERVED_LABELS, InputError, algebra_json,
-                               d2_from_json,
-                               d2_json, extension_json, field_json,
-                               hsep_from_json, hsep_json, input_json,
+                               certificate_from_json, certificate_json,
+                               extension_json, field_json, input_json,
                                module_json, parse_algebra, parse_extension,
                                parse_field, parse_input, parse_scalar,
-                               scalar_json, separability_from_json,
-                               separability_json, split_from_json, split_json)
+                               scalar_json)
 
 from tests.conftest import CORPUS_NAMES, SCHEMAS, corpus_doc, expected_doc
 from tests.oracles import reference_rational_scalar
@@ -274,26 +274,25 @@ def test_module_actions_roundtrip():
 
 def test_certificate_payloads_roundtrip_and_verify(built):
     b = built("qc2_q")
-    cr, cls, f = b.cr, b.cls, b.cr.field
-    dims = cr.dims()
+    cr, cls = b.cr, b.cls
 
-    sep2 = separability_from_json(
-        f, separability_json(f, cls.separability_element, dims), dims, "$")
-    assert verify_separability(cr, sep2)
+    def again(kind, cert, cr, **side):
+        dims = cr.dims()
+        return certificate_from_json(
+            kind, cr.field, certificate_json(cr.field, cert, dims), dims, "$",
+            **side)
 
-    spl2 = split_from_json(f, split_json(f, cls.conditional_expectation, dims),
-                           dims, "$")
-    assert verify_split(cr, spl2)
-
-    d2 = d2_from_json(f, d2_json(f, cls.left_quasibase, dims), dims, "$",
-                      "left")
+    assert verify_separability(cr, again(
+        SeparabilityCertificate, cls.separability_element, cr))
+    assert verify_split(cr, again(
+        SplitCertificate, cls.conditional_expectation, cr))
+    d2 = again(D2Certificate, cls.left_quasibase, cr, side="left")
     assert d2.side == "left"
     assert verify_d2(cr, d2)
 
     hb = built("m2q_q")
-    h2 = hsep_from_json(hb.cr.field, hsep_json(hb.cr.field, hb.cls.hsep_system,
-                                               hb.cr.dims()), hb.cr.dims(), "$")
-    assert verify_hsep(hb.cr, h2)
+    assert verify_hsep(hb.cr, again(HSepCertificate, hb.cls.hsep_system,
+                                    hb.cr))
 
 
 def test_certificate_codec_rejects_bad_side():
@@ -301,7 +300,9 @@ def test_certificate_codec_rejects_bad_side():
     dims = {"tensor_square": 2, "algebra": 2, "subalgebra": 1}
     for side in ("middle", "right"):
         with pytest.raises(InputError, match="side"):
-            d2_from_json(f, {"side": side, "pairs": []}, dims, "$", "left")
+            certificate_from_json(D2Certificate, f,
+                                  {"side": side, "pairs": []}, dims, "$",
+                                  side="left")
 
 
 def test_algebra_json_group_form_kept():
