@@ -35,7 +35,8 @@ raises InternalInconsistency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .bimodule import (
     Bimodule,
@@ -93,7 +94,7 @@ class D2Certificate:
     corresponding leg of the tensor square."""
     side: str
     pairs: list
-    reverse_order: bool = False
+    reverse_order: bool = False  # kept in payloads; searches run forward
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +256,7 @@ def find_hsep_system(cr: CanonicalRings) -> Optional[HSepCertificate]:
         "H-separability system")
 
 
-def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
-                      ) -> Optional[D2Certificate]:
+def find_d2_quasibase(cr: CanonicalRings, side: str) -> Optional[D2Certificate]:
     """Solve the identity-leg factorization through invariant tensors.
 
     The unknowns are coefficients over (invariant tensor, endomorphism)
@@ -265,15 +265,10 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
     The generator of a pair (t, s) is M_t @ s read column by column,
     where the orbit matrix M_t = [act(e_k).t]_k is read off the products
     of the tensor basis with each act(e_k)^T, formed once per call.
-    reverse_order enumerates the pairs backwards, which changes which
-    canonical solution the solver picks without changing solvability;
-    downstream checks use that to show their results do not depend on
-    the particular quasibase.
     """
     actions, _, free = _d2_side(cr, side)
     f, n, basis = cr.field, cr.ext.total.dim, cr.tensor_space.basis
-    step = -1 if reverse_order else 1
-    tensors, endos = basis.pairs[::step], cr.endo_space.basis[::step]
+    endos = cr.endo_space.basis
     # row i of basis @ act(e_k)^T is act(e_k).t_i, row k of M_{t_i}
     images = [(basis @ op.transpose()).pairs for op in actions]
     orbits = [Matrix(f, n, cr.dim_q, tuple(img[i] for img in images))
@@ -282,17 +277,16 @@ def find_d2_quasibase(cr: CanonicalRings, side: str, reverse_order: bool = False
     # t is column k of M_t @ s, which is row k of s^T @ M_t^T; the target
     # is the pure tensors at the free points, stacked
     found = span_decide_pairs(
-        f, n * cr.dim_q, orbits[::step], [s.transpose() for s in endos],
+        f, n * cr.dim_q, orbits, [s.transpose() for s in endos],
         lambda mt, st: (st @ mt).vec(),
         tuple((k * cr.dim_q + j, c) for k, (x, y) in enumerate(free)
               for j, c in cr.q.pure(x, y)))
     if found is None:
         return None
-    # found[::step] lists the pairs in ascending tensor-basis order
-    pairs = [QuasibasePair(tensors[i], lin_comb(f, n, n, c, endos))
-             for i, c in found[::step]]
-    return _checked(cr, verify_d2, D2Certificate(
-        side, pairs, reverse_order=reverse_order), f"{side} quasibase")
+    pairs = [QuasibasePair(basis.pairs[i], lin_comb(f, n, n, c, endos))
+             for i, c in found]
+    return _checked(cr, verify_d2, D2Certificate(side, pairs),
+                    f"{side} quasibase")
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +365,48 @@ def module_facts(cr: CanonicalRings) -> dict:
 # ---------------------------------------------------------------------------
 # classification
 
+class CertificateKind(NamedTuple):
+    """One certificate kind: its certify name, report flag, key (in the
+    report's certificates and on Classification), search, verifier, and
+    the class and quasibase side certificate_from_json decodes it to."""
+    name: str
+    flag: str
+    key: str
+    search: Callable    # (cr) -> certificate or None
+    verify: Callable    # (spaces, cert) -> bool
+    cls: type
+    side: Optional[str] = None
+
+
+def certificate_kinds() -> tuple:
+    """The five certificate kinds, in report order.
+
+    Built on each call so that the functions are looked up afresh, and a
+    caller that rebinds one of them (a tracer, say) is seen.
+    """
+    def d2(side: str) -> CertificateKind:
+        return CertificateKind(
+            f"d2-{side}", f"{side}_depth_two", f"{side}_quasibase",
+            partial(find_d2_quasibase, side=side), verify_d2, D2Certificate,
+            side)
+
+    return (
+        CertificateKind("separable", "separable", "separability_element",
+                        find_separability_element, verify_separability,
+                        SeparabilityCertificate),
+        CertificateKind("split", "split", "conditional_expectation",
+                        find_conditional_expectation, verify_split,
+                        SplitCertificate),
+        CertificateKind("hsep", "hseparable", "hsep_system",
+                        find_hsep_system, verify_hsep, HSepCertificate),
+        d2("left"),
+        d2("right"),
+    )
+
+
 @dataclass
 class Classification:
-    separable: bool
-    split: bool
-    hseparable: bool
-    left_d2: bool
-    right_d2: bool
+    """A certificate or None per kind, in table order, then the probes."""
     separability_element: Optional[SeparabilityCertificate]
     conditional_expectation: Optional[SplitCertificate]
     hsep_system: Optional[HSepCertificate]
@@ -392,11 +421,11 @@ class Classification:
 def classify(cr: CanonicalRings) -> Classification:
     """Decide all four properties, cross-check every redundant
     characterization, and assemble the certificates."""
-    sep = find_separability_element(cr)
-    split = find_conditional_expectation(cr)
-    hsep = find_hsep_system(cr)
-    left_qb = find_d2_quasibase(cr, "left")
-    right_qb = find_d2_quasibase(cr, "right")
+    certs = {}
+    # a loop: a comprehension's frame would be the exit-2 stage before 3.12
+    for kind in certificate_kinds():
+        certs[kind.key] = kind.search(cr)
+    sep, _, hsep, left_qb, right_qb = certs.values()
 
     notes: list[str] = []
 
@@ -434,21 +463,9 @@ def classify(cr: CanonicalRings) -> Classification:
         notes.append("endomorphism-ring depth-two detection agrees")
 
     return Classification(
-        separable=sep is not None,
-        split=split is not None,
-        hseparable=hsep is not None,
-        left_d2=left_qb is not None,
-        right_d2=right_qb is not None,
-        separability_element=sep,
-        conditional_expectation=split,
-        hsep_system=hsep,
-        left_quasibase=left_qb,
-        right_quasibase=right_qb,
-        endo_d2=endo,
+        **certs, endo_d2=endo,
         base_projective={k: v is not None for k, v in base.items()},
-        facts=module_facts(cr),
-        consistency_notes=notes,
-    )
+        facts=module_facts(cr), consistency_notes=notes)
 
 
 def _check_hsep_induced_quasibases(cr: CanonicalRings, hsep: HSepCertificate

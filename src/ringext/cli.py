@@ -1,7 +1,7 @@
 """Command line driver.
 
 Subcommands: analyze (everything), certify <kind> (one certificate; the
-kinds are the rows of report.certificate_kinds), equivalence
+kinds are the rows of certify.certificate_kinds), equivalence
 (isomorphism suite on one module), normality, hopf (group algebra
 subgroup tests), verify (re-check a JSON report emitted by analyze or
 by certify --json).
@@ -21,12 +21,12 @@ from typing import Optional
 
 from .algebra import AlgebraError
 from .canonical import InternalInconsistency, build_canonical_rings
-from .certify import classify
+from .certify import certificate_kinds, classify
 from .equivalences import pi_A_iso
 from .normality import hopf_normality
-from .report import (_iso_block, analysis_report, certificate_kinds,
-                     module_block, normality_block, render_text, report_header,
-                     report_json, verify_report)
+from .report import (_iso_block, analysis_report, module_block,
+                     normality_block, render_text, report_header, report_json,
+                     verify_report)
 from .serialize import InputError, certificate_json, parse_input
 
 EXIT_OK = 0

@@ -15,13 +15,12 @@ compared with the input echo and the certificates.
 
 import json
 from datetime import datetime, timezone
-from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
-from . import __version__, certify, serialize
+from . import __version__
 from .bimodule import regular_module
 from .canonical import CanonicalRings, CanonicalSpaces, build_canonical_rings
-from .certify import Classification, classify
+from .certify import Classification, certificate_kinds, classify
 from .equivalences import (VerifiedIso, centralizer_projectivity, chi_M,
                            evaluation_map, functor_iso_checks, gamma_M,
                            pi_A_iso, rho_M, split_counit)
@@ -30,50 +29,10 @@ from .normality import (a_invariant_contraction, centralizer_normality_suite,
                         hopf_normality, per_closure, prebraided_check)
 from .schema import schema
 from .serialize import (InputError, ParsedInput, build_input,
-                        certificate_json, field_json, vector_json)
+                        certificate_from_json, certificate_json, field_json,
+                        vector_json)
 
 TOOL = {"name": "ringext", "version": __version__}
-
-
-class CertificateKind(NamedTuple):
-    """One certificate kind: its certify name, its report flag, its key
-    (both in the report's certificates and on Classification), its search,
-    verifier and decoder (serialize.certificate_from_json of its class)."""
-    name: str
-    flag: str
-    key: str
-    search: Callable    # (cr) -> certificate or None
-    verify: Callable    # (spaces, cert) -> bool
-    decode: Callable    # (f, payload, dims, loc) -> cert; raises InputError
-
-
-def certificate_kinds() -> tuple:
-    """The five certificate kinds, in report order.
-
-    Built on each call so that the functions are looked up afresh, and a
-    caller that rebinds one of them (a tracer, say) is seen.
-    """
-    c, decode = certify, serialize.certificate_from_json
-
-    def d2(side: str) -> CertificateKind:
-        return CertificateKind(
-            f"d2-{side}", f"{side}_depth_two", f"{side}_quasibase",
-            partial(c.find_d2_quasibase, side=side), c.verify_d2,
-            partial(decode, c.D2Certificate, side=side))
-
-    return (
-        CertificateKind("separable", "separable", "separability_element",
-                        c.find_separability_element, c.verify_separability,
-                        partial(decode, c.SeparabilityCertificate)),
-        CertificateKind("split", "split", "conditional_expectation",
-                        c.find_conditional_expectation, c.verify_split,
-                        partial(decode, c.SplitCertificate)),
-        CertificateKind("hsep", "hseparable", "hsep_system",
-                        c.find_hsep_system, c.verify_hsep,
-                        partial(decode, c.HSepCertificate)),
-        d2("left"),
-        d2("right"),
-    )
 
 
 def _iso_block(iso: VerifiedIso) -> dict:
@@ -265,7 +224,8 @@ def verify_report(doc) -> tuple:
                              payload, "$.certify.certificate"))
     for kind, payload, loc in attached:
         try:
-            cert = kind.decode(cs.field, payload, dims, loc)
+            cert = certificate_from_json(kind.cls, cs.field, payload, dims,
+                                         loc, kind.side)
         except InputError as exc:
             msgs.append(f"certificate payload malformed: {exc}")
             continue

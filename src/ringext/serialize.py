@@ -21,6 +21,7 @@ subalgebra closure.
 """
 
 from dataclasses import dataclass, field as dc_field, fields
+from functools import cache
 from typing import Optional
 
 from .linalg import (GF, QQ, Field, LinalgError, Matrix, PrimeField, dense,
@@ -283,10 +284,16 @@ SHAPES = {"element": ("tensor_square",), "casimir": ("tensor_square",),
 PAIRS = {HSepCertificate: HSepPair, D2Certificate: QuasibasePair}
 
 
+@cache
+def _names(cls: type) -> tuple:
+    """The field names of a certificate or pair class, in dataclass order."""
+    return tuple(fld.name for fld in fields(cls))
+
+
 def certificate_json(f: Field, cert, dims: dict) -> dict:
     """The payload of a certificate, or of one of its pairs."""
     out = {}
-    for name in (fld.name for fld in fields(cert)):
+    for name in _names(type(cert)):
         v, shape = getattr(cert, name), SHAPES.get(name)
         if name == "pairs":
             v = [certificate_json(f, p, dims) for p in v]
@@ -302,7 +309,7 @@ def certificate_from_json(cls: type, f: Field, payload: dict, dims: dict,
     """The cls that payload encodes, its fields decoded in order so that a
     fault is located at the first bad one; a quasibase must be on side."""
     args = {}
-    for name in [x.name for x in fields(cls) if x.name in payload]:
+    for name in filter(payload.__contains__, _names(cls)):
         v, shape, at = payload[name], SHAPES.get(name), f"{loc}.{name}"
         if name == "side" and v != side:
             raise InputError(f"a {side} quasibase wants side {side!r}", at)

@@ -10,9 +10,10 @@ import json
 from ringext.bimodule import dual_basis_witness, hom_space, keep_side, \
     regular_module, summand_witness
 from ringext.canonical import CanonicalSpaces
-from ringext.certify import (D2Certificate, QuasibasePair, d2_summand_witness,
-                             hsep_summand_witness, module_facts, verify_d2,
-                             verify_hsep, verify_separability, verify_split)
+from ringext.certify import (D2Certificate, QuasibasePair, certificate_kinds,
+                             d2_summand_witness, hsep_summand_witness,
+                             module_facts, verify_d2, verify_hsep,
+                             verify_separability, verify_split)
 from ringext.equivalences import (chi_M, functor_iso_checks, gamma_M,
                                   pi_A_iso, rho_M, triangle_check)
 from ringext.linalg import QQ, Matrix
@@ -37,38 +38,55 @@ from tests.test_algebra import sym3
 def test_criterion_1_golden_verdict_table(built):
     for name in CORPUS_NAMES:
         cls = built(name).cls
-        got = (cls.separable, cls.split, cls.hseparable,
-               cls.left_d2, cls.right_d2)
+        got = tuple(getattr(cls, k.key) is not None
+                    for k in certificate_kinds())
         assert got == EXPECTED_FLAGS[name], name
 
-    # the individually named verdicts, spelled out
+    # the individually named verdicts, spelled out: a verdict holds when
+    # its certificate is present
     full = built("b_eq_a").cls
-    assert full.separable and full.split and full.hseparable \
-        and full.left_d2 and full.right_d2
+    assert full.separability_element is not None
+    assert full.conditional_expectation is not None
+    assert full.hsep_system is not None
+    assert full.left_quasibase is not None
+    assert full.right_quasibase is not None
 
     qc2 = built("qc2_q").cls
-    assert qc2.separable and qc2.split and qc2.left_d2 and qc2.right_d2
+    assert qc2.separability_element is not None
+    assert qc2.conditional_expectation is not None
+    assert qc2.left_quasibase is not None
+    assert qc2.right_quasibase is not None
 
     f2 = built("f2c2_f2").cls
-    assert not f2.separable and f2.split
+    assert f2.separability_element is None
+    assert f2.conditional_expectation is not None
 
     f3 = built("f3c3_f3").cls
-    assert f3.left_d2 and f3.right_d2 and not f3.separable
+    assert f3.left_quasibase is not None and f3.right_quasibase is not None
+    assert f3.separability_element is None
 
     qs3 = built("qs3_qa3").cls
-    assert qs3.separable and qs3.split and qs3.left_d2 and qs3.right_d2
-    assert not qs3.hseparable
+    assert qs3.separability_element is not None
+    assert qs3.conditional_expectation is not None
+    assert qs3.left_quasibase is not None
+    assert qs3.right_quasibase is not None
+    assert qs3.hsep_system is None
 
     f7 = built("f7s3_f7t").cls
-    assert f7.separable and f7.split
-    assert not f7.left_d2 and not f7.right_d2
+    assert f7.separability_element is not None
+    assert f7.conditional_expectation is not None
+    assert f7.left_quasibase is None and f7.right_quasibase is None
 
     m2 = built("m2q_q").cls
-    assert m2.hseparable and m2.separable and m2.split \
-        and m2.left_d2 and m2.right_d2
+    assert m2.hsep_system is not None
+    assert m2.separability_element is not None
+    assert m2.conditional_expectation is not None
+    assert m2.left_quasibase is not None
+    assert m2.right_quasibase is not None
 
     qxq = built("qxq_q").cls
-    assert qxq.separable and not qxq.hseparable
+    assert qxq.separability_element is not None
+    assert qxq.hsep_system is None
 
 
 def test_criterion_1_stored_reports_reproduced(built):
@@ -105,13 +123,16 @@ def test_criterion_3_characterization_crosschecks(built):
         b = built(name)
         cr, cls = b.cr, b.cls
         # quasibase existence against the summand characterization, both sides
-        assert (d2_summand_witness(cr, "left") is not None) == cls.left_d2, name
-        assert (d2_summand_witness(cr, "right") is not None) == cls.right_d2, name
-        assert (hsep_summand_witness(cr) is not None) == cls.hseparable, name
+        assert ((d2_summand_witness(cr, "left") is None)
+                == (cls.left_quasibase is None)), name
+        assert ((d2_summand_witness(cr, "right") is None)
+                == (cls.right_quasibase is None)), name
+        assert ((hsep_summand_witness(cr) is None)
+                == (cls.hsep_system is None)), name
         # the endomorphism-ring detection, whenever its hypothesis holds
         if cls.endo_d2 is not None:
             probes_seen += 1
-            assert cls.endo_d2 == cls.left_d2, name
+            assert cls.endo_d2 == (cls.left_quasibase is not None), name
         # an H-separability system induces an explicit left quasibase
         if cls.hsep_system is not None:
             a = cr.ext.total
@@ -186,13 +207,13 @@ def test_criterion_5_progenerator_tracks_hseparability(built):
     facts = module_facts(qs3.cr)["cent_over_tensor_ring"]
     assert facts["projective"]
     assert not facts["generator"]
-    assert not qs3.cls.hseparable
+    assert qs3.cls.hsep_system is None
 
     # across the whole corpus the generator test mirrors H-separability
     for name in CORPUS_NAMES:
         b = built(name)
-        assert b.cls.facts["cent_over_tensor_ring"]["generator"] == \
-            b.cls.hseparable, name
+        assert b.cls.facts["cent_over_tensor_ring"]["generator"] == (
+            b.cls.hsep_system is not None), name
 
 
 # -- criterion 6: normality ---------------------------------------------------------

@@ -1,11 +1,13 @@
 """Certificates: search, substitution verification, tamper detection."""
 
+from dataclasses import fields
+
 import pytest
 
-from ringext.certify import (D2Certificate, HSepCertificate, HSepPair,
-                             QuasibasePair, SeparabilityCertificate,
+from ringext.certify import (Classification, D2Certificate, HSepCertificate,
+                             HSepPair, QuasibasePair, SeparabilityCertificate,
                              SplitCertificate, base_module_projectivity,
-                             classify, d2_summand_witness,
+                             certificate_kinds, classify, d2_summand_witness,
                              endo_ring_probe, find_conditional_expectation,
                              find_d2_quasibase, find_hsep_system,
                              find_separability_element, hsep_summand_witness,
@@ -32,8 +34,16 @@ def plus(f, u, v):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_flag_table(name, built):
     cls = built(name).cls
-    got = (cls.separable, cls.split, cls.hseparable, cls.left_d2, cls.right_d2)
+    got = tuple(getattr(cls, k.key) is not None for k in certificate_kinds())
     assert got == EXPECTED_FLAGS[name]
+
+
+def test_classification_holds_the_table_keys_in_order():
+    """Classification holds the table's certificates, in table order, then
+    the probes: a verdict is its certificate being present, not a field."""
+    assert [fld.name for fld in fields(Classification)] == [
+        k.key for k in certificate_kinds()] + [
+        "endo_d2", "base_projective", "facts", "consistency_notes"]
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -50,16 +60,6 @@ def test_every_found_certificate_verifies(name, built):
         assert verify_d2(cr, cls.left_quasibase)
     if cls.right_quasibase is not None:
         assert verify_d2(cr, cls.right_quasibase)
-
-
-def test_flags_match_certificate_presence(built):
-    for name in CORPUS_NAMES:
-        cls = built(name).cls
-        assert cls.separable == (cls.separability_element is not None)
-        assert cls.split == (cls.conditional_expectation is not None)
-        assert cls.hseparable == (cls.hsep_system is not None)
-        assert cls.left_d2 == (cls.left_quasibase is not None)
-        assert cls.right_d2 == (cls.right_quasibase is not None)
 
 
 # -- tampering: a corrupted certificate must fail substitution ---------------
@@ -231,7 +231,7 @@ def test_no_quasibase_for_group_algebra_over_nonnormal_part(built):
 
 def test_reverse_order_quasibase_also_verifies(built):
     cr = built("qs3_qa3").cr
-    qb = find_d2_quasibase(cr, "right", reverse_order=True)
+    qb = reference_d2_quasibase(cr, "right", reverse_order=True)
     assert qb is not None
     assert qb.reverse_order
     assert verify_d2(cr, qb)
@@ -240,14 +240,17 @@ def test_reverse_order_quasibase_also_verifies(built):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_quasibase_matches_per_tensor_reference(name, built):
     """The orbit-matrix system gives the certificate the per-(t, s)
-    generators give, on both sides and in both pair orders."""
+    generators give on both sides, and the reference in reverse pair order
+    finds one exactly when it does."""
     cr = built(name).cr
     left_d2, right_d2 = EXPECTED_FLAGS[name][3:]
     for side, d2 in (("left", left_d2), ("right", right_d2)):
-        for reverse_order in (False, True):
-            got = find_d2_quasibase(cr, side, reverse_order)
-            assert (got is not None) == d2
-            assert got == reference_d2_quasibase(cr, side, reverse_order)
+        got = find_d2_quasibase(cr, side)
+        assert (got is not None) == d2
+        assert got == reference_d2_quasibase(cr, side)
+        alt = reference_d2_quasibase(cr, side, reverse_order=True)
+        assert (alt is not None) == d2
+        assert alt is None or verify_d2(cr, alt)
 
 
 def test_hsep_induces_left_quasibase_explicitly(built):
@@ -268,9 +271,13 @@ def test_hsep_induces_left_quasibase_explicitly(built):
 def test_summand_witnesses_track_quasibases(built):
     for name in CORPUS_NAMES:
         b = built(name)
-        assert (d2_summand_witness(b.cr, "left") is not None) == b.cls.left_d2
-        assert (d2_summand_witness(b.cr, "right") is not None) == b.cls.right_d2
-        assert (hsep_summand_witness(b.cr) is not None) == b.cls.hseparable
+        cls = b.cls
+        assert ((d2_summand_witness(b.cr, "left") is None)
+                == (cls.left_quasibase is None))
+        assert ((d2_summand_witness(b.cr, "right") is None)
+                == (cls.right_quasibase is None))
+        assert ((hsep_summand_witness(b.cr) is None)
+                == (cls.hsep_system is None))
 
 
 def test_endo_ring_probe_matches_when_defined(built):
@@ -279,7 +286,7 @@ def test_endo_ring_probe_matches_when_defined(built):
         right = base_module_projectivity(b.cr)["right"]
         probe = endo_ring_probe(b.cr, right is not None)
         if probe is not None:
-            assert probe == b.cls.left_d2
+            assert probe == (b.cls.left_quasibase is not None)
         assert b.cls.endo_d2 == probe
 
 
@@ -319,7 +326,8 @@ def test_module_facts_shape_and_generator_tracks_hsep(built):
         assert set(facts) == {"cent_over_tensor_ring", "cent_over_endo_ring"}
         for v in facts.values():
             assert set(v) == {"projective", "generator", "cyclic_via_unit"}
-        assert facts["cent_over_tensor_ring"]["generator"] == b.cls.hseparable
+        assert facts["cent_over_tensor_ring"]["generator"] == (
+            b.cls.hsep_system is not None)
 
 
 def test_classification_consistency_notes_present(built):

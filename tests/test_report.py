@@ -10,9 +10,9 @@ import pytest
 from ringext.canonical import CanonicalRings, CanonicalSpaces
 from ringext.cli import main
 from ringext.report import certificate_kinds, render_text, verify_report
-from ringext.serialize import certificate_json
+from ringext.serialize import certificate_from_json, certificate_json
 
-from tests.conftest import CORPUS, CORPUS_NAMES, expected_doc
+from tests.conftest import CORPUS, CORPUS_NAMES, SCHEMAS, expected_doc
 
 DIMS = ("algebra", "subalgebra", "tensor_square", "centralizer",
         "tensor_ring", "endo_ring", "casimir")
@@ -52,7 +52,8 @@ def _verdict(built, spaces, name, kind, payload) -> bool:
     """kind.verify of a payload against the lean spaces, which must agree
     with its verdict against the full rings of build_canonical_rings."""
     cr = built(name).cr
-    cert = kind.decode(cr.field, payload, cr.dims(), "$")
+    cert = certificate_from_json(kind.cls, cr.field, payload, cr.dims(), "$",
+                                 kind.side)
     lean = kind.verify(spaces(name), cert)
     assert lean is kind.verify(cr, cert), (name, kind.name)
     return lean
@@ -65,6 +66,21 @@ def test_table_names_each_kind_once():
     for field in ("name", "flag", "key"):
         values = [getattr(k, field) for k in kinds]
         assert len(set(values)) == len(values) == 5
+
+
+def test_report_schema_lists_the_table():
+    """report.schema.json, which the table cannot drive, lists the kinds'
+    names, flags and keys as the table does, in its order."""
+    kinds = certificate_kinds()
+    with open(os.path.join(SCHEMAS, "report.schema.json"),
+              encoding="utf-8") as fh:
+        props = json.load(fh)["properties"]
+    cl = props["classification"]["properties"]
+    assert props["certify"]["properties"]["kind"]["enum"] == [
+        k.name for k in kinds]
+    assert [f for f, v in cl.items() if v == {"type": "boolean"}] == [
+        k.flag for k in kinds]
+    assert list(cl["certificates"]["properties"]) == [k.key for k in kinds]
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -90,7 +106,8 @@ def test_golden_certificates_decode_and_encode_back(spaces, name, key):
     kind = next(k for k in certificate_kinds() if k.key == key)
     payload = doc["classification"]["certificates"][key]
     cs = spaces(name)
-    cert = kind.decode(cs.field, payload, doc["dims"], "$")
+    cert = certificate_from_json(kind.cls, cs.field, payload, doc["dims"],
+                                 "$", kind.side)
     assert json.loads(json.dumps(certificate_json(cs.field, cert,
                                                   doc["dims"]))) == payload
 
@@ -188,8 +205,8 @@ def test_certify_output_matches_schema(report_validator, certify_docs, built,
         if payload is not None:
             assert _verdict(built, spaces, name, k, payload) is True
             f, dims = built(name).cr.field, doc["dims"]
-            assert certificate_json(f, k.decode(f, payload, dims, "$"),
-                                    dims) == payload, k.name
+            cert = certificate_from_json(k.cls, f, payload, dims, "$", k.side)
+            assert certificate_json(f, cert, dims) == payload, k.name
 
 
 def _bad_scalar(doc):
