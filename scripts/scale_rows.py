@@ -57,6 +57,7 @@ EXTENSIONS = {
     "s4_c2": ("s4", [(1, 0, 2, 3)]),
     "a5_a4": ("a5", [(1, 2, 0, 3, 4), (1, 0, 3, 2, 4)]),
     "a5_d5": ("a5", [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)]),
+    "a5_c5": ("a5", [(1, 2, 3, 4, 0)]),
 }
 FIELDS = {"q": "Q", "f3": {"Fp": 3}, "f5": {"Fp": 5}, "f7": {"Fp": 7}}
 

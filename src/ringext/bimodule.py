@@ -190,6 +190,11 @@ def _spanning(f: Field, dim: int, acts: Sequence[Matrix]) -> tuple:
     return tuple(xs)
 
 
+def unit_generators(m: Bimodule) -> list[int]:
+    """Unit vector indices generating m under both sides' generators (_spanning)."""
+    return [x[0][0] for x in _spanning(m.field, m.dim, sum(m.generator_actions(), []))]
+
+
 def generated(m: Bimodule, side: str, xs: Optional[tuple] = None) -> Bimodule:
     """m recording xs, by default unit vectors picked greedily by
     _spanning, as its generating set over the algebra acting on side."""
@@ -811,7 +816,7 @@ def summand_witness(m: Bimodule, n: Bimodule,
     """
     into_space, back_space = hom(m, n), hom(n, m)
     f, dm = m.field, m.dim
-    gens = [x[0][0] for x in _spanning(f, dm, sum(m.generator_actions(), []))]
+    gens = unit_generators(m)
     k, nb = len(gens), back_space.dim
     target = tuple((i * k + x, f.one) for x, i in enumerate(gens))
     # gb @ at_gens[a] holds the columns of gb @ fa at gens

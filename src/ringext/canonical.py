@@ -60,6 +60,7 @@ from .bimodule import (
     summand_witness,
     tensor_legs,
     tensor_over,
+    unit_generators,
 )
 from .linalg import Matrix, Subspace, lin_comb, rank
 
@@ -143,6 +144,9 @@ class CanonicalSpaces:
         self.tensor_space = centralizer_subspace(self.q.module, ext)
         self.endo_space = self.hom(self.restricted, self.restricted)
         self.a_basis = [((i, self.field.one),) for i in range(a.dim)]
+        # basis indices generating A as a B-B-bimodule: for k[G] over k[H]
+        # one per double coset HgH, the free legs of the depth-two identity
+        self.bb_generators = unit_generators(self.restricted)
         self.casimir_space = invariants_subspace(
             self.q.module, [self.a_basis[i] for i in a.generators()])
         self.mu_matrix = self.q.map_out(a.dim, lambda i, j: a.mult[i][j])

@@ -19,17 +19,21 @@ pair vectors (linalg), and substitution acts on them: an element x of A
 acts on a tensor v as the combination, by comb, of the images of v under
 the basis actions at the nonzero entries of x (_acted), and a quasibase
 tensor's images are computed when first read and shared by every free
-point, so no operator of x is formed.  Invariance under A
-or B and B-B-linearity are checked on generators only: the input checks
-make A associative and unital and the embedding unital and
-multiplicative, so A|B and the tensor square are representations, and
-what commutes with the generators commutes with their algebra.  A search records
-what it verified on its CanonicalRings, for later consumers of the same
-content.  The depth-two verdicts are
-cross-checked against an independent characterization (the tensor
-square splitting off a finite power of the algebra as a one-sided
-bimodule); those two answers agreeing is a theorem, so a mismatch
-raises InternalInconsistency.
+point, so no operator of x is formed.  Invariance under A or B and
+B-B-linearity are checked on generators only: the input checks make A
+associative and unital and the embedding unital and multiplicative, so
+A|B and the tensor square are representations, and what commutes with
+the generators commutes with their algebra.  Likewise the depth-two
+identity is solved and checked only with the basis elements of A
+generating it as a B-B-bimodule (CanonicalSpaces.bb_generators) in its
+free leg: with each tensor B-central and each endomorphism B-B-linear,
+both of its sides are B-B-linear in that leg, so they agree on A once
+they agree there.  A search records what it verified on its
+CanonicalRings, for later consumers of the same content.  The depth-two
+verdicts are cross-checked against an independent characterization (the
+tensor square splitting off a finite power of the algebra as a one-sided
+bimodule); those two answers agreeing is a theorem, so a mismatch raises
+InternalInconsistency.
 """
 
 from __future__ import annotations
@@ -166,18 +170,18 @@ def _d2_side(cr: CanonicalSpaces, side: str) -> tuple:
 
     Left: x (x) y = sum t_p . endo_p(x) y, the right outer action on Q.
     Right: x (x) y = sum x endo_p(y) . t_p, the left outer action.  The
-    free points put each basis element of A into the free leg, the other
-    leg being 1; the identity at them is the linear system of the search.
+    free points put each B-B-generator of A (bb_generators) into the free
+    leg, the other being 1; the identity at them is the search's system.
     """
     a = cr.ext.total
     if side == "left":
         return (cr.q.module.right_action,
                 lambda endo, x, y: a.multiply(endo.apply(x), y),
-                [(e, a.unit) for e in cr.a_basis])
+                [(cr.a_basis[k], a.unit) for k in cr.bb_generators])
     if side == "right":
         return (cr.q.module.left_action,
                 lambda endo, x, y: a.multiply(x, endo.apply(y)),
-                [(a.unit, e) for e in cr.a_basis])
+                [(a.unit, cr.a_basis[k]) for k in cr.bb_generators])
     raise ValueError("side must be 'left' or 'right'")
 
 
@@ -197,9 +201,10 @@ def verify_d2(cr: CanonicalSpaces, cert: D2Certificate) -> bool:
             (actions, value(pair.endo, x, y), pair.tensor, seen)
             for pair, seen in zip(cert.pairs, images)]) == cr.q.pure(x, y)
 
-    # the free points imply the identity: it is linear in the free leg,
-    # and acting by y on the other side of x (x) 1 gives x (x) y on the
-    # left and the same action on every summand on the right
+    # the free points imply the identity: by the checks above both of its
+    # sides are B-B-linear in the free leg, which they generate; acting by
+    # y on the other side of x (x) 1 gives x (x) y on the left and the
+    # same action on every summand on the right
     return all(holds(x, y) for x, y in free)
 
 
@@ -261,23 +266,27 @@ def find_d2_quasibase(cr: CanonicalRings, side: str) -> Optional[D2Certificate]:
 
     The unknowns are coefficients over (invariant tensor, endomorphism)
     basis pairs; the equations are the side's quasibase identity at its
-    free points, one algebra basis element at a time in the free leg.
-    The generator of a pair (t, s) is M_t @ s read column by column,
-    where the orbit matrix M_t = [act(e_k).t]_k is read off the products
-    of the tensor basis with each act(e_k)^T, formed once per call.
+    free points, one B-B-generator e_k of A at a time in the free leg.
+    Each pair's generator and the target are B-B-linear in that leg, so a
+    linear relation among them holds at the e_k exactly when on all of A:
+    the solution is the one the whole basis gives.  The generator of a
+    pair (t, s) is s^T @ M_t at the rows k, where the orbit matrix M_t has
+    rows act(e_l).t, read off the products of the tensor basis with each
+    act(e_l)^T, formed once per call.
     """
     actions, _, free = _d2_side(cr, side)
-    f, n, basis = cr.field, cr.ext.total.dim, cr.tensor_space.basis
-    endos = cr.endo_space.basis
+    f, n, gens = cr.field, cr.ext.total.dim, cr.bb_generators
+    basis, endos = cr.tensor_space.basis, cr.endo_space.basis
     # row i of basis @ act(e_k)^T is act(e_k).t_i, row k of M_{t_i}
     images = [(basis @ op.transpose()).pairs for op in actions]
     orbits = [Matrix(f, n, cr.dim_q, tuple(img[i] for img in images))
               for i in range(basis.rows)]
-    # at the k-th free point value(s, x, y) is s.e_k, so the summand at
-    # t is column k of M_t @ s, which is row k of s^T @ M_t^T; the target
-    # is the pure tensors at the free points, stacked
+    # at the free point of e_k value(s, x, y) is s.e_k, so the summand at
+    # t is row k of s^T @ M_t, and only those rows of s^T are kept; the
+    # target is the pure tensors at the free points, stacked
     found = span_decide_pairs(
-        f, n * cr.dim_q, orbits, [s.transpose() for s in endos],
+        f, len(gens) * cr.dim_q, orbits,
+        [Matrix(f, len(gens), n, tuple(s.col(k) for k in gens)) for s in endos],
         lambda mt, st: (st @ mt).vec(),
         tuple((k * cr.dim_q + j, c) for k, (x, y) in enumerate(free)
               for j, c in cr.q.pure(x, y)))

@@ -71,10 +71,15 @@ def scalar_json(f: Field, v):
 
 
 def parse_vector(f: Field, v: list, n: int, loc: str) -> tuple:
-    """The pair vector of a dense list of n scalars."""
+    """The pair vector of a dense list of n scalars; a second scan locates a fault."""
     if len(v) != n:
         raise InputError(f"expected length {n}, got {len(v)}", loc)
-    return sparse([parse_scalar(f, c, f"{loc}[{i}]") for i, c in enumerate(v)])
+    try:
+        return sparse([parse_scalar(f, c, loc) for c in v])
+    except InputError:
+        for i, c in enumerate(v):
+            parse_scalar(f, c, f"{loc}[{i}]")
+        raise
 
 
 def vector_json(f: Field, v: tuple, n: int) -> list:

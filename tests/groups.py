@@ -43,6 +43,11 @@ def symmetric3() -> tuple:
     return table(elements, compose), elements
 
 
+def symmetric4() -> tuple:
+    elements = sorted(permutations(range(4)))
+    return table(elements, compose), elements
+
+
 def dihedral4() -> tuple:
     """Symmetries of a square with vertices 0..3: a rotation and a flip."""
     elements = generated([(1, 2, 3, 0), (0, 3, 2, 1)], compose, (0, 1, 2, 3))
@@ -102,3 +107,11 @@ def case_doc(name: str) -> dict:
     """The input document of a GROUP_CASES entry."""
     (builder, gen), field = GROUP_CASES[name]
     return group_case(builder, gen, field)
+
+
+def s4_over_a4_doc(field) -> dict:
+    """k[S4] over k[A4], spanned by a 3-cycle and a double transposition:
+    24 dimensions over 12, two double cosets."""
+    cayley, elements = symmetric4()
+    return group_doc(cayley, subgroup(cayley, [
+        elements.index((1, 2, 0, 3)), elements.index((1, 0, 3, 2))]), field)

@@ -10,7 +10,9 @@ library once solved is kept on library matrices, as the reference that
 hom_space's direct constraint rows are compared against, and so are the
 sparse balancing system that tensor_over eliminated for products over no
 generating set, the dense tensor-leg loop and the per-tensor quasibase
-system that tensor_legs and find_d2_quasibase replaced, the full summand
+system that tensor_legs and find_d2_quasibase replaced (solved, like the
+quasibase verifier kept below, at every basis element of A rather than
+at B-B-generators only), the full summand
 search that summand_witness replaced, the closure loops that spin
 replaced, the dense multiply loop of FDAlgebra.multiply and the dense
 multiply loops of FDAlgebra.validate and the
@@ -493,14 +495,29 @@ def reference_is_bimodule_map(src, dst, mat):
             and intertwines(mat, zip(src.right_action, dst.right_action)))
 
 
+def reference_d2_side(cr, side):
+    """The side's quasibase identity as (actions, value, free points), as
+    certify._d2_side once wrote it: every basis element of A in the free
+    leg, the other leg 1."""
+    a = cr.ext.total
+    if side == "left":
+        return (cr.q.module.right_action,
+                lambda endo, x, y: a.multiply(endo.apply(x), y),
+                [(e, a.unit) for e in cr.a_basis])
+    return (cr.q.module.left_action,
+            lambda endo, x, y: a.multiply(x, endo.apply(y)),
+            [(a.unit, e) for e in cr.a_basis])
+
+
 def reference_d2_quasibase(cr, side, reverse_order=False):
     """find_d2_quasibase with every generator built as
-    act(value(s, x, y)) applied to t at each free point, per (t, s)."""
-    from ringext.certify import D2Certificate, QuasibasePair, _d2_side
+    act(value(s, x, y)) applied to t at each free point, per (t, s), and
+    every basis element of A a free point."""
+    from ringext.certify import D2Certificate, QuasibasePair
     from ringext.linalg import lin_comb, span_decide_pairs
     from tests.helpers import dense_vector
 
-    actions, value, free = _d2_side(cr, side)
+    actions, value, free = reference_d2_side(cr, side)
     n = cr.ext.total.dim
 
     def act(x):
@@ -669,8 +686,8 @@ def reference_verify_hsep(cr, cert):
 
 
 def reference_verify_d2(cr, cert):
-    """verify_d2 with act(value) formed as an operator at each free point."""
-    from ringext.certify import _d2_side
+    """verify_d2 with act(value) formed as an operator at each free point,
+    every basis element of A being one."""
     from ringext.linalg import lin_comb
 
     iotas = cr.ext.iota.transpose().pairs
@@ -680,7 +697,7 @@ def reference_verify_d2(cr, cert):
         if not reference_is_bimodule_map(cr.restricted, cr.restricted,
                                          pair.endo):
             return False
-    actions, value, free = _d2_side(cr, cert.side)
+    actions, value, free = reference_d2_side(cr, cert.side)
     n = cr.dim_q
     return all(_dense_sum(cr.field, n, (
         lin_comb(cr.field, n, n, value(pair.endo, x, y), actions)
